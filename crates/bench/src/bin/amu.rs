@@ -1,11 +1,10 @@
 //! **AMU issue-coalescing trajectory** (extension): how much duplicate
-//! cache-line traffic the explicit load protocol (`amac::engine::amu`)
-//! removes, as deterministic counters.
+//! cache-line traffic the execution context's load protocol
+//! (`amac_tier::ctx`) removes, as deterministic counters.
 //!
-//! Every executor routes its loads through a `MemUnit`; with a
-//! [`CoalescingUnit`](amac::engine::amu::CoalescingUnit) window of `G`
-//! lanes, duplicate line requests inside a commit group ride the first
-//! issue. The gateable signal is **issued loads per lookup**:
+//! Every executor routes its loads through an `ExecCtx`; with a
+//! coalescing window of `G` lanes, duplicate line requests inside a
+//! commit group ride the first issue. The gateable signal is **issued loads per lookup**:
 //!
 //! * **Zipf(1.0) probe keys** put the same hot bucket lines in flight
 //!   together — coalescing collapses them, and issued-loads/lookup drops

@@ -1,6 +1,6 @@
 //! The AMAC executor (§3 of the paper) and its ablation variants.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
 
 /// Execute `inputs` with **Asynchronous Memory Access Chaining**.
 ///
@@ -47,7 +47,7 @@ fn run_amac_inner<O: LookupOp>(
     }
     // Prefetch accounting is gated on the op's policy (see the module docs
     // of `super` — the `PrefetchHint::None` ablation must report 0).
-    let pf = op.issues_prefetches() as u64;
+    let pf = op.ctx().issues_prefetches() as u64;
     let m = m.clamp(1, inputs.len());
     let mut states: Vec<O::State> = Vec::with_capacity(m);
     states.resize_with(m, O::State::default);
@@ -146,7 +146,7 @@ fn run_amac_inner<O: LookupOp>(
             // check), so a tiered op's simulated clock must advance —
             // otherwise the drain tail would fake stalls the rotation
             // cadence actually hides.
-            op.sim_idle(1);
+            op.ctx().idle(1);
         }
         if modulo_index {
             k = (k + 1) % m;
@@ -158,7 +158,7 @@ fn run_amac_inner<O: LookupOp>(
             }
         }
     }
-    op.flush_observed(&mut stats);
+    op.ctx().flush(&mut stats);
     stats
 }
 

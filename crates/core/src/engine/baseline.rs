@@ -1,6 +1,6 @@
 //! The no-prefetch baseline executor.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
 
 /// Execute `inputs` one lookup at a time, exactly as the paper's "highly
 /// optimized no-prefetching" baseline: the core's own out-of-order window
@@ -11,7 +11,7 @@ use super::{EngineStats, LookupOp, Step};
 /// threads*).
 pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats {
     let mut stats = EngineStats::default();
-    let pf = op.issues_prefetches() as u64;
+    let pf = op.ctx().issues_prefetches() as u64;
     let mut state = O::State::default();
     for &input in inputs {
         op.start(input, &mut state);
@@ -38,9 +38,9 @@ pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats
         }
         // One lookup = one AMU commit group: with a single lane in flight
         // there is nothing to coalesce against.
-        op.commit_point();
+        op.ctx().commit_group();
     }
-    op.flush_observed(&mut stats);
+    op.ctx().flush(&mut stats);
     stats
 }
 

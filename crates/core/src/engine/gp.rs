@@ -1,7 +1,7 @@
 //! The Group Prefetching executor (Chen et al., reproduced as the paper's
 //! comparison point).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
 
 /// Execute `inputs` with **Group Prefetching**.
 ///
@@ -25,7 +25,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
     if inputs.is_empty() {
         return stats;
     }
-    let pf = op.issues_prefetches() as u64;
+    let pf = op.ctx().issues_prefetches() as u64;
     let m = m.clamp(1, inputs.len());
     let n = op.budgeted_steps().max(1);
     let mut states: Vec<O::State> = Vec::with_capacity(m);
@@ -44,7 +44,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
         }
         // The GP group IS the AMU commit group: seal it so the next
         // group's lanes cannot coalesce against this one's loads.
-        op.commit_point();
+        op.ctx().commit_group();
         // Stages 1..=N swept across the group.
         for _sweep in 0..n {
             for k in 0..g {
@@ -53,7 +53,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
                     // box. It costs a tick of simulated time, keeping the
                     // remaining lookups' prefetch distances honest.
                     stats.noops += 1;
-                    op.sim_idle(1);
+                    op.ctx().idle(1);
                     continue;
                 }
                 match op.step(&mut states[k]) {
@@ -81,7 +81,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
         cleanup_sequential(op, &mut states, &mut done, g, &mut stats);
         base += g;
     }
-    op.flush_observed(&mut stats);
+    op.ctx().flush(&mut stats);
     stats
 }
 

@@ -21,23 +21,24 @@
 //! Each `start` and each `step` returning `Continue` issues exactly one
 //! prefetch; `Done`/`Blocked` issue none. The executors use this convention
 //! to maintain the prefetch counter without threading a stats handle
-//! through the hot path — **gated** on
-//! [`LookupOp::issues_prefetches`], so an op running the
-//! `PrefetchHint::None` ablation honestly reports zero.
+//! through the hot path — **gated** on [`Hooks::issues_prefetches`], so an
+//! op running the `PrefetchHint::None` ablation honestly reports zero.
 //!
-//! # Op-side observations
+//! # Execution context
 //!
-//! Some counters only the op can see — chain nodes actually dereferenced,
-//! SWAR tag rejections. Ops accumulate them internally and the executors
-//! drain them into [`EngineStats`] via [`LookupOp::flush_observed`] at the
-//! end of every run (the morsel runtime flushes per feed/drain), so the
-//! counters stay exact even when one op instance serves many morsels.
+//! Everything cross-cutting — the simulated clock, commit groups, the
+//! tracer, and the counters only the op can see (chain nodes actually
+//! dereferenced, SWAR tag rejections) — lives in the op's execution
+//! context, reached through [`LookupOp::ctx`] and driven through
+//! [`Hooks`]. Executors drain its ledger into [`EngineStats`] at the end
+//! of every run (the morsel runtime per feed/drain), so the counters stay
+//! exact even when one op instance serves many morsels.
 
 mod amac_exec;
-pub mod amu;
 mod baseline;
 pub mod closure_api;
 mod gp;
+mod hooks;
 pub mod mux;
 pub mod pipeline;
 mod spp;
@@ -47,6 +48,7 @@ mod tune;
 pub use amac_exec::{run_amac, run_amac_modulo, run_amac_no_merge};
 pub use baseline::run_baseline;
 pub use gp::run_gp;
+pub use hooks::Hooks;
 pub use spp::run_spp;
 pub use stats::EngineStats;
 pub use tune::{
@@ -64,8 +66,8 @@ pub enum Step {
     Done,
     /// A latch was busy; the stage made **no progress** and must be retried.
     Blocked,
-    /// A simulated far-memory load resolved to
-    /// `LoadOutcome::Failed` and the lookup aborted: the slot retires
+    /// A simulated far-memory load came back with a failed ticket and
+    /// the lookup aborted: the slot retires
     /// like [`Step::Done`] (it frees its window slot and counts toward
     /// `lookups`), but no output was produced and
     /// [`EngineStats::failed_lookups`] records the abort. Fault policy
@@ -97,103 +99,10 @@ pub trait LookupOp {
     /// Execute the next code stage of the lookup held in `state`.
     fn step(&mut self, state: &mut Self::State) -> Step;
 
-    /// Whether this op's `start`/`Continue` stages really issue their
-    /// prefetch. Executors multiply the convention count by this, so the
-    /// `PrefetchHint::None` ablation reports 0 instead of a phantom
-    /// one-per-stage. Default: `true` (ops with unconditional prefetches).
+    /// The op's execution context (see [`Hooks`]). Default: `()`, no
+    /// context — the hook calls compile away.
     #[inline(always)]
-    fn issues_prefetches(&self) -> bool {
-        true
-    }
-
-    /// Drain op-side observation counters (nodes visited, tag rejects,
-    /// simulated work/stall ticks) into `stats`, resetting them. Called
-    /// by every executor at the end of a run and by the morsel runtime
-    /// after each feed/drain; the drain-and-reset contract is what keeps
-    /// counts exact when one op instance processes many morsels.
-    /// Default: nothing to report.
-    #[inline(always)]
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        let _ = stats;
-    }
-
-    /// Seal the op's current AMU commit group (see [`amu`]): lane births
-    /// after this point join a new group and cannot coalesce against
-    /// loads issued before it. Executors with a batch boundary call this
-    /// at that boundary — GP after each group's start pass, the baseline
-    /// after each lookup — and the morsel runtime calls it at feed ends
-    /// so ragged morsel tails cannot smear groups across threads. AMAC
-    /// and SPP have no batch boundary (their window slides); their ops
-    /// rely on the unit's automatic every-`G`-births advance, the
-    /// deterministic analogue of `cp.async.commit_group`. Default: the op
-    /// has no memory unit, nothing to seal.
-    #[inline(always)]
-    fn commit_point(&mut self) {}
-
-    /// Let `ticks` of simulated time pass without this op executing a
-    /// stage. Executors call this once per visit to an idle window slot
-    /// (a GP/SPP no-op check, a drained AMAC slot), so a tiered op's
-    /// simulated clock (`amac_tier::SimClock`) keeps pace with the
-    /// window rotation even when the op itself is not called — without
-    /// it, a draining window would fake stalls that a real rotation
-    /// would have hidden. Default: no clock, nothing to do.
-    #[inline(always)]
-    fn sim_idle(&mut self, ticks: u64) {
-        let _ = ticks;
-    }
-
-    /// Current simulated time of this op's cost-model clock (0 when
-    /// untiered). Composition layers ([`mux::Mux`], fused
-    /// [`pipeline::Chain`]s) read it to keep member clocks in lock-step.
-    #[inline(always)]
-    fn sim_now(&self) -> u64 {
-        0
-    }
-
-    /// Lift this op's simulated clock to `now` if it is behind — the
-    /// other half of the composition protocol: before routing a stage to
-    /// a member op, the composition layer advances that member to the
-    /// shared window's current time, so time spent executing *other*
-    /// members' stages counts toward this member's prefetch distances.
-    /// Monotone; a stale `now` is a no-op. Default: no clock.
-    #[inline(always)]
-    fn sim_advance_to(&mut self, now: u64) {
-        let _ = now;
-    }
-
-    /// Install a structured tracer (`amac_trace`). Tracing ops record
-    /// their loads, stalls, faults and retirements into it at their
-    /// simulated-clock wait sites; composition layers fork it across
-    /// members. Tracing must never read or advance the op's clock — the
-    /// engine-visible results are bit-identical with tracing on or off.
-    /// Default: the op does not trace; the tracer is dropped.
-    #[inline(always)]
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        let _ = tracer;
-    }
-
-    /// Remove and return the op's tracer (composition layers merge their
-    /// members' tracers). Default: a disabled tracer.
-    #[inline(always)]
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        amac_trace::Tracer::off()
-    }
-
-    /// Whether this op currently records trace events — the one branch
-    /// callers pay before building an event on the op's behalf.
-    /// Default: never.
-    #[inline(always)]
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    /// Record a pre-built event into the op's tracer (runtime layers use
-    /// this for morsel/deadline events the op itself cannot see).
-    /// Default: no tracer, dropped.
-    #[inline(always)]
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        let _ = ev;
-    }
+    fn ctx(&mut self) -> impl Hooks + '_ {}
 }
 
 /// The prefetching technique to execute a workload with.

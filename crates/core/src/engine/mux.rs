@@ -33,7 +33,7 @@
 //! * op-observed counters (`nodes_visited`, `tag_rejects`, and the
 //!   cost-model ticks `sim_cycles`/`sim_stalls`) — each lane has its
 //!   **own** inner op, so everything that op accumulated belongs to its
-//!   lane; [`Mux::flush_observed`] drains every inner op into its lane
+//!   lane; the mux's [`Hooks::flush`] drains every inner op into its lane
 //!   ledger *and* forwards the same deltas to the executor's global
 //!   stats, preserving the drain-and-reset contract that keeps counters
 //!   exact across morsel reuse. Lane cost-model clocks are kept in
@@ -43,11 +43,11 @@
 //! * executor-side counters (`noops`, `bailouts`) are scheduling
 //!   artifacts of the whole window and stay global-only.
 //!
-//! The invariant (asserted in tests): summing `lookups`, `stages`,
-//! `latch_retries`, `nodes_visited` and `tag_rejects` over lane ledgers
-//! reproduces the executor's global totals exactly.
+//! The invariant (asserted in tests): summing lane ledgers reproduces the
+//! executor's global totals exactly, field for field (`noops`/`bailouts`
+//! aside).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
 
 /// A per-query input: the lane that owns it plus the inner op's input.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +85,7 @@ pub struct Mux<O: LookupOp> {
     lanes: Vec<Option<O>>,
     observed: Vec<EngineStats>,
     /// The shared window's simulated time: advanced one tick per routed
-    /// stage (and by executor idle visits via [`LookupOp::sim_idle`]),
+    /// stage (and by executor idle visits via [`Hooks::idle`]),
     /// lifted to a lane clock's `now` after every call so lane stalls
     /// push window time forward too. Before routing a stage to a lane,
     /// the lane's clock is advanced to `seq` — that is how time spent on
@@ -102,10 +102,13 @@ pub struct Mux<O: LookupOp> {
     /// abandoned query drains out of the shared window in at most one
     /// rotation per slot while every other lane keeps running.
     cancelled: Vec<bool>,
+    /// Each lane's [`Hooks::issues_prefetches`] gate, sampled at
+    /// [`Mux::add`] (an op's gate is fixed at construction).
+    prefetches: Vec<bool>,
     /// Cancelled retirements not yet folded into *global* stats: lane
     /// ledgers count `cancelled_lookups` live, but the executor only sees
     /// a plain `Done`, so the global counter is reconciled at the next
-    /// `flush_observed` — keeping the lane-sum == global invariant exact
+    /// flush — keeping the lane-sum == global invariant exact
     /// at every flush boundary.
     pending_cancelled: u64,
     /// The mux's own tracer: records lane activation/cancellation events
@@ -128,6 +131,7 @@ impl<O: LookupOp> Mux<O> {
             observed: Vec::new(),
             seq: 0,
             cancelled: Vec::new(),
+            prefetches: Vec::new(),
             pending_cancelled: 0,
             trace: amac_trace::Tracer::off(),
         }
@@ -135,16 +139,19 @@ impl<O: LookupOp> Mux<O> {
 
     /// Install `op` on a free lane and return its id (vacant slots are
     /// reused before the lane table grows).
-    pub fn add(&mut self, op: O) -> u32 {
+    pub fn add(&mut self, mut op: O) -> u32 {
+        let pf = op.ctx().issues_prefetches();
         let lane = if let Some(i) = self.lanes.iter().position(Option::is_none) {
             self.lanes[i] = Some(op);
             self.observed[i] = EngineStats::default();
             self.cancelled[i] = false;
+            self.prefetches[i] = pf;
             i as u32
         } else {
             self.lanes.push(Some(op));
             self.observed.push(EngineStats::default());
             self.cancelled.push(false);
+            self.prefetches.push(pf);
             (self.lanes.len() - 1) as u32
         };
         if self.trace.enabled() {
@@ -198,7 +205,7 @@ impl<O: LookupOp> Mux<O> {
 
     /// The lane's accounting ledger so far. Lifecycle counters are live;
     /// op-observed counters (`nodes_visited`, `tag_rejects`) are current
-    /// as of the last `flush_observed` — i.e. exact at every executor-run
+    /// as of the last flush — i.e. exact at every executor-run
     /// or morsel-feed boundary.
     pub fn observed(&self, lane: u32) -> &EngineStats {
         &self.observed[lane as usize]
@@ -233,21 +240,21 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             // never run the inner op; the next `step` retires it as
             // cancelled. Billed like any other executed stage.
             self.seq += 1;
+            assert!(self.lanes[i].is_some(), "start routed to vacant lane");
             let led = &mut self.observed[i];
             led.stages += 1;
-            let op = self.lanes[i].as_ref().expect("start routed to vacant lane");
-            led.prefetches += op.issues_prefetches() as u64;
+            led.prefetches += self.prefetches[i] as u64;
             return;
         }
         let op = self.lanes[i].as_mut().expect("start routed to vacant lane");
         // Clock sync: catch the lane up to window time, run its stage,
         // then fold its (possibly stalled) clock back into window time.
-        op.sim_advance_to(self.seq);
+        op.ctx().advance_to(self.seq);
         op.start(input.input, &mut state.inner);
-        self.seq = (self.seq + 1).max(op.sim_now());
+        self.seq = (self.seq + 1).max(op.ctx().now());
         let led = &mut self.observed[i];
         led.stages += 1;
-        led.prefetches += op.issues_prefetches() as u64;
+        led.prefetches += self.prefetches[i] as u64;
     }
 
     fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
@@ -268,10 +275,10 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             return Step::Done;
         }
         let op = self.lanes[i].as_mut().expect("step routed to vacant lane");
-        op.sim_advance_to(self.seq);
+        op.ctx().advance_to(self.seq);
         let r = op.step(&mut state.inner);
-        self.seq = (self.seq + 1).max(op.sim_now());
-        let pf = op.issues_prefetches() as u64;
+        self.seq = (self.seq + 1).max(op.ctx().now());
+        let pf = self.prefetches[i] as u64;
         let led = &mut self.observed[i];
         match r {
             Step::Continue => {
@@ -292,31 +299,42 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         r
     }
 
-    /// Conservative global gate: true only if every lane prefetches
-    /// (executors count the convention globally; the per-lane ledgers
-    /// remain exact either way because they use each lane's own gate).
-    fn issues_prefetches(&self) -> bool {
-        self.lanes.iter().flatten().all(|op| op.issues_prefetches())
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        self
+    }
+}
+
+/// The mux as its own context: window time is `seq`, the ledger is the
+/// per-lane ledgers, and the tracer records lane lifecycle events only
+/// (per-lookup events belong to the lane ops' tracers, installed before
+/// [`Mux::add`]).
+impl<O: LookupOp> Hooks for Mux<O> {
+    /// Executor idle visits advance the shared window's simulated time;
+    /// every lane is caught up lazily at its next routed stage.
+    fn idle(&mut self, ticks: u64) {
+        self.seq += ticks;
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
+    fn now(&self) -> u64 {
+        self.seq
+    }
+
+    fn advance_to(&mut self, now: u64) {
+        self.seq = self.seq.max(now);
+    }
+
+    fn commit_group(&mut self) {
+        for op in self.lanes.iter_mut().flatten() {
+            op.ctx().commit_group();
+        }
+    }
+
+    fn flush(&mut self, stats: &mut EngineStats) {
         for (op, led) in self.lanes.iter_mut().zip(self.observed.iter_mut()) {
             if let Some(op) = op.as_mut() {
                 let mut delta = EngineStats::default();
-                op.flush_observed(&mut delta);
-                led.nodes_visited += delta.nodes_visited;
-                led.tag_rejects += delta.tag_rejects;
-                led.sim_cycles += delta.sim_cycles;
-                led.sim_stalls += delta.sim_stalls;
-                led.load_faults += delta.load_faults;
-                led.issued_loads += delta.issued_loads;
-                led.coalesced_loads += delta.coalesced_loads;
-                led.log_bytes += delta.log_bytes;
-                led.log_stalls += delta.log_stalls;
-                led.replayed_records += delta.replayed_records;
-                led.recovered_queries += delta.recovered_queries;
-                led.remote_loads += delta.remote_loads;
-                led.remote_bytes += delta.remote_bytes;
+                op.ctx().flush(&mut delta);
+                led.merge(&delta);
                 stats.merge(&delta);
             }
         }
@@ -326,31 +344,15 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         stats.cancelled_lookups += core::mem::take(&mut self.pending_cancelled);
     }
 
-    /// Executor idle visits advance the shared window's simulated time;
-    /// every lane is caught up lazily at its next routed stage.
-    fn sim_idle(&mut self, ticks: u64) {
-        self.seq += ticks;
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.seq
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        if now > self.seq {
-            self.seq = now;
-        }
-    }
-
-    fn commit_point(&mut self) {
-        for op in self.lanes.iter_mut().flatten() {
-            op.commit_point();
-        }
-    }
-
-    /// The mux's own tracer records lane lifecycle events; per-lookup
-    /// events belong to the lane ops' tracers, installed before
+    /// Conservative global gate: true only if every lane prefetches
+    /// (executors count the convention globally; the per-lane ledgers
+    /// remain exact either way because they use each lane's own gate).
+    /// Lane gates are fixed at construction, so they are sampled once at
     /// [`Mux::add`].
+    fn issues_prefetches(&self) -> bool {
+        self.lanes.iter().zip(&self.prefetches).all(|(op, &pf)| op.is_none() || pf)
+    }
+
     fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
         self.trace = tracer;
     }
@@ -436,25 +438,6 @@ mod tests {
                 "{technique}: global lookups are the lane sum"
             );
         }
-    }
-
-    #[test]
-    fn lane_ledgers_sum_to_global_totals() {
-        let ch = chains(3_000, 3);
-        let qa: Vec<usize> = (0..1_000).collect();
-        let qb: Vec<usize> = (1_000..3_000).collect();
-        let mut mux = Mux::new();
-        let la = mux.add(TestChainOp::new(&ch));
-        let lb = mux.add(TestChainOp::new(&ch));
-        let tagged = interleave(&qa, &qb, 7);
-        let global = run(Technique::Amac, &mut mux, &tagged, TuningParams::default());
-        let (a, b) = (*mux.observed(la), *mux.observed(lb));
-        assert_eq!(a.lookups + b.lookups, global.lookups);
-        assert_eq!(a.stages + b.stages, global.stages);
-        assert_eq!(a.latch_retries + b.latch_retries, global.latch_retries);
-        assert_eq!(a.nodes_visited + b.nodes_visited, global.nodes_visited);
-        assert_eq!(a.tag_rejects + b.tag_rejects, global.tag_rejects);
-        assert_eq!(a.prefetches + b.prefetches, global.prefetches);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! pipeline — and every composition stays a plain state machine: no
 //! allocation, no dynamic dispatch, no queues between operators.
 
-use super::{EngineStats, LookupOp, Step};
+use super::{Hooks, LookupOp, Step};
 
 /// Outcome of one executed code stage of a pipeline operator.
 ///
@@ -87,75 +87,10 @@ pub trait PipelineOp {
     /// Execute the next code stage of the tuple held in `state`.
     fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output>;
 
-    /// Whether this operator's stages really issue their prefetches (see
-    /// [`LookupOp::issues_prefetches`]). For a fused chain this is true if
-    /// **any** member operator prefetches; the counter keeps convention
-    /// granularity, not per-suboperator granularity.
+    /// The operator's execution context (see [`LookupOp::ctx`]); a
+    /// [`Chain`] pairs its members' contexts.
     #[inline(always)]
-    fn issues_prefetches(&self) -> bool {
-        true
-    }
-
-    /// Drain op-side observation counters into `stats` (see
-    /// [`LookupOp::flush_observed`]); chains drain every member.
-    #[inline(always)]
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        let _ = stats;
-    }
-
-    /// Simulated idle time (see [`LookupOp::sim_idle`]); chains advance
-    /// every member so one shared pipeline-wide clock emerges.
-    #[inline(always)]
-    fn sim_idle(&mut self, ticks: u64) {
-        let _ = ticks;
-    }
-
-    /// Current simulated time (see [`LookupOp::sim_now`]); a chain
-    /// reports the max over its members.
-    #[inline(always)]
-    fn sim_now(&self) -> u64 {
-        0
-    }
-
-    /// Lift the member clock(s) to `now` (see
-    /// [`LookupOp::sim_advance_to`]).
-    #[inline(always)]
-    fn sim_advance_to(&mut self, now: u64) {
-        let _ = now;
-    }
-
-    /// Seal the current AMU commit group (see
-    /// [`LookupOp::commit_point`]); chains seal every member.
-    #[inline(always)]
-    fn commit_point(&mut self) {}
-
-    /// Install a tracer (see [`LookupOp::set_tracer`]); chains fork it
-    /// so each member records independently.
-    #[inline(always)]
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        let _ = tracer;
-    }
-
-    /// Remove the tracer (see [`LookupOp::take_tracer`]); chains merge
-    /// their members' tracers back into one.
-    #[inline(always)]
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        amac_trace::Tracer::off()
-    }
-
-    /// Whether any member records trace events (see
-    /// [`LookupOp::tracing`]).
-    #[inline(always)]
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    /// Record a pre-built event (see [`LookupOp::trace`]); chains route
-    /// it to the upstream member's tracer.
-    #[inline(always)]
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        let _ = ev;
-    }
+    fn ctx(&mut self) -> impl Hooks + '_ {}
 }
 
 /// The fused filter + projection between two pipeline operators.
@@ -223,6 +158,12 @@ impl<A, B, R> Chain<A, B, R> {
     pub fn down(&self) -> &B {
         &self.down
     }
+
+    /// Both operators, mutably (for a wrapper that knows their concrete
+    /// types and needs their contexts un-erased).
+    pub fn members_mut(&mut self) -> (&mut A, &mut B) {
+        (&mut self.up, &mut self.down)
+    }
 }
 
 impl<A, B, R> PipelineOp for Chain<A, B, R>
@@ -248,14 +189,14 @@ where
         // the fused window has one timeline, so the member about to
         // execute is first lifted to the other's `now` — lazily, O(1) per
         // stage. (No-ops when the stages are untiered.)
-        self.up.sim_advance_to(self.down.sim_now());
+        self.up.ctx().advance_to(self.down.ctx().now());
         self.up.start(input, a);
     }
 
     fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
         match state {
             ChainState::Up(a) => {
-                self.up.sim_advance_to(self.down.sim_now());
+                self.up.ctx().advance_to(self.down.ctx().now());
                 match self.up.step(a) {
                     StageStep::Continue => StageStep::Continue,
                     StageStep::Blocked => StageStep::Blocked,
@@ -269,7 +210,7 @@ where
                         // stays in flight with no idle turn in between.
                         Some(next) => {
                             let mut b = B::State::default();
-                            self.down.sim_advance_to(self.up.sim_now());
+                            self.down.ctx().advance_to(self.up.ctx().now());
                             self.down.start(next, &mut b);
                             *state = ChainState::Down(b);
                             StageStep::Continue
@@ -278,58 +219,14 @@ where
                 }
             }
             ChainState::Down(b) => {
-                self.down.sim_advance_to(self.up.sim_now());
+                self.down.ctx().advance_to(self.up.ctx().now());
                 self.down.step(b)
             }
         }
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.up.issues_prefetches() || self.down.issues_prefetches()
-    }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        self.up.flush_observed(stats);
-        self.down.flush_observed(stats);
-    }
-
-    fn sim_idle(&mut self, ticks: u64) {
-        let t = self.sim_now() + ticks;
-        self.up.sim_advance_to(t);
-        self.down.sim_advance_to(t);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.up.sim_now().max(self.down.sim_now())
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.up.sim_advance_to(now);
-        self.down.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.up.commit_point();
-        self.down.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.down.set_tracer(tracer.fork());
-        self.up.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        let mut t = self.up.take_tracer();
-        t.merge(self.down.take_tracer());
-        t
-    }
-
-    fn tracing(&self) -> bool {
-        self.up.tracing() || self.down.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.up.trace(ev);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        (self.up.ctx(), Some(self.down.ctx()))
     }
 }
 
@@ -371,44 +268,8 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
         }
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.0.issues_prefetches()
-    }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        self.0.flush_observed(stats);
-    }
-
-    fn sim_idle(&mut self, ticks: u64) {
-        self.0.sim_idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.0.sim_now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.0.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.0.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.0.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.0.take_tracer()
-    }
-
-    fn tracing(&self) -> bool {
-        self.0.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.0.trace(ev);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        self.0.ctx()
     }
 }
 
@@ -467,6 +328,11 @@ impl<P, C> Fused<P, C> {
         &self.pipe
     }
 
+    /// The fused pipeline, mutably.
+    pub fn pipe_mut(&mut self) -> &mut P {
+        &mut self.pipe
+    }
+
     /// The terminal consumer (for reading collected outputs).
     pub fn sink(&self) -> &C {
         &self.sink
@@ -507,44 +373,8 @@ where
         }
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.pipe.issues_prefetches()
-    }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        self.pipe.flush_observed(stats);
-    }
-
-    fn sim_idle(&mut self, ticks: u64) {
-        self.pipe.sim_idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.pipe.sim_now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.pipe.sim_advance_to(now);
-    }
-
-    fn commit_point(&mut self) {
-        self.pipe.commit_point();
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.pipe.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.pipe.take_tracer()
-    }
-
-    fn tracing(&self) -> bool {
-        self.pipe.tracing()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.pipe.trace(ev);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        self.pipe.ctx()
     }
 }
 

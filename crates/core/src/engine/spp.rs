@@ -1,7 +1,7 @@
 //! The Software-Pipelined Prefetching executor (Chen et al., reproduced as
 //! the paper's comparison point).
 
-use super::{EngineStats, LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
 
 /// Execute `inputs` with **Software-Pipelined Prefetching**.
 ///
@@ -25,7 +25,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
     if inputs.is_empty() {
         return stats;
     }
-    let pf = op.issues_prefetches() as u64;
+    let pf = op.ctx().issues_prefetches() as u64;
     let m = m.clamp(1, inputs.len());
     let n = op.budgeted_steps().max(1);
     let mut states: Vec<O::State> = Vec::with_capacity(m);
@@ -57,8 +57,8 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
         for k in 0..m {
             if !active[k] {
                 // Retired slot: the rotation's status check still costs a
-                // tick of simulated time (see `LookupOp::sim_idle`).
-                op.sim_idle(1);
+                // tick of simulated time (see `Hooks::idle`).
+                op.ctx().idle(1);
                 continue;
             }
             if taken[k] == n {
@@ -85,7 +85,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
                 // Early exit: pad the reservation with a no-op stage (one
                 // tick of simulated time, like GP's gray boxes).
                 stats.noops += 1;
-                op.sim_idle(1);
+                op.ctx().idle(1);
                 taken[k] += 1;
                 continue;
             }
@@ -107,7 +107,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
             taken[k] += 1;
         }
     }
-    op.flush_observed(&mut stats);
+    op.ctx().flush(&mut stats);
     stats
 }
 

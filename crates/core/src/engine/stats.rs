@@ -32,7 +32,7 @@ pub struct EngineStats {
     pub prefetches: u64,
     /// Chain nodes dereferenced by the op's productive steps — the
     /// dependent cache-line hops a lookup actually paid for, reported by
-    /// ops via [`super::LookupOp::flush_observed`]. This is the layout
+    /// ops via [`super::Hooks::flush`]. This is the layout
     /// metric: fewer nodes per lookup = fewer prefetch/rotate cycles per
     /// probe at identical results.
     pub nodes_visited: u64,
@@ -51,9 +51,8 @@ pub struct EngineStats {
     /// untiered runs.
     pub sim_stalls: u64,
     /// Simulated far-memory loads that resolved to
-    /// `LoadOutcome::Failed` (charged by a fault-injecting
-    /// `amac_tier::SimClock`, drained through `flush_observed`). 0 for
-    /// fault-free runs.
+    /// a failed ticket (charged by a fault-injecting
+    /// `amac_tier::SimClock`). 0 for fault-free runs.
     pub load_faults: u64,
     /// Lookups retired via [`super::Step::Failed`] — a poisoned load
     /// aborted the chain walk. Counted *inside* [`lookups`](EngineStats::lookups)
@@ -65,22 +64,19 @@ pub struct EngineStats {
     /// remaining stages. Also counted inside
     /// [`lookups`](EngineStats::lookups).
     pub cancelled_lookups: u64,
-    /// Loads actually issued by the op's memory unit
-    /// (`amac::engine::amu`), drained through
-    /// [`super::LookupOp::flush_observed`]. For a scalar unit this equals
-    /// the requests; a coalescing unit issues fewer
+    /// Loads actually issued by the op's execution context
+    /// (`amac_tier::ExecCtx`). Without coalescing this equals the
+    /// requests; with it fewer issue
     /// (`issued_loads + coalesced_loads == requests`). 0 for ops without
-    /// a unit.
+    /// a context.
     pub issued_loads: u64,
-    /// Load requests the memory unit deduped against an in-flight
-    /// duplicate of the same cache line within one commit group (see
-    /// `amac::engine::amu::CoalescingUnit`). Deterministic: depends only
-    /// on input order and group size, not on executor scheduling or
-    /// thread count. 0 for scalar units.
+    /// Load requests the context deduped against an in-flight duplicate
+    /// of the same cache line within one commit group. Deterministic:
+    /// depends only on input order and group size, not on executor
+    /// scheduling or thread count. 0 with coalescing off.
     pub coalesced_loads: u64,
     /// Bytes of logical WAL records appended by mutation ops
-    /// (`amac_tier::WalRecord::encoded_len`, drained through
-    /// [`super::LookupOp::flush_observed`]). 0 for read-only ops and for
+    /// (`amac_tier::WalRecord::encoded_len`). 0 for read-only ops and for
     /// mutation runs with logging disabled.
     pub log_bytes: u64,
     /// Amortized write-latency ticks charged per appended WAL record:
@@ -92,17 +88,14 @@ pub struct EngineStats {
     /// the lookup pipeline. 0 when no records were logged.
     pub log_stalls: u64,
     /// WAL records re-applied during recovery replay
-    /// (`amac_ops::mutate::ReplayOp`, drained through
-    /// [`super::LookupOp::flush_observed`] so Mux lane ledgers stay
-    /// exact). 0 outside recovery.
+    /// (`amac_ops::mutate::ReplayOp`). 0 outside recovery.
     pub replayed_records: u64,
     /// Queries that completed as `QueryOutcome::Recovered` — re-admitted
     /// after a crash by `amac_server`'s recovery path. 0 outside
     /// recovery.
     pub recovered_queries: u64,
     /// Cross-shard loads issued over the simulated interconnect
-    /// (`amac_tier::Tier::Remote`, drained through
-    /// [`super::LookupOp::flush_observed`]): one request/response
+    /// (`amac_tier::Tier::Remote`): one request/response
     /// message-hop pair each. Coalesced duplicates of an in-flight remote
     /// line are *not* re-counted — the dedup is the point. 0 for
     /// single-shard runs.
@@ -115,6 +108,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Merge counters from another run (per-thread aggregation).
+    #[inline]
     pub fn merge(&mut self, o: &EngineStats) {
         self.lookups += o.lookups;
         self.stages += o.stages;

@@ -34,6 +34,6 @@
 pub mod engine;
 
 pub use engine::{
-    run, run_amac, run_baseline, run_gp, run_spp, EngineStats, LookupOp, Step, Technique,
+    run, run_amac, run_baseline, run_gp, run_spp, EngineStats, Hooks, LookupOp, Step, Technique,
     TuningParams,
 };

@@ -1,24 +1,25 @@
-//! Cross-executor conformance suite for the explicit AMU load protocol
-//! (`amac::engine::amu`).
+//! Cross-executor conformance suite for the execution context's load
+//! protocol (`amac_tier::ctx`).
 //!
-//! Every operator that routes loads through a [`MemUnit`] must compute
+//! Every operator that routes loads through an `ExecCtx` must compute
 //! **bit-identical results** with coalescing on or off, under every
 //! executor, the coroutine ring, and the morsel runtime at any thread
 //! count — coalescing dedups *issue traffic*, never semantics. The suite
 //! also pins the counter ledger (`issued + coalesced == requested`, with
-//! the scalar run as the requested-count oracle) and the determinism of
+//! the uncoalesced run as the requested-count oracle) and the determinism of
 //! `coalesced_loads` across thread counts and scheduling disciplines.
 
+use amac::engine::mux::{Mux, Tagged};
 use amac::engine::{run, EngineStats, Technique, TuningParams};
 use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable, LegacyHashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
-use amac_ops::join::{probe, ProbeConfig};
+use amac_ops::join::{probe, ProbeConfig, ProbeOp};
 use amac_ops::legacy::LegacyProbeOp;
 use amac_ops::parallel::probe_mt_rt;
 use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
 use amac_runtime::{MorselConfig, Scheduling};
-use amac_tier::{FaultPlan, TierSpec};
+use amac_tier::{ExecSpec, FaultPlan, TierSpec};
 use amac_workload::Relation;
 
 /// Coalescing window used throughout: must divide the morsel size so
@@ -184,10 +185,10 @@ fn legacy_probe_is_bit_identical_with_coalescing_under_every_executor() {
     let lht = LegacyHashTable::build_serial(&build);
     let probes = Relation::zipf(8192, 256, 1.0, 0xE6);
     let tier = Some(TierSpec::headers_near(4));
-    let hint = amac_mem::prefetch::PrefetchHint::Nta;
     for technique in Technique::ALL {
         let run_one = |coalesce| {
-            let mut op = LegacyProbeOp::with_unit(&lht, hint, true, tier, coalesce);
+            let spec = ExecSpec { tier, coalesce, ..Default::default() };
+            let mut op = LegacyProbeOp::new(&lht, true, &spec);
             let stats =
                 run(technique, &mut op, &probes.tuples, TuningParams::paper_best(technique));
             (op.matches(), op.checksum(), stats)
@@ -336,7 +337,7 @@ struct StatsProbe;
 impl StatsProbe {
     /// Shared sanity: a stats value that must embed the AMU ledger after
     /// any driver in this suite ran (guards against a driver forgetting
-    /// `flush_observed`).
+    /// to flush the context).
     fn assert_flushed(stats: &EngineStats) {
         assert!(stats.issued_loads > 0, "driver returned stats without an AMU ledger: {stats:?}");
     }
@@ -357,4 +358,47 @@ fn every_driver_flushes_the_amu_ledger() {
     StatsProbe::assert_flushed(
         &groupby(&agg, &Relation::zipf(4096, 64, 1.0, 0x96), Technique::Amac, &gcfg).stats,
     );
+}
+
+#[test]
+fn lane_ledgers_sum_to_global_totals() {
+    // Two probe queries share one AMAC window, tiered + coalesced +
+    // faulted so every op-side counter moves. AMAC has no no-ops and no
+    // bailouts, so the lane ledgers must reproduce the executor's global
+    // stats in *every* field — a counter the mux forgot to copy into the
+    // per-query ledgers would break the equality.
+    let (ht, probes) = lab(4096, 6000, 256, 0x97);
+    let cfg = ProbeConfig {
+        materialize: false,
+        fault: Some(FaultPlan::fail_only(0xFA17, 40)),
+        ..probe_cfg(Some(G))
+    };
+    let (qa, qb) = probes.tuples.split_at(2000);
+    let mut mux = Mux::new();
+    let la = mux.add(ProbeOp::new(&ht, &cfg, 0));
+    let lb = mux.add(ProbeOp::new(&ht, &cfg, 0));
+    // Interleave the two queries in quanta of 7 tuples.
+    let (mut ia, mut ib) = (qa.chunks(7), qb.chunks(7));
+    let mut tagged = Vec::with_capacity(probes.len());
+    loop {
+        let (a, b) = (ia.next(), ib.next());
+        if a.is_none() && b.is_none() {
+            break;
+        }
+        tagged.extend(a.unwrap_or_default().iter().map(|&t| Tagged::new(la, t)));
+        tagged.extend(b.unwrap_or_default().iter().map(|&t| Tagged::new(lb, t)));
+    }
+    let global = run(Technique::Amac, &mut mux, &tagged, TuningParams::default());
+    let mut sum = *mux.observed(la);
+    sum.merge(mux.observed(lb));
+    assert_eq!(sum, global, "lane ledgers must sum to the global stats, field for field");
+    for (name, v) in [
+        ("sim_stalls", global.sim_stalls),
+        ("coalesced_loads", global.coalesced_loads),
+        ("load_faults", global.load_faults),
+        ("failed_lookups", global.failed_lookups),
+        ("tag_rejects", global.tag_rejects),
+    ] {
+        assert!(v > 0, "{name} must move for the comparison to mean anything");
+    }
 }

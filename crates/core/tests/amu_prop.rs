@@ -1,24 +1,23 @@
-//! Property tests for the AMU load protocol (`amac::engine::amu`).
+//! Property tests for the execution context's load protocol
+//! (`amac_tier::ctx`).
 //!
 //! Random lanes with random load chains are driven through randomized
-//! issue/commit/wait/retire interleavings, with the [`ScalarUnit`] as the
-//! reference implementation:
+//! request/commit/wait/retire interleavings, with a context that has
+//! coalescing **off** as the reference:
 //!
 //! * no lost or double completions — every request yields exactly one
-//!   ticket, and a ticket once `Ready` stays `Ready`;
-//! * per-request fault outcomes are identical between the scalar and the
-//!   coalescing unit (coalescing dedups traffic, never semantics);
+//!   ticket, and waiting on it brings the clock to its `ready_at`;
+//! * per-request fault outcomes are identical with coalescing on or off
+//!   (coalescing dedups traffic, never semantics);
 //! * the counter ledger conserves requests: `issued + coalesced ==
-//!   requested` on the coalescing unit, `issued == requested` on the
-//!   scalar unit;
-//! * the flushed `load_faults` ledger is identical between units;
+//!   requested` with coalescing on, `issued == requested` with it off;
+//! * the flushed `load_faults` ledger is identical either way;
 //! * `issued`/`coalesced` totals are a function of birth order alone —
 //!   re-running the same lanes under a different interleaving of
 //!   issues, waits and retires reproduces them bit-for-bit.
 
-use amac::engine::amu::{AddrClass, CoalescingUnit, Completion, MemUnit, ScalarUnit, Ticket};
-use amac::engine::EngineStats;
-use amac_tier::{FaultPlan, SimClock, TierSpec};
+use amac::engine::{EngineStats, Hooks};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, Ticket, TierSpec};
 use proptest::prelude::*;
 
 /// SplitMix64: the schedule's private decision stream.
@@ -62,26 +61,21 @@ fn expand_lanes(specs: &[(u8, u64)]) -> Vec<Vec<(AddrClass, u64)>> {
         .collect()
 }
 
-/// Everything a schedule run observed, for cross-unit comparison.
+/// Everything a schedule run observed, for cross-context comparison.
 struct Outcome {
     /// Per lane, per request: the resolved ticket.
     tickets: Vec<Vec<Ticket>>,
-    issued: u64,
-    coalesced: u64,
     requested: u64,
+    /// The flushed ledger (`issued_loads`, `coalesced_loads`, faults).
     stats: EngineStats,
 }
 
-/// Drive `unit` through the schedule decided by `seed`: births in lane
-/// order, issues/waits/retires interleaved at random. The decision
-/// sequence depends only on (`lanes`, `seed`) — never on the unit's
-/// responses — so two units given the same arguments see identical
+/// Drive `cx` through the schedule decided by `seed`: births in lane
+/// order, requests/waits/retires interleaved at random. The decision
+/// sequence depends only on (`lanes`, `seed`) — never on the context's
+/// responses — so two contexts given the same arguments see identical
 /// protocol traffic.
-fn run_schedule<U: MemUnit>(
-    mut unit: U,
-    lanes: &[Vec<(AddrClass, u64)>],
-    seed: u64,
-) -> (U, Outcome) {
+fn run_schedule(mut cx: ExecCtx, lanes: &[Vec<(AddrClass, u64)>], seed: u64) -> Outcome {
     let mut rng = Rng(seed);
     let n = lanes.len();
     let mut born = 0usize; // lanes started so far (birth order == lane order)
@@ -102,101 +96,82 @@ fn run_schedule<U: MemUnit>(
             // Birth the next lane (lane order is the group-composition
             // invariant; the interleaving varies everything else).
             0 | 1 if born < n => {
-                group[born] = unit.begin_lane();
+                group[born] = cx.begin_lane();
                 live[born] = true;
                 born += 1;
             }
             2 | 3 if !issuable.is_empty() => {
                 let l = issuable[rng.below(issuable.len())];
                 let (class, token) = lanes[l][sent[l]];
-                unit.stage();
-                let t = unit.issue(class, token, group[l]);
+                cx.stage();
+                let t = cx.request(class, token, group[l]);
                 requested += 1;
-                // Protocol semantics, unit-agnostic: a ticket is Pending
-                // exactly until the clock reaches `ready_at`, and waiting
-                // on it completes it.
-                let before = unit.now();
-                match unit.poll(&t) {
-                    Completion::Pending => assert!(t.ready_at > before),
-                    Completion::Ready => assert!(t.ready_at <= before),
-                }
                 if rng.below(2) == 0 {
-                    unit.wait(t.ready_at);
-                    assert!(matches!(unit.poll(&t), Completion::Ready), "wait() must complete");
+                    // Waiting on a ticket completes it: the clock is at
+                    // or past `ready_at` afterwards.
+                    cx.wait(t.ready_at);
+                    assert!(cx.now() >= t.ready_at, "wait() must complete");
                 }
                 tickets[l].push(t);
                 sent[l] += 1;
             }
             4 if !retirable.is_empty() => {
                 let l = retirable[rng.below(retirable.len())];
-                unit.retire_lane(group[l]);
+                cx.retire_lane(group[l]);
                 live[l] = false;
             }
-            5 => unit.idle(1 + rng.below(3) as u64),
-            6 => {
-                unit.wait_group();
-                // wait_group is the barrier: every ticket handed out so
-                // far must now poll Ready.
-                for t in tickets.iter().flatten() {
-                    assert!(
-                        matches!(unit.poll(t), Completion::Ready),
-                        "wait_group must complete all"
-                    );
-                }
-            }
+            5 => cx.idle(1 + rng.below(3) as u64),
             _ => {
                 // Drain progress when the draw picked an infeasible
                 // action: issue if possible, else retire, else birth.
                 if let Some(&l) = issuable.first() {
                     let (class, token) = lanes[l][sent[l]];
-                    unit.stage();
-                    let t = unit.issue(class, token, group[l]);
+                    cx.stage();
+                    let t = cx.request(class, token, group[l]);
                     requested += 1;
                     tickets[l].push(t);
                     sent[l] += 1;
                 } else if let Some(&l) = retirable.first() {
-                    unit.retire_lane(group[l]);
+                    cx.retire_lane(group[l]);
                     live[l] = false;
                 } else if born < n {
-                    group[born] = unit.begin_lane();
+                    group[born] = cx.begin_lane();
                     live[born] = true;
                     born += 1;
                 }
             }
         }
     }
-    unit.commit_group();
-    let (issued, coalesced) = (unit.issued(), unit.coalesced());
+    cx.commit_group();
     let mut stats = EngineStats::default();
-    unit.flush(&mut stats);
-    (unit, Outcome { tickets, issued, coalesced, requested, stats })
+    cx.flush(&mut stats);
+    Outcome { tickets, requested, stats }
 }
 
-fn clock(fail_per_mille: u64) -> SimClock {
-    let c = SimClock::new(TierSpec::headers_near(4));
-    if fail_per_mille == 0 {
-        c
-    } else {
-        c.with_fault(FaultPlan::fail_only(0xFA_117, fail_per_mille as u16))
-    }
+fn ctx(fail_per_mille: u64, coalesce: Option<usize>) -> ExecCtx {
+    ExecCtx::new(&ExecSpec {
+        tier: Some(TierSpec::headers_near(4)),
+        fault: (fail_per_mille > 0).then(|| FaultPlan::fail_only(0xFA_117, fail_per_mille as u16)),
+        coalesce,
+        ..Default::default()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn coalescing_unit_agrees_with_the_scalar_reference(
+    fn coalescing_agrees_with_the_uncoalesced_reference(
         specs in prop::collection::vec((1u8..6, 1u64..u64::MAX), 1..12),
         group_size in 1usize..6,
         fail_per_mille in 0u64..300,
         seed in 0u64..u64::MAX,
     ) {
         let lanes = expand_lanes(&specs);
-        let (_, scalar) = run_schedule(ScalarUnit::new(clock(fail_per_mille)), &lanes, seed);
-        let (_, coal) =
-            run_schedule(CoalescingUnit::new(clock(fail_per_mille), group_size), &lanes, seed);
+        let scalar = run_schedule(ctx(fail_per_mille, None), &lanes, seed);
+        let coal = run_schedule(ctx(fail_per_mille, Some(group_size)), &lanes, seed);
 
-        // Every request resolved exactly once, on both units.
+        // Every request resolved exactly once, on both contexts.
         for (l, lane) in lanes.iter().enumerate() {
             prop_assert_eq!(scalar.tickets[l].len(), lane.len(), "lane {} lost a completion", l);
             prop_assert_eq!(coal.tickets[l].len(), lane.len(), "lane {} lost a completion", l);
@@ -214,17 +189,15 @@ proptest! {
         prop_assert_eq!(scalar.stats.load_faults, coal.stats.load_faults);
 
         // Ledger conservation.
-        prop_assert_eq!(scalar.issued, scalar.requested, "scalar issues every request");
-        prop_assert_eq!(scalar.coalesced, 0u64);
-        prop_assert_eq!(coal.issued + coal.coalesced, coal.requested);
-        prop_assert_eq!(coal.stats.issued_loads, coal.issued, "flush must drain the ledger");
-        prop_assert_eq!(coal.stats.coalesced_loads, coal.coalesced);
+        prop_assert_eq!(scalar.stats.issued_loads, scalar.requested, "off: every request issues");
+        prop_assert_eq!(scalar.stats.coalesced_loads, 0u64);
+        prop_assert_eq!(coal.stats.issued_loads + coal.stats.coalesced_loads, coal.requested);
 
         // Dedup only ever removes traffic; a fresh ticket carries the
         // hardware-prefetch gate, a duplicate must not.
-        prop_assert!(coal.issued <= scalar.issued);
+        prop_assert!(coal.stats.issued_loads <= scalar.stats.issued_loads);
         let fresh: u64 = coal.tickets.iter().flatten().filter(|t| t.fresh).count() as u64;
-        prop_assert_eq!(fresh, coal.issued, "fresh tickets are exactly the issued loads");
+        prop_assert_eq!(fresh, coal.stats.issued_loads, "fresh tickets are exactly the issued loads");
     }
 
     #[test]
@@ -236,40 +209,18 @@ proptest! {
         seed_b in 0u64..u64::MAX,
     ) {
         let lanes = expand_lanes(&specs);
-        let (_, a) =
-            run_schedule(CoalescingUnit::new(clock(fail_per_mille), group_size), &lanes, seed_a);
-        let (_, b) =
-            run_schedule(CoalescingUnit::new(clock(fail_per_mille), group_size), &lanes, seed_b);
+        let a = run_schedule(ctx(fail_per_mille, Some(group_size)), &lanes, seed_a);
+        let b = run_schedule(ctx(fail_per_mille, Some(group_size)), &lanes, seed_b);
         // Same lanes, same birth order, different interleaving of
         // issues/waits/retires: the dedup totals must be bit-identical
         // (which request of a line is the "fresh" one may differ — the
         // distinct-line count per group cannot).
         prop_assert_eq!(a.requested, b.requested);
-        prop_assert_eq!(a.issued, b.issued, "issued count depends on the interleaving");
-        prop_assert_eq!(a.coalesced, b.coalesced);
+        prop_assert_eq!(
+            a.stats.issued_loads, b.stats.issued_loads,
+            "issued count depends on the interleaving"
+        );
+        prop_assert_eq!(a.stats.coalesced_loads, b.stats.coalesced_loads);
         prop_assert_eq!(a.stats.load_faults, b.stats.load_faults);
-    }
-
-    #[test]
-    fn a_ready_ticket_never_regresses(
-        specs in prop::collection::vec((1u8..6, 1u64..u64::MAX), 1..8),
-        group_size in 1usize..6,
-        seed in 0u64..u64::MAX,
-    ) {
-        let lanes = expand_lanes(&specs);
-        let (mut unit, out) =
-            run_schedule(CoalescingUnit::new(clock(0), group_size), &lanes, seed);
-        // The schedule completed every lane; after a full-group wait the
-        // whole outstanding set is Ready and stays Ready through further
-        // clock advance (completion is monotonic in time).
-        unit.wait_group();
-        for t in out.tickets.iter().flatten() {
-            prop_assert!(matches!(unit.poll(t), Completion::Ready));
-        }
-        unit.idle(7);
-        unit.stage();
-        for t in out.tickets.iter().flatten() {
-            prop_assert!(matches!(unit.poll(t), Completion::Ready), "Ready regressed to Pending");
-        }
     }
 }

@@ -15,7 +15,7 @@
 //! Coverage: all four executors, the coroutine ring, and the morsel
 //! runtime at 1/2/4 threads under every scheduling discipline.
 
-use amac::engine::{EngineStats, LookupOp, Technique};
+use amac::engine::{EngineStats, Hooks, Technique};
 use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
@@ -176,7 +176,7 @@ fn morsel_run(
     let run = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
         let mut op = ProbeOp::new(ht, &cfg, 0);
         if trace {
-            op.set_tracer(Tracer::on());
+            op.cx.set_tracer(Tracer::on());
         }
         op
     });

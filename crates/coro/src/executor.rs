@@ -132,9 +132,9 @@ where
 /// visit to a **drained** slot (a slot whose future completed after the
 /// input ran out). The ring's rotation over such slots is the coroutine
 /// analogue of AMAC's drain-phase status checks: a tiered run passes a
-/// closure ticking its `amac_tier::SimClock` one idle tick, so simulated
+/// closure ticking its `amac_tier::ExecCtx` one idle tick, so simulated
 /// prefetch distances keep pace with the rotation exactly as in the
-/// state-machine executors (`LookupOp::sim_idle`).
+/// state-machine executors (`Hooks::idle`).
 pub fn run_interleaved_with_idle<I, T, F, Fut, S, D>(
     width: usize,
     inputs: &[I],

@@ -10,14 +10,13 @@
 
 use crate::executor::{run_interleaved, run_interleaved_with_idle, yield_now, InterleaveStats};
 use crate::{prefetch_yield, prefetch_yield_wide};
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::EngineStats;
+use amac::engine::{EngineStats, Hooks};
 use amac_btree::{BPlusTree, InnerNode, LeafNode};
 use amac_hashtable::HashTable;
 use amac_metrics::timer::CycleTimer;
 use amac_skiplist::{prefetch_node, SkipList};
-use amac_tier::{SimClock, TierPolicy, TierSpec};
-use amac_trace::{ClassKind, Tracer};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};
+use amac_trace::Tracer;
 use amac_tree::Bst;
 use amac_workload::Relation;
 use core::cell::RefCell;
@@ -73,47 +72,46 @@ pub async fn probe_chain(ht: &HashTable, key: u64, scan_all: bool) -> ChainHit {
 }
 
 /// [`probe_chain`] under a memory-tier cost model: same traversal, same
-/// results, but every resumption ticks the ring-shared
-/// [`amac::engine::amu::MemUnit`] and every dereference waits until the
-/// simulated load lands. The unit is shared by `RefCell` — the whole ring
-/// runs on one thread, and a shared unit (over one [`SimClock`]) is
-/// exactly the semantics the state-machine executors get from the
-/// `sim_now`/`sim_advance_to` protocol. Ring slots are AMU lanes, so a
-/// coalescing unit dedups duplicate cache-line requests across in-flight
-/// coroutines just as it does across executor window slots.
+/// results, but every resumption ticks the ring-shared [`ExecCtx`] and
+/// every dereference waits until the simulated load lands. The context
+/// is shared by `RefCell` — the whole ring runs on one thread, and one
+/// shared clock is exactly the semantics the state-machine executors get
+/// from `Hooks::{now, advance_to}`. Ring slots are lanes, so a coalescing
+/// context dedups duplicate cache-line requests across in-flight
+/// coroutines just as it does across executor window slots, and with a
+/// tracer installed every dereference records its load immediately
+/// before the wait (so the recorded stall is exactly what the wait
+/// charges) and every completion a retirement. The hardware prefetch is
+/// `prefetch_yield`'s, so requests go through [`ExecCtx::request`].
 ///
 /// Deliberately a separate coroutine rather than an
-/// `Option<&RefCell<...>>` parameter on [`probe_chain`]: the unit
-/// reference and `ready_at` live across the yields, so folding the paths
-/// together grows the *untiered* suspended frame (`future_bytes`, the
-/// §6 state-overhead metric `bin/coro` reports) from ≤128 B past two
-/// cache lines. Result equivalence between the two bodies is asserted
-/// by `tiered_probe_matches_untiered_and_hides_by_width` and in-run by
+/// `Option<&RefCell<...>>` parameter on [`probe_chain`]: the context
+/// reference, `ready_at` and the hop/slab locals live across the yields,
+/// so folding the paths together grows the *untiered* suspended frame
+/// (`future_bytes`, the §6 state-overhead metric `bin/coro` reports)
+/// from ≤128 B past two cache lines. Result equivalence between the two
+/// bodies is asserted by
+/// `tiered_probe_matches_untiered_and_hides_by_width` and in-run by
 /// `bench/bin/tier.rs`.
 pub async fn probe_chain_tiered(
     ht: &HashTable,
     key: u64,
     scan_all: bool,
-    unit: &RefCell<LoadUnit<SimClock>>,
+    cx: &RefCell<ExecCtx>,
 ) -> ChainHit {
     let mut hit = ChainHit { matches: 0, sum: 0, first: u64::MAX };
     let probe = amac_hashtable::probe_word(amac_mem::hash::tag_of(key));
     let mut node = ht.bucket_addr(key);
     // Stage 0: hash + first prefetch (one tick, async header load).
     let (mut ready, group) = {
-        let mut u = unit.borrow_mut();
-        let group = u.begin_lane();
-        u.stage();
-        let t = u.issue(AddrClass::header_ptr(node), 0, group);
-        (t.ready_at, group)
+        let mut c = cx.borrow_mut();
+        let group = c.begin_lane();
+        (c.request(AddrClass::header_ptr(node), 0, group).ready_at, group)
     };
+    let (mut hop, mut slab) = (0u32, 0u32);
     prefetch_yield(node).await;
     loop {
-        {
-            let mut u = unit.borrow_mut();
-            u.wait(ready);
-            u.stage();
-        }
+        cx.borrow_mut().deref("probe", key, hop, slab, ready);
         // SAFETY: probe runs in the table's read-only phase; `node` points
         // at the header or an arena-owned chain node.
         let d = unsafe { (*node).data() };
@@ -132,95 +130,13 @@ pub async fn probe_chain_tiered(
             }
         }
         if (node_hit && !scan_all) || d.next == amac_mem::NULL_INDEX {
-            unit.borrow_mut().retire_lane(group);
-            return hit;
-        }
-        let next = ht.node_ptr(d.next);
-        ready = unit
-            .borrow_mut()
-            .issue(AddrClass::slab_ptr(amac_mem::slab_of_index(d.next), next), 0, group)
-            .ready_at;
-        prefetch_yield(next).await;
-        node = next;
-    }
-}
-
-/// [`probe_chain_tiered`] with structured tracing: identical traversal
-/// and identical clock charges, but every dereference records a load
-/// event (classified against `policy`, the spec the `unit`'s clock was
-/// built from) into the ring-shared tracer immediately before its wait —
-/// so the recorded stall is exactly what the wait charges — and every
-/// completion records a retirement. A third coroutine body for the same
-/// reason [`probe_chain_tiered`] is one: the tracer reference and
-/// hop/slab locals live across yields, and folding them into the traced
-/// path would grow the frames of runs that never trace.
-pub async fn probe_chain_traced(
-    ht: &HashTable,
-    key: u64,
-    scan_all: bool,
-    unit: &RefCell<LoadUnit<SimClock>>,
-    policy: TierPolicy,
-    trace: &RefCell<Tracer>,
-) -> ChainHit {
-    let mut hit = ChainHit { matches: 0, sum: 0, first: u64::MAX };
-    let probe = amac_hashtable::probe_word(amac_mem::hash::tag_of(key));
-    let mut node = ht.bucket_addr(key);
-    let (mut ready, group) = {
-        let mut u = unit.borrow_mut();
-        let group = u.begin_lane();
-        u.stage();
-        let t = u.issue(AddrClass::header_ptr(node), 0, group);
-        (t.ready_at, group)
-    };
-    let mut hop: u32 = 0;
-    let mut slab: u32 = 0;
-    prefetch_yield(node).await;
-    loop {
-        {
-            let mut u = unit.borrow_mut();
-            let mut tr = trace.borrow_mut();
-            if tr.enabled() {
-                let (class, tier) = if hop == 0 {
-                    (ClassKind::Header, amac_tier::trace_tier(policy.header_tier()))
-                } else {
-                    (ClassKind::Slab, amac_tier::trace_tier(policy.slab_tier(slab)))
-                };
-                let h = hop.min(u16::MAX as u32) as u16;
-                tr.load(u.now(), "probe", key, class, tier, h, ready);
-            }
-            u.wait(ready);
-            u.stage();
-        }
-        // SAFETY: probe runs in the table's read-only phase; `node` points
-        // at the header or an arena-owned chain node.
-        let d = unsafe { (*node).data() };
-        let mut node_hit = false;
-        if amac_hashtable::tags_may_match(d.meta, probe) {
-            for i in 0..d.count() {
-                let t = d.tuples[i];
-                if t.key == key {
-                    hit.matches += 1;
-                    hit.sum = hit.sum.wrapping_add(t.payload);
-                    if hit.first == u64::MAX {
-                        hit.first = t.payload;
-                    }
-                    node_hit = true;
-                }
-            }
-        }
-        if (node_hit && !scan_all) || d.next == amac_mem::NULL_INDEX {
-            let mut u = unit.borrow_mut();
-            let mut tr = trace.borrow_mut();
-            if tr.enabled() {
-                tr.retire(u.now(), "probe", key, hop.min(u16::MAX as u32) as u16, false);
-            }
-            u.retire_lane(group);
+            cx.borrow_mut().retire("probe", key, hop, group);
             return hit;
         }
         let next = ht.node_ptr(d.next);
         hop += 1;
         slab = amac_mem::slab_of_index(d.next);
-        ready = unit.borrow_mut().issue(AddrClass::slab_ptr(slab, next), 0, group).ready_at;
+        ready = cx.borrow_mut().request(AddrClass::slab_ptr(slab, next), 0, group).ready_at;
         prefetch_yield(next).await;
         node = next;
     }
@@ -349,11 +265,19 @@ pub struct CoroConfig {
     /// `amac_ops::join::ProbeConfig::coalesce`). Only meaningful with
     /// [`tier`](CoroConfig::tier); results are identical either way.
     pub coalesce: Option<usize>,
-    /// Record a structured trace into [`CoroOutput::trace`] via
-    /// [`probe_chain_traced`]. Only meaningful with
+    /// Record a structured trace into [`CoroOutput::trace`]. Only
+    /// meaningful with
     /// [`tier`](CoroConfig::tier) (an untiered ring has no clock to key
     /// events on); results are identical either way.
     pub trace: bool,
+}
+
+impl CoroConfig {
+    /// The execution context a tiered ring shares (the hardware prefetch
+    /// is `prefetch_yield`'s, not the context's).
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, coalesce: self.coalesce, ..Default::default() }
+    }
 }
 
 impl Default for CoroConfig {
@@ -389,43 +313,33 @@ pub fn coro_probe(ht: &HashTable, s: &Relation, cfg: &CoroConfig) -> CoroOutput 
                 out[idx] = hit.first;
             }
         };
-        match cfg.tier {
-            None => {
-                res.stats = run_interleaved(
-                    cfg.width,
-                    &s.tuples,
-                    |_, t| probe_chain(ht, t.key, scan_all),
-                    sink,
-                );
+        if cfg.tier.is_none() {
+            res.stats = run_interleaved(
+                cfg.width,
+                &s.tuples,
+                |_, t| probe_chain(ht, t.key, scan_all),
+                sink,
+            );
+        } else {
+            let cx = RefCell::new(ExecCtx::new(&cfg.exec()));
+            if cfg.trace {
+                cx.borrow_mut().set_tracer(Tracer::on());
             }
-            Some(spec) => {
-                let unit = RefCell::new(LoadUnit::new(spec.clock(), cfg.coalesce));
-                if cfg.trace {
-                    let trace = RefCell::new(Tracer::on());
-                    res.stats = run_interleaved_with_idle(
-                        cfg.width,
-                        &s.tuples,
-                        |_, t| probe_chain_traced(ht, t.key, scan_all, &unit, spec.policy, &trace),
-                        sink,
-                        || unit.borrow_mut().idle(1),
-                    );
-                    harvested = trace.into_inner();
-                } else {
-                    res.stats = run_interleaved_with_idle(
-                        cfg.width,
-                        &s.tuples,
-                        |_, t| probe_chain_tiered(ht, t.key, scan_all, &unit),
-                        sink,
-                        || unit.borrow_mut().idle(1),
-                    );
-                }
-                let mut drained = EngineStats::default();
-                unit.borrow_mut().flush(&mut drained);
-                res.sim_cycles = drained.sim_cycles;
-                res.sim_stalls = drained.sim_stalls;
-                res.issued_loads = drained.issued_loads;
-                res.coalesced_loads = drained.coalesced_loads;
-            }
+            res.stats = run_interleaved_with_idle(
+                cfg.width,
+                &s.tuples,
+                |_, t| probe_chain_tiered(ht, t.key, scan_all, &cx),
+                sink,
+                || cx.borrow_mut().idle(1),
+            );
+            let mut cx = cx.into_inner();
+            let mut drained = EngineStats::default();
+            cx.flush(&mut drained);
+            res.sim_cycles = drained.sim_cycles;
+            res.sim_stalls = drained.sim_stalls;
+            res.issued_loads = drained.issued_loads;
+            res.coalesced_loads = drained.coalesced_loads;
+            harvested = cx.take_tracer();
         }
     }
     res.trace = harvested;

@@ -19,14 +19,13 @@
 //! create intra-thread conflicts — the dynamics behind Figure 9's GP/SPP
 //! collapse at z = 1.
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::agg::{AggHandle, AggValues};
 use amac_hashtable::{AggBucket, AggTable};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{SimClock, TierPolicy, TierSpec};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{GroupByInput, Relation, Tuple};
 
@@ -49,7 +48,7 @@ pub struct GroupByConfig {
     /// run-to-run deterministic single-threaded). See
     /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier).
     pub tier: Option<TierSpec>,
-    /// AMU issue coalescing (see
+    /// Issue coalescing (see
     /// [`ProbeConfig::coalesce`](crate::join::ProbeConfig::coalesce)):
     /// skewed inputs hit the same hot group headers, so in-flight lanes
     /// of one commit group collapse onto shared line requests. `None`
@@ -60,6 +59,13 @@ pub struct GroupByConfig {
     /// blocked latch attempt re-waits the same ticket but records no new
     /// load: one load event per issued request.
     pub trace: bool,
+}
+
+impl GroupByConfig {
+    /// The execution context this config describes.
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, coalesce: self.coalesce, ..Default::default() }
+    }
 }
 
 /// Result of one group-by run.
@@ -123,13 +129,9 @@ pub struct GroupByOp<'a> {
     handle: AggHandle<'a>,
     n_stages: usize,
     tuples: u64,
-    nodes_visited: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// The op's execution context (also reachable, type-erased, through
+    /// `ctx`).
+    pub cx: ExecCtx,
 }
 
 impl<'a> GroupByOp<'a> {
@@ -139,10 +141,7 @@ impl<'a> GroupByOp<'a> {
             handle: table.handle(),
             n_stages: if cfg.n_stages == 0 { 2 } else { cfg.n_stages },
             tuples: 0,
-            nodes_visited: 0,
-            unit: LoadUnit::new(cfg.tier.map(|t| t.clock()), cfg.coalesce),
-            policy: cfg.tier.map(|t| t.policy),
-            trace: Tracer::off(),
+            cx: ExecCtx::new(&cfg.exec()),
         }
     }
 
@@ -171,11 +170,10 @@ impl LookupOp for GroupByOp<'_> {
         state.hop = 0;
         state.slab = 0;
         state.pending = true;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
+        state.group = self.cx.begin_lane();
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
-        let t = self.unit.issue(AddrClass::header_ptr(header), 0, state.group);
+        let t = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
         if t.fresh {
             prefetch_write(header);
         }
@@ -190,21 +188,10 @@ impl LookupOp for GroupByOp<'_> {
         // attributed stall stays exactly what the wait charges.
         if state.pending {
             state.pending = false;
-            if self.trace.enabled() {
-                let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-                self.trace.load(
-                    self.unit.now(),
-                    "groupby",
-                    state.key,
-                    class,
-                    tier,
-                    crate::hop16(state.hop),
-                    state.ready_at,
-                );
-            }
+            self.cx.trace_load("groupby", state.key, state.hop, state.slab, state.ready_at);
         }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.cx.wait(state.ready_at);
+        self.cx.stage();
         // SAFETY: header/cur point at the table's headers or arena-owned
         // chain nodes; mutation happens only while `latched`.
         unsafe {
@@ -217,29 +204,21 @@ impl LookupOp for GroupByOp<'_> {
                 // Fall through: process the (prefetched) header now.
             }
             let d = (*state.cur).data_mut();
-            self.nodes_visited += 1;
+            self.cx.obs.nodes_visited += 1;
             if d.aggs.count == 0 {
                 // Empty header: claim it for this group.
                 d.key = state.key;
                 d.aggs = AggValues::first(state.payload);
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.cx.retire("groupby", state.key, state.hop, state.group);
                 return Step::Done;
             }
             if d.key == state.key {
                 d.aggs.update(state.payload);
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.cx.retire("groupby", state.key, state.hop, state.group);
                 return Step::Done;
             }
             if d.next == NULL_INDEX {
@@ -251,11 +230,7 @@ impl LookupOp for GroupByOp<'_> {
                 d.next = idx;
                 (*state.header).latch.release();
                 self.tuples += 1;
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "groupby", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.cx.retire("groupby", state.key, state.hop, state.group);
                 return Step::Done;
             }
             let idx = d.next;
@@ -264,7 +239,7 @@ impl LookupOp for GroupByOp<'_> {
             state.hop += 1;
             state.slab = slab_of_index(idx);
             state.pending = true;
-            let t = self.unit.issue(AddrClass::slab_ptr(state.slab, next), 0, state.group);
+            let t = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
             if t.fresh {
                 prefetch_read(next);
             }
@@ -273,13 +248,9 @@ impl LookupOp for GroupByOp<'_> {
         }
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
 }
 
 /// Run the group-by of `input` into `table` with `technique`.
@@ -291,11 +262,11 @@ pub fn groupby(
 ) -> GroupByOutput {
     let mut op = GroupByOp::new(table, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.cx.set_tracer(Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &input.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = op.cx.take_tracer();
     GroupByOutput {
         tuples: op.tuples,
         stats,

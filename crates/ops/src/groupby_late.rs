@@ -8,11 +8,12 @@
 //! are computed at read time via
 //! [`amac_hashtable::late::LateAggTable::finalize`].
 
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::late::{LateAggTable, LateBucket, LateHandle};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::NULL_INDEX;
 use amac_metrics::timer::CycleTimer;
+use amac_tier::{ExecCtx, ExecSpec};
 use amac_workload::{Relation, Tuple};
 
 /// Configuration (same knobs as the immediate-aggregation operator).
@@ -63,7 +64,7 @@ pub struct LateGroupByOp<'a> {
     handle: LateHandle<'a>,
     n_stages: usize,
     tuples: u64,
-    nodes_visited: u64,
+    cx: ExecCtx,
 }
 
 impl<'a> LateGroupByOp<'a> {
@@ -73,7 +74,7 @@ impl<'a> LateGroupByOp<'a> {
             handle: table.handle(),
             n_stages: if cfg.n_stages == 0 { 2 } else { cfg.n_stages },
             tuples: 0,
-            nodes_visited: 0,
+            cx: ExecCtx::new(&ExecSpec::default()),
         }
     }
 }
@@ -108,7 +109,7 @@ impl LookupOp for LateGroupByOp<'_> {
                 state.cur = state.header;
             }
             let d = (*state.cur).data_mut();
-            self.nodes_visited += 1;
+            self.cx.obs.nodes_visited += 1;
             if d.tuples != 0 && d.key != state.key && d.next != NULL_INDEX {
                 // Mid-chain, no match yet: one node per stage.
                 let next = self.handle.table().node_ptr(d.next);
@@ -126,8 +127,8 @@ impl LookupOp for LateGroupByOp<'_> {
         }
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
 }
 

@@ -1,13 +1,12 @@
 //! Hash join build and probe under all four techniques (§5.1).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, BuildHandle, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec};
+use amac_tier::{fault_token, AddrClass, ExecCtx, ExecSpec, FaultPlan, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -53,13 +52,12 @@ pub struct ProbeConfig {
     /// `tier: None` a default `headers_near(1)` spec is assumed so the
     /// chain loads are checkable. `None` (default) = every load succeeds.
     pub fault: Option<FaultPlan>,
-    /// AMU issue coalescing (`amac::engine::amu::CoalescingUnit`):
-    /// `Some(G)` dedups duplicate cache-line requests across in-flight
-    /// lookups within commit groups of `G` lane births, populating
-    /// [`EngineStats::coalesced_loads`]. `None` (default) = a scalar
-    /// unit, bit-exact with the pre-AMU plumbing. Coalescing never
-    /// changes results or fault decisions — only which loads actually
-    /// issue.
+    /// Issue coalescing (see [`amac_tier::ctx`]): `Some(G)` dedups
+    /// duplicate cache-line requests across in-flight lookups within
+    /// commit groups of `G` lane births, populating
+    /// [`EngineStats::coalesced_loads`]. `None` (default) = every request
+    /// issues. Coalescing never changes results or fault decisions —
+    /// only which loads actually issue.
     pub coalesce: Option<usize>,
     /// Record a structured trace (`amac_trace`): every load the probe
     /// waits on (with its attributed stall), every fault, every
@@ -68,6 +66,13 @@ pub struct ProbeConfig {
     /// off. `false` (default) = a disabled tracer, one dead branch per
     /// stage.
     pub trace: bool,
+}
+
+impl ProbeConfig {
+    /// The execution context this config describes.
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, fault: self.fault, coalesce: self.coalesce, hint: self.hint }
+    }
 }
 
 impl Default for ProbeConfig {
@@ -163,54 +168,24 @@ pub struct ProbeOp<'a> {
     checksum: u64,
     out: Vec<u64>,
     cursor: usize,
-    /// Chain nodes dereferenced since the last flush.
-    nodes_visited: u64,
-    /// Nodes rejected by the SWAR tag filter (no key bytes touched).
-    tag_rejects: u64,
-    /// The AMU memory unit every load request routes through
-    /// ([`ProbeConfig::tier`] builds its backend clock,
-    /// [`ProbeConfig::coalesce`] selects scalar vs coalescing issue).
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation),
-    /// so traced loads classify to the same tier the clock charged.
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// The op's execution context (also reachable, type-erased, through
+    /// `ctx`).
+    pub cx: ExecCtx,
 }
 
 impl<'a> ProbeOp<'a> {
     /// Build the op for one run over `n_probes` tuples.
     pub fn new(ht: &'a HashTable, cfg: &ProbeConfig, n_probes: usize) -> Self {
         let n_stages = if cfg.n_stages == 0 { auto_chain_estimate(ht) } else { cfg.n_stages };
-        // A fault plan needs a clock to hook into; `headers_near(1)` is
-        // the minimal far placement (chain slabs far at 1x latency), so
-        // faults work even when the caller didn't ask for tiered costs.
-        let clock = match (cfg.tier, cfg.fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
-        // The same derivation, projected to the placement policy, so
-        // trace attribution agrees with what the clock charges.
-        let policy = match (cfg.tier, cfg.fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
         ProbeOp {
             ht,
-            unit: LoadUnit::new(clock, cfg.coalesce),
+            cx: ExecCtx::new(&cfg.exec()),
             cfg: cfg.clone(),
             n_stages,
             matches: 0,
             checksum: 0,
             out: if cfg.materialize { vec![u64::MAX; n_probes] } else { Vec::new() },
             cursor: 0,
-            nodes_visited: 0,
-            tag_rejects: 0,
-            policy,
-            trace: Tracer::off(),
         }
     }
 
@@ -272,42 +247,18 @@ impl LookupOp for ProbeOp<'_> {
         state.hop = 0;
         state.slab = 0;
         self.cursor += 1;
-        // AMU protocol: register the lane, charge the stage, request the
-        // header line. A coalesced (non-fresh) ticket rides an in-group
-        // duplicate's fill, so only fresh tickets issue the hardware hint.
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
-            self.cfg.hint.issue(ptr);
-        }
-        state.ready_at = t.ready_at;
+        state.group = self.cx.begin_lane();
+        state.ready_at = self.cx.issue_header(ptr, state.group).ready_at;
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
     /// hit, output on match, chase the `u32` chain index.
     fn step(&mut self, state: &mut ProbeState) -> Step {
-        // Dereferencing the requested line: stall until its ticket is
-        // ready, then execute this stage. The trace hook sits before the
-        // wait so the recorded stall is exactly what the wait charges.
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-            self.trace.load(
-                self.unit.now(),
-                "probe",
-                state.key,
-                class,
-                tier,
-                crate::hop16(state.hop),
-                state.ready_at,
-            );
-        }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.cx.deref("probe", state.key, state.hop, state.slab, state.ready_at);
         // SAFETY: probe runs in the table's read-only phase; `ptr` always
         // points at the header or an arena-owned chain node.
         let d = unsafe { (*state.ptr).data() };
-        self.nodes_visited += 1;
+        self.cx.obs.nodes_visited += 1;
         let mut hit = false;
         // One XOR + SWAR zero-byte test rejects a non-matching node from
         // its packed meta word; only tag hits touch the tuple slots.
@@ -324,86 +275,51 @@ impl LookupOp for ProbeOp<'_> {
                 }
             }
         } else {
-            self.tag_rejects += 1;
+            self.cx.obs.tag_rejects += 1;
         }
         if hit && !self.cfg.scan_all {
-            if self.trace.enabled() {
-                self.trace.retire(
-                    self.unit.now(),
-                    "probe",
-                    state.key,
-                    crate::hop16(state.hop),
-                    false,
-                );
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.retire("probe", state.key, state.hop, state.group);
             return Step::Done; // early exit on unique-key match
         }
         let next = d.next;
         if next == NULL_INDEX {
-            if self.trace.enabled() {
-                self.trace.retire(
-                    self.unit.now(),
-                    "probe",
-                    state.key,
-                    crate::hop16(state.hop),
-                    false,
-                );
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.retire("probe", state.key, state.hop, state.group);
             return Step::Done; // chain exhausted
         }
         let ptr = self.ht.node_ptr(next);
         state.ptr = ptr;
-        // Chain loads resolve through the backend's fault-checked path: a
-        // poisoned far load aborts the lookup. The token is (key, hop), so
-        // the fault set is identical under every executor and schedule —
-        // and under coalescing, which re-runs the decision per request.
+        // Chain loads resolve under the fault plan: a poisoned far load
+        // aborts the lookup. The token is (key, hop), so the fault set is
+        // identical under every executor and schedule — and under
+        // coalescing, which re-runs the decision per request.
         let token = fault_token(state.key, state.hop);
         state.hop += 1;
         state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
-        if t.fresh {
-            self.cfg.hint.issue(ptr);
-        }
+        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "probe", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.fail("probe", state.key, state.hop, state.group);
             return Step::Failed;
         }
         state.ready_at = t.ready_at;
         Step::Continue
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.cfg.hint.is_real()
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
-        self.unit.flush(stats);
-    }
-
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
 }
 
 /// Run a probe of `s` against `ht` with `technique`.
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
     let mut op = ProbeOp::new(ht, cfg, s.len());
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.cx.set_tracer(Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let cycles = timer.cycles();
     let seconds = timer.seconds();
-    let trace = op.take_tracer();
+    let trace = op.cx.take_tracer();
     ProbeOutput {
         matches: op.matches,
         checksum: op.checksum,
@@ -426,6 +342,13 @@ pub struct BuildConfig {
     /// retries and are therefore only run-to-run deterministic
     /// single-threaded.
     pub tier: Option<TierSpec>,
+}
+
+impl BuildConfig {
+    /// The execution context this config describes.
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, ..Default::default() }
+    }
 }
 
 /// Result of one build run.
@@ -460,25 +383,15 @@ impl Default for BuildState {
 /// simplified to the O(1) head insert the NPO build actually performs).
 pub struct BuildOp<'a> {
     handle: BuildHandle<'a>,
-    nodes_visited: u64,
-    /// Scalar AMU unit: builds issue one header load per insert, so
-    /// there is nothing for a coalescing unit to dedup within a lane.
-    unit: LoadUnit<Option<SimClock>>,
+    cx: ExecCtx,
 }
 
 impl<'a> BuildOp<'a> {
     /// Create a build op inserting into `ht` through a private arena.
-    pub fn new(ht: &'a HashTable) -> Self {
-        Self::with_tier(ht, None)
-    }
-
-    /// [`new`](BuildOp::new) with an optional memory-tier cost model.
-    pub fn with_tier(ht: &'a HashTable, tier: Option<TierSpec>) -> Self {
-        BuildOp {
-            handle: ht.build_handle(),
-            nodes_visited: 0,
-            unit: LoadUnit::scalar(tier.map(|t| t.clock())),
-        }
+    /// Builds issue one header load per insert, so there is nothing to
+    /// coalesce within a lane ([`BuildConfig::exec`] never asks).
+    pub fn new(ht: &'a HashTable, spec: &ExecSpec) -> Self {
+        BuildOp { handle: ht.build_handle(), cx: ExecCtx::new(spec) }
     }
 }
 
@@ -497,17 +410,16 @@ impl LookupOp for BuildOp<'_> {
         state.key = input.key;
         state.payload = input.payload;
         state.bucket = bucket;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        state.ready_at = self.unit.issue(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
+        state.group = self.cx.begin_lane();
+        state.ready_at = self.cx.request(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
     fn step(&mut self, state: &mut BuildState) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.cx.wait(state.ready_at);
+        self.cx.stage();
         // SAFETY: bucket is a valid header of the handle's table.
         unsafe {
             if !(*state.bucket).latch.try_acquire() {
@@ -518,23 +430,20 @@ impl LookupOp for BuildOp<'_> {
         }
         // The O(1) head insert dereferences the (prefetched) header; any
         // overflow-head touch shares the same latched stage.
-        self.nodes_visited += 1;
-        self.unit.retire_lane(state.group);
+        self.cx.obs.nodes_visited += 1;
+        self.cx.retire_lane(state.group);
         Step::Done
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    crate::impl_mem_unit_delegation!();
 }
 
 /// Build `ht` from `r` with `technique`. The table must be empty (or at
 /// least sized for the extra tuples).
 pub fn build(ht: &HashTable, r: &Relation, technique: Technique, cfg: &BuildConfig) -> BuildOutput {
-    let mut op = BuildOp::with_tier(ht, cfg.tier);
+    let mut op = BuildOp::new(ht, &cfg.exec());
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &r.tuples, cfg.params);
     BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }

@@ -11,14 +11,13 @@
 //! [`nodes_visited`](amac::engine::EngineStats::nodes_visited) per lookup
 //! (see `bench/bin/layout` and `tests/layout_ab.rs`).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::legacy::{LegacyAggBucket, LegacyAggHandle, LegacyBucket};
 use amac_hashtable::{LegacyAggTable, LegacyHashTable, LEGACY_TUPLES_PER_NODE};
-use amac_mem::prefetch::{prefetch_read, prefetch_write, PrefetchHint};
+use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{SimClock, TierSpec};
+use amac_tier::{ExecCtx, ExecSpec};
 use amac_workload::{Relation, Tuple};
 
 /// Result of one legacy probe run (same shape as the layout-relevant
@@ -54,58 +53,30 @@ impl Default for LegacyProbeState {
 /// The probe state machine over the legacy layout.
 pub struct LegacyProbeOp<'a> {
     ht: &'a LegacyHashTable,
-    hint: PrefetchHint,
     scan_all: bool,
     n_stages: usize,
     matches: u64,
     checksum: u64,
-    nodes_visited: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
+    cx: ExecCtx,
 }
 
 impl<'a> LegacyProbeOp<'a> {
     /// Build the op; `scan_all` as for
-    /// [`ProbeConfig`](crate::join::ProbeConfig).
-    pub fn new(ht: &'a LegacyHashTable, hint: PrefetchHint, scan_all: bool) -> Self {
-        Self::with_tier(ht, hint, scan_all, None)
-    }
-
-    /// [`new`](LegacyProbeOp::new) with an optional memory-tier cost
-    /// model. The legacy layout's pointer-linked chunks carry no slab
-    /// indices, so every chain node is charged as arena slab `0` — under
-    /// the shipped policies that is the same near/far assignment as the
+    /// [`ProbeConfig`](crate::join::ProbeConfig). The legacy layout's
+    /// pointer-linked chunks carry no slab indices, so under a tiered
+    /// `spec` every chain node is charged as arena slab `0` — under the
+    /// shipped policies that is the same near/far assignment as the
     /// tag-probed layout's nodes, keeping A/B comparisons honest.
-    pub fn with_tier(
-        ht: &'a LegacyHashTable,
-        hint: PrefetchHint,
-        scan_all: bool,
-        tier: Option<TierSpec>,
-    ) -> Self {
-        Self::with_unit(ht, hint, scan_all, tier, None)
-    }
-
-    /// [`with_tier`](LegacyProbeOp::with_tier) plus the AMU coalescing
-    /// knob (see
-    /// [`ProbeConfig::coalesce`](crate::join::ProbeConfig::coalesce)).
-    pub fn with_unit(
-        ht: &'a LegacyHashTable,
-        hint: PrefetchHint,
-        scan_all: bool,
-        tier: Option<TierSpec>,
-        coalesce: Option<usize>,
-    ) -> Self {
+    pub fn new(ht: &'a LegacyHashTable, scan_all: bool, spec: &ExecSpec) -> Self {
         let tuples = ht.tuple_count();
         let per_bucket = tuples.div_ceil(ht.bucket_count() as u64).max(1);
         LegacyProbeOp {
             ht,
-            hint,
             scan_all,
             n_stages: per_bucket.div_ceil(LEGACY_TUPLES_PER_NODE as u64).max(1) as usize,
             matches: 0,
             checksum: 0,
-            nodes_visited: 0,
-            unit: LoadUnit::new(tier.map(|t| t.clock()), coalesce),
+            cx: ExecCtx::new(spec),
         }
     }
 
@@ -134,21 +105,16 @@ impl LookupOp for LegacyProbeOp<'_> {
         let ptr = self.ht.bucket_addr(input.key);
         state.key = input.key;
         state.ptr = ptr;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
-            self.hint.issue(ptr);
-        }
-        state.ready_at = t.ready_at;
+        state.group = self.cx.begin_lane();
+        state.ready_at = self.cx.issue_header(ptr, state.group).ready_at;
     }
 
     fn step(&mut self, state: &mut LegacyProbeState) -> Step {
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.cx.wait(state.ready_at);
+        self.cx.stage();
         // SAFETY: read-only probe phase; nodes owned by the table.
         let d = unsafe { (*state.ptr).data() };
-        self.nodes_visited += 1;
+        self.cx.obs.nodes_visited += 1;
         let mut hit = false;
         for i in 0..d.count as usize {
             let t = d.tuples[i];
@@ -158,35 +124,20 @@ impl LookupOp for LegacyProbeOp<'_> {
                 hit = true;
             }
         }
-        if hit && !self.scan_all {
-            self.unit.retire_lane(state.group);
-            return Step::Done;
-        }
         let next = d.next;
-        if next.is_null() {
-            self.unit.retire_lane(state.group);
+        if (hit && !self.scan_all) || next.is_null() {
+            self.cx.retire_lane(state.group);
             return Step::Done;
         }
         state.ptr = next;
         // Legacy chunks have no slab indices; charged as slab 0.
-        let t = self.unit.issue(AddrClass::slab_ptr(0, next), 0, state.group);
-        if t.fresh {
-            self.hint.issue(next);
-        }
-        state.ready_at = t.ready_at;
+        state.ready_at = self.cx.issue_slab(0, next, 0, state.group).ready_at;
         Step::Continue
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.hint.is_real()
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        self.unit.flush(stats);
-    }
-
-    crate::impl_mem_unit_delegation!();
 }
 
 /// Probe `s` against the legacy table with `technique`.
@@ -197,7 +148,7 @@ pub fn probe_legacy(
     params: TuningParams,
     scan_all: bool,
 ) -> LegacyProbeOutput {
-    let mut op = LegacyProbeOp::new(ht, PrefetchHint::Nta, scan_all);
+    let mut op = LegacyProbeOp::new(ht, scan_all, &ExecSpec::default());
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, params);
     LegacyProbeOutput { matches: op.matches, checksum: op.checksum, stats, cycles: timer.cycles() }
@@ -214,7 +165,7 @@ pub fn probe_legacy_mt_rt(
     rt: &MorselConfig,
 ) -> LegacyProbeOutput {
     let run = execute(&s.tuples, technique, params, rt, |_tid| {
-        LegacyProbeOp::new(ht, PrefetchHint::Nta, scan_all)
+        LegacyProbeOp::new(ht, scan_all, &ExecSpec::default())
     });
     let mut out = LegacyProbeOutput { stats: run.report.stats, ..Default::default() };
     for op in &run.ops {
@@ -251,13 +202,17 @@ impl Default for LegacyGroupByState {
 pub struct LegacyGroupByOp<'a> {
     handle: LegacyAggHandle<'a>,
     tuples: u64,
-    nodes_visited: u64,
+    cx: ExecCtx,
 }
 
 impl<'a> LegacyGroupByOp<'a> {
     /// Create the op, aggregating into `table`.
     pub fn new(table: &'a LegacyAggTable) -> Self {
-        LegacyGroupByOp { handle: table.handle(), tuples: 0, nodes_visited: 0 }
+        LegacyGroupByOp {
+            handle: table.handle(),
+            tuples: 0,
+            cx: ExecCtx::new(&ExecSpec::default()),
+        }
     }
 
     /// Tuples aggregated so far.
@@ -298,7 +253,7 @@ impl LookupOp for LegacyGroupByOp<'_> {
                 state.cur = state.header;
             }
             let d = (*state.cur).data_mut();
-            self.nodes_visited += 1;
+            self.cx.obs.nodes_visited += 1;
             if d.aggs.count == 0 {
                 d.key = state.key;
                 d.aggs = AggValues::first(state.payload);
@@ -328,8 +283,8 @@ impl LookupOp for LegacyGroupByOp<'_> {
         }
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
 }
 

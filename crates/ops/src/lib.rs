@@ -35,87 +35,6 @@
 //! [`legacy`] carries A/B ops over the seed's 2-tuple pointer-linked node
 //! layout, so the tag-probed redesign's hop savings stay measurable.
 
-/// Implements the `sim_idle`/`sim_now`/`sim_advance_to`/`commit_point`
-/// protocol for an op with a
-/// `unit: amac::engine::amu::LoadUnit<Option<amac_tier::SimClock>>` field
-/// — one definition for every AMU-routed op in this crate, so a protocol
-/// change cannot silently miss an op (the trait defaults are no-ops).
-/// Requires `amac::engine::amu::MemUnit` in scope.
-macro_rules! impl_mem_unit_delegation {
-    () => {
-        fn sim_idle(&mut self, ticks: u64) {
-            self.unit.idle(ticks);
-        }
-
-        fn sim_now(&self) -> u64 {
-            self.unit.now()
-        }
-
-        fn sim_advance_to(&mut self, now: u64) {
-            self.unit.advance_to(now);
-        }
-
-        fn commit_point(&mut self) {
-            self.unit.commit_group();
-        }
-    };
-}
-pub(crate) use impl_mem_unit_delegation;
-
-/// Implements the `set_tracer`/`take_tracer`/`tracing`/`trace` protocol
-/// for an op with a `trace: ::amac_trace::Tracer` field — the
-/// `amac_trace` analogue of [`impl_mem_unit_delegation`]. Paths are
-/// absolute so downstream crates wrapping these ops can reuse the same
-/// pattern verbatim.
-macro_rules! impl_tracer_hooks {
-    () => {
-        fn set_tracer(&mut self, tracer: ::amac_trace::Tracer) {
-            self.trace = tracer;
-        }
-
-        fn take_tracer(&mut self) -> ::amac_trace::Tracer {
-            self.trace.take()
-        }
-
-        fn tracing(&self) -> bool {
-            self.trace.enabled()
-        }
-
-        fn trace(&mut self, ev: ::amac_trace::TraceEvent) {
-            self.trace.record(ev);
-        }
-    };
-}
-pub(crate) use impl_tracer_hooks;
-
-/// Classify the load a chain walk is about to wait on, for stall
-/// attribution: hop 0 is always the bucket/header line, later hops are
-/// slab nodes, and the tier is whatever the op's effective placement
-/// policy assigns that address (untiered ops have no policy and no
-/// latency to attribute, but their loads still classify).
-#[inline]
-pub(crate) fn pending_load_class(
-    policy: Option<amac_tier::TierPolicy>,
-    hop: u32,
-    slab: u32,
-) -> (amac_trace::ClassKind, amac_trace::TierKind) {
-    let class = if hop == 0 { amac_trace::ClassKind::Header } else { amac_trace::ClassKind::Slab };
-    let tier = match policy {
-        None => amac_trace::TierKind::Untiered,
-        Some(p) => {
-            amac_tier::trace_tier(if hop == 0 { p.header_tier() } else { p.slab_tier(slab) })
-        }
-    };
-    (class, tier)
-}
-
-/// Saturating hop narrowing for trace events (chains are short; the cap
-/// only matters for adversarial inputs).
-#[inline]
-pub(crate) fn hop16(hop: u32) -> u16 {
-    hop.min(u16::MAX as u32) as u16
-}
-
 pub mod bst;
 pub mod btree;
 pub mod groupby;

@@ -38,15 +38,14 @@
 //! segment through the same primitives, reproducing the physical table
 //! bit-for-bit (same fresh-node indices, same chain order).
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
-use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec, WalRecord};
+use amac_tier::{fault_token, ExecCtx, ExecSpec, FaultPlan, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -94,6 +93,16 @@ pub struct MutateConfig {
     /// exactly what the clock charges — so attribution still sums to
     /// `sim_stalls`.
     pub trace: bool,
+}
+
+impl MutateConfig {
+    /// The execution context this config describes. Mutations never
+    /// coalesce: group composition is schedule-dependent under morsel
+    /// stealing, which would make `issued_loads` vary across thread
+    /// counts.
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, fault: self.fault, coalesce: None, hint: self.hint }
+    }
 }
 
 impl Default for MutateConfig {
@@ -162,23 +171,14 @@ pub struct MutateOp<'a> {
     /// Amortized asymmetric write ticks per WAL record
     /// (`write_latency / M`, ≥ 1), 0 with logging off.
     write_cost: u64,
-    /// Scalar AMU unit. Mutations never coalesce: group composition is
-    /// schedule-dependent under morsel stealing, which would make
-    /// `issued_loads` vary across thread counts.
-    unit: LoadUnit<Option<SimClock>>,
     applied: u64,
     created: u64,
     merged: u64,
     deleted: u64,
-    nodes_visited: u64,
-    tag_rejects: u64,
-    log_bytes: u64,
-    log_stalls: u64,
     wal: Vec<WalRecord>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// The op's execution context (also reachable, type-erased, through
+    /// `ctx`).
+    pub cx: ExecCtx,
 }
 
 impl<'a> MutateOp<'a> {
@@ -189,38 +189,21 @@ impl<'a> MutateOp<'a> {
             _ if cfg.n_stages == 0 => crate::join::auto_chain_estimate(ht),
             _ => cfg.n_stages,
         };
-        let clock = match (cfg.tier, cfg.fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
         let group = cfg.params.in_flight.max(1) as u64;
         let model = cfg.tier.map(|t| t.model).unwrap_or_default();
-        let policy = match (cfg.tier, cfg.fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
         MutateOp {
             ht,
             bound: ht.freeze(),
             n_stages,
             hide: group,
             write_cost: if cfg.wal { model.write_latency().div_ceil(group).max(1) } else { 0 },
-            unit: LoadUnit::scalar(clock),
+            cx: ExecCtx::new(&cfg.exec()),
             cfg: cfg.clone(),
             applied: 0,
             created: 0,
             merged: 0,
             deleted: 0,
-            nodes_visited: 0,
-            tag_rejects: 0,
-            log_bytes: 0,
-            log_stalls: 0,
             wal: Vec::new(),
-            policy,
-            trace: Tracer::off(),
         }
     }
 
@@ -257,22 +240,17 @@ impl<'a> MutateOp<'a> {
     /// attribution sums to `sim_stalls` under this model too.
     #[inline]
     fn charge_residual(&mut self, key: u64, hop: u32, slab: u32, ready_at: u64) {
-        let now = self.unit.now();
+        let now = self.cx.now();
         let residual = ready_at.saturating_sub(now).saturating_sub(self.hide);
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, hop, slab);
-            self.trace.load(now, "mutate", key, class, tier, crate::hop16(hop), now + residual);
-        }
-        if residual > 0 {
-            self.unit.wait(now + residual);
-        }
+        self.cx.trace_load("mutate", key, hop, slab, now + residual);
+        self.cx.wait(now + residual);
     }
 
     /// Append the lookup's WAL record and charge the log costs.
     fn log(&mut self, rec: WalRecord) {
         if self.cfg.wal {
-            self.log_bytes += rec.encoded_len();
-            self.log_stalls += self.write_cost;
+            self.cx.obs.log_bytes += rec.encoded_len();
+            self.cx.obs.log_stalls += self.write_cost;
             self.wal.push(rec);
         }
     }
@@ -319,32 +297,24 @@ impl LookupOp for MutateOp<'_> {
         state.at_header = true;
         state.hop = 0;
         state.slab = 0;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
-            self.cfg.hint.issue(ptr);
-        }
+        state.group = self.cx.begin_lane();
+        let t = self.cx.issue_header(ptr, state.group);
         self.charge_residual(state.key, 0, 0, t.ready_at);
     }
 
     fn step(&mut self, state: &mut MutState) -> Step {
-        self.unit.stage();
+        self.cx.stage();
         // SAFETY: ptr is the header or a frozen arena node of this
         // table; frozen meta/next are immutable during the epoch, and
         // slot accesses go through the atomic views.
         let b = unsafe { &*state.ptr };
-        self.nodes_visited += 1;
+        self.cx.obs.nodes_visited += 1;
         let meta = b.meta_atomic().load(core::sync::atomic::Ordering::Relaxed);
         match self.cfg.kind {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
                 self.terminal(state.key, state.delta);
-                if self.trace.enabled() {
-                    let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                    self.trace.retire(now, "mutate", state.key, hop, false);
-                }
-                self.unit.retire_lane(state.group);
+                self.cx.retire("mutate", state.key, state.hop, state.group);
                 return Step::Done;
             }
             MutateKind::Upsert => {
@@ -358,16 +328,12 @@ impl LookupOp for MutateOp<'_> {
                             self.merged += 1;
                             self.applied += 1;
                             self.log(WalRecord::Upsert { key: state.key, delta: state.delta });
-                            if self.trace.enabled() {
-                                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                                self.trace.retire(now, "mutate", state.key, hop, false);
-                            }
-                            self.unit.retire_lane(state.group);
+                            self.cx.retire("mutate", state.key, state.hop, state.group);
                             return Step::Done;
                         }
                     }
                 } else {
-                    self.tag_rejects += 1;
+                    self.cx.obs.tag_rejects += 1;
                 }
             }
             MutateKind::Delete => {
@@ -375,7 +341,7 @@ impl LookupOp for MutateOp<'_> {
                     // SAFETY: frozen node of this table.
                     self.deleted += unsafe { self.ht.frozen_tombstone(state.ptr, state.key) };
                 } else {
-                    self.tag_rejects += 1;
+                    self.cx.obs.tag_rejects += 1;
                 }
             }
         }
@@ -391,28 +357,16 @@ impl LookupOp for MutateOp<'_> {
         };
         if next == NULL_INDEX {
             self.terminal(state.key, state.delta);
-            if self.trace.enabled() {
-                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                self.trace.retire(now, "mutate", state.key, hop, false);
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.retire("mutate", state.key, state.hop, state.group);
             return Step::Done;
         }
         let ptr = self.ht.node_ptr(next);
         let token = fault_token(state.key, state.hop);
         state.hop += 1;
         state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
-        if t.fresh {
-            self.cfg.hint.issue(ptr);
-        }
+        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "mutate", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "mutate", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.fail("mutate", state.key, state.hop, state.group);
             return Step::Failed;
         }
         self.charge_residual(state.key, state.hop, state.slab, t.ready_at);
@@ -421,20 +375,9 @@ impl LookupOp for MutateOp<'_> {
         Step::Continue
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.cfg.hint.is_real()
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
-        stats.log_bytes += core::mem::take(&mut self.log_bytes);
-        stats.log_stalls += core::mem::take(&mut self.log_stalls);
-        self.unit.flush(stats);
-    }
-
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
 }
 
 /// Result of one mutation run.
@@ -472,12 +415,12 @@ pub fn mutate(
 ) -> MutateOutput {
     let mut op = MutateOp::new(ht, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.cx.set_tracer(Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &rel.tuples, cfg.params);
     let seconds = timer.seconds();
-    let trace = op.take_tracer();
+    let trace = op.cx.take_tracer();
     MutateOutput {
         applied: op.applied,
         created: op.created,
@@ -503,7 +446,7 @@ pub fn mutate_mt_rt(
     let run = execute(&rel.tuples, technique, cfg.params, &rt, |_tid| {
         let mut op = MutateOp::new(ht, cfg);
         if cfg.trace {
-            op.set_tracer(Tracer::on());
+            op.cx.set_tracer(Tracer::on());
         }
         op
     });
@@ -515,32 +458,27 @@ pub fn mutate_mt_rt(
         out.merged += op.merged;
         out.deleted += op.deleted;
         out.wal.extend(op.drain_wal());
-        out.trace.merge(op.take_tracer());
+        out.trace.merge(op.cx.take_tracer());
     }
     out
 }
 
 /// The recovery replay lookup: one WAL record per input, re-applied
 /// through the whole-table latch-free primitives in one budgeted step.
-/// `replayed_records` drains through `flush_observed`, so a replay run
+/// `replayed_records` lives in the context's ledger, so a replay run
 /// under the Mux keeps lane ledgers exact like any other op.
 pub struct ReplayOp<'a> {
     ht: &'a HashTable,
-    replayed: u64,
     created: u64,
     tombstoned: u64,
+    cx: ExecCtx,
 }
 
 impl<'a> ReplayOp<'a> {
     /// Create a replay op applying records to `ht` (entering its epoch).
     pub fn new(ht: &'a HashTable) -> Self {
         ht.freeze();
-        ReplayOp { ht, replayed: 0, created: 0, tombstoned: 0 }
-    }
-
-    /// Records applied so far.
-    pub fn replayed(&self) -> u64 {
-        self.replayed
+        ReplayOp { ht, created: 0, tombstoned: 0, cx: ExecCtx::new(&ExecSpec::default()) }
     }
 
     /// Fresh nodes created during replay.
@@ -581,12 +519,12 @@ impl LookupOp for ReplayOp<'_> {
                 self.tombstoned += self.ht.delete_latchfree(key);
             }
         }
-        self.replayed += 1;
+        self.cx.obs.replayed_records += 1;
         Step::Done
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.replayed_records += core::mem::take(&mut self.replayed);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
 }
 

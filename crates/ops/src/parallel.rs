@@ -129,7 +129,7 @@ pub fn build_mt_rt(
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&r.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::join::BuildOp::with_tier(ht, cfg.tier)
+        crate::join::BuildOp::new(ht, &cfg.exec())
     });
     MtOutput::from_report(run.report)
 }

@@ -49,17 +49,16 @@
 //! assert_eq!(out.intermediate_bytes, 0);       // nothing materialized
 //! ```
 
-use amac::engine::amu::{AddrClass, LoadUnit, MemUnit};
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
 };
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::{probe_word, tags_may_match, AggTable, Bucket, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, FaultPlan, SimClock, TierPolicy, TierSpec};
+use amac_tier::{fault_token, ExecCtx, ExecSpec, FaultPlan, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{FilterSpec, Relation, Tuple};
 
@@ -84,7 +83,7 @@ pub struct PipelineConfig {
     /// degrade-to-two-phase, not retry). See
     /// [`ProbeConfig::fault`](crate::join::ProbeConfig::fault).
     pub fault: Option<FaultPlan>,
-    /// AMU issue coalescing for **every** stage of the fused chain (see
+    /// Issue coalescing for **every** stage of the fused chain (see
     /// [`ProbeConfig::coalesce`](crate::join::ProbeConfig::coalesce)).
     pub coalesce: Option<usize>,
     /// Record a structured trace into [`PipelineOutput::trace`] (see
@@ -97,6 +96,26 @@ pub struct PipelineConfig {
     /// silently (conservation is exact for filterless chains and all
     /// standalone runs).
     pub trace: bool,
+}
+
+impl PipelineConfig {
+    /// The execution context this config describes (each stage of the
+    /// chain builds its own from it).
+    pub fn exec(&self) -> ExecSpec {
+        ExecSpec { tier: self.tier, fault: self.fault, coalesce: self.coalesce, hint: self.hint }
+    }
+
+    /// The standalone group-by config of this pipeline's aggregation
+    /// stage (derived stage budget; the stage is unfaultable).
+    fn groupby(&self) -> crate::groupby::GroupByConfig {
+        crate::groupby::GroupByConfig {
+            params: self.params,
+            n_stages: 0,
+            tier: self.tier,
+            coalesce: self.coalesce,
+            trace: self.trace,
+        }
+    }
 }
 
 /// A join match flowing between pipeline operators: the probe tuple's
@@ -149,80 +168,28 @@ impl Default for ProbePipeState {
 /// a [`Joined`] tuple (FK join semantics), skips on a miss.
 pub struct ProbeStage<'a> {
     ht: &'a HashTable,
-    hint: PrefetchHint,
     n_stages: usize,
     matches: u64,
-    nodes_visited: u64,
-    tag_rejects: u64,
-    /// The AMU memory unit every load request routes through.
-    unit: LoadUnit<Option<SimClock>>,
-    /// Effective placement policy (mirrors the `unit` clock derivation).
-    policy: Option<TierPolicy>,
     /// This stage ends its chain: an emitted tuple leaves the window, so
     /// the stage records the retirement itself instead of deferring to a
     /// downstream operator.
     terminal: bool,
-    /// Structured tracer; disabled unless installed via `set_tracer`.
-    trace: Tracer,
+    /// The op's execution context (also reachable, type-erased, through
+    /// `ctx`).
+    pub cx: ExecCtx,
 }
 
 impl<'a> ProbeStage<'a> {
     /// Probe stage against `ht`; the GP/SPP stage budget is derived from
     /// the table's occupancy as for
     /// [`ProbeConfig::n_stages`](crate::join::ProbeConfig::n_stages)` = 0`.
-    pub fn new(ht: &'a HashTable, hint: PrefetchHint) -> Self {
-        Self::with_tier(ht, hint, None)
-    }
-
-    /// [`new`](ProbeStage::new) with an optional memory-tier cost model.
-    pub fn with_tier(ht: &'a HashTable, hint: PrefetchHint, tier: Option<TierSpec>) -> Self {
-        Self::with_tier_fault(ht, hint, tier, None)
-    }
-
-    /// [`with_tier`](ProbeStage::with_tier) plus an optional seeded fault
-    /// plan for this stage's chain loads (see
-    /// [`ProbeConfig::fault`](crate::join::ProbeConfig::fault) for the
-    /// clock-defaulting rule).
-    pub fn with_tier_fault(
-        ht: &'a HashTable,
-        hint: PrefetchHint,
-        tier: Option<TierSpec>,
-        fault: Option<FaultPlan>,
-    ) -> Self {
-        Self::with_amu(ht, hint, tier, fault, None)
-    }
-
-    /// [`with_tier_fault`](ProbeStage::with_tier_fault) plus the AMU
-    /// coalescing knob (see [`PipelineConfig::coalesce`]).
-    pub fn with_amu(
-        ht: &'a HashTable,
-        hint: PrefetchHint,
-        tier: Option<TierSpec>,
-        fault: Option<FaultPlan>,
-        coalesce: Option<usize>,
-    ) -> Self {
-        let clock = match (tier, fault) {
-            (Some(t), Some(plan)) => Some(t.clock().with_fault(plan)),
-            (Some(t), None) => Some(t.clock()),
-            (None, Some(plan)) => Some(TierSpec::headers_near(1).clock().with_fault(plan)),
-            (None, None) => None,
-        };
-        let policy = match (tier, fault) {
-            (Some(t), _) => Some(t.policy),
-            (None, Some(_)) => Some(TierSpec::headers_near(1).policy),
-            (None, None) => None,
-        };
+    pub fn new(ht: &'a HashTable, spec: &ExecSpec) -> Self {
         ProbeStage {
             ht,
-            hint,
             n_stages: crate::join::auto_chain_estimate(ht),
             matches: 0,
-            nodes_visited: 0,
-            tag_rejects: 0,
-            unit: LoadUnit::new(clock, coalesce),
-            policy,
             terminal: false,
-            trace: Tracer::off(),
+            cx: ExecCtx::new(spec),
         }
     }
 
@@ -258,36 +225,16 @@ impl PipelineOp for ProbeStage<'_> {
         state.probe = probe_word(tag_of(input.key));
         state.hop = 0;
         state.slab = 0;
-        state.group = self.unit.begin_lane();
-        self.unit.stage();
-        let t = self.unit.issue(AddrClass::header_ptr(ptr), 0, state.group);
-        if t.fresh {
-            self.hint.issue(ptr);
-        }
-        state.ready_at = t.ready_at;
+        state.group = self.cx.begin_lane();
+        state.ready_at = self.cx.issue_header(ptr, state.group).ready_at;
     }
 
     fn step(&mut self, state: &mut ProbePipeState) -> StageStep<Joined> {
-        // Trace hook before the wait so the recorded stall is exactly
-        // what the wait charges (see `ProbeOp::step`).
-        if self.trace.enabled() {
-            let (class, tier) = crate::pending_load_class(self.policy, state.hop, state.slab);
-            self.trace.load(
-                self.unit.now(),
-                "probe",
-                state.key,
-                class,
-                tier,
-                crate::hop16(state.hop),
-                state.ready_at,
-            );
-        }
-        self.unit.wait(state.ready_at);
-        self.unit.stage();
+        self.cx.deref("probe", state.key, state.hop, state.slab, state.ready_at);
         // SAFETY: probe runs in the table's read-only phase; `ptr` always
         // points at the header or an arena-owned chain node.
         let d = unsafe { (*state.ptr).data() };
-        self.nodes_visited += 1;
+        self.cx.obs.nodes_visited += 1;
         // SWAR tag test first: only a fingerprint hit touches key bytes.
         if tags_may_match(d.meta, state.probe) {
             for i in 0..d.count() {
@@ -296,11 +243,11 @@ impl PipelineOp for ProbeStage<'_> {
                     self.matches += 1;
                     // A non-terminal stage hands the tuple downstream —
                     // the terminal operator records the retirement.
-                    if self.terminal && self.trace.enabled() {
-                        let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                        self.trace.retire(now, "probe", state.key, hop, false);
+                    if self.terminal {
+                        self.cx.retire("probe", state.key, state.hop, state.group);
+                    } else {
+                        self.cx.retire_lane(state.group);
                     }
-                    self.unit.retire_lane(state.group);
                     return StageStep::Emit(Joined {
                         key: state.key,
                         probe_payload: state.payload,
@@ -309,15 +256,11 @@ impl PipelineOp for ProbeStage<'_> {
                 }
             }
         } else {
-            self.tag_rejects += 1;
+            self.cx.obs.tag_rejects += 1;
         }
         let next = d.next;
         if next == NULL_INDEX {
-            if self.trace.enabled() {
-                let (now, hop) = (self.unit.now(), crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, hop, false);
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.retire("probe", state.key, state.hop, state.group);
             return StageStep::Skip; // probe miss
         }
         let ptr = self.ht.node_ptr(next);
@@ -325,35 +268,18 @@ impl PipelineOp for ProbeStage<'_> {
         let token = fault_token(state.key, state.hop);
         state.hop += 1;
         state.slab = slab_of_index(next);
-        let t = self.unit.issue(AddrClass::slab_ptr(state.slab, ptr), token, state.group);
-        if t.fresh {
-            self.hint.issue(ptr);
-        }
+        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
         if t.failed {
-            if self.trace.enabled() {
-                let now = self.unit.now();
-                self.trace.fault(now, "probe", state.key, crate::hop16(state.hop));
-                self.trace.retire(now, "probe", state.key, crate::hop16(state.hop), true);
-            }
-            self.unit.retire_lane(state.group);
+            self.cx.fail("probe", state.key, state.hop, state.group);
             return StageStep::Failed;
         }
         state.ready_at = t.ready_at;
         StageStep::Continue
     }
 
-    fn issues_prefetches(&self) -> bool {
-        self.hint.is_real()
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        stats.nodes_visited += core::mem::take(&mut self.nodes_visited);
-        stats.tag_rejects += core::mem::take(&mut self.tag_rejects);
-        self.unit.flush(stats);
-    }
-
-    crate::impl_mem_unit_delegation!();
-    crate::impl_tracer_hooks!();
 }
 
 /// Group-by aggregation as a terminal pipeline operator: the existing
@@ -365,17 +291,10 @@ impl PipelineOp for ProbeStage<'_> {
 pub type GroupByStage<'a> = Terminal<crate::groupby::GroupByOp<'a>>;
 
 /// Build a [`GroupByStage`] aggregating into `table` with the derived
-/// (`n_stages = 0`) stage budget and an optional memory-tier cost model.
-pub fn groupby_stage<'a>(
-    table: &'a AggTable,
-    params: TuningParams,
-    tier: Option<TierSpec>,
-    coalesce: Option<usize>,
-) -> GroupByStage<'a> {
-    Terminal(crate::groupby::GroupByOp::new(
-        table,
-        &crate::groupby::GroupByConfig { params, n_stages: 0, tier, coalesce, trace: false },
-    ))
+/// (`n_stages = 0`) stage budget, under the pipeline's tier and
+/// coalescing knobs.
+pub fn groupby_stage<'a>(table: &'a AggTable, cfg: &PipelineConfig) -> GroupByStage<'a> {
+    Terminal(crate::groupby::GroupByOp::new(table, &cfg.groupby()))
 }
 
 /// The fused filter + projection between the probe and its consumer:
@@ -452,7 +371,7 @@ pub fn materializing_probe_op<'a>(
     cfg: &PipelineConfig,
 ) -> Fused<ProbeStage<'a>, RouteCollect> {
     Fused::new(
-        ProbeStage::with_amu(ht, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
+        ProbeStage::new(ht, &cfg.exec()).terminal(),
         RouteCollect::new(FilterProject { filter: cfg.filter }),
     )
 }
@@ -476,8 +395,8 @@ pub fn fused_probe_groupby_op<'a>(
 ) -> FusedProbeGroupBy<'a> {
     Fused::new(
         Chain::new(
-            ProbeStage::with_amu(ht, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce),
-            groupby_stage(table, cfg.params, cfg.tier, cfg.coalesce),
+            ProbeStage::new(ht, &cfg.exec()),
+            groupby_stage(table, cfg),
             FilterProject { filter: cfg.filter },
         ),
         Discard,
@@ -495,8 +414,8 @@ pub fn fused_probe_probe_op<'a>(
 ) -> FusedProbeProbe<'a> {
     Fused::new(
         Chain::new(
-            ProbeStage::with_amu(ht1, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce),
-            ProbeStage::with_amu(ht2, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
+            ProbeStage::new(ht1, &cfg.exec()),
+            ProbeStage::new(ht2, &cfg.exec()).terminal(),
             FilterProject { filter: cfg.filter },
         ),
         CountChecksum::default(),
@@ -542,11 +461,11 @@ pub fn probe_then_groupby(
 ) -> PipelineOutput {
     let mut op = fused_probe_groupby_op(ht, table, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.ctx().set_tracer(Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = op.ctx().take_tracer();
     PipelineOutput {
         matched: op.pipe().up().matches(),
         aggregated: op.pipe().down().inner().tuples(),
@@ -576,25 +495,14 @@ pub fn probe_then_groupby_two_phase(
     // Phase 1: probe, materializing the filtered+projected join output.
     let mut op = materializing_probe_op(ht, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.ctx().set_tracer(Tracer::on());
     }
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
-    let mut trace = op.take_tracer();
+    let mut trace = op.ctx().take_tracer();
     let mid = Relation::from_tuples(op.into_sink().out);
     // Phase 2: aggregate the intermediate.
-    let gb = crate::groupby::groupby(
-        table,
-        &mid,
-        technique,
-        &crate::groupby::GroupByConfig {
-            params: cfg.params,
-            n_stages: 0,
-            tier: cfg.tier,
-            coalesce: cfg.coalesce,
-            trace: cfg.trace,
-        },
-    );
+    let gb = crate::groupby::groupby(table, &mid, technique, &cfg.groupby());
     stats.merge(&gb.stats);
     trace.merge(gb.trace);
     PipelineOutput {
@@ -621,11 +529,11 @@ pub fn probe_then_probe(
 ) -> PipelineOutput {
     let mut op = fused_probe_probe_op(ht1, ht2, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.ctx().set_tracer(Tracer::on());
     }
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
-    let trace = op.take_tracer();
+    let trace = op.ctx().take_tracer();
     PipelineOutput {
         matched: op.pipe().up().matches(),
         aggregated: op.sink().matches,
@@ -651,21 +559,19 @@ pub fn probe_then_probe_two_phase(
     let timer = CycleTimer::start();
     let mut op = materializing_probe_op(ht1, cfg);
     if cfg.trace {
-        op.set_tracer(Tracer::on());
+        op.ctx().set_tracer(Tracer::on());
     }
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
-    let mut trace = op.take_tracer();
+    let mut trace = op.ctx().take_tracer();
     let mid = Relation::from_tuples(op.into_sink().out);
-    let mut op2 = Fused::new(
-        ProbeStage::with_amu(ht2, cfg.hint, cfg.tier, cfg.fault, cfg.coalesce).terminal(),
-        CountChecksum::default(),
-    );
+    let mut op2 =
+        Fused::new(ProbeStage::new(ht2, &cfg.exec()).terminal(), CountChecksum::default());
     if cfg.trace {
-        op2.set_tracer(Tracer::on());
+        op2.ctx().set_tracer(Tracer::on());
     }
     stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
-    trace.merge(op2.take_tracer());
+    trace.merge(op2.ctx().take_tracer());
     PipelineOutput {
         matched,
         aggregated: op2.sink().matches,

@@ -52,7 +52,7 @@ pub(crate) mod testop;
 pub use dispatch::{Dispatcher, Scheduling};
 pub use session::AmacSession;
 
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_metrics::{JsonBuf, LatencyHistogram};
 use amac_trace::{TraceEvent, Tracer};
 use std::time::Instant;
@@ -361,12 +361,9 @@ where
                         rep.morsels += 1;
                         rep.tuples += morsel.len() as u64;
                         rep.steals += stolen as u64;
-                        if op.tracing() {
-                            op.trace(TraceEvent::morsel(
-                                op.sim_now(),
-                                tid as u16,
-                                morsel.len() as u64,
-                            ));
+                        let mut cx = op.ctx();
+                        if cx.tracing() {
+                            cx.trace(TraceEvent::morsel(cx.now(), tid as u16, morsel.len() as u64));
                         }
                     }
                     if let Some(s) = session.as_mut() {
@@ -393,7 +390,7 @@ where
     for (mut op, rep, hist) in results.drain(..) {
         report.stats.merge(&rep.stats);
         report.morsel_ns.merge(&hist);
-        report.trace.merge(op.take_tracer());
+        report.trace.merge(op.ctx().take_tracer());
         report.per_thread.push(rep);
         ops.push(op);
     }

@@ -16,7 +16,7 @@
 //! exactly like a plain probe slot, so whole-pipeline windows persist
 //! across the run too.
 
-use amac::engine::{EngineStats, LookupOp, Step};
+use amac::engine::{EngineStats, Hooks, LookupOp, Step};
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
 /// one worker thread for the whole run).
@@ -93,17 +93,17 @@ impl<O: LookupOp> AmacSession<O> {
     /// as [`amac::engine::run_amac`].
     pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
         let m = self.states.len();
-        let pf = op.issues_prefetches() as u64;
+        let pf = op.ctx().issues_prefetches() as u64;
         let mut next = 0usize;
         // Fill any empty slots (first morsel of the run, or after a drain).
         if self.in_flight < m {
             for slot in 0..m {
                 if next == inputs.len() {
-                    // Morsel boundaries are AMU commit points: the next
+                    // Morsel boundaries are commit points: the next
                     // feed's lanes must not coalesce against this one's
                     // in-flight loads.
-                    op.commit_point();
-                    op.flush_observed(stats);
+                    op.ctx().commit_group();
+                    op.ctx().flush(stats);
                     return;
                 }
                 if !self.active[slot] {
@@ -146,8 +146,8 @@ impl<O: LookupOp> AmacSession<O> {
                 self.k = 0;
             }
         }
-        op.commit_point();
-        op.flush_observed(stats);
+        op.ctx().commit_group();
+        op.ctx().flush(stats);
     }
 
     /// Retire every lookup still in flight (the end-of-run epilogue).
@@ -169,11 +169,11 @@ impl<O: LookupOp> AmacSession<O> {
         stats: &mut EngineStats,
         max_rotations: usize,
     ) -> bool {
-        let pf = op.issues_prefetches() as u64;
+        let pf = op.ctx().issues_prefetches() as u64;
         let mut rotations = 0usize;
         while self.in_flight > 0 {
             if rotations == max_rotations {
-                op.flush_observed(stats);
+                op.ctx().flush(stats);
                 return false;
             }
             rotations += 1;
@@ -197,10 +197,10 @@ impl<O: LookupOp> AmacSession<O> {
                 self.tick();
             } else {
                 // Drained slot: the rotation's status check still costs a
-                // tick of simulated time (see `LookupOp::sim_idle`) —
+                // tick of simulated time (see `Hooks::idle`) —
                 // matching `run_amac`'s drain loop exactly, so a morsel
                 // session and a one-shot run charge identical stalls.
-                op.sim_idle(1);
+                op.ctx().idle(1);
             }
             // Wrap at the activated high-water mark, not `M`: `run_amac`
             // clamps its window to the input count, so slots that never
@@ -215,7 +215,7 @@ impl<O: LookupOp> AmacSession<O> {
         // fill starts at slot 0 of an empty window.
         self.k = 0;
         self.hi = 0;
-        op.flush_observed(stats);
+        op.ctx().flush(stats);
         true
     }
 }
@@ -345,12 +345,19 @@ mod tests {
 
     #[test]
     fn drained_window_idle_ticks_match_the_one_shot_executor() {
-        /// [`ChainOp`]-shaped op that also counts `sim_idle` ticks, so the
+        /// [`ChainOp`]-shaped op whose context counts idle ticks, so the
         /// drain rotation's idle charging is observable.
         struct IdleChain {
             chains: Vec<usize>,
             outputs: Vec<u64>,
-            idle: u64,
+            idle: IdleTicks,
+        }
+        #[derive(Default)]
+        struct IdleTicks(u64);
+        impl Hooks for IdleTicks {
+            fn idle(&mut self, ticks: u64) {
+                self.0 += ticks;
+            }
         }
         #[derive(Default)]
         struct S {
@@ -376,14 +383,14 @@ mod tests {
                     Step::Done
                 }
             }
-            fn sim_idle(&mut self, ticks: u64) {
-                self.idle += ticks;
+            fn ctx(&mut self) -> impl Hooks + '_ {
+                &mut self.idle
             }
         }
         let mk = |chains: &[usize]| IdleChain {
             chains: chains.to_vec(),
             outputs: vec![0; chains.len()],
-            idle: 0,
+            idle: IdleTicks::default(),
         };
 
         // Fewer inputs than M: `run_amac` clamps its window to 4 slots,
@@ -402,18 +409,18 @@ mod tests {
         session.feed(&mut op, &inputs, &mut stats);
         session.drain(&mut op, &mut stats);
         assert_eq!(stats, want, "counters diverged from the one-shot executor");
-        assert_eq!(op.idle, whole.idle, "drained-window idle ticks diverged");
+        assert_eq!(op.idle.0, whole.idle.0, "drained-window idle ticks diverged");
         assert_eq!(op.outputs, whole.outputs);
 
         // The reset on full drain keeps a *reused* session aligned too.
         let mut whole2 = mk(&chains);
         let want2 = run_amac(&mut whole2, &inputs, 10);
-        let before = op.idle;
+        let before = op.idle.0;
         let mut stats2 = EngineStats::default();
         session.feed(&mut op, &inputs, &mut stats2);
         session.drain(&mut op, &mut stats2);
         assert_eq!(stats2, want2, "second use of a drained session diverged");
-        assert_eq!(op.idle - before, whole2.idle, "idle ticks drifted on reuse");
+        assert_eq!(op.idle.0 - before, whole2.idle.0, "idle ticks drifted on reuse");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use amac::engine::mux::{Mux, Tagged};
-use amac::engine::{run, EngineStats, LookupOp, Technique, TuningParams};
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
 use amac_ops::groupby::GroupByOp;
@@ -431,7 +431,7 @@ impl<'a> ServeSession<'a> {
             }
         }
         if self.active.len() < self.cfg.max_active {
-            let deadline_at = opts.deadline_ticks.map(|d| self.mux.sim_now() + d);
+            let deadline_at = opts.deadline_ticks.map(|d| self.mux.now() + d);
             self.activate(Attempt {
                 qid,
                 req,
@@ -506,7 +506,7 @@ impl<'a> ServeSession<'a> {
         // through work, so charge the wait to the clock directly.
         if self.active.is_empty() && !self.waiting.is_empty() {
             if let Some(t) = self.waiting.iter().map(|w| w.not_before).min() {
-                self.mux.sim_advance_to(t);
+                self.mux.advance_to(t);
             }
         }
         self.check_deadlines();
@@ -645,7 +645,7 @@ impl<'a> ServeSession<'a> {
     }
 
     fn emit_shed(&mut self, qid: QueryId, req: &Request<'a>, tenant: u32, submitted: Instant) {
-        self.trace.record(TraceEvent::shed(self.mux.sim_now(), qid.0));
+        self.trace.record(TraceEvent::shed(self.mux.now(), qid.0));
         self.finished.push(QueryReport {
             qid,
             kind: kind_of(req),
@@ -660,7 +660,7 @@ impl<'a> ServeSession<'a> {
 
     fn emit_terminal(&mut self, seed: Attempt<'a>, outcome: QueryOutcome) {
         self.settle_breaker(seed.tenant, outcome, seed.degraded);
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         self.trace.record(TraceEvent::query(now, seed.qid.0, now, outcome.label()));
         self.finished.push(QueryReport {
             qid: seed.qid,
@@ -721,7 +721,7 @@ impl<'a> ServeSession<'a> {
         };
         if self.cfg.flight_recorder > 0 {
             let t = tenant.min(u32::from(u16::MAX)) as u16;
-            op.set_tracer(Tracer::ring(self.cfg.flight_recorder).with_tenant(t));
+            op.ctx().set_tracer(Tracer::ring(self.cfg.flight_recorder).with_tenant(t));
         }
         let lane = self.mux.add(op);
         self.active.push(Active {
@@ -741,7 +741,7 @@ impl<'a> ServeSession<'a> {
             spent,
             degraded,
             recovered,
-            born_at: self.mux.sim_now(),
+            born_at: self.mux.now(),
         });
     }
 
@@ -749,7 +749,7 @@ impl<'a> ServeSession<'a> {
     /// in-flight lookups still retire cooperatively before the report is
     /// emitted, so the ledger stays exact.
     fn check_deadlines(&mut self) {
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         for i in 0..self.active.len() {
             let a = &self.active[i];
             if matches!(a.aborting, Some(Aborting::Final(_))) {
@@ -764,9 +764,9 @@ impl<'a> ServeSession<'a> {
             // The deadline instant is the ring's final entry: the
             // cancelled lane's steps short-circuit inside the mux, so the
             // inner op records nothing after this.
-            let op = self.mux.lane_mut(lane);
-            if op.tracing() {
-                op.trace(TraceEvent::deadline(now, qid));
+            let mut cx = self.mux.lane_mut(lane).ctx();
+            if cx.tracing() {
+                cx.trace(TraceEvent::deadline(now, qid));
             }
             self.trace.record(TraceEvent::deadline(now, qid));
             self.active[i].aborting = Some(Aborting::Final(QueryOutcome::DeadlineExceeded));
@@ -778,7 +778,7 @@ impl<'a> ServeSession<'a> {
     /// the backoff itself reports `DeadlineExceeded` without re-entering
     /// the window.
     fn promote_waiting(&mut self) {
-        let now = self.mux.sim_now();
+        let now = self.mux.now();
         let mut i = 0;
         while i < self.waiting.len() {
             if self.active.len() >= self.cfg.max_active {
@@ -846,7 +846,7 @@ impl<'a> ServeSession<'a> {
             let (mut op, led) = self.mux.remove(a.lane);
             // Harvest the attempt's flight ring (disabled unless
             // `flight_recorder` is on); only failing outcomes keep it.
-            let flight = op.take_tracer();
+            let flight = op.ctx().take_tracer();
             // Mutation lanes surrender their WAL records whatever the
             // outcome: an aborted attempt's applied prefix is already in
             // the table, so it must be in the log too or replay diverges.
@@ -874,12 +874,12 @@ impl<'a> ServeSession<'a> {
                                 spent: stats,
                                 submitted: a.submitted,
                             },
-                            not_before: self.mux.sim_now() + wait,
+                            not_before: self.mux.now() + wait,
                         });
                     }
                     Aborting::Final(outcome) => {
                         self.settle_breaker(a.tenant, outcome, a.degraded);
-                        let now = self.mux.sim_now();
+                        let now = self.mux.now();
                         self.trace.record(TraceEvent::query(
                             a.born_at,
                             a.qid.0,
@@ -911,7 +911,7 @@ impl<'a> ServeSession<'a> {
                 let outcome =
                     if a.recovered { QueryOutcome::Recovered } else { QueryOutcome::Completed };
                 self.settle_breaker(a.tenant, QueryOutcome::Completed, a.degraded);
-                let now = self.mux.sim_now();
+                let now = self.mux.now();
                 self.trace.record(TraceEvent::query(a.born_at, a.qid.0, now, outcome.label()));
                 let latency_ns = a.submitted.elapsed().as_nanos() as u64;
                 self.latency.record(latency_ns);
@@ -962,7 +962,7 @@ impl<'a> ServeSession<'a> {
         while self.active.len() < self.cfg.max_active {
             match self.pending.pop_front() {
                 Some(p) => {
-                    let deadline_at = p.deadline_ticks.map(|d| self.mux.sim_now() + d);
+                    let deadline_at = p.deadline_ticks.map(|d| self.mux.now() + d);
                     self.activate(Attempt {
                         qid: p.qid,
                         req: p.req,
@@ -1019,7 +1019,7 @@ impl<'a> ServeSession<'a> {
     /// The session's simulated clock (the Mux's shared now) — what crash
     /// injection polls against a [`amac_tier::CrashPlan`] tick.
     pub fn sim_now(&self) -> u64 {
-        self.mux.sim_now()
+        self.mux.now()
     }
 
     /// Install a session-level tracer. It records the serving-layer

@@ -10,7 +10,7 @@
 //! a pipeline query and back as lanes are recycled.
 
 use amac::engine::pipeline::ChainState;
-use amac::engine::{EngineStats, LookupOp, Step};
+use amac::engine::{Hooks, LookupOp, Step};
 use amac_ops::groupby::{GroupByOp, GroupByState};
 use amac_ops::join::{ProbeOp, ProbeState};
 use amac_ops::mutate::{MutState, MutateOp};
@@ -96,93 +96,17 @@ impl LookupOp for TenantOp<'_> {
         }
     }
 
-    fn issues_prefetches(&self) -> bool {
+    /// One context for the single-operator variants, the probe and
+    /// group-by stages' pair for the fused chain.
+    fn ctx(&mut self) -> impl Hooks + '_ {
         match self {
-            TenantOp::Probe(op) => op.issues_prefetches(),
-            TenantOp::GroupBy(op) => op.issues_prefetches(),
-            TenantOp::Pipeline(op) => op.issues_prefetches(),
-            TenantOp::Upsert(op) => op.issues_prefetches(),
-        }
-    }
-
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        match self {
-            TenantOp::Probe(op) => op.flush_observed(stats),
-            TenantOp::GroupBy(op) => op.flush_observed(stats),
-            TenantOp::Pipeline(op) => op.flush_observed(stats),
-            TenantOp::Upsert(op) => op.flush_observed(stats),
-        }
-    }
-
-    fn sim_idle(&mut self, ticks: u64) {
-        match self {
-            TenantOp::Probe(op) => op.sim_idle(ticks),
-            TenantOp::GroupBy(op) => op.sim_idle(ticks),
-            TenantOp::Pipeline(op) => op.sim_idle(ticks),
-            TenantOp::Upsert(op) => op.sim_idle(ticks),
-        }
-    }
-
-    fn sim_now(&self) -> u64 {
-        match self {
-            TenantOp::Probe(op) => op.sim_now(),
-            TenantOp::GroupBy(op) => op.sim_now(),
-            TenantOp::Pipeline(op) => op.sim_now(),
-            TenantOp::Upsert(op) => op.sim_now(),
-        }
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        match self {
-            TenantOp::Probe(op) => op.sim_advance_to(now),
-            TenantOp::GroupBy(op) => op.sim_advance_to(now),
-            TenantOp::Pipeline(op) => op.sim_advance_to(now),
-            TenantOp::Upsert(op) => op.sim_advance_to(now),
-        }
-    }
-
-    fn commit_point(&mut self) {
-        match self {
-            TenantOp::Probe(op) => op.commit_point(),
-            TenantOp::GroupBy(op) => op.commit_point(),
-            TenantOp::Pipeline(op) => op.commit_point(),
-            TenantOp::Upsert(op) => op.commit_point(),
-        }
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        match self {
-            TenantOp::Probe(op) => op.set_tracer(tracer),
-            TenantOp::GroupBy(op) => op.set_tracer(tracer),
-            TenantOp::Pipeline(op) => op.set_tracer(tracer),
-            TenantOp::Upsert(op) => op.set_tracer(tracer),
-        }
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        match self {
-            TenantOp::Probe(op) => op.take_tracer(),
-            TenantOp::GroupBy(op) => op.take_tracer(),
-            TenantOp::Pipeline(op) => op.take_tracer(),
-            TenantOp::Upsert(op) => op.take_tracer(),
-        }
-    }
-
-    fn tracing(&self) -> bool {
-        match self {
-            TenantOp::Probe(op) => op.tracing(),
-            TenantOp::GroupBy(op) => op.tracing(),
-            TenantOp::Pipeline(op) => op.tracing(),
-            TenantOp::Upsert(op) => op.tracing(),
-        }
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        match self {
-            TenantOp::Probe(op) => op.trace(ev),
-            TenantOp::GroupBy(op) => op.trace(ev),
-            TenantOp::Pipeline(op) => op.trace(ev),
-            TenantOp::Upsert(op) => op.trace(ev),
+            TenantOp::Probe(op) => (&mut op.cx, None),
+            TenantOp::GroupBy(op) => (&mut op.cx, None),
+            TenantOp::Pipeline(op) => {
+                let (probe, groupby) = op.pipe_mut().members_mut();
+                (&mut probe.cx, Some(&mut groupby.0.cx))
+            }
+            TenantOp::Upsert(op) => (&mut op.cx, None),
         }
     }
 }

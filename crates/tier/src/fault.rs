@@ -20,7 +20,7 @@
 //! This doctest is mirrored as the first half of `examples/chaos.rs`:
 //!
 //! ```
-//! use amac_tier::{fault_token, FaultPlan, LoadOutcome, Tier, TierSpec};
+//! use amac_tier::{fault_token, AddrClass, FaultPlan, SimClock, TierSpec};
 //!
 //! // 5% of far loads fail, 10% spike to 4x latency, slab 1 is degraded.
 //! let plan = FaultPlan {
@@ -31,48 +31,27 @@
 //!     degraded_slab: Some(1),
 //! };
 //!
-//! // Attach the plan to a tiered clock; far loads now resolve to a
-//! // three-way LoadOutcome instead of always succeeding.
+//! // Attach the plan to a tiered clock; far slab loads now resolve to
+//! // (ready_at, failed) under it instead of always succeeding.
 //! let spec = TierSpec::headers_near(8);
-//! let mut clock = spec.clock().with_fault(plan);
+//! let mut clock = SimClock::new(spec, Some(plan));
+//! let node = AddrClass::Slab { slab: 0, line: 0 };
 //! let token = fault_token(0xDEADBEEF, 0); // (key, hop) — order-invariant
-//! match clock.issue_slab_checked(0, token) {
-//!     LoadOutcome::Ready(t) | LoadOutcome::Delayed(t) => assert!(t >= 32),
-//!     LoadOutcome::Failed => {} // poisoned: the lookup must abort
-//! }
+//! let (ready_at, failed) = clock.resolve(node, token);
+//! assert!(ready_at >= 32); // on time or spiked; if `failed`, the lookup must abort
 //!
 //! // Determinism: the same (plan, token) always resolves the same way.
-//! assert_eq!(plan.fails(token), plan.fails(token));
+//! assert_eq!(plan.fails(token), failed);
 //!
 //! // Near loads never fault: an AllNear clock is bit-identical to a
 //! // fault-free run.
 //! let near = TierSpec { policy: amac_tier::TierPolicy::AllNear, ..spec };
-//! let mut c = near.clock().with_fault(plan);
-//! assert!(matches!(c.issue_slab_checked(0, token), LoadOutcome::Ready(_)));
+//! let mut c = SimClock::new(near, Some(plan));
+//! assert_eq!(c.resolve(node, token), (4, false));
 //!
 //! // Retries reseed, so a retried query dodges deterministic faults.
 //! assert_ne!(plan.reseeded(1).seed, plan.seed);
 //! ```
-
-/// Resolution of a checked far-memory load.
-///
-/// The carried tick is the load's arrival time (store it in the
-/// per-lookup state exactly like the unchecked
-/// [`issue`](crate::SimClock::issue) return value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadOutcome {
-    /// The load completes normally at the carried tick.
-    Ready(u64),
-    /// The load completes, but late: a tail spike or a degraded slab
-    /// stretched its latency by [`FaultPlan::spike_multiplier`]. The
-    /// lookup proceeds; the extra ticks surface as `sim_stalls` unless
-    /// the window out-laps them.
-    Delayed(u64),
-    /// The load failed (transient device error). The lookup cannot
-    /// continue; the op must retire it via `Step::Failed` and the
-    /// serving layer decides whether to retry, degrade, or give up.
-    Failed,
-}
 
 /// A deterministic, seeded plan of far-tier failures.
 ///
@@ -85,18 +64,21 @@ pub struct FaultPlan {
     /// Seed mixed into every decision; two plans with different seeds
     /// fault disjoint-looking subsets of the same workload.
     pub seed: u64,
-    /// Per-mille of far loads that resolve to [`LoadOutcome::Failed`].
+    /// Per-mille of far loads that fail (the lookup retires as
+    /// `Step::Failed`; the serving layer decides whether to retry,
+    /// degrade, or give up).
     pub fail_per_mille: u16,
-    /// Per-mille of far loads that resolve to [`LoadOutcome::Delayed`]
-    /// with [`spike_multiplier`](FaultPlan::spike_multiplier)× latency
+    /// Per-mille of far loads that complete late, at
+    /// [`spike_multiplier`](FaultPlan::spike_multiplier)× latency
     /// (evaluated after the fail test; a load fails *or* spikes, never
-    /// both).
+    /// both). The extra ticks surface as `sim_stalls` unless the window
+    /// out-laps them.
     pub spike_per_mille: u16,
     /// Latency multiplier for spiked and degraded loads (clamped to
     /// ≥ 1).
     pub spike_multiplier: u64,
     /// A slab in sustained degradation: **every** load from it is
-    /// `Delayed` by the spike multiplier (transient fail/spike tests
+    /// stretched by the spike multiplier (transient fail/spike tests
     /// still apply first).
     pub degraded_slab: Option<u32>,
 }

@@ -16,14 +16,17 @@
 //!   legacy layout's pointer chunks map onto slab 0) — to a
 //!   [`Tier::Near`] or [`Tier::Far`] tier;
 //! * [`CostModel`] prices a load per tier in simulated ticks;
-//! * [`SimClock`] charges a per-executor simulated clock: a prefetch
-//!   issues an asynchronous load completing at `now + tier_latency`, and
-//!   a code stage that dereferences the line *earlier* stalls until it
-//!   arrives. The accumulated [`sim_cycles`](amac::engine::EngineStats::sim_cycles)
+//! * [`SimClock`] charges a per-op simulated clock: a prefetch issues an
+//!   asynchronous load completing at `now + tier_latency`, and a code
+//!   stage that dereferences the line *earlier* stalls until it arrives.
+//!   The accumulated [`sim_cycles`](amac::engine::EngineStats::sim_cycles)
 //!   (work ticks) and [`sim_stalls`](amac::engine::EngineStats::sim_stalls)
-//!   (exposed-latency ticks) drain into `EngineStats` through the same
-//!   `flush_observed` contract as `nodes_visited`, so Mux lane ledgers
-//!   and morsel-session reuse stay exact.
+//!   (exposed-latency ticks) drain into `EngineStats` with the rest of
+//!   the op's ledger, so Mux lane ledgers and morsel-session reuse stay
+//!   exact;
+//! * [`ExecCtx`] is what an op actually holds: the clock plus everything
+//!   else that is cross-cutting (fault plan, line coalescer, prefetch
+//!   hint, tracer, observation ledger) — see the [`ctx`] module.
 //!
 //! # Tick rules
 //!
@@ -34,7 +37,7 @@
 //!    costs **one tick**, charged to `sim_cycles`;
 //! 2. every executor visit to an idle window slot (a GP/SPP no-op check,
 //!    a drained AMAC slot) costs **one tick** too, forwarded by the
-//!    executors via `LookupOp::sim_idle` — charged to elapsed time only,
+//!    executors via `Hooks::idle` — charged to elapsed time only,
 //!    never to `sim_cycles` (so `sim_cycles` is identical across thread
 //!    counts and schedulings);
 //! 3. a prefetch records `ready_at = now + latency(tier)`; the step that
@@ -56,8 +59,8 @@
 //! depend on):
 //!
 //! ```
-//! use amac::engine::{EngineStats, Technique, TuningParams};
-//! use amac_tier::{CostModel, SimClock, Tier, TierPolicy, TierSpec};
+//! use amac::engine::{EngineStats, Hooks, TuningParams};
+//! use amac_tier::{AddrClass, CostModel, ExecCtx, ExecSpec, Tier, TierPolicy, TierSpec};
 //!
 //! // Chain nodes in far memory at 8x DRAM latency, headers near; a
 //! // cross-shard copy of the same structure would cost 16x per load.
@@ -76,17 +79,18 @@
 //! assert_eq!(spec.policy.header_tier(), Tier::Near);
 //! assert_eq!(spec.policy.slab_tier(0), Tier::Far);
 //!
-//! // The clock an op embeds: issue, do other work, touch.
-//! let mut clock = spec.clock();
-//! clock.stage();                      // stage 0 executes (1 tick)
-//! let ready = clock.issue(Tier::Far); // async load lands at now + 32
+//! // The context an op embeds: request, do other work, dereference.
+//! let mut cx = ExecCtx::new(&ExecSpec { tier: Some(spec), ..Default::default() });
+//! let lane = cx.begin_lane();         // stage 0 executes (1 tick)
+//! let node = AddrClass::Slab { slab: 0, line: 0 };
+//! let t = cx.request(node, 0, lane);  // async load lands at now + 32
 //! for _ in 0..10 {
-//!     clock.idle(1);                  // only 10 ticks of other work...
+//!     cx.idle(1);                     // only 10 ticks of other work...
 //! }
-//! clock.touch(ready);                 // ...so the deref stalls 22 ticks
-//! clock.stage();
+//! cx.wait(t.ready_at);                // ...so the deref stalls 22 ticks
+//! cx.stage();
 //! let mut stats = EngineStats::default();
-//! clock.flush(&mut stats);
+//! cx.flush(&mut stats);
 //! assert_eq!(stats.sim_cycles, 2);
 //! assert_eq!(stats.sim_stalls, 22);
 //!
@@ -98,11 +102,13 @@
 #![warn(missing_docs)]
 
 mod crash;
+pub mod ctx;
 mod fault;
 mod wal;
 
 pub use crash::CrashPlan;
-pub use fault::{fault_token, FaultPlan, LoadOutcome};
+pub use ctx::{AddrClass, ExecCtx, ExecSpec, Ticket};
+pub use fault::{fault_token, FaultPlan};
 pub use wal::{Wal, WalRecord};
 
 use amac::engine::EngineStats;
@@ -327,22 +333,16 @@ impl TierSpec {
     pub fn remote(remote_multiplier: u64) -> Self {
         TierSpec { model: CostModel::with_remote(remote_multiplier), policy: TierPolicy::Remote }
     }
-
-    /// A fresh clock charging this spec.
-    pub fn clock(&self) -> SimClock {
-        SimClock::new(*self)
-    }
 }
 
 /// The per-op simulated clock (see the crate docs' tick rules).
 ///
-/// One clock per op instance, embedded behind `Option` so untiered runs
-/// pay a predictable-branch test and nothing else. Composed ops keep
-/// their member clocks in lock-step through the
-/// `LookupOp::{sim_now, sim_advance_to}` protocol (`Mux` lanes, fused
-/// `Chain` stages), which `advance_to` implements: the clock is monotone,
-/// so lifting it to a neighbour's `now` is exactly "that much wall time
-/// passed while others executed".
+/// One clock per [`ExecCtx`], behind `Option` so untiered runs pay a
+/// predictable-branch test and nothing else. Composed ops keep their
+/// member clocks in lock-step through `Hooks::{now, advance_to}` (`Mux`
+/// lanes, fused `Chain` stages): the clock is monotone, so lifting it to
+/// a neighbour's `now` is exactly "that much wall time passed while
+/// others executed".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimClock {
     spec: TierSpec,
@@ -352,7 +352,7 @@ pub struct SimClock {
     work: u64,
     /// Stall ticks since the last [`flush`](SimClock::flush).
     stalls: u64,
-    /// Optional fault plan for far-tier loads (see [`FaultPlan`]).
+    /// Optional fault plan for far-tier slab loads (see [`FaultPlan`]).
     fault: Option<FaultPlan>,
     /// Failed loads since the last [`flush`](SimClock::flush).
     faults: u64,
@@ -364,31 +364,10 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// A clock at `t = 0` charging `spec`.
-    pub fn new(spec: TierSpec) -> Self {
-        SimClock { spec, now: 0, work: 0, stalls: 0, fault: None, faults: 0, remote: 0 }
-    }
-
-    /// Attach a fault plan: far-tier loads issued through the checked
-    /// entry points ([`issue_slab_checked`](SimClock::issue_slab_checked),
-    /// [`issue_header_checked`](SimClock::issue_header_checked)) now
-    /// resolve to a [`LoadOutcome`] under `plan`. Near loads and the
-    /// unchecked entry points are unaffected.
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// The attached fault plan, if any.
-    #[inline(always)]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    /// The spec this clock charges.
-    #[inline(always)]
-    pub fn spec(&self) -> &TierSpec {
-        &self.spec
+    /// A clock at `t = 0` charging `spec`; far-tier slab loads resolve
+    /// under `fault` when given.
+    pub fn new(spec: TierSpec, fault: Option<FaultPlan>) -> Self {
+        SimClock { spec, now: 0, work: 0, stalls: 0, fault, faults: 0, remote: 0 }
     }
 
     /// Current simulated time.
@@ -416,199 +395,80 @@ impl SimClock {
     /// protocol; monotone, so a stale caller is a no-op).
     #[inline(always)]
     pub fn advance_to(&mut self, now: u64) {
-        if now > self.now {
-            self.now = now;
-        }
+        self.now = self.now.max(now);
     }
 
-    /// Issue an asynchronous load into `tier`: returns the tick the line
-    /// arrives (store it in the per-lookup state next to the prefetched
-    /// address).
-    #[inline(always)]
-    pub fn issue(&mut self, tier: Tier) -> u64 {
-        if tier == Tier::Remote {
-            self.remote += 1;
-        }
-        self.now + self.spec.model.latency(tier)
-    }
-
-    /// Issue into the tier of the header array.
-    #[inline(always)]
-    pub fn issue_header(&mut self) -> u64 {
-        self.issue(self.spec.policy.header_tier())
-    }
-
-    /// Issue into the tier of arena slab `slab`.
-    #[inline(always)]
-    pub fn issue_slab(&mut self, slab: u32) -> u64 {
-        self.issue(self.spec.policy.slab_tier(slab))
-    }
-
-    /// Issue a load into `tier` under the fault plan: the common
-    /// implementation behind the `_checked` entry points. `slab` is
-    /// `None` for header loads (sustained slab degradation cannot apply).
+    /// Issue an asynchronous load of `class` under fault token `token`:
+    /// `(ready_at, failed)`.
+    ///
+    /// Header loads never fault — the header array is the dense hot
+    /// region. Slab loads in a far tier resolve under the fault plan:
+    /// a failing token poisons the load (its `ready_at` is still priced
+    /// at plain latency, so a coalesced duplicate has a wait target), a
+    /// spiking token or a degraded slab stretches the latency. A remote
+    /// load is on the wire whatever the plan decides.
     #[inline]
-    fn issue_checked(&mut self, tier: Tier, slab: Option<u32>, token: u64) -> LoadOutcome {
-        let lat = self.spec.model.latency(tier);
-        // The message is on the wire whatever the fault plan decides:
-        // failed and delayed remote loads still crossed the interconnect.
-        if tier == Tier::Remote {
-            self.remote += 1;
-        }
-        let Some(plan) = self.fault else {
-            return LoadOutcome::Ready(self.now + lat);
+    pub fn resolve(&mut self, class: AddrClass, token: u64) -> (u64, bool) {
+        let tier = match class {
+            AddrClass::Header { .. } => self.spec.policy.header_tier(),
+            AddrClass::Slab { slab, .. } => self.spec.policy.slab_tier(slab),
         };
-        // Near loads never fault: local DRAM is not the narrow interface.
-        if tier == Tier::Near {
-            return LoadOutcome::Ready(self.now + lat);
+        if tier == Tier::Remote {
+            self.remote += 1;
         }
-        if plan.fails(token) {
-            self.faults += 1;
-            return LoadOutcome::Failed;
+        let lat = self.spec.model.latency(tier);
+        if self.resolve_dup(class, token) {
+            return (self.now + lat, true);
         }
-        let degraded = slab.is_some() && slab == plan.degraded_slab;
-        if degraded || plan.spikes(token) {
-            return LoadOutcome::Delayed(self.now + lat * plan.multiplier());
+        match (class, self.fault) {
+            (AddrClass::Slab { slab, .. }, Some(plan))
+                if tier != Tier::Near
+                    && (plan.degraded_slab == Some(slab) || plan.spikes(token)) =>
+            {
+                (self.now + lat * plan.multiplier(), false)
+            }
+            _ => (self.now + lat, false),
         }
-        LoadOutcome::Ready(self.now + lat)
     }
 
-    /// Fault-aware [`issue_header`](SimClock::issue_header): resolves the
-    /// header load under the attached [`FaultPlan`] (always `Ready`
-    /// without one, or when headers are near).
+    /// The per-request fault decision alone — what a duplicate request
+    /// of an already-issued line re-runs (no new load, no new latency).
+    /// Same decision, same fault counter as [`resolve`](SimClock::resolve)
+    /// makes for this `(class, token)`, which is what keeps results and
+    /// `load_faults` bit-identical with coalescing on or off. Near loads
+    /// never fault: local DRAM is not the narrow interface.
     #[inline]
-    pub fn issue_header_checked(&mut self, token: u64) -> LoadOutcome {
-        self.issue_checked(self.spec.policy.header_tier(), None, token)
-    }
-
-    /// Fault-aware [`issue_slab`](SimClock::issue_slab): resolves a chain
-    /// load from `slab` under the attached [`FaultPlan`]. `token` should
-    /// come from [`fault_token`]`(key, hop)` so the decision is a
-    /// property of the workload, not of issue order.
-    #[inline]
-    pub fn issue_slab_checked(&mut self, slab: u32, token: u64) -> LoadOutcome {
-        self.issue_checked(self.spec.policy.slab_tier(slab), Some(slab), token)
+    pub fn resolve_dup(&mut self, class: AddrClass, token: u64) -> bool {
+        let (AddrClass::Slab { slab, .. }, Some(plan)) = (class, self.fault) else {
+            return false;
+        };
+        let failed = self.spec.policy.slab_tier(slab) != Tier::Near && plan.fails(token);
+        self.faults += failed as u64;
+        failed
     }
 
     /// Dereference a line that arrives at `ready_at` (rule 3): stall
     /// until it is resident.
     #[inline(always)]
-    pub fn touch(&mut self, ready_at: u64) {
+    pub fn wait_until(&mut self, ready_at: u64) {
         if ready_at > self.now {
             self.stalls += ready_at - self.now;
             self.now = ready_at;
         }
     }
 
-    /// Drain accumulated work/stall ticks into `stats` — the same
-    /// drain-and-reset contract as `nodes_visited`, called from the op's
-    /// `flush_observed`. `now` is *not* reset: the clock keeps running
-    /// across morsel feeds, so `ready_at` values held by in-flight slots
-    /// stay comparable.
+    /// Drain accumulated work/stall/fault/remote counters into `stats`.
+    /// `now` is *not* reset: the clock keeps running across morsel
+    /// feeds, so `ready_at` values held by in-flight slots stay
+    /// comparable.
     #[inline]
     pub fn flush(&mut self, stats: &mut EngineStats) {
-        let (work, stalls) = self.flush_ticks();
-        stats.sim_cycles += work;
-        stats.sim_stalls += stalls;
+        stats.sim_cycles += core::mem::take(&mut self.work);
+        stats.sim_stalls += core::mem::take(&mut self.stalls);
         stats.load_faults += core::mem::take(&mut self.faults);
         let remote = core::mem::take(&mut self.remote);
         stats.remote_loads += remote;
         stats.remote_bytes += remote * REMOTE_LINE_BYTES;
-    }
-
-    /// [`flush`](SimClock::flush) as a raw `(work, stalls)` pair, for
-    /// callers that report outside `EngineStats` (the coroutine ring).
-    #[inline]
-    pub fn flush_ticks(&mut self) -> (u64, u64) {
-        (core::mem::take(&mut self.work), core::mem::take(&mut self.stalls))
-    }
-}
-
-/// [`SimClock`] as the cost/fault model behind an AMU memory unit
-/// (`amac::engine::amu`): the trait the explicit
-/// issue/commit-group/wait-group protocol charges its loads against.
-///
-/// The mapping preserves the pre-AMU plumbing exactly:
-///
-/// * `Header` loads resolve unchecked ([`issue_header`](SimClock::issue_header))
-///   — the header array is the dense hot region and was never routed
-///   through the fault plan;
-/// * `Slab` loads resolve through
-///   [`issue_slab_checked`](SimClock::issue_slab_checked): `Ready`/`Delayed`
-///   become a plain `ready_at`, `Failed` poisons the ticket (its
-///   `ready_at` is still charged at plain slab latency so a coalesced
-///   duplicate has a wait target);
-/// * a duplicate request ([`resolve_dup`](amac::engine::amu::LoadBackend::resolve_dup))
-///   re-runs *only*
-///   the per-token fault decision — same decision, same fault counter as
-///   a fresh issue would make — which is what keeps results and
-///   `load_faults` bit-identical with coalescing on or off.
-impl amac::engine::amu::LoadBackend for SimClock {
-    #[inline(always)]
-    fn stage(&mut self) {
-        SimClock::stage(self);
-    }
-
-    #[inline(always)]
-    fn idle(&mut self, ticks: u64) {
-        SimClock::idle(self, ticks);
-    }
-
-    #[inline(always)]
-    fn now(&self) -> u64 {
-        SimClock::now(self)
-    }
-
-    #[inline(always)]
-    fn advance_to(&mut self, now: u64) {
-        SimClock::advance_to(self, now);
-    }
-
-    #[inline]
-    fn resolve(&mut self, class: amac::engine::amu::AddrClass, token: u64) -> (u64, bool) {
-        use amac::engine::amu::AddrClass;
-        match class {
-            AddrClass::Header { .. } => (self.issue_header(), false),
-            AddrClass::Slab { slab, .. } => match self.issue_slab_checked(slab, token) {
-                LoadOutcome::Ready(t) | LoadOutcome::Delayed(t) => (t, false),
-                // Price the poisoned ticket's wait target directly — the
-                // checked issue above already counted the message, so
-                // re-entering issue() would double-charge a remote load.
-                LoadOutcome::Failed => {
-                    let tier = self.spec.policy.slab_tier(slab);
-                    (self.now + self.spec.model.latency(tier), true)
-                }
-            },
-        }
-    }
-
-    #[inline]
-    fn resolve_dup(&mut self, class: amac::engine::amu::AddrClass, token: u64) -> bool {
-        use amac::engine::amu::AddrClass;
-        let AddrClass::Slab { slab, .. } = class else {
-            return false;
-        };
-        let Some(plan) = self.fault else {
-            return false;
-        };
-        if self.spec.policy.slab_tier(slab) == Tier::Near {
-            return false;
-        }
-        if plan.fails(token) {
-            self.faults += 1;
-            return true;
-        }
-        false
-    }
-
-    #[inline(always)]
-    fn wait_until(&mut self, ready_at: u64) {
-        self.touch(ready_at);
-    }
-
-    #[inline]
-    fn flush(&mut self, stats: &mut EngineStats) {
-        SimClock::flush(self, stats);
     }
 }
 
@@ -663,23 +523,29 @@ mod tests {
         assert_eq!(TierPolicy::Remote.label(), "remote");
     }
 
+    const HEADER: AddrClass = AddrClass::Header { line: 0 };
+
+    fn slab(slab: u32) -> AddrClass {
+        AddrClass::Slab { slab, line: 1 }
+    }
+
     #[test]
-    fn clock_charges_stall_only_for_early_touches() {
-        let mut c = TierSpec::headers_near(2).clock();
+    fn clock_charges_stall_only_for_early_waits() {
+        let mut c = SimClock::new(TierSpec::headers_near(2), None);
         // Far load issued at t=0 lands at t=8; 10 ticks of other work
-        // pass first, so the touch is free.
-        let ready = c.issue(Tier::Far);
+        // pass first, so the wait is free.
+        let (ready, _) = c.resolve(slab(0), 0);
         c.idle(10);
-        c.touch(ready);
-        // A second far load touched after only 3 ticks stalls 5.
-        let ready = c.issue(Tier::Far);
+        c.wait_until(ready);
+        // A second far load awaited after only 3 ticks stalls 5.
+        let (ready, _) = c.resolve(slab(0), 0);
         c.stage();
         c.idle(2);
-        c.touch(ready);
+        c.wait_until(ready);
         let mut s = EngineStats::default();
         c.flush(&mut s);
-        assert_eq!(s.sim_cycles, 1);
-        assert_eq!(s.sim_stalls, 5);
+        assert_eq!((s.sim_cycles, s.sim_stalls), (1, 5));
+        assert!((s.stall_share() - 5.0 / 6.0).abs() < 1e-12);
         // Flush drained the counters but kept the clock running.
         let mut s2 = EngineStats::default();
         c.flush(&mut s2);
@@ -689,7 +555,7 @@ mod tests {
 
     #[test]
     fn advance_to_is_monotone() {
-        let mut c = TierSpec::headers_near(1).clock();
+        let mut c = SimClock::new(TierSpec::headers_near(1), None);
         c.idle(7);
         c.advance_to(3);
         assert_eq!(c.now(), 7, "stale advance is a no-op");
@@ -698,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_issue_resolves_fault_plan_outcomes() {
+    fn resolve_applies_the_fault_plan_to_far_slab_loads_only() {
         let plan = FaultPlan {
             seed: 11,
             fail_per_mille: 0,
@@ -706,26 +572,37 @@ mod tests {
             spike_multiplier: 4,
             degraded_slab: Some(2),
         };
-        let mut c = TierSpec::headers_near(8).clock().with_fault(plan);
-        // No transient faults configured: a healthy slab is plain Ready
-        // at far latency, the degraded slab is Delayed at 4x.
-        assert_eq!(c.issue_slab_checked(0, fault_token(1, 0)), LoadOutcome::Ready(32));
-        assert_eq!(c.issue_slab_checked(2, fault_token(1, 0)), LoadOutcome::Delayed(128));
+        let mut c = SimClock::new(TierSpec::headers_near(8), Some(plan));
+        // No transient faults configured: a healthy slab lands at far
+        // latency, the degraded slab at 4x.
+        assert_eq!(c.resolve(slab(0), fault_token(1, 0)), (32, false));
+        assert_eq!(c.resolve(slab(2), fault_token(1, 0)), (128, false));
         // Headers are near under this policy: never faulted.
-        assert_eq!(c.issue_header_checked(fault_token(1, 0)), LoadOutcome::Ready(4));
-        // Without a plan the checked path degenerates to issue().
-        let mut plain = TierSpec::headers_near(8).clock();
-        assert_eq!(plain.issue_slab_checked(2, fault_token(1, 0)), LoadOutcome::Ready(32));
-        // An always-fail plan poisons every far load and counts it.
-        let mut f = TierSpec::headers_near(8).clock().with_fault(FaultPlan::fail_only(5, 1000));
-        assert_eq!(f.issue_slab_checked(0, fault_token(9, 1)), LoadOutcome::Failed);
+        assert_eq!(c.resolve(HEADER, fault_token(1, 0)), (4, false));
+        // Without a plan every load lands at its tier's latency.
+        let mut plain = SimClock::new(TierSpec::headers_near(8), None);
+        assert_eq!(plain.resolve(slab(2), fault_token(1, 0)), (32, false));
+        assert!(!plain.resolve_dup(slab(0), fault_token(9, 1)));
+        // An always-fail plan poisons every far load but still prices a
+        // wait target, and a duplicate of the same token re-charges the
+        // fault.
+        let always = Some(FaultPlan::fail_only(5, 1000));
+        let mut f = SimClock::new(TierSpec::headers_near(8), always);
+        assert_eq!(f.resolve(slab(0), fault_token(9, 1)), (32, true));
+        assert!(f.resolve_dup(slab(0), fault_token(9, 1)));
+        assert!(!f.resolve_dup(HEADER, fault_token(9, 1)), "headers never fault");
         let mut s = EngineStats::default();
         f.flush(&mut s);
-        assert_eq!(s.load_faults, 1);
+        assert_eq!(s.load_faults, 2, "fresh and duplicate both charged");
         // ...and the drain-and-reset contract holds for faults too.
         let mut s2 = EngineStats::default();
         f.flush(&mut s2);
         assert_eq!(s2.load_faults, 0);
+        // Near slabs never fault, whatever the plan says.
+        let all_near = TierSpec { model: CostModel::default(), policy: TierPolicy::AllNear };
+        let mut near = SimClock::new(all_near, always);
+        assert_eq!(near.resolve(slab(0), fault_token(9, 1)), (4, false));
+        assert!(!near.resolve_dup(slab(0), fault_token(9, 1)));
     }
 
     #[test]
@@ -747,49 +624,12 @@ mod tests {
     }
 
     #[test]
-    fn load_backend_resolve_matches_checked_issue() {
-        use amac::engine::amu::{AddrClass, LoadBackend};
-        // Healthy clock: header resolves at near latency, slab at far.
-        let mut c = TierSpec::headers_near(8).clock();
-        assert_eq!(c.resolve(AddrClass::Header { line: 0 }, 0), (4, false));
-        assert_eq!(c.resolve(AddrClass::Slab { slab: 0, line: 1 }, fault_token(1, 0)), (32, false));
-        // A failing token poisons the ticket but still prices a wait
-        // target, and a duplicate of the same token re-charges the fault.
-        let mut f = TierSpec::headers_near(8).clock().with_fault(FaultPlan::fail_only(5, 1000));
-        let (ready, failed) = f.resolve(AddrClass::Slab { slab: 0, line: 2 }, fault_token(9, 1));
-        assert!(failed);
-        assert_eq!(ready, 32, "failed loads still price plain slab latency");
-        assert!(f.resolve_dup(AddrClass::Slab { slab: 0, line: 2 }, fault_token(9, 1)));
-        let mut s = EngineStats::default();
-        LoadBackend::flush(&mut f, &mut s);
-        assert_eq!(s.load_faults, 2, "fresh and duplicate both charged");
-        // Dups never fault on headers, near slabs, or plan-free clocks.
-        assert!(!f.resolve_dup(AddrClass::Header { line: 0 }, fault_token(9, 1)));
-        let mut near =
-            TierSpec { model: CostModel::default(), policy: TierPolicy::AllNear }.clock();
-        near.fault = Some(FaultPlan::fail_only(5, 1000));
-        assert!(!near.resolve_dup(AddrClass::Slab { slab: 0, line: 0 }, fault_token(9, 1)));
-        let mut plain = TierSpec::headers_near(8).clock();
-        assert!(!plain.resolve_dup(AddrClass::Slab { slab: 0, line: 0 }, fault_token(9, 1)));
-        // The trait's clock surface delegates to the inherent methods.
-        LoadBackend::stage(&mut c);
-        LoadBackend::idle(&mut c, 3);
-        assert_eq!(LoadBackend::now(&c), 4);
-        LoadBackend::advance_to(&mut c, 10);
-        LoadBackend::wait_until(&mut c, 15);
-        let mut s2 = EngineStats::default();
-        LoadBackend::flush(&mut c, &mut s2);
-        assert_eq!((s2.sim_cycles, s2.sim_stalls), (1, 5));
-    }
-
-    #[test]
     fn remote_loads_count_messages_not_duplicates() {
-        use amac::engine::amu::{AddrClass, LoadBackend};
-        let mut c = TierSpec::remote(16).clock();
+        let mut c = SimClock::new(TierSpec::remote(16), None);
         // Every load of a remote structure is one message-hop pair.
-        assert_eq!(c.issue_header(), 64);
-        assert_eq!(c.issue_slab(0), 64);
-        assert_eq!(c.issue_slab_checked(1, fault_token(3, 0)), LoadOutcome::Ready(64));
+        assert_eq!(c.resolve(HEADER, 0), (64, false));
+        assert_eq!(c.resolve(slab(0), 0), (64, false));
+        assert_eq!(c.resolve(slab(1), fault_token(3, 0)), (64, false));
         let mut s = EngineStats::default();
         c.flush(&mut s);
         assert_eq!(s.remote_loads, 3);
@@ -799,34 +639,20 @@ mod tests {
         c.flush(&mut s2);
         assert_eq!((s2.remote_loads, s2.remote_bytes), (0, 0));
         // A coalesced duplicate re-rolls the fault decision only — no new
-        // message (that is the dedup the AMU protocol buys on hot remote
+        // message (that is the dedup coalescing buys on hot remote
         // lines); a failed fresh issue still crossed the wire exactly once.
-        let mut f = TierSpec::remote(16).clock().with_fault(FaultPlan::fail_only(5, 1000));
-        let (_, failed) = f.resolve(AddrClass::Slab { slab: 0, line: 2 }, fault_token(9, 1));
-        assert!(failed);
-        assert!(f.resolve_dup(AddrClass::Slab { slab: 0, line: 2 }, fault_token(9, 1)));
+        let mut f = SimClock::new(TierSpec::remote(16), Some(FaultPlan::fail_only(5, 1000)));
+        assert!(f.resolve(slab(0), fault_token(9, 1)).1);
+        assert!(f.resolve_dup(slab(0), fault_token(9, 1)));
         let mut fs = EngineStats::default();
-        LoadBackend::flush(&mut f, &mut fs);
-        assert_eq!(fs.remote_loads, 1, "dup and failed-arm pricing must not re-count");
+        f.flush(&mut fs);
+        assert_eq!(fs.remote_loads, 1, "dup and failed pricing must not re-count");
         // Near and far placements never touch the remote counters.
-        let mut near = TierSpec::headers_near(8).clock();
-        let _ = near.issue_header();
-        let _ = near.issue_slab(0);
+        let mut near = SimClock::new(TierSpec::headers_near(8), None);
+        near.resolve(HEADER, 0);
+        near.resolve(slab(0), 0);
         let mut ns = EngineStats::default();
         near.flush(&mut ns);
         assert_eq!((ns.remote_loads, ns.remote_bytes), (0, 0));
-    }
-
-    #[test]
-    fn stall_share_helper_matches_ticks() {
-        let mut c = TierSpec::headers_near(8).clock();
-        let ready = c.issue(Tier::Far); // lands at 32
-        c.stage(); // t = 1
-        c.touch(ready); // stalls 31
-        let mut s = EngineStats::default();
-        c.flush(&mut s);
-        assert_eq!(s.sim_cycles, 1);
-        assert_eq!(s.sim_stalls, 31);
-        assert!((s.stall_share() - 31.0 / 32.0).abs() < 1e-12);
     }
 }

@@ -4,27 +4,30 @@
 //! once the far tier out-runs it. (The same property over the real
 //! `ProbeOp` lives in `crates/ops/tests/tier_sim.rs`.)
 
-use amac::engine::{
-    EngineStats, LookupOp, Step, TuningParams, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT,
-};
-use amac_tier::{SimClock, Tier, TierSpec};
+use amac::engine::{Hooks, LookupOp, Step, TuningParams, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};
 
 /// A chain-walking op whose every hop lands in the far tier — the
-/// minimal tiered `LookupOp` (mirrors what `ProbeOp` does with a clock).
+/// minimal tiered `LookupOp` (mirrors what `ProbeOp` does with a context).
 struct FarChainOp {
     chains: Vec<usize>,
-    clock: SimClock,
+    cx: ExecCtx,
 }
 
 #[derive(Default)]
 struct ChainState {
     left: usize,
     ready_at: u64,
+    group: u32,
 }
+
+/// Any slab line: far under `headers_near`.
+const FAR: AddrClass = AddrClass::Slab { slab: 0, line: 0 };
 
 impl FarChainOp {
     fn new(chains: &[usize], mult: u64) -> Self {
-        FarChainOp { chains: chains.to_vec(), clock: TierSpec::headers_near(mult).clock() }
+        let spec = ExecSpec { tier: Some(TierSpec::headers_near(mult)), ..Default::default() };
+        FarChainOp { chains: chains.to_vec(), cx: ExecCtx::new(&spec) }
     }
 }
 
@@ -38,35 +41,24 @@ impl LookupOp for FarChainOp {
 
     fn start(&mut self, input: usize, state: &mut ChainState) {
         state.left = self.chains[input];
-        self.clock.stage();
-        state.ready_at = self.clock.issue(Tier::Far);
+        state.group = self.cx.begin_lane();
+        state.ready_at = self.cx.request(FAR, 0, state.group).ready_at;
     }
 
     fn step(&mut self, state: &mut ChainState) -> Step {
-        self.clock.touch(state.ready_at);
-        self.clock.stage();
+        self.cx.wait(state.ready_at);
+        self.cx.stage();
         if state.left <= 1 {
+            self.cx.retire_lane(state.group);
             return Step::Done;
         }
         state.left -= 1;
-        state.ready_at = self.clock.issue(Tier::Far);
+        state.ready_at = self.cx.request(FAR, 0, state.group).ready_at;
         Step::Continue
     }
 
-    fn flush_observed(&mut self, stats: &mut EngineStats) {
-        self.clock.flush(stats);
-    }
-
-    fn sim_idle(&mut self, ticks: u64) {
-        self.clock.idle(ticks);
-    }
-
-    fn sim_now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    fn sim_advance_to(&mut self, now: u64) {
-        self.clock.advance_to(now);
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
     }
 }
 

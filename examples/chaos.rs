@@ -10,7 +10,7 @@ use amac_suite::engine::{EngineStats, Technique};
 use amac_suite::hashtable::HashTable;
 use amac_suite::ops::join::{probe, ProbeConfig};
 use amac_suite::server::{QueryOutcome, Request, ServeConfig, ServeSession, SubmitOpts};
-use amac_suite::tier::{fault_token, FaultPlan, LoadOutcome, TierSpec};
+use amac_suite::tier::{fault_token, AddrClass, FaultPlan, SimClock, TierSpec};
 use amac_suite::workload::Relation;
 
 fn main() {
@@ -24,24 +24,23 @@ fn main() {
         degraded_slab: Some(1),
     };
 
-    // Attach the plan to a tiered clock; far loads now resolve to a
-    // three-way LoadOutcome instead of always succeeding.
+    // Attach the plan to a tiered clock; far slab loads now resolve to
+    // (ready_at, failed) under it instead of always succeeding.
     let spec = TierSpec::headers_near(8);
-    let mut clock = spec.clock().with_fault(plan);
+    let mut clock = SimClock::new(spec, Some(plan));
+    let node = AddrClass::Slab { slab: 0, line: 0 };
     let token = fault_token(0xDEADBEEF, 0); // (key, hop) — order-invariant
-    match clock.issue_slab_checked(0, token) {
-        LoadOutcome::Ready(t) | LoadOutcome::Delayed(t) => assert!(t >= 32),
-        LoadOutcome::Failed => {} // poisoned: the lookup must abort
-    }
+    let (ready_at, failed) = clock.resolve(node, token);
+    assert!(ready_at >= 32); // on time or spiked; if `failed`, the lookup must abort
 
     // Determinism: the same (plan, token) always resolves the same way.
-    assert_eq!(plan.fails(token), plan.fails(token));
+    assert_eq!(plan.fails(token), failed);
 
     // Near loads never fault: an AllNear clock is bit-identical to a
     // fault-free run.
     let near = TierSpec { policy: amac_suite::tier::TierPolicy::AllNear, ..spec };
-    let mut c = near.clock().with_fault(plan);
-    assert!(matches!(c.issue_slab_checked(0, token), LoadOutcome::Ready(_)));
+    let mut c = SimClock::new(near, Some(plan));
+    assert_eq!(c.resolve(node, token), (4, false));
 
     // Retries reseed, so a retried query dodges deterministic faults.
     assert_ne!(plan.reseeded(1).seed, plan.seed);

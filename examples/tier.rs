@@ -6,14 +6,14 @@
 //! The first half mirrors the `amac_tier` crate-level doctest; the
 //! second half is a miniature of `bench/bin/tier.rs`.
 
-use amac_suite::engine::{EngineStats, Technique, TuningParams};
+use amac_suite::engine::{EngineStats, Hooks, Technique, TuningParams};
 use amac_suite::hashtable::HashTable;
 use amac_suite::ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_suite::tier::{CostModel, Tier, TierPolicy, TierSpec};
+use amac_suite::tier::{AddrClass, CostModel, ExecCtx, ExecSpec, Tier, TierPolicy, TierSpec};
 use amac_suite::workload::Relation;
 
 fn main() {
-    // --- Part 1: the clock itself (mirrors the amac_tier doctest) -----
+    // --- Part 1: the context itself (mirrors the amac_tier doctest) ---
     // Chain nodes in far memory at 8x DRAM latency, headers near.
     let spec = TierSpec {
         model: CostModel {
@@ -30,17 +30,18 @@ fn main() {
     assert_eq!(spec.policy.header_tier(), Tier::Near);
     assert_eq!(spec.policy.slab_tier(0), Tier::Far);
 
-    // The clock an op embeds: issue, do other work, touch.
-    let mut clock = spec.clock();
-    clock.stage(); // stage 0 executes (1 tick)
-    let ready = clock.issue(Tier::Far); // async load lands at now + 32
+    // The context an op embeds: request, do other work, dereference.
+    let mut cx = ExecCtx::new(&ExecSpec { tier: Some(spec), ..Default::default() });
+    let lane = cx.begin_lane(); // stage 0 executes (1 tick)
+    let node = AddrClass::Slab { slab: 0, line: 0 };
+    let t = cx.request(node, 0, lane); // async load lands at now + 32
     for _ in 0..10 {
-        clock.idle(1); // only 10 ticks of other work...
+        cx.idle(1); // only 10 ticks of other work...
     }
-    clock.touch(ready); // ...so the deref stalls 22 ticks
-    clock.stage();
+    cx.wait(t.ready_at); // ...so the deref stalls 22 ticks
+    cx.stage();
     let mut stats = EngineStats::default();
-    clock.flush(&mut stats);
+    cx.flush(&mut stats);
     assert_eq!(stats.sim_cycles, 2);
     assert_eq!(stats.sim_stalls, 22);
     println!(

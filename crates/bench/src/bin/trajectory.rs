@@ -99,6 +99,11 @@ fn main() {
         }
     }
 
+    // Once, for whoever reads the wall-time keys of the blobs (never
+    // gated): which page size the tables of this run could get.
+    let host = amac_metrics::platform::Platform::detect();
+    eprintln!("page backing: THP mode {}, base page {} B", host.thp_mode, host.page_bytes);
+
     let scale_s = scale.to_string();
     for (name, json) in BENCHES {
         let mut cmd = command_for(name);

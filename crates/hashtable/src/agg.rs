@@ -166,7 +166,7 @@ impl AggBucket {
 
 /// The group-by hash table: one aggregate node per distinct key.
 pub struct AggTable {
-    buckets: amac_mem::align::AlignedBox<AggBucket>,
+    buckets: amac_mem::Region<AggBucket>,
     mask: u64,
     /// Overflow group nodes, shared by every handle and addressed by the
     /// `u32` chain indices stored in [`AggData::next`].
@@ -182,7 +182,7 @@ impl AggTable {
     pub fn with_buckets(n_buckets: usize) -> Self {
         let n = next_pow2(n_buckets);
         AggTable {
-            buckets: amac_mem::align::alloc_aligned_slice(n),
+            buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             nodes: IndexedArena::new(),
             frozen: AtomicU32::new(u32::MAX),

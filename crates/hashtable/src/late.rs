@@ -98,7 +98,7 @@ impl LateBucket {
 
 /// The late-aggregation group-by table.
 pub struct LateAggTable {
-    buckets: amac_mem::align::AlignedBox<LateBucket>,
+    buckets: amac_mem::Region<LateBucket>,
     mask: u64,
     /// Overflow group nodes ([`LateData::next`] indices resolve here).
     nodes: IndexedArena<LateBucket>,
@@ -116,7 +116,7 @@ impl LateAggTable {
     pub fn with_buckets(n_buckets: usize) -> Self {
         let n = next_pow2(n_buckets);
         LateAggTable {
-            buckets: amac_mem::align::alloc_aligned_slice(n),
+            buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             nodes: IndexedArena::new(),
             chunks: IndexedArena::new(),

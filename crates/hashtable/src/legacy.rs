@@ -82,7 +82,7 @@ impl LegacyBucket {
 
 /// The legacy chained hash-join table (pointer links, 2 tuples/node).
 pub struct LegacyHashTable {
-    buckets: amac_mem::align::AlignedBox<LegacyBucket>,
+    buckets: amac_mem::Region<LegacyBucket>,
     mask: u64,
     arenas: Mutex<Vec<Arena<LegacyBucket>>>,
     tuples: AtomicU64,
@@ -97,7 +97,7 @@ impl LegacyHashTable {
     pub fn with_buckets(n_buckets: usize) -> Self {
         let n = next_pow2(n_buckets);
         LegacyHashTable {
-            buckets: amac_mem::align::alloc_aligned_slice(n),
+            buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             arenas: Mutex::new(Vec::new()),
             tuples: AtomicU64::new(0),
@@ -306,7 +306,7 @@ impl LegacyAggBucket {
 
 /// The legacy group-by table (pointer-linked aggregate chains).
 pub struct LegacyAggTable {
-    buckets: amac_mem::align::AlignedBox<LegacyAggBucket>,
+    buckets: amac_mem::Region<LegacyAggBucket>,
     mask: u64,
     arenas: Mutex<Vec<Arena<LegacyAggBucket>>>,
 }
@@ -320,7 +320,7 @@ impl LegacyAggTable {
     pub fn with_buckets(n_buckets: usize) -> Self {
         let n = next_pow2(n_buckets);
         LegacyAggTable {
-            buckets: amac_mem::align::alloc_aligned_slice(n),
+            buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             arenas: Mutex::new(Vec::new()),
         }

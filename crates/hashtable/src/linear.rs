@@ -17,8 +17,8 @@
 //! The table is built single-threaded and probed read-only (phase
 //! separation; the concurrent-build story lives in the chained table).
 
-use amac_mem::align::{alloc_aligned_slice, AlignedBox};
 use amac_mem::hash::mix64;
+use amac_mem::Region;
 use amac_workload::{Relation, Tuple};
 
 /// Slot key value marking an empty slot. Inserted keys must differ.
@@ -50,7 +50,7 @@ impl Default for SlotLine {
 /// exactly instead of being destroyed by power-of-two rounding — the fill
 /// knob *is* the layout ablation's independent variable.
 pub struct LinearTable {
-    lines: AlignedBox<SlotLine>,
+    lines: Region<SlotLine>,
     /// Total slots (multiple of `SLOTS_PER_LINE`).
     slots: usize,
     len: usize,
@@ -66,7 +66,7 @@ impl LinearTable {
     pub fn with_slots(n_slots: usize) -> Self {
         let lines = n_slots.max(SLOTS_PER_LINE).div_ceil(SLOTS_PER_LINE);
         LinearTable {
-            lines: alloc_aligned_slice(lines),
+            lines: Region::new(lines),
             slots: lines * SLOTS_PER_LINE,
             len: 0,
             total_displacement: 0,

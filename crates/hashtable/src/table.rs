@@ -21,7 +21,7 @@ use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// an index to its stable address with [`node_ptr`](HashTable::node_ptr)
 /// before prefetching the next hop.
 pub struct HashTable {
-    buckets: amac_mem::align::AlignedBox<Bucket>,
+    buckets: amac_mem::Region<Bucket>,
     mask: u64,
     /// Overflow chain nodes, shared by every build handle; `u32` chain
     /// indices resolve into this arena for the table's whole lifetime.
@@ -43,7 +43,7 @@ impl HashTable {
     pub fn with_buckets(n_buckets: usize) -> Self {
         let n = next_pow2(n_buckets);
         HashTable {
-            buckets: amac_mem::align::alloc_aligned_slice(n),
+            buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             nodes: IndexedArena::new(),
             tuples: AtomicU64::new(0),

@@ -50,86 +50,6 @@ impl<T> core::ops::DerefMut for CacheAligned<T> {
     }
 }
 
-/// An owned, cache-line-aligned slice allocation.
-///
-/// Unlike `Box<[T]>`, the allocation is guaranteed to start at (at least)
-/// [`CACHE_LINE`] alignment regardless of `align_of::<T>()`, and the exact
-/// layout is remembered so deallocation is sound.
-pub struct AlignedBox<T> {
-    ptr: core::ptr::NonNull<T>,
-    len: usize,
-}
-
-// SAFETY: AlignedBox owns its elements exactly like Box<[T]>.
-unsafe impl<T: Send> Send for AlignedBox<T> {}
-unsafe impl<T: Sync> Sync for AlignedBox<T> {}
-
-impl<T> AlignedBox<T> {
-    fn layout(len: usize) -> std::alloc::Layout {
-        let size = core::mem::size_of::<T>().checked_mul(len).expect("allocation overflow");
-        let align = core::mem::align_of::<T>().max(CACHE_LINE);
-        std::alloc::Layout::from_size_align(size.max(1), align).expect("bad layout")
-    }
-}
-
-impl<T> core::ops::Deref for AlignedBox<T> {
-    type Target = [T];
-    #[inline]
-    fn deref(&self) -> &[T] {
-        // SAFETY: ptr/len describe an owned, initialized allocation.
-        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl<T> core::ops::DerefMut for AlignedBox<T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [T] {
-        // SAFETY: as Deref, with unique ownership through &mut self.
-        unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl<T> Drop for AlignedBox<T> {
-    fn drop(&mut self) {
-        unsafe {
-            for i in 0..self.len {
-                core::ptr::drop_in_place(self.ptr.as_ptr().add(i));
-            }
-            std::alloc::dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.len));
-        }
-    }
-}
-
-impl<T: core::fmt::Debug> core::fmt::Debug for AlignedBox<T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// Allocate a default-initialized, cache-line-aligned slice of `len`
-/// elements.
-///
-/// Used for bucket arrays: the allocation starts at 64-byte alignment, so
-/// `&slice[i]` is line-aligned whenever `size_of::<T>()` is a multiple of
-/// 64.
-///
-/// # Panics
-/// Panics on capacity overflow or allocation failure, like `Vec`.
-pub fn alloc_aligned_slice<T: Default>(len: usize) -> AlignedBox<T> {
-    use std::alloc::{alloc, handle_alloc_error};
-    let layout = AlignedBox::<T>::layout(len);
-    unsafe {
-        let ptr = alloc(layout) as *mut T;
-        if ptr.is_null() {
-            handle_alloc_error(layout);
-        }
-        for i in 0..len {
-            ptr.add(i).write(T::default());
-        }
-        AlignedBox { ptr: core::ptr::NonNull::new_unchecked(ptr), len }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,35 +67,5 @@ mod tests {
         *a += 1;
         assert_eq!(*a, 6);
         assert_eq!(a.into_inner(), 6);
-    }
-
-    #[test]
-    fn aligned_slice_elements_are_aligned() {
-        #[derive(Clone)]
-        #[repr(C, align(64))]
-        struct Node([u8; 64]);
-        impl Default for Node {
-            fn default() -> Self {
-                Node([0; 64])
-            }
-        }
-        let s = alloc_aligned_slice::<Node>(17);
-        assert_eq!(s.len(), 17);
-        for n in s.iter() {
-            assert_eq!((n as *const Node as usize) % CACHE_LINE, 0);
-        }
-    }
-
-    #[test]
-    fn aligned_slice_zero_len() {
-        let s = alloc_aligned_slice::<u64>(0);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn aligned_slice_unaligned_type_still_works() {
-        let s = alloc_aligned_slice::<u64>(100);
-        assert_eq!(s.len(), 100);
-        assert!(s.iter().all(|&x| x == 0));
     }
 }

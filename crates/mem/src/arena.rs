@@ -2,8 +2,9 @@
 //!
 //! Every evaluated data structure (hash-table overflow chains, BST nodes,
 //! skip-list towers) links nodes with raw pointers, so node storage must
-//! never move. Both arenas here allocate in large chunks and hand out
-//! addresses that stay valid until the arena is dropped.
+//! never move. The arenas here allocate in large chunks, each one
+//! [`Region`] (huge-page-backed from 2 MiB up), and hand out addresses that
+//! stay valid until the arena is dropped.
 //!
 //! * [`Arena<T>`] — fixed-size elements (`T` per slot). Used for BST nodes
 //!   and other pointer-linked structures.
@@ -19,19 +20,16 @@
 //!
 //! # Safety model
 //! The arenas only *allocate*; they never give out two overlapping regions
-//! and never move established allocations (chunks are `Box<[...]>` whose
+//! and never move established allocations (chunks are [`Region`]s whose
 //! heap storage is stable even when the chunk list reallocates). Turning
 //! the returned `*mut` pointers into references is the caller's obligation
 //! and is encapsulated inside the data-structure crates.
 
 use crate::align::CACHE_LINE;
+use crate::region::{Region, HUGE_PAGE};
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Mutex;
-
-/// Default number of elements per chunk (amortizes chunk bookkeeping while
-/// keeping worst-case wasted memory bounded).
-const DEFAULT_CHUNK: usize = 1 << 14;
 
 /// A chunked, append-only arena of fixed-size slots with stable addresses.
 ///
@@ -39,7 +37,7 @@ const DEFAULT_CHUNK: usize = 1 << 14;
 /// remains valid (and never aliases another allocation) for the arena's
 /// lifetime.
 pub struct Arena<T: Default> {
-    chunks: Vec<Box<[UnsafeCell<T>]>>,
+    chunks: Vec<Region<UnsafeCell<T>>>,
     /// Slots used in the last chunk.
     used: usize,
     chunk_size: usize,
@@ -51,9 +49,11 @@ pub struct Arena<T: Default> {
 unsafe impl<T: Default + Send> Send for Arena<T> {}
 
 impl<T: Default> Arena<T> {
-    /// Create an empty arena with the default chunk size.
+    /// Create an empty arena whose chunks are the fewest elements that
+    /// fill a huge page, so a structure built one node at a time gets the
+    /// same page backing as a pre-sized one.
     pub fn new() -> Self {
-        Self::with_chunk_size(DEFAULT_CHUNK)
+        Self::with_chunk_size(HUGE_PAGE.div_ceil(core::mem::size_of::<T>().max(1)))
     }
 
     /// Create an empty arena whose chunks hold `chunk_size` elements.
@@ -70,9 +70,7 @@ impl<T: Default> Arena<T> {
     }
 
     fn reserve_chunk(&mut self) {
-        let chunk: Box<[UnsafeCell<T>]> =
-            (0..self.chunk_size).map(|_| UnsafeCell::new(T::default())).collect();
-        self.chunks.push(chunk);
+        self.chunks.push(Region::new(self.chunk_size));
         self.used = 0;
     }
 
@@ -135,7 +133,7 @@ impl<T: Default> Default for Arena<T> {
 ///
 /// Returned regions are zero-initialized and aligned to [`CACHE_LINE`].
 pub struct VarArena {
-    chunks: Vec<Box<[u8]>>,
+    chunks: Vec<Region<u8>>,
     /// Offset of the next free byte in the last chunk (always line-aligned).
     offset: usize,
     chunk_bytes: usize,
@@ -146,8 +144,8 @@ pub struct VarArena {
 unsafe impl Send for VarArena {}
 
 impl VarArena {
-    /// Default chunk size: 1 MiB.
-    pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
+    /// Default chunk size: one huge page.
+    pub const DEFAULT_CHUNK_BYTES: usize = HUGE_PAGE;
 
     /// Create an empty arena with the default chunk size.
     pub fn new() -> Self {
@@ -170,16 +168,12 @@ impl VarArena {
         let rounded = size.div_ceil(CACHE_LINE) * CACHE_LINE;
         assert!(rounded <= self.chunk_bytes, "allocation larger than chunk");
         if self.chunks.is_empty() || self.offset + rounded > self.chunk_bytes {
-            // Over-allocate by one line so we can align the base.
-            let chunk = vec![0u8; self.chunk_bytes + CACHE_LINE].into_boxed_slice();
-            self.chunks.push(chunk);
-            let base = self.chunks.last().unwrap().as_ptr() as usize;
-            // First aligned offset within the fresh chunk.
-            self.offset = (CACHE_LINE - base % CACHE_LINE) % CACHE_LINE;
+            // A region starts on a line boundary and is all zeroes.
+            self.chunks.push(Region::new(self.chunk_bytes));
+            self.offset = 0;
         }
         let chunk = self.chunks.last_mut().expect("chunk exists");
-        // SAFETY: offset+rounded <= chunk_bytes + alignment slack by the
-        // checks above.
+        // SAFETY: offset + rounded <= chunk_bytes by the checks above.
         let ptr = unsafe { chunk.as_mut_ptr().add(self.offset) };
         debug_assert_eq!(ptr as usize % CACHE_LINE, 0);
         self.offset += rounded;
@@ -265,7 +259,7 @@ pub struct IndexedArena<T: Default> {
     /// Next index to hand out.
     next: AtomicU32,
     /// Owns the slab storage (freed on drop) and serializes slab creation.
-    owned: Mutex<Vec<Box<[UnsafeCell<T>]>>>,
+    owned: Mutex<Vec<Region<UnsafeCell<T>>>>,
 }
 
 // SAFETY: allocation is internally synchronized (atomics + mutex); access
@@ -365,8 +359,7 @@ impl<T: Default> IndexedArena<T> {
     fn grow_slab(&self, k: usize) {
         let mut owned = self.owned.lock().expect("indexed arena poisoned");
         if self.slabs[k].load(Ordering::Relaxed).is_null() {
-            let slab: Box<[UnsafeCell<T>]> =
-                (0..BASE << k).map(|_| UnsafeCell::new(T::default())).collect();
+            let slab = Region::<UnsafeCell<T>>::new(BASE << k);
             let ptr = slab.as_ptr() as *mut UnsafeCell<T>;
             owned.push(slab);
             self.slabs[k].store(ptr, Ordering::Release);
@@ -435,6 +428,9 @@ mod tests {
             }
         }
         assert_eq!(a.allocations(), 6);
+        // 1+1+1+2+7 lines fill 768 bytes of the first chunk; the 4096-byte
+        // request opens a second. Chunks carry no alignment slack.
+        assert_eq!(a.footprint_bytes(), 2 * 4096);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   ([`prefetch`]);
 //! * **cache-line aligned, pointer-stable node storage** — the paper aligns
 //!   every data-structure node to a 64-byte cache block ([`arena`],
-//!   [`align`]);
+//!   [`align`]), all of it allocated as [`region`]s that the kernel may
+//!   back with huge pages, so a prefetch does not wait for a page walk;
 //! * **1-byte test-and-set latches** used by the hash-join build, group-by
 //!   and skip-list insert code paths ([`latch`]).
 //!
@@ -20,9 +21,11 @@ pub mod arena;
 pub mod hash;
 pub mod latch;
 pub mod prefetch;
+pub mod region;
 pub mod rng;
 
 pub use align::{CacheAligned, CACHE_LINE};
 pub use arena::{slab_of_index, Arena, IndexedArena, VarArena, NULL_INDEX};
 pub use latch::Latch;
 pub use prefetch::{prefetch_read, prefetch_read_t0, prefetch_write};
+pub use region::{Region, HUGE_PAGE};

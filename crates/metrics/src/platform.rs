@@ -15,6 +15,42 @@ pub struct Platform {
     pub perf_counters: bool,
     /// Target architecture.
     pub arch: &'static str,
+    /// Base page size in bytes (0 if not discoverable).
+    pub page_bytes: usize,
+    /// Kernel transparent-huge-page mode (`always`, `madvise` or `never`;
+    /// `unavailable` where the kernel has no such setting). Under `never`
+    /// the large `amac_mem::Region`s sit on base pages and a DRAM-resident
+    /// cycles/tuple figure is not comparable with one measured elsewhere.
+    pub thp_mode: String,
+}
+
+/// The kernel's transparent-huge-page mode: the bracketed word of
+/// `/sys/kernel/mm/transparent_hugepage/enabled`, if there is such a file.
+pub fn thp_mode() -> Option<String> {
+    let modes = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").ok()?;
+    let (_, rest) = modes.split_once('[')?;
+    Some(rest.split_once(']')?.0.to_string())
+}
+
+/// Bytes of this process currently backed by transparent huge pages
+/// (`AnonHugePages` of `/proc/self/smaps_rollup`), if the kernel reports it.
+pub fn anon_huge_bytes() -> Option<usize> {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+    let kib: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
+
+#[cfg(target_os = "linux")]
+fn page_bytes() -> usize {
+    // SAFETY: `sysconf` reads a constant of the running system.
+    let n = unsafe { libc::sysconf(libc::_SC_PAGESIZE) };
+    usize::try_from(n).unwrap_or(0)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn page_bytes() -> usize {
+    0
 }
 
 impl Platform {
@@ -44,6 +80,8 @@ impl Platform {
             mem_gib,
             perf_counters: crate::perf::available(),
             arch: std::env::consts::ARCH,
+            page_bytes: page_bytes(),
+            thp_mode: thp_mode().unwrap_or_else(|| "unavailable".to_string()),
         }
     }
 }
@@ -55,6 +93,8 @@ impl fmt::Display for Platform {
         writeln!(f, "  cpu model      : {}", self.cpu_model)?;
         writeln!(f, "  logical cpus   : {}", self.logical_cpus)?;
         writeln!(f, "  memory         : {:.1} GiB", self.mem_gib)?;
+        writeln!(f, "  base page      : {} B", self.page_bytes)?;
+        writeln!(f, "  THP mode       : {}", self.thp_mode)?;
         writeln!(
             f,
             "  hw perf events : {}",
@@ -74,5 +114,10 @@ mod tests {
         assert!(!p.arch.is_empty());
         let s = p.to_string();
         assert!(s.contains("logical cpus"));
+        assert!(s.contains("THP mode"));
+        if cfg!(target_os = "linux") {
+            assert!(p.page_bytes.is_power_of_two());
+            assert!(["always", "madvise", "never", "unavailable"].contains(&p.thp_mode.as_str()));
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Minimal offline stand-in for the `libc` crate.
 //!
-//! Declares only the symbols `amac_metrics::perf` needs; they resolve
-//! against the platform C library that `std` already links.
+//! Declares only the symbols `amac_metrics` (perf counters, page size) and
+//! `amac_mem::region` (huge-page advice) need; they resolve against the
+//! platform C library that `std` already links.
 
 #![allow(non_camel_case_types, non_upper_case_globals)]
 
@@ -20,11 +21,20 @@ pub const SYS_perf_event_open: c_long = 241;
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub const SYS_perf_event_open: c_long = -1;
 
+/// `madvise(2)` advice: back the range with transparent huge pages.
+#[cfg(target_os = "linux")]
+pub const MADV_HUGEPAGE: c_int = 14;
+/// `sysconf(3)` name of the base page size.
+#[cfg(target_os = "linux")]
+pub const _SC_PAGESIZE: c_int = 30;
+
 extern "C" {
     pub fn syscall(num: c_long, ...) -> c_long;
     pub fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn close(fd: c_int) -> c_int;
+    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+    pub fn sysconf(name: c_int) -> c_long;
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 
 use amac_suite::engine::{Technique, TuningParams};
 use amac_suite::hashtable::HashTable;
+use amac_suite::mem::region;
+use amac_suite::metrics::platform::{anon_huge_bytes, Platform};
 use amac_suite::ops::join::{probe, ProbeConfig};
 use amac_suite::workload::Relation;
 
@@ -20,7 +22,21 @@ fn main() {
 
     // Build once (the build phase is identical work for every probe run).
     let ht = HashTable::build_serial(&r);
-    println!("hash table: {} buckets, {} tuples\n", ht.bucket_count(), ht.tuple_count());
+    println!("hash table: {} buckets, {} tuples", ht.bucket_count(), ht.tuple_count());
+
+    // The cycles below depend on the page size under the table: say which
+    // one this host gave, so a number from a THP-`never` machine is not
+    // mistaken for a regression.
+    let host = Platform::detect();
+    let advice = region::stats();
+    println!(
+        "page backing: THP mode {}, base page {} B; {} MiB advised huge ({} refused), {} MiB granted\n",
+        host.thp_mode,
+        host.page_bytes,
+        advice.bytes_advised >> 20,
+        advice.advise_refused,
+        anon_huge_bytes().map_or("?".to_string(), |b| (b >> 20).to_string()),
+    );
 
     println!(
         "{:<10} {:>14} {:>12} {:>14} {:>12}",

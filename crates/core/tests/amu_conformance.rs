@@ -12,14 +12,13 @@
 use amac::engine::mux::{Mux, Tagged};
 use amac::engine::{run, EngineStats, Technique, TuningParams};
 use amac_coro::{coro_probe, CoroConfig};
-use amac_hashtable::{AggTable, HashTable, LegacyHashTable};
+use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_ops::legacy::LegacyProbeOp;
 use amac_ops::parallel::probe_mt_rt;
 use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
 use amac_runtime::{MorselConfig, Scheduling};
-use amac_tier::{ExecSpec, FaultPlan, TierSpec};
+use amac_tier::{FaultPlan, TierSpec};
 use amac_workload::Relation;
 
 /// Coalescing window used throughout: must divide the morsel size so
@@ -175,32 +174,6 @@ fn fused_pipeline_is_bit_identical_with_coalescing_under_every_executor() {
         // the group-by stage of any multi-lane window.
         if technique != Technique::Baseline {
             assert!(on.stats.coalesced_loads > 0, "{technique}");
-        }
-    }
-}
-
-#[test]
-fn legacy_probe_is_bit_identical_with_coalescing_under_every_executor() {
-    let build = Relation::zipf(4096, 256, 0.75, 0xE5);
-    let lht = LegacyHashTable::build_serial(&build);
-    let probes = Relation::zipf(8192, 256, 1.0, 0xE6);
-    let tier = Some(TierSpec::headers_near(4));
-    for technique in Technique::ALL {
-        let run_one = |coalesce| {
-            let spec = ExecSpec { tier, coalesce, ..Default::default() };
-            let mut op = LegacyProbeOp::new(&lht, true, &spec);
-            let stats =
-                run(technique, &mut op, &probes.tuples, TuningParams::paper_best(technique));
-            (op.matches(), op.checksum(), stats)
-        };
-        let (m_off, c_off, s_off) = run_one(None);
-        let (m_on, c_on, s_on) = run_one(Some(G));
-        assert_eq!((m_on, c_on), (m_off, c_off), "{technique}: legacy results diverged");
-        assert_eq!(s_on.sim_cycles, s_off.sim_cycles, "{technique}");
-        assert_eq!(s_off.coalesced_loads, 0, "{technique}");
-        assert_eq!(s_on.issued_loads + s_on.coalesced_loads, s_off.issued_loads, "{technique}");
-        if technique != Technique::Baseline {
-            assert!(s_on.coalesced_loads > 0, "{technique}");
         }
     }
 }

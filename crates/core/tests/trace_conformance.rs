@@ -15,12 +15,18 @@
 //! Coverage: all four executors, the coroutine ring, and the morsel
 //! runtime at 1/2/4 threads under every scheduling discipline.
 
-use amac::engine::{EngineStats, Hooks, Technique};
+use amac::engine::{EngineStats, Technique};
 use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
-use amac_ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_runtime::{execute, MorselConfig, Scheduling};
+use amac_ops::join::{probe, ProbeConfig};
+use amac_ops::mutate::{mutate_mt_rt, MutateConfig};
+use amac_ops::parallel::{
+    groupby_mt_rt, probe_groupby_mt_rt, probe_groupby_two_phase_mt_rt, probe_mt_rt,
+    probe_probe_mt_rt,
+};
+use amac_ops::pipeline::PipelineConfig;
+use amac_runtime::{MorselConfig, Scheduling};
 use amac_tier::{FaultPlan, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::Relation;
@@ -162,8 +168,9 @@ fn coro_ring_trace_conserves_and_is_bit_identical() {
     );
 }
 
-/// Morsel-runtime run with a tracer installed on every worker op; the
-/// harvest folds the per-worker tracers into `report.trace` in tid order.
+/// Morsel-runtime probe through the public driver: `cfg.trace` arms a
+/// tracer on every worker op and the harvest folds the per-worker
+/// tracers into `report.trace` in tid order.
 fn morsel_run(
     ht: &HashTable,
     probes: &Relation,
@@ -171,21 +178,9 @@ fn morsel_run(
     scheduling: Scheduling,
     trace: bool,
 ) -> (u64, u64, EngineStats, Tracer) {
-    let cfg = ProbeConfig { materialize: false, ..probe_cfg(false) };
     let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling, auto_tune: false };
-    let run = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
-        let mut op = ProbeOp::new(ht, &cfg, 0);
-        if trace {
-            op.cx.set_tracer(Tracer::on());
-        }
-        op
-    });
-    let (mut matches, mut checksum) = (0u64, 0u64);
-    for op in &run.ops {
-        matches += op.matches();
-        checksum = checksum.wrapping_add(op.checksum());
-    }
-    (matches, checksum, run.report.stats, run.report.trace)
+    let out = probe_mt_rt(ht, probes, Technique::Amac, &probe_cfg(trace), &rt);
+    (out.matches, out.checksum, out.stats, out.report.trace)
 }
 
 #[test]
@@ -237,6 +232,144 @@ fn morsel_runtime_trace_conserves_across_threads_and_schedulings() {
             );
         }
     }
+}
+
+/// What a traced multi-threaded run owes its untraced twin: a disabled
+/// tracer when off; when on, a non-empty trace that conserves the run's
+/// own ledger, and an unperturbed ledger. Full `EngineStats` equality is
+/// asserted where two runs are re-runnable — one worker, or a read-only
+/// op under static chunks; latched and CAS-ing ops at 2+ threads retry a
+/// schedule-dependent number of times, so those compare `lookups`.
+fn assert_traced_twin(
+    tag: &str,
+    exact: bool,
+    on: (EngineStats, &Tracer),
+    off: (EngineStats, &Tracer),
+) {
+    assert!(!off.1.enabled(), "{tag}: untraced run must return a disabled tracer");
+    assert!(on.1.enabled() && !on.1.is_empty(), "{tag}: cfg.trace was ignored");
+    if exact {
+        assert_eq!(on.0, off.0, "{tag}: EngineStats diverged under tracing");
+    } else {
+        assert_eq!(on.0.lookups, off.0.lookups, "{tag}");
+    }
+    assert!(on.0.sim_stalls > 0, "{tag}: tiered lab must stall");
+    assert!(
+        on.1.conserves(on.0.sim_stalls, on.0.lookups),
+        "{tag}: profile {} != sim_stalls {} or retires {} != lookups {}",
+        on.1.stalls(),
+        on.0.sim_stalls,
+        on.1.retires(),
+        on.0.lookups
+    );
+}
+
+#[test]
+fn every_mt_driver_honours_cfg_trace_at_1_2_4_threads() {
+    let tier = Some(TierSpec::headers_near(4));
+    let (ht, probes) = lab(4096, 8 * 1024, 256, 0xB1);
+    let groups = Relation::zipf(8 * 1024, 64, 1.0, 0xB2);
+    // Fused chains: dimension payload = group id / key into the 2nd join.
+    let dim = Relation::fk_dimension(1024, 32, 0xB3);
+    let dim2 = Relation::fk_dimension(32, 1 << 16, 0xB4);
+    let fact = Relation::fk_uniform(&dim, 8 * 1024, 0xB5);
+    let (ht1, ht2) = (HashTable::build_serial(&dim), HashTable::build_serial(&dim2));
+    // Mutations walk the frozen part of a chain: one snapshot, restored per run.
+    let frozen = HashTable::build_serial(&Relation::dense_unique(4096, 0xB6));
+    frozen.freeze();
+    let snap = frozen.snapshot();
+    let upserts = Relation::zipf(8 * 1024, 4096, 1.0, 0xB7);
+
+    for threads in [1usize, 2, 4] {
+        let rt = MorselConfig {
+            threads,
+            morsel_tuples: 1024,
+            scheduling: Scheduling::StaticChunk,
+            auto_tune: false,
+        };
+        let one = threads == 1;
+
+        let run = |trace| probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(trace), &rt);
+        let (on, off) = (run(true), run(false));
+        assert_eq!((on.matches, on.checksum), (off.matches, off.checksum), "probe {threads}t");
+        assert_traced_twin(
+            &format!("probe_mt_rt {threads}t"),
+            true,
+            (on.stats, &on.report.trace),
+            (off.stats, &off.report.trace),
+        );
+
+        let run = |trace| {
+            let agg = AggTable::for_groups(64);
+            let cfg = GroupByConfig { tier, trace, ..Default::default() };
+            let out = groupby_mt_rt(&agg, &groups, Technique::Amac, &cfg, &rt);
+            (out, sorted_groups(&agg))
+        };
+        let ((on, g_on), (off, g_off)) = (run(true), run(false));
+        assert_eq!(g_on, g_off, "groupby {threads}t: aggregates diverged under tracing");
+        assert_traced_twin(
+            &format!("groupby_mt_rt {threads}t"),
+            one,
+            (on.stats, &on.report.trace),
+            (off.stats, &off.report.trace),
+        );
+
+        let pipe = |trace| PipelineConfig { tier, trace, ..Default::default() };
+        let run = |two_phase: bool, trace| {
+            let agg = AggTable::for_groups(32);
+            let drive = if two_phase { probe_groupby_two_phase_mt_rt } else { probe_groupby_mt_rt };
+            let out = drive(&ht1, &agg, &fact, Technique::Amac, &pipe(trace), &rt);
+            (out, sorted_groups(&agg))
+        };
+        for two_phase in [false, true] {
+            let ((on, g_on), (off, g_off)) = (run(two_phase, true), run(two_phase, false));
+            let tag = format!("probe_groupby(two_phase={two_phase}) {threads}t");
+            assert_eq!(g_on, g_off, "{tag}: aggregates diverged under tracing");
+            assert_eq!(on.matched, off.matched, "{tag}");
+            assert_traced_twin(
+                &tag,
+                one,
+                (on.out.stats, &on.out.report.trace),
+                (off.out.stats, &off.out.report.trace),
+            );
+        }
+
+        let run = |trace| probe_probe_mt_rt(&ht1, &ht2, &fact, Technique::Amac, &pipe(trace), &rt);
+        let (on, off) = (run(true), run(false));
+        assert_eq!(
+            (on.out.matches, on.out.checksum),
+            (off.out.matches, off.out.checksum),
+            "probe_probe {threads}t"
+        );
+        assert_traced_twin(
+            &format!("probe_probe_mt_rt {threads}t"),
+            true,
+            (on.out.stats, &on.out.report.trace),
+            (off.out.stats, &off.out.report.trace),
+        );
+
+        let run = |trace| {
+            let table = HashTable::restore(&snap);
+            let cfg = MutateConfig { tier, trace, ..Default::default() };
+            let out = mutate_mt_rt(&table, &upserts, Technique::Amac, &cfg, &rt);
+            (out, table.contents_sorted())
+        };
+        let ((on, t_on), (off, t_off)) = (run(true), run(false));
+        assert_eq!(t_on, t_off, "mutate {threads}t: table diverged under tracing");
+        assert_eq!((on.applied, on.merged), (off.applied, off.merged), "mutate {threads}t");
+        assert_traced_twin(
+            &format!("mutate_mt_rt {threads}t"),
+            one,
+            (on.stats, &on.trace),
+            (off.stats, &off.trace),
+        );
+    }
+}
+
+fn sorted_groups(agg: &AggTable) -> Vec<(u64, amac_hashtable::agg::AggValues)> {
+    let mut g = agg.groups();
+    g.sort_by_key(|(k, _)| *k);
+    g
 }
 
 #[test]

@@ -44,7 +44,7 @@ pub use executor::{
 };
 pub use groupby::{coro_groupby, coro_groupby_mt, groupby_one, CoroGroupByOutput};
 pub use ops::{
-    bst_find, btree_find, coro_bst_search, coro_btree_search, coro_probe, coro_probe_mt,
-    coro_skip_search, probe_chain, probe_chain_tiered, skip_find, ChainHit, CoroConfig, CoroOutput,
+    bst_find, btree_find, coro_bst_search, coro_btree_search, coro_probe, coro_skip_search,
+    probe_chain, probe_chain_tiered, skip_find, ChainHit, CoroConfig, CoroOutput,
 };
 pub use skiplist_ins::{coro_skip_insert, coro_skip_insert_mt, skip_insert_one, CoroInsertOutput};

@@ -348,52 +348,6 @@ pub fn coro_probe(ht: &HashTable, s: &Relation, cfg: &CoroConfig) -> CoroOutput 
     res
 }
 
-/// Multi-threaded [`coro_probe`]: `s` is split into `threads` chunks,
-/// each probed by its own coroutine ring (the Fig. 7 scalability driver
-/// in the coroutine model; probes are read-only, so no coordination is
-/// needed beyond the final merge).
-pub fn coro_probe_mt(ht: &HashTable, s: &Relation, cfg: &CoroConfig, threads: usize) -> CoroOutput {
-    let threads = threads.max(1);
-    let chunk = s.len().div_ceil(threads).max(1);
-    let mut res = CoroOutput::default();
-    let timer = CycleTimer::start();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = s
-            .tuples
-            .chunks(chunk)
-            .map(|tuples| {
-                let scan_all = cfg.scan_all;
-                let width = cfg.width;
-                scope.spawn(move || {
-                    let (mut matches, mut checksum) = (0u64, 0u64);
-                    let stats = run_interleaved(
-                        width,
-                        tuples,
-                        |_, t| probe_chain(ht, t.key, scan_all),
-                        |_, hit: ChainHit| {
-                            matches += hit.matches;
-                            checksum = checksum.wrapping_add(hit.sum);
-                        },
-                    );
-                    (matches, checksum, stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (m, c, stats) = h.join().expect("probe worker panicked");
-            res.matches += m;
-            res.checksum = res.checksum.wrapping_add(c);
-            res.stats.completed += stats.completed;
-            res.stats.polls += stats.polls;
-            res.stats.future_bytes = stats.future_bytes;
-            res.stats.width = stats.width;
-        }
-    });
-    res.cycles = timer.cycles();
-    res.seconds = timer.seconds();
-    res
-}
-
 /// BST search of `probe_rel` against `tree`, coroutine-interleaved.
 pub fn coro_bst_search(tree: &Bst, probe_rel: &Relation, cfg: &CoroConfig) -> CoroOutput {
     let mut res = CoroOutput {
@@ -557,25 +511,6 @@ mod tests {
         assert_eq!(out.matches, 10_000);
         for (i, t) in probe_rel.tuples.iter().enumerate() {
             assert_eq!(out.out[i], tree.get(t.key).unwrap(), "key {}", t.key);
-        }
-    }
-
-    #[test]
-    fn multithreaded_probe_matches_single() {
-        let r = Relation::dense_unique(1 << 14, 91);
-        let s = r.shuffled(92);
-        let ht = HashTable::build_serial(&r);
-        let single = coro_probe(&ht, &s, &CoroConfig { materialize: false, ..Default::default() });
-        for threads in [1usize, 2, 4, 7] {
-            let mt = coro_probe_mt(
-                &ht,
-                &s,
-                &CoroConfig { materialize: false, ..Default::default() },
-                threads,
-            );
-            assert_eq!(mt.matches, single.matches, "threads={threads}");
-            assert_eq!(mt.checksum, single.checksum, "threads={threads}");
-            assert_eq!(mt.stats.completed, s.len() as u64, "threads={threads}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Hash tables in the paper's (Balkesen et al.) layout, plus the
 //! open-addressing counterpart for the layout ablation.
 //!
-//! Four tables:
+//! Three tables:
 //!
 //! * [`HashTable`] — the chained hash-join table (§4) in the **tag-probed
 //!   fat layout**: each 64-byte, cache-line-aligned node holds a 1-byte
@@ -16,9 +16,6 @@
 //! * [`linear::LinearTable`] — open-addressing linear probing over flat
 //!   cache-line slot groups: the other end of §2.1.1's layout/space
 //!   tradeoff, with the fill factor as the irregularity knob.
-//! * [`legacy::LegacyHashTable`] / [`legacy::LegacyAggTable`] — the seed's
-//!   pointer-linked 2-tuple layout, kept for the layout A/B
-//!   (`bench/bin/layout`).
 //!
 //! # Concurrency model
 //!
@@ -33,14 +30,10 @@
 
 pub mod agg;
 pub mod bucket;
-pub mod late;
-pub mod legacy;
 pub mod linear;
 pub mod table;
 
 pub use agg::{AggBucket, AggTable};
 pub use bucket::{probe_word, tags_may_match, Bucket, BucketData, TUPLES_PER_NODE};
-pub use late::LateAggTable;
-pub use legacy::{LegacyAggTable, LegacyBucket, LegacyHashTable, LEGACY_TUPLES_PER_NODE};
 pub use linear::{LinearTable, SlotLine, EMPTY_KEY, SLOTS_PER_LINE};
 pub use table::{BuildHandle, HashTable, TableSnapshot, TableStats};

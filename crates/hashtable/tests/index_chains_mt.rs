@@ -1,37 +1,23 @@
 //! Indexed-arena chain equivalence under concurrent builds: the
 //! `u32`-linked table built by 1/2/4 threads must hold contents
-//! bit-identical to the legacy pointer-linked table (and to itself across
-//! thread counts), even though the shared arena hands out indices in a
-//! nondeterministic interleaving.
+//! bit-identical to a `BTreeMap` multimap fed the same tuples (and so to
+//! itself across thread counts), even though the shared arena hands out
+//! indices in a nondeterministic interleaving.
 
-use amac_hashtable::{HashTable, LegacyHashTable};
+use amac_hashtable::HashTable;
 use amac_workload::Relation;
-
-/// Canonical content snapshot: sorted (key, payload) multiset.
-fn snapshot(lookup_all: impl Fn(u64) -> Vec<u64>, keys: &[u64]) -> Vec<(u64, u64)> {
-    let mut uniq = keys.to_vec();
-    uniq.sort_unstable();
-    uniq.dedup();
-    let mut snap = Vec::new();
-    for k in uniq {
-        let mut pls = lookup_all(k);
-        pls.sort_unstable();
-        for p in pls {
-            snap.push((k, p));
-        }
-    }
-    snap
-}
+use std::collections::BTreeMap;
 
 #[test]
 fn concurrent_index_chains_match_pointer_chains() {
     let rel = Relation::zipf(24_000, 3_000, 0.9, 0xC0FFEE);
-    let keys: Vec<u64> = rel.tuples.iter().map(|t| t.key).collect();
-
-    let reference = {
-        let old = LegacyHashTable::build_serial(&rel);
-        snapshot(|k| old.lookup_all(k), &keys)
-    };
+    let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for t in &rel.tuples {
+        model.entry(t.key).or_default().push(t.payload);
+    }
+    for payloads in model.values_mut() {
+        payloads.sort_unstable();
+    }
 
     for threads in [1usize, 2, 4] {
         let ht = HashTable::for_tuples(rel.len());
@@ -47,8 +33,11 @@ fn concurrent_index_chains_match_pointer_chains() {
             }
         });
         assert_eq!(ht.len(), rel.len(), "{threads}t: all tuples inserted");
-        let snap = snapshot(|k| ht.lookup_all(k), &keys);
-        assert_eq!(snap, reference, "{threads}t: contents diverge from pointer-built chains");
+        for (k, want) in &model {
+            let mut got = ht.lookup_all(*k);
+            got.sort_unstable();
+            assert_eq!(&got, want, "{threads}t: key {k} diverges from the model");
+        }
     }
 }
 

@@ -1,11 +1,11 @@
-//! Property tests: the chained hash table against a `HashMap` multiset
-//! model and the aggregate table against a folded model, for arbitrary
+//! Property tests: the chained hash table against `HashMap` / `BTreeMap`
+//! multiset models and the aggregate table against a folded model, for arbitrary
 //! key/payload sequences and adversarial bucket counts.
 
 use amac_hashtable::agg::AggValues;
 use amac_hashtable::{AggTable, HashTable};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -69,26 +69,25 @@ proptest! {
         pairs in prop::collection::vec((0u64..300, 0u64..1_000_000), 1..500),
         buckets in 1usize..64,
     ) {
-        // The same insert sequence through the u32-indexed arena chains
-        // and through the legacy pointer chains yields bit-identical
-        // contents (and the tag filter never hides a stored tuple).
-        let new = HashTable::with_buckets(buckets);
-        let old = amac_hashtable::LegacyHashTable::with_buckets(buckets);
+        // The u32-indexed arena chains hold exactly what a std multimap
+        // fed the same insert sequence holds (and the tag filter never
+        // hides a stored tuple).
+        let ht = HashTable::with_buckets(buckets);
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         {
-            let mut hn = new.build_handle();
-            let mut ho = old.build_handle();
+            let mut h = ht.build_handle();
             for &(k, p) in &pairs {
-                hn.insert(k, p);
-                ho.insert(k, p);
+                h.insert(k, p);
+                model.entry(k).or_default().push(p);
             }
         }
-        prop_assert_eq!(new.len(), old.len());
+        prop_assert_eq!(ht.len(), pairs.len());
         for k in 0..300u64 {
-            let mut a = new.lookup_all(k);
-            let mut b = old.lookup_all(k);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "key {}", k);
+            let mut got = ht.lookup_all(k);
+            let mut want = model.remove(&k).unwrap_or_default();
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "key {}", k);
         }
     }
 

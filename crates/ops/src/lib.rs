@@ -10,7 +10,6 @@
 //! | Hash join build | [`join`] | 0: hash + prefetch bucket; 1: latch? retry : O(1) head insert |
 //! | Radix-partitioned join | [`join_radix`] | scatter → per-partition build+probe (the partitioning alternative to miss-hiding, §7) |
 //! | Group-by (immediate agg) | [`groupby`] | 0: hash + prefetch; 1: latch? retry : walk; 1b: latched walk (extra stage avoids re-acquire deadlock); update / append |
-//! | Group-by (late agg, §2.1.1) | [`groupby_late`] | same stages; terminal action buffers the payload into the group's chunk list |
 //! | BST search | [`bst`] | 0: prefetch root; 1: compare, descend + prefetch child |
 //! | B+-tree search | [`btree`] | 0: prefetch root; 1: select + prefetch child (inner) / resolve (leaf) — the *regular* tree counterpart |
 //! | Linear-probing probe | [`linear`] | 0: hash + prefetch slot group; 1: scan group / advance + prefetch next group — the flat-layout counterpart |
@@ -32,16 +31,12 @@
 //! chains (probe → filter → group-by, probe → probe) into a single AMAC
 //! window — §6's multi-operator integration — with two-phase
 //! materialized references for equivalence and traffic comparisons.
-//! [`legacy`] carries A/B ops over the seed's 2-tuple pointer-linked node
-//! layout, so the tag-probed redesign's hop savings stay measurable.
 
 pub mod bst;
 pub mod btree;
 pub mod groupby;
-pub mod groupby_late;
 pub mod join;
 pub mod join_radix;
-pub mod legacy;
 pub mod linear;
 pub mod multi;
 pub mod mutate;

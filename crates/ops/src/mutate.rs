@@ -444,21 +444,21 @@ pub fn mutate_mt_rt(
 ) -> MutateOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&rel.tuples, technique, cfg.params, &rt, |_tid| {
-        let mut op = MutateOp::new(ht, cfg);
-        if cfg.trace {
-            op.cx.set_tracer(Tracer::on());
-        }
-        op
+        crate::parallel::traced(MutateOp::new(ht, cfg), cfg.trace)
     });
-    let mut out =
-        MutateOutput { stats: run.report.stats, seconds: run.report.seconds, ..Default::default() };
+    // `execute` already harvested every worker's tracer into the report.
+    let mut out = MutateOutput {
+        stats: run.report.stats,
+        seconds: run.report.seconds,
+        trace: run.report.trace,
+        ..Default::default()
+    };
     for mut op in run.ops {
         out.applied += op.applied;
         out.created += op.created;
         out.merged += op.merged;
         out.deleted += op.deleted;
         out.wal.extend(op.drain_wal());
-        out.trace.merge(op.cx.take_tracer());
     }
     out
 }

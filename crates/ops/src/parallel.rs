@@ -11,18 +11,18 @@
 //! paper's static behaviour back (that is also the baseline every
 //! morsel-vs-static bench compares against).
 //!
-//! Every `*_mt(.., threads)` driver keeps its original signature and
-//! delegates to a `*_mt_rt(.., &MorselConfig)` variant that exposes the
-//! full runtime configuration and returns per-thread observability in
-//! [`MtOutput::report`]. Throughput is `|S| / wall_time` over the whole
-//! fan-out, the paper's `|S|/probeExecutionTime`.
+//! Every operator has one entry point, `*_mt_rt(.., &MorselConfig)`
+//! ([`MorselConfig::with_threads`] for "just N threads"), returning
+//! per-thread observability in [`MtOutput::report`] — including the
+//! merged structured trace when the operator's config sets `trace`.
+//! Throughput is `|S| / wall_time` over the whole fan-out, the paper's
+//! `|S|/probeExecutionTime`.
 
-use amac::engine::{EngineStats, Technique};
-use amac_graph::{bfs::BfsConfig, bfs::BfsOutput, Csr, ExpandOp};
+use amac::engine::{EngineStats, Hooks, LookupOp, Technique};
 use amac_hashtable::{AggTable, HashTable};
-use amac_mem::prefetch::prefetch_read;
 use amac_runtime::{execute, execute_with_prologue, MorselConfig, RunReport};
 use amac_skiplist::SkipList;
+use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
 pub use amac_runtime::Scheduling;
@@ -61,18 +61,17 @@ impl MtOutput {
     }
 }
 
-/// Multi-threaded hash-table probe (the paper's scalability workload).
-pub fn probe_mt(
-    ht: &HashTable,
-    s: &Relation,
-    technique: Technique,
-    cfg: &crate::join::ProbeConfig,
-    threads: usize,
-) -> MtOutput {
-    probe_mt_rt(ht, s, technique, cfg, &MorselConfig::with_threads(threads))
+/// Arm a freshly made per-worker op's tracer when the driver's config
+/// asks for a trace (once per worker; [`execute`] harvests and merges
+/// the tracers into [`RunReport::trace`]).
+pub(crate) fn traced<O: LookupOp>(mut op: O, on: bool) -> O {
+    if on {
+        op.ctx().set_tracer(Tracer::on());
+    }
+    op
 }
 
-/// [`probe_mt`] with full runtime control.
+/// Multi-threaded hash-table probe (the paper's scalability workload).
 ///
 /// Materialization is disabled (morsel order is not input order); the
 /// morsel prologue issues temporal (`T0`) prefetches for the first few
@@ -91,7 +90,7 @@ pub fn probe_mt_rt(
         technique,
         cfg.params,
         rt,
-        |_tid| crate::join::ProbeOp::new(ht, &cfg, 0),
+        |_tid| traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace),
         |_op, morsel: &[Tuple]| {
             for t in &morsel[..morsel.len().min(64)] {
                 amac_mem::prefetch::prefetch_read_t0(ht.bucket_addr(t.key));
@@ -106,20 +105,8 @@ pub fn probe_mt_rt(
     out
 }
 
-/// Multi-threaded hash-table build.
-pub fn build_mt(
-    ht: &HashTable,
-    r: &Relation,
-    technique: Technique,
-    cfg: &crate::join::BuildConfig,
-    threads: usize,
-) -> MtOutput {
-    build_mt_rt(ht, r, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`build_mt`] with full runtime control (`auto_tune` is ignored: the
-/// tuning probe executes real lookups, which would insert the sample
-/// twice).
+/// Multi-threaded hash-table build (`auto_tune` is ignored: the tuning
+/// probe executes real lookups, which would insert the sample twice).
 pub fn build_mt_rt(
     ht: &HashTable,
     r: &Relation,
@@ -134,19 +121,8 @@ pub fn build_mt_rt(
     MtOutput::from_report(run.report)
 }
 
-/// Multi-threaded group-by.
-pub fn groupby_mt(
-    table: &AggTable,
-    input: &Relation,
-    technique: Technique,
-    cfg: &crate::groupby::GroupByConfig,
-    threads: usize,
-) -> MtOutput {
-    groupby_mt_rt(table, input, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`groupby_mt`] with full runtime control (`auto_tune` ignored — the
-/// tuning probe would aggregate the sample twice).
+/// Multi-threaded group-by (`auto_tune` ignored — the tuning probe
+/// would aggregate the sample twice).
 pub fn groupby_mt_rt(
     table: &AggTable,
     input: &Relation,
@@ -156,7 +132,7 @@ pub fn groupby_mt_rt(
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&input.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::groupby::GroupByOp::new(table, cfg)
+        traced(crate::groupby::GroupByOp::new(table, cfg), cfg.trace)
     });
     let mut out = MtOutput::from_report(run.report);
     out.matches = run.ops.iter().map(|op| op.tuples()).sum();
@@ -193,7 +169,7 @@ pub fn probe_groupby_mt_rt(
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::pipeline::fused_probe_groupby_op(ht, table, cfg)
+        traced(crate::pipeline::fused_probe_groupby_op(ht, table, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
     let mut out = MtOutput::from_report(run.report);
@@ -220,7 +196,7 @@ pub fn probe_groupby_two_phase_mt_rt(
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run1 = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::pipeline::materializing_probe_op(ht, cfg)
+        traced(crate::pipeline::materializing_probe_op(ht, cfg), cfg.trace)
     });
     let mut matched = 0u64;
     let mut mid = Vec::new();
@@ -229,19 +205,7 @@ pub fn probe_groupby_two_phase_mt_rt(
         mid.extend(op.into_sink().out);
     }
     let mid = Relation::from_tuples(mid);
-    let gb = groupby_mt_rt(
-        table,
-        &mid,
-        technique,
-        &crate::groupby::GroupByConfig {
-            params: cfg.params,
-            n_stages: 0,
-            tier: cfg.tier,
-            coalesce: cfg.coalesce,
-            trace: false,
-        },
-        &rt,
-    );
+    let gb = groupby_mt_rt(table, &mid, technique, &cfg.groupby(), &rt);
     let mut report = run1.report;
     report.absorb(&gb.report);
     let mut out = MtOutput::from_report(report);
@@ -267,7 +231,7 @@ pub fn probe_probe_mt_rt(
     rt: &MorselConfig,
 ) -> MtPipeline {
     let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
-        crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg)
+        traced(crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
     let mut out = MtOutput::from_report(run.report);
@@ -281,17 +245,6 @@ pub fn probe_probe_mt_rt(
 }
 
 /// Multi-threaded skip-list search.
-pub fn skip_search_mt(
-    list: &SkipList,
-    probe_rel: &Relation,
-    technique: Technique,
-    cfg: &crate::skiplist::SkipConfig,
-    threads: usize,
-) -> MtOutput {
-    skip_search_mt_rt(list, probe_rel, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`skip_search_mt`] with full runtime control.
 pub fn skip_search_mt_rt(
     list: &SkipList,
     probe_rel: &Relation,
@@ -310,19 +263,8 @@ pub fn skip_search_mt_rt(
     out
 }
 
-/// Multi-threaded skip-list insert.
-pub fn skip_insert_mt(
-    list: &SkipList,
-    input: &Relation,
-    technique: Technique,
-    cfg: &crate::skiplist::SkipConfig,
-    threads: usize,
-) -> MtOutput {
-    skip_insert_mt_rt(list, input, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`skip_insert_mt`] with full runtime control (`auto_tune` ignored — the
-/// tuning probe would insert the sample twice).
+/// Multi-threaded skip-list insert (`auto_tune` ignored — the tuning
+/// probe would insert the sample twice).
 pub fn skip_insert_mt_rt(
     list: &SkipList,
     input: &Relation,
@@ -339,19 +281,8 @@ pub fn skip_insert_mt_rt(
     out
 }
 
-/// Multi-threaded B+-tree search.
-pub fn btree_search_mt(
-    tree: &amac_btree::BPlusTree,
-    probes: &Relation,
-    technique: Technique,
-    cfg: &crate::btree::BTreeConfig,
-    threads: usize,
-) -> MtOutput {
-    btree_search_mt_rt(tree, probes, technique, cfg, &MorselConfig::with_threads(threads))
-}
-
-/// [`btree_search_mt`] with full runtime control. Materialization is
-/// disabled, as for [`probe_mt_rt`].
+/// Multi-threaded B+-tree search. Materialization is disabled, as for
+/// [`probe_mt_rt`].
 pub fn btree_search_mt_rt(
     tree: &amac_btree::BPlusTree,
     probes: &Relation,
@@ -369,153 +300,6 @@ pub fn btree_search_mt_rt(
         out.checksum = out.checksum.wrapping_add(op.checksum());
     }
     out
-}
-
-/// Parallel visited filter: candidate → atomic bitmap word → next frontier.
-/// `fetch_or` picks exactly one winner per vertex, so depths stay
-/// deterministic regardless of morsel scheduling.
-struct VisitMt<'a> {
-    bits: &'a [std::sync::atomic::AtomicU64],
-    depth: &'a [std::sync::atomic::AtomicU32],
-    level: u32,
-    next_frontier: Vec<u32>,
-}
-
-#[derive(Default)]
-struct VisitMtState {
-    c: u32,
-}
-
-impl amac::engine::LookupOp for VisitMt<'_> {
-    type Input = u32;
-    type State = VisitMtState;
-
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
-    fn start(&mut self, c: u32, st: &mut VisitMtState) {
-        prefetch_read(&self.bits[(c >> 6) as usize] as *const _);
-        st.c = c;
-    }
-
-    fn step(&mut self, st: &mut VisitMtState) -> amac::engine::Step {
-        use std::sync::atomic::Ordering;
-        let word = (st.c >> 6) as usize;
-        let mask = 1u64 << (st.c & 63);
-        let prev = self.bits[word].fetch_or(mask, Ordering::Relaxed);
-        if prev & mask == 0 {
-            self.depth[st.c as usize].store(self.level, Ordering::Relaxed);
-            self.next_frontier.push(st.c);
-        }
-        amac::engine::Step::Done
-    }
-}
-
-/// One BFS phase: inline single-threaded for small batches (a
-/// spawn/join round per level would dominate high-diameter graphs whose
-/// frontiers are a handful of vertices), morsel-parallel otherwise.
-fn bfs_phase<O, F>(
-    inputs: &[u32],
-    technique: Technique,
-    cfg: &BfsConfig,
-    rt: &MorselConfig,
-    threads: usize,
-    report: &mut RunReport,
-    make_op: F,
-) -> Vec<O>
-where
-    O: amac::engine::LookupOp<Input = u32> + Send,
-    F: Fn(usize) -> O + Sync,
-{
-    if inputs.len() < 64 * threads {
-        let mut op = make_op(0);
-        let t0 = std::time::Instant::now();
-        let stats = amac::engine::run(technique, &mut op, inputs, cfg.params);
-        let dt = t0.elapsed();
-        // Book the inline batch as one thread-0 morsel so the absorbed
-        // report keeps its invariants (per-thread totals cover all work,
-        // morsels() == morsel_ns.count()) on high-diameter graphs where
-        // most levels run inline.
-        report.stats.merge(&stats);
-        report.seconds += dt.as_secs_f64();
-        report.tuples += inputs.len() as u64;
-        report.morsel_ns.record(dt.as_nanos() as u64);
-        if report.per_thread.is_empty() {
-            report.per_thread.push(amac_runtime::ThreadReport::default());
-        }
-        let t0_rep = &mut report.per_thread[0];
-        t0_rep.busy_seconds += dt.as_secs_f64();
-        t0_rep.finished_at += dt.as_secs_f64();
-        t0_rep.morsels += 1;
-        t0_rep.tuples += inputs.len() as u64;
-        t0_rep.stats.merge(&stats);
-        return vec![op];
-    }
-    // Frontiers are often far smaller than a join input; shrink the
-    // morsel so the level still fans out, but never below a dispatchable
-    // minimum (and never above the caller's configured size).
-    let cap = rt.morsel_tuples.max(1);
-    let level_rt = MorselConfig {
-        morsel_tuples: (inputs.len() / (threads * 8)).clamp(1, cap).max(64.min(cap)),
-        auto_tune: false,
-        ..rt.clone()
-    };
-    let run = execute(inputs, technique, cfg.params, &level_rt, make_op);
-    report.absorb(&run.report);
-    run.ops
-}
-
-/// Multi-threaded level-synchronous BFS: both phases of every level run
-/// through the morsel runtime (small frontiers run inline — a spawn/join
-/// round per level would dominate high-diameter graphs whose frontiers
-/// are a handful of vertices). Returns the BFS result plus the
-/// aggregated runtime report over all levels.
-pub fn bfs_mt(
-    graph: &Csr,
-    src: u32,
-    technique: Technique,
-    cfg: &BfsConfig,
-    rt: &MorselConfig,
-) -> (BfsOutput, RunReport) {
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    let n = graph.vertices();
-    assert!((src as usize) < n, "source out of range");
-    let threads = rt.resolved_threads().max(1);
-    let bits: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-    let depth: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    bits[(src >> 6) as usize].fetch_or(1 << (src & 63), Ordering::Relaxed);
-    depth[src as usize].store(0, Ordering::Relaxed);
-
-    let mut report = RunReport::default();
-    let mut frontier = vec![src];
-    let mut visited = 1u64;
-    let mut level = 0u32;
-    let avg_degree = (graph.edges() / n.max(1)).max(1);
-
-    while !frontier.is_empty() {
-        level += 1;
-        let ops = bfs_phase(&frontier, technique, cfg, rt, threads, &mut report, |_tid| ExpandOp {
-            graph,
-            candidates: Vec::with_capacity(frontier.len() * avg_degree / threads + 16),
-            avg_degree,
-        });
-        let candidates: Vec<u32> = ops.into_iter().flat_map(|op| op.candidates).collect();
-
-        let ops = bfs_phase(&candidates, technique, cfg, rt, threads, &mut report, |_tid| {
-            VisitMt { bits: &bits, depth: &depth, level, next_frontier: Vec::new() }
-        });
-        frontier = ops.into_iter().flat_map(|op| op.next_frontier).collect();
-        visited += frontier.len() as u64;
-    }
-
-    let out = BfsOutput {
-        visited,
-        levels: level,
-        depth: depth.into_iter().map(|d| d.into_inner()).collect(),
-        stats: report.stats,
-    };
-    (out, report)
 }
 
 #[cfg(test)]
@@ -536,7 +320,8 @@ mod tests {
         );
         for threads in [1, 2, 4] {
             for t in [Technique::Baseline, Technique::Amac] {
-                let mt = probe_mt(&ht, &s, t, &ProbeConfig::default(), threads);
+                let rt = MorselConfig::with_threads(threads);
+                let mt = probe_mt_rt(&ht, &s, t, &ProbeConfig::default(), &rt);
                 assert_eq!(mt.matches, st.matches, "{t}/{threads}t");
                 assert_eq!(mt.checksum, st.checksum, "{t}/{threads}t");
                 assert!(mt.throughput > 0.0);
@@ -569,7 +354,7 @@ mod tests {
         let r = Relation::zipf(30_000, 5_000, 0.7, 83);
         for t in Technique::ALL {
             let ht = HashTable::for_tuples(r.len());
-            let out = build_mt(&ht, &r, t, &Default::default(), 4);
+            let out = build_mt_rt(&ht, &r, t, &Default::default(), &MorselConfig::with_threads(4));
             assert_eq!(out.stats.lookups, r.len() as u64, "{t}");
             assert_eq!(ht.len(), r.len(), "{t}");
         }
@@ -589,7 +374,8 @@ mod tests {
         }
         for tech in Technique::ALL {
             let table = AggTable::for_groups(input.groups);
-            let out = groupby_mt(&table, &input.relation, tech, &Default::default(), 4);
+            let rt = MorselConfig::with_threads(4);
+            let out = groupby_mt_rt(&table, &input.relation, tech, &Default::default(), &rt);
             assert_eq!(out.stats.lookups, input.len() as u64, "{tech}");
             assert_eq!(out.matches, input.len() as u64, "{tech}");
             assert_eq!(table.group_count(), model.len(), "{tech}");
@@ -604,7 +390,8 @@ mod tests {
         let rel = Relation::sparse_unique(20_000, 87);
         for t in [Technique::Baseline, Technique::Amac] {
             let list = SkipList::new();
-            let out = skip_insert_mt(&list, &rel, t, &Default::default(), 4);
+            let rt = MorselConfig::with_threads(4);
+            let out = skip_insert_mt_rt(&list, &rel, t, &Default::default(), &rt);
             assert_eq!(out.matches, 20_000, "{t}: every key inserted");
             assert_eq!(list.len(), 20_000, "{t}");
             let items = list.items();
@@ -623,7 +410,9 @@ mod tests {
             Technique::Amac,
             &Default::default(),
         );
-        let mt = skip_search_mt(&list, &rel.shuffled(94), Technique::Amac, &Default::default(), 4);
+        let rt = MorselConfig::with_threads(4);
+        let mt =
+            skip_search_mt_rt(&list, &rel.shuffled(94), Technique::Amac, &Default::default(), &rt);
         assert_eq!(mt.matches, 10_000);
         assert_eq!(mt.checksum, st.checksum);
     }
@@ -634,22 +423,10 @@ mod tests {
         let tree = amac_btree::BPlusTree::from_sorted(&pairs);
         let probes = Relation::from_tuples((0..30_000u64).map(|i| Tuple::new(i, 0)).collect());
         let st = crate::btree::btree_search(&tree, &probes, Technique::Amac, &Default::default());
-        let mt = btree_search_mt(&tree, &probes, Technique::Amac, &Default::default(), 4);
+        let rt = MorselConfig::with_threads(4);
+        let mt = btree_search_mt_rt(&tree, &probes, Technique::Amac, &Default::default(), &rt);
         assert_eq!(mt.matches, st.found);
         assert_eq!(mt.checksum, st.checksum);
-    }
-
-    #[test]
-    fn bfs_mt_matches_sequential_reference() {
-        let g = Csr::power_law(20_000, 8, 1.0, 17);
-        let want = amac_graph::bfs::bfs_reference(&g, 0);
-        for t in [Technique::Baseline, Technique::Amac] {
-            let (out, report) =
-                bfs_mt(&g, 0, t, &BfsConfig::default(), &MorselConfig::with_threads(4));
-            assert_eq!(out.depth, want, "{t}");
-            assert_eq!(out.visited, want.iter().filter(|&&d| d != u32::MAX).count() as u64, "{t}");
-            assert!(report.stats.lookups > 0, "{t}");
-        }
     }
 
     fn pipeline_lab(n_dim: usize, n_fact: usize, groups: u64, seed: u64) -> (HashTable, Relation) {
@@ -785,7 +562,8 @@ mod tests {
         let r = Relation::dense_unique(8, 89);
         let s = Relation::fk_uniform(&r, 4, 90);
         let ht = HashTable::build_serial(&r);
-        let mt = probe_mt(&ht, &s, Technique::Amac, &ProbeConfig::default(), 16);
+        let rt = MorselConfig::with_threads(16);
+        let mt = probe_mt_rt(&ht, &s, Technique::Amac, &ProbeConfig::default(), &rt);
         assert_eq!(mt.matches, 4);
     }
 }

@@ -107,7 +107,7 @@ impl PipelineConfig {
 
     /// The standalone group-by config of this pipeline's aggregation
     /// stage (derived stage budget; the stage is unfaultable).
-    fn groupby(&self) -> crate::groupby::GroupByConfig {
+    pub(crate) fn groupby(&self) -> crate::groupby::GroupByConfig {
         crate::groupby::GroupByConfig {
             params: self.params,
             n_stages: 0,

@@ -12,9 +12,8 @@
 //! This crate makes that setting measurable without far-memory hardware:
 //!
 //! * [`TierPolicy`] assigns each memory region — the bucket-header array
-//!   and every [`IndexedArena`](amac_mem::arena::IndexedArena) slab (the
-//!   legacy layout's pointer chunks map onto slab 0) — to a
-//!   [`Tier::Near`] or [`Tier::Far`] tier;
+//!   and every [`IndexedArena`](amac_mem::arena::IndexedArena) slab — to
+//!   a [`Tier::Near`] or [`Tier::Far`] tier;
 //! * [`CostModel`] prices a load per tier in simulated ticks;
 //! * [`SimClock`] charges a per-op simulated clock: a prefetch issues an
 //!   asynchronous load completing at `now + tier_latency`, and a code
@@ -227,8 +226,7 @@ impl CostModel {
 /// Regions are structural, matching how the tables allocate: the bucket
 /// **header array** (touched by code stage 0 of every lookup) and the
 /// **chain-node slabs** of the table's `IndexedArena` (touched by every
-/// later hop). The legacy pointer layout's chunks have no slab indices;
-/// its nodes are charged as slab `0`.
+/// later hop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierPolicy {
     /// Everything in DRAM — the cost model's control group.

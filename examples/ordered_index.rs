@@ -8,8 +8,9 @@
 //! ```
 
 use amac_suite::engine::{Technique, TuningParams};
-use amac_suite::ops::parallel::skip_insert_mt;
+use amac_suite::ops::parallel::skip_insert_mt_rt;
 use amac_suite::ops::skiplist::{skip_search, SkipConfig};
+use amac_suite::runtime::MorselConfig;
 use amac_suite::skiplist::SkipList;
 use amac_suite::workload::Relation;
 use std::time::Instant;
@@ -22,7 +23,8 @@ fn main() {
     // Phase 1 — concurrent AMAC insert build.
     let list = SkipList::new();
     let t0 = Instant::now();
-    let ins = skip_insert_mt(&list, &rel, Technique::Amac, &SkipConfig::default(), threads);
+    let rt = MorselConfig::with_threads(threads);
+    let ins = skip_insert_mt_rt(&list, &rel, Technique::Amac, &SkipConfig::default(), &rt);
     println!(
         "insert : {} keys via {} threads in {:.2?} ({:.1} M inserts/s, {} latch retries)",
         ins.matches,

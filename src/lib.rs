@@ -73,7 +73,6 @@
 pub use amac as engine;
 pub use amac_btree as btree;
 pub use amac_coro as coro;
-pub use amac_graph as graph;
 pub use amac_hashtable as hashtable;
 pub use amac_mem as mem;
 pub use amac_metrics as metrics;
@@ -96,7 +95,7 @@ pub mod prelude {
     pub use amac_hashtable::{AggTable, HashTable, LinearTable};
     pub use amac_ops::join::{hash_join, probe, ProbeConfig};
     pub use amac_ops::join_radix::{radix_join, RadixJoinConfig};
-    pub use amac_ops::parallel::{probe_groupby_mt_rt, probe_mt, probe_mt_rt, MtOutput};
+    pub use amac_ops::parallel::{probe_groupby_mt_rt, probe_mt_rt, MtOutput};
     pub use amac_ops::pipeline::{
         probe_then_groupby, probe_then_groupby_two_phase, probe_then_probe, PipelineConfig,
     };

@@ -2,8 +2,9 @@
 //! group-by against `HashMap`, across techniques and thread counts.
 
 use amac_suite::engine::Technique;
-use amac_suite::ops::parallel::{groupby_mt, skip_insert_mt};
+use amac_suite::ops::parallel::{groupby_mt_rt, skip_insert_mt_rt};
 use amac_suite::ops::skiplist::{skip_insert, skip_search, SkipConfig};
+use amac_suite::runtime::MorselConfig;
 use amac_suite::skiplist::SkipList;
 use amac_suite::tree::Bst;
 use amac_suite::workload::{GroupByInput, Relation};
@@ -38,7 +39,8 @@ fn skiplist_agrees_with_btreemap_after_amac_insert() {
 fn concurrent_amac_insert_then_amac_search() {
     let rel = Relation::sparse_unique(1 << 13, 41);
     let list = SkipList::new();
-    let ins = skip_insert_mt(&list, &rel, Technique::Amac, &SkipConfig::default(), 4);
+    let rt = MorselConfig::with_threads(4);
+    let ins = skip_insert_mt_rt(&list, &rel, Technique::Amac, &SkipConfig::default(), &rt);
     assert_eq!(ins.matches as usize, rel.len());
     let probes = rel.shuffled(42);
     let found = skip_search(&list, &probes, Technique::Amac, &SkipConfig::default());
@@ -55,7 +57,8 @@ fn groupby_mt_equals_single_thread_for_all_techniques() {
     model.sort_by_key(|(k, _)| *k);
     for t in Technique::ALL {
         let table = amac_suite::hashtable::AggTable::for_groups(input.groups);
-        groupby_mt(&table, &input.relation, t, &Default::default(), 3);
+        let rt = MorselConfig::with_threads(3);
+        groupby_mt_rt(&table, &input.relation, t, &Default::default(), &rt);
         let mut got = table.groups();
         got.sort_by_key(|(k, _)| *k);
         assert_eq!(got, model, "{t} multi-threaded group-by diverges");

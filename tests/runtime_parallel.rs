@@ -3,10 +3,9 @@
 //! positional skew, and the in-flight auto-tuner.
 
 use amac_suite::engine::{Technique, TuningParams};
-use amac_suite::graph::{bfs::BfsConfig, Csr};
 use amac_suite::hashtable::HashTable;
 use amac_suite::ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_suite::ops::parallel::{bfs_mt, probe_mt_rt};
+use amac_suite::ops::parallel::probe_mt_rt;
 use amac_suite::runtime::{MorselConfig, Scheduling};
 use amac_suite::workload::Relation;
 
@@ -38,26 +37,6 @@ fn morsel_probe_checksum_equals_static_chunk_checksum() {
         assert_eq!(mt.matches, single.matches, "{scheduling:?}");
         assert_eq!(mt.checksum, single.checksum, "{scheduling:?}");
         assert_eq!(mt.stats.lookups, s.len() as u64, "{scheduling:?}");
-    }
-}
-
-#[test]
-fn morsel_bfs_depths_equal_static_chunk_depths() {
-    let g = Csr::power_law(30_000, 8, 1.1, 7);
-    let mut reference = None;
-    for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal] {
-        let rt = MorselConfig { threads: 4, scheduling, ..Default::default() };
-        let (out, _) = bfs_mt(&g, 0, Technique::Amac, &BfsConfig::default(), &rt);
-        let checksum: u64 =
-            out.depth.iter().map(|&d| if d == u32::MAX { 0 } else { d as u64 + 1 }).sum();
-        match &reference {
-            None => reference = Some((out.visited, checksum, out.depth.clone())),
-            Some((v, c, d)) => {
-                assert_eq!(out.visited, *v, "{scheduling:?}");
-                assert_eq!(checksum, *c, "{scheduling:?}");
-                assert_eq!(&out.depth, d, "{scheduling:?}");
-            }
-        }
     }
 }
 

@@ -6,7 +6,8 @@ use amac_suite::engine::{Technique, TuningParams};
 use amac_suite::hashtable::{AggTable, HashTable};
 use amac_suite::ops::groupby::{groupby, GroupByConfig};
 use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig};
-use amac_suite::ops::parallel::{build_mt, groupby_mt};
+use amac_suite::ops::parallel::{build_mt_rt, groupby_mt_rt};
+use amac_suite::runtime::MorselConfig;
 use amac_suite::workload::{Relation, Tuple};
 
 /// Latch storm: every tuple targets ONE bucket, every technique, with
@@ -34,7 +35,8 @@ fn multithreaded_two_group_storm() {
         let table = AggTable::with_buckets(1);
         let tuples: Vec<Tuple> = (0..24_000u64).map(|i| Tuple::new(i % 2, 1)).collect();
         let rel = Relation::from_tuples(tuples);
-        let out = groupby_mt(&table, &rel, t, &Default::default(), 4);
+        let out =
+            groupby_mt_rt(&table, &rel, t, &Default::default(), &MorselConfig::with_threads(4));
         assert_eq!(out.stats.lookups, 24_000, "{t}");
         assert_eq!(table.get(0).unwrap().count, 12_000, "{t}");
         assert_eq!(table.get(1).unwrap().count, 12_000, "{t}");
@@ -132,10 +134,12 @@ fn independent_structures_in_parallel() {
     std::thread::scope(|s| {
         let (ht, agg, r, g) = (&ht, &agg, &r, &g);
         s.spawn(move || {
-            build_mt(ht, r, Technique::Amac, &Default::default(), 2);
+            let rt = MorselConfig::with_threads(2);
+            build_mt_rt(ht, r, Technique::Amac, &Default::default(), &rt);
         });
         s.spawn(move || {
-            groupby_mt(agg, g, Technique::Amac, &Default::default(), 2);
+            let rt = MorselConfig::with_threads(2);
+            groupby_mt_rt(agg, g, Technique::Amac, &Default::default(), &rt);
         });
     });
     assert_eq!(ht.len(), 20_000);

@@ -116,14 +116,16 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
+    let defaults = Args::default();
     eprintln!(
         "usage: <bin> [--scale N] [--trials K] [--threads T] [--quick] [--paper]\n\
-         \x20  --scale N   log2 |S| (default 21; paper = 27)\n\
-         \x20  --trials K  repetitions, best-of reported (default 1)\n\
+         \x20  --scale N   log2 |S| (default {}; paper = 27)\n\
+         \x20  --trials K  repetitions, best-of reported (default {})\n\
          \x20  --threads T max threads for scalability binaries\n\
          \x20  --quick     smoke-test sizes (scale <= 18)\n\
          \x20  --json F    also write the JSON trajectory blob to file F\n\
-         \x20  --paper     full paper scale (2^27; needs ~12 GB RAM)"
+         \x20  --paper     full paper scale (2^27; needs ~12 GB RAM)",
+        defaults.scale, defaults.trials
     );
     std::process::exit(2);
 }

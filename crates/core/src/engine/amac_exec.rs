@@ -1,22 +1,31 @@
-//! The AMAC executor (§3 of the paper) and its ablation variants.
+//! The one-shot AMAC executor (§3 of the paper), its §3.1 ablation
+//! variants, and the general rotation loop the ablations run on.
 
-use super::{EngineStats, Hooks, LookupOp, Step};
+use super::{AmacSession, EngineStats, Hooks, LookupOp, Step};
 
 /// Execute `inputs` with **Asynchronous Memory Access Chaining**.
 ///
 /// `m` is the circular-buffer size (paper's in-flight lookup count; ~10
-/// saturates a Xeon core's L1-D MSHRs). The executor:
+/// saturates a Xeon core's L1-D MSHRs). This is one [`AmacSession`]
+/// window, clamped to the input count, fed the whole input and drained:
 ///
-/// * keeps each in-flight lookup's full state in its own buffer slot;
-/// * visits slots with a **rolling counter** (no modulo — §3.1 notes a
-///   division would be too costly for non-power-of-two `m`);
-/// * on [`Step::Done`] **immediately starts the next lookup in the same
-///   slot** (the paper's merged terminal+initial stage optimization), so
-///   the number of in-flight memory accesses stays constant;
-/// * on [`Step::Blocked`] leaves the slot untouched and moves on — the
-///   coarse-grained latch spin of §3.2.
+/// * each in-flight lookup keeps its full state in its own buffer slot;
+/// * slots are visited with a **rolling counter** (no modulo — §3.1 notes
+///   a division would be too costly for non-power-of-two `m`);
+/// * on [`Step::Done`] the slot **immediately starts the next lookup**
+///   (the paper's merged terminal+initial stage optimization), so the
+///   number of in-flight memory accesses stays constant;
+/// * on [`Step::Blocked`] the slot is left untouched and the rotation
+///   moves on — the coarse-grained latch spin of §3.2.
 pub fn run_amac<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
-    run_amac_inner(op, inputs, m, true, false)
+    let mut stats = EngineStats::default();
+    if inputs.is_empty() {
+        return stats;
+    }
+    let mut window = AmacSession::new(m.clamp(1, inputs.len()));
+    window.feed(op, inputs, &mut stats);
+    window.drain(op, &mut stats);
+    stats
 }
 
 /// Ablation: AMAC **without** the merged terminal+initial stage — a
@@ -24,17 +33,20 @@ pub fn run_amac<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engin
 /// access opportunity is lost per lookup transition (quantifies
 /// optimization (1) of §3.1).
 pub fn run_amac_no_merge<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
-    run_amac_inner(op, inputs, m, false, false)
+    rotate(op, inputs, m, false, false)
 }
 
 /// Ablation: AMAC with **modulo slot indexing** instead of the rolling
 /// counter (quantifies the division cost the paper engineers around).
 pub fn run_amac_modulo<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
-    run_amac_inner(op, inputs, m, true, true)
+    rotate(op, inputs, m, true, true)
 }
 
-#[inline(always)]
-fn run_amac_inner<O: LookupOp>(
+/// The general rotation loop both ablations run on: every visit checks
+/// slot occupancy, so a slot may sit empty for a rotation. Called with
+/// `(merge, !modulo)` it schedules exactly like [`AmacSession`] and shares
+/// no code with it, which makes it the reference the window is tested on.
+pub(crate) fn rotate<O: LookupOp>(
     op: &mut O,
     inputs: &[O::Input],
     m: usize,
@@ -49,8 +61,7 @@ fn run_amac_inner<O: LookupOp>(
     // of `super` — the `PrefetchHint::None` ablation must report 0).
     let pf = op.ctx().issues_prefetches() as u64;
     let m = m.clamp(1, inputs.len());
-    let mut states: Vec<O::State> = Vec::with_capacity(m);
-    states.resize_with(m, O::State::default);
+    let mut states: Vec<O::State> = (0..m).map(|_| O::State::default()).collect();
 
     let mut next = 0usize; // next unconsumed input
     let mut in_flight = 0usize;
@@ -69,42 +80,10 @@ fn run_amac_inner<O: LookupOp>(
         in_flight += 1;
     }
 
+    // Rotate over the buffer until every lookup has completed. Inactive
+    // slots only exist once the input is exhausted (or, in the no-merge
+    // ablation, for one rotation).
     let mut k = 0usize;
-
-    // Hot main loop (merged-refill variant only): while input remains,
-    // every slot is occupied by construction, so no occupancy bookkeeping
-    // is needed — this is the steady state that executes for ~all of the
-    // run and matches the paper's Listing 1 structure.
-    if merge_done_with_start && !modulo_index && in_flight == m {
-        while next < inputs.len() {
-            match op.step(&mut states[k]) {
-                Step::Continue => {
-                    stats.stages += 1;
-                    stats.prefetches += pf;
-                }
-                Step::Blocked => {
-                    stats.latch_retries += 1;
-                }
-                s @ (Step::Done | Step::Failed) => {
-                    stats.stages += 1;
-                    stats.lookups += 1;
-                    stats.failed_lookups += (s == Step::Failed) as u64;
-                    op.start(inputs[next], &mut states[k]);
-                    stats.stages += 1;
-                    stats.prefetches += pf;
-                    next += 1;
-                }
-            }
-            k += 1;
-            if k == m {
-                k = 0;
-            }
-        }
-    }
-
-    // Drain / general loop: rotate over the buffer until every lookup has
-    // completed. Inactive slots only exist once the input is exhausted
-    // (or, in the no-merge ablation, for one rotation).
     while in_flight > 0 || next < inputs.len() {
         if active[k] {
             match op.step(&mut states[k]) {

@@ -31,10 +31,10 @@
 //! dereferenced, SWAR tag rejections) — lives in the op's execution
 //! context, reached through [`LookupOp::ctx`] and driven through
 //! [`Hooks`]. Executors drain its ledger into [`EngineStats`] at the end
-//! of every run (the morsel runtime per feed/drain), so the counters stay
+//! of every run (an [`AmacSession`] per feed/drain), so the counters stay
 //! exact even when one op instance serves many morsels.
 
-mod amac_exec;
+pub(crate) mod amac_exec;
 mod baseline;
 pub mod closure_api;
 mod gp;
@@ -45,6 +45,7 @@ mod spp;
 mod stats;
 mod tune;
 
+pub use crate::session::AmacSession;
 pub use amac_exec::{run_amac, run_amac_modulo, run_amac_no_merge};
 pub use baseline::run_baseline;
 pub use gp::run_gp;

@@ -9,9 +9,9 @@
 //! is that idea as an op: it implements [`LookupOp`] over
 //! [`Tagged`]`<Input>` tuples and routes every `start`/`step` to the
 //! *lane* (per-query inner op) named by the tag, so a single executor
-//! window — under any of the four techniques, or a morsel-runtime
-//! [`AmacSession`](../../../amac_runtime/struct.AmacSession.html) —
-//! interleaves lookups from every active query.
+//! window — under any of the four techniques, or a persistent
+//! [`AmacSession`](super::AmacSession) — interleaves lookups from every
+//! active query.
 //!
 //! Why share instead of giving each query its own window? A query whose
 //! remaining input is smaller than `M` cannot fill a private window —
@@ -92,9 +92,9 @@ pub struct Mux<O: LookupOp> {
     /// *other* tenants' stages counts toward this tenant's prefetch
     /// distances, which is precisely the cross-query latency-hiding
     /// claim. The bookkeeping runs unconditionally (the counter advances
-    /// even in untiered runs); it is harmless then — two no-op virtual
-    /// calls per stage — because lanes without clocks ignore every
-    /// advance.
+    /// even in untiered runs); it is harmless then — two statically
+    /// dispatched calls per stage that a lane without a clock turns into
+    /// a not-taken branch each.
     seq: u64,
     /// Lanes flagged by [`Mux::cancel`]: their in-flight lookups retire
     /// cooperatively (the next routed `step` short-circuits to

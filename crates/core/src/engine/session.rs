@@ -1,22 +1,24 @@
-//! A resumable AMAC executor.
+//! The AMAC window: the paper's Listing 1 rolling buffer, resumable.
 //!
-//! [`amac::engine::run_amac`] drains its in-flight window when the input
-//! slice ends — fine for one big chunk, wasteful when the input arrives
-//! as a stream of small morsels: every boundary would empty and refill
-//! the window, dropping the sustained miss-level parallelism the paper is
+//! A one-shot executor drains its in-flight window when the input slice
+//! ends — fine for one big chunk, wasteful when the input arrives as a
+//! stream of small morsels: every boundary would empty and refill the
+//! window, dropping the sustained miss-level parallelism the paper is
 //! about (a ~32K-tuple morsel with `M = 10` would pay that drain bubble
 //! every few microseconds). [`AmacSession`] owns the circular buffer
 //! *across* calls: [`feed`](AmacSession::feed) consumes a morsel and
 //! returns with the window still full, and only the final
 //! [`drain`](AmacSession::drain) retires the remaining lookups.
+//! [`run_amac`](crate::engine::run_amac) is exactly one `feed` plus one `drain`,
+//! so this is the only AMAC rotation loop the engine schedules with.
 //!
 //! The session is generic over any [`LookupOp`], including fused
-//! multi-operator pipelines (`amac::engine::pipeline::Fused`): a slot
+//! multi-operator pipelines ([`Fused`](crate::engine::pipeline::Fused)): a slot
 //! mid-way through a probe→group-by chain survives morsel boundaries
 //! exactly like a plain probe slot, so whole-pipeline windows persist
 //! across the run too.
 
-use amac::engine::{EngineStats, Hooks, LookupOp, Step};
+use crate::engine::{EngineStats, Hooks, LookupOp, Step};
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
 /// one worker thread for the whole run).
@@ -26,13 +28,11 @@ pub struct AmacSession<O: LookupOp> {
     k: usize,
     in_flight: usize,
     /// High-water mark of activated slots (max slot index started + 1).
-    /// `run_amac` clamps its window to `inputs.len()`, so a one-shot run
-    /// over fewer inputs than `M` never *visits* — and never charges idle
-    /// time for — slots beyond the input count. The drain rotation wraps
-    /// at this mark instead of `M` so a session run over the same inputs
-    /// charges bit-identical `sim_cycles`; reset (with `k`) once the
-    /// window fully drains, keeping later refills aligned with a fresh
-    /// run.
+    /// Slots beyond it never held a lookup, so the drain rotation wraps
+    /// here instead of at `M`: a window wider than its input then charges
+    /// the same idle ticks as one clamped to the input count. Reset (with
+    /// `k`) once the window fully drains, so a reused session schedules
+    /// like a fresh one.
     hi: usize,
     /// Sum of `in_flight` sampled at every executed slot rotation — the
     /// numerator of [`mean_occupancy`](AmacSession::mean_occupancy).
@@ -45,10 +45,8 @@ impl<O: LookupOp> AmacSession<O> {
     /// A session with an `m`-slot window (`m >= 1` enforced).
     pub fn new(m: usize) -> Self {
         let m = m.max(1);
-        let mut states = Vec::with_capacity(m);
-        states.resize_with(m, O::State::default);
         AmacSession {
-            states,
+            states: (0..m).map(|_| O::State::default()).collect(),
             active: vec![false; m],
             k: 0,
             in_flight: 0,
@@ -89,8 +87,9 @@ impl<O: LookupOp> AmacSession<O> {
     }
 
     /// Execute every lookup of `inputs`, leaving up to `M` of them in
-    /// flight. Counters accumulate into `stats` under the same convention
-    /// as [`amac::engine::run_amac`].
+    /// flight. Counters accumulate into `stats`: one stage per `start`
+    /// and per `step` that made progress, one prefetch per `start` and
+    /// per `Continue` (gated on [`Hooks::issues_prefetches`]).
     pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
         let m = self.states.len();
         let pf = op.ctx().issues_prefetches() as u64;
@@ -99,12 +98,7 @@ impl<O: LookupOp> AmacSession<O> {
         if self.in_flight < m {
             for slot in 0..m {
                 if next == inputs.len() {
-                    // Morsel boundaries are commit points: the next
-                    // feed's lanes must not coalesce against this one's
-                    // in-flight loads.
-                    op.ctx().commit_group();
-                    op.ctx().flush(stats);
-                    return;
+                    break;
                 }
                 if !self.active[slot] {
                     op.start(inputs[next], &mut self.states[slot]);
@@ -118,9 +112,11 @@ impl<O: LookupOp> AmacSession<O> {
                 }
             }
         }
-        // Steady state: every slot is occupied while input remains, so a
-        // finished slot immediately starts the next lookup (the paper's
-        // merged terminal+initial stage) and the window never drains.
+        // Steady state (Listing 1): every slot is occupied while input
+        // remains, so a finished slot immediately starts the next lookup
+        // (the merged terminal+initial stage) and the window never drains.
+        // Slots rotate on a rolling counter: §3.1 rules out the modulo.
+        let (stages, lookups, retries) = (stats.stages, stats.lookups, stats.latch_retries);
         while next < inputs.len() {
             match op.step(&mut self.states[self.k]) {
                 Step::Continue => {
@@ -128,6 +124,8 @@ impl<O: LookupOp> AmacSession<O> {
                     stats.prefetches += pf;
                 }
                 Step::Blocked => {
+                    // Coarse-grained spin (§3.2): leave the slot as it
+                    // is and retry it on the next rotation.
                     stats.latch_retries += 1;
                 }
                 s @ (Step::Done | Step::Failed) => {
@@ -140,12 +138,20 @@ impl<O: LookupOp> AmacSession<O> {
                     next += 1;
                 }
             }
-            self.tick();
             self.k += 1;
             if self.k == m {
                 self.k = 0;
             }
         }
+        // The window was full at every rotation above, so occupancy needs
+        // no per-rotation bookkeeping: a rotation is one `Continue`, one
+        // `Blocked` or one retire-and-refill (two stages, one lookup).
+        let rotations =
+            (stats.stages - stages) - (stats.lookups - lookups) + (stats.latch_retries - retries);
+        self.occ_ticks += rotations;
+        self.occ_sum += rotations * m as u64;
+        // Feed boundaries are commit points: the next feed's lanes must
+        // not coalesce against this one's in-flight loads.
         op.ctx().commit_group();
         op.ctx().flush(stats);
     }
@@ -197,15 +203,14 @@ impl<O: LookupOp> AmacSession<O> {
                 self.tick();
             } else {
                 // Drained slot: the rotation's status check still costs a
-                // tick of simulated time (see `Hooks::idle`) —
-                // matching `run_amac`'s drain loop exactly, so a morsel
-                // session and a one-shot run charge identical stalls.
+                // tick of simulated time (see `Hooks::idle`) — otherwise
+                // the drain tail would fake stalls the rotation cadence
+                // actually hides.
                 op.ctx().idle(1);
             }
-            // Wrap at the activated high-water mark, not `M`: `run_amac`
-            // clamps its window to the input count, so slots that never
-            // held a lookup must not be visited (each visit would charge
-            // a phantom idle tick the one-shot executor never pays).
+            // Wrap at the activated high-water mark, not `M`: slots that
+            // never held a lookup must not be visited (each visit would
+            // charge a phantom idle tick).
             self.k += 1;
             if self.k >= self.hi {
                 self.k = 0;
@@ -223,27 +228,53 @@ impl<O: LookupOp> AmacSession<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testop::ChainOp;
-    use amac::engine::run_amac;
+    use crate::engine::amac_exec::rotate;
+    use crate::engine::run_amac;
+    use crate::engine::testutil::{ChainOp, LatchedOp};
+
+    /// Feed `inputs` to an `m`-wide window in `chunk`-sized feeds, drain.
+    fn windowed<O>(op: &mut O, inputs: &[usize], m: usize, chunk: usize) -> EngineStats
+    where
+        O: LookupOp<Input = usize>,
+    {
+        let mut stats = EngineStats::default();
+        let mut session = AmacSession::new(m);
+        for morsel in inputs.chunks(chunk) {
+            session.feed(op, morsel, &mut stats);
+        }
+        session.drain(op, &mut stats);
+        stats
+    }
 
     #[test]
     fn morsel_feed_matches_single_run_exactly() {
+        // Under any chunking the window is the `(merge, !modulo)`
+        // reference loop: counters, results and completion order.
+        const M: usize = 10;
         let chains: Vec<usize> = (0..500).map(|i| 1 + (i * 13) % 7).collect();
         let inputs: Vec<usize> = (0..chains.len()).collect();
-
         let mut whole = ChainOp::new(&chains);
-        let want = run_amac(&mut whole, &inputs, 10);
-
-        let mut op = ChainOp::new(&chains);
-        let mut session = AmacSession::new(10);
-        let mut stats = EngineStats::default();
-        for morsel in inputs.chunks(37) {
-            session.feed(&mut op, morsel, &mut stats);
+        let want = rotate(&mut whole, &inputs, M, true, false);
+        let mut whole_latched = LatchedOp::new(inputs.len());
+        let want_latched = rotate(&mut whole_latched, &inputs, M, true, false);
+        assert!(want_latched.latch_retries > 0, "the latched schedule must exercise Blocked");
+        for chunk in [1, M - 1, M, 37, inputs.len()] {
+            let mut op = ChainOp::new(&chains);
+            assert_eq!(windowed(&mut op, &inputs, M, chunk), want, "chunk {chunk}: counters");
+            assert_eq!(op.outputs, whole.outputs, "chunk {chunk}: results");
+            assert_eq!(op.completed, whole.completed, "chunk {chunk}: completion order");
+            let mut op = LatchedOp::new(inputs.len());
+            assert_eq!(
+                windowed(&mut op, &inputs, M, chunk),
+                want_latched,
+                "latched, chunk {chunk}"
+            );
+            assert_eq!(op.completed, whole_latched.completed, "latched, chunk {chunk}");
         }
-        session.drain(&mut op, &mut stats);
-
-        assert_eq!(stats, want, "counters must match the one-shot executor");
-        assert_eq!(op.outputs, whole.outputs, "results must match");
+        // The one-shot executor is the whole-input row of that table.
+        let mut op = ChainOp::new(&chains);
+        assert_eq!(run_amac(&mut op, &inputs, M), want);
+        assert_eq!(op.completed, whole.completed);
     }
 
     #[test]
@@ -267,43 +298,47 @@ mod tests {
         let chains = vec![3usize; 20];
         let inputs: Vec<usize> = (0..20).collect();
         let mut op = ChainOp::new(&chains);
-        let mut session = AmacSession::new(16);
-        let mut stats = EngineStats::default();
-        for morsel in inputs.chunks(4) {
-            session.feed(&mut op, morsel, &mut stats);
-        }
-        session.drain(&mut op, &mut stats);
-        assert_eq!(stats.lookups, 20);
+        assert_eq!(windowed(&mut op, &inputs, 16, 4).lookups, 20);
         assert_eq!(op.outputs.len(), 20);
     }
 
     #[test]
     fn occupancy_tracks_window_fill() {
+        // Derived, not counted: the session's mean must equal the op-side
+        // per-rotation recount bit for bit wherever it is read.
+        let recounted = |session: &AmacSession<ChainOp>, op: &ChainOp, at: &str| {
+            let want = op.seen.occ_sum as f64 / op.seen.occ_ticks as f64;
+            assert_eq!(session.mean_occupancy().to_bits(), want.to_bits(), "{at}");
+        };
         // Long feed: occupancy should sit at (nearly) full capacity.
         let chains = vec![4usize; 4096];
         let inputs: Vec<usize> = (0..4096).collect();
         let mut op = ChainOp::new(&chains);
         let mut session = AmacSession::new(8);
         let mut stats = EngineStats::default();
-        for morsel in inputs.chunks(256) {
+        for morsel in inputs[..2048].chunks(256) {
             session.feed(&mut op, morsel, &mut stats);
+            recounted(&session, &op, "after a feed");
+        }
+        // A drain that gives up mid-window, then feeds that refill it.
+        while session.in_flight() == 8 {
+            assert!(!session.drain_budgeted(&mut op, &mut stats, 3));
+        }
+        assert!(session.in_flight() > 0, "gave up mid-window");
+        recounted(&session, &op, "after a budgeted drain");
+        for morsel in inputs[2048..].chunks(256) {
+            session.feed(&mut op, morsel, &mut stats);
+            recounted(&session, &op, "after refilling a half-drained window");
         }
         let fed = session.mean_occupancy();
         assert!(fed > 7.0 && fed <= 8.0, "steady-state occupancy {fed} not near M=8");
         // The drain tail decays 8→0 and drags the mean down, but never
         // below half the window on this workload.
         session.drain(&mut op, &mut stats);
+        recounted(&session, &op, "after the final drain");
         let drained = session.mean_occupancy();
         assert!(drained > 4.0 && drained <= fed, "post-drain occupancy {drained}");
-        // Deterministic: the same schedule reproduces the same occupancy.
-        let mut op2 = ChainOp::new(&chains);
-        let mut s2 = AmacSession::new(8);
-        let mut st2 = EngineStats::default();
-        for morsel in inputs.chunks(256) {
-            s2.feed(&mut op2, morsel, &mut st2);
-        }
-        s2.drain(&mut op2, &mut st2);
-        assert_eq!(s2.mean_occupancy().to_bits(), drained.to_bits());
+        assert_eq!(stats.lookups, 4096);
     }
 
     #[test]
@@ -345,82 +380,28 @@ mod tests {
 
     #[test]
     fn drained_window_idle_ticks_match_the_one_shot_executor() {
-        /// [`ChainOp`]-shaped op whose context counts idle ticks, so the
-        /// drain rotation's idle charging is observable.
-        struct IdleChain {
-            chains: Vec<usize>,
-            outputs: Vec<u64>,
-            idle: IdleTicks,
-        }
-        #[derive(Default)]
-        struct IdleTicks(u64);
-        impl Hooks for IdleTicks {
-            fn idle(&mut self, ticks: u64) {
-                self.0 += ticks;
-            }
-        }
-        #[derive(Default)]
-        struct S {
-            idx: usize,
-            remaining: usize,
-        }
-        impl LookupOp for IdleChain {
-            type Input = usize;
-            type State = S;
-            fn budgeted_steps(&self) -> usize {
-                4
-            }
-            fn start(&mut self, input: usize, state: &mut S) {
-                state.idx = input;
-                state.remaining = self.chains[input];
-            }
-            fn step(&mut self, state: &mut S) -> Step {
-                if state.remaining > 1 {
-                    state.remaining -= 1;
-                    Step::Continue
-                } else {
-                    self.outputs[state.idx] = 10 * self.chains[state.idx] as u64;
-                    Step::Done
-                }
-            }
-            fn ctx(&mut self) -> impl Hooks + '_ {
-                &mut self.idle
-            }
-        }
-        let mk = |chains: &[usize]| IdleChain {
-            chains: chains.to_vec(),
-            outputs: vec![0; chains.len()],
-            idle: IdleTicks::default(),
-        };
-
-        // Fewer inputs than M: `run_amac` clamps its window to 4 slots,
-        // so its drain loop never visits — or charges idle time for — the
-        // 6 slots a 10-wide session also leaves empty. The session must
-        // agree tick for tick (the old rotation wrapped at M and charged
-        // a phantom idle tick per empty slot per rotation).
+        // Fewer inputs than M: the reference loop clamps its window to 4
+        // slots, so its drain never visits — or charges idle time for —
+        // the 6 slots a 10-wide session also leaves empty. The session
+        // must agree tick for tick (a rotation that wrapped at M would
+        // charge a phantom idle tick per empty slot per rotation).
         let chains: Vec<usize> = vec![3, 1, 4, 2];
         let inputs: Vec<usize> = (0..chains.len()).collect();
-        let mut whole = mk(&chains);
-        let want = run_amac(&mut whole, &inputs, 10);
+        let mut whole = ChainOp::new(&chains);
+        let want = rotate(&mut whole, &inputs, 10, true, false);
+        assert!(whole.seen.idle > 0, "the drain tail must visit drained slots");
 
-        let mut op = mk(&chains);
+        let mut op = ChainOp::new(&chains);
         let mut session = AmacSession::new(10);
-        let mut stats = EngineStats::default();
-        session.feed(&mut op, &inputs, &mut stats);
-        session.drain(&mut op, &mut stats);
-        assert_eq!(stats, want, "counters diverged from the one-shot executor");
-        assert_eq!(op.idle.0, whole.idle.0, "drained-window idle ticks diverged");
-        assert_eq!(op.outputs, whole.outputs);
-
         // The reset on full drain keeps a *reused* session aligned too.
-        let mut whole2 = mk(&chains);
-        let want2 = run_amac(&mut whole2, &inputs, 10);
-        let before = op.idle.0;
-        let mut stats2 = EngineStats::default();
-        session.feed(&mut op, &inputs, &mut stats2);
-        session.drain(&mut op, &mut stats2);
-        assert_eq!(stats2, want2, "second use of a drained session diverged");
-        assert_eq!(op.idle.0 - before, whole2.idle.0, "idle ticks drifted on reuse");
+        for round in 1..=2 {
+            let mut stats = EngineStats::default();
+            session.feed(&mut op, &inputs, &mut stats);
+            session.drain(&mut op, &mut stats);
+            assert_eq!(stats, want, "round {round}: counters diverged from the reference");
+            assert_eq!(op.seen.idle, round * whole.seen.idle, "round {round}: idle ticks");
+            assert_eq!(op.outputs, whole.outputs);
+        }
     }
 
     #[test]

@@ -1,6 +1,33 @@
 //! Mock lookup ops used by the executor unit tests.
 
-use super::{LookupOp, Step};
+use super::{EngineStats, Hooks, LookupOp, Step};
+
+/// What a [`ChainOp`]'s context observed: idle ticks, and a per-rotation
+/// recount of an AMAC window's occupancy from the op's side — every `step`
+/// is a rotation, and so is a `start` unless it refills the slot the
+/// previous call retired (the merged terminal+initial stage is one
+/// rotation). The sample is the in-flight count after the rotation.
+#[derive(Default)]
+pub struct Observed {
+    /// Ticks charged through [`Hooks::idle`].
+    pub idle: u64,
+    /// Sum of the per-rotation in-flight samples.
+    pub occ_sum: u64,
+    /// Rotations counted.
+    pub occ_ticks: u64,
+    just_retired: bool,
+}
+
+impl Hooks for Observed {
+    fn idle(&mut self, ticks: u64) {
+        self.idle += ticks;
+    }
+    /// Feed and drain ends flush: a retirement before one was not merged
+    /// with whatever `start` comes next.
+    fn flush(&mut self, _stats: &mut EngineStats) {
+        self.just_retired = false;
+    }
+}
 
 /// A simulated pointer chase: lookup `i` needs exactly `chains[i]` steps
 /// and then materializes `10 * chains[i]` at output position `i`.
@@ -15,6 +42,10 @@ pub struct ChainOp {
     in_flight: usize,
     /// Highest number of simultaneously in-flight lookups observed.
     pub max_concurrent: usize,
+    /// Completion order (input indices).
+    pub completed: Vec<usize>,
+    /// The op's execution context.
+    pub seen: Observed,
 }
 
 /// Per-lookup state for [`ChainOp`].
@@ -38,6 +69,8 @@ impl ChainOp {
             budget: n,
             in_flight: 0,
             max_concurrent: 0,
+            completed: Vec::new(),
+            seen: Observed::default(),
         }
     }
 }
@@ -56,17 +89,36 @@ impl LookupOp for ChainOp {
         state.remaining = self.chains[input];
         self.in_flight += 1;
         self.max_concurrent = self.max_concurrent.max(self.in_flight);
+        if self.seen.just_retired {
+            self.seen.occ_sum += 1; // same rotation: its sample is the full window
+        } else {
+            self.seen.occ_sum += self.in_flight as u64;
+            self.seen.occ_ticks += 1;
+        }
+        self.seen.just_retired = false;
     }
 
     fn step(&mut self, state: &mut ChainState) -> Step {
-        if state.remaining > 1 {
-            state.remaining -= 1;
-            Step::Continue
-        } else {
+        let done = state.remaining <= 1;
+        if done {
             self.outputs[state.idx] = 10 * self.chains[state.idx] as u64;
+            self.completed.push(state.idx);
             self.in_flight -= 1;
-            Step::Done
+        } else {
+            state.remaining -= 1;
         }
+        self.seen.just_retired = done;
+        self.seen.occ_sum += self.in_flight as u64;
+        self.seen.occ_ticks += 1;
+        if done {
+            Step::Done
+        } else {
+            Step::Continue
+        }
+    }
+
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.seen
     }
 }
 

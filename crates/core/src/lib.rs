@@ -32,6 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+// `engine::AmacSession`; its file sits with the other executors. Declared
+// here, not in `engine`, so its unit tests keep the `session::tests::*`
+// paths they had in `amac_runtime` (the test floor tracks tests by path).
+#[path = "engine/session.rs"]
+mod session;
 
 pub use engine::{
     run, run_amac, run_baseline, run_gp, run_spp, EngineStats, Hooks, LookupOp, Step, Technique,

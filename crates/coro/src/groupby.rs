@@ -17,7 +17,7 @@
 use crate::executor::{
     prefetch_yield, prefetch_yield_write, run_interleaved, yield_now, InterleaveStats,
 };
-use amac_hashtable::agg::{AggHandle, AggValues};
+use amac_hashtable::agg::AggHandle;
 use amac_hashtable::AggTable;
 use amac_metrics::timer::CycleTimer;
 use amac_workload::Relation;
@@ -40,29 +40,12 @@ pub async fn groupby_one(handle: &RefCell<AggHandle<'_>>, key: u64, payload: u64
         }
         let mut cur = header;
         loop {
-            let d = (*cur).data_mut();
-            if d.aggs.count == 0 {
-                // Empty header: claim it for this group.
-                d.key = key;
-                d.aggs = AggValues::first(payload);
+            let idx = handle.borrow_mut().visit_latched(cur, key, payload);
+            if idx == amac_mem::NULL_INDEX {
                 (*header).latch.release();
                 return;
             }
-            if d.key == key {
-                d.aggs.update(payload);
-                (*header).latch.release();
-                return;
-            }
-            if d.next == amac_mem::NULL_INDEX {
-                let (idx, fresh) = handle.borrow_mut().alloc_node();
-                let fd = (*fresh).data_mut();
-                fd.key = key;
-                fd.aggs = AggValues::first(payload);
-                d.next = idx;
-                (*header).latch.release();
-                return;
-            }
-            let next = handle.borrow().table().node_ptr(d.next);
+            let next = handle.borrow().table().node_ptr(idx);
             prefetch_yield(next).await;
             cur = next;
         }
@@ -146,6 +129,7 @@ pub fn coro_groupby_mt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amac_hashtable::agg::AggValues;
     use amac_workload::{GroupByInput, Tuple};
     use std::collections::HashMap;
 

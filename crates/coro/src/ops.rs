@@ -10,12 +10,13 @@
 
 use crate::executor::{run_interleaved, run_interleaved_with_idle, yield_now, InterleaveStats};
 use crate::{prefetch_yield, prefetch_yield_wide};
-use amac::engine::{EngineStats, Hooks};
+use amac::engine::{EngineStats, Hooks, Step};
 use amac_btree::{BPlusTree, InnerNode, LeafNode};
 use amac_hashtable::HashTable;
 use amac_metrics::timer::CycleTimer;
-use amac_skiplist::{prefetch_node, SkipList};
-use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};
+use amac_ops::chain::ChainCursor;
+use amac_skiplist::{SkipCursor, SkipList, SkipMove};
+use amac_tier::{ExecCtx, ExecSpec, TierSpec};
 use amac_trace::Tracer;
 use amac_tree::Bst;
 use amac_workload::Relation;
@@ -73,24 +74,21 @@ pub async fn probe_chain(ht: &HashTable, key: u64, scan_all: bool) -> ChainHit {
 
 /// [`probe_chain`] under a memory-tier cost model: same traversal, same
 /// results, but every resumption ticks the ring-shared [`ExecCtx`] and
-/// every dereference waits until the simulated load lands. The context
-/// is shared by `RefCell` — the whole ring runs on one thread, and one
-/// shared clock is exactly the semantics the state-machine executors get
-/// from `Hooks::{now, advance_to}`. Ring slots are lanes, so a coalescing
-/// context dedups duplicate cache-line requests across in-flight
-/// coroutines just as it does across executor window slots, and with a
-/// tracer installed every dereference records its load immediately
-/// before the wait (so the recorded stall is exactly what the wait
-/// charges) and every completion a retirement. The hardware prefetch is
-/// `prefetch_yield`'s, so requests go through [`ExecCtx::request`].
+/// every dereference waits until the simulated load lands. The walk and
+/// its context protocol are the state-machine ops' own [`ChainCursor`];
+/// this body only decides where to suspend. The context is shared by
+/// `RefCell` — the whole ring runs on one thread, and one shared clock is
+/// exactly what the state-machine executors get from
+/// `Hooks::{now, advance_to}`. Ring slots are lanes, so a coalescing
+/// context dedups duplicate line requests across in-flight coroutines as
+/// it does across window slots.
 ///
 /// Deliberately a separate coroutine rather than an
 /// `Option<&RefCell<...>>` parameter on [`probe_chain`]: the context
-/// reference, `ready_at` and the hop/slab locals live across the yields,
+/// reference and the cursor's `ready_at`/hop/slab live across the yields,
 /// so folding the paths together grows the *untiered* suspended frame
 /// (`future_bytes`, the §6 state-overhead metric `bin/coro` reports)
-/// from ≤128 B past two cache lines. Result equivalence between the two
-/// bodies is asserted by
+/// from ≤128 B past two cache lines. Result equivalence is asserted by
 /// `tiered_probe_matches_untiered_and_hides_by_width` and in-run by
 /// `bench/bin/tier.rs`.
 pub async fn probe_chain_tiered(
@@ -100,23 +98,13 @@ pub async fn probe_chain_tiered(
     cx: &RefCell<ExecCtx>,
 ) -> ChainHit {
     let mut hit = ChainHit { matches: 0, sum: 0, first: u64::MAX };
-    let probe = amac_hashtable::probe_word(amac_mem::hash::tag_of(key));
-    let mut node = ht.bucket_addr(key);
     // Stage 0: hash + first prefetch (one tick, async header load).
-    let (mut ready, group) = {
-        let mut c = cx.borrow_mut();
-        let group = c.begin_lane();
-        (c.request(AddrClass::header_ptr(node), 0, group).ready_at, group)
-    };
-    let (mut hop, mut slab) = (0u32, 0u32);
-    prefetch_yield(node).await;
+    let mut cur = ChainCursor::start(ht, key, &mut cx.borrow_mut());
     loop {
-        cx.borrow_mut().deref("probe", key, hop, slab, ready);
-        // SAFETY: probe runs in the table's read-only phase; `node` points
-        // at the header or an arena-owned chain node.
-        let d = unsafe { (*node).data() };
+        yield_now().await;
+        let (d, may_match) = cur.node("probe", ht, &mut cx.borrow_mut());
         let mut node_hit = false;
-        if amac_hashtable::tags_may_match(d.meta, probe) {
+        if may_match {
             for i in 0..d.count() {
                 let t = d.tuples[i];
                 if t.key == key {
@@ -129,16 +117,15 @@ pub async fn probe_chain_tiered(
                 }
             }
         }
-        if (node_hit && !scan_all) || d.next == amac_mem::NULL_INDEX {
-            cx.borrow_mut().retire("probe", key, hop, group);
+        if node_hit && !scan_all {
+            cur.retire("probe", &mut cx.borrow_mut());
             return hit;
         }
-        let next = ht.node_ptr(d.next);
-        hop += 1;
-        slab = amac_mem::slab_of_index(d.next);
-        ready = cx.borrow_mut().request(AddrClass::slab_ptr(slab, next), 0, group).ready_at;
-        prefetch_yield(next).await;
-        node = next;
+        // A ring context carries no fault plan, so anything but
+        // `Continue` is the end of the chain.
+        if cur.advance("probe", ht, d.next, &mut cx.borrow_mut()) != Step::Continue {
+            return hit;
+        }
     }
 }
 
@@ -186,32 +173,13 @@ pub async fn btree_find(tree: &BPlusTree, key: u64) -> Option<u64> {
 /// stages: advance on `<`, match on `==`, descend on `>` — here as plain
 /// control flow rather than a stage enum).
 pub async fn skip_find(list: &SkipList, key: u64) -> Option<u64> {
-    let mut level = list.level();
-    let mut cur = list.head();
-    // SAFETY: read-only traversal over arena-owned nodes with acquire
-    // loads; the head sentinel always has a full-height tower.
-    unsafe {
-        let mut next = (*cur).next_ptr(level);
-        prefetch_node(next, level);
+    let mut cur = SkipCursor::start(list);
+    loop {
         yield_now().await;
-        loop {
-            if !next.is_null() && (*next).key < key {
-                cur = next;
-                next = (*next).next_ptr(level);
-                prefetch_node(next, level);
-                yield_now().await;
-                continue;
-            }
-            if !next.is_null() && (*next).key == key {
-                return Some((*next).payload);
-            }
-            if level == 0 {
-                return None;
-            }
-            level -= 1;
-            next = (*cur).next_ptr(level);
-            prefetch_node(next, level);
-            yield_now().await;
+        match cur.step(key) {
+            SkipMove::Advanced | SkipMove::Descended(..) => {}
+            SkipMove::Found(payload) => return Some(payload),
+            SkipMove::Bottom(_) => return None,
         }
     }
 }
@@ -273,8 +241,8 @@ pub struct CoroConfig {
 }
 
 impl CoroConfig {
-    /// The execution context a tiered ring shares (the hardware prefetch
-    /// is `prefetch_yield`'s, not the context's).
+    /// The execution context a tiered ring shares (default hint: the
+    /// same `PREFETCHNTA` the untiered ring's `prefetch_yield` issues).
     pub fn exec(&self) -> ExecSpec {
         ExecSpec { tier: self.tier, coalesce: self.coalesce, ..Default::default() }
     }
@@ -348,8 +316,12 @@ pub fn coro_probe(ht: &HashTable, s: &Relation, cfg: &CoroConfig) -> CoroOutput 
     res
 }
 
-/// BST search of `probe_rel` against `tree`, coroutine-interleaved.
-pub fn coro_bst_search(tree: &Bst, probe_rel: &Relation, cfg: &CoroConfig) -> CoroOutput {
+/// The index-search driver scaffold: run `find(key)` coroutines over
+/// `probe_rel`, counting hits and materializing found payloads.
+fn coro_search<Fut>(probe_rel: &Relation, cfg: &CoroConfig, find: impl Fn(u64) -> Fut) -> CoroOutput
+where
+    Fut: core::future::Future<Output = Option<u64>>,
+{
     let mut res = CoroOutput {
         out: if cfg.materialize { vec![u64::MAX; probe_rel.len()] } else { Vec::new() },
         ..Default::default()
@@ -360,7 +332,7 @@ pub fn coro_bst_search(tree: &Bst, probe_rel: &Relation, cfg: &CoroConfig) -> Co
     res.stats = run_interleaved(
         cfg.width,
         &probe_rel.tuples,
-        |_, t| bst_find(tree, t.key),
+        |_, t| find(t.key),
         |idx, found: Option<u64>| {
             if let Some(p) = found {
                 *matches += 1;
@@ -374,62 +346,21 @@ pub fn coro_bst_search(tree: &Bst, probe_rel: &Relation, cfg: &CoroConfig) -> Co
     res.cycles = timer.cycles();
     res.seconds = timer.seconds();
     res
+}
+
+/// BST search of `probe_rel` against `tree`, coroutine-interleaved.
+pub fn coro_bst_search(tree: &Bst, probe_rel: &Relation, cfg: &CoroConfig) -> CoroOutput {
+    coro_search(probe_rel, cfg, |key| bst_find(tree, key))
 }
 
 /// Skip-list search of `probe_rel` against `list`, coroutine-interleaved.
 pub fn coro_skip_search(list: &SkipList, probe_rel: &Relation, cfg: &CoroConfig) -> CoroOutput {
-    let mut res = CoroOutput {
-        out: if cfg.materialize { vec![u64::MAX; probe_rel.len()] } else { Vec::new() },
-        ..Default::default()
-    };
-    let timer = CycleTimer::start();
-    let (matches, checksum, materialize) = (&mut res.matches, &mut res.checksum, cfg.materialize);
-    let out = &mut res.out;
-    res.stats = run_interleaved(
-        cfg.width,
-        &probe_rel.tuples,
-        |_, t| skip_find(list, t.key),
-        |idx, found: Option<u64>| {
-            if let Some(p) = found {
-                *matches += 1;
-                *checksum = checksum.wrapping_add(p);
-                if materialize {
-                    out[idx] = p;
-                }
-            }
-        },
-    );
-    res.cycles = timer.cycles();
-    res.seconds = timer.seconds();
-    res
+    coro_search(probe_rel, cfg, |key| skip_find(list, key))
 }
 
 /// B+-tree search of `probe_rel` against `tree`, coroutine-interleaved.
 pub fn coro_btree_search(tree: &BPlusTree, probe_rel: &Relation, cfg: &CoroConfig) -> CoroOutput {
-    let mut res = CoroOutput {
-        out: if cfg.materialize { vec![u64::MAX; probe_rel.len()] } else { Vec::new() },
-        ..Default::default()
-    };
-    let timer = CycleTimer::start();
-    let (matches, checksum, materialize) = (&mut res.matches, &mut res.checksum, cfg.materialize);
-    let out = &mut res.out;
-    res.stats = run_interleaved(
-        cfg.width,
-        &probe_rel.tuples,
-        |_, t| btree_find(tree, t.key),
-        |idx, found: Option<u64>| {
-            if let Some(p) = found {
-                *matches += 1;
-                *checksum = checksum.wrapping_add(p);
-                if materialize {
-                    out[idx] = p;
-                }
-            }
-        },
-    );
-    res.cycles = timer.cycles();
-    res.seconds = timer.seconds();
-    res
+    coro_search(probe_rel, cfg, |key| btree_find(tree, key))
 }
 
 #[cfg(test)]

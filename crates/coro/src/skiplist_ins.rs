@@ -16,7 +16,8 @@
 use crate::executor::{run_interleaved, yield_now, InterleaveStats};
 use amac_metrics::timer::CycleTimer;
 use amac_skiplist::{
-    prefetch_node, try_splice_level, InsertHandle, SkipList, SkipNode, SpliceOutcome, MAX_LEVEL,
+    try_splice_level, InsertHandle, SkipCursor, SkipList, SkipMove, SkipNode, SpliceOutcome,
+    MAX_LEVEL,
 };
 use amac_workload::Relation;
 use core::cell::RefCell;
@@ -27,71 +28,56 @@ use core::cell::RefCell;
 /// `handle` is shared by the ring via `RefCell`; borrows are transient
 /// (never held across a yield).
 pub async fn skip_insert_one(handle: &RefCell<InsertHandle<'_>>, key: u64, payload: u64) -> bool {
-    let (head, mut level) = {
-        let h = handle.borrow();
-        (h.list().head() as *mut SkipNode, h.list().level())
-    };
+    let list = handle.borrow().list();
     // The §5.4 predecessor vector — a plain local, captured across yields
-    // into the compiler-generated frame.
-    let mut preds: [*mut SkipNode; MAX_LEVEL + 1] = [head; MAX_LEVEL + 1];
-    let mut cur = head as *const SkipNode;
-    // SAFETY: traversal uses acquire loads over arena-owned nodes; splices
-    // go through the latched `try_splice_level` protocol, exactly as the
-    // state-machine op does.
-    unsafe {
-        let mut next = (*cur).next_ptr(level);
-        prefetch_node(next, level);
+    // into the compiler-generated frame. Predecessors above the entry
+    // level are the head itself.
+    let mut preds: [*mut SkipNode; MAX_LEVEL + 1] = [list.head() as *mut SkipNode; MAX_LEVEL + 1];
+    // Search phase: advance / record predecessor / descend.
+    let mut cur = SkipCursor::start(list);
+    loop {
         yield_now().await;
-        // Search phase: advance / record predecessor / descend.
-        loop {
-            if !next.is_null() && (*next).key < key {
-                cur = next;
-                next = (*next).next_ptr(level);
-                prefetch_node(next, level);
-                yield_now().await;
-                continue;
-            }
-            if !next.is_null() && (*next).key == key {
-                return false; // duplicate
-            }
-            preds[level] = cur as *mut SkipNode;
-            if level == 0 {
+        match cur.step(key) {
+            SkipMove::Advanced => {}
+            SkipMove::Found(_) => return false, // duplicate
+            SkipMove::Descended(left, pred) => preds[left] = pred,
+            SkipMove::Bottom(pred) => {
+                preds[0] = pred;
                 break;
             }
-            level -= 1;
-            next = (*cur).next_ptr(level);
-            prefetch_node(next, level);
-            yield_now().await;
         }
-        // Insert phase (Table 1 stage 2): random level + node allocation.
-        let (top, node) = {
-            let mut h = handle.borrow_mut();
-            let top = h.random_level();
-            (top, h.alloc_node(key, payload, top))
-        };
-        // Splice phase (stage 3): one latched level per turn, bottom-up.
-        let mut lvl = 0usize;
-        loop {
-            match try_splice_level(preds[lvl], node, lvl) {
-                SpliceOutcome::Spliced => {
-                    if lvl == top {
-                        handle.borrow().list().raise_level(top);
-                        return true;
-                    }
-                    lvl += 1;
-                    yield_now().await;
+    }
+    // Insert phase (Table 1 stage 2): random level + node allocation.
+    let (top, node) = {
+        let mut h = handle.borrow_mut();
+        let top = h.random_level();
+        (top, h.alloc_node(key, payload, top))
+    };
+    // Splice phase (stage 3): one latched level per turn, bottom-up.
+    let mut lvl = 0usize;
+    loop {
+        // SAFETY: preds[lvl] is head or a node the search stood on at
+        // `lvl` (tower tall enough); node is initialized and not yet
+        // spliced at lvl — the state-machine op's splice protocol.
+        match unsafe { try_splice_level(preds[lvl], node, lvl) } {
+            SpliceOutcome::Spliced => {
+                if lvl == top {
+                    list.raise_level(top);
+                    return true;
                 }
-                SpliceOutcome::Blocked => {
-                    yield_now().await; // cooperative coarse-grained spin
-                }
-                SpliceOutcome::Moved(np) => {
-                    preds[lvl] = np;
-                    yield_now().await;
-                }
-                SpliceOutcome::AlreadyPresent => {
-                    debug_assert_eq!(lvl, 0, "duplicate surfaced above level 0");
-                    return false;
-                }
+                lvl += 1;
+                yield_now().await;
+            }
+            SpliceOutcome::Blocked => {
+                yield_now().await; // cooperative coarse-grained spin
+            }
+            SpliceOutcome::Moved(np) => {
+                preds[lvl] = np;
+                yield_now().await;
+            }
+            SpliceOutcome::AlreadyPresent => {
+                debug_assert_eq!(lvl, 0, "duplicate surfaced above level 0");
+                return false;
             }
         }
     }

@@ -403,10 +403,9 @@ impl AggHandle<'_> {
         }
     }
 
-    /// Aggregate under an **already-held** header latch (AMAC stage code).
-    ///
-    /// Walks the chain: updates the matching group, claims an empty
-    /// header, or appends a new node at the chain tail.
+    /// Aggregate under an **already-held** header latch: walk the chain
+    /// with [`visit_latched`](AggHandle::visit_latched) until the tuple
+    /// has been folded in.
     ///
     /// # Safety
     /// `header` must be a header of this handle's table; the calling
@@ -414,27 +413,43 @@ impl AggHandle<'_> {
     pub unsafe fn update_latched(&mut self, header: *const AggBucket, key: u64, payload: u64) {
         let mut node = header;
         loop {
-            let d = (*node).data_mut();
-            if d.aggs.count == 0 {
-                // Unoccupied header: claim it.
-                d.key = key;
-                d.aggs = AggValues::first(payload);
+            let next = self.visit_latched(node, key, payload);
+            if next == NULL_INDEX {
                 return;
             }
-            if d.key == key {
-                d.aggs.update(payload);
-                return;
-            }
-            if d.next == NULL_INDEX {
-                let (idx, fresh) = self.alloc_node();
-                let fd = (*fresh).data_mut();
-                fd.key = key;
-                fd.aggs = AggValues::first(payload);
-                d.next = idx;
-                return;
-            }
-            node = self.table.node_ptr(d.next);
+            node = self.table.node_ptr(next);
         }
+    }
+
+    /// The per-node action of a latched aggregation (one AMAC code
+    /// stage): fold `(key, payload)` into `node` if it holds the key's
+    /// group, claim it if it is an unoccupied header, append a fresh
+    /// group node if it ends the chain — all three return
+    /// [`NULL_INDEX`], the tuple is aggregated. Otherwise return the
+    /// chain index of the node to visit next.
+    ///
+    /// # Safety
+    /// `node` must be on a chain of this handle's table whose header
+    /// latch the calling thread holds.
+    #[inline(always)]
+    pub unsafe fn visit_latched(&mut self, node: *const AggBucket, key: u64, payload: u64) -> u32 {
+        let d = (*node).data_mut();
+        if d.aggs.count == 0 {
+            // Unoccupied header: claim it.
+            d.key = key;
+            d.aggs = AggValues::first(payload);
+        } else if d.key == key {
+            d.aggs.update(payload);
+        } else if d.next == NULL_INDEX {
+            let (idx, fresh) = self.alloc_node();
+            let fd = (*fresh).data_mut();
+            fd.key = key;
+            fd.aggs = AggValues::first(payload);
+            d.next = idx;
+        } else {
+            return d.next;
+        }
+        NULL_INDEX
     }
 }
 
@@ -478,25 +493,39 @@ mod tests {
     #[test]
     fn matches_hashmap_model() {
         use std::collections::HashMap;
-        let t = AggTable::for_groups(64);
+        // Zipf keys over few buckets: hot groups, claimed headers and
+        // multi-node chains all occur. `looped` goes through `update`,
+        // `stepped` through `visit_latched` one node at a time from a
+        // held latch, as an AMAC stage does.
+        let input = amac_workload::Relation::zipf(50_000, 500, 0.9, 0xA66);
+        let (looped, stepped) = (AggTable::for_groups(64), AggTable::for_groups(64));
         let mut model: HashMap<u64, AggValues> = HashMap::new();
         {
-            let mut h = t.handle();
-            let mut rng = 0xDEAD_u64;
-            for i in 0..50_000u64 {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let key = rng % 500;
-                let payload = i ^ 0x5A5A;
-                h.update(key, payload);
+            let (mut hl, mut hs) = (looped.handle(), stepped.handle());
+            for t in &input.tuples {
+                hl.update(t.key, t.payload);
+                let header = stepped.bucket_addr(t.key);
+                // SAFETY: header of `stepped`, latched for the whole walk.
+                unsafe {
+                    (*header).latch.acquire();
+                    let mut next = hs.visit_latched(header, t.key, t.payload);
+                    while next != NULL_INDEX {
+                        next = hs.visit_latched(stepped.node_ptr(next), t.key, t.payload);
+                    }
+                    (*header).latch.release();
+                }
                 model
-                    .entry(key)
-                    .and_modify(|a| a.update(payload))
-                    .or_insert_with(|| AggValues::first(payload));
+                    .entry(t.key)
+                    .and_modify(|a| a.update(t.payload))
+                    .or_insert_with(|| AggValues::first(t.payload));
             }
         }
-        assert_eq!(t.group_count(), model.len());
-        for (k, v) in &model {
-            assert_eq!(t.get(*k).as_ref(), Some(v), "group {k}");
+        assert!(model.len() > 64, "the input must chain");
+        for t in [&looped, &stepped] {
+            assert_eq!(t.group_count(), model.len());
+            for (k, v) in &model {
+                assert_eq!(t.get(*k).as_ref(), Some(v), "group {k}");
+            }
         }
     }
 

@@ -1,0 +1,132 @@
+//! The bucket-chain walk, written once.
+//!
+//! Every operator over a [`HashTable`] — the join probe, the fused
+//! pipeline's probe stage, the latch-free mutations, the tiered probe
+//! coroutine — visits the same chain of nodes and owes its execution
+//! context the same protocol per node: one lane per lookup, one request
+//! per hop keyed by the schedule-invariant [`fault_token`]`(key, hop)`,
+//! one traced, tier-attributed wait before each dereference, one
+//! retirement. [`ChainCursor`] is that walk and that protocol; what an
+//! operator does with a node's tuples (count, emit, merge, tombstone)
+//! stays in the operator.
+
+use amac::engine::Step;
+use amac_hashtable::{probe_word, tags_may_match, Bucket, BucketData, HashTable};
+use amac_mem::hash::tag_of;
+use amac_mem::{slab_of_index, NULL_INDEX};
+use amac_tier::{fault_token, ExecCtx};
+
+/// Where one lookup stands on its bucket chain: the chain-walking part of
+/// the paper's circular-buffer entry (Fig. 4). Every method takes the
+/// operator's name for trace events (`"probe"`, `"mutate"`).
+pub struct ChainCursor {
+    pub(crate) key: u64,
+    /// Node the pending load targets: the header, then arena nodes.
+    pub(crate) ptr: *const Bucket,
+    /// [`probe_word`] of the key's fingerprint, computed once in stage 0.
+    pub(crate) probe: u32,
+    /// Simulated tick the requested line arrives (tiered runs only).
+    pub(crate) ready_at: u64,
+    /// Hops taken so far (0 = at the header).
+    pub(crate) hop: u32,
+    /// Arena slab of the pending node (0 for the header), so traced
+    /// stalls attribute to the slab's tier.
+    pub(crate) slab: u32,
+    /// Commit group the lookup's lane was born into.
+    pub(crate) group: u32,
+}
+
+impl Default for ChainCursor {
+    /// An idle window slot: executors `start` a slot before stepping it,
+    /// so this null cursor is never walked.
+    fn default() -> Self {
+        ChainCursor {
+            key: 0,
+            ptr: core::ptr::null(),
+            probe: 0,
+            ready_at: 0,
+            hop: 0,
+            slab: 0,
+            group: 0,
+        }
+    }
+}
+
+impl ChainCursor {
+    /// Code stage 0 (Table 1): open a lane, compute `key`'s bucket
+    /// address and SWAR probe word, request the header line.
+    #[inline(always)]
+    pub fn start(ht: &HashTable, key: u64, cx: &mut ExecCtx) -> Self {
+        let ptr = ht.bucket_addr(key);
+        let group = cx.begin_lane();
+        let ready_at = cx.issue_header(ptr, group).ready_at;
+        ChainCursor { key, ptr, probe: probe_word(tag_of(key)), ready_at, hop: 0, slab: 0, group }
+    }
+
+    /// Wait for the requested node of `ht` (the table the cursor was
+    /// started on) and dereference it. Also returns whether its tags
+    /// admit `key` — one XOR + SWAR zero-byte test on the packed meta
+    /// word, so a non-matching node is rejected without touching its
+    /// tuple slots.
+    #[inline(always)]
+    pub fn node<'t>(
+        &self,
+        op: &'static str,
+        ht: &'t HashTable,
+        cx: &mut ExecCtx,
+    ) -> (&'t BucketData, bool) {
+        let _ = ht;
+        cx.deref(op, self.key, self.hop, self.slab, self.ready_at);
+        debug_assert!(!self.ptr.is_null(), "cursor stepped before start");
+        // SAFETY: `ptr` is only ever written by `start` (a header of the
+        // table) and `advance` (an arena-owned node of it), and walks run
+        // in the table's read-only phase.
+        let d = unsafe { (*self.ptr).data() };
+        cx.obs.nodes_visited += 1;
+        let may_match = tags_may_match(d.meta, self.probe);
+        if !may_match {
+            cx.obs.tag_rejects += 1;
+        }
+        (d, may_match)
+    }
+
+    /// Chase the chain link `next` read from the current node:
+    /// [`Step::Done`] at the end of the chain (the lane retires),
+    /// [`Step::Continue`] once the next node is requested,
+    /// [`Step::Failed`] when that load comes back poisoned. The fault
+    /// token is `(key, hop)`, so the fault set is identical under every
+    /// executor and schedule — and under coalescing, which re-runs the
+    /// decision per request.
+    #[inline(always)]
+    pub fn advance(
+        &mut self,
+        op: &'static str,
+        ht: &HashTable,
+        next: u32,
+        cx: &mut ExecCtx,
+    ) -> Step {
+        if next == NULL_INDEX {
+            self.retire(op, cx);
+            return Step::Done;
+        }
+        let ptr = ht.node_ptr(next);
+        self.ptr = ptr;
+        let token = fault_token(self.key, self.hop);
+        self.hop += 1;
+        self.slab = slab_of_index(next);
+        let t = cx.issue_slab(self.slab, ptr, token, self.group);
+        if t.failed {
+            cx.fail(op, self.key, self.hop, self.group);
+            return Step::Failed;
+        }
+        self.ready_at = t.ready_at;
+        Step::Continue
+    }
+
+    /// The lookup ends at the current node: trace the retirement and free
+    /// the lane.
+    #[inline(always)]
+    pub fn retire(&self, op: &'static str, cx: &mut ExecCtx) {
+        cx.retire(op, self.key, self.hop, self.group);
+    }
+}

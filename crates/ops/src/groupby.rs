@@ -20,7 +20,7 @@
 //! collapse at z = 1.
 
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::agg::{AggHandle, AggValues};
+use amac_hashtable::agg::AggHandle;
 use amac_hashtable::{AggBucket, AggTable};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::{slab_of_index, NULL_INDEX};
@@ -203,37 +203,15 @@ impl LookupOp for GroupByOp<'_> {
                 state.cur = state.header;
                 // Fall through: process the (prefetched) header now.
             }
-            let d = (*state.cur).data_mut();
             self.cx.obs.nodes_visited += 1;
-            if d.aggs.count == 0 {
-                // Empty header: claim it for this group.
-                d.key = state.key;
-                d.aggs = AggValues::first(state.payload);
+            let idx = self.handle.visit_latched(state.cur, state.key, state.payload);
+            if idx == NULL_INDEX {
+                // Updated, claimed or appended: the tuple is aggregated.
                 (*state.header).latch.release();
                 self.tuples += 1;
                 self.cx.retire("groupby", state.key, state.hop, state.group);
                 return Step::Done;
             }
-            if d.key == state.key {
-                d.aggs.update(state.payload);
-                (*state.header).latch.release();
-                self.tuples += 1;
-                self.cx.retire("groupby", state.key, state.hop, state.group);
-                return Step::Done;
-            }
-            if d.next == NULL_INDEX {
-                // Append a new group node at the tail.
-                let (idx, fresh) = self.handle.alloc_node();
-                let fd = (*fresh).data_mut();
-                fd.key = state.key;
-                fd.aggs = AggValues::first(state.payload);
-                d.next = idx;
-                (*state.header).latch.release();
-                self.tuples += 1;
-                self.cx.retire("groupby", state.key, state.hop, state.group);
-                return Step::Done;
-            }
-            let idx = d.next;
             let next = self.handle.table().node_ptr(idx);
             state.cur = next;
             state.hop += 1;
@@ -260,10 +238,7 @@ pub fn groupby(
     technique: Technique,
     cfg: &GroupByConfig,
 ) -> GroupByOutput {
-    let mut op = GroupByOp::new(table, cfg);
-    if cfg.trace {
-        op.cx.set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(GroupByOp::new(table, cfg), cfg.trace);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &input.tuples, cfg.params);
     let trace = op.cx.take_tracer();
@@ -290,6 +265,7 @@ pub fn groupby_fresh(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amac_hashtable::agg::AggValues;
     use std::collections::HashMap;
 
     fn model_of(rel: &Relation) -> HashMap<u64, AggValues> {

@@ -1,12 +1,11 @@
 //! Hash join build and probe under all four techniques (§5.1).
 
+use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::{probe_word, tags_may_match, Bucket, BuildHandle, HashTable};
-use amac_mem::hash::tag_of;
+use amac_hashtable::{Bucket, BuildHandle, HashTable};
 use amac_mem::prefetch::PrefetchHint;
-use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, AddrClass, ExecCtx, ExecSpec, FaultPlan, TierSpec};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -124,39 +123,15 @@ impl ProbeOutput {
     }
 }
 
-/// Per-lookup probe state: the paper's circular-buffer entry (Fig. 4),
-/// plus the precomputed SWAR probe word for the key's fingerprint.
+/// Per-lookup probe state: the paper's circular-buffer entry (Fig. 4) —
+/// where the lookup stands on its chain, plus one word for the operator
+/// walking it. [`ProbeOp`] keeps the tuple's input index there (the
+/// paper's `rid`), [`crate::pipeline::ProbeStage`] the probe payload it
+/// hands downstream.
+#[derive(Default)]
 pub struct ProbeState {
-    key: u64,
-    idx: usize,
-    ptr: *const Bucket,
-    /// [`probe_word`] of the key's fingerprint, computed once in stage 0.
-    probe: u32,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// Chain hop index, for schedule-invariant fault tokens
-    /// ([`fault_token`]`(key, hop)`; faulted runs only).
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), so traced stalls attribute to the slab's tier.
-    slab: u32,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
-}
-
-impl Default for ProbeState {
-    fn default() -> Self {
-        ProbeState {
-            key: 0,
-            idx: 0,
-            ptr: core::ptr::null(),
-            probe: 0,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
-            group: 0,
-        }
-    }
+    pub(crate) cursor: ChainCursor,
+    pub(crate) tag: u64,
 }
 
 /// The probe lookup as a state machine (Table 1, "Hash Join Probe").
@@ -239,69 +214,35 @@ impl LookupOp for ProbeOp<'_> {
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
     fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        let ptr = self.ht.bucket_addr(input.key);
-        state.key = input.key;
-        state.idx = self.cursor;
-        state.ptr = ptr;
-        state.probe = probe_word(tag_of(input.key));
-        state.hop = 0;
-        state.slab = 0;
+        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
+        state.tag = self.cursor as u64;
         self.cursor += 1;
-        state.group = self.cx.begin_lane();
-        state.ready_at = self.cx.issue_header(ptr, state.group).ready_at;
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
     /// hit, output on match, chase the `u32` chain index.
     fn step(&mut self, state: &mut ProbeState) -> Step {
-        self.cx.deref("probe", state.key, state.hop, state.slab, state.ready_at);
-        // SAFETY: probe runs in the table's read-only phase; `ptr` always
-        // points at the header or an arena-owned chain node.
-        let d = unsafe { (*state.ptr).data() };
-        self.cx.obs.nodes_visited += 1;
+        let (d, may_match) = state.cursor.node("probe", self.ht, &mut self.cx);
         let mut hit = false;
-        // One XOR + SWAR zero-byte test rejects a non-matching node from
-        // its packed meta word; only tag hits touch the tuple slots.
-        if tags_may_match(d.meta, state.probe) {
+        if may_match {
             for i in 0..d.count() {
                 let t = d.tuples[i];
-                if t.key == state.key {
+                if t.key == state.cursor.key {
                     self.matches += 1;
                     self.checksum = self.checksum.wrapping_add(t.payload);
-                    if self.cfg.materialize && self.out[state.idx] == u64::MAX {
-                        self.out[state.idx] = t.payload;
+                    let idx = state.tag as usize;
+                    if self.cfg.materialize && self.out[idx] == u64::MAX {
+                        self.out[idx] = t.payload;
                     }
                     hit = true;
                 }
             }
-        } else {
-            self.cx.obs.tag_rejects += 1;
         }
         if hit && !self.cfg.scan_all {
-            self.cx.retire("probe", state.key, state.hop, state.group);
+            state.cursor.retire("probe", &mut self.cx);
             return Step::Done; // early exit on unique-key match
         }
-        let next = d.next;
-        if next == NULL_INDEX {
-            self.cx.retire("probe", state.key, state.hop, state.group);
-            return Step::Done; // chain exhausted
-        }
-        let ptr = self.ht.node_ptr(next);
-        state.ptr = ptr;
-        // Chain loads resolve under the fault plan: a poisoned far load
-        // aborts the lookup. The token is (key, hop), so the fault set is
-        // identical under every executor and schedule — and under
-        // coalescing, which re-runs the decision per request.
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
-        if t.failed {
-            self.cx.fail("probe", state.key, state.hop, state.group);
-            return Step::Failed;
-        }
-        state.ready_at = t.ready_at;
-        Step::Continue
+        state.cursor.advance("probe", self.ht, d.next, &mut self.cx)
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -311,10 +252,7 @@ impl LookupOp for ProbeOp<'_> {
 
 /// Run a probe of `s` against `ht` with `technique`.
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
-    let mut op = ProbeOp::new(ht, cfg, s.len());
-    if cfg.trace {
-        op.cx.set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(ProbeOp::new(ht, cfg, s.len()), cfg.trace);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let cycles = timer.cycles();
@@ -573,6 +511,8 @@ mod tests {
 
     #[test]
     fn faulted_probe_is_deterministic_across_executors() {
+        use crate::pipeline::{CountChecksum, ProbeStage};
+        use amac::engine::pipeline::Fused;
         use amac_tier::FaultPlan;
         // Chained table (8x over-occupancy) so lookups take multiple far
         // hops — plenty of fault opportunities.
@@ -608,6 +548,30 @@ mod tests {
                     "{t}: fault set and surviving results must be schedule-invariant"
                 ),
             }
+            // One walk, one protocol: the early-exit probe and a terminal
+            // pipeline probe stage are the same chain walk, so under one
+            // tier, fault plan and window they agree down to the trace.
+            let cfg = ProbeConfig {
+                scan_all: false,
+                tier: Some(TierSpec::headers_near(4)),
+                trace: true,
+                ..cfg.clone()
+            };
+            let solo = probe(&ht, &s, t, &cfg);
+            let stage = ProbeStage::new(&ht, &cfg.exec()).terminal();
+            let mut op = crate::traced(Fused::new(stage, CountChecksum::default()), true);
+            let st = run(t, &mut op, &s.tuples, cfg.params);
+            let staged = (op.sink().matches, op.sink().checksum, st.failed_lookups, st.load_faults);
+            let staged_sim =
+                (st.sim_cycles, st.sim_stalls, op.ctx().take_tracer().canonical_hash());
+            let so = &solo.stats;
+            assert!(so.failed_lookups > 0 && so.sim_stalls > 0, "{t}: must fault and stall");
+            assert_eq!(staged, (solo.matches, solo.checksum, so.failed_lookups, so.load_faults));
+            assert_eq!(
+                staged_sim,
+                (so.sim_cycles, so.sim_stalls, solo.trace.canonical_hash()),
+                "{t}: clock and trace of the staged walk"
+            );
         }
     }
 

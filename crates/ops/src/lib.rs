@@ -34,6 +34,7 @@
 
 pub mod bst;
 pub mod btree;
+pub mod chain;
 pub mod groupby;
 pub mod join;
 pub mod join_radix;
@@ -45,3 +46,14 @@ pub mod pipeline;
 pub mod skiplist;
 
 pub use amac::engine::{Technique, TuningParams};
+
+/// Arm a freshly made op's tracer when the driver's config asks for a
+/// trace. Single-thread drivers harvest it with `take_tracer`, the morsel
+/// runtime merges every worker's into `RunReport::trace`.
+pub(crate) fn traced<O: amac::engine::LookupOp>(mut op: O, on: bool) -> O {
+    use amac::engine::Hooks;
+    if on {
+        op.ctx().set_tracer(amac_trace::Tracer::on());
+    }
+    op
+}

@@ -38,14 +38,14 @@
 //! segment through the same primitives, reproducing the physical table
 //! bit-for-bit (same fresh-node indices, same chain order).
 
+use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::{probe_word, tags_may_match, Bucket, HashTable};
-use amac_mem::hash::tag_of;
+use amac_hashtable::{tags_may_match, HashTable};
 use amac_mem::prefetch::PrefetchHint;
-use amac_mem::{slab_of_index, NULL_INDEX};
+use amac_mem::NULL_INDEX;
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{fault_token, ExecCtx, ExecSpec, FaultPlan, TierSpec, WalRecord};
+use amac_tier::{ExecCtx, ExecSpec, FaultPlan, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -121,38 +121,14 @@ impl Default for MutateConfig {
 }
 
 /// Per-mutation in-flight state (the circular-buffer entry).
+#[derive(Default)]
 pub struct MutState {
-    key: u64,
+    /// Where the charged walk stands on the frozen chain.
+    cursor: ChainCursor,
     delta: u64,
-    /// Node the next step dereferences (header first).
-    ptr: *const Bucket,
-    /// SWAR probe word of the key's fingerprint.
-    probe: u32,
-    /// True until the header step ran (its `next` needs the fresh-prefix
-    /// skip; frozen interiors cannot grow fresh nodes).
+    /// Set by `start`, cleared once the header step ran (its `next` needs
+    /// the fresh-prefix skip; frozen interiors cannot grow fresh nodes).
     at_header: bool,
-    /// Chain hop index for schedule-invariant fault tokens.
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), for traced stall attribution.
-    slab: u32,
-    /// AMU commit group of this mutation's lane.
-    group: u32,
-}
-
-impl Default for MutState {
-    fn default() -> Self {
-        MutState {
-            key: 0,
-            delta: 0,
-            ptr: core::ptr::null(),
-            probe: 0,
-            at_header: true,
-            hop: 0,
-            slab: 0,
-            group: 0,
-        }
-    }
 }
 
 /// The latch-free mutation lookup as a state machine: stage 0 hashes and
@@ -234,15 +210,16 @@ impl<'a> MutateOp<'a> {
     }
 
     /// Issue-time residual stall: charge what an M-deep window cannot
-    /// hide of this load, independent of how far neighbors advanced the
-    /// clock (`sim_stalls` stays schedule- and thread-invariant). The
-    /// traced load event records exactly the residual as its stall, so
-    /// attribution sums to `sim_stalls` under this model too.
+    /// hide of the load `cur` just requested, independent of how far
+    /// neighbors advanced the clock (`sim_stalls` stays schedule- and
+    /// thread-invariant). The traced load event records exactly the
+    /// residual as its stall, so attribution sums to `sim_stalls` under
+    /// this model too.
     #[inline]
-    fn charge_residual(&mut self, key: u64, hop: u32, slab: u32, ready_at: u64) {
+    fn charge_residual(&mut self, cur: &ChainCursor) {
         let now = self.cx.now();
-        let residual = ready_at.saturating_sub(now).saturating_sub(self.hide);
-        self.cx.trace_load("mutate", key, hop, slab, now + residual);
+        let residual = cur.ready_at.saturating_sub(now).saturating_sub(self.hide);
+        self.cx.trace_load("mutate", cur.key, cur.hop, cur.slab, now + residual);
         self.cx.wait(now + residual);
     }
 
@@ -289,46 +266,39 @@ impl LookupOp for MutateOp<'_> {
     }
 
     fn start(&mut self, input: Tuple, state: &mut MutState) {
-        let ptr = self.ht.bucket_addr(input.key);
-        state.key = input.key;
+        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
         state.delta = input.payload;
-        state.ptr = ptr;
-        state.probe = probe_word(tag_of(input.key));
         state.at_header = true;
-        state.hop = 0;
-        state.slab = 0;
-        state.group = self.cx.begin_lane();
-        let t = self.cx.issue_header(ptr, state.group);
-        self.charge_residual(state.key, 0, 0, t.ready_at);
+        self.charge_residual(&state.cursor);
     }
 
     fn step(&mut self, state: &mut MutState) -> Step {
+        let (key, delta) = (state.cursor.key, state.delta);
         self.cx.stage();
-        // SAFETY: ptr is the header or a frozen arena node of this
-        // table; frozen meta/next are immutable during the epoch, and
-        // slot accesses go through the atomic views.
-        let b = unsafe { &*state.ptr };
+        // SAFETY: the cursor points at the header or a frozen arena node
+        // of this table; frozen meta/next are immutable during the epoch,
+        // and slot accesses go through the atomic views.
+        let b = unsafe { &*state.cursor.ptr };
         self.cx.obs.nodes_visited += 1;
         let meta = b.meta_atomic().load(core::sync::atomic::Ordering::Relaxed);
         match self.cfg.kind {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
-                self.terminal(state.key, state.delta);
-                self.cx.retire("mutate", state.key, state.hop, state.group);
+                self.terminal(key, delta);
+                state.cursor.retire("mutate", &mut self.cx);
                 return Step::Done;
             }
             MutateKind::Upsert => {
-                if tags_may_match(meta, state.probe) {
+                if tags_may_match(meta, state.cursor.probe) {
                     let count = (meta >> 24) as usize;
                     for i in 0..count {
-                        if b.key_atomic(i).load(core::sync::atomic::Ordering::Acquire) == state.key
-                        {
+                        if b.key_atomic(i).load(core::sync::atomic::Ordering::Acquire) == key {
                             b.payload_atomic(i)
-                                .fetch_add(state.delta, core::sync::atomic::Ordering::AcqRel);
+                                .fetch_add(delta, core::sync::atomic::Ordering::AcqRel);
                             self.merged += 1;
                             self.applied += 1;
-                            self.log(WalRecord::Upsert { key: state.key, delta: state.delta });
-                            self.cx.retire("mutate", state.key, state.hop, state.group);
+                            self.log(WalRecord::Upsert { key, delta });
+                            state.cursor.retire("mutate", &mut self.cx);
                             return Step::Done;
                         }
                     }
@@ -337,9 +307,9 @@ impl LookupOp for MutateOp<'_> {
                 }
             }
             MutateKind::Delete => {
-                if tags_may_match(meta, state.probe) {
+                if tags_may_match(meta, state.cursor.probe) {
                     // SAFETY: frozen node of this table.
-                    self.deleted += unsafe { self.ht.frozen_tombstone(state.ptr, state.key) };
+                    self.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, key) };
                 } else {
                     self.cx.obs.tag_rejects += 1;
                 }
@@ -356,23 +326,16 @@ impl LookupOp for MutateOp<'_> {
             }
         };
         if next == NULL_INDEX {
-            self.terminal(state.key, state.delta);
-            self.cx.retire("mutate", state.key, state.hop, state.group);
-            return Step::Done;
+            // The frozen walk is over: run the fresh-prefix action
+            // before the cursor retires the lane.
+            self.terminal(key, delta);
         }
-        let ptr = self.ht.node_ptr(next);
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
-        if t.failed {
-            self.cx.fail("mutate", state.key, state.hop, state.group);
-            return Step::Failed;
+        let step = state.cursor.advance("mutate", self.ht, next, &mut self.cx);
+        if step == Step::Continue {
+            self.charge_residual(&state.cursor);
+            state.at_header = false;
         }
-        self.charge_residual(state.key, state.hop, state.slab, t.ready_at);
-        state.ptr = ptr;
-        state.at_header = false;
-        Step::Continue
+        step
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -413,10 +376,7 @@ pub fn mutate(
     technique: Technique,
     cfg: &MutateConfig,
 ) -> MutateOutput {
-    let mut op = MutateOp::new(ht, cfg);
-    if cfg.trace {
-        op.cx.set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(MutateOp::new(ht, cfg), cfg.trace);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &rel.tuples, cfg.params);
     let seconds = timer.seconds();
@@ -444,7 +404,7 @@ pub fn mutate_mt_rt(
 ) -> MutateOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&rel.tuples, technique, cfg.params, &rt, |_tid| {
-        crate::parallel::traced(MutateOp::new(ht, cfg), cfg.trace)
+        crate::traced(MutateOp::new(ht, cfg), cfg.trace)
     });
     // `execute` already harvested every worker's tracer into the report.
     let mut out = MutateOutput {

@@ -18,11 +18,10 @@
 //! Throughput is `|S| / wall_time` over the whole fan-out, the paper's
 //! `|S|/probeExecutionTime`.
 
-use amac::engine::{EngineStats, Hooks, LookupOp, Technique};
+use amac::engine::{EngineStats, Technique};
 use amac_hashtable::{AggTable, HashTable};
 use amac_runtime::{execute, execute_with_prologue, MorselConfig, RunReport};
 use amac_skiplist::SkipList;
-use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
 pub use amac_runtime::Scheduling;
@@ -61,16 +60,6 @@ impl MtOutput {
     }
 }
 
-/// Arm a freshly made per-worker op's tracer when the driver's config
-/// asks for a trace (once per worker; [`execute`] harvests and merges
-/// the tracers into [`RunReport::trace`]).
-pub(crate) fn traced<O: LookupOp>(mut op: O, on: bool) -> O {
-    if on {
-        op.ctx().set_tracer(Tracer::on());
-    }
-    op
-}
-
 /// Multi-threaded hash-table probe (the paper's scalability workload).
 ///
 /// Materialization is disabled (morsel order is not input order); the
@@ -90,7 +79,7 @@ pub fn probe_mt_rt(
         technique,
         cfg.params,
         rt,
-        |_tid| traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace),
+        |_tid| crate::traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace),
         |_op, morsel: &[Tuple]| {
             for t in &morsel[..morsel.len().min(64)] {
                 amac_mem::prefetch::prefetch_read_t0(ht.bucket_addr(t.key));
@@ -132,7 +121,7 @@ pub fn groupby_mt_rt(
 ) -> MtOutput {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&input.tuples, technique, cfg.params, &rt, |_tid| {
-        traced(crate::groupby::GroupByOp::new(table, cfg), cfg.trace)
+        crate::traced(crate::groupby::GroupByOp::new(table, cfg), cfg.trace)
     });
     let mut out = MtOutput::from_report(run.report);
     out.matches = run.ops.iter().map(|op| op.tuples()).sum();
@@ -156,7 +145,7 @@ pub struct MtPipeline {
 
 /// Multi-threaded **fused** probe→filter→group-by on the morsel runtime:
 /// every worker owns one fused op whose single AMAC window spans both
-/// operators and survives morsel boundaries ([`amac_runtime::AmacSession`]).
+/// operators and survives morsel boundaries ([`amac::engine::AmacSession`]).
 /// `auto_tune` is ignored (the tuning probe executes real lookups, which
 /// would aggregate the sample twice).
 pub fn probe_groupby_mt_rt(
@@ -169,7 +158,7 @@ pub fn probe_groupby_mt_rt(
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        traced(crate::pipeline::fused_probe_groupby_op(ht, table, cfg), cfg.trace)
+        crate::traced(crate::pipeline::fused_probe_groupby_op(ht, table, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
     let mut out = MtOutput::from_report(run.report);
@@ -196,7 +185,7 @@ pub fn probe_groupby_two_phase_mt_rt(
 ) -> MtPipeline {
     let rt = MorselConfig { auto_tune: false, ..rt.clone() };
     let run1 = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
-        traced(crate::pipeline::materializing_probe_op(ht, cfg), cfg.trace)
+        crate::traced(crate::pipeline::materializing_probe_op(ht, cfg), cfg.trace)
     });
     let mut matched = 0u64;
     let mut mid = Vec::new();
@@ -231,7 +220,7 @@ pub fn probe_probe_mt_rt(
     rt: &MorselConfig,
 ) -> MtPipeline {
     let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
-        traced(crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg), cfg.trace)
+        crate::traced(crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
     let mut out = MtOutput::from_report(run.report);

@@ -49,16 +49,16 @@
 //! assert_eq!(out.intermediate_bytes, 0);       // nothing materialized
 //! ```
 
+use crate::chain::ChainCursor;
+use crate::join::ProbeState;
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
 };
-use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
-use amac_hashtable::{probe_word, tags_may_match, AggTable, Bucket, HashTable};
-use amac_mem::hash::tag_of;
+use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
+use amac_hashtable::{AggTable, HashTable};
 use amac_mem::prefetch::PrefetchHint;
-use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{fault_token, ExecCtx, ExecSpec, FaultPlan, TierSpec};
+use amac_tier::{ExecCtx, ExecSpec, FaultPlan, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{FilterSpec, Relation, Tuple};
 
@@ -131,39 +131,6 @@ pub struct Joined {
     pub build_payload: u64,
 }
 
-/// Per-slot state of a [`ProbeStage`].
-pub struct ProbePipeState {
-    key: u64,
-    payload: u64,
-    ptr: *const Bucket,
-    /// SWAR probe word of the key's fingerprint.
-    probe: u32,
-    /// Simulated tick the prefetched line arrives (tiered runs only).
-    ready_at: u64,
-    /// Chain hop index for schedule-invariant fault tokens.
-    hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header), for traced stall attribution.
-    slab: u32,
-    /// AMU commit group this lookup's lane was born into.
-    group: u32,
-}
-
-impl Default for ProbePipeState {
-    fn default() -> Self {
-        ProbePipeState {
-            key: 0,
-            payload: 0,
-            ptr: core::ptr::null(),
-            probe: 0,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
-            group: 0,
-        }
-    }
-}
-
 /// Hash-table probe as a pipeline operator: emits the **first** match as
 /// a [`Joined`] tuple (FK join semantics), skips on a miss.
 pub struct ProbeStage<'a> {
@@ -211,70 +178,44 @@ impl<'a> ProbeStage<'a> {
 impl PipelineOp for ProbeStage<'_> {
     type Input = Tuple;
     type Output = Joined;
-    type State = ProbePipeState;
+    type State = ProbeState;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    fn start(&mut self, input: Tuple, state: &mut ProbePipeState) {
-        let ptr = self.ht.bucket_addr(input.key);
-        state.key = input.key;
-        state.payload = input.payload;
-        state.ptr = ptr;
-        state.probe = probe_word(tag_of(input.key));
-        state.hop = 0;
-        state.slab = 0;
-        state.group = self.cx.begin_lane();
-        state.ready_at = self.cx.issue_header(ptr, state.group).ready_at;
+    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
+        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
+        state.tag = input.payload;
     }
 
-    fn step(&mut self, state: &mut ProbePipeState) -> StageStep<Joined> {
-        self.cx.deref("probe", state.key, state.hop, state.slab, state.ready_at);
-        // SAFETY: probe runs in the table's read-only phase; `ptr` always
-        // points at the header or an arena-owned chain node.
-        let d = unsafe { (*state.ptr).data() };
-        self.cx.obs.nodes_visited += 1;
-        // SWAR tag test first: only a fingerprint hit touches key bytes.
-        if tags_may_match(d.meta, state.probe) {
+    fn step(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
+        let (d, may_match) = state.cursor.node("probe", self.ht, &mut self.cx);
+        if may_match {
             for i in 0..d.count() {
                 let t = d.tuples[i];
-                if t.key == state.key {
+                if t.key == state.cursor.key {
                     self.matches += 1;
                     // A non-terminal stage hands the tuple downstream —
                     // the terminal operator records the retirement.
                     if self.terminal {
-                        self.cx.retire("probe", state.key, state.hop, state.group);
+                        state.cursor.retire("probe", &mut self.cx);
                     } else {
-                        self.cx.retire_lane(state.group);
+                        self.cx.retire_lane(state.cursor.group);
                     }
                     return StageStep::Emit(Joined {
-                        key: state.key,
-                        probe_payload: state.payload,
+                        key: t.key,
+                        probe_payload: state.tag,
                         build_payload: t.payload,
                     });
                 }
             }
-        } else {
-            self.cx.obs.tag_rejects += 1;
         }
-        let next = d.next;
-        if next == NULL_INDEX {
-            self.cx.retire("probe", state.key, state.hop, state.group);
-            return StageStep::Skip; // probe miss
+        match state.cursor.advance("probe", self.ht, d.next, &mut self.cx) {
+            Step::Continue => StageStep::Continue,
+            Step::Failed => StageStep::Failed,
+            _ => StageStep::Skip, // chain exhausted: probe miss
         }
-        let ptr = self.ht.node_ptr(next);
-        state.ptr = ptr;
-        let token = fault_token(state.key, state.hop);
-        state.hop += 1;
-        state.slab = slab_of_index(next);
-        let t = self.cx.issue_slab(state.slab, ptr, token, state.group);
-        if t.failed {
-            self.cx.fail("probe", state.key, state.hop, state.group);
-            return StageStep::Failed;
-        }
-        state.ready_at = t.ready_at;
-        StageStep::Continue
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -459,10 +400,7 @@ pub fn probe_then_groupby(
     technique: Technique,
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
-    let mut op = fused_probe_groupby_op(ht, table, cfg);
-    if cfg.trace {
-        op.ctx().set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(fused_probe_groupby_op(ht, table, cfg), cfg.trace);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let trace = op.ctx().take_tracer();
@@ -493,10 +431,7 @@ pub fn probe_then_groupby_two_phase(
 ) -> PipelineOutput {
     let timer = CycleTimer::start();
     // Phase 1: probe, materializing the filtered+projected join output.
-    let mut op = materializing_probe_op(ht, cfg);
-    if cfg.trace {
-        op.ctx().set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(materializing_probe_op(ht, cfg), cfg.trace);
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
     let mut trace = op.ctx().take_tracer();
@@ -527,10 +462,7 @@ pub fn probe_then_probe(
     technique: Technique,
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
-    let mut op = fused_probe_probe_op(ht1, ht2, cfg);
-    if cfg.trace {
-        op.ctx().set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(fused_probe_probe_op(ht1, ht2, cfg), cfg.trace);
     let timer = CycleTimer::start();
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let trace = op.ctx().take_tracer();
@@ -557,19 +489,15 @@ pub fn probe_then_probe_two_phase(
     cfg: &PipelineConfig,
 ) -> PipelineOutput {
     let timer = CycleTimer::start();
-    let mut op = materializing_probe_op(ht1, cfg);
-    if cfg.trace {
-        op.ctx().set_tracer(Tracer::on());
-    }
+    let mut op = crate::traced(materializing_probe_op(ht1, cfg), cfg.trace);
     let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
     let matched = op.pipe().matches();
     let mut trace = op.ctx().take_tracer();
     let mid = Relation::from_tuples(op.into_sink().out);
-    let mut op2 =
-        Fused::new(ProbeStage::new(ht2, &cfg.exec()).terminal(), CountChecksum::default());
-    if cfg.trace {
-        op2.ctx().set_tracer(Tracer::on());
-    }
+    let mut op2 = crate::traced(
+        Fused::new(ProbeStage::new(ht2, &cfg.exec()).terminal(), CountChecksum::default()),
+        cfg.trace,
+    );
     stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
     trace.merge(op2.ctx().take_tracer());
     PipelineOutput {

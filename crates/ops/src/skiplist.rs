@@ -15,7 +15,8 @@
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_metrics::timer::CycleTimer;
 use amac_skiplist::{
-    prefetch_node, try_splice_level, InsertHandle, SkipList, SkipNode, SpliceOutcome, MAX_LEVEL,
+    try_splice_level, InsertHandle, SkipCursor, SkipList, SkipMove, SkipNode, SpliceOutcome,
+    MAX_LEVEL,
 };
 use amac_workload::{Relation, Tuple};
 
@@ -44,17 +45,10 @@ pub struct SkipSearchOutput {
 }
 
 /// Per-lookup search state.
-pub struct SkipSearchState {
+#[derive(Default)]
+pub struct SkipSearchState<'a> {
     key: u64,
-    cur: *const SkipNode,
-    next: *const SkipNode,
-    level: isize,
-}
-
-impl Default for SkipSearchState {
-    fn default() -> Self {
-        SkipSearchState { key: 0, cur: core::ptr::null(), next: core::ptr::null(), level: 0 }
-    }
+    cursor: SkipCursor<'a>,
 }
 
 /// The search state machine.
@@ -85,57 +79,31 @@ impl<'a> SkipSearchOp<'a> {
     }
 }
 
-impl LookupOp for SkipSearchOp<'_> {
+impl<'a> LookupOp for SkipSearchOp<'a> {
     type Input = Tuple;
-    type State = SkipSearchState;
+    type State = SkipSearchState<'a>;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
     /// Stage 0: access the highest head node's successor (Table 1).
-    fn start(&mut self, input: Tuple, state: &mut SkipSearchState) {
-        let head = self.list.head();
-        let level = self.list.level();
-        // SAFETY: head is always a valid full-height node; reading its
-        // tower is a read-only acquire load.
-        let next = unsafe { (*head).next_ptr(level) };
-        prefetch_node(next, level);
+    fn start(&mut self, input: Tuple, state: &mut SkipSearchState<'a>) {
         state.key = input.key;
-        state.cur = head;
-        state.next = next;
-        state.level = level as isize;
+        state.cursor = SkipCursor::start(self.list);
     }
 
     /// Later stages: compare with the prefetched successor; advance,
     /// match, or descend.
-    fn step(&mut self, state: &mut SkipSearchState) -> Step {
-        // SAFETY: read-only traversal over arena-owned nodes with acquire
-        // loads (concurrent inserts publish with release stores).
-        unsafe {
-            let next = state.next;
-            if !next.is_null() && (*next).key < state.key {
-                // Move right at this level.
-                state.cur = next;
-                let n2 = (*next).next_ptr(state.level as usize);
-                prefetch_node(n2, state.level as usize);
-                state.next = n2;
-                return Step::Continue;
-            }
-            if !next.is_null() && (*next).key == state.key {
+    fn step(&mut self, state: &mut SkipSearchState<'a>) -> Step {
+        match state.cursor.step(state.key) {
+            SkipMove::Advanced | SkipMove::Descended(..) => Step::Continue,
+            SkipMove::Found(payload) => {
                 self.found += 1;
-                self.checksum = self.checksum.wrapping_add((*next).payload);
-                return Step::Done;
+                self.checksum = self.checksum.wrapping_add(payload);
+                Step::Done
             }
-            // next is null or past the key: descend.
-            if state.level == 0 {
-                return Step::Done; // miss
-            }
-            state.level -= 1;
-            let n2 = (*state.cur).next_ptr(state.level as usize);
-            prefetch_node(n2, state.level as usize);
-            state.next = n2;
-            Step::Continue
+            SkipMove::Bottom(_) => Step::Done, // miss
         }
     }
 }
@@ -184,12 +152,10 @@ enum InsertPhase {
 
 /// Per-lookup insert state — the paper's ~0.5 KB circular-buffer entry
 /// (predecessor vector included).
-pub struct SkipInsertState {
+pub struct SkipInsertState<'a> {
     key: u64,
     payload: u64,
-    cur: *const SkipNode,
-    next: *const SkipNode,
-    level: isize,
+    cursor: SkipCursor<'a>,
     preds: [*mut SkipNode; MAX_LEVEL + 1],
     node: *mut SkipNode,
     splice_level: usize,
@@ -197,14 +163,12 @@ pub struct SkipInsertState {
     phase: InsertPhase,
 }
 
-impl Default for SkipInsertState {
+impl Default for SkipInsertState<'_> {
     fn default() -> Self {
         SkipInsertState {
             key: 0,
             payload: 0,
-            cur: core::ptr::null(),
-            next: core::ptr::null(),
-            level: 0,
+            cursor: SkipCursor::default(),
             preds: [core::ptr::null_mut(); MAX_LEVEL + 1],
             node: core::ptr::null_mut(),
             splice_level: 0,
@@ -248,59 +212,41 @@ impl<'a> SkipInsertOp<'a> {
     }
 }
 
-impl LookupOp for SkipInsertOp<'_> {
+impl<'a> LookupOp for SkipInsertOp<'a> {
     type Input = Tuple;
-    type State = SkipInsertState;
+    type State = SkipInsertState<'a>;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    fn start(&mut self, input: Tuple, state: &mut SkipInsertState) {
+    fn start(&mut self, input: Tuple, state: &mut SkipInsertState<'a>) {
         let list = self.handle.list();
-        let head = list.head() as *mut SkipNode;
-        let level = list.level();
         // Predecessors above the entry level are the head itself.
-        state.preds = [head; MAX_LEVEL + 1];
-        // SAFETY: head is valid and full-height.
-        let next = unsafe { (*head).next_ptr(level) };
-        prefetch_node(next, level);
+        state.preds = [list.head() as *mut SkipNode; MAX_LEVEL + 1];
         state.key = input.key;
         state.payload = input.payload;
-        state.cur = head;
-        state.next = next;
-        state.level = level as isize;
+        state.cursor = SkipCursor::start(list);
         state.node = core::ptr::null_mut();
         state.splice_level = 0;
         state.phase = InsertPhase::Search;
     }
 
-    fn step(&mut self, state: &mut SkipInsertState) -> Step {
+    fn step(&mut self, state: &mut SkipInsertState<'a>) -> Step {
         match state.phase {
             InsertPhase::Search => {
-                // SAFETY: read-only traversal with acquire loads.
-                unsafe {
-                    let next = state.next;
-                    if !next.is_null() && (*next).key < state.key {
-                        state.cur = next;
-                        let n2 = (*next).next_ptr(state.level as usize);
-                        prefetch_node(n2, state.level as usize);
-                        state.next = n2;
-                        return Step::Continue;
-                    }
-                    if !next.is_null() && (*next).key == state.key {
+                match state.cursor.step(state.key) {
+                    SkipMove::Advanced => return Step::Continue,
+                    SkipMove::Found(_) => {
                         self.duplicates += 1;
                         return Step::Done;
                     }
-                    // Descend (recording the predecessor at this level).
-                    state.preds[state.level as usize] = state.cur as *mut SkipNode;
-                    if state.level > 0 {
-                        state.level -= 1;
-                        let n2 = (*state.cur).next_ptr(state.level as usize);
-                        prefetch_node(n2, state.level as usize);
-                        state.next = n2;
+                    // Descending records the predecessor at the level left.
+                    SkipMove::Descended(left, pred) => {
+                        state.preds[left] = pred;
                         return Step::Continue;
                     }
+                    SkipMove::Bottom(pred) => state.preds[0] = pred,
                 }
                 // Level 0 reached without a match: move to the insert
                 // phase (Table 1 stage 2: generate random level, get new

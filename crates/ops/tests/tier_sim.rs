@@ -5,14 +5,14 @@
 //! latency), and `sim_cycles` must be a pure work count — identical
 //! across executors, thread counts and schedulings.
 
-use amac::engine::{run, Technique, TuningParams};
+use amac::engine::{run, run_amac, AmacSession, EngineStats, Technique, TuningParams};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
 use amac_ops::parallel::{probe_mt_rt, Scheduling};
 use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
 use amac_runtime::MorselConfig;
-use amac_tier::{CostModel, TierPolicy, TierSpec};
+use amac_tier::{CostModel, FaultPlan, TierPolicy, TierSpec};
 use amac_workload::Relation;
 
 /// Executed op calls: productive stages + bailout-cleanup stages +
@@ -258,4 +258,54 @@ fn mux_lane_ledgers_carry_sim_ticks_exactly() {
     assert!(global.sim_cycles > 0);
     assert_eq!(a.sim_cycles + b.sim_cycles, global.sim_cycles, "lane work must sum to global");
     assert_eq!(a.sim_stalls + b.sim_stalls, global.sim_stalls, "lane stalls must sum to global");
+}
+
+/// Probe `cfg` through its window fed in `chunk`-sized feeds, then drain.
+fn chunked(
+    ht: &HashTable,
+    probes: &Relation,
+    cfg: &ProbeConfig,
+    chunk: usize,
+) -> (EngineStats, u64) {
+    let mut op = ProbeOp::new(ht, cfg, 0);
+    let mut stats = EngineStats::default();
+    let mut window = AmacSession::new(cfg.params.in_flight);
+    for c in probes.tuples.chunks(chunk) {
+        window.feed(&mut op, c, &mut stats);
+    }
+    window.drain(&mut op, &mut stats);
+    (stats, op.checksum())
+}
+
+#[test]
+fn chunked_window_equals_the_one_shot_run_tiered_and_faulted() {
+    const M: usize = 10;
+    let (ht, probes) = lab(4096);
+    let cfg = ProbeConfig { fault: Some(FaultPlan::fail_only(0xABCD, 100)), ..tiered_cfg(4, M) };
+    let one_shot = |cfg: &ProbeConfig| {
+        let mut op = ProbeOp::new(&ht, cfg, 0);
+        (run_amac(&mut op, &probes.tuples, M), op.checksum())
+    };
+    let want = one_shot(&cfg);
+    assert!(want.0.failed_lookups > 0 && want.0.sim_stalls > 0, "the lab must fault and stall");
+    for chunk in [1, M - 1, M, 37, probes.len()] {
+        assert_eq!(chunked(&ht, &probes, &cfg, chunk), want, "chunk {chunk}");
+    }
+    // A feed boundary seals the open commit group, so under coalescing only
+    // feeds ending on a group boundary reproduce the one-shot grouping...
+    let cfg = ProbeConfig { coalesce: Some(8), ..cfg };
+    let want = one_shot(&cfg);
+    assert!(want.0.coalesced_loads > 0, "Zipf-built chains must share lines");
+    for chunk in [8, 16, 40, probes.len()] {
+        assert_eq!(chunked(&ht, &probes, &cfg, chunk), want, "coalesced, chunk {chunk}");
+    }
+    // ...and any other chunking regroups the same requests: which of
+    // them issue changes; their number, the faults and the matches do not.
+    let invariant = |(s, checksum): &(EngineStats, u64)| {
+        (s.issued_loads + s.coalesced_loads, s.load_faults, s.failed_lookups, *checksum)
+    };
+    for chunk in [1, M - 1, M, 37] {
+        let got = chunked(&ht, &probes, &cfg, chunk);
+        assert_eq!(invariant(&got), invariant(&want), "coalesced, chunk {chunk}");
+    }
 }

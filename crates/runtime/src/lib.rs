@@ -45,14 +45,12 @@
 #![warn(missing_docs)]
 
 mod dispatch;
-mod session;
 #[cfg(test)]
 pub(crate) mod testop;
 
 pub use dispatch::{Dispatcher, Scheduling};
-pub use session::AmacSession;
 
-use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
+use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_metrics::{JsonBuf, LatencyHistogram};
 use amac_trace::{TraceEvent, Tracer};
 use std::time::Instant;

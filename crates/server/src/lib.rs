@@ -18,7 +18,7 @@
 //! * [`ServeSession`] — admission control (bounded active set, bounded
 //!   pending queue, explicit [`Backpressure`]), deficit-round-robin
 //!   interleaving across active queries, one persistent
-//!   [`amac_runtime::AmacSession`] whose window carries every query's
+//!   [`amac::engine::AmacSession`] whose window carries every query's
 //!   lookups at once;
 //! * [`Request`] / [`QueryReport`] — per-query submission and result
 //!   routing: results, materialized outputs and *exact* per-query

@@ -7,14 +7,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use amac::engine::mux::{Mux, Tagged};
-use amac::engine::{run, EngineStats, Hooks, LookupOp, Technique, TuningParams};
+use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
 use amac_ops::groupby::GroupByOp;
 use amac_ops::join::ProbeOp;
 use amac_ops::mutate::{MutateOp, ReplayOp};
 use amac_ops::pipeline::{fused_probe_groupby_op, probe_then_groupby_two_phase, PipelineConfig};
-use amac_runtime::AmacSession;
 use amac_tier::{TierSpec, WalRecord};
 use amac_trace::{TraceEvent, Tracer};
 use amac_workload::Tuple;

@@ -14,7 +14,7 @@ use amac::engine::{Hooks, LookupOp, Step};
 use amac_ops::groupby::{GroupByOp, GroupByState};
 use amac_ops::join::{ProbeOp, ProbeState};
 use amac_ops::mutate::{MutState, MutateOp};
-use amac_ops::pipeline::{FusedProbeGroupBy, ProbePipeState};
+use amac_ops::pipeline::FusedProbeGroupBy;
 use amac_workload::Tuple;
 
 /// State of one in-flight serving lookup (variant always matches the
@@ -29,7 +29,7 @@ pub enum TenantState {
     /// In-flight group-by update.
     GroupBy(GroupByState),
     /// In-flight fused probe → filter → group-by chain.
-    Pipeline(ChainState<ProbePipeState, GroupByState>),
+    Pipeline(ChainState<ProbeState, GroupByState>),
     /// In-flight latch-free catalog mutation.
     Upsert(MutState),
 }

@@ -14,13 +14,16 @@
 //!   acquire loads and may simply miss a node whose upper levels are still
 //!   being spliced.
 //!
-//! The low-level pieces ([`SkipList::head`], [`SkipNode::next_ptr`],
-//! [`InsertHandle::alloc_node`], [`try_splice_level`]) are public so the
-//! `amac-ops` crate can express search/insert as AMAC code stages.
+//! The search is exposed one *move* at a time ([`SkipCursor`]: examine
+//! the prefetched successor — advance, match, or descend) and the insert
+//! one latched level at a time ([`InsertHandle::alloc_node`],
+//! [`try_splice_level`]), so the `amac-ops` state machines and the
+//! coroutines run them as AMAC code stages and keep only control flow.
 
 use amac_mem::arena::VarArena;
 use amac_mem::latch::Latch;
 use amac_mem::rng::XorShift64;
+use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Mutex;
 
@@ -88,13 +91,95 @@ impl SkipNode {
 /// Prefetch the parts of node `p` a level-`level` visit will touch: the
 /// header line (key) and, for tall towers, the separate line holding the
 /// `level` tower slot. Safe for any pointer (prefetch never faults).
+/// Branch-free on purpose (a short tower prefetches its header twice):
+/// the sequential baseline's only memory parallelism is the core
+/// speculating down the levels, and a tower-height branch inside the
+/// move cost it 10–25 % on a 2^20-key list, depending on block placement.
 #[inline(always)]
-pub fn prefetch_node(p: *const SkipNode, level: usize) {
+fn prefetch_node(p: *const SkipNode, level: usize) {
     use amac_mem::prefetch::prefetch_read;
     prefetch_read(p);
     let slot = TOWER_OFFSET + level * core::mem::size_of::<AtomicPtr<SkipNode>>();
-    if slot >= amac_mem::align::CACHE_LINE {
-        prefetch_read((p as *const u8).wrapping_add(slot));
+    let slot = if slot >= amac_mem::align::CACHE_LINE { slot } else { 0 };
+    prefetch_read((p as *const u8).wrapping_add(slot));
+}
+
+/// What one [`SkipCursor::step`] did (Table 1's search stages).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipMove {
+    /// The successor's key was smaller: moved right at this level.
+    Advanced,
+    /// The successor holds the key; its payload.
+    Found(u64),
+    /// The successor is past the key (or the level ended): moved down
+    /// from this level, at which this node is the key's predecessor (what
+    /// an insert collects for its splice).
+    Descended(usize, *mut SkipNode),
+    /// As `Descended` from level 0, with nowhere to go: the key is absent.
+    Bottom(*mut SkipNode),
+}
+
+/// A resumable search position: a node, a level, and the successor whose
+/// line the previous move prefetched. Each [`step`](SkipCursor::step) is
+/// one AMAC code stage — it dereferences only that successor. The default
+/// cursor is an exhausted search (`step` returns [`SkipMove::Bottom`] of a
+/// null node without touching memory).
+pub struct SkipCursor<'l> {
+    cur: *const SkipNode,
+    next: *const SkipNode,
+    level: usize,
+    /// Nodes are arena-owned by the list and never freed while it lives.
+    list: PhantomData<&'l SkipList>,
+}
+
+impl Default for SkipCursor<'_> {
+    fn default() -> Self {
+        SkipCursor { cur: core::ptr::null(), next: core::ptr::null(), level: 0, list: PhantomData }
+    }
+}
+
+impl<'l> SkipCursor<'l> {
+    /// Stage 0: stand on the head at the list's entry level and prefetch
+    /// its successor there.
+    #[inline(always)]
+    pub fn start(list: &'l SkipList) -> Self {
+        let mut c = SkipCursor { cur: list.head(), level: list.level(), ..Default::default() };
+        c.load_next();
+        c
+    }
+
+    /// Read and prefetch `cur`'s successor at the current level.
+    #[inline(always)]
+    fn load_next(&mut self) {
+        // SAFETY: `cur` is the head (full-height tower) or a node reached
+        // at `level`, so its tower holds that slot; nodes outlive `'l`.
+        self.next = unsafe { (*self.cur).next_ptr(self.level) };
+        prefetch_node(self.next, self.level);
+    }
+
+    /// Compare `key` with the prefetched successor and make one move.
+    #[inline(always)]
+    pub fn step(&mut self, key: u64) -> SkipMove {
+        let next = self.next;
+        // SAFETY: a non-null `next` was acquire-loaded from a published
+        // tower slot, so it points at an initialized arena node.
+        unsafe {
+            if !next.is_null() && (*next).key < key {
+                self.cur = next;
+                self.load_next();
+                return SkipMove::Advanced;
+            }
+            if !next.is_null() && (*next).key == key {
+                return SkipMove::Found((*next).payload);
+            }
+        }
+        let pred = self.cur as *mut SkipNode;
+        if self.level == 0 {
+            return SkipMove::Bottom(pred);
+        }
+        self.level -= 1;
+        self.load_next();
+        SkipMove::Descended(self.level + 1, pred)
     }
 }
 
@@ -298,10 +383,10 @@ pub struct InsertHandle<'l> {
     rng: XorShift64,
 }
 
-impl InsertHandle<'_> {
+impl<'l> InsertHandle<'l> {
     /// The list this handle inserts into.
     #[inline]
-    pub fn list(&self) -> &SkipList {
+    pub fn list(&self) -> &'l SkipList {
         self.list
     }
 
@@ -416,6 +501,52 @@ mod tests {
         }
         assert_eq!(sl.get(2), None);
         assert!(!sl.contains(100));
+    }
+
+    #[test]
+    fn cursor_driven_to_completion_equals_get() {
+        /// Drive a cursor to the end, checking what each move reports.
+        fn cursor_get(sl: &SkipList, key: u64) -> Option<u64> {
+            let (mut c, mut level) = (SkipCursor::start(sl), sl.level());
+            loop {
+                match c.step(key) {
+                    SkipMove::Advanced => {}
+                    SkipMove::Descended(left, pred) => {
+                        assert_eq!(left, level, "levels are left one at a time, top down");
+                        // SAFETY: a node the cursor stood on is live.
+                        assert!(std::ptr::eq(pred, sl.head()) || unsafe { (*pred).key } < key);
+                        level -= 1;
+                    }
+                    SkipMove::Found(p) => return Some(p),
+                    SkipMove::Bottom(_) => return None,
+                }
+            }
+        }
+        let sl = SkipList::new();
+        assert_eq!(cursor_get(&sl, 5), None, "empty list");
+        let inert = SkipMove::Bottom(core::ptr::null_mut());
+        assert_eq!(SkipCursor::default().step(5), inert, "default cursor is inert");
+        {
+            let mut h = sl.handle(8);
+            for k in 1..=3000u64 {
+                h.insert(k * 4 + 10, k ^ 0xABC);
+            }
+        }
+        // Hits, in-range misses, below-min and above-max keys.
+        let keys = (1..=3000u64).flat_map(|k| [k * 4 + 10, k * 4 + 11]).chain([
+            0,
+            1,
+            13,
+            3000 * 4 + 12,
+            u64::MAX,
+        ]);
+        let mut hits = 0;
+        for key in keys {
+            let want = sl.get(key);
+            assert_eq!(cursor_get(&sl, key), want, "key {key}");
+            hits += want.is_some() as usize;
+        }
+        assert_eq!(hits, 3000);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! by structure), and a single mixed ring.
 
 use amac_suite::btree::BPlusTree;
-use amac_suite::coro::{prefetch_yield, prefetch_yield_wide, run_interleaved};
+use amac_suite::coro::{btree_find, probe_chain, run_interleaved};
 use amac_suite::hashtable::HashTable;
 use amac_suite::metrics::timer::CycleTimer;
 use amac_suite::workload::{Relation, Tuple};
@@ -57,46 +57,11 @@ fn main() {
             |_, q| {
                 let (ht, index) = (&ht, &index);
                 async move {
+                    // The packaged per-structure coroutines: the walks
+                    // (and their `unsafe`) live with the structures.
                     match q {
-                        Query::Hash(key) => {
-                            let probe = amac_suite::hashtable::probe_word(
-                                amac_suite::mem::hash::tag_of(key),
-                            );
-                            let mut node = ht.bucket_addr(key);
-                            prefetch_yield(node).await;
-                            loop {
-                                // SAFETY: read-only probe phase.
-                                let d = unsafe { (*node).data() };
-                                if amac_suite::hashtable::tags_may_match(d.meta, probe) {
-                                    for i in 0..d.count() {
-                                        if d.tuples[i].key == key {
-                                            return d.tuples[i].payload;
-                                        }
-                                    }
-                                }
-                                if d.next == amac_suite::mem::NULL_INDEX {
-                                    return u64::MAX;
-                                }
-                                let next = ht.node_ptr(d.next);
-                                prefetch_yield(next).await;
-                                node = next;
-                            }
-                        }
-                        Query::Index(key) => {
-                            let mut ptr = index.root_ptr();
-                            prefetch_yield_wide(ptr).await;
-                            for _ in 1..index.height() {
-                                // SAFETY: read-only phase; upper levels are
-                                // inner nodes.
-                                let inner = unsafe { &*ptr.cast::<amac_suite::btree::InnerNode>() };
-                                ptr = inner.select_child(key);
-                                prefetch_yield_wide(ptr).await;
-                            }
-                            // SAFETY: last level is a leaf.
-                            unsafe { &*ptr.cast::<amac_suite::btree::LeafNode>() }
-                                .lookup(key)
-                                .unwrap_or(u64::MAX)
-                        }
+                        Query::Hash(key) => probe_chain(ht, key, false).await.first,
+                        Query::Index(key) => btree_find(index, key).await.unwrap_or(u64::MAX),
                     }
                 }
             },

@@ -9,6 +9,13 @@ use super::{EngineStats, Hooks, LookupOp, Step};
 /// [`Step::Blocked`] spins in place (with a single lookup in flight there
 /// is nothing else to switch to; blocking can only be caused by *other
 /// threads*).
+///
+/// `#[inline]` so every instance is compiled beside its caller
+/// ([`run`](super::run)): without it the instance lands in whichever
+/// codegen unit the partitioner picks, and whether this loop is inlined
+/// into `run` — and with it the block order the sequential baseline's
+/// speculation depends on — flips with the size of unrelated code.
+#[inline]
 pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats {
     let mut stats = EngineStats::default();
     let pf = op.ctx().issues_prefetches() as u64;

@@ -232,6 +232,7 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         self.lanes.iter().flatten().map(|op| op.budgeted_steps()).max().unwrap_or(1).max(1)
     }
 
+    #[inline]
     fn start(&mut self, input: Tagged<O::Input>, state: &mut MuxState<O::State>) {
         let i = input.lane as usize;
         state.lane = input.lane;
@@ -257,6 +258,7 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         led.prefetches += self.prefetches[i] as u64;
     }
 
+    #[inline]
     fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
         let i = state.lane as usize;
         if self.cancelled[i] {

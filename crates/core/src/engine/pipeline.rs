@@ -180,6 +180,7 @@ where
         self.up.budgeted_steps() + self.down.budgeted_steps()
     }
 
+    #[inline]
     fn start(&mut self, input: Self::Input, state: &mut Self::State) {
         // Slots are recycled, so the state may still hold the previous
         // tuple's Down variant; reset to a fresh upstream state.
@@ -193,6 +194,7 @@ where
         self.up.start(input, a);
     }
 
+    #[inline]
     fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
         match state {
             ChainState::Up(a) => {
@@ -255,10 +257,12 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
         self.0.budgeted_steps()
     }
 
+    #[inline]
     fn start(&mut self, input: Self::Input, state: &mut Self::State) {
         self.0.start(input, state);
     }
 
+    #[inline]
     fn step(&mut self, state: &mut Self::State) -> StageStep<()> {
         match self.0.step(state) {
             Step::Continue => StageStep::Continue,
@@ -356,10 +360,12 @@ where
         self.pipe.budgeted_steps()
     }
 
+    #[inline]
     fn start(&mut self, input: Self::Input, state: &mut Self::State) {
         self.pipe.start(input, state);
     }
 
+    #[inline(always)]
     fn step(&mut self, state: &mut Self::State) -> Step {
         match self.pipe.step(state) {
             StageStep::Continue => Step::Continue,

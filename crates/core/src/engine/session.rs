@@ -116,38 +116,45 @@ impl<O: LookupOp> AmacSession<O> {
         // remains, so a finished slot immediately starts the next lookup
         // (the merged terminal+initial stage) and the window never drains.
         // Slots rotate on a rolling counter: §3.1 rules out the modulo.
-        let (stages, lookups, retries) = (stats.stages, stats.lookups, stats.latch_retries);
+        // The rotation counter, the slot array and the event counts stay
+        // in locals: the op's stage code is inlined here, and `self` and
+        // `stats` are behind pointers it may alias as far as the
+        // optimizer knows. A retirement refills its slot in the same
+        // rotation, so retirements are counted by `next`.
+        let states = &mut self.states[..];
+        let mut k = self.k;
+        let (mut continues, mut blocked, mut failed) = (0u64, 0u64, 0u64);
+        let first = next;
         while next < inputs.len() {
-            match op.step(&mut self.states[self.k]) {
-                Step::Continue => {
-                    stats.stages += 1;
-                    stats.prefetches += pf;
-                }
-                Step::Blocked => {
-                    // Coarse-grained spin (§3.2): leave the slot as it
-                    // is and retry it on the next rotation.
-                    stats.latch_retries += 1;
-                }
+            match op.step(&mut states[k]) {
+                Step::Continue => continues += 1,
+                // Coarse-grained spin (§3.2): leave the slot as it is
+                // and retry it on the next rotation.
+                Step::Blocked => blocked += 1,
                 s @ (Step::Done | Step::Failed) => {
-                    stats.stages += 1;
-                    stats.lookups += 1;
-                    stats.failed_lookups += (s == Step::Failed) as u64;
-                    op.start(inputs[next], &mut self.states[self.k]);
-                    stats.stages += 1;
-                    stats.prefetches += pf;
+                    failed += (s == Step::Failed) as u64;
+                    op.start(inputs[next], &mut states[k]);
                     next += 1;
                 }
             }
-            self.k += 1;
-            if self.k == m {
-                self.k = 0;
+            k += 1;
+            if k == m {
+                k = 0;
             }
         }
+        self.k = k;
+        // One stage and one prefetch per `Continue`; two stages (the
+        // terminal one and the refill's stage 0), one prefetch and one
+        // lookup per retirement.
+        let retired = (next - first) as u64;
+        stats.stages += continues + 2 * retired;
+        stats.prefetches += pf * (continues + retired);
+        stats.lookups += retired;
+        stats.failed_lookups += failed;
+        stats.latch_retries += blocked;
         // The window was full at every rotation above, so occupancy needs
-        // no per-rotation bookkeeping: a rotation is one `Continue`, one
-        // `Blocked` or one retire-and-refill (two stages, one lookup).
-        let rotations =
-            (stats.stages - stages) - (stats.lookups - lookups) + (stats.latch_retries - retries);
+        // no per-rotation bookkeeping either.
+        let rotations = continues + blocked + retired;
         self.occ_ticks += rotations;
         self.occ_sum += rotations * m as u64;
         // Feed boundaries are commit points: the next feed's lanes must

@@ -76,7 +76,9 @@ pub async fn probe_chain(ht: &HashTable, key: u64, scan_all: bool) -> ChainHit {
 /// results, but every resumption ticks the ring-shared [`ExecCtx`] and
 /// every dereference waits until the simulated load lands. The walk and
 /// its context protocol are the state-machine ops' own [`ChainCursor`];
-/// this body only decides where to suspend. The context is shared by
+/// this body only decides where to suspend, and it always speaks the
+/// metered instantiation (the driver only takes this path with a clock;
+/// the untiered ring runs [`probe_chain`]). The context is shared by
 /// `RefCell` — the whole ring runs on one thread, and one shared clock is
 /// exactly what the state-machine executors get from
 /// `Hooks::{now, advance_to}`. Ring slots are lanes, so a coalescing
@@ -99,10 +101,11 @@ pub async fn probe_chain_tiered(
 ) -> ChainHit {
     let mut hit = ChainHit { matches: 0, sum: 0, first: u64::MAX };
     // Stage 0: hash + first prefetch (one tick, async header load).
-    let mut cur = ChainCursor::start(ht, key, &mut cx.borrow_mut());
+    let mut cur = ChainCursor::default();
+    cur.start::<true>(ht, key, &mut cx.borrow_mut());
     loop {
         yield_now().await;
-        let (d, may_match) = cur.node("probe", ht, &mut cx.borrow_mut());
+        let (d, may_match) = cur.node::<true>("probe", ht, &mut cx.borrow_mut());
         let mut node_hit = false;
         if may_match {
             for i in 0..d.count() {
@@ -118,12 +121,12 @@ pub async fn probe_chain_tiered(
             }
         }
         if node_hit && !scan_all {
-            cur.retire("probe", &mut cx.borrow_mut());
+            cur.retire::<true>("probe", &mut cx.borrow_mut());
             return hit;
         }
         // A ring context carries no fault plan, so anything but
         // `Continue` is the end of the chain.
-        if cur.advance("probe", ht, d.next, &mut cx.borrow_mut()) != Step::Continue {
+        if cur.advance::<true>("probe", ht, d.next, &mut cx.borrow_mut()) != Step::Continue {
             return hit;
         }
     }

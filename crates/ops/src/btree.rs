@@ -118,6 +118,7 @@ impl LookupOp for BTreeOp<'_> {
     }
 
     /// Stage 0: get new tuple, prefetch the root node.
+    #[inline]
     fn start(&mut self, input: Tuple, state: &mut BTreeState) {
         let root = self.tree.root_ptr();
         if !root.is_null() {
@@ -132,6 +133,7 @@ impl LookupOp for BTreeOp<'_> {
 
     /// Later stages: select and prefetch a child (inner), or resolve the
     /// lookup (leaf).
+    #[inline(always)]
     fn step(&mut self, state: &mut BTreeState) -> Step {
         if state.ptr.is_null() {
             return Step::Done; // empty tree

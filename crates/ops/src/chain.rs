@@ -9,6 +9,13 @@
 //! retirement. [`ChainCursor`] is that walk and that protocol; what an
 //! operator does with a node's tuples (count, emit, merge, tombstone)
 //! stays in the operator.
+//!
+//! Every method is generic over the context's mode
+//! ([`ExecCtx::metered`]): an operator tests the bit once per code stage
+//! and runs the whole stage in one instantiation. `METERED = false` is
+//! the walk alone — count the load, prefetch, dereference — with no lane,
+//! ticket, fault token or slab kept for a context that has nobody
+//! listening; `METERED = true` is the full protocol.
 
 use amac::engine::Step;
 use amac_hashtable::{probe_word, tags_may_match, Bucket, BucketData, HashTable};
@@ -25,14 +32,18 @@ pub struct ChainCursor {
     pub(crate) ptr: *const Bucket,
     /// [`probe_word`] of the key's fingerprint, computed once in stage 0.
     pub(crate) probe: u32,
-    /// Simulated tick the requested line arrives (tiered runs only).
+    /// Simulated tick the requested line arrives (metered stages only;
+    /// plain stages leave it at the slot's 0 = always ready).
     pub(crate) ready_at: u64,
-    /// Hops taken so far (0 = at the header).
+    /// Hops taken so far (0 = at the header). Kept in both modes: a
+    /// tracer armed while the lookup is in flight reports it at
+    /// retirement.
     pub(crate) hop: u32,
     /// Arena slab of the pending node (0 for the header), so traced
-    /// stalls attribute to the slab's tier.
+    /// stalls attribute to the slab's tier (metered stages only).
     pub(crate) slab: u32,
-    /// Commit group the lookup's lane was born into.
+    /// Commit group the lookup's lane was born into (metered stages
+    /// only).
     pub(crate) group: u32,
 }
 
@@ -54,13 +65,22 @@ impl Default for ChainCursor {
 
 impl ChainCursor {
     /// Code stage 0 (Table 1): open a lane, compute `key`'s bucket
-    /// address and SWAR probe word, request the header line.
+    /// address and SWAR probe word, request the header line. Written in
+    /// place so the plain instantiation stores only what the walk reads.
     #[inline(always)]
-    pub fn start(ht: &HashTable, key: u64, cx: &mut ExecCtx) -> Self {
+    pub fn start<const METERED: bool>(&mut self, ht: &HashTable, key: u64, cx: &mut ExecCtx) {
         let ptr = ht.bucket_addr(key);
-        let group = cx.begin_lane();
-        let ready_at = cx.issue_header(ptr, group).ready_at;
-        ChainCursor { key, ptr, probe: probe_word(tag_of(key)), ready_at, hop: 0, slab: 0, group }
+        self.key = key;
+        self.ptr = ptr;
+        self.probe = probe_word(tag_of(key));
+        self.hop = 0;
+        let group = if METERED { cx.begin_lane() } else { 0 };
+        let t = cx.issue_header::<METERED, _>(ptr, group);
+        if METERED {
+            self.ready_at = t.ready_at;
+            self.slab = 0;
+            self.group = group;
+        }
     }
 
     /// Wait for the requested node of `ht` (the table the cursor was
@@ -69,14 +89,16 @@ impl ChainCursor {
     /// word, so a non-matching node is rejected without touching its
     /// tuple slots.
     #[inline(always)]
-    pub fn node<'t>(
+    pub fn node<'t, const METERED: bool>(
         &self,
         op: &'static str,
         ht: &'t HashTable,
         cx: &mut ExecCtx,
     ) -> (&'t BucketData, bool) {
         let _ = ht;
-        cx.deref(op, self.key, self.hop, self.slab, self.ready_at);
+        if METERED {
+            cx.deref(op, self.key, self.hop, self.slab, self.ready_at);
+        }
         debug_assert!(!self.ptr.is_null(), "cursor stepped before start");
         // SAFETY: `ptr` is only ever written by `start` (a header of the
         // table) and `advance` (an arena-owned node of it), and walks run
@@ -98,7 +120,7 @@ impl ChainCursor {
     /// executor and schedule — and under coalescing, which re-runs the
     /// decision per request.
     #[inline(always)]
-    pub fn advance(
+    pub fn advance<const METERED: bool>(
         &mut self,
         op: &'static str,
         ht: &HashTable,
@@ -106,27 +128,34 @@ impl ChainCursor {
         cx: &mut ExecCtx,
     ) -> Step {
         if next == NULL_INDEX {
-            self.retire(op, cx);
+            self.retire::<METERED>(op, cx);
             return Step::Done;
         }
         let ptr = ht.node_ptr(next);
         self.ptr = ptr;
         let token = fault_token(self.key, self.hop);
         self.hop += 1;
-        self.slab = slab_of_index(next);
-        let t = cx.issue_slab(self.slab, ptr, token, self.group);
+        let slab = slab_of_index(next);
+        // A plain ticket is a constant: token, slab and group are dead
+        // there, and so is the failure exit.
+        let t = cx.issue_slab::<METERED, _>(slab, ptr, token, self.group);
         if t.failed {
             cx.fail(op, self.key, self.hop, self.group);
             return Step::Failed;
         }
-        self.ready_at = t.ready_at;
+        if METERED {
+            self.slab = slab;
+            self.ready_at = t.ready_at;
+        }
         Step::Continue
     }
 
     /// The lookup ends at the current node: trace the retirement and free
     /// the lane.
     #[inline(always)]
-    pub fn retire(&self, op: &'static str, cx: &mut ExecCtx) {
-        cx.retire(op, self.key, self.hop, self.group);
+    pub fn retire<const METERED: bool>(&self, op: &'static str, cx: &mut ExecCtx) {
+        if METERED {
+            cx.retire(op, self.key, self.hop, self.group);
+        }
     }
 }

@@ -152,15 +152,9 @@ impl<'a> GroupByOp<'a> {
     }
 }
 
-impl LookupOp for GroupByOp<'_> {
-    type Input = Tuple;
-    type State = GroupByState;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
-    fn start(&mut self, input: Tuple, state: &mut GroupByState) {
+impl GroupByOp<'_> {
+    #[inline(always)]
+    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut GroupByState) {
         let header = self.handle.table().bucket_addr(input.key);
         state.key = input.key;
         state.payload = input.payload;
@@ -168,30 +162,41 @@ impl LookupOp for GroupByOp<'_> {
         state.cur = core::ptr::null();
         state.latched = false;
         state.hop = 0;
-        state.slab = 0;
-        state.pending = true;
-        state.group = self.cx.begin_lane();
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
-        let t = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
-        if t.fresh {
+        // A plain context only counts the load: no lane to open, no
+        // arrival tick or slab to keep, no load event pending.
+        let fresh = if METERED {
+            state.slab = 0;
+            state.pending = true;
+            state.group = self.cx.begin_lane();
+            let t = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
+            state.ready_at = t.ready_at;
+            t.fresh
+        } else {
+            self.cx.obs.issued_loads += 1;
+            true
+        };
+        if fresh {
             prefetch_write(header);
         }
-        state.ready_at = t.ready_at;
     }
 
-    fn step(&mut self, state: &mut GroupByState) -> Step {
+    #[inline(always)]
+    fn stage1<const METERED: bool>(&mut self, state: &mut GroupByState) -> Step {
         // The latch word shares the (prefetched) header line; a blocked
         // attempt is executed work that read the line. Only the *first*
         // wait on a ticket records a load event (a blocked retry re-waits
         // at zero stall), keeping one event per issued request while the
         // attributed stall stays exactly what the wait charges.
-        if state.pending {
-            state.pending = false;
-            self.cx.trace_load("groupby", state.key, state.hop, state.slab, state.ready_at);
+        if METERED {
+            if state.pending {
+                state.pending = false;
+                self.cx.trace_load("groupby", state.key, state.hop, state.slab, state.ready_at);
+            }
+            self.cx.wait(state.ready_at);
+            self.cx.stage();
         }
-        self.cx.wait(state.ready_at);
-        self.cx.stage();
         // SAFETY: header/cur point at the table's headers or arena-owned
         // chain nodes; mutation happens only while `latched`.
         unsafe {
@@ -209,20 +214,65 @@ impl LookupOp for GroupByOp<'_> {
                 // Updated, claimed or appended: the tuple is aggregated.
                 (*state.header).latch.release();
                 self.tuples += 1;
-                self.cx.retire("groupby", state.key, state.hop, state.group);
+                if METERED {
+                    self.cx.retire("groupby", state.key, state.hop, state.group);
+                }
                 return Step::Done;
             }
             let next = self.handle.table().node_ptr(idx);
             state.cur = next;
             state.hop += 1;
-            state.slab = slab_of_index(idx);
-            state.pending = true;
-            let t = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
-            if t.fresh {
+            let fresh = if METERED {
+                state.slab = slab_of_index(idx);
+                state.pending = true;
+                let t = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
+                state.ready_at = t.ready_at;
+                t.fresh
+            } else {
+                self.cx.obs.issued_loads += 1;
+                true
+            };
+            if fresh {
                 prefetch_read(next);
             }
-            state.ready_at = t.ready_at;
             Step::Continue
+        }
+    }
+
+    #[inline(never)]
+    fn start_metered(&mut self, input: Tuple, state: &mut GroupByState) {
+        self.stage0::<true>(input, state);
+    }
+
+    #[inline(never)]
+    fn step_metered(&mut self, state: &mut GroupByState) -> Step {
+        self.stage1::<true>(state)
+    }
+}
+
+impl LookupOp for GroupByOp<'_> {
+    type Input = Tuple;
+    type State = GroupByState;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
+    }
+
+    #[inline]
+    fn start(&mut self, input: Tuple, state: &mut GroupByState) {
+        if self.cx.metered() {
+            self.start_metered(input, state);
+        } else {
+            self.stage0::<false>(input, state);
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, state: &mut GroupByState) -> Step {
+        if self.cx.metered() {
+            self.step_metered(state)
+        } else {
+            self.stage1::<false>(state)
         }
     }
 

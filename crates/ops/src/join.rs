@@ -62,8 +62,14 @@ pub struct ProbeConfig {
     /// waits on (with its attributed stall), every fault, every
     /// retirement. The trace is returned in [`ProbeOutput::trace`];
     /// results and [`EngineStats`] are bit-identical with tracing on or
-    /// off. `false` (default) = a disabled tracer, one dead branch per
-    /// stage.
+    /// off. `false` (default) = a disabled tracer: with `tier`, `fault`
+    /// and `coalesce` also unset the context is *plain*
+    /// ([`ExecCtx::metered`] is false), each code stage tests that one
+    /// bit and runs inlined in the executor loop, counting only
+    /// `issued_loads`, `nodes_visited` and `tag_rejects`; with any of
+    /// them set each stage is one out-of-line call into the full lane
+    /// protocol, where the disabled tracer is one not-taken branch per
+    /// wait and per retirement.
     pub trace: bool,
 }
 
@@ -137,7 +143,9 @@ pub struct ProbeState {
 /// The probe lookup as a state machine (Table 1, "Hash Join Probe").
 pub struct ProbeOp<'a> {
     ht: &'a HashTable,
-    cfg: ProbeConfig,
+    /// The two config fields a code stage reads.
+    materialize: bool,
+    scan_all: bool,
     n_stages: usize,
     matches: u64,
     checksum: u64,
@@ -155,7 +163,8 @@ impl<'a> ProbeOp<'a> {
         ProbeOp {
             ht,
             cx: ExecCtx::new(&cfg.exec()),
-            cfg: cfg.clone(),
+            materialize: cfg.materialize,
+            scan_all: cfg.scan_all,
             n_stages,
             matches: 0,
             checksum: 0,
@@ -203,26 +212,21 @@ pub(crate) fn auto_chain_estimate(ht: &HashTable) -> usize {
     nodes.max(1) as usize
 }
 
-impl LookupOp for ProbeOp<'_> {
-    type Input = Tuple;
-    type State = ProbeState;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
+impl ProbeOp<'_> {
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
-    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
+    #[inline(always)]
+    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut ProbeState) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
         state.tag = self.cursor as u64;
         self.cursor += 1;
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
     /// hit, output on match, chase the `u32` chain index.
-    fn step(&mut self, state: &mut ProbeState) -> Step {
-        let (d, may_match) = state.cursor.node("probe", self.ht, &mut self.cx);
+    #[inline(always)]
+    fn stage1<const METERED: bool>(&mut self, state: &mut ProbeState) -> Step {
+        let (d, may_match) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx);
         let mut hit = false;
         if may_match {
             for i in 0..d.count() {
@@ -231,18 +235,57 @@ impl LookupOp for ProbeOp<'_> {
                     self.matches += 1;
                     self.checksum = self.checksum.wrapping_add(t.payload);
                     let idx = state.tag as usize;
-                    if self.cfg.materialize && self.out[idx] == u64::MAX {
+                    if self.materialize && self.out[idx] == u64::MAX {
                         self.out[idx] = t.payload;
                     }
                     hit = true;
                 }
             }
         }
-        if hit && !self.cfg.scan_all {
-            state.cursor.retire("probe", &mut self.cx);
+        if hit && !self.scan_all {
+            state.cursor.retire::<METERED>("probe", &mut self.cx);
             return Step::Done; // early exit on unique-key match
         }
-        state.cursor.advance("probe", self.ht, d.next, &mut self.cx)
+        state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx)
+    }
+
+    #[inline(never)]
+    fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
+        self.stage0::<true>(input, state);
+    }
+
+    #[inline(never)]
+    fn step_metered(&mut self, state: &mut ProbeState) -> Step {
+        self.stage1::<true>(state)
+    }
+}
+
+/// Each stage tests the context's mode once: the plain instantiation is
+/// inlined into the executor's loop, the metered one is a single call.
+impl LookupOp for ProbeOp<'_> {
+    type Input = Tuple;
+    type State = ProbeState;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
+    }
+
+    #[inline(always)]
+    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
+        if self.cx.metered() {
+            self.start_metered(input, state);
+        } else {
+            self.stage0::<false>(input, state);
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, state: &mut ProbeState) -> Step {
+        if self.cx.metered() {
+            self.step_metered(state)
+        } else {
+            self.stage1::<false>(state)
+        }
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -333,31 +376,33 @@ impl<'a> BuildOp<'a> {
     }
 }
 
-impl LookupOp for BuildOp<'_> {
-    type Input = Tuple;
-    type State = BuildState;
-
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
+impl BuildOp<'_> {
     /// Code 0: get new tuple, compute bucket address, prefetch (for write).
-    fn start(&mut self, input: Tuple, state: &mut BuildState) {
+    #[inline(always)]
+    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut BuildState) {
         let bucket = self.handle.table().bucket_addr(input.key);
         amac_mem::prefetch::prefetch_write(bucket);
         state.key = input.key;
         state.payload = input.payload;
         state.bucket = bucket;
-        state.group = self.cx.begin_lane();
-        state.ready_at = self.cx.request(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
+        if METERED {
+            state.group = self.cx.begin_lane();
+            state.ready_at =
+                self.cx.request(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
+        } else {
+            self.cx.obs.issued_loads += 1;
+        }
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
-    fn step(&mut self, state: &mut BuildState) -> Step {
+    #[inline(always)]
+    fn stage1<const METERED: bool>(&mut self, state: &mut BuildState) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
-        self.cx.wait(state.ready_at);
-        self.cx.stage();
+        if METERED {
+            self.cx.wait(state.ready_at);
+            self.cx.stage();
+        }
         // SAFETY: bucket is a valid header of the handle's table.
         unsafe {
             if !(*state.bucket).latch.try_acquire() {
@@ -369,8 +414,47 @@ impl LookupOp for BuildOp<'_> {
         // The O(1) head insert dereferences the (prefetched) header; any
         // overflow-head touch shares the same latched stage.
         self.cx.obs.nodes_visited += 1;
-        self.cx.retire_lane(state.group);
+        if METERED {
+            self.cx.retire_lane(state.group);
+        }
         Step::Done
+    }
+
+    #[inline(never)]
+    fn start_metered(&mut self, input: Tuple, state: &mut BuildState) {
+        self.stage0::<true>(input, state);
+    }
+
+    #[inline(never)]
+    fn step_metered(&mut self, state: &mut BuildState) -> Step {
+        self.stage1::<true>(state)
+    }
+}
+
+impl LookupOp for BuildOp<'_> {
+    type Input = Tuple;
+    type State = BuildState;
+
+    fn budgeted_steps(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn start(&mut self, input: Tuple, state: &mut BuildState) {
+        if self.cx.metered() {
+            self.start_metered(input, state);
+        } else {
+            self.stage0::<false>(input, state);
+        }
+    }
+
+    #[inline]
+    fn step(&mut self, state: &mut BuildState) -> Step {
+        if self.cx.metered() {
+            self.step_metered(state)
+        } else {
+            self.stage1::<false>(state)
+        }
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {

@@ -214,13 +214,16 @@ impl<'a> MutateOp<'a> {
     /// neighbors advanced the clock (`sim_stalls` stays schedule- and
     /// thread-invariant). The traced load event records exactly the
     /// residual as its stall, so attribution sums to `sim_stalls` under
-    /// this model too.
-    #[inline]
-    fn charge_residual(&mut self, cur: &ChainCursor) {
-        let now = self.cx.now();
-        let residual = cur.ready_at.saturating_sub(now).saturating_sub(self.hide);
-        self.cx.trace_load("mutate", cur.key, cur.hop, cur.slab, now + residual);
-        self.cx.wait(now + residual);
+    /// this model too. A plain context has no clock to charge and no
+    /// tracer to tell.
+    #[inline(always)]
+    fn charge_residual<const METERED: bool>(&mut self, cur: &ChainCursor) {
+        if METERED {
+            let now = self.cx.now();
+            let residual = cur.ready_at.saturating_sub(now).saturating_sub(self.hide);
+            self.cx.trace_load("mutate", cur.key, cur.hop, cur.slab, now + residual);
+            self.cx.wait(now + residual);
+        }
     }
 
     /// Append the lookup's WAL record and charge the log costs.
@@ -257,24 +260,21 @@ impl<'a> MutateOp<'a> {
     }
 }
 
-impl LookupOp for MutateOp<'_> {
-    type Input = Tuple;
-    type State = MutState;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
-    fn start(&mut self, input: Tuple, state: &mut MutState) {
-        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
+impl MutateOp<'_> {
+    #[inline(always)]
+    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut MutState) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
         state.delta = input.payload;
         state.at_header = true;
-        self.charge_residual(&state.cursor);
+        self.charge_residual::<METERED>(&state.cursor);
     }
 
-    fn step(&mut self, state: &mut MutState) -> Step {
+    #[inline(always)]
+    fn stage1<const METERED: bool>(&mut self, state: &mut MutState) -> Step {
         let (key, delta) = (state.cursor.key, state.delta);
-        self.cx.stage();
+        if METERED {
+            self.cx.stage();
+        }
         // SAFETY: the cursor points at the header or a frozen arena node
         // of this table; frozen meta/next are immutable during the epoch,
         // and slot accesses go through the atomic views.
@@ -285,7 +285,7 @@ impl LookupOp for MutateOp<'_> {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
                 self.terminal(key, delta);
-                state.cursor.retire("mutate", &mut self.cx);
+                state.cursor.retire::<METERED>("mutate", &mut self.cx);
                 return Step::Done;
             }
             MutateKind::Upsert => {
@@ -298,7 +298,7 @@ impl LookupOp for MutateOp<'_> {
                             self.merged += 1;
                             self.applied += 1;
                             self.log(WalRecord::Upsert { key, delta });
-                            state.cursor.retire("mutate", &mut self.cx);
+                            state.cursor.retire::<METERED>("mutate", &mut self.cx);
                             return Step::Done;
                         }
                     }
@@ -330,12 +330,49 @@ impl LookupOp for MutateOp<'_> {
             // before the cursor retires the lane.
             self.terminal(key, delta);
         }
-        let step = state.cursor.advance("mutate", self.ht, next, &mut self.cx);
+        let step = state.cursor.advance::<METERED>("mutate", self.ht, next, &mut self.cx);
         if step == Step::Continue {
-            self.charge_residual(&state.cursor);
+            self.charge_residual::<METERED>(&state.cursor);
             state.at_header = false;
         }
         step
+    }
+
+    #[inline(never)]
+    fn start_metered(&mut self, input: Tuple, state: &mut MutState) {
+        self.stage0::<true>(input, state);
+    }
+
+    #[inline(never)]
+    fn step_metered(&mut self, state: &mut MutState) -> Step {
+        self.stage1::<true>(state)
+    }
+}
+
+impl LookupOp for MutateOp<'_> {
+    type Input = Tuple;
+    type State = MutState;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
+    }
+
+    #[inline]
+    fn start(&mut self, input: Tuple, state: &mut MutState) {
+        if self.cx.metered() {
+            self.start_metered(input, state);
+        } else {
+            self.stage0::<false>(input, state);
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, state: &mut MutState) -> Step {
+        if self.cx.metered() {
+            self.step_metered(state)
+        } else {
+            self.stage1::<false>(state)
+        }
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {

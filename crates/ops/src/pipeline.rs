@@ -49,7 +49,6 @@
 //! assert_eq!(out.intermediate_bytes, 0);       // nothing materialized
 //! ```
 
-use crate::chain::ChainCursor;
 use crate::join::ProbeState;
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
@@ -175,22 +174,16 @@ impl<'a> ProbeStage<'a> {
     }
 }
 
-impl PipelineOp for ProbeStage<'_> {
-    type Input = Tuple;
-    type Output = Joined;
-    type State = ProbeState;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
-    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        state.cursor = ChainCursor::start(self.ht, input.key, &mut self.cx);
+impl ProbeStage<'_> {
+    #[inline(always)]
+    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut ProbeState) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
         state.tag = input.payload;
     }
 
-    fn step(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        let (d, may_match) = state.cursor.node("probe", self.ht, &mut self.cx);
+    #[inline(always)]
+    fn stage1<const METERED: bool>(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
+        let (d, may_match) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx);
         if may_match {
             for i in 0..d.count() {
                 let t = d.tuples[i];
@@ -199,8 +192,8 @@ impl PipelineOp for ProbeStage<'_> {
                     // A non-terminal stage hands the tuple downstream —
                     // the terminal operator records the retirement.
                     if self.terminal {
-                        state.cursor.retire("probe", &mut self.cx);
-                    } else {
+                        state.cursor.retire::<METERED>("probe", &mut self.cx);
+                    } else if METERED {
                         self.cx.retire_lane(state.cursor.group);
                     }
                     return StageStep::Emit(Joined {
@@ -211,10 +204,48 @@ impl PipelineOp for ProbeStage<'_> {
                 }
             }
         }
-        match state.cursor.advance("probe", self.ht, d.next, &mut self.cx) {
+        match state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx) {
             Step::Continue => StageStep::Continue,
             Step::Failed => StageStep::Failed,
             _ => StageStep::Skip, // chain exhausted: probe miss
+        }
+    }
+
+    #[inline(never)]
+    fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
+        self.stage0::<true>(input, state);
+    }
+
+    #[inline(never)]
+    fn step_metered(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
+        self.stage1::<true>(state)
+    }
+}
+
+impl PipelineOp for ProbeStage<'_> {
+    type Input = Tuple;
+    type Output = Joined;
+    type State = ProbeState;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
+    }
+
+    #[inline]
+    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
+        if self.cx.metered() {
+            self.start_metered(input, state);
+        } else {
+            self.stage0::<false>(input, state);
+        }
+    }
+
+    #[inline]
+    fn step(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
+        if self.cx.metered() {
+            self.step_metered(state)
+        } else {
+            self.stage1::<false>(state)
         }
     }
 

@@ -15,6 +15,10 @@
 //! protocol to it:
 //!
 //! ```text
+//!            ┌─ plain ───► issued_loads++, hardware prefetch            (inlined in the executor loop)
+//! metered()? ┤
+//!            └─ metered ─► the lane protocol below                      (one out-of-line call per stage)
+//!
 //! begin_lane ──► issue_header / issue_slab / request ──► Ticket { ready_at, failed, fresh }
 //!    │                │                                      │
 //!    │                │ (dup line in group)                  ├─ deref / wait + stage  (stall)
@@ -26,6 +30,22 @@
 //! commit group the lane stores in its per-lookup state. Groups advance
 //! every `G` lane births and at every [`Hooks::commit_group`]. The layers
 //! above the op drive the context through [`Hooks`] only.
+//!
+//! # One mode bit, tested once per stage
+//!
+//! A context with no clock, no coalescer and no armed tracer has nobody
+//! to keep lanes, tickets or waits for: every request is fresh, ready and
+//! healthy. [`ExecCtx::metered`] is that fact as one bit, kept current by
+//! [`Hooks::set_tracer`]/[`Hooks::take_tracer`]. An op writes each code
+//! stage once, generic over `const METERED: bool`, and tests the bit once
+//! per `start`/`step`: the plain instantiation is inlined into the
+//! executor loop and what it still counts is `issued_loads` (one per
+//! request, in [`issue_header`](ExecCtx::issue_header)/
+//! [`issue_slab`](ExecCtx::issue_slab)) and the op's own
+//! `nodes_visited`/`tag_rejects`; the metered instantiation is the full
+//! protocol above, behind one call. Every method of the protocol is
+//! correct on a plain context too (each re-tests what it needs) — the
+//! bit only lets a stage skip asking.
 //!
 //! # Completion is simulated time
 //!
@@ -247,6 +267,9 @@ pub struct ExecCtx {
     coalescer: Option<Coalescer>,
     hint: PrefetchHint,
     tracer: Tracer,
+    /// Someone is listening to the lane protocol (see
+    /// [`metered`](ExecCtx::metered)).
+    metered: bool,
     /// Op-side observations since the last flush. Ops bump the counters
     /// only they can see (`nodes_visited`, `tag_rejects`, `log_*`,
     /// `replayed_records`); the context itself counts
@@ -261,13 +284,31 @@ impl ExecCtx {
         // the minimal far placement (chain slabs far at 1x latency), so
         // faults work even when the caller didn't ask for tiered costs.
         let tier = spec.tier.or(spec.fault.map(|_| TierSpec::headers_near(1)));
-        ExecCtx {
+        let mut cx = ExecCtx {
             clock: tier.map(|t| SimClock::new(t, spec.fault)),
             coalescer: spec.coalesce.map(Coalescer::new),
             hint: spec.hint,
             tracer: Tracer::off(),
+            metered: false,
             obs: EngineStats::default(),
-        }
+        };
+        cx.refresh_mode();
+        cx
+    }
+
+    /// Whether anything listens to the lane protocol: a clock (any of
+    /// `tier`/`fault`), a coalescer, or an armed tracer. `false` is the
+    /// *plain* context, on which a stage may run its `METERED = false`
+    /// instantiation — see the [module docs](self).
+    #[inline(always)]
+    pub fn metered(&self) -> bool {
+        self.metered
+    }
+
+    /// Recompute the mode bit; the tracer is the only listener that can
+    /// come and go after construction.
+    fn refresh_mode(&mut self) {
+        self.metered = self.clock.is_some() || self.coalescer.is_some() || self.tracer.enabled();
     }
 
     /// The placement policy the clock charges — read off the clock, so
@@ -328,26 +369,51 @@ impl ExecCtx {
         Ticket { ready_at, failed, fresh: true }
     }
 
-    /// Request the header line at `ptr`, issuing the hardware hint if the
-    /// ticket is fresh.
+    /// Request the line of `class` at `ptr` and issue the hardware hint
+    /// if the ticket is fresh. On a plain context (`METERED = false`)
+    /// every request is fresh, ready and healthy, and `class`, `token`
+    /// and `group` are dead.
     #[inline(always)]
-    pub fn issue_header<T>(&mut self, ptr: *const T, group: u32) -> Ticket {
-        let t = self.request(AddrClass::header_ptr(ptr), 0, group);
+    fn issue<const METERED: bool, T>(
+        &mut self,
+        class: AddrClass,
+        ptr: *const T,
+        token: u64,
+        group: u32,
+    ) -> Ticket {
+        debug_assert!(METERED || !self.metered, "plain stage on a metered context");
+        let t = if METERED {
+            self.request(class, token, group)
+        } else {
+            self.obs.issued_loads += 1;
+            Ticket { ready_at: 0, failed: false, fresh: true }
+        };
         if t.fresh {
             self.hint.issue(ptr);
         }
         t
     }
 
-    /// Request the chain node at `ptr` in arena slab `slab`, issuing the
-    /// hardware hint if the ticket is fresh.
+    /// Request the header line at `ptr`, issuing the hardware hint if the
+    /// ticket is fresh. `METERED = false` is the plain instantiation (see
+    /// [`metered`](ExecCtx::metered)): count the load, issue the hint.
     #[inline(always)]
-    pub fn issue_slab<T>(&mut self, slab: u32, ptr: *const T, token: u64, group: u32) -> Ticket {
-        let t = self.request(AddrClass::slab_ptr(slab, ptr), token, group);
-        if t.fresh {
-            self.hint.issue(ptr);
-        }
-        t
+    pub fn issue_header<const METERED: bool, T>(&mut self, ptr: *const T, group: u32) -> Ticket {
+        self.issue::<METERED, T>(AddrClass::header_ptr(ptr), ptr, 0, group)
+    }
+
+    /// Request the chain node at `ptr` in arena slab `slab`, issuing the
+    /// hardware hint if the ticket is fresh; `METERED` as for
+    /// [`issue_header`](ExecCtx::issue_header).
+    #[inline(always)]
+    pub fn issue_slab<const METERED: bool, T>(
+        &mut self,
+        slab: u32,
+        ptr: *const T,
+        token: u64,
+        group: u32,
+    ) -> Ticket {
+        self.issue::<METERED, T>(AddrClass::slab_ptr(slab, ptr), ptr, token, group)
     }
 
     /// Record (when tracing) the load a lookup of `op` is about to wait
@@ -470,10 +536,13 @@ impl Hooks for ExecCtx {
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+        self.refresh_mode();
     }
 
     fn take_tracer(&mut self) -> Tracer {
-        self.tracer.take()
+        let tracer = self.tracer.take();
+        self.refresh_mode();
+        tracer
     }
 
     #[inline(always)]
@@ -519,11 +588,42 @@ mod tests {
                 assert_eq!(cx.clock, clock, "tier {tier:?} fault {fault:?}");
                 assert_eq!(cx.policy(), want.map(|t| t.policy));
                 assert_eq!(cx.coalescer.is_some(), coalesce.is_some());
+                // Any listener makes the context metered from birth.
+                assert_eq!(
+                    cx.metered(),
+                    tier.is_some() || fault.is_some() || coalesce.is_some(),
+                    "tier {tier:?} fault {fault:?} coalesce {coalesce:?}"
+                );
             }
         }
         assert!(ExecCtx::new(&ExecSpec::default()).issues_prefetches());
         let none = ExecSpec { hint: PrefetchHint::None, ..Default::default() };
         assert!(!ExecCtx::new(&none).issues_prefetches());
+    }
+
+    #[test]
+    fn mode_bit_follows_the_tracer() {
+        let mut cx = ExecCtx::new(&ExecSpec::default());
+        assert!(!cx.metered(), "a default context is plain");
+        // The plain instantiation of a request: count it, issue the hint.
+        let x = [0u8; 64];
+        let t = cx.issue_header::<false, _>(x.as_ptr(), 0);
+        assert_eq!(t, Ticket { ready_at: 0, failed: false, fresh: true });
+        assert_eq!(cx.issue_slab::<false, _>(3, x.as_ptr(), 9, 0), t);
+        assert_eq!(cx.obs.issued_loads, 2);
+
+        cx.set_tracer(Tracer::off());
+        assert!(!cx.metered(), "a disabled tracer is nobody listening");
+        cx.set_tracer(Tracer::on());
+        assert!(cx.metered(), "an armed tracer is");
+        let g = cx.begin_lane();
+        let t = cx.issue_header::<true, _>(x.as_ptr(), g);
+        cx.deref("probe", 42, 0, 0, t.ready_at);
+        cx.retire("probe", 42, 0, g);
+        let tr = cx.take_tracer();
+        assert!(!cx.metered(), "taking the tracer returns the context to plain");
+        assert_eq!(tr.len(), 2, "the deref and the retirement were recorded");
+        assert_eq!(cx.obs.issued_loads, 3, "metered requests count in the same ledger");
     }
 
     #[test]

@@ -335,8 +335,9 @@ impl TierSpec {
 
 /// The per-op simulated clock (see the crate docs' tick rules).
 ///
-/// One clock per [`ExecCtx`], behind `Option` so untiered runs pay a
-/// predictable-branch test and nothing else. Composed ops keep their
+/// One clock per [`ExecCtx`], behind `Option`: a context without one
+/// (and without a coalescer or an armed tracer) is *plain*, and its op's
+/// stages never ask ([`ExecCtx::metered`]). Composed ops keep their
 /// member clocks in lock-step through `Hooks::{now, advance_to}` (`Mux`
 /// lanes, fused `Chain` stages): the clock is monotone, so lifting it to
 /// a neighbour's `now` is exactly "that much wall time passed while

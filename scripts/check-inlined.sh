@@ -1,0 +1,85 @@
+#!/usr/bin/env bash
+# "Stage code is in the loop", as a checked property of the harness binary.
+#
+#   bash scripts/check-inlined.sh            # build benchmark/ offline, then check
+#   bash scripts/check-inlined.sh <binary>   # check an already built harness
+#
+# The paper's Listing 1 has Table 1's code stages *inside* the rolling-buffer
+# loop. This fails when an executor body (`AmacSession::feed`,
+# `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`) calls a
+# `<Op as LookupOp>::start`/`::step` of a hash-table or B+-tree op, either
+# directly or through a GOT slot (the default release profile reaches other
+# codegen units that way). The metered stages (`Op::{start,step}_metered`:
+# one call per stage for a context with a clock, coalescer or armed tracer)
+# are the out-of-line code that is meant to remain; they and every other
+# surviving `start`/`step` symbol are listed with their byte sizes.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+bin="${1:-}"
+if [ -z "$bin" ]; then
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  bin="${CARGO_TARGET_DIR:-benchmark/target}/release/amac_benchmark"
+fi
+[ -x "$bin" ] || { echo "check-inlined: no harness binary at $bin" >&2; exit 2; }
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+nm -C -S --defined-only "$bin" > "$tmp/nm"
+readelf -rW "$bin" > "$tmp/relocs"
+objdump -d -C --no-show-raw-insn "$bin" > "$tmp/dis"
+
+awk -v nm="$tmp/nm" -v relocs="$tmp/relocs" '
+function hex(s,    i, n) {               # mawk has no strtonum
+  n = 0; s = tolower(s)
+  for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+  return n
+}
+function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
+function is_stage(name) {
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp) as amac::engine::LookupOp>::(start|step)$/
+}
+function is_executor(name) {
+  return name ~ /AmacSession<.*>::(feed|drain_budgeted)$/ || name ~ /amac_exec::run_amac$/ ||
+         name ~ /^amac::engine::run$/ || name ~ /baseline::run_baseline$/
+}
+BEGIN {
+  # address -> symbol, and the sizes worth printing.
+  while ((getline line < nm) > 0) {
+    if (split(line, f, " ") < 4) continue
+    name = line; sub(/^[0-9a-f]+ [0-9a-f]+ . /, "", name)
+    at[addr(f[1])] = name
+    if (name ~ / as amac::engine::LookupOp>::(start|step)$/ || name ~ /::(start|step)_metered$/)
+      sizes[name " " f[1]] = hex(f[2])
+  }
+  # GOT slot -> address it is relocated to.
+  while ((getline line < relocs) > 0) {
+    n = split(line, f, " ")
+    if (f[3] == "R_X86_64_RELATIVE") slot[addr(f[1])] = addr(f[n])
+    else if (f[3] == "R_X86_64_GLOB_DAT" || f[3] == "R_X86_64_JUMP_SLOT") slot[addr(f[1])] = addr(f[4])
+  }
+  bad = 0; bodies = 0
+}
+/^[0-9a-f]+ <.*>:$/ {
+  body = $0; sub(/^[0-9a-f]+ </, "", body); sub(/>:$/, "", body)
+  watched = is_executor(body); bodies += watched
+  next
+}
+watched && /\tcall / {
+  target = ""
+  if ($0 ~ /call +\*.*\(%rip\)/) {          # call *0x..(%rip)   # <slot> <...>
+    s = $0; sub(/.*# */, "", s); sub(/ .*/, "", s)
+    if (s in slot && slot[s] in at) target = at[slot[s]]
+  } else if ($0 ~ /call +[0-9a-f]+ </) {     # call <addr> <symbol>
+    target = $0; sub(/.*call +[0-9a-f]+ </, "", target); sub(/>$/, "", target)
+  }
+  if (is_stage(target)) { printf "  %s calls %s\n", body, target; bad++ }
+}
+END {
+  print "out-of-line start/step symbols (bytes):"
+  for (k in sizes) { name = k; sub(/ [0-9a-f]+$/, "", name); printf "  %6d  %s\n", sizes[k], name | "sort -k2 -k1n" }
+  close("sort -k2 -k1n")
+  if (bodies == 0) { print "check-inlined: found no executor body to check"; exit 2 }
+  if (bad) { printf "check-inlined: FAIL, %d call(s) from an executor loop to an out-of-line code stage (listed above)\n", bad; exit 1 }
+  printf "check-inlined: ok, %d executor bodies call no out-of-line code stage\n", bodies
+}' "$tmp/dis"

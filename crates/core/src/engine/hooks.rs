@@ -45,6 +45,15 @@ pub trait Hooks {
         let _ = now;
     }
 
+    /// Whether this context keeps simulated time: `false` promises that
+    /// [`now`](Hooks::now) stays 0 and [`advance_to`](Hooks::advance_to)
+    /// does nothing, so a composition layer may skip both. Fixed for the
+    /// context's lifetime; the mux samples it once per lane.
+    #[inline(always)]
+    fn keeps_time(&self) -> bool {
+        false
+    }
+
     /// Seal the current commit group: lanes born later cannot coalesce
     /// against loads issued before this point. GP seals after each
     /// group's start pass, the baseline after each lookup, the morsel
@@ -120,6 +129,11 @@ impl<H: Hooks + ?Sized> Hooks for &mut H {
     }
 
     #[inline(always)]
+    fn keeps_time(&self) -> bool {
+        (**self).keeps_time()
+    }
+
+    #[inline(always)]
     fn commit_group(&mut self) {
         (**self).commit_group();
     }
@@ -181,6 +195,12 @@ impl<A: Hooks, B: Hooks> Hooks for (A, Option<B>) {
         if let Some(down) = &mut self.1 {
             down.advance_to(now);
         }
+    }
+
+    /// True if either member keeps time: the pair's `now` is theirs.
+    #[inline(always)]
+    fn keeps_time(&self) -> bool {
+        self.0.keeps_time() || self.1.as_ref().is_some_and(B::keeps_time)
     }
 
     #[inline(always)]
@@ -258,6 +278,9 @@ mod tests {
         fn advance_to(&mut self, now: u64) {
             self.now = self.now.max(now);
         }
+        fn keeps_time(&self) -> bool {
+            true
+        }
         fn commit_group(&mut self) {
             self.sealed += 1;
         }
@@ -325,6 +348,16 @@ mod tests {
         b.prefetches = true;
         assert!((&mut a, Some(&mut b)).issues_prefetches());
         assert!(!(&mut a, None::<&mut Toy>).issues_prefetches(), "an absent member never votes");
+    }
+
+    #[test]
+    fn time_is_kept_by_a_clock_anywhere_in_the_context() {
+        let mut clock = toy(0, 0);
+        assert!(!().keeps_time(), "no context, no clock");
+        assert!(!((), None::<()>).keeps_time());
+        // Members are borrows, so this also goes through `&mut H`.
+        assert!(((), Some(&mut clock)).keeps_time(), "a clocked downstream member counts");
+        assert!((&mut clock, None::<()>).keeps_time());
     }
 
     #[test]

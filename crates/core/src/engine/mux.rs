@@ -73,6 +73,27 @@ pub struct MuxState<S: Default> {
     inner: S,
 }
 
+/// One lane: its inner op and everything a routed stage reads or bills,
+/// in one record so a stage touches one bounds-checked slot.
+struct Lane<O> {
+    /// `None` once [`Mux::remove`]d (the slot waits for reuse).
+    op: Option<O>,
+    /// The lane's accounting ledger (see the module docs).
+    led: EngineStats,
+    /// Flagged by [`Mux::cancel`]: in-flight lookups retire cooperatively
+    /// (the next routed `step` short-circuits to [`Step::Done`] without
+    /// touching the inner op), so a poisoned or abandoned query drains out
+    /// of the shared window in at most one rotation per slot while every
+    /// other lane keeps running.
+    cancelled: bool,
+    /// The op's [`Hooks::issues_prefetches`] gate, sampled at
+    /// [`Mux::add`] (an op's gate is fixed at construction).
+    prefetches: bool,
+    /// The op's [`Hooks::keeps_time`], sampled at [`Mux::add`] likewise:
+    /// only a clocked lane is synchronized with window time.
+    clocked: bool,
+}
+
 /// A multiplexer op: one inner [`LookupOp`] per active query lane, all
 /// sharing whichever executor window runs the `Mux`.
 ///
@@ -82,29 +103,18 @@ pub struct MuxState<S: Default> {
 /// Lane ids are reused, so a long-lived serving window does not grow
 /// without bound as queries come and go.
 pub struct Mux<O: LookupOp> {
-    lanes: Vec<Option<O>>,
-    observed: Vec<EngineStats>,
+    lanes: Vec<Lane<O>>,
     /// The shared window's simulated time: advanced one tick per routed
-    /// stage (and by executor idle visits via [`Hooks::idle`]),
-    /// lifted to a lane clock's `now` after every call so lane stalls
-    /// push window time forward too. Before routing a stage to a lane,
-    /// the lane's clock is advanced to `seq` — that is how time spent on
-    /// *other* tenants' stages counts toward this tenant's prefetch
-    /// distances, which is precisely the cross-query latency-hiding
-    /// claim. The bookkeeping runs unconditionally (the counter advances
-    /// even in untiered runs); it is harmless then — two statically
-    /// dispatched calls per stage that a lane without a clock turns into
-    /// a not-taken branch each.
+    /// stage (and by executor idle visits via [`Hooks::idle`]), and lifted
+    /// to a clocked lane's `now` after each of its stages so lane stalls
+    /// push window time forward too. Before routing a stage to a clocked
+    /// lane, the lane's clock is advanced to `seq` — that is how time
+    /// spent on *other* tenants' stages counts toward this tenant's
+    /// prefetch distances, which is precisely the cross-query
+    /// latency-hiding claim. A lane whose context keeps no time
+    /// ([`Hooks::keeps_time`] sampled at [`Mux::add`]) would only answer
+    /// `now() == 0`, so its stages skip both calls and just tick `seq`.
     seq: u64,
-    /// Lanes flagged by [`Mux::cancel`]: their in-flight lookups retire
-    /// cooperatively (the next routed `step` short-circuits to
-    /// [`Step::Done`] without touching the inner op), so a poisoned or
-    /// abandoned query drains out of the shared window in at most one
-    /// rotation per slot while every other lane keeps running.
-    cancelled: Vec<bool>,
-    /// Each lane's [`Hooks::issues_prefetches`] gate, sampled at
-    /// [`Mux::add`] (an op's gate is fixed at construction).
-    prefetches: Vec<bool>,
     /// Cancelled retirements not yet folded into *global* stats: lane
     /// ledgers count `cancelled_lookups` live, but the executor only sees
     /// a plain `Done`, so the global counter is reconciled at the next
@@ -126,32 +136,28 @@ impl<O: LookupOp> Default for Mux<O> {
 impl<O: LookupOp> Mux<O> {
     /// An empty multiplexer.
     pub fn new() -> Self {
-        Mux {
-            lanes: Vec::new(),
-            observed: Vec::new(),
-            seq: 0,
-            cancelled: Vec::new(),
-            prefetches: Vec::new(),
-            pending_cancelled: 0,
-            trace: amac_trace::Tracer::off(),
-        }
+        Mux { lanes: Vec::new(), seq: 0, pending_cancelled: 0, trace: amac_trace::Tracer::off() }
     }
 
     /// Install `op` on a free lane and return its id (vacant slots are
     /// reused before the lane table grows).
     pub fn add(&mut self, mut op: O) -> u32 {
-        let pf = op.ctx().issues_prefetches();
-        let lane = if let Some(i) = self.lanes.iter().position(Option::is_none) {
-            self.lanes[i] = Some(op);
-            self.observed[i] = EngineStats::default();
-            self.cancelled[i] = false;
-            self.prefetches[i] = pf;
+        let (prefetches, clocked) = {
+            let cx = op.ctx();
+            (cx.issues_prefetches(), cx.keeps_time())
+        };
+        let fresh = Lane {
+            op: Some(op),
+            led: EngineStats::default(),
+            cancelled: false,
+            prefetches,
+            clocked,
+        };
+        let lane = if let Some(i) = self.lanes.iter().position(|l| l.op.is_none()) {
+            self.lanes[i] = fresh;
             i as u32
         } else {
-            self.lanes.push(Some(op));
-            self.observed.push(EngineStats::default());
-            self.cancelled.push(false);
-            self.prefetches.push(pf);
+            self.lanes.push(fresh);
             (self.lanes.len() - 1) as u32
         };
         if self.trace.enabled() {
@@ -167,10 +173,9 @@ impl<O: LookupOp> Mux<O> {
     ///
     /// Panics on a vacant lane (a serving-layer bookkeeping bug).
     pub fn remove(&mut self, lane: u32) -> (O, EngineStats) {
-        let i = lane as usize;
-        let op = self.lanes[i].take().expect("remove of vacant mux lane");
-        let led = core::mem::take(&mut self.observed[i]);
-        (op, led)
+        let l = &mut self.lanes[lane as usize];
+        let op = l.op.take().expect("remove of vacant mux lane");
+        (op, core::mem::take(&mut l.led))
     }
 
     /// Cooperatively cancel a lane: every in-flight lookup of this lane
@@ -180,27 +185,27 @@ impl<O: LookupOp> Mux<O> {
     /// readable — until [`remove`](Mux::remove); the caller must stop
     /// submitting new inputs for it. Idempotent; panics on a vacant lane.
     pub fn cancel(&mut self, lane: u32) {
-        let i = lane as usize;
-        assert!(self.lanes[i].is_some(), "cancel of vacant mux lane");
-        if !self.cancelled[i] && self.trace.enabled() {
+        let l = &mut self.lanes[lane as usize];
+        assert!(l.op.is_some(), "cancel of vacant mux lane");
+        if !l.cancelled && self.trace.enabled() {
             self.trace.record(amac_trace::TraceEvent::lane(self.seq, lane, false));
         }
-        self.cancelled[i] = true;
+        l.cancelled = true;
     }
 
     /// Whether [`cancel`](Mux::cancel) has been called on this lane.
     pub fn is_cancelled(&self, lane: u32) -> bool {
-        self.cancelled[lane as usize]
+        self.lanes[lane as usize].cancelled
     }
 
     /// The lane's inner op (panics on a vacant lane).
     pub fn lane(&self, lane: u32) -> &O {
-        self.lanes[lane as usize].as_ref().expect("vacant mux lane")
+        self.lanes[lane as usize].op.as_ref().expect("vacant mux lane")
     }
 
     /// The lane's inner op, mutably (panics on a vacant lane).
     pub fn lane_mut(&mut self, lane: u32) -> &mut O {
-        self.lanes[lane as usize].as_mut().expect("vacant mux lane")
+        self.lanes[lane as usize].op.as_mut().expect("vacant mux lane")
     }
 
     /// The lane's accounting ledger so far. Lifecycle counters are live;
@@ -208,17 +213,17 @@ impl<O: LookupOp> Mux<O> {
     /// as of the last flush — i.e. exact at every executor-run
     /// or morsel-feed boundary.
     pub fn observed(&self, lane: u32) -> &EngineStats {
-        &self.observed[lane as usize]
+        &self.lanes[lane as usize].led
     }
 
     /// Number of occupied lanes.
     pub fn active_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
+        self.lanes.iter().filter(|l| l.op.is_some()).count()
     }
 
     /// Iterate over `(lane, op)` pairs of occupied lanes.
     pub fn iter_lanes(&self) -> impl Iterator<Item = (u32, &O)> {
-        self.lanes.iter().enumerate().filter_map(|(i, l)| l.as_ref().map(|op| (i as u32, op)))
+        self.lanes.iter().enumerate().filter_map(|(i, l)| l.op.as_ref().map(|op| (i as u32, op)))
     }
 }
 
@@ -229,39 +234,47 @@ impl<O: LookupOp> LookupOp for Mux<O> {
     /// GP/SPP stage budget: the worst lane's budget (a static schedule
     /// must cover the longest regular chain among active queries).
     fn budgeted_steps(&self) -> usize {
-        self.lanes.iter().flatten().map(|op| op.budgeted_steps()).max().unwrap_or(1).max(1)
+        self.lanes
+            .iter()
+            .flat_map(|l| &l.op)
+            .map(|op| op.budgeted_steps())
+            .max()
+            .unwrap_or(1)
+            .max(1)
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tagged<O::Input>, state: &mut MuxState<O::State>) {
-        let i = input.lane as usize;
         state.lane = input.lane;
-        if self.cancelled[i] {
+        let l = &mut self.lanes[input.lane as usize];
+        if l.cancelled {
             // A racing feed to a just-cancelled lane: accept the slot but
             // never run the inner op; the next `step` retires it as
             // cancelled. Billed like any other executed stage.
             self.seq += 1;
-            assert!(self.lanes[i].is_some(), "start routed to vacant lane");
-            let led = &mut self.observed[i];
-            led.stages += 1;
-            led.prefetches += self.prefetches[i] as u64;
-            return;
+            assert!(l.op.is_some(), "start routed to vacant lane");
+        } else {
+            let op = l.op.as_mut().expect("start routed to vacant lane");
+            if l.clocked {
+                // Clock sync: catch the lane up to window time, run its
+                // stage, then fold its (possibly stalled) clock back.
+                op.ctx().advance_to(self.seq);
+                op.start(input.input, &mut state.inner);
+                self.seq = (self.seq + 1).max(op.ctx().now());
+            } else {
+                op.start(input.input, &mut state.inner);
+                debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
+                self.seq += 1;
+            }
         }
-        let op = self.lanes[i].as_mut().expect("start routed to vacant lane");
-        // Clock sync: catch the lane up to window time, run its stage,
-        // then fold its (possibly stalled) clock back into window time.
-        op.ctx().advance_to(self.seq);
-        op.start(input.input, &mut state.inner);
-        self.seq = (self.seq + 1).max(op.ctx().now());
-        let led = &mut self.observed[i];
-        led.stages += 1;
-        led.prefetches += self.prefetches[i] as u64;
+        l.led.stages += 1;
+        l.led.prefetches += l.prefetches as u64;
     }
 
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
-        let i = state.lane as usize;
-        if self.cancelled[i] {
+        let l = &mut self.lanes[state.lane as usize];
+        if l.cancelled {
             // Cooperative cancellation: retire the slot without running
             // the inner op. The visit still costs a window tick (the
             // executor spent a rotation on it), and the retirement is
@@ -269,19 +282,26 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             // a plain `Done` (its global `cancelled_lookups` is
             // reconciled at the next flush via `pending_cancelled`).
             self.seq += 1;
-            let led = &mut self.observed[i];
-            led.stages += 1;
-            led.lookups += 1;
-            led.cancelled_lookups += 1;
+            l.led.stages += 1;
+            l.led.lookups += 1;
+            l.led.cancelled_lookups += 1;
             self.pending_cancelled += 1;
             return Step::Done;
         }
-        let op = self.lanes[i].as_mut().expect("step routed to vacant lane");
-        op.ctx().advance_to(self.seq);
-        let r = op.step(&mut state.inner);
-        self.seq = (self.seq + 1).max(op.ctx().now());
-        let pf = self.prefetches[i] as u64;
-        let led = &mut self.observed[i];
+        let op = l.op.as_mut().expect("step routed to vacant lane");
+        let r = if l.clocked {
+            op.ctx().advance_to(self.seq);
+            let r = op.step(&mut state.inner);
+            self.seq = (self.seq + 1).max(op.ctx().now());
+            r
+        } else {
+            let r = op.step(&mut state.inner);
+            debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
+            self.seq += 1;
+            r
+        };
+        let pf = l.prefetches as u64;
+        let led = &mut l.led;
         match r {
             Step::Continue => {
                 led.stages += 1;
@@ -325,18 +345,24 @@ impl<O: LookupOp> Hooks for Mux<O> {
         self.seq = self.seq.max(now);
     }
 
+    /// Window time is always kept (`seq`), so a mux nested as another
+    /// mux's lane is synchronized like any clocked lane.
+    fn keeps_time(&self) -> bool {
+        true
+    }
+
     fn commit_group(&mut self) {
-        for op in self.lanes.iter_mut().flatten() {
+        for op in self.lanes.iter_mut().flat_map(|l| &mut l.op) {
             op.ctx().commit_group();
         }
     }
 
     fn flush(&mut self, stats: &mut EngineStats) {
-        for (op, led) in self.lanes.iter_mut().zip(self.observed.iter_mut()) {
-            if let Some(op) = op.as_mut() {
+        for l in &mut self.lanes {
+            if let Some(op) = l.op.as_mut() {
                 let mut delta = EngineStats::default();
                 op.ctx().flush(&mut delta);
-                led.merge(&delta);
+                l.led.merge(&delta);
                 stats.merge(&delta);
             }
         }
@@ -352,7 +378,7 @@ impl<O: LookupOp> Hooks for Mux<O> {
     /// Lane gates are fixed at construction, so they are sampled once at
     /// [`Mux::add`].
     fn issues_prefetches(&self) -> bool {
-        self.lanes.iter().zip(&self.prefetches).all(|(op, &pf)| op.is_none() || pf)
+        self.lanes.iter().all(|l| l.op.is_none() || l.prefetches)
     }
 
     fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
@@ -375,7 +401,7 @@ impl<O: LookupOp> Hooks for Mux<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::ChainOp as TestChainOp;
+    use crate::engine::testutil::{ChainOp as TestChainOp, ChainState};
     use crate::engine::{run, Technique, TuningParams};
 
     /// Interleave two queries' inputs round-robin with quantum `q`.
@@ -501,6 +527,125 @@ mod tests {
         let (ob, ledb) = mux.remove(lb);
         assert_eq!(ob.outputs, solo_b.outputs);
         assert_eq!(ledb.nodes_visited, sb.nodes_visited);
+    }
+
+    /// A toy lane clock: keeps time if `keeps`, stalls `stall` ticks per
+    /// stage of its op, and counts the mux's `advance_to` calls.
+    #[derive(Default)]
+    struct ToyClock {
+        now: u64,
+        stall: u64,
+        keeps: bool,
+        syncs: u64,
+    }
+
+    impl Hooks for ToyClock {
+        fn now(&self) -> u64 {
+            self.now
+        }
+        fn advance_to(&mut self, now: u64) {
+            self.syncs += 1;
+            self.now = self.now.max(now);
+        }
+        fn keeps_time(&self) -> bool {
+            self.keeps
+        }
+    }
+
+    /// A chain op whose context is a [`ToyClock`].
+    struct Timed {
+        chain: TestChainOp,
+        clock: ToyClock,
+    }
+
+    impl Timed {
+        fn plain(ch: &[usize]) -> Self {
+            Timed { chain: TestChainOp::new(ch), clock: ToyClock::default() }
+        }
+        fn passive(ch: &[usize]) -> Self {
+            Timed { clock: ToyClock { keeps: true, ..Default::default() }, ..Self::plain(ch) }
+        }
+        fn stalling(ch: &[usize]) -> Self {
+            Timed {
+                clock: ToyClock { keeps: true, stall: 3, ..Default::default() },
+                ..Self::plain(ch)
+            }
+        }
+    }
+
+    impl LookupOp for Timed {
+        type Input = usize;
+        type State = ChainState;
+        fn budgeted_steps(&self) -> usize {
+            self.chain.budgeted_steps()
+        }
+        fn start(&mut self, input: usize, state: &mut ChainState) {
+            self.clock.now += self.clock.stall;
+            self.chain.start(input, state);
+        }
+        fn step(&mut self, state: &mut ChainState) -> Step {
+            self.clock.now += self.clock.stall;
+            self.chain.step(state)
+        }
+        fn ctx(&mut self) -> impl Hooks + '_ {
+            &mut self.clock
+        }
+    }
+
+    #[test]
+    fn plain_neighbours_skip_the_clock_sync_without_moving_window_time() {
+        let ch = chains(3_000, 3);
+        let tagged: Vec<Tagged<usize>> = (0..3_000).map(|i| Tagged::new(i as u32 % 3, i)).collect();
+        for technique in Technique::ALL {
+            let params = TuningParams::paper_best(technique);
+            // (stalling lane's clock, window time, neighbour syncs, stages)
+            let shared = |neighbour: fn(&[usize]) -> Timed| {
+                let mut mux = Mux::new();
+                let lanes = [
+                    mux.add(Timed::stalling(&ch)),
+                    mux.add(neighbour(&ch)),
+                    mux.add(neighbour(&ch)),
+                ];
+                let stats = run(technique, &mut mux, &tagged, params);
+                let syncs = mux.lane(lanes[1]).clock.syncs + mux.lane(lanes[2]).clock.syncs;
+                (mux.lane(lanes[0]).clock.now, mux.now(), syncs, stats.stages)
+            };
+            let (clock, now, syncs, stages) = shared(Timed::plain);
+            let passive = shared(Timed::passive);
+            assert_eq!((clock, now), (passive.0, passive.1), "{technique}: window time moved");
+            assert_eq!(syncs, 0, "{technique}: a plain lane was synced");
+            assert!(passive.2 > 0, "{technique}: a passive clock is synced");
+            assert!(now > stages && clock > stages, "{technique}: stalls lift window time");
+        }
+    }
+
+    #[test]
+    fn recycled_lane_resamples_the_clock_bit() {
+        let ch = chains(600, 4);
+        let tagged: Vec<Tagged<usize>> = (0..600).map(|i| Tagged::new(0, i)).collect();
+        let params = TuningParams::default();
+        let mut fresh = Mux::new();
+        fresh.add(Timed::stalling(&ch));
+        run(Technique::Amac, &mut fresh, &tagged, params);
+        let want = (fresh.lane(0).clock.now, fresh.now());
+
+        let mut mux = Mux::new();
+        let plain = mux.add(Timed::plain(&ch));
+        run(Technique::Amac, &mut mux, &tagged, params);
+        mux.remove(plain);
+        // plain -> clocked: synced from its first stage on, so the run is the
+        // fresh one shifted by the window time it joins at.
+        let clocked = mux.add(Timed::stalling(&ch));
+        assert_eq!(clocked, plain, "the lane id is recycled");
+        let at = mux.now();
+        run(Technique::Amac, &mut mux, &tagged, params);
+        assert_eq!((mux.lane(clocked).clock.now - at, mux.now() - at), want);
+        mux.remove(clocked);
+        // clocked -> plain: never synced again.
+        let plain = mux.add(Timed::plain(&ch));
+        assert_eq!(plain, clocked);
+        run(Technique::Amac, &mut mux, &tagged, params);
+        assert_eq!(mux.lane(plain).clock.syncs, 0);
     }
 
     #[test]

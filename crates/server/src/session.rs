@@ -1631,6 +1631,81 @@ mod tests {
         assert_eq!(sum, out.stats, "replay + recovered lanes keep ledgers exact");
     }
 
+    /// Every lane of an untiered run keeps no time, so window time is one
+    /// tick per routed stage plus idle visits. The constants were read off
+    /// the commit before plain lanes stopped syncing their absent clocks.
+    #[test]
+    fn untiered_mixed_run_pins_window_time_and_ledger() {
+        use amac_ops::mutate::MutateConfig;
+
+        let (dim, ht) = catalog(2048);
+        ht.freeze();
+        let inputs: Vec<Relation> =
+            (0..12).map(|i| Relation::fk_uniform(&dim, 300, 0x300 + i)).collect();
+        let tables: Vec<AggTable> = (0..6).map(|_| AggTable::for_groups(512)).collect();
+        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
+        for (i, input) in inputs.iter().enumerate() {
+            let table = &tables[i / 2];
+            srv.submit(match i % 4 {
+                0 => Request::Probe { probes: input, cfg: ProbeConfig::default() },
+                1 => Request::GroupBy { input, table, cfg: GroupByConfig::default() },
+                2 => Request::Pipeline { fact: input, table, cfg: PipelineConfig::default() },
+                _ => Request::Upsert { input, cfg: MutateConfig::default() },
+            })
+            .unwrap();
+        }
+        srv.run_to_completion();
+        let now = srv.sim_now();
+        let out = srv.finish();
+        assert_eq!(out.count(QueryOutcome::Completed), 12);
+        assert_eq!(now, 8_485, "8,478 stages + 7 idle visits");
+        let want = EngineStats {
+            lookups: 3_600,
+            stages: 8_478,
+            prefetches: 4_878,
+            nodes_visited: 4_878,
+            tag_rejects: 302,
+            issued_loads: 4_878,
+            log_bytes: 15_300,
+            log_stalls: 1_800,
+            ..Default::default()
+        };
+        assert_eq!(out.stats, want);
+    }
+
+    /// When an untiered deadline fires is window time, and so pinned like
+    /// the run above: the deadline instant, the missed query's progress
+    /// and the session's final time.
+    #[test]
+    fn untiered_deadline_fires_at_a_pinned_tick() {
+        let (dim, ht) = catalog(1024);
+        let big = Relation::fk_uniform(&dim, 5_000, 0x3D1);
+        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
+        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
+        srv.set_tracer(Tracer::on());
+        let q = srv
+            .submit_opts(
+                Request::Probe { probes: &big, cfg: pcfg.clone() },
+                SubmitOpts { deadline_ticks: Some(2_000), ..Default::default() },
+            )
+            .unwrap();
+        srv.submit(Request::Probe { probes: &big, cfg: pcfg }).unwrap();
+        srv.run_to_completion();
+        let now = srv.sim_now();
+        let out = srv.finish();
+        let missed = out.reports.iter().find(|r| r.qid == q).unwrap();
+        assert_eq!(missed.outcome, QueryOutcome::DeadlineExceeded);
+        let fired: Vec<u64> = out
+            .trace
+            .events()
+            .filter(|e| matches!(e.kind, amac_trace::EventKind::Deadline { .. }))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(fired, [2_166]);
+        assert_eq!(missed.stats.lookups, 512);
+        assert_eq!(now, 11_639);
+    }
+
     #[test]
     fn backoff_is_charged_to_the_sim_clock() {
         let (r, ht) = chained_catalog(1 << 12);

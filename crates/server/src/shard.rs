@@ -60,8 +60,9 @@ impl<'a> ShardedServe<'a> {
     }
 
     /// One scheduling round on every shard session (lock-step progress,
-    /// the moral equivalent of one tick on each core). Returns queries
-    /// retired across all shards.
+    /// the moral equivalent of one tick on each core). Returns the tuples
+    /// fed across all shards (the sum of [`ServeSession::pump`]); `0`
+    /// means no shard had input left to feed this round.
     pub fn pump(&mut self) -> usize {
         self.sessions.iter_mut().map(|s| s.pump()).sum()
     }
@@ -217,6 +218,50 @@ mod tests {
         }
         let fairness = out.fairness_nodes_ratio();
         assert!((1.0..2.0).contains(&fairness), "uniform tenants, fairness {fairness}");
+    }
+
+    #[test]
+    fn pump_returns_the_tuples_fed_across_shards() {
+        let build = Relation::dense_unique(1 << 10, 7);
+        let st = ShardedTable::build(&build, ShardRouter::new(6, 2));
+        let router = st.router().clone();
+        // Two tenants per shard, one shard with 4x the other's input, so
+        // one shard runs dry rounds before the other.
+        let tenants: Vec<u32> = (0..64).collect();
+        let mut streams: Vec<(u32, Relation)> = Vec::new();
+        for s in 0..2 {
+            for &t in tenants.iter().filter(|&&t| router.shard_of_tenant(t) == s).take(2) {
+                let n = if s == 0 { 2_048 } else { 512 };
+                streams.push((t, tenant_probes(&build, &router, s, n, 2 * u64::from(t) + 3)));
+            }
+        }
+        assert_eq!(streams.len(), 4, "both shards host two tenants");
+        let total: usize = streams.iter().map(|(_, r)| r.len()).sum();
+        let cfg = ServeConfig { quantum: 64, ..Default::default() };
+        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
+        let (mut srv, mut twin) =
+            (ShardedServe::new(&st, cfg.clone()), ShardedServe::new(&st, cfg));
+        for (t, probes) in &streams {
+            let opts = SubmitOpts { tenant: *t, ..Default::default() };
+            srv.submit(Request::Probe { probes, cfg: pcfg.clone() }, opts).unwrap();
+            twin.submit(Request::Probe { probes, cfg: pcfg.clone() }, opts).unwrap();
+        }
+        let (mut fed, mut one_shard_rounds) = (0usize, 0);
+        loop {
+            let per_shard: Vec<usize> = (0..2).map(|s| twin.session_mut(s).pump()).collect();
+            let round = srv.pump();
+            assert_eq!(round, per_shard.iter().sum::<usize>(), "the sum of per-shard feeds");
+            if round == 0 {
+                break;
+            }
+            one_shard_rounds += per_shard.contains(&0) as usize;
+            fed += round;
+        }
+        assert_eq!(fed, total, "0 only once every shard's input is consumed");
+        assert!(one_shard_rounds > 0, "one shard fed alone before the end");
+        let out = srv.finish();
+        assert_eq!(out.count(QueryOutcome::Completed), 4);
+        assert_eq!(out.ledger_violations(), 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl LookupOp for TenantOp<'_> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut TenantState) {
         match self {
             TenantOp::Probe(op) => {
@@ -87,7 +87,7 @@ impl LookupOp for TenantOp<'_> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, state: &mut TenantState) -> Step {
         match (self, state) {
             (TenantOp::Probe(op), TenantState::Probe(s)) => op.step(s),

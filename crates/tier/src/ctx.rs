@@ -514,6 +514,12 @@ impl Hooks for ExecCtx {
         }
     }
 
+    /// A clock (`tier` or `fault`) is fixed at construction.
+    #[inline(always)]
+    fn keeps_time(&self) -> bool {
+        self.clock.is_some()
+    }
+
     #[inline(always)]
     fn commit_group(&mut self) {
         if let Some(co) = &mut self.coalescer {
@@ -586,6 +592,7 @@ mod tests {
                 let cx = ExecCtx::new(&ExecSpec { tier, fault, coalesce, ..Default::default() });
                 let clock = want.map(|t| SimClock::new(t, fault));
                 assert_eq!(cx.clock, clock, "tier {tier:?} fault {fault:?}");
+                assert_eq!(cx.keeps_time(), want.is_some());
                 assert_eq!(cx.policy(), want.map(|t| t.policy));
                 assert_eq!(cx.coalescer.is_some(), coalesce.is_some());
                 // Any listener makes the context metered from birth.

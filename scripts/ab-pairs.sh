@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# The alternating-pairs protocol, as one command.
+#
+#   bash scripts/ab-pairs.sh <parent-harness> <change-harness> <workload> <seconds> <pairs> [seed]
+#
+# Runs the two harness binaries (`benchmark/`, built from each commit into
+# its own target directory) `pairs` times each on one workload, alternating
+# which side runs first, with `--trace 0`. Prints every run's end-to-end
+# metrics as it lands, then per metric of BENCHMARK.json's `end_to_end`
+# list: each side's median, how many pairs the change won (ties count for
+# neither), the parent's q1/q3 (Python's exclusive quartiles, as the
+# benchmark pipeline computes them) and where the change median sits
+# against that IQR; finally `failed` summed per side. A gain is claimed
+# only with >= 9/10 wins and the change median outside the parent IQR.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+if [ $# -lt 5 ] || [ $# -gt 6 ]; then
+  sed -n '4p' "$0" | sed 's/^# *//' >&2
+  exit 2
+fi
+parent="$1" change="$2" workload="$3" seconds="$4" pairs="$5" seed="${6:-1}"
+for b in "$parent" "$change"; do
+  [ -x "$b" ] || { echo "ab-pairs: no harness binary at $b" >&2; exit 2; }
+done
+
+# name/direction of each end-to-end metric, one per line
+metrics="$(awk '
+  /"end_to_end"/ { on = 1; next }
+  on && /\]/ { exit }
+  on && /"name"/ { n = $0; sub(/.*"name": *"/, "", n); sub(/".*/, "", n) }
+  on && /"better"/ { d = $0; sub(/.*"better": *"/, "", d); sub(/".*/, "", d); print n, d }
+' BENCHMARK.json)"
+[ -n "$metrics" ] || { echo "ab-pairs: no end_to_end metrics in BENCHMARK.json" >&2; exit 2; }
+
+runs="$(mktemp)"
+trap 'rm -f "$runs"' EXIT
+
+# One run: "<side> <pair> <metric> <value>" lines, plus "<side> <pair> failed <n>".
+run() {
+  local side="$1" pair="$2" bin="$3" line
+  line="$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)"
+  printf '%s\n' "$metrics" | awk -v side="$side" -v pair="$pair" -v line="$line" '
+    BEGIN {
+      f = line; sub(/.*"failed": */, "", f); sub(/[^0-9].*/, "", f)
+      printf "%s %d failed %s\n", side, pair, f
+    }
+    {
+      key = "\"" $1 "\": {\"value\": "
+      i = index(line, key)
+      if (i == 0) { printf "ab-pairs: %s missing from %s run %d\n", $1, side, pair > "/dev/stderr"; exit 1 }
+      v = substr(line, i + length(key)); sub(/[^-0-9.eE+].*/, "", v)
+      printf "%s %d %s %s\n", side, pair, $1, v
+    }'
+}
+
+for ((p = 1; p <= pairs; p++)); do
+  if ((p % 2)); then order="parent change"; else order="change parent"; fi
+  for side in $order; do
+    if [ "$side" = parent ]; then bin="$parent"; else bin="$change"; fi
+    run "$side" "$p" "$bin" | tee -a "$runs" | awk -v s="$side" -v p="$p" '
+      { v[++n] = $3 "=" $4 } END { printf "pair %2d %-6s", p, s; for (i = 1; i <= n; i++) printf " %s", v[i]; print "" }'
+  done
+done
+
+printf '%s\n' "$metrics" | awk -v runs="$runs" -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
+function sort(a, n,    i, j, t) {              # insertion sort, a[1..n]
+  for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+}
+function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+function cut(a, n, i,    m, j, d) {            # Python statistics.quantiles(n=4), exclusive
+  m = n + 1; j = int(i * m / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+  d = i * m - j * 4
+  return (a[j] * (4 - d) + a[j + 1] * d) / 4
+}
+BEGIN {
+  while ((getline line < runs) > 0) {
+    split(line, f, " ")
+    val[f[1], f[2], f[3]] = f[4]
+    if (f[3] == "failed") failed[f[1]] += f[4]
+  }
+  printf "%s, seed %s, %d pairs\n", workload, seed, pairs
+  printf "%-28s %12s %12s %6s %12s %12s  %s\n", "metric", "parent med", "change med", "wins", "parent q1", "parent q3", "change vs parent IQR"
+}
+{
+  name = $1; lower = ($2 == "lower")
+  wins = 0
+  for (p = 1; p <= pairs; p++) {
+    a[p] = val["parent", p, name] + 0; b[p] = val["change", p, name] + 0
+    if (lower ? b[p] < a[p] : b[p] > a[p]) wins++
+  }
+  sort(a, pairs); sort(b, pairs)
+  ma = median(a, pairs); mb = median(b, pairs)
+  if (pairs >= 2) { q1 = cut(a, pairs, 1); q3 = cut(a, pairs, 3) } else { q1 = q3 = ma }
+  if (mb < q1) where = lower ? "below (better)" : "below (worse)"
+  else if (mb > q3) where = lower ? "above (worse)" : "above (better)"
+  else where = "inside"
+  printf "%-28s %12.4g %12.4g %3d/%-2d %12.4g %12.4g  %s\n", name, ma, mb, wins, pairs, q1, q3, where
+}
+END { printf "failed: parent %d, change %d\n", failed["parent"], failed["change"] }'

@@ -7,12 +7,16 @@
 # The paper's Listing 1 has Table 1's code stages *inside* the rolling-buffer
 # loop. This fails when an executor body (`AmacSession::feed`,
 # `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`) calls a
-# `<Op as LookupOp>::start`/`::step` of a hash-table or B+-tree op, either
-# directly or through a GOT slot (the default release profile reaches other
-# codegen units that way). The metered stages (`Op::{start,step}_metered`:
-# one call per stage for a context with a clock, coalescer or armed tracer)
-# are the out-of-line code that is meant to remain; they and every other
-# surviving `start`/`step` symbol are listed with their byte sizes.
+# `<Op as LookupOp>::start`/`::step` of a hash-table or B+-tree op, of the
+# serving tenant enum or of the serving window's `Mux`, either directly or
+# through a GOT slot (the default release profile reaches other codegen
+# units that way). The metered stages (`Op::{start,step}_metered`: one call
+# per stage for a context with a clock, coalescer or armed tracer) are the
+# out-of-line code that is meant to remain; they and every other surviving
+# `start`/`step` symbol are listed with their byte sizes. Every `feed`
+# instance is listed too, with its size, its count of indirect jumps (`jmp *`:
+# jump tables, so a stage's enum dispatches show up here once inlined) and
+# the metered stages it calls, which name the op it was instantiated for.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -37,7 +41,7 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp) as amac::engine::LookupOp>::(start|step)$/
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)$/
 }
 function is_executor(name) {
   return name ~ /AmacSession<.*>::(feed|drain_budgeted)$/ || name ~ /amac_exec::run_amac$/ ||
@@ -48,7 +52,7 @@ BEGIN {
   while ((getline line < nm) > 0) {
     if (split(line, f, " ") < 4) continue
     name = line; sub(/^[0-9a-f]+ [0-9a-f]+ . /, "", name)
-    at[addr(f[1])] = name
+    at[addr(f[1])] = name; size[addr(f[1])] = hex(f[2])
     if (name ~ / as amac::engine::LookupOp>::(start|step)$/ || name ~ /::(start|step)_metered$/)
       sizes[name " " f[1]] = hex(f[2])
   }
@@ -63,8 +67,11 @@ BEGIN {
 /^[0-9a-f]+ <.*>:$/ {
   body = $0; sub(/^[0-9a-f]+ </, "", body); sub(/>:$/, "", body)
   watched = is_executor(body); bodies += watched
+  feed = ""
+  if (body ~ /::feed$/ && watched) { feed = addr($1); feeds[feed] = 0; callees[feed] = "" }
   next
 }
+feed != "" && /\tjmp +\*/ { feeds[feed]++ }
 watched && /\tcall / {
   target = ""
   if ($0 ~ /call +\*.*\(%rip\)/) {          # call *0x..(%rip)   # <slot> <...>
@@ -74,11 +81,18 @@ watched && /\tcall / {
     target = $0; sub(/.*call +[0-9a-f]+ </, "", target); sub(/>$/, "", target)
   }
   if (is_stage(target)) { printf "  %s calls %s\n", body, target; bad++ }
+  if (feed != "" && (target ~ /_metered$/ || is_stage(target))) {
+    short = target; sub(/^<?([a-z_]+::)*/, "", short); sub(/ as .*>::/, "::", short)
+    if (index(" " callees[feed] " ", " " short " ") == 0) callees[feed] = callees[feed] " " short
+  }
 }
 END {
   print "out-of-line start/step symbols (bytes):"
   for (k in sizes) { name = k; sub(/ [0-9a-f]+$/, "", name); printf "  %6d  %s\n", sizes[k], name | "sort -k2 -k1n" }
   close("sort -k2 -k1n")
+  print "feed instances (bytes, jmp *, out-of-line stages called):"
+  for (a in feeds) printf "  %6d  %3d %s\n", size[a], feeds[a], callees[a] | "sort -k1n"
+  close("sort -k1n")
   if (bodies == 0) { print "check-inlined: found no executor body to check"; exit 2 }
   if (bad) { printf "check-inlined: FAIL, %d call(s) from an executor loop to an out-of-line code stage (listed above)\n", bad; exit 1 }
   printf "check-inlined: ok, %d executor bodies call no out-of-line code stage\n", bodies

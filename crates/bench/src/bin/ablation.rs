@@ -118,5 +118,6 @@ fn main() {
         hints.row(row);
     }
     hints.note("'no prefetch' isolates the scheduling contribution: interleaving alone cannot hide misses, it only reorders them; its prefetch count is asserted to be exactly 0");
+    hints.note("a hint other than NTA makes the context metered: those rows run one out-of-line call per stage where the NTA row runs the stage inlined, so their cycles include that call");
     hints.print();
 }

@@ -1,7 +1,8 @@
 //! The one-shot AMAC executor (§3 of the paper), its §3.1 ablation
 //! variants, and the general rotation loop the ablations run on.
 
-use super::{AmacSession, EngineStats, Hooks, LookupOp, Step};
+use super::call::Call;
+use super::{AmacSession, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Asynchronous Memory Access Chaining**.
 ///
@@ -53,13 +54,29 @@ pub(crate) fn rotate<O: LookupOp>(
     merge_done_with_start: bool,
     modulo_index: bool,
 ) -> EngineStats {
-    let mut stats = EngineStats::default();
     if inputs.is_empty() {
-        return stats;
+        return EngineStats::default();
     }
+    match op.plain() {
+        Some(tally) => {
+            rotate_in(Call::plain(op, tally), inputs, m, merge_done_with_start, modulo_index)
+        }
+        None => rotate_in(Call::direct(op), inputs, m, merge_done_with_start, modulo_index),
+    }
+}
+
+#[inline(always)]
+fn rotate_in<O: LookupOp, const PLAIN: bool>(
+    mut op: Call<'_, O, PLAIN>,
+    inputs: &[O::Input],
+    m: usize,
+    merge_done_with_start: bool,
+    modulo_index: bool,
+) -> EngineStats {
+    let mut stats = EngineStats::default();
     // Prefetch accounting is gated on the op's policy (see the module docs
     // of `super` — the `PrefetchHint::None` ablation must report 0).
-    let pf = op.ctx().issues_prefetches() as u64;
+    let pf = op.prefetch_gate();
     let m = m.clamp(1, inputs.len());
     let mut states: Vec<O::State> = (0..m).map(|_| O::State::default()).collect();
 
@@ -125,7 +142,7 @@ pub(crate) fn rotate<O: LookupOp>(
             // check), so a tiered op's simulated clock must advance —
             // otherwise the drain tail would fake stalls the rotation
             // cadence actually hides.
-            op.ctx().idle(1);
+            op.idle();
         }
         if modulo_index {
             k = (k + 1) % m;
@@ -137,7 +154,7 @@ pub(crate) fn rotate<O: LookupOp>(
             }
         }
     }
-    op.ctx().flush(&mut stats);
+    op.flush(&mut stats);
     stats
 }
 

@@ -1,6 +1,7 @@
 //! The no-prefetch baseline executor.
 
-use super::{EngineStats, Hooks, LookupOp, Step};
+use super::call::Call;
+use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` one lookup at a time, exactly as the paper's "highly
 /// optimized no-prefetching" baseline: the core's own out-of-order window
@@ -17,8 +18,19 @@ use super::{EngineStats, Hooks, LookupOp, Step};
 /// speculation depends on — flips with the size of unrelated code.
 #[inline]
 pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats {
+    match op.plain() {
+        Some(tally) => baseline(Call::plain(op, tally), inputs),
+        None => baseline(Call::direct(op), inputs),
+    }
+}
+
+#[inline(always)]
+fn baseline<O: LookupOp, const PLAIN: bool>(
+    mut op: Call<'_, O, PLAIN>,
+    inputs: &[O::Input],
+) -> EngineStats {
     let mut stats = EngineStats::default();
-    let pf = op.ctx().issues_prefetches() as u64;
+    let pf = op.prefetch_gate();
     let mut state = O::State::default();
     for &input in inputs {
         op.start(input, &mut state);
@@ -45,9 +57,9 @@ pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats
         }
         // One lookup = one AMU commit group: with a single lane in flight
         // there is nothing to coalesce against.
-        op.ctx().commit_group();
+        op.commit_group();
     }
-    op.ctx().flush(&mut stats);
+    op.flush(&mut stats);
     stats
 }
 

@@ -65,6 +65,7 @@ where
 {
     type Input = I;
     type State = S;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.budget

@@ -1,7 +1,8 @@
 //! The Group Prefetching executor (Chen et al., reproduced as the paper's
 //! comparison point).
 
-use super::{EngineStats, Hooks, LookupOp, Step};
+use super::call::Call;
+use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Group Prefetching**.
 ///
@@ -21,11 +22,23 @@ use super::{EngineStats, Hooks, LookupOp, Step};
 ///   ([`latch_retries`](EngineStats::latch_retries)) — conflicting lookups
 ///   serialize into the cleanup pass.
 pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
-    let mut stats = EngineStats::default();
     if inputs.is_empty() {
-        return stats;
+        return EngineStats::default();
     }
-    let pf = op.ctx().issues_prefetches() as u64;
+    match op.plain() {
+        Some(tally) => gp(Call::plain(op, tally), inputs, m),
+        None => gp(Call::direct(op), inputs, m),
+    }
+}
+
+#[inline(always)]
+fn gp<O: LookupOp, const PLAIN: bool>(
+    mut op: Call<'_, O, PLAIN>,
+    inputs: &[O::Input],
+    m: usize,
+) -> EngineStats {
+    let mut stats = EngineStats::default();
+    let pf = op.prefetch_gate();
     let m = m.clamp(1, inputs.len());
     let n = op.budgeted_steps().max(1);
     let mut states: Vec<O::State> = Vec::with_capacity(m);
@@ -44,7 +57,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
         }
         // The GP group IS the AMU commit group: seal it so the next
         // group's lanes cannot coalesce against this one's loads.
-        op.ctx().commit_group();
+        op.commit_group();
         // Stages 1..=N swept across the group.
         for _sweep in 0..n {
             for k in 0..g {
@@ -53,7 +66,7 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
                     // box. It costs a tick of simulated time, keeping the
                     // remaining lookups' prefetch distances honest.
                     stats.noops += 1;
-                    op.ctx().idle(1);
+                    op.idle();
                     continue;
                 }
                 match op.step(&mut states[k]) {
@@ -78,10 +91,10 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
         }
         // Cleanup pass: over-length (or still-blocked) lookups complete
         // sequentially, one at a time — no prefetch overlap.
-        cleanup_sequential(op, &mut states, &mut done, g, &mut stats);
+        cleanup_sequential(&mut op, &mut states, &mut done, g, &mut stats);
         base += g;
     }
-    op.ctx().flush(&mut stats);
+    op.flush(&mut stats);
     stats
 }
 
@@ -91,8 +104,8 @@ pub fn run_gp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineS
 /// the other unfinished lookups (the latch holder is one of them in
 /// single-threaded runs), so cleanup cannot live-lock; all cleanup work is
 /// counted as bailout overhead.
-pub(super) fn cleanup_sequential<O: LookupOp>(
-    op: &mut O,
+fn cleanup_sequential<O: LookupOp, const PLAIN: bool>(
+    op: &mut Call<'_, O, PLAIN>,
     states: &mut [O::State],
     done: &mut [bool],
     g: usize,

@@ -33,9 +33,20 @@
 //! [`Hooks`]. Executors drain its ledger into [`EngineStats`] at the end
 //! of every run (an [`AmacSession`] per feed/drain), so the counters stay
 //! exact even when one op instance serves many morsels.
+//!
+//! # One mode per call
+//!
+//! Every executor call asks the op once, at its start, whether its
+//! context is *plain* ([`LookupOp::plain`]). A plain call runs
+//! [`LookupOp::start_plain`]/[`LookupOp::step_plain`] over a
+//! [`Tally`](LookupOp::Tally) of the op's loop-carried scalars that the
+//! call keeps in its own locals, and settles it into the op
+//! ([`LookupOp::settle`]) before every flush; any other call runs
+//! `start`/`step`. The mode is never tested inside the loop.
 
 pub(crate) mod amac_exec;
 mod baseline;
+pub(crate) mod call;
 pub mod closure_api;
 mod gp;
 mod hooks;
@@ -87,6 +98,10 @@ pub trait LookupOp {
     /// Per-lookup resumable state — the paper's circular-buffer entry
     /// (key, payload, rid, node pointer, stage).
     type State: Default;
+    /// The op's loop-carried scalars on a plain call (its plain ledger and
+    /// accumulators), held in the executor's locals instead of behind
+    /// `&mut self`. `()` for an op without plain stages.
+    type Tally: Copy + Default;
 
     /// The paper's `N`: how many `step` calls a *regular* lookup needs.
     /// GP and SPP size their static schedules with this; AMAC and the
@@ -99,6 +114,45 @@ pub trait LookupOp {
 
     /// Execute the next code stage of the lookup held in `state`.
     fn step(&mut self, state: &mut Self::State) -> Step;
+
+    /// Asked once per executor call. `Some` when the op's context is
+    /// *plain* — it keeps no time, coalesces nothing and traces nothing —
+    /// carrying the op's loop-carried scalars as they stand. The call then
+    /// runs [`start_plain`](LookupOp::start_plain)/
+    /// [`step_plain`](LookupOp::step_plain) over that tally, may skip
+    /// every [`Hooks`] call but `flush`, and hands the tally back through
+    /// [`settle`](LookupOp::settle) before it flushes. `None` (the
+    /// default): the call runs `start`/`step`.
+    #[inline(always)]
+    fn plain(&self) -> Option<Self::Tally> {
+        None
+    }
+
+    /// [`start`](LookupOp::start) on a plain call, counting into `tally`.
+    #[inline(always)]
+    fn start_plain(
+        &mut self,
+        tally: &mut Self::Tally,
+        input: Self::Input,
+        state: &mut Self::State,
+    ) {
+        let _ = tally;
+        self.start(input, state);
+    }
+
+    /// [`step`](LookupOp::step) on a plain call, counting into `tally`.
+    #[inline(always)]
+    fn step_plain(&mut self, tally: &mut Self::Tally, state: &mut Self::State) -> Step {
+        let _ = tally;
+        self.step(state)
+    }
+
+    /// Write a plain call's tally back: accumulators into the op, the
+    /// ledger into its context's observations.
+    #[inline(always)]
+    fn settle(&mut self, tally: Self::Tally) {
+        let _ = tally;
+    }
 
     /// The op's execution context (see [`Hooks`]). Default: `()`, no
     /// context — the hook calls compile away.

@@ -33,10 +33,11 @@
 //! * op-observed counters (`nodes_visited`, `tag_rejects`, and the
 //!   cost-model ticks `sim_cycles`/`sim_stalls`) — each lane has its
 //!   **own** inner op, so everything that op accumulated belongs to its
-//!   lane; the mux's [`Hooks::flush`] drains every inner op into its lane
-//!   ledger *and* forwards the same deltas to the executor's global
-//!   stats, preserving the drain-and-reset contract that keeps counters
-//!   exact across morsel reuse. Lane cost-model clocks are kept in
+//!   lane; the mux's [`Hooks::flush`] settles a plain lane's tally into
+//!   its op, then drains every inner op into its lane ledger *and*
+//!   forwards the same deltas to the executor's global stats, preserving
+//!   the drain-and-reset contract that keeps counters exact across morsel
+//!   reuse. Lane cost-model clocks are kept in
 //!   lock-step with a window-wide simulated time (`seq`), so one lane's
 //!   stages count toward every other lane's prefetch distances — the
 //!   cross-query hiding the shared window exists to provide;
@@ -75,7 +76,7 @@ pub struct MuxState<S: Default> {
 
 /// One lane: its inner op and everything a routed stage reads or bills,
 /// in one record so a stage touches one bounds-checked slot.
-struct Lane<O> {
+struct Lane<O: LookupOp> {
     /// `None` once [`Mux::remove`]d (the slot waits for reuse).
     op: Option<O>,
     /// The lane's accounting ledger (see the module docs).
@@ -92,6 +93,25 @@ struct Lane<O> {
     /// The op's [`Hooks::keeps_time`], sampled at [`Mux::add`] likewise:
     /// only a clocked lane is synchronized with window time.
     clocked: bool,
+    /// The lane's mode, picked at [`Mux::add`] and again after every
+    /// flush ([`LookupOp::plain`]): `Some` holds a plain lane's tally,
+    /// which its stages count into and every flush settles first.
+    tally: Option<O::Tally>,
+}
+
+impl<O: LookupOp> Lane<O> {
+    /// Settle a plain lane's tally into its op and demote the lane to
+    /// `start`/`step` until [`Lane::resample`].
+    fn settle(&mut self) {
+        if let (Some(op), Some(tally)) = (self.op.as_mut(), self.tally.take()) {
+            op.settle(tally);
+        }
+    }
+
+    /// Pick the lane's mode afresh (a tracer may have come or gone).
+    fn resample(&mut self) {
+        self.tally = self.op.as_ref().and_then(O::plain);
+    }
 }
 
 /// A multiplexer op: one inner [`LookupOp`] per active query lane, all
@@ -147,6 +167,7 @@ impl<O: LookupOp> Mux<O> {
             (cx.issues_prefetches(), cx.keeps_time())
         };
         let fresh = Lane {
+            tally: op.plain(),
             op: Some(op),
             led: EngineStats::default(),
             cancelled: false,
@@ -174,6 +195,7 @@ impl<O: LookupOp> Mux<O> {
     /// Panics on a vacant lane (a serving-layer bookkeeping bug).
     pub fn remove(&mut self, lane: u32) -> (O, EngineStats) {
         let l = &mut self.lanes[lane as usize];
+        l.settle();
         let op = l.op.take().expect("remove of vacant mux lane");
         (op, core::mem::take(&mut l.led))
     }
@@ -198,14 +220,20 @@ impl<O: LookupOp> Mux<O> {
         self.lanes[lane as usize].cancelled
     }
 
-    /// The lane's inner op (panics on a vacant lane).
+    /// The lane's inner op (panics on a vacant lane). A plain lane's
+    /// accumulators are current as of the last flush.
     pub fn lane(&self, lane: u32) -> &O {
         self.lanes[lane as usize].op.as_ref().expect("vacant mux lane")
     }
 
-    /// The lane's inner op, mutably (panics on a vacant lane).
+    /// The lane's inner op, mutably (panics on a vacant lane). Settles a
+    /// plain lane's tally first, and runs the lane's `start`/`step` until
+    /// the next flush picks its mode again: whatever the caller changes
+    /// (a tracer, say) is seen from the next stage on.
     pub fn lane_mut(&mut self, lane: u32) -> &mut O {
-        self.lanes[lane as usize].op.as_mut().expect("vacant mux lane")
+        let l = &mut self.lanes[lane as usize];
+        l.settle();
+        l.op.as_mut().expect("vacant mux lane")
     }
 
     /// The lane's accounting ledger so far. Lifecycle counters are live;
@@ -227,9 +255,13 @@ impl<O: LookupOp> Mux<O> {
     }
 }
 
+/// Lanes pick their modes one by one, so the mux itself has no plain
+/// stages: every executor call runs `start`/`step`, and each routes to the
+/// lane's plain or own stage.
 impl<O: LookupOp> LookupOp for Mux<O> {
     type Input = Tagged<O::Input>;
     type State = MuxState<O::State>;
+    type Tally = ();
 
     /// GP/SPP stage budget: the worst lane's budget (a static schedule
     /// must cover the longest regular chain among active queries).
@@ -262,7 +294,10 @@ impl<O: LookupOp> LookupOp for Mux<O> {
                 op.start(input.input, &mut state.inner);
                 self.seq = (self.seq + 1).max(op.ctx().now());
             } else {
-                op.start(input.input, &mut state.inner);
+                match &mut l.tally {
+                    Some(tally) => op.start_plain(tally, input.input, &mut state.inner),
+                    None => op.start(input.input, &mut state.inner),
+                }
                 debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
                 self.seq += 1;
             }
@@ -295,7 +330,10 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             self.seq = (self.seq + 1).max(op.ctx().now());
             r
         } else {
-            let r = op.step(&mut state.inner);
+            let r = match &mut l.tally {
+                Some(tally) => op.step_plain(tally, &mut state.inner),
+                None => op.step(&mut state.inner),
+            };
             debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
             self.seq += 1;
             r
@@ -357,14 +395,18 @@ impl<O: LookupOp> Hooks for Mux<O> {
         }
     }
 
+    /// Each lane's tally is settled before its context is flushed, and
+    /// its mode picked again after.
     fn flush(&mut self, stats: &mut EngineStats) {
         for l in &mut self.lanes {
+            l.settle();
             if let Some(op) = l.op.as_mut() {
                 let mut delta = EngineStats::default();
                 op.ctx().flush(&mut delta);
                 l.led.merge(&delta);
                 stats.merge(&delta);
             }
+            l.resample();
         }
         // Cancelled retirements were reported to the executor as plain
         // `Done`s; fold them into the global subset counter here so lane
@@ -576,6 +618,7 @@ mod tests {
     impl LookupOp for Timed {
         type Input = usize;
         type State = ChainState;
+        type Tally = ();
         fn budgeted_steps(&self) -> usize {
             self.chain.budgeted_steps()
         }

@@ -75,6 +75,9 @@ pub trait PipelineOp {
     type Output;
     /// Per-slot resumable state for this operator.
     type State: Default;
+    /// The operator's loop-carried scalars on a plain call (see
+    /// [`LookupOp::Tally`]); a [`Chain`]'s is its members' pair.
+    type Tally: Copy + Default;
 
     /// The paper's `N` for this operator: `step` calls a regular tuple
     /// needs. [`Chain`] sums the stages of its operators so GP/SPP can
@@ -86,6 +89,42 @@ pub trait PipelineOp {
 
     /// Execute the next code stage of the tuple held in `state`.
     fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output>;
+
+    /// As [`LookupOp::plain`]: `Some` when the operator's context is plain
+    /// for this call.
+    #[inline(always)]
+    fn plain(&self) -> Option<Self::Tally> {
+        None
+    }
+
+    /// [`start`](PipelineOp::start) on a plain call.
+    #[inline(always)]
+    fn start_plain(
+        &mut self,
+        tally: &mut Self::Tally,
+        input: Self::Input,
+        state: &mut Self::State,
+    ) {
+        let _ = tally;
+        self.start(input, state);
+    }
+
+    /// [`step`](PipelineOp::step) on a plain call.
+    #[inline(always)]
+    fn step_plain(
+        &mut self,
+        tally: &mut Self::Tally,
+        state: &mut Self::State,
+    ) -> StageStep<Self::Output> {
+        let _ = tally;
+        self.step(state)
+    }
+
+    /// As [`LookupOp::settle`].
+    #[inline(always)]
+    fn settle(&mut self, tally: Self::Tally) {
+        let _ = tally;
+    }
 
     /// The operator's execution context (see [`LookupOp::ctx`]); a
     /// [`Chain`] pairs its members' contexts.
@@ -166,40 +205,50 @@ impl<A, B, R> Chain<A, B, R> {
     }
 }
 
-impl<A, B, R> PipelineOp for Chain<A, B, R>
+impl<A, B, R> Chain<A, B, R>
 where
     A: PipelineOp,
     B: PipelineOp,
     R: Route<A::Output, B::Input>,
 {
-    type Input = A::Input;
-    type Output = B::Output;
-    type State = ChainState<A::State, B::State>;
-
-    fn budgeted_steps(&self) -> usize {
-        self.up.budgeted_steps() + self.down.budgeted_steps()
-    }
-
-    #[inline]
-    fn start(&mut self, input: Self::Input, state: &mut Self::State) {
+    /// Stage 0, in either mode. Clock sync: each member op carries its
+    /// own cost-model clock but the fused window has one timeline, so the
+    /// member about to execute is first lifted to the other's `now` —
+    /// lazily, O(1) per stage. A plain call has no clocks to sync.
+    #[inline(always)]
+    fn start_in<const PLAIN: bool>(
+        &mut self,
+        tally: &mut (A::Tally, B::Tally),
+        input: A::Input,
+        state: &mut ChainState<A::State, B::State>,
+    ) {
         // Slots are recycled, so the state may still hold the previous
         // tuple's Down variant; reset to a fresh upstream state.
         *state = ChainState::Up(A::State::default());
         let ChainState::Up(a) = state else { unreachable!() };
-        // Clock sync: each member op carries its own cost-model clock but
-        // the fused window has one timeline, so the member about to
-        // execute is first lifted to the other's `now` — lazily, O(1) per
-        // stage. (No-ops when the stages are untiered.)
-        self.up.ctx().advance_to(self.down.ctx().now());
-        self.up.start(input, a);
+        if PLAIN {
+            self.up.start_plain(&mut tally.0, input, a);
+        } else {
+            self.up.ctx().advance_to(self.down.ctx().now());
+            self.up.start(input, a);
+        }
     }
 
-    #[inline]
-    fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
+    #[inline(always)]
+    fn step_in<const PLAIN: bool>(
+        &mut self,
+        tally: &mut (A::Tally, B::Tally),
+        state: &mut ChainState<A::State, B::State>,
+    ) -> StageStep<B::Output> {
         match state {
             ChainState::Up(a) => {
-                self.up.ctx().advance_to(self.down.ctx().now());
-                match self.up.step(a) {
+                let up = if PLAIN {
+                    self.up.step_plain(&mut tally.0, a)
+                } else {
+                    self.up.ctx().advance_to(self.down.ctx().now());
+                    self.up.step(a)
+                };
+                match up {
                     StageStep::Continue => StageStep::Continue,
                     StageStep::Blocked => StageStep::Blocked,
                     StageStep::Skip => StageStep::Skip,
@@ -212,8 +261,12 @@ where
                         // stays in flight with no idle turn in between.
                         Some(next) => {
                             let mut b = B::State::default();
-                            self.down.ctx().advance_to(self.up.ctx().now());
-                            self.down.start(next, &mut b);
+                            if PLAIN {
+                                self.down.start_plain(&mut tally.1, next, &mut b);
+                            } else {
+                                self.down.ctx().advance_to(self.up.ctx().now());
+                                self.down.start(next, &mut b);
+                            }
                             *state = ChainState::Down(b);
                             StageStep::Continue
                         }
@@ -221,10 +274,71 @@ where
                 }
             }
             ChainState::Down(b) => {
-                self.down.ctx().advance_to(self.up.ctx().now());
-                self.down.step(b)
+                if PLAIN {
+                    self.down.step_plain(&mut tally.1, b)
+                } else {
+                    self.down.ctx().advance_to(self.up.ctx().now());
+                    self.down.step(b)
+                }
             }
         }
+    }
+}
+
+impl<A, B, R> PipelineOp for Chain<A, B, R>
+where
+    A: PipelineOp,
+    B: PipelineOp,
+    R: Route<A::Output, B::Input>,
+{
+    type Input = A::Input;
+    type Output = B::Output;
+    type State = ChainState<A::State, B::State>;
+    type Tally = (A::Tally, B::Tally);
+
+    fn budgeted_steps(&self) -> usize {
+        self.up.budgeted_steps() + self.down.budgeted_steps()
+    }
+
+    #[inline]
+    fn start(&mut self, input: Self::Input, state: &mut Self::State) {
+        self.start_in::<false>(&mut Default::default(), input, state);
+    }
+
+    #[inline]
+    fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
+        self.step_in::<false>(&mut Default::default(), state)
+    }
+
+    /// Plain only when both members are.
+    #[inline(always)]
+    fn plain(&self) -> Option<Self::Tally> {
+        Some((self.up.plain()?, self.down.plain()?))
+    }
+
+    #[inline(always)]
+    fn start_plain(
+        &mut self,
+        tally: &mut Self::Tally,
+        input: Self::Input,
+        state: &mut Self::State,
+    ) {
+        self.start_in::<true>(tally, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(
+        &mut self,
+        tally: &mut Self::Tally,
+        state: &mut Self::State,
+    ) -> StageStep<Self::Output> {
+        self.step_in::<true>(tally, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, tally: Self::Tally) {
+        self.up.settle(tally.0);
+        self.down.settle(tally.1);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -248,10 +362,22 @@ impl<L> Terminal<L> {
     }
 }
 
+/// A lookup's end is the terminal operator's emit.
+#[inline(always)]
+fn emit_done(step: Step) -> StageStep<()> {
+    match step {
+        Step::Continue => StageStep::Continue,
+        Step::Blocked => StageStep::Blocked,
+        Step::Done => StageStep::Emit(()),
+        Step::Failed => StageStep::Failed,
+    }
+}
+
 impl<L: LookupOp> PipelineOp for Terminal<L> {
     type Input = L::Input;
     type Output = ();
     type State = L::State;
+    type Tally = L::Tally;
 
     fn budgeted_steps(&self) -> usize {
         self.0.budgeted_steps()
@@ -264,12 +390,27 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
 
     #[inline]
     fn step(&mut self, state: &mut Self::State) -> StageStep<()> {
-        match self.0.step(state) {
-            Step::Continue => StageStep::Continue,
-            Step::Blocked => StageStep::Blocked,
-            Step::Done => StageStep::Emit(()),
-            Step::Failed => StageStep::Failed,
-        }
+        emit_done(self.0.step(state))
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<L::Tally> {
+        self.0.plain()
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, tally: &mut L::Tally, input: Self::Input, state: &mut Self::State) {
+        self.0.start_plain(tally, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, tally: &mut L::Tally, state: &mut Self::State) -> StageStep<()> {
+        emit_done(self.0.step_plain(tally, state))
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, tally: L::Tally) {
+        self.0.settle(tally);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -348,6 +489,23 @@ impl<P, C> Fused<P, C> {
     }
 }
 
+impl<P: PipelineOp, C: Consumer<P::Output>> Fused<P, C> {
+    /// An emitted tuple goes to the sink; the lookup is over either way.
+    #[inline(always)]
+    fn sink_done(&mut self, step: StageStep<P::Output>) -> Step {
+        match step {
+            StageStep::Continue => Step::Continue,
+            StageStep::Blocked => Step::Blocked,
+            StageStep::Skip => Step::Done,
+            StageStep::Failed => Step::Failed,
+            StageStep::Emit(out) => {
+                self.sink.consume(out);
+                Step::Done
+            }
+        }
+    }
+}
+
 impl<P, C> LookupOp for Fused<P, C>
 where
     P: PipelineOp,
@@ -355,6 +513,7 @@ where
 {
     type Input = P::Input;
     type State = P::State;
+    type Tally = P::Tally;
 
     fn budgeted_steps(&self) -> usize {
         self.pipe.budgeted_steps()
@@ -367,16 +526,29 @@ where
 
     #[inline(always)]
     fn step(&mut self, state: &mut Self::State) -> Step {
-        match self.pipe.step(state) {
-            StageStep::Continue => Step::Continue,
-            StageStep::Blocked => Step::Blocked,
-            StageStep::Skip => Step::Done,
-            StageStep::Failed => Step::Failed,
-            StageStep::Emit(out) => {
-                self.sink.consume(out);
-                Step::Done
-            }
-        }
+        let step = self.pipe.step(state);
+        self.sink_done(step)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<P::Tally> {
+        self.pipe.plain()
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, tally: &mut P::Tally, input: Self::Input, state: &mut Self::State) {
+        self.pipe.start_plain(tally, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, tally: &mut P::Tally, state: &mut Self::State) -> Step {
+        let step = self.pipe.step_plain(tally, state);
+        self.sink_done(step)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, tally: P::Tally) {
+        self.pipe.settle(tally);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -404,6 +576,7 @@ mod tests {
         type Input = u64;
         type Output = u64;
         type State = TripleState;
+        type Tally = ();
 
         fn budgeted_steps(&self) -> usize {
             self.steps + 1

@@ -18,7 +18,8 @@
 //! exactly like a plain probe slot, so whole-pipeline windows persist
 //! across the run too.
 
-use crate::engine::{EngineStats, Hooks, LookupOp, Step};
+use crate::engine::call::Call;
+use crate::engine::{EngineStats, LookupOp, Step};
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
 /// one worker thread for the whole run).
@@ -90,9 +91,24 @@ impl<O: LookupOp> AmacSession<O> {
     /// flight. Counters accumulate into `stats`: one stage per `start`
     /// and per `step` that made progress, one prefetch per `start` and
     /// per `Continue` (gated on [`Hooks::issues_prefetches`]).
+    ///
+    /// [`Hooks::issues_prefetches`]: crate::engine::Hooks::issues_prefetches
     pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
+        match op.plain() {
+            Some(tally) => self.feed_in(Call::plain(op, tally), inputs, stats),
+            None => self.feed_in(Call::direct(op), inputs, stats),
+        }
+    }
+
+    #[inline(always)]
+    fn feed_in<const PLAIN: bool>(
+        &mut self,
+        mut op: Call<'_, O, PLAIN>,
+        inputs: &[O::Input],
+        stats: &mut EngineStats,
+    ) {
         let m = self.states.len();
-        let pf = op.ctx().issues_prefetches() as u64;
+        let pf = op.prefetch_gate();
         let mut next = 0usize;
         // Fill any empty slots (first morsel of the run, or after a drain).
         if self.in_flight < m {
@@ -117,17 +133,19 @@ impl<O: LookupOp> AmacSession<O> {
         // (the merged terminal+initial stage) and the window never drains.
         // Slots rotate on a rolling counter: §3.1 rules out the modulo.
         // The rotation counter, the slot array and the event counts stay
-        // in locals: the op's stage code is inlined here, and `self` and
-        // `stats` are behind pointers it may alias as far as the
-        // optimizer knows. A retirement refills its slot in the same
-        // rotation, so retirements are counted by `next`.
+        // in locals, as does a plain call's tally: the op's stage code is
+        // inlined here, and `self` and `stats` are behind pointers it may
+        // alias as far as the optimizer knows. A retirement refills its
+        // slot in the same rotation, so retirements are counted by `next`,
+        // and `Continue`s are what is left of the rotations (a count an op
+        // that bills one node per stage shares with its own ledger).
         let states = &mut self.states[..];
         let mut k = self.k;
-        let (mut continues, mut blocked, mut failed) = (0u64, 0u64, 0u64);
+        let (mut rotations, mut blocked, mut failed) = (0u64, 0u64, 0u64);
         let first = next;
         while next < inputs.len() {
             match op.step(&mut states[k]) {
-                Step::Continue => continues += 1,
+                Step::Continue => {}
                 // Coarse-grained spin (§3.2): leave the slot as it is
                 // and retry it on the next rotation.
                 Step::Blocked => blocked += 1,
@@ -137,6 +155,7 @@ impl<O: LookupOp> AmacSession<O> {
                     next += 1;
                 }
             }
+            rotations += 1;
             k += 1;
             if k == m {
                 k = 0;
@@ -147,6 +166,7 @@ impl<O: LookupOp> AmacSession<O> {
         // terminal one and the refill's stage 0), one prefetch and one
         // lookup per retirement.
         let retired = (next - first) as u64;
+        let continues = rotations - blocked - retired;
         stats.stages += continues + 2 * retired;
         stats.prefetches += pf * (continues + retired);
         stats.lookups += retired;
@@ -154,13 +174,12 @@ impl<O: LookupOp> AmacSession<O> {
         stats.latch_retries += blocked;
         // The window was full at every rotation above, so occupancy needs
         // no per-rotation bookkeeping either.
-        let rotations = continues + blocked + retired;
         self.occ_ticks += rotations;
         self.occ_sum += rotations * m as u64;
         // Feed boundaries are commit points: the next feed's lanes must
         // not coalesce against this one's in-flight loads.
-        op.ctx().commit_group();
-        op.ctx().flush(stats);
+        op.commit_group();
+        op.flush(stats);
     }
 
     /// Retire every lookup still in flight (the end-of-run epilogue).
@@ -174,19 +193,33 @@ impl<O: LookupOp> AmacSession<O> {
     /// make progress (a wedged latch, a livelocked op) therefore costs a
     /// bounded amount of work per call instead of spinning the caller
     /// forever — the serving layer's pump budget is built on this.
-    /// Counters are flushed on both outcomes, so partial drains stay
-    /// ledger-exact. Returns `true` once the window is empty.
+    /// Counters (a plain call's tally first) are settled and flushed on
+    /// both outcomes, so partial drains stay ledger-exact. Returns `true`
+    /// once the window is empty.
     pub fn drain_budgeted(
         &mut self,
         op: &mut O,
         stats: &mut EngineStats,
         max_rotations: usize,
     ) -> bool {
-        let pf = op.ctx().issues_prefetches() as u64;
+        match op.plain() {
+            Some(tally) => self.drain_in(Call::plain(op, tally), stats, max_rotations),
+            None => self.drain_in(Call::direct(op), stats, max_rotations),
+        }
+    }
+
+    #[inline(always)]
+    fn drain_in<const PLAIN: bool>(
+        &mut self,
+        mut op: Call<'_, O, PLAIN>,
+        stats: &mut EngineStats,
+        max_rotations: usize,
+    ) -> bool {
+        let pf = op.prefetch_gate();
         let mut rotations = 0usize;
         while self.in_flight > 0 {
             if rotations == max_rotations {
-                op.ctx().flush(stats);
+                op.flush(stats);
                 return false;
             }
             rotations += 1;
@@ -213,7 +246,7 @@ impl<O: LookupOp> AmacSession<O> {
                 // tick of simulated time (see `Hooks::idle`) — otherwise
                 // the drain tail would fake stalls the rotation cadence
                 // actually hides.
-                op.ctx().idle(1);
+                op.idle();
             }
             // Wrap at the activated high-water mark, not `M`: slots that
             // never held a lookup must not be visited (each visit would
@@ -227,7 +260,7 @@ impl<O: LookupOp> AmacSession<O> {
         // fill starts at slot 0 of an empty window.
         self.k = 0;
         self.hi = 0;
-        op.ctx().flush(stats);
+        op.flush(stats);
         true
     }
 }
@@ -357,6 +390,7 @@ mod tests {
         impl LookupOp for Wedge {
             type Input = usize;
             type State = usize;
+            type Tally = ();
             fn budgeted_steps(&self) -> usize {
                 1
             }

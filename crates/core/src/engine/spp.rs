@@ -1,7 +1,8 @@
 //! The Software-Pipelined Prefetching executor (Chen et al., reproduced as
 //! the paper's comparison point).
 
-use super::{EngineStats, Hooks, LookupOp, Step};
+use super::call::Call;
+use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Software-Pipelined Prefetching**.
 ///
@@ -21,11 +22,23 @@ use super::{EngineStats, Hooks, LookupOp, Step};
 /// Unlike GP there is no group barrier: each slot refills the moment its
 /// `N`-stage reservation ends.
 pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
-    let mut stats = EngineStats::default();
     if inputs.is_empty() {
-        return stats;
+        return EngineStats::default();
     }
-    let pf = op.ctx().issues_prefetches() as u64;
+    match op.plain() {
+        Some(tally) => spp(Call::plain(op, tally), inputs, m),
+        None => spp(Call::direct(op), inputs, m),
+    }
+}
+
+#[inline(always)]
+fn spp<O: LookupOp, const PLAIN: bool>(
+    mut op: Call<'_, O, PLAIN>,
+    inputs: &[O::Input],
+    m: usize,
+) -> EngineStats {
+    let mut stats = EngineStats::default();
+    let pf = op.prefetch_gate();
     let m = m.clamp(1, inputs.len());
     let n = op.budgeted_steps().max(1);
     let mut states: Vec<O::State> = Vec::with_capacity(m);
@@ -58,7 +71,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
             if !active[k] {
                 // Retired slot: the rotation's status check still costs a
                 // tick of simulated time (see `Hooks::idle`).
-                op.ctx().idle(1);
+                op.idle();
                 continue;
             }
             if taken[k] == n {
@@ -66,7 +79,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
                 if !done[k] {
                     // Bailout: finish this lookup sequentially, stalling
                     // the pipeline (counted against SPP).
-                    finish_one(op, &mut states, &mut done, k, m, &active, &mut stats);
+                    finish_one(&mut op, &mut states, &mut done, k, m, &active, &mut stats);
                 }
                 if next < inputs.len() {
                     op.start(inputs[next], &mut states[k]);
@@ -85,7 +98,7 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
                 // Early exit: pad the reservation with a no-op stage (one
                 // tick of simulated time, like GP's gray boxes).
                 stats.noops += 1;
-                op.ctx().idle(1);
+                op.idle();
                 taken[k] += 1;
                 continue;
             }
@@ -107,15 +120,15 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
             taken[k] += 1;
         }
     }
-    op.ctx().flush(&mut stats);
+    op.flush(&mut stats);
     stats
 }
 
 /// Sequentially complete the lookup in slot `k` (SPP bailout). On a busy
 /// latch, hand single opportunities to the other occupied slots so an
 /// in-pipeline latch holder can progress.
-fn finish_one<O: LookupOp>(
-    op: &mut O,
+fn finish_one<O: LookupOp, const PLAIN: bool>(
+    op: &mut Call<'_, O, PLAIN>,
     states: &mut [O::State],
     done: &mut [bool],
     k: usize,

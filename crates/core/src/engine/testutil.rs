@@ -78,6 +78,7 @@ impl ChainOp {
 impl LookupOp for ChainOp {
     type Input = usize;
     type State = ChainState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.budget
@@ -151,6 +152,7 @@ impl LatchedOp {
 impl LookupOp for LatchedOp {
     type Input = usize;
     type State = LatchedState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         2

@@ -34,6 +34,7 @@ impl SimOp {
 impl LookupOp for SimOp {
     type Input = usize;
     type State = SimState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.budget
@@ -146,6 +147,7 @@ fn amac_interleaves_lookups() {
     impl LookupOp for OrderOp {
         type Input = usize;
         type State = S;
+        type Tally = ();
         fn budgeted_steps(&self) -> usize {
             4
         }

@@ -16,7 +16,7 @@ use amac_hashtable::HashTable;
 use amac_metrics::timer::CycleTimer;
 use amac_ops::chain::ChainCursor;
 use amac_skiplist::{SkipCursor, SkipList, SkipMove};
-use amac_tier::{ExecCtx, ExecSpec, TierSpec};
+use amac_tier::{ExecCtx, ExecSpec, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_tree::Bst;
 use amac_workload::Relation;
@@ -101,11 +101,18 @@ pub async fn probe_chain_tiered(
 ) -> ChainHit {
     let mut hit = ChainHit { matches: 0, sum: 0, first: u64::MAX };
     // Stage 0: hash + first prefetch (one tick, async header load).
+    // A metered walk requests through the context and counts nodes into
+    // a ledger; each stage settles its own, so none lives across a yield.
     let mut cur = ChainCursor::default();
-    cur.start::<true>(ht, key, &mut cx.borrow_mut());
+    cur.start::<true>(ht, key, &mut cx.borrow_mut(), &mut Ledger::default());
     loop {
         yield_now().await;
-        let (d, may_match) = cur.node::<true>("probe", ht, &mut cx.borrow_mut());
+        let (d, may_match) = {
+            let (mut cx, mut led) = (cx.borrow_mut(), Ledger::default());
+            let node = cur.node::<true>("probe", ht, &mut cx, &mut led);
+            cx.settle(led);
+            node
+        };
         let mut node_hit = false;
         if may_match {
             for i in 0..d.count() {
@@ -126,7 +133,9 @@ pub async fn probe_chain_tiered(
         }
         // A ring context carries no fault plan, so anything but
         // `Continue` is the end of the chain.
-        if cur.advance::<true>("probe", ht, d.next, &mut cx.borrow_mut()) != Step::Continue {
+        let step =
+            cur.advance::<true>("probe", ht, d.next, &mut cx.borrow_mut(), &mut Ledger::default());
+        if step != Step::Continue {
             return hit;
         }
     }

@@ -90,6 +90,7 @@ impl<'a> BstOp<'a> {
 impl LookupOp for BstOp<'_> {
     type Input = Tuple;
     type State = BstState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages

@@ -110,6 +110,7 @@ impl<'a> BTreeOp<'a> {
 impl LookupOp for BTreeOp<'_> {
     type Input = Tuple;
     type State = BTreeState;
+    type Tally = ();
 
     /// Exactly `height` node visits per lookup — the static schedules'
     /// best case: `N` is both tight and uniform.

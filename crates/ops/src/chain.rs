@@ -10,18 +10,19 @@
 //! operator does with a node's tuples (count, emit, merge, tombstone)
 //! stays in the operator.
 //!
-//! Every method is generic over the context's mode
-//! ([`ExecCtx::metered`]): an operator tests the bit once per code stage
-//! and runs the whole stage in one instantiation. `METERED = false` is
-//! the walk alone — count the load, prefetch, dereference — with no lane,
-//! ticket, fault token or slab kept for a context that has nobody
-//! listening; `METERED = true` is the full protocol.
+//! Every method is generic over the call's mode: an operator's plain
+//! stages (an executor call whose context is plain, see
+//! [`ExecCtx::plain`]) run `METERED = false`, the walk alone — count the
+//! load into the call's [`Ledger`], prefetch, dereference — with no lane,
+//! ticket, fault token or slab kept and the context untouched; its
+//! `start`/`step` run `METERED = true`, the full protocol. Nodes and tag
+//! rejections count into the ledger in both modes.
 
 use amac::engine::Step;
 use amac_hashtable::{probe_word, tags_may_match, Bucket, BucketData, HashTable};
 use amac_mem::hash::tag_of;
 use amac_mem::{slab_of_index, NULL_INDEX};
-use amac_tier::{fault_token, ExecCtx};
+use amac_tier::{fault_token, ExecCtx, Ledger};
 
 /// Where one lookup stands on its bucket chain: the chain-walking part of
 /// the paper's circular-buffer entry (Fig. 4). Every method takes the
@@ -68,18 +69,25 @@ impl ChainCursor {
     /// address and SWAR probe word, request the header line. Written in
     /// place so the plain instantiation stores only what the walk reads.
     #[inline(always)]
-    pub fn start<const METERED: bool>(&mut self, ht: &HashTable, key: u64, cx: &mut ExecCtx) {
+    pub fn start<const METERED: bool>(
+        &mut self,
+        ht: &HashTable,
+        key: u64,
+        cx: &mut ExecCtx,
+        led: &mut Ledger,
+    ) {
         let ptr = ht.bucket_addr(key);
         self.key = key;
         self.ptr = ptr;
         self.probe = probe_word(tag_of(key));
         self.hop = 0;
-        let group = if METERED { cx.begin_lane() } else { 0 };
-        let t = cx.issue_header::<METERED, _>(ptr, group);
         if METERED {
-            self.ready_at = t.ready_at;
+            let group = cx.begin_lane();
+            self.ready_at = cx.issue_header(ptr, group).ready_at;
             self.slab = 0;
             self.group = group;
+        } else {
+            led.issue(ptr);
         }
     }
 
@@ -94,6 +102,7 @@ impl ChainCursor {
         op: &'static str,
         ht: &'t HashTable,
         cx: &mut ExecCtx,
+        led: &mut Ledger,
     ) -> (&'t BucketData, bool) {
         let _ = ht;
         if METERED {
@@ -104,10 +113,10 @@ impl ChainCursor {
         // table) and `advance` (an arena-owned node of it), and walks run
         // in the table's read-only phase.
         let d = unsafe { (*self.ptr).data() };
-        cx.obs.nodes_visited += 1;
+        led.nodes_visited += 1;
         let may_match = tags_may_match(d.meta, self.probe);
         if !may_match {
-            cx.obs.tag_rejects += 1;
+            led.tag_rejects += 1;
         }
         (d, may_match)
     }
@@ -126,6 +135,7 @@ impl ChainCursor {
         ht: &HashTable,
         next: u32,
         cx: &mut ExecCtx,
+        led: &mut Ledger,
     ) -> Step {
         if next == NULL_INDEX {
             self.retire::<METERED>(op, cx);
@@ -133,20 +143,21 @@ impl ChainCursor {
         }
         let ptr = ht.node_ptr(next);
         self.ptr = ptr;
+        if !METERED {
+            self.hop += 1;
+            led.issue(ptr);
+            return Step::Continue;
+        }
         let token = fault_token(self.key, self.hop);
         self.hop += 1;
         let slab = slab_of_index(next);
-        // A plain ticket is a constant: token, slab and group are dead
-        // there, and so is the failure exit.
-        let t = cx.issue_slab::<METERED, _>(slab, ptr, token, self.group);
+        let t = cx.issue_slab(slab, ptr, token, self.group);
         if t.failed {
             cx.fail(op, self.key, self.hop, self.group);
             return Step::Failed;
         }
-        if METERED {
-            self.slab = slab;
-            self.ready_at = t.ready_at;
-        }
+        self.slab = slab;
+        self.ready_at = t.ready_at;
         Step::Continue
     }
 

@@ -25,7 +25,7 @@ use amac_hashtable::{AggBucket, AggTable};
 use amac_mem::prefetch::{prefetch_read, prefetch_write};
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{GroupByInput, Relation, Tuple};
 
@@ -152,9 +152,26 @@ impl<'a> GroupByOp<'a> {
     }
 }
 
+/// [`GroupByOp`]'s loop-carried scalars: its ledger and tuple count.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupByTally {
+    led: Ledger,
+    tuples: u64,
+}
+
 impl GroupByOp<'_> {
     #[inline(always)]
-    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut GroupByState) {
+    fn tally(&self, led: Ledger) -> GroupByTally {
+        GroupByTally { led, tuples: self.tuples }
+    }
+
+    #[inline(always)]
+    fn stage0<const METERED: bool>(
+        &mut self,
+        t: &mut GroupByTally,
+        input: Tuple,
+        state: &mut GroupByState,
+    ) {
         let header = self.handle.table().bucket_addr(input.key);
         state.key = input.key;
         state.payload = input.payload;
@@ -164,17 +181,17 @@ impl GroupByOp<'_> {
         state.hop = 0;
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
-        // A plain context only counts the load: no lane to open, no
+        // A plain stage only counts the load: no lane to open, no
         // arrival tick or slab to keep, no load event pending.
         let fresh = if METERED {
             state.slab = 0;
             state.pending = true;
             state.group = self.cx.begin_lane();
-            let t = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
-            state.ready_at = t.ready_at;
-            t.fresh
+            let ticket = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
+            state.ready_at = ticket.ready_at;
+            ticket.fresh
         } else {
-            self.cx.obs.issued_loads += 1;
+            t.led.issued_loads += 1;
             true
         };
         if fresh {
@@ -183,7 +200,11 @@ impl GroupByOp<'_> {
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, state: &mut GroupByState) -> Step {
+    fn stage1<const METERED: bool>(
+        &mut self,
+        t: &mut GroupByTally,
+        state: &mut GroupByState,
+    ) -> Step {
         // The latch word shares the (prefetched) header line; a blocked
         // attempt is executed work that read the line. Only the *first*
         // wait on a ticket records a load event (a blocked retry re-waits
@@ -208,12 +229,12 @@ impl GroupByOp<'_> {
                 state.cur = state.header;
                 // Fall through: process the (prefetched) header now.
             }
-            self.cx.obs.nodes_visited += 1;
+            t.led.nodes_visited += 1;
             let idx = self.handle.visit_latched(state.cur, state.key, state.payload);
             if idx == NULL_INDEX {
                 // Updated, claimed or appended: the tuple is aggregated.
                 (*state.header).latch.release();
-                self.tuples += 1;
+                t.tuples += 1;
                 if METERED {
                     self.cx.retire("groupby", state.key, state.hop, state.group);
                 }
@@ -225,11 +246,11 @@ impl GroupByOp<'_> {
             let fresh = if METERED {
                 state.slab = slab_of_index(idx);
                 state.pending = true;
-                let t = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
-                state.ready_at = t.ready_at;
-                t.fresh
+                let ticket = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
+                state.ready_at = ticket.ready_at;
+                ticket.fresh
             } else {
-                self.cx.obs.issued_loads += 1;
+                t.led.issued_loads += 1;
                 true
             };
             if fresh {
@@ -241,39 +262,58 @@ impl GroupByOp<'_> {
 
     #[inline(never)]
     fn start_metered(&mut self, input: Tuple, state: &mut GroupByState) {
-        self.stage0::<true>(input, state);
+        let mut t = self.tally(Ledger::default());
+        self.stage0::<true>(&mut t, input, state);
+        self.settle(t);
     }
 
     #[inline(never)]
     fn step_metered(&mut self, state: &mut GroupByState) -> Step {
-        self.stage1::<true>(state)
+        let mut t = self.tally(Ledger::default());
+        let step = self.stage1::<true>(&mut t, state);
+        self.settle(t);
+        step
     }
 }
 
 impl LookupOp for GroupByOp<'_> {
     type Input = Tuple;
     type State = GroupByState;
+    type Tally = GroupByTally;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut GroupByState) {
-        if self.cx.metered() {
-            self.start_metered(input, state);
-        } else {
-            self.stage0::<false>(input, state);
-        }
+        self.start_metered(input, state);
     }
 
     #[inline(always)]
     fn step(&mut self, state: &mut GroupByState) -> Step {
-        if self.cx.metered() {
-            self.step_metered(state)
-        } else {
-            self.stage1::<false>(state)
-        }
+        self.step_metered(state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<GroupByTally> {
+        self.cx.plain().map(|led| self.tally(led))
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, t: &mut GroupByTally, input: Tuple, state: &mut GroupByState) {
+        self.stage0::<false>(t, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, t: &mut GroupByTally, state: &mut GroupByState) -> Step {
+        self.stage1::<false>(t, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, t: GroupByTally) {
+        self.tuples = t.tuples;
+        self.cx.settle(t.led);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {

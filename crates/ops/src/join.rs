@@ -5,7 +5,7 @@ use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningPar
 use amac_hashtable::{Bucket, BuildHandle, HashTable};
 use amac_mem::prefetch::PrefetchHint;
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, TierSpec};
+use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -37,7 +37,8 @@ pub struct ProbeConfig {
     /// Prefetch instruction policy. The paper fixes `PREFETCHNTA` (§4);
     /// `T0` and `None` exist for the hint ablation (`bench/bin/ablation` —
     /// `None` turns every technique into pure interleaving, separating
-    /// scheduling benefit from prefetch benefit).
+    /// scheduling benefit from prefetch benefit). Any hint but `Nta` makes
+    /// the context metered (see [`ProbeConfig::trace`]).
     pub hint: PrefetchHint,
     /// Memory-tier cost model: `Some` charges a deterministic simulated
     /// clock (stage 0 pays the header tier, every chain hop the tier of
@@ -63,13 +64,15 @@ pub struct ProbeConfig {
     /// retirement. The trace is returned in [`ProbeOutput::trace`];
     /// results and [`EngineStats`] are bit-identical with tracing on or
     /// off. `false` (default) = a disabled tracer: with `tier`, `fault`
-    /// and `coalesce` also unset the context is *plain*
-    /// ([`ExecCtx::metered`] is false), each code stage tests that one
-    /// bit and runs inlined in the executor loop, counting only
-    /// `issued_loads`, `nodes_visited` and `tag_rejects`; with any of
+    /// and `coalesce` also unset and the `Nta` hint the context is
+    /// *plain* ([`ExecCtx::metered`] is false). Each executor call asks
+    /// that once and runs the stages inlined in its loop, counting only
+    /// `issued_loads`, `nodes_visited`, `tag_rejects` and the op's
+    /// accumulators, into a tally held in the call's locals; with any of
     /// them set each stage is one out-of-line call into the full lane
     /// protocol, where the disabled tracer is one not-taken branch per
-    /// wait and per retirement.
+    /// wait and per retirement. A tracer armed between two calls (two
+    /// feeds of a session, say) records from the next call on.
     pub trace: bool,
 }
 
@@ -212,31 +215,53 @@ pub(crate) fn auto_chain_estimate(ht: &HashTable) -> usize {
     nodes.max(1) as usize
 }
 
+/// [`ProbeOp`]'s loop-carried scalars: its ledger, its accumulators and
+/// its input cursor.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProbeTally {
+    led: Ledger,
+    matches: u64,
+    checksum: u64,
+    cursor: usize,
+}
+
 impl ProbeOp<'_> {
+    /// The op's scalars as they stand, counting into `led`.
+    #[inline(always)]
+    fn tally(&self, led: Ledger) -> ProbeTally {
+        ProbeTally { led, matches: self.matches, checksum: self.checksum, cursor: self.cursor }
+    }
+
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
     #[inline(always)]
-    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut ProbeState) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
-        state.tag = self.cursor as u64;
-        self.cursor += 1;
+    fn stage0<const METERED: bool>(
+        &mut self,
+        t: &mut ProbeTally,
+        input: Tuple,
+        state: &mut ProbeState,
+    ) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
+        state.tag = t.cursor as u64;
+        t.cursor += 1;
     }
 
     /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
     /// hit, output on match, chase the `u32` chain index.
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, state: &mut ProbeState) -> Step {
-        let (d, may_match) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx);
+    fn stage1<const METERED: bool>(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
+        let (d, may_match) =
+            state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
         let mut hit = false;
         if may_match {
             for i in 0..d.count() {
-                let t = d.tuples[i];
-                if t.key == state.cursor.key {
-                    self.matches += 1;
-                    self.checksum = self.checksum.wrapping_add(t.payload);
+                let tuple = d.tuples[i];
+                if tuple.key == state.cursor.key {
+                    t.matches += 1;
+                    t.checksum = t.checksum.wrapping_add(tuple.payload);
                     let idx = state.tag as usize;
                     if self.materialize && self.out[idx] == u64::MAX {
-                        self.out[idx] = t.payload;
+                        self.out[idx] = tuple.payload;
                     }
                     hit = true;
                 }
@@ -246,25 +271,32 @@ impl ProbeOp<'_> {
             state.cursor.retire::<METERED>("probe", &mut self.cx);
             return Step::Done; // early exit on unique-key match
         }
-        state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx)
+        state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx, &mut t.led)
     }
 
     #[inline(never)]
     fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
-        self.stage0::<true>(input, state);
+        let mut t = self.tally(Ledger::default());
+        self.stage0::<true>(&mut t, input, state);
+        self.settle(t);
     }
 
     #[inline(never)]
     fn step_metered(&mut self, state: &mut ProbeState) -> Step {
-        self.stage1::<true>(state)
+        let mut t = self.tally(Ledger::default());
+        let step = self.stage1::<true>(&mut t, state);
+        self.settle(t);
+        step
     }
 }
 
-/// Each stage tests the context's mode once: the plain instantiation is
-/// inlined into the executor's loop, the metered one is a single call.
+/// Each stage is written once, over the tally: a plain call inlines the
+/// `METERED = false` instantiation into the executor's loop, any other
+/// call makes one out-of-line call per stage.
 impl LookupOp for ProbeOp<'_> {
     type Input = Tuple;
     type State = ProbeState;
+    type Tally = ProbeTally;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
@@ -272,20 +304,35 @@ impl LookupOp for ProbeOp<'_> {
 
     #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        if self.cx.metered() {
-            self.start_metered(input, state);
-        } else {
-            self.stage0::<false>(input, state);
-        }
+        self.start_metered(input, state);
     }
 
     #[inline(always)]
     fn step(&mut self, state: &mut ProbeState) -> Step {
-        if self.cx.metered() {
-            self.step_metered(state)
-        } else {
-            self.stage1::<false>(state)
-        }
+        self.step_metered(state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<ProbeTally> {
+        self.cx.plain().map(|led| self.tally(led))
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, t: &mut ProbeTally, input: Tuple, state: &mut ProbeState) {
+        self.stage0::<false>(t, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
+        self.stage1::<false>(t, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, t: ProbeTally) {
+        self.matches = t.matches;
+        self.checksum = t.checksum;
+        self.cursor = t.cursor;
+        self.cx.settle(t.led);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -379,7 +426,12 @@ impl<'a> BuildOp<'a> {
 impl BuildOp<'_> {
     /// Code 0: get new tuple, compute bucket address, prefetch (for write).
     #[inline(always)]
-    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut BuildState) {
+    fn stage0<const METERED: bool>(
+        &mut self,
+        led: &mut Ledger,
+        input: Tuple,
+        state: &mut BuildState,
+    ) {
         let bucket = self.handle.table().bucket_addr(input.key);
         amac_mem::prefetch::prefetch_write(bucket);
         state.key = input.key;
@@ -390,13 +442,13 @@ impl BuildOp<'_> {
             state.ready_at =
                 self.cx.request(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
         } else {
-            self.cx.obs.issued_loads += 1;
+            led.issued_loads += 1;
         }
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, state: &mut BuildState) -> Step {
+    fn stage1<const METERED: bool>(&mut self, led: &mut Ledger, state: &mut BuildState) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
         if METERED {
@@ -413,7 +465,7 @@ impl BuildOp<'_> {
         }
         // The O(1) head insert dereferences the (prefetched) header; any
         // overflow-head touch shares the same latched stage.
-        self.cx.obs.nodes_visited += 1;
+        led.nodes_visited += 1;
         if METERED {
             self.cx.retire_lane(state.group);
         }
@@ -422,39 +474,58 @@ impl BuildOp<'_> {
 
     #[inline(never)]
     fn start_metered(&mut self, input: Tuple, state: &mut BuildState) {
-        self.stage0::<true>(input, state);
+        let mut led = Ledger::default();
+        self.stage0::<true>(&mut led, input, state);
+        self.cx.settle(led);
     }
 
     #[inline(never)]
     fn step_metered(&mut self, state: &mut BuildState) -> Step {
-        self.stage1::<true>(state)
+        let mut led = Ledger::default();
+        let step = self.stage1::<true>(&mut led, state);
+        self.cx.settle(led);
+        step
     }
 }
 
+/// A build's tally is its ledger alone.
 impl LookupOp for BuildOp<'_> {
     type Input = Tuple;
     type State = BuildState;
+    type Tally = Ledger;
 
     fn budgeted_steps(&self) -> usize {
         1
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut BuildState) {
-        if self.cx.metered() {
-            self.start_metered(input, state);
-        } else {
-            self.stage0::<false>(input, state);
-        }
+        self.start_metered(input, state);
     }
 
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, state: &mut BuildState) -> Step {
-        if self.cx.metered() {
-            self.step_metered(state)
-        } else {
-            self.stage1::<false>(state)
-        }
+        self.step_metered(state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<Ledger> {
+        self.cx.plain()
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, led: &mut Ledger, input: Tuple, state: &mut BuildState) {
+        self.stage0::<false>(led, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, led: &mut Ledger, state: &mut BuildState) -> Step {
+        self.stage1::<false>(led, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, led: Ledger) {
+        self.cx.settle(led);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {

@@ -105,6 +105,7 @@ impl<'a> LinearProbeOp<'a> {
 impl LookupOp for LinearProbeOp<'_> {
     type Input = Tuple;
     type State = LinearProbeState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages

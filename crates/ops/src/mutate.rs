@@ -45,7 +45,7 @@ use amac_mem::prefetch::PrefetchHint;
 use amac_mem::NULL_INDEX;
 use amac_metrics::timer::CycleTimer;
 use amac_runtime::{execute, MorselConfig};
-use amac_tier::{ExecCtx, ExecSpec, FaultPlan, TierSpec, WalRecord};
+use amac_tier::{ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 
@@ -227,50 +227,81 @@ impl<'a> MutateOp<'a> {
     }
 
     /// Append the lookup's WAL record and charge the log costs.
-    fn log(&mut self, rec: WalRecord) {
+    fn log(&mut self, t: &mut MutateTally, rec: WalRecord) {
         if self.cfg.wal {
-            self.cx.obs.log_bytes += rec.encoded_len();
-            self.cx.obs.log_stalls += self.write_cost;
+            t.log_bytes += rec.encoded_len();
+            t.log_stalls += self.write_cost;
             self.wal.push(rec);
         }
     }
 
-    /// Terminal fresh-prefix action; returns the outcome counters.
-    fn terminal(&mut self, key: u64, delta: u64) {
+    /// Terminal fresh-prefix action, counted into `t`.
+    fn terminal(&mut self, t: &mut MutateTally, key: u64, delta: u64) {
         match self.cfg.kind {
             MutateKind::Upsert => {
                 if self.ht.fresh_upsert(key, delta) {
-                    self.created += 1;
+                    t.created += 1;
                 } else {
-                    self.merged += 1;
+                    t.merged += 1;
                 }
-                self.log(WalRecord::Upsert { key, delta });
+                self.log(t, WalRecord::Upsert { key, delta });
             }
             MutateKind::Insert => {
                 self.ht.fresh_insert(key, delta);
-                self.created += 1;
-                self.log(WalRecord::Insert { key, payload: delta });
+                t.created += 1;
+                self.log(t, WalRecord::Insert { key, payload: delta });
             }
             MutateKind::Delete => {
-                self.deleted += self.ht.fresh_delete(key);
-                self.log(WalRecord::Delete { key });
+                t.deleted += self.ht.fresh_delete(key);
+                self.log(t, WalRecord::Delete { key });
             }
         }
-        self.applied += 1;
+        t.applied += 1;
     }
+}
+
+/// [`MutateOp`]'s loop-carried scalars: its ledger, its outcome counters
+/// and its WAL charges.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MutateTally {
+    led: Ledger,
+    applied: u64,
+    created: u64,
+    merged: u64,
+    deleted: u64,
+    log_bytes: u64,
+    log_stalls: u64,
 }
 
 impl MutateOp<'_> {
     #[inline(always)]
-    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut MutState) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
+    fn tally(&self, led: Ledger) -> MutateTally {
+        MutateTally {
+            led,
+            applied: self.applied,
+            created: self.created,
+            merged: self.merged,
+            deleted: self.deleted,
+            log_bytes: 0,
+            log_stalls: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn stage0<const METERED: bool>(
+        &mut self,
+        t: &mut MutateTally,
+        input: Tuple,
+        state: &mut MutState,
+    ) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.delta = input.payload;
         state.at_header = true;
         self.charge_residual::<METERED>(&state.cursor);
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, state: &mut MutState) -> Step {
+    fn stage1<const METERED: bool>(&mut self, t: &mut MutateTally, state: &mut MutState) -> Step {
         let (key, delta) = (state.cursor.key, state.delta);
         if METERED {
             self.cx.stage();
@@ -279,12 +310,12 @@ impl MutateOp<'_> {
         // of this table; frozen meta/next are immutable during the epoch,
         // and slot accesses go through the atomic views.
         let b = unsafe { &*state.cursor.ptr };
-        self.cx.obs.nodes_visited += 1;
+        t.led.nodes_visited += 1;
         let meta = b.meta_atomic().load(core::sync::atomic::Ordering::Relaxed);
         match self.cfg.kind {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
-                self.terminal(key, delta);
+                self.terminal(t, key, delta);
                 state.cursor.retire::<METERED>("mutate", &mut self.cx);
                 return Step::Done;
             }
@@ -295,23 +326,23 @@ impl MutateOp<'_> {
                         if b.key_atomic(i).load(core::sync::atomic::Ordering::Acquire) == key {
                             b.payload_atomic(i)
                                 .fetch_add(delta, core::sync::atomic::Ordering::AcqRel);
-                            self.merged += 1;
-                            self.applied += 1;
-                            self.log(WalRecord::Upsert { key, delta });
+                            t.merged += 1;
+                            t.applied += 1;
+                            self.log(t, WalRecord::Upsert { key, delta });
                             state.cursor.retire::<METERED>("mutate", &mut self.cx);
                             return Step::Done;
                         }
                     }
                 } else {
-                    self.cx.obs.tag_rejects += 1;
+                    t.led.tag_rejects += 1;
                 }
             }
             MutateKind::Delete => {
                 if tags_may_match(meta, state.cursor.probe) {
                     // SAFETY: frozen node of this table.
-                    self.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, key) };
+                    t.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, key) };
                 } else {
-                    self.cx.obs.tag_rejects += 1;
+                    t.led.tag_rejects += 1;
                 }
             }
         }
@@ -328,9 +359,10 @@ impl MutateOp<'_> {
         if next == NULL_INDEX {
             // The frozen walk is over: run the fresh-prefix action
             // before the cursor retires the lane.
-            self.terminal(key, delta);
+            self.terminal(t, key, delta);
         }
-        let step = state.cursor.advance::<METERED>("mutate", self.ht, next, &mut self.cx);
+        let step =
+            state.cursor.advance::<METERED>("mutate", self.ht, next, &mut self.cx, &mut t.led);
         if step == Step::Continue {
             self.charge_residual::<METERED>(&state.cursor);
             state.at_header = false;
@@ -340,39 +372,63 @@ impl MutateOp<'_> {
 
     #[inline(never)]
     fn start_metered(&mut self, input: Tuple, state: &mut MutState) {
-        self.stage0::<true>(input, state);
+        let mut t = self.tally(Ledger::default());
+        self.stage0::<true>(&mut t, input, state);
+        self.settle(t);
     }
 
     #[inline(never)]
     fn step_metered(&mut self, state: &mut MutState) -> Step {
-        self.stage1::<true>(state)
+        let mut t = self.tally(Ledger::default());
+        let step = self.stage1::<true>(&mut t, state);
+        self.settle(t);
+        step
     }
 }
 
 impl LookupOp for MutateOp<'_> {
     type Input = Tuple;
     type State = MutState;
+    type Tally = MutateTally;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut MutState) {
-        if self.cx.metered() {
-            self.start_metered(input, state);
-        } else {
-            self.stage0::<false>(input, state);
-        }
+        self.start_metered(input, state);
     }
 
     #[inline(always)]
     fn step(&mut self, state: &mut MutState) -> Step {
-        if self.cx.metered() {
-            self.step_metered(state)
-        } else {
-            self.stage1::<false>(state)
-        }
+        self.step_metered(state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<MutateTally> {
+        self.cx.plain().map(|led| self.tally(led))
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, t: &mut MutateTally, input: Tuple, state: &mut MutState) {
+        self.stage0::<false>(t, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, t: &mut MutateTally, state: &mut MutState) -> Step {
+        self.stage1::<false>(t, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, t: MutateTally) {
+        self.applied = t.applied;
+        self.created = t.created;
+        self.merged = t.merged;
+        self.deleted = t.deleted;
+        self.cx.obs.log_bytes += t.log_bytes;
+        self.cx.obs.log_stalls += t.log_stalls;
+        self.cx.settle(t.led);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -492,6 +548,7 @@ impl<'a> ReplayOp<'a> {
 impl LookupOp for ReplayOp<'_> {
     type Input = WalRecord;
     type State = WalRecord;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         1

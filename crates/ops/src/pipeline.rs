@@ -57,7 +57,7 @@ use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningPar
 use amac_hashtable::{AggTable, HashTable};
 use amac_mem::prefetch::PrefetchHint;
 use amac_metrics::timer::CycleTimer;
-use amac_tier::{ExecCtx, ExecSpec, FaultPlan, TierSpec};
+use amac_tier::{ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{FilterSpec, Relation, Tuple};
 
@@ -174,21 +174,43 @@ impl<'a> ProbeStage<'a> {
     }
 }
 
+/// [`ProbeStage`]'s loop-carried scalars: its ledger and match count.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageTally {
+    led: Ledger,
+    matches: u64,
+}
+
 impl ProbeStage<'_> {
     #[inline(always)]
-    fn stage0<const METERED: bool>(&mut self, input: Tuple, state: &mut ProbeState) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx);
+    fn tally(&self, led: Ledger) -> StageTally {
+        StageTally { led, matches: self.matches }
+    }
+
+    #[inline(always)]
+    fn stage0<const METERED: bool>(
+        &mut self,
+        t: &mut StageTally,
+        input: Tuple,
+        state: &mut ProbeState,
+    ) {
+        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.tag = input.payload;
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        let (d, may_match) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx);
+    fn stage1<const METERED: bool>(
+        &mut self,
+        t: &mut StageTally,
+        state: &mut ProbeState,
+    ) -> StageStep<Joined> {
+        let (d, may_match) =
+            state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
         if may_match {
             for i in 0..d.count() {
-                let t = d.tuples[i];
-                if t.key == state.cursor.key {
-                    self.matches += 1;
+                let tuple = d.tuples[i];
+                if tuple.key == state.cursor.key {
+                    t.matches += 1;
                     // A non-terminal stage hands the tuple downstream —
                     // the terminal operator records the retirement.
                     if self.terminal {
@@ -197,14 +219,14 @@ impl ProbeStage<'_> {
                         self.cx.retire_lane(state.cursor.group);
                     }
                     return StageStep::Emit(Joined {
-                        key: t.key,
+                        key: tuple.key,
                         probe_payload: state.tag,
-                        build_payload: t.payload,
+                        build_payload: tuple.payload,
                     });
                 }
             }
         }
-        match state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx) {
+        match state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx, &mut t.led) {
             Step::Continue => StageStep::Continue,
             Step::Failed => StageStep::Failed,
             _ => StageStep::Skip, // chain exhausted: probe miss
@@ -213,12 +235,17 @@ impl ProbeStage<'_> {
 
     #[inline(never)]
     fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
-        self.stage0::<true>(input, state);
+        let mut t = self.tally(Ledger::default());
+        self.stage0::<true>(&mut t, input, state);
+        self.settle(t);
     }
 
     #[inline(never)]
     fn step_metered(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        self.stage1::<true>(state)
+        let mut t = self.tally(Ledger::default());
+        let step = self.stage1::<true>(&mut t, state);
+        self.settle(t);
+        step
     }
 }
 
@@ -226,27 +253,41 @@ impl PipelineOp for ProbeStage<'_> {
     type Input = Tuple;
     type Output = Joined;
     type State = ProbeState;
+    type Tally = StageTally;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    #[inline]
+    #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        if self.cx.metered() {
-            self.start_metered(input, state);
-        } else {
-            self.stage0::<false>(input, state);
-        }
+        self.start_metered(input, state);
     }
 
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        if self.cx.metered() {
-            self.step_metered(state)
-        } else {
-            self.stage1::<false>(state)
-        }
+        self.step_metered(state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<StageTally> {
+        self.cx.plain().map(|led| self.tally(led))
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, t: &mut StageTally, input: Tuple, state: &mut ProbeState) {
+        self.stage0::<false>(t, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, t: &mut StageTally, state: &mut ProbeState) -> StageStep<Joined> {
+        self.stage1::<false>(t, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, t: StageTally) {
+        self.matches = t.matches;
+        self.cx.settle(t.led);
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {

@@ -82,6 +82,7 @@ impl<'a> SkipSearchOp<'a> {
 impl<'a> LookupOp for SkipSearchOp<'a> {
     type Input = Tuple;
     type State = SkipSearchState<'a>;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
@@ -215,6 +216,7 @@ impl<'a> SkipInsertOp<'a> {
 impl<'a> LookupOp for SkipInsertOp<'a> {
     type Input = Tuple;
     type State = SkipInsertState<'a>;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages

@@ -19,6 +19,7 @@
 //! # impl LookupOp for NopOp {
 //! #     type Input = u64;
 //! #     type State = NopState;
+//! #     type Tally = ();
 //! #     fn budgeted_steps(&self) -> usize { 1 }
 //! #     fn start(&mut self, i: u64, s: &mut NopState) { s.0 = i; }
 //! #     fn step(&mut self, _s: &mut NopState) -> Step { Step::Done }

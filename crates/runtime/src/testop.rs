@@ -30,6 +30,7 @@ impl ChainOp {
 impl LookupOp for ChainOp {
     type Input = usize;
     type State = ChainState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         4

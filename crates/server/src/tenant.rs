@@ -11,10 +11,10 @@
 
 use amac::engine::pipeline::ChainState;
 use amac::engine::{Hooks, LookupOp, Step};
-use amac_ops::groupby::{GroupByOp, GroupByState};
-use amac_ops::join::{ProbeOp, ProbeState};
-use amac_ops::mutate::{MutState, MutateOp};
-use amac_ops::pipeline::FusedProbeGroupBy;
+use amac_ops::groupby::{GroupByOp, GroupByState, GroupByTally};
+use amac_ops::join::{ProbeOp, ProbeState, ProbeTally};
+use amac_ops::mutate::{MutState, MutateOp, MutateTally};
+use amac_ops::pipeline::{FusedProbeGroupBy, StageTally};
 use amac_workload::Tuple;
 
 /// State of one in-flight serving lookup (variant always matches the
@@ -34,6 +34,16 @@ pub enum TenantState {
     Upsert(MutState),
 }
 
+/// A plain lane's tally: one field per variant, of which only the lane's
+/// own op's is used (no discriminant to test per stage).
+#[derive(Clone, Copy, Default)]
+pub struct TenantTally {
+    probe: ProbeTally,
+    groupby: GroupByTally,
+    pipeline: (StageTally, GroupByTally),
+    upsert: MutateTally,
+}
+
 /// One query's operator, in a form every other query's operator can share
 /// a window with.
 pub enum TenantOp<'a> {
@@ -51,6 +61,7 @@ pub enum TenantOp<'a> {
 impl LookupOp for TenantOp<'_> {
     type Input = Tuple;
     type State = TenantState;
+    type Tally = TenantTally;
 
     fn budgeted_steps(&self) -> usize {
         match self {
@@ -63,38 +74,42 @@ impl LookupOp for TenantOp<'_> {
 
     #[inline(always)]
     fn start(&mut self, input: Tuple, state: &mut TenantState) {
-        match self {
-            TenantOp::Probe(op) => {
-                let mut s = ProbeState::default();
-                op.start(input, &mut s);
-                *state = TenantState::Probe(s);
-            }
-            TenantOp::GroupBy(op) => {
-                let mut s = GroupByState::default();
-                op.start(input, &mut s);
-                *state = TenantState::GroupBy(s);
-            }
-            TenantOp::Pipeline(op) => {
-                let mut s = ChainState::default();
-                op.start(input, &mut s);
-                *state = TenantState::Pipeline(s);
-            }
-            TenantOp::Upsert(op) => {
-                let mut s = MutState::default();
-                op.start(input, &mut s);
-                *state = TenantState::Upsert(s);
-            }
-        }
+        self.start_in::<false>(&mut TenantTally::default(), input, state);
     }
 
     #[inline(always)]
     fn step(&mut self, state: &mut TenantState) -> Step {
-        match (self, state) {
-            (TenantOp::Probe(op), TenantState::Probe(s)) => op.step(s),
-            (TenantOp::GroupBy(op), TenantState::GroupBy(s)) => op.step(s),
-            (TenantOp::Pipeline(op), TenantState::Pipeline(s)) => op.step(s),
-            (TenantOp::Upsert(op), TenantState::Upsert(s)) => op.step(s),
-            _ => unreachable!("serving state variant does not match its lane's op"),
+        self.step_in::<false>(&mut TenantTally::default(), state)
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<TenantTally> {
+        let none = TenantTally::default();
+        Some(match self {
+            TenantOp::Probe(op) => TenantTally { probe: op.plain()?, ..none },
+            TenantOp::GroupBy(op) => TenantTally { groupby: op.plain()?, ..none },
+            TenantOp::Pipeline(op) => TenantTally { pipeline: op.plain()?, ..none },
+            TenantOp::Upsert(op) => TenantTally { upsert: op.plain()?, ..none },
+        })
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, t: &mut TenantTally, input: Tuple, state: &mut TenantState) {
+        self.start_in::<true>(t, input, state);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, t: &mut TenantTally, state: &mut TenantState) -> Step {
+        self.step_in::<true>(t, state)
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, t: TenantTally) {
+        match self {
+            TenantOp::Probe(op) => op.settle(t.probe),
+            TenantOp::GroupBy(op) => op.settle(t.groupby),
+            TenantOp::Pipeline(op) => op.settle(t.pipeline),
+            TenantOp::Upsert(op) => op.settle(t.upsert),
         }
     }
 
@@ -109,6 +124,88 @@ impl LookupOp for TenantOp<'_> {
                 (&mut probe.cx, Some(&mut groupby.0.cx))
             }
             TenantOp::Upsert(op) => (&mut op.cx, None),
+        }
+    }
+}
+
+/// One variant's stage 0 in the call's mode.
+#[inline(always)]
+fn start_in<O: LookupOp, const PLAIN: bool>(
+    op: &mut O,
+    tally: &mut O::Tally,
+    input: O::Input,
+    state: &mut O::State,
+) {
+    if PLAIN {
+        op.start_plain(tally, input, state);
+    } else {
+        op.start(input, state);
+    }
+}
+
+/// One variant's next stage in the call's mode.
+#[inline(always)]
+fn step_in<O: LookupOp, const PLAIN: bool>(
+    op: &mut O,
+    tally: &mut O::Tally,
+    state: &mut O::State,
+) -> Step {
+    if PLAIN {
+        op.step_plain(tally, state)
+    } else {
+        op.step(state)
+    }
+}
+
+impl TenantOp<'_> {
+    /// `start` fully reinitializes the state with the op's variant.
+    #[inline(always)]
+    fn start_in<const PLAIN: bool>(
+        &mut self,
+        t: &mut TenantTally,
+        input: Tuple,
+        state: &mut TenantState,
+    ) {
+        match self {
+            TenantOp::Probe(op) => {
+                let mut s = ProbeState::default();
+                start_in::<_, PLAIN>(op, &mut t.probe, input, &mut s);
+                *state = TenantState::Probe(s);
+            }
+            TenantOp::GroupBy(op) => {
+                let mut s = GroupByState::default();
+                start_in::<_, PLAIN>(op, &mut t.groupby, input, &mut s);
+                *state = TenantState::GroupBy(s);
+            }
+            TenantOp::Pipeline(op) => {
+                let mut s = ChainState::default();
+                start_in::<_, PLAIN>(&mut **op, &mut t.pipeline, input, &mut s);
+                *state = TenantState::Pipeline(s);
+            }
+            TenantOp::Upsert(op) => {
+                let mut s = MutState::default();
+                start_in::<_, PLAIN>(op, &mut t.upsert, input, &mut s);
+                *state = TenantState::Upsert(s);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn step_in<const PLAIN: bool>(&mut self, t: &mut TenantTally, state: &mut TenantState) -> Step {
+        match (self, state) {
+            (TenantOp::Probe(op), TenantState::Probe(s)) => {
+                step_in::<_, PLAIN>(op, &mut t.probe, s)
+            }
+            (TenantOp::GroupBy(op), TenantState::GroupBy(s)) => {
+                step_in::<_, PLAIN>(op, &mut t.groupby, s)
+            }
+            (TenantOp::Pipeline(op), TenantState::Pipeline(s)) => {
+                step_in::<_, PLAIN>(&mut **op, &mut t.pipeline, s)
+            }
+            (TenantOp::Upsert(op), TenantState::Upsert(s)) => {
+                step_in::<_, PLAIN>(op, &mut t.upsert, s)
+            }
+            _ => unreachable!("serving state variant does not match its lane's op"),
         }
     }
 }

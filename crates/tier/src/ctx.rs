@@ -15,9 +15,9 @@
 //! protocol to it:
 //!
 //! ```text
-//!            ┌─ plain ───► issued_loads++, hardware prefetch            (inlined in the executor loop)
-//! metered()? ┤
-//!            └─ metered ─► the lane protocol below                      (one out-of-line call per stage)
+//!                   ┌─ Some(ledger) ─► per request: ledger.issued_loads++, prefetchnta  (inlined in the executor loop;
+//! plain()? once per ┤                  ledger settled into the context before every flush)
+//! executor call     └─ None ─────────► the lane protocol below  (one out-of-line call per stage)
 //!
 //! begin_lane ──► issue_header / issue_slab / request ──► Ticket { ready_at, failed, fresh }
 //!    │                │                                      │
@@ -31,21 +31,22 @@
 //! every `G` lane births and at every [`Hooks::commit_group`]. The layers
 //! above the op drive the context through [`Hooks`] only.
 //!
-//! # One mode bit, tested once per stage
+//! # One mode per executor call
 //!
-//! A context with no clock, no coalescer and no armed tracer has nobody
-//! to keep lanes, tickets or waits for: every request is fresh, ready and
-//! healthy. [`ExecCtx::metered`] is that fact as one bit, kept current by
-//! [`Hooks::set_tracer`]/[`Hooks::take_tracer`]. An op writes each code
-//! stage once, generic over `const METERED: bool`, and tests the bit once
-//! per `start`/`step`: the plain instantiation is inlined into the
-//! executor loop and what it still counts is `issued_loads` (one per
-//! request, in [`issue_header`](ExecCtx::issue_header)/
-//! [`issue_slab`](ExecCtx::issue_slab)) and the op's own
-//! `nodes_visited`/`tag_rejects`; the metered instantiation is the full
-//! protocol above, behind one call. Every method of the protocol is
-//! correct on a plain context too (each re-tests what it needs) — the
-//! bit only lets a stage skip asking.
+//! A context with no clock, no coalescer and no armed tracer, issuing the
+//! paper's `PREFETCHNTA`, has nobody to keep lanes, tickets or waits for:
+//! every request is fresh, ready and healthy. [`ExecCtx::metered`] is that
+//! fact as one bit, kept current by
+//! [`Hooks::set_tracer`]/[`Hooks::take_tracer`], and [`ExecCtx::plain`]
+//! hands an executor call a [`Ledger`] when it is clear. An op writes each
+//! code stage once, generic over `const METERED: bool`: the call asks once
+//! and runs one instantiation throughout. The plain one is inlined into
+//! the executor loop and counts into the call's ledger — `issued_loads`
+//! per request ([`Ledger::issue`]) and `nodes_visited`/`tag_rejects` per
+//! node — which the call settles ([`ExecCtx::settle`]) before it flushes;
+//! the metered one is the full protocol above, behind one call per stage.
+//! Every method of the protocol is correct on a plain context too (each
+//! re-tests what it needs) — the bit only lets a call skip asking.
 //!
 //! # Completion is simulated time
 //!
@@ -90,7 +91,7 @@
 
 use crate::{trace_tier, FaultPlan, SimClock, TierPolicy, TierSpec};
 use amac::engine::{EngineStats, Hooks};
-use amac_mem::prefetch::PrefetchHint;
+use amac_mem::prefetch::{prefetch_read, PrefetchHint};
 use amac_trace::{ClassKind, TierKind, TraceEvent, Tracer};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -257,6 +258,33 @@ impl Coalescer {
     }
 }
 
+/// What a code stage counts per request and per node, held by its caller
+/// instead of the context: a plain executor call takes one from
+/// [`ExecCtx::plain`], keeps it in its locals, and hands it back through
+/// [`ExecCtx::settle`] before it flushes. Metered stages count
+/// `nodes_visited`/`tag_rejects` into one too, and their requests into the
+/// context.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Plain requests issued (metered requests count in the context).
+    pub issued_loads: u64,
+    /// Nodes dereferenced.
+    pub nodes_visited: u64,
+    /// Nodes the SWAR tag test rejected.
+    pub tag_rejects: u64,
+}
+
+impl Ledger {
+    /// A plain request: count it and prefetch the line `PREFETCHNTA` (a
+    /// plain context's hint). Every plain ticket is fresh, ready and
+    /// healthy, so there is nothing to return.
+    #[inline(always)]
+    pub fn issue<T>(&mut self, ptr: *const T) {
+        self.issued_loads += 1;
+        prefetch_read(ptr);
+    }
+}
+
 /// An op's execution context (see the [module docs](self)).
 ///
 /// One per op instance: each member of a fused chain and each mux lane
@@ -296,19 +324,39 @@ impl ExecCtx {
         cx
     }
 
-    /// Whether anything listens to the lane protocol: a clock (any of
-    /// `tier`/`fault`), a coalescer, or an armed tracer. `false` is the
-    /// *plain* context, on which a stage may run its `METERED = false`
-    /// instantiation — see the [module docs](self).
+    /// Whether anything listens to the lane protocol — a clock (any of
+    /// `tier`/`fault`), a coalescer, or an armed tracer — or the prefetch
+    /// hint is one of the ablation's rather than the paper's
+    /// `PREFETCHNTA`. `false` is the *plain* context, on which a stage may
+    /// run its `METERED = false` instantiation — see the
+    /// [module docs](self).
     #[inline(always)]
     pub fn metered(&self) -> bool {
         self.metered
     }
 
+    /// A fresh [`Ledger`] for one executor call if the context is plain,
+    /// `None` if it is [`metered`](ExecCtx::metered).
+    #[inline(always)]
+    pub fn plain(&self) -> Option<Ledger> {
+        (!self.metered).then_some(Ledger::default())
+    }
+
+    /// Fold a ledger's counts into the observations the next flush drains.
+    #[inline(always)]
+    pub fn settle(&mut self, led: Ledger) {
+        self.obs.issued_loads += led.issued_loads;
+        self.obs.nodes_visited += led.nodes_visited;
+        self.obs.tag_rejects += led.tag_rejects;
+    }
+
     /// Recompute the mode bit; the tracer is the only listener that can
     /// come and go after construction.
     fn refresh_mode(&mut self) {
-        self.metered = self.clock.is_some() || self.coalescer.is_some() || self.tracer.enabled();
+        self.metered = self.clock.is_some()
+            || self.coalescer.is_some()
+            || self.tracer.enabled()
+            || self.hint != PrefetchHint::Nta;
     }
 
     /// The placement policy the clock charges — read off the clock, so
@@ -370,24 +418,10 @@ impl ExecCtx {
     }
 
     /// Request the line of `class` at `ptr` and issue the hardware hint
-    /// if the ticket is fresh. On a plain context (`METERED = false`)
-    /// every request is fresh, ready and healthy, and `class`, `token`
-    /// and `group` are dead.
+    /// if the ticket is fresh.
     #[inline(always)]
-    fn issue<const METERED: bool, T>(
-        &mut self,
-        class: AddrClass,
-        ptr: *const T,
-        token: u64,
-        group: u32,
-    ) -> Ticket {
-        debug_assert!(METERED || !self.metered, "plain stage on a metered context");
-        let t = if METERED {
-            self.request(class, token, group)
-        } else {
-            self.obs.issued_loads += 1;
-            Ticket { ready_at: 0, failed: false, fresh: true }
-        };
+    fn issue<T>(&mut self, class: AddrClass, ptr: *const T, token: u64, group: u32) -> Ticket {
+        let t = self.request(class, token, group);
         if t.fresh {
             self.hint.issue(ptr);
         }
@@ -395,25 +429,17 @@ impl ExecCtx {
     }
 
     /// Request the header line at `ptr`, issuing the hardware hint if the
-    /// ticket is fresh. `METERED = false` is the plain instantiation (see
-    /// [`metered`](ExecCtx::metered)): count the load, issue the hint.
+    /// ticket is fresh (a plain stage calls [`Ledger::issue`] instead).
     #[inline(always)]
-    pub fn issue_header<const METERED: bool, T>(&mut self, ptr: *const T, group: u32) -> Ticket {
-        self.issue::<METERED, T>(AddrClass::header_ptr(ptr), ptr, 0, group)
+    pub fn issue_header<T>(&mut self, ptr: *const T, group: u32) -> Ticket {
+        self.issue(AddrClass::header_ptr(ptr), ptr, 0, group)
     }
 
     /// Request the chain node at `ptr` in arena slab `slab`, issuing the
-    /// hardware hint if the ticket is fresh; `METERED` as for
-    /// [`issue_header`](ExecCtx::issue_header).
+    /// hardware hint if the ticket is fresh.
     #[inline(always)]
-    pub fn issue_slab<const METERED: bool, T>(
-        &mut self,
-        slab: u32,
-        ptr: *const T,
-        token: u64,
-        group: u32,
-    ) -> Ticket {
-        self.issue::<METERED, T>(AddrClass::slab_ptr(slab, ptr), ptr, token, group)
+    pub fn issue_slab<T>(&mut self, slab: u32, ptr: *const T, token: u64, group: u32) -> Ticket {
+        self.issue(AddrClass::slab_ptr(slab, ptr), ptr, token, group)
     }
 
     /// Record (when tracing) the load a lookup of `op` is about to wait
@@ -606,25 +632,34 @@ mod tests {
         assert!(ExecCtx::new(&ExecSpec::default()).issues_prefetches());
         let none = ExecSpec { hint: PrefetchHint::None, ..Default::default() };
         assert!(!ExecCtx::new(&none).issues_prefetches());
+        // A plain stage issues `PREFETCHNTA`; any other hint is metered.
+        for hint in [PrefetchHint::T0, PrefetchHint::Write, PrefetchHint::None] {
+            assert!(ExecCtx::new(&ExecSpec { hint, ..Default::default() }).metered(), "{hint:?}");
+        }
     }
 
     #[test]
     fn mode_bit_follows_the_tracer() {
         let mut cx = ExecCtx::new(&ExecSpec::default());
         assert!(!cx.metered(), "a default context is plain");
-        // The plain instantiation of a request: count it, issue the hint.
+        // A plain call's ledger: requests count there, not in the
+        // context, until the call settles it.
         let x = [0u8; 64];
-        let t = cx.issue_header::<false, _>(x.as_ptr(), 0);
-        assert_eq!(t, Ticket { ready_at: 0, failed: false, fresh: true });
-        assert_eq!(cx.issue_slab::<false, _>(3, x.as_ptr(), 9, 0), t);
-        assert_eq!(cx.obs.issued_loads, 2);
+        let mut led = cx.plain().expect("a plain context hands out a ledger");
+        led.issue(x.as_ptr());
+        led.issue(x.as_ptr());
+        led.nodes_visited += 1;
+        assert_eq!(cx.obs, EngineStats::default(), "nothing counted in the context yet");
+        cx.settle(led);
+        assert_eq!((cx.obs.issued_loads, cx.obs.nodes_visited), (2, 1));
 
         cx.set_tracer(Tracer::off());
         assert!(!cx.metered(), "a disabled tracer is nobody listening");
         cx.set_tracer(Tracer::on());
         assert!(cx.metered(), "an armed tracer is");
+        assert_eq!(cx.plain(), None, "a metered context hands out no ledger");
         let g = cx.begin_lane();
-        let t = cx.issue_header::<true, _>(x.as_ptr(), g);
+        let t = cx.issue_header(x.as_ptr(), g);
         cx.deref("probe", 42, 0, 0, t.ready_at);
         cx.retire("probe", 42, 0, g);
         let tr = cx.take_tracer();

@@ -106,7 +106,7 @@ mod fault;
 mod wal;
 
 pub use crash::CrashPlan;
-pub use ctx::{AddrClass, ExecCtx, ExecSpec, Ticket};
+pub use ctx::{AddrClass, ExecCtx, ExecSpec, Ledger, Ticket};
 pub use fault::{fault_token, FaultPlan};
 pub use wal::{Wal, WalRecord};
 

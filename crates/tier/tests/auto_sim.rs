@@ -34,6 +34,7 @@ impl FarChainOp {
 impl LookupOp for FarChainOp {
     type Input = usize;
     type State = ChainState;
+    type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
         3

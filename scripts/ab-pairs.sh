@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The alternating-pairs protocol, as one command.
 #
-#   bash scripts/ab-pairs.sh <parent-harness> <change-harness> <workload> <seconds> <pairs> [seed]
+#   bash scripts/ab-pairs.sh [--record <file>] <parent-harness> <change-harness> <workload> <seconds> <pairs> [seed]
 #
 # Runs the two harness binaries (`benchmark/`, built from each commit into
 # its own target directory) `pairs` times each on one workload, alternating
@@ -12,9 +12,20 @@
 # benchmark pipeline computes them) and where the change median sits
 # against that IQR; finally `failed` summed per side. A gain is claimed
 # only with >= 9/10 wins and the change median outside the parent IQR.
+#
+# `--record <file>` (relative to the repository root) also appends the
+# summary to <file> as one JSON line: UTC date, each binary's file name and
+# SHA-256, workload, seed, seconds, pairs, `nproc`, the transparent huge
+# page mode, per metric both medians, the parent's q1/q3 and the wins, and
+# `failed` per side. `BENCH_HISTORY.jsonl` is the committed history.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
+record=""
+if [ "${1:-}" = "--record" ] && [ $# -ge 2 ]; then
+  record="$2"
+  shift 2
+fi
 if [ $# -lt 5 ] || [ $# -gt 6 ]; then
   sed -n '4p' "$0" | sed 's/^# *//' >&2
   exit 2
@@ -63,7 +74,17 @@ for ((p = 1; p <= pairs; p++)); do
   done
 done
 
-printf '%s\n' "$metrics" | awk -v runs="$runs" -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
+header=""
+if [ -n "$record" ]; then
+  thp="$(sed 's/.*\[\(.*\)\].*/\1/' /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || echo unknown)"
+  bin_json() { printf '{"file": "%s", "sha256": "%s"}' "$(basename "$1")" "$(sha256sum "$1" | cut -d' ' -f1)"; }
+  header="$(printf '"date": "%s", "parent": %s, "change": %s, "workload": "%s", "seed": %s, "seconds": %s, "pairs": %s, "nproc": %s, "thp": "%s"' \
+    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(bin_json "$parent")" "$(bin_json "$change")" \
+    "$workload" "$seed" "$seconds" "$pairs" "$(nproc)" "$thp")"
+fi
+
+printf '%s\n' "$metrics" | awk -v runs="$runs" -v pairs="$pairs" -v workload="$workload" -v seed="$seed" \
+  -v record="$record" -v header="$header" '
 function sort(a, n,    i, j, t) {              # insertion sort, a[1..n]
   for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
 }
@@ -96,5 +117,12 @@ BEGIN {
   else if (mb > q3) where = lower ? "above (worse)" : "above (better)"
   else where = "inside"
   printf "%-28s %12.4g %12.4g %3d/%-2d %12.4g %12.4g  %s\n", name, ma, mb, wins, pairs, q1, q3, where
+  json = json (json == "" ? "" : ", ") sprintf("\"%s\": {\"parent_median\": %.10g, \"change_median\": %.10g, \"parent_q1\": %.10g, \"parent_q3\": %.10g, \"wins\": %d}", name, ma, mb, q1, q3, wins)
 }
-END { printf "failed: parent %d, change %d\n", failed["parent"], failed["change"] }'
+END {
+  printf "failed: parent %d, change %d\n", failed["parent"], failed["change"]
+  if (record != "") {
+    printf "{%s, \"metrics\": {%s}, \"failed\": {\"parent\": %d, \"change\": %d}}\n", header, json, failed["parent"], failed["change"] >> record
+    printf "recorded in %s\n", record
+  }
+}'

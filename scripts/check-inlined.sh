@@ -6,17 +6,20 @@
 #
 # The paper's Listing 1 has Table 1's code stages *inside* the rolling-buffer
 # loop. This fails when an executor body (`AmacSession::feed`,
-# `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`) calls a
-# `<Op as LookupOp>::start`/`::step` of a hash-table or B+-tree op, of the
-# serving tenant enum or of the serving window's `Mux`, either directly or
-# through a GOT slot (the default release profile reaches other codegen
-# units that way). The metered stages (`Op::{start,step}_metered`: one call
-# per stage for a context with a clock, coalescer or armed tracer) are the
-# out-of-line code that is meant to remain; they and every other surviving
-# `start`/`step` symbol are listed with their byte sizes. Every `feed`
-# instance is listed too, with its size, its count of indirect jumps (`jmp *`:
-# jump tables, so a stage's enum dispatches show up here once inlined) and
-# the metered stages it calls, which name the op it was instantiated for.
+# `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`, `run_gp`,
+# `run_spp`) calls a `start`/`step`/`start_plain`/`step_plain` of a
+# hash-table or B+-tree op, of the pipeline probe stage, of the serving
+# tenant enum or of the serving window's `Mux`, either directly or through a
+# GOT slot (the default release profile reaches other codegen units that
+# way). The metered stages (`Op::{start,step}_metered`: one call per stage
+# on an executor call whose context has a clock, coalescer, armed tracer or
+# ablation hint) are the out-of-line code that is meant to remain; they and
+# every other surviving `start`/`step` symbol are listed with their byte
+# sizes. Every `feed` instance is listed too, with its size, its count of
+# indirect jumps (`jmp *`: jump tables, so a stage's enum dispatches show up
+# here once inlined) and the metered stages it calls, which name the op it
+# was instantiated for. Last come the instance count of each executor and
+# the size of `.text`: run it on two commits' harnesses to compare them.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -33,7 +36,9 @@ nm -C -S --defined-only "$bin" > "$tmp/nm"
 readelf -rW "$bin" > "$tmp/relocs"
 objdump -d -C --no-show-raw-insn "$bin" > "$tmp/dis"
 
-awk -v nm="$tmp/nm" -v relocs="$tmp/relocs" '
+text="$(size -A "$bin" | awk '$1 == ".text" { print $2 }')"
+
+awk -v nm="$tmp/nm" -v relocs="$tmp/relocs" -v text="$text" '
 function hex(s,    i, n) {               # mawk has no strtonum
   n = 0; s = tolower(s)
   for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -41,11 +46,19 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)$/
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)(_plain)?$/ ||
+         name ~ /^<amac_ops::pipeline::ProbeStage as amac::engine::pipeline::PipelineOp>::(start|step)(_plain)?$/
 }
 function is_executor(name) {
   return name ~ /AmacSession<.*>::(feed|drain_budgeted)$/ || name ~ /amac_exec::run_amac$/ ||
-         name ~ /^amac::engine::run$/ || name ~ /baseline::run_baseline$/
+         name ~ /^amac::engine::run$/ || name ~ /::(baseline::run_baseline|gp::run_gp|spp::run_spp)$/
+}
+# The executors whose instances are counted, by the name `nm -C` prints.
+function executor_of(name) {
+  if (name == "amac::engine::run") return "engine::run"
+  if (name ~ /^amac::session::AmacSession<O>::(feed|drain_budgeted)$/) { sub(/.*::/, "", name); return name }
+  if (name ~ /^amac::engine::(baseline::run_baseline|gp::run_gp|spp::run_spp|amac_exec::run_amac)$/) { sub(/.*::/, "", name); return name }
+  return ""
 }
 BEGIN {
   # address -> symbol, and the sizes worth printing.
@@ -53,6 +66,7 @@ BEGIN {
     if (split(line, f, " ") < 4) continue
     name = line; sub(/^[0-9a-f]+ [0-9a-f]+ . /, "", name)
     at[addr(f[1])] = name; size[addr(f[1])] = hex(f[2])
+    if ((e = executor_of(name)) != "") instances[e]++
     if (name ~ / as amac::engine::LookupOp>::(start|step)$/ || name ~ /::(start|step)_metered$/)
       sizes[name " " f[1]] = hex(f[2])
   }
@@ -93,6 +107,10 @@ END {
   print "feed instances (bytes, jmp *, out-of-line stages called):"
   for (a in feeds) printf "  %6d  %3d %s\n", size[a], feeds[a], callees[a] | "sort -k1n"
   close("sort -k1n")
+  print "executor instances:"
+  n = split("engine::run feed drain_budgeted run_baseline run_gp run_spp run_amac", names, " ")
+  for (i = 1; i <= n; i++) printf "  %-15s %3d\n", names[i], instances[names[i]]
+  printf ".text: %d bytes\n", text
   if (bodies == 0) { print "check-inlined: found no executor body to check"; exit 2 }
   if (bad) { printf "check-inlined: FAIL, %d call(s) from an executor loop to an out-of-line code stage (listed above)\n", bad; exit 1 }
   printf "check-inlined: ok, %d executor bodies call no out-of-line code stage\n", bodies

@@ -1,22 +1,29 @@
 //! Plain and metered are one program.
 //!
-//! Every hash-table op writes each code stage once, generic over the
-//! execution context's mode (`amac_tier::ExecCtx::metered`). `tier: None`
-//! runs the plain instantiation (inlined into the executor loop),
-//! `tier: Some(TierSpec::headers_near(1))` without faults runs the metered
-//! one (the full lane protocol, out of line) with no observable effect
-//! beyond the simulated clock. The two must agree on every output and on
-//! every counter that is not simulated time.
+//! Every hash-table op writes each code stage once, over its tally and
+//! generic over the execution context's mode (`amac_tier::ExecCtx::plain`),
+//! and every executor call picks the mode once, at its start. `tier: None`
+//! runs the plain instantiation (inlined into the executor loop, counting
+//! into a tally the call keeps in its locals), `tier:
+//! Some(TierSpec::headers_near(1))` without faults runs the metered one
+//! (the full lane protocol, out of line) with no observable effect beyond
+//! the simulated clock. The two must agree on every output and on every
+//! counter that is not simulated time — including at every flush, which
+//! a plain call's tally is settled before.
 
-use amac_suite::engine::{EngineStats, Technique};
+use amac_suite::engine::engine::mux::{Mux, Tagged};
+use amac_suite::engine::engine::AmacSession;
+use amac_suite::engine::{EngineStats, Hooks, LookupOp, Technique};
 use amac_suite::hashtable::agg::AggValues;
 use amac_suite::hashtable::{AggTable, HashTable};
 use amac_suite::mem::prefetch::PrefetchHint;
-use amac_suite::ops::groupby::{groupby, GroupByConfig};
-use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig};
-use amac_suite::ops::mutate::{mutate, MutateConfig, MutateKind};
-use amac_suite::ops::pipeline::{probe_then_groupby, PipelineConfig};
-use amac_suite::tier::TierSpec;
+use amac_suite::ops::groupby::{groupby, GroupByConfig, GroupByOp};
+use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig, ProbeOp};
+use amac_suite::ops::mutate::{mutate, MutateConfig, MutateKind, MutateOp};
+use amac_suite::ops::pipeline::{fused_probe_groupby_op, probe_then_groupby, PipelineConfig};
+use amac_suite::server::TenantOp;
+use amac_suite::tier::{TierSpec, WalRecord};
+use amac_suite::trace::{TraceEvent, Tracer};
 use amac_suite::workload::{Relation, Tuple};
 
 const N: usize = 1 << 12;
@@ -177,5 +184,206 @@ fn fused_pipeline_agrees_under_every_technique() {
         assert!(a.matched > 0 && a.matched < fact.len() as u64, "{t}: hits and misses");
         assert_eq!(sorted(&plain_agg), sorted(&metered_agg), "{t}: aggregates");
         assert_eq!(a.stats, unsimulated(b.stats), "{t}: counters");
+    }
+}
+
+/// Window width of the session tests.
+const M: usize = 10;
+
+/// One session fed a probe side in two halves, then drained.
+struct Halves {
+    /// Matches, checksum and materialized output.
+    out: (u64, u64, Vec<u64>),
+    stats: EngineStats,
+    trace: Tracer,
+    /// Loads issued and lookups in flight when the tracer was armed.
+    at_arm: (u64, usize),
+}
+
+/// Feed `s` to one session in two halves on a plain `ProbeOp` of `ht`,
+/// arming a tracer before feed `arm_before` (never for `None`), then
+/// drain.
+fn fed_in_halves(ht: &HashTable, s: &Relation, arm_before: Option<usize>) -> Halves {
+    let mut op = ProbeOp::new(ht, &ProbeConfig::default(), s.len());
+    assert!(op.plain().is_some(), "a default probe is plain");
+    let mut session = AmacSession::new(M);
+    let mut stats = EngineStats::default();
+    let mut at_arm = (0, 0);
+    for (i, half) in s.tuples.chunks(s.len().div_ceil(2)).enumerate() {
+        if arm_before == Some(i) {
+            op.ctx().set_tracer(Tracer::on());
+            at_arm = (stats.issued_loads, session.in_flight());
+        }
+        session.feed(&mut op, half, &mut stats);
+    }
+    session.drain(&mut op, &mut stats);
+    let trace = op.ctx().take_tracer();
+    Halves { out: (op.matches(), op.checksum(), op.take_out()), stats, trace, at_arm }
+}
+
+#[test]
+fn a_tracer_armed_between_feeds_sees_exactly_what_follows() {
+    let r = build_side();
+    let ht = chained_table(&r);
+    let s = probe_side(&r);
+    let off = fed_in_halves(&ht, &s, None);
+    assert!(!off.trace.enabled() && off.trace.is_empty());
+    let full = fed_in_halves(&ht, &s, Some(0));
+    let mid = fed_in_halves(&ht, &s, Some(1));
+    // Tracing reads and never counts: results and every counter agree.
+    assert_eq!((&full.out, &full.stats), (&off.out, &off.stats), "traced from the start");
+    assert_eq!((&mid.out, &mid.stats), (&off.out, &off.stats), "traced from the second feed");
+    let (issued, in_flight) = mid.at_arm;
+    assert!(in_flight == M && issued > 0, "armed mid-run, with a full window in flight");
+    // What the late tracer holds is the tail of a from-the-start trace:
+    // every load waited on and every lookup retired after it was armed.
+    let (full, mid, stats) = (full.trace, mid.trace, off.stats);
+    let tail: Vec<&TraceEvent> = full.events().skip(full.len() - mid.len()).collect();
+    assert_eq!(mid.events().collect::<Vec<_>>(), tail);
+    assert!(mid.len() < full.len() && mid.retires() < stats.lookups);
+    // Loads are recorded at their wait: those issued after arming, plus
+    // the one each lookup in flight at the arm point was waiting on.
+    assert_eq!(mid.loads(), stats.issued_loads - issued + in_flight as u64);
+    assert_eq!(full.loads(), stats.issued_loads, "from the start: every load issued");
+}
+
+/// `stats` as a recount must see it at a flush with `in_flight` lookups
+/// still in the window: each of those issued one load it has not waited
+/// on, every retired one waited on all of its own.
+fn assert_ledger_recounts(stats: &EngineStats, in_flight: usize, at: &str) {
+    assert_eq!(stats.issued_loads, stats.nodes_visited + in_flight as u64, "{at}: loads");
+    assert!(stats.tag_rejects <= stats.nodes_visited, "{at}: rejects");
+}
+
+/// Feed `inputs` to a plain op and to its metered twin in lockstep, then
+/// give each drain up every 3 rotations; call `check(plain, twin, plain
+/// stats, twin stats, in flight, where)` after every feed and give-up.
+fn give_up_in_lockstep<O: LookupOp<Input = Tuple>>(
+    mut plain: O,
+    mut twin: O,
+    inputs: &[Tuple],
+    mut check: impl FnMut(&mut O, &mut O, &EngineStats, &EngineStats, usize, &str),
+) -> usize {
+    assert!(plain.plain().is_some() && twin.plain().is_none(), "one plain op, one metered");
+    let (mut a, mut b) = (AmacSession::new(M), AmacSession::new(M));
+    let (mut sa, mut sb) = (EngineStats::default(), EngineStats::default());
+    for chunk in inputs.chunks(333) {
+        a.feed(&mut plain, chunk, &mut sa);
+        b.feed(&mut twin, chunk, &mut sb);
+        check(&mut plain, &mut twin, &sa, &sb, a.in_flight(), "after a feed");
+    }
+    let mut give_ups = 0;
+    while !a.drain_budgeted(&mut plain, &mut sa, 3) {
+        assert!(!b.drain_budgeted(&mut twin, &mut sb, 3));
+        assert!(a.in_flight() > 0 && a.in_flight() == b.in_flight());
+        check(&mut plain, &mut twin, &sa, &sb, a.in_flight(), "after a give-up");
+        give_ups += 1;
+    }
+    assert!(b.drain_budgeted(&mut twin, &mut sb, 3));
+    check(&mut plain, &mut twin, &sa, &sb, 0, "drained");
+    give_ups
+}
+
+#[test]
+fn a_budgeted_drain_settles_the_tally_at_every_give_up() {
+    let r = build_side();
+    let s = probe_side(&r);
+
+    // Probe: the metered twin recounts every stage into the op itself.
+    let ht = chained_table(&r);
+    let cfg = ProbeConfig { materialize: false, ..Default::default() };
+    let twin_cfg = ProbeConfig { tier: metered(), ..cfg.clone() };
+    let (plain, twin) = (ProbeOp::new(&ht, &cfg, 0), ProbeOp::new(&ht, &twin_cfg, 0));
+    let give_ups = give_up_in_lockstep(plain, twin, &s.tuples, |a, b, sa, sb, in_flight, at| {
+        assert_eq!((a.matches(), a.checksum()), (b.matches(), b.checksum()), "probe {at}");
+        assert_eq!(*sa, unsimulated(*sb), "probe {at}: flushed ledger");
+        assert_ledger_recounts(sa, in_flight, &format!("probe {at}"));
+    });
+    assert!(give_ups > 3, "the drain gave up mid-window");
+
+    // Upsert: the WAL taken at each give-up recounts the accumulators.
+    let (plain_ht, twin_ht) = (chained_table(&r), chained_table(&r));
+    let cfg = MutateConfig::default();
+    let twin_cfg = MutateConfig { tier: metered(), ..cfg.clone() };
+    let (plain, twin) = (MutateOp::new(&plain_ht, &cfg), MutateOp::new(&twin_ht, &twin_cfg));
+    let mut logged: Vec<WalRecord> = Vec::new();
+    give_up_in_lockstep(plain, twin, &s.tuples, |a, b, sa, sb, in_flight, at| {
+        let counts = |op: &MutateOp| (op.applied(), op.created(), op.merged(), op.deleted());
+        assert_eq!(counts(a), counts(b), "upsert {at}");
+        assert_eq!(*sa, unsimulated(*sb), "upsert {at}: flushed ledger");
+        assert_ledger_recounts(sa, in_flight, &format!("upsert {at}"));
+        let records = a.drain_wal();
+        assert_eq!(records, b.drain_wal(), "upsert {at}: log");
+        logged.extend(records);
+        assert_eq!(a.applied(), logged.len() as u64, "upsert {at}: one record per mutation");
+        assert_eq!(a.applied(), sa.lookups, "upsert {at}: every retired mutation applied");
+        assert_eq!(a.created() + a.merged(), a.applied(), "upsert {at}");
+        let bytes: u64 = logged.iter().map(WalRecord::encoded_len).sum();
+        assert_eq!(sa.log_bytes, bytes, "upsert {at}: log bytes");
+    });
+    assert_eq!(logged.len(), s.len());
+    assert_eq!(plain_ht.contents_sorted(), twin_ht.contents_sorted());
+}
+
+#[test]
+fn mux_lane_ledgers_sum_to_the_global_stats_at_every_flush() {
+    let r = build_side();
+    let (ht, target) = (chained_table(&r), chained_table(&r));
+    let s = probe_side(&r);
+    let (agg, fused_agg) = (AggTable::with_buckets(64), AggTable::with_buckets(64));
+    let probe_cfg = ProbeConfig::default();
+    let mut mux: Mux<TenantOp> = Mux::new();
+    let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
+    traced.ctx().set_tracer(Tracer::on());
+    let lanes = [
+        mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
+        mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
+        mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
+            &ht,
+            &fused_agg,
+            &PipelineConfig::default(),
+        )))),
+        mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
+        mux.add(TenantOp::Probe(traced)),
+    ];
+    let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
+    assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
+    // Every fifth probe misses the table; those go to the group-by lane.
+    let lane_of = |i: usize| lanes[(i + 1) % lanes.len()];
+    let tagged: Vec<Tagged<Tuple>> =
+        s.tuples.iter().enumerate().map(|(i, &t)| Tagged::new(lane_of(i), t)).collect();
+
+    let mut session = AmacSession::new(M);
+    let mut global = EngineStats::default();
+    // Lookups fed per lane so far: what a lane has not retired is in flight.
+    let mut fed = [0u64; 5];
+    let sums_up = |mux: &Mux<TenantOp>, global: &EngineStats, fed: &[u64; 5], at: &str| {
+        let mut sum = EngineStats::default();
+        for (&l, &fed) in lanes.iter().zip(fed) {
+            let led = mux.observed(l);
+            assert_ledger_recounts(led, (fed - led.lookups) as usize, &format!("{at}, lane {l}"));
+            sum.merge(led);
+        }
+        assert_eq!(sum, *global, "{at}: lane ledgers vs global stats");
+    };
+    for chunk in tagged.chunks(500) {
+        for t in chunk {
+            fed[lanes.iter().position(|&l| l == t.lane).unwrap()] += 1;
+        }
+        session.feed(&mut mux, chunk, &mut global);
+        sums_up(&mux, &global, &fed, "after a feed");
+    }
+    while !session.drain_budgeted(&mut mux, &mut global, 7) {
+        sums_up(&mux, &global, &fed, "after a give-up");
+    }
+    sums_up(&mux, &global, &fed, "drained");
+    assert_eq!(global.lookups, s.len() as u64);
+    // Both probe lanes' settled accumulators are their solo runs'.
+    for lane in [lanes[0], lanes[4]] {
+        let TenantOp::Probe(op) = mux.remove(lane).0 else { unreachable!() };
+        let mine = tagged.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
+        let solo = probe(&ht, &Relation::from_tuples(mine), Technique::Amac, &probe_cfg);
+        assert_eq!((op.matches(), op.checksum()), (solo.matches, solo.checksum), "lane {lane}");
+        assert!(solo.matches > 0, "lane {lane} hits");
     }
 }

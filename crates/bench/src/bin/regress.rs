@@ -37,75 +37,8 @@
 //!
 //! Usage: `regress [--dir D] [--baselines F] [--bless]`
 
-use std::path::{Path, PathBuf};
-
-#[derive(Debug, Clone)]
-struct Entry {
-    file: String,
-    key: String,
-    value: f64,
-    better: Direction,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Lower,
-    Higher,
-}
-
-/// Extract a `"name": "string"` field from a single JSON line.
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extract a `"name": <number>` field from a single JSON line.
-fn field_num(line: &str, name: &str) -> Option<f64> {
-    let pat = format!("\"{name}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn parse_baselines(text: &str) -> (f64, Vec<Entry>) {
-    let mut tolerance = 0.05;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        if let Some(t) = field_num(line, "tolerance") {
-            if !line.contains("\"file\"") {
-                tolerance = t;
-                continue;
-            }
-        }
-        let (Some(file), Some(key), Some(value)) =
-            (field_str(line, "file"), field_str(line, "key"), field_num(line, "value"))
-        else {
-            continue;
-        };
-        let better = match field_str(line, "better").as_deref() {
-            Some("higher") => Direction::Higher,
-            _ => Direction::Lower,
-        };
-        entries.push(Entry { file, key, value, better });
-    }
-    (tolerance, entries)
-}
-
-/// Find `"KEY": <num>` in a trajectory file (top-level headline keys only
-/// — they are unique by construction).
-fn lookup(dir: &Path, file: &str, key: &str) -> Result<f64, String> {
-    let path = dir.join(file);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    text.lines()
-        .find_map(|l| field_num(l, key))
-        .ok_or_else(|| format!("{file}: key {key} not found"))
-}
+use amac_bench::gate::{lookup, parse_baselines, Direction, Entry};
+use std::path::PathBuf;
 
 fn render_baselines(tolerance: f64, entries: &[Entry]) -> String {
     let mut out = String::from("{\n");
@@ -231,6 +164,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amac_bench::gate::{field_num, field_str};
 
     const SAMPLE: &str = r#"{
   "tolerance": 0.05,

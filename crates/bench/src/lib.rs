@@ -10,8 +10,12 @@
 //!   `--threads T`, `--quick`) so runs scale from smoke-test to
 //!   paper-scale (2^27 keys) without recompiling;
 //! * [`JoinLab`] — cached relations/tables for the join experiments;
+//! * [`gate`] — the gated-counter list (`baselines.json`) reader that
+//!   `bin/regress` and `bin/trajectory --record` share;
 //! * helpers to run a `(build, probe)` or operator sweep over all four
 //!   techniques and print paper-shaped rows.
+
+pub mod gate;
 
 use amac::engine::{Technique, TuningParams};
 use amac_hashtable::HashTable;

@@ -12,7 +12,7 @@ use crate::executor::{run_interleaved, run_interleaved_with_idle, yield_now, Int
 use crate::{prefetch_yield, prefetch_yield_wide};
 use amac::engine::{EngineStats, Hooks, Step};
 use amac_btree::{BPlusTree, InnerNode, LeafNode};
-use amac_hashtable::HashTable;
+use amac_hashtable::{tag_slots, BucketData, HashTable, Slots};
 use amac_metrics::timer::CycleTimer;
 use amac_ops::chain::ChainCursor;
 use amac_skiplist::{SkipCursor, SkipList, SkipMove};
@@ -33,6 +33,28 @@ pub struct ChainHit {
     pub first: u64,
 }
 
+impl ChainHit {
+    /// Count `key`'s matches among node `d`'s tag-matching `slots`
+    /// (lowest first, so `first` is the lowest matching slot's payload);
+    /// true if the node held one.
+    #[inline(always)]
+    fn visit(&mut self, d: &BucketData, slots: Slots, key: u64) -> bool {
+        let mut node_hit = false;
+        for i in slots {
+            let t = d.tuples[i];
+            if t.key == key {
+                self.matches += 1;
+                self.sum = self.sum.wrapping_add(t.payload);
+                if self.first == u64::MAX {
+                    self.first = t.payload;
+                }
+                node_hit = true;
+            }
+        }
+        node_hit
+    }
+}
+
 /// Probe one hash-table chain for `key` as a coroutine.
 ///
 /// `scan_all = false` stops after the first node containing a match
@@ -47,23 +69,11 @@ pub async fn probe_chain(ht: &HashTable, key: u64, scan_all: bool) -> ChainHit {
         // SAFETY: probe runs in the table's read-only phase; `node` points
         // at the header or an arena-owned chain node.
         let d = unsafe { (*node).data() };
-        let mut node_hit = false;
-        // The same SWAR tag filter as the state-machine op: only a
-        // fingerprint hit touches the tuple slots.
-        if amac_hashtable::tags_may_match(d.meta, probe) {
-            for i in 0..d.count() {
-                let t = d.tuples[i];
-                if t.key == key {
-                    hit.matches += 1;
-                    hit.sum = hit.sum.wrapping_add(t.payload);
-                    if hit.first == u64::MAX {
-                        hit.first = t.payload;
-                    }
-                    node_hit = true;
-                }
-            }
-        }
-        if (node_hit && !scan_all) || d.next == amac_mem::NULL_INDEX {
+        // The same node kernel as the state-machine op: only the slots
+        // whose tag matches are compared.
+        if (hit.visit(d, tag_slots(d.meta, probe), key) && !scan_all)
+            || d.next == amac_mem::NULL_INDEX
+        {
             return hit;
         }
         let next = ht.node_ptr(d.next);
@@ -107,27 +117,13 @@ pub async fn probe_chain_tiered(
     cur.start::<true>(ht, key, &mut cx.borrow_mut(), &mut Ledger::default());
     loop {
         yield_now().await;
-        let (d, may_match) = {
+        let (d, slots) = {
             let (mut cx, mut led) = (cx.borrow_mut(), Ledger::default());
             let node = cur.node::<true>("probe", ht, &mut cx, &mut led);
             cx.settle(led);
             node
         };
-        let mut node_hit = false;
-        if may_match {
-            for i in 0..d.count() {
-                let t = d.tuples[i];
-                if t.key == key {
-                    hit.matches += 1;
-                    hit.sum = hit.sum.wrapping_add(t.payload);
-                    if hit.first == u64::MAX {
-                        hit.first = t.payload;
-                    }
-                    node_hit = true;
-                }
-            }
-        }
-        if node_hit && !scan_all {
+        if hit.visit(d, slots, key) && !scan_all {
             cur.retire::<true>("probe", &mut cx.borrow_mut());
             return hit;
         }

@@ -15,11 +15,14 @@
 //! * the reclaimed bytes raise inline capacity from 2 to **3 tuples per
 //!   node** — expected hops per probe drop by ~1/3 at equal fill factor.
 //!
-//! The tags pay a second dividend: a probe compares its key's fingerprint
-//! against all three slots **branch-free** — one XOR against the packed
-//! meta word plus a SWAR zero-byte test ([`tags_may_match`]) — and only
-//! touches the 16-byte tuple slots when some tag matches. A chain node
-//! that holds no match is usually rejected from its first 4 bytes.
+//! The tags pay a second dividend, the **node kernel** [`tag_slots`]: one
+//! XOR against the packed meta word plus a borrow-free SWAR zero-lane test
+//! names exactly the slots whose tag equals the key's fingerprint, and a
+//! walk compares keys only there, lowest slot first ([`Slots`]). A chain
+//! node that holds no match is usually rejected from its first 4 bytes,
+//! and a node that does costs one key compare per candidate slot instead
+//! of a scan whose trip count and exit slot vary per lookup.
+//! [`tags_may_match`] is the kernel's yes/no form.
 //!
 //! What the redesign bought is frozen in `tests/layout_ab.rs`: the
 //! seed layout's nodes visited per lookup, measured before it was
@@ -30,7 +33,7 @@ use amac_mem::NULL_INDEX;
 use amac_workload::Tuple;
 use core::cell::UnsafeCell;
 use core::ptr::addr_of_mut;
-use core::sync::atomic::{AtomicU32, AtomicU64};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Tuples stored inline per chain node (bucket header or overflow node).
 pub const TUPLES_PER_NODE: usize = 3;
@@ -43,20 +46,66 @@ pub fn probe_word(fp: u8) -> u32 {
     u32::from_le_bytes([fp, fp, fp, 0xFF])
 }
 
-/// Branch-free tag filter: true iff some **occupied** slot's tag equals
-/// the probed fingerprint.
+/// The node kernel: the slots of a node whose tag equals the probed
+/// fingerprint, as a [`Slots`] iterator.
 ///
 /// `meta` packs three tag bytes plus the count byte; `probe` comes from
 /// [`probe_word`]. XOR zeroes exactly the lanes whose tag equals the
-/// fingerprint, and the Mycroft zero-byte test detects any zero lane with
-/// three ALU ops. No false negatives (an equal tag always yields a zero
-/// lane) and no spurious lanes: empty slots hold tag 0 while real
-/// fingerprints have the high bit set ([`amac_mem::hash::tag_of`]), and
-/// the count lane is poisoned by `probe_word`, so neither can go to zero.
+/// fingerprint. Per lane, `(x & 0x7F) + 0x7F` sets bit 7 iff the low seven
+/// bits are nonzero, and cannot carry into the next lane; OR-ing `x` adds
+/// the lane's own bit 7, so after the NOT bit 7 is set iff the lane is
+/// zero. Unlike the Mycroft test's borrow, this is exact per lane, so the
+/// mask names slots, not just "some slot". The count lane is masked off.
+/// No false negatives (an equal tag always yields a zero lane) and no
+/// spurious slots: empty slots hold tag 0 while real fingerprints have the
+/// high bit set ([`amac_mem::hash::tag_of`]).
+#[inline(always)]
+pub fn tag_slots(meta: u32, probe: u32) -> Slots {
+    const LOW7: u32 = 0x7F7F_7F7F;
+    let x = meta ^ probe;
+    Slots(!(((x & LOW7) + LOW7) | x | LOW7) & 0x0080_8080)
+}
+
+/// Yes/no tag filter: true iff some **occupied** slot's tag equals the
+/// probed fingerprint — `!tag_slots(meta, probe).is_empty()` for every
+/// `probe` from [`probe_word`], computed with the Mycroft zero-byte test
+/// (three ALU ops). Its per-lane bits are wrong above a zero lane, so it
+/// cannot name the slots; only the existence answer is exact (the count
+/// lane is poisoned by `probe_word`, so it never reads as zero).
 #[inline(always)]
 pub fn tags_may_match(meta: u32, probe: u32) -> bool {
     let x = meta ^ probe;
     (x.wrapping_sub(0x0101_0101) & !x & 0x8080_8080) != 0
+}
+
+/// The tag-matching slots of one node, from [`tag_slots`]: yields their
+/// indices lowest first (`tzcnt / 8`, then clear the lowest set bit), so
+/// a walk meets duplicate keys in slot order. Every slot that holds the
+/// probed key is among them; a foreign key with a colliding tag is too,
+/// which is why callers still compare keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slots(u32);
+
+impl Slots {
+    /// True when no slot's tag matches: the node is a tag reject.
+    #[inline(always)]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl Iterator for Slots {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = (self.0.trailing_zeros() / 8) as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
+    }
 }
 
 /// Mutable interior of a chain node: 3 inline tuples, `u32` chain link,
@@ -73,7 +122,8 @@ pub struct BucketData {
     pub next: u32,
     /// Packed metadata: bytes 0..=2 hold the per-slot fingerprints (0 =
     /// empty slot), byte 3 holds the occupied-slot count. One u32 load
-    /// feeds both the SWAR tag test and the scan bound.
+    /// feeds the node kernel ([`tag_slots`]); the count only places
+    /// appends.
     pub meta: u32,
 }
 
@@ -172,6 +222,13 @@ impl Bucket {
     pub fn meta_atomic(&self) -> &AtomicU32 {
         // SAFETY: as in next_atomic — `meta` is a 4-aligned u32.
         unsafe { AtomicU32::from_ptr(addr_of_mut!((*self.data.get()).meta)) }
+    }
+
+    /// [`tag_slots`] of this node for `probe`, read through the atomic
+    /// view of `meta` (the latch-free walks' form of the kernel).
+    #[inline(always)]
+    pub fn slots(&self, probe: u32) -> Slots {
+        tag_slots(self.meta_atomic().load(Ordering::Relaxed), probe)
     }
 
     /// Atomic view of slot `i`'s key — written by latch-free deletes
@@ -290,6 +347,64 @@ mod tests {
         }
         let rate = passes as f64 / trials as f64;
         assert!(rate < 0.05, "false-pass rate {rate:.4} too high");
+    }
+
+    /// A node whose slots `0..tags.len()` hold `tags`, pushed in order.
+    fn node_with(tags: &[u8]) -> BucketData {
+        let mut d = BucketData::default();
+        for (i, &tag) in tags.iter().enumerate() {
+            d.push(Tuple::new(i as u64, 0), tag);
+        }
+        d
+    }
+
+    /// The scalar model of the kernel: occupied slots whose tag is `fp`.
+    fn model_slots(d: &BucketData, fp: u8) -> Vec<usize> {
+        (0..d.count()).filter(|&i| d.tag(i) == fp).collect()
+    }
+
+    #[test]
+    fn tag_slots_names_exactly_the_matching_slots() {
+        // Every node of 0..=3 slots over the boundary tags and a few
+        // seeded random ones, against every fingerprint.
+        let mut rng = amac_mem::rng::XorShift64::new(0x7A65_5107);
+        let mut pool = vec![0x80u8, 0x81, 0xFE, 0xFF];
+        pool.extend((0..4).map(|_| 0x80 | rng.next_u64() as u8));
+        let n = pool.len();
+        for count in 0..=TUPLES_PER_NODE {
+            for combo in 0..n.pow(count as u32) {
+                let tags: Vec<u8> = (0..count).map(|i| pool[combo / n.pow(i as u32) % n]).collect();
+                let d = node_with(&tags);
+                for fp in 0x80..=0xFFu8 {
+                    let slots = tag_slots(d.meta, probe_word(fp));
+                    assert_eq!(
+                        slots.collect::<Vec<_>>(),
+                        model_slots(&d, fp),
+                        "{tags:x?} fp {fp:#x}"
+                    );
+                    assert_eq!(slots.is_empty(), !tags_may_match(d.meta, probe_word(fp)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tag_slots_is_exact_next_to_a_matching_lane() {
+        // Lane i matches and lane i + 1 differs from the fingerprint only
+        // in bit 0: the zero lane's borrow makes the Mycroft test flag
+        // lane i + 1 too, so its per-lane bits cannot name slots.
+        for i in 0..TUPLES_PER_NODE - 1 {
+            for fp in 0x80..=0xFFu8 {
+                let mut tags = [fp ^ 0x40; TUPLES_PER_NODE];
+                tags[i] = fp;
+                tags[i + 1] = fp ^ 1;
+                let d = node_with(&tags);
+                let x = d.meta ^ probe_word(fp);
+                let mycroft = x.wrapping_sub(0x0101_0101) & !x & 0x8080_8080;
+                assert_ne!(mycroft & (0x80 << (8 * (i + 1))), 0, "the borrow case");
+                assert_eq!(tag_slots(d.meta, probe_word(fp)).collect::<Vec<_>>(), vec![i]);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   fat layout**: each 64-byte, cache-line-aligned node holds a 1-byte
 //!   latch, **three** 16-byte tuples, a packed word of per-slot
 //!   fingerprints and a `u32` arena index to the next chain node (see
-//!   [`bucket`] for the layout math and the SWAR tag filter); overflow
+//!   [`bucket`] for the layout math and the `tag_slots` node kernel); overflow
 //!   nodes reuse the bucket layout ("the first hash table node is
 //!   clustered with the bucket header", Fig. 1).
 //! * [`agg::AggTable`] — the group-by table: one group per node, carrying
@@ -34,6 +34,8 @@ pub mod linear;
 pub mod table;
 
 pub use agg::{AggBucket, AggTable};
-pub use bucket::{probe_word, tags_may_match, Bucket, BucketData, TUPLES_PER_NODE};
+pub use bucket::{
+    probe_word, tag_slots, tags_may_match, Bucket, BucketData, Slots, TUPLES_PER_NODE,
+};
 pub use linear::{LinearTable, SlotLine, EMPTY_KEY, SLOTS_PER_LINE};
 pub use table::{BuildHandle, HashTable, TableSnapshot, TableStats};

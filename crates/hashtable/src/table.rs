@@ -1,6 +1,6 @@
 //! The hash-join table.
 
-use crate::bucket::{Bucket, BucketData, TUPLES_PER_NODE};
+use crate::bucket::{probe_word, tag_slots, Bucket, BucketData, Slots, TUPLES_PER_NODE};
 use amac_mem::arena::IndexedArena;
 use amac_mem::hash::{bucket_of, next_pow2, tag_of};
 use amac_mem::NULL_INDEX;
@@ -138,12 +138,13 @@ impl HashTable {
     /// (single-threaded reference probe used by tests and baselines).
     pub fn lookup_all(&self, key: u64) -> Vec<u64> {
         let mut out = Vec::new();
+        let probe = probe_word(tag_of(key));
         let mut node = self.bucket_addr(key);
         loop {
             // SAFETY: read-only phase traversal; nodes live in the arena
             // owned by self.
             let d = unsafe { (*node).data() };
-            for i in 0..d.count() {
+            for i in tag_slots(d.meta, probe) {
                 if d.tuples[i].key == key {
                     out.push(d.tuples[i].payload);
                 }
@@ -157,11 +158,12 @@ impl HashTable {
 
     /// First matching payload for `key`, if any.
     pub fn lookup_first(&self, key: u64) -> Option<u64> {
+        let probe = probe_word(tag_of(key));
         let mut node = self.bucket_addr(key);
         loop {
             // SAFETY: as in lookup_all.
             let d = unsafe { (*node).data() };
-            for i in 0..d.count() {
+            for i in tag_slots(d.meta, probe) {
                 if d.tuples[i].key == key {
                     return Some(d.tuples[i].payload);
                 }
@@ -282,16 +284,24 @@ impl HashTable {
     }
 
     /// Merge `delta` into the **first** live slot of `node` holding
-    /// `key`, atomically. Returns true on a merge. `node` must be frozen
-    /// (header or `idx < bound`): its `meta` is immutable, so the scan
-    /// bound and the first-match position are schedule-independent.
+    /// `key`, atomically, comparing keys only at `slots` (the node's
+    /// [`Bucket::slots`] for `key`'s probe word). Returns true on a merge.
+    /// `node` must be frozen (header or `idx < bound`): its `meta` is
+    /// immutable, so the candidate slots and the first-match position are
+    /// schedule-independent.
     ///
     /// # Safety
     /// `node` must point at a header or arena node of this table.
-    pub unsafe fn frozen_merge(&self, node: *const Bucket, key: u64, delta: u64) -> bool {
+    #[inline]
+    pub unsafe fn frozen_merge(
+        &self,
+        node: *const Bucket,
+        slots: Slots,
+        key: u64,
+        delta: u64,
+    ) -> bool {
         let b = &*node;
-        let count = (b.meta_atomic().load(Ordering::Relaxed) >> 24) as usize;
-        for i in 0..count {
+        for i in slots {
             if b.key_atomic(i).load(Ordering::Acquire) == key {
                 b.payload_atomic(i).fetch_add(delta, Ordering::AcqRel);
                 return true;
@@ -301,17 +311,18 @@ impl HashTable {
     }
 
     /// Tombstone every live slot of `node` holding `key` (frozen nodes
-    /// only). Returns the number of slots this call won (the CAS
-    /// arbitrates concurrent deletes of the same key, so the global sum
-    /// is exact).
+    /// only), one CAS per slot of `slots` (as in
+    /// [`frozen_merge`](HashTable::frozen_merge)). Returns the number of
+    /// slots this call won (the CAS arbitrates concurrent deletes of the
+    /// same key, so the global sum is exact).
     ///
     /// # Safety
     /// `node` must point at a header or arena node of this table.
-    pub unsafe fn frozen_tombstone(&self, node: *const Bucket, key: u64) -> u64 {
+    #[inline]
+    pub unsafe fn frozen_tombstone(&self, node: *const Bucket, slots: Slots, key: u64) -> u64 {
         let b = &*node;
-        let count = (b.meta_atomic().load(Ordering::Relaxed) >> 24) as usize;
         let mut won = 0;
-        for i in 0..count {
+        for i in slots {
             if b.key_atomic(i)
                 .compare_exchange(key, Self::TOMBSTONE, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
@@ -426,16 +437,17 @@ impl HashTable {
     pub fn upsert_latchfree(&self, key: u64, delta: u64) -> bool {
         let bound = self.freeze();
         let header = self.bucket_addr(key);
+        let probe = probe_word(tag_of(key));
         // SAFETY: header/chain pointers resolve into this table.
         unsafe {
-            if self.frozen_merge(header, key, delta) {
+            if self.frozen_merge(header, (*header).slots(probe), key, delta) {
                 return false;
             }
             let head = (*header).next_atomic().load(Ordering::Acquire);
             let mut idx = self.skip_fresh(head, bound);
             while idx != NULL_INDEX {
                 let node = self.node_ptr(idx);
-                if self.frozen_merge(node, key, delta) {
+                if self.frozen_merge(node, (*node).slots(probe), key, delta) {
                     return false;
                 }
                 idx = (*node).next_atomic().load(Ordering::Acquire);
@@ -449,14 +461,15 @@ impl HashTable {
     pub fn delete_latchfree(&self, key: u64) -> u64 {
         let bound = self.freeze();
         let header = self.bucket_addr(key);
+        let probe = probe_word(tag_of(key));
         // SAFETY: header/chain pointers resolve into this table.
-        let mut won = unsafe { self.frozen_tombstone(header, key) };
+        let mut won = unsafe { self.frozen_tombstone(header, (*header).slots(probe), key) };
         let head = unsafe { &*header }.next_atomic().load(Ordering::Acquire);
         let mut idx = self.skip_fresh(head, bound);
         while idx != NULL_INDEX {
             let node = self.node_ptr(idx);
             // SAFETY: as above.
-            won += unsafe { self.frozen_tombstone(node, key) };
+            won += unsafe { self.frozen_tombstone(node, (*node).slots(probe), key) };
             idx = unsafe { &*node }.next_atomic().load(Ordering::Acquire);
         }
         won + self.fresh_delete(key)

@@ -8,7 +8,9 @@
 //! one traced, tier-attributed wait before each dereference, one
 //! retirement. [`ChainCursor`] is that walk and that protocol; what an
 //! operator does with a node's tuples (count, emit, merge, tombstone)
-//! stays in the operator.
+//! stays in the operator. [`ChainCursor::node`] hands it the node's
+//! candidate slots from the `amac_hashtable::tag_slots` kernel, so every
+//! operator compares keys only where the tag word says the key can be.
 //!
 //! Every method is generic over the call's mode: an operator's plain
 //! stages (an executor call whose context is plain, see
@@ -19,7 +21,7 @@
 //! rejections count into the ledger in both modes.
 
 use amac::engine::Step;
-use amac_hashtable::{probe_word, tags_may_match, Bucket, BucketData, HashTable};
+use amac_hashtable::{probe_word, tag_slots, Bucket, BucketData, HashTable, Slots};
 use amac_mem::hash::tag_of;
 use amac_mem::{slab_of_index, NULL_INDEX};
 use amac_tier::{fault_token, ExecCtx, Ledger};
@@ -92,10 +94,10 @@ impl ChainCursor {
     }
 
     /// Wait for the requested node of `ht` (the table the cursor was
-    /// started on) and dereference it. Also returns whether its tags
-    /// admit `key` — one XOR + SWAR zero-byte test on the packed meta
-    /// word, so a non-matching node is rejected without touching its
-    /// tuple slots.
+    /// started on) and dereference it. Also returns the slots whose tag
+    /// admits `key` ([`tag_slots`] on the packed meta word), lowest
+    /// first: a node with none is a tag reject, rejected without touching
+    /// its tuple slots, and the caller compares keys only at the others.
     #[inline(always)]
     pub fn node<'t, const METERED: bool>(
         &self,
@@ -103,7 +105,7 @@ impl ChainCursor {
         ht: &'t HashTable,
         cx: &mut ExecCtx,
         led: &mut Ledger,
-    ) -> (&'t BucketData, bool) {
+    ) -> (&'t BucketData, Slots) {
         let _ = ht;
         if METERED {
             cx.deref(op, self.key, self.hop, self.slab, self.ready_at);
@@ -114,11 +116,11 @@ impl ChainCursor {
         // in the table's read-only phase.
         let d = unsafe { (*self.ptr).data() };
         led.nodes_visited += 1;
-        let may_match = tags_may_match(d.meta, self.probe);
-        if !may_match {
+        let slots = tag_slots(d.meta, self.probe);
+        if slots.is_empty() {
             led.tag_rejects += 1;
         }
-        (d, may_match)
+        (d, slots)
     }
 
     /// Chase the chain link `next` read from the current node:

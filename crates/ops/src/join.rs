@@ -27,8 +27,12 @@ pub struct ProbeConfig {
     pub n_stages: usize,
     /// `true`: walk the full chain and count every match (join semantics
     /// under duplicate build keys, and the Fig. 3 "uniform traversal"
-    /// mode). `false`: stop at the first match (unique-key early exit —
-    /// Fig. 3 "non-uniform").
+    /// mode). `false`: stop after the first node holding a match
+    /// (unique-key early exit — Fig. 3 "non-uniform"). Either way a node
+    /// compares keys at each of its tag-matching slots
+    /// (`amac_hashtable::tag_slots`), lowest first, so duplicates inside
+    /// the stopping node all count and the materialized first match is
+    /// the lowest such slot's payload.
     pub scan_all: bool,
     /// Materialize the first matching payload per probe tuple, in input
     /// order (the paper's `out[s[k].idx] = n->pload`). Disable at paper
@@ -246,25 +250,22 @@ impl ProbeOp<'_> {
         t.cursor += 1;
     }
 
-    /// Code 1 (Table 1): tag-filter the node, compare keys only on a tag
-    /// hit, output on match, chase the `u32` chain index.
+    /// Code 1 (Table 1): compare keys only at the node's tag-matching
+    /// slots, output on match, chase the `u32` chain index.
     #[inline(always)]
     fn stage1<const METERED: bool>(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
-        let (d, may_match) =
-            state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
+        let (d, slots) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
         let mut hit = false;
-        if may_match {
-            for i in 0..d.count() {
-                let tuple = d.tuples[i];
-                if tuple.key == state.cursor.key {
-                    t.matches += 1;
-                    t.checksum = t.checksum.wrapping_add(tuple.payload);
-                    let idx = state.tag as usize;
-                    if self.materialize && self.out[idx] == u64::MAX {
-                        self.out[idx] = tuple.payload;
-                    }
-                    hit = true;
+        for i in slots {
+            let tuple = d.tuples[i];
+            if tuple.key == state.cursor.key {
+                t.matches += 1;
+                t.checksum = t.checksum.wrapping_add(tuple.payload);
+                let idx = state.tag as usize;
+                if self.materialize && self.out[idx] == u64::MAX {
+                    self.out[idx] = tuple.payload;
                 }
+                hit = true;
             }
         }
         if hit && !self.scan_all {

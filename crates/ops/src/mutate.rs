@@ -40,7 +40,7 @@
 
 use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::{tags_may_match, HashTable};
+use amac_hashtable::HashTable;
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::NULL_INDEX;
 use amac_metrics::timer::CycleTimer;
@@ -311,7 +311,7 @@ impl MutateOp<'_> {
         // and slot accesses go through the atomic views.
         let b = unsafe { &*state.cursor.ptr };
         t.led.nodes_visited += 1;
-        let meta = b.meta_atomic().load(core::sync::atomic::Ordering::Relaxed);
+        let slots = b.slots(state.cursor.probe);
         match self.cfg.kind {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
@@ -319,32 +319,22 @@ impl MutateOp<'_> {
                 state.cursor.retire::<METERED>("mutate", &mut self.cx);
                 return Step::Done;
             }
+            // SAFETY (both arms): frozen node of this table.
             MutateKind::Upsert => {
-                if tags_may_match(meta, state.cursor.probe) {
-                    let count = (meta >> 24) as usize;
-                    for i in 0..count {
-                        if b.key_atomic(i).load(core::sync::atomic::Ordering::Acquire) == key {
-                            b.payload_atomic(i)
-                                .fetch_add(delta, core::sync::atomic::Ordering::AcqRel);
-                            t.merged += 1;
-                            t.applied += 1;
-                            self.log(t, WalRecord::Upsert { key, delta });
-                            state.cursor.retire::<METERED>("mutate", &mut self.cx);
-                            return Step::Done;
-                        }
-                    }
-                } else {
-                    t.led.tag_rejects += 1;
+                if unsafe { self.ht.frozen_merge(state.cursor.ptr, slots, key, delta) } {
+                    t.merged += 1;
+                    t.applied += 1;
+                    self.log(t, WalRecord::Upsert { key, delta });
+                    state.cursor.retire::<METERED>("mutate", &mut self.cx);
+                    return Step::Done;
                 }
             }
             MutateKind::Delete => {
-                if tags_may_match(meta, state.cursor.probe) {
-                    // SAFETY: frozen node of this table.
-                    t.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, key) };
-                } else {
-                    t.led.tag_rejects += 1;
-                }
+                t.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, slots, key) };
             }
+        }
+        if slots.is_empty() {
+            t.led.tag_rejects += 1;
         }
         // Advance to the next frozen node. Only the header's link can
         // point into the fresh prefix (prepends land at chain heads).

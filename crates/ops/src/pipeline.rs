@@ -204,26 +204,23 @@ impl ProbeStage<'_> {
         t: &mut StageTally,
         state: &mut ProbeState,
     ) -> StageStep<Joined> {
-        let (d, may_match) =
-            state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
-        if may_match {
-            for i in 0..d.count() {
-                let tuple = d.tuples[i];
-                if tuple.key == state.cursor.key {
-                    t.matches += 1;
-                    // A non-terminal stage hands the tuple downstream —
-                    // the terminal operator records the retirement.
-                    if self.terminal {
-                        state.cursor.retire::<METERED>("probe", &mut self.cx);
-                    } else if METERED {
-                        self.cx.retire_lane(state.cursor.group);
-                    }
-                    return StageStep::Emit(Joined {
-                        key: tuple.key,
-                        probe_payload: state.tag,
-                        build_payload: tuple.payload,
-                    });
+        let (d, slots) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
+        for i in slots {
+            let tuple = d.tuples[i];
+            if tuple.key == state.cursor.key {
+                t.matches += 1;
+                // A non-terminal stage hands the tuple downstream — the
+                // terminal operator records the retirement.
+                if self.terminal {
+                    state.cursor.retire::<METERED>("probe", &mut self.cx);
+                } else if METERED {
+                    self.cx.retire_lane(state.cursor.group);
                 }
+                return StageStep::Emit(Joined {
+                    key: tuple.key,
+                    probe_payload: state.tag,
+                    build_payload: tuple.payload,
+                });
             }
         }
         match state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx, &mut t.led) {

@@ -18,7 +18,8 @@
 
 use amac_suite::coro::{self, prefetch_yield, run_interleaved_collect, CoroConfig};
 use amac_suite::engine::{Technique, TuningParams};
-use amac_suite::hashtable::HashTable;
+use amac_suite::hashtable::{probe_word, tag_slots, HashTable};
+use amac_suite::mem::hash::tag_of;
 use amac_suite::ops::join::{probe, ProbeConfig};
 use amac_suite::workload::Relation;
 
@@ -34,13 +35,16 @@ fn main() {
         let ht = &ht;
         async move {
             let mut nodes = 0u32;
+            let probe = probe_word(tag_of(t.key));
             let mut node = ht.bucket_addr(t.key);
             prefetch_yield(node).await;
             loop {
                 nodes += 1;
                 // SAFETY: read-only probe phase over the built table.
                 let d = unsafe { (*node).data() };
-                if d.tuples[..d.count()].iter().any(|x| x.key == t.key) {
+                // The node kernel: compare keys only at the slots whose
+                // tag matches the key's fingerprint.
+                if tag_slots(d.meta, probe).any(|i| d.tuples[i].key == t.key) {
                     return nodes;
                 }
                 if d.next == amac_suite::mem::NULL_INDEX {

@@ -19,9 +19,17 @@
 //! address is only known after the current node's keys are compared, so
 //! tree descent stays a pointer chase that hardware prefetchers cannot
 //! cover.
+//!
+//! ## Per-node kernel
+//!
+//! [`prefetch_node`] fetches both lines of a node with `PREFETCHT0`, not
+//! the paper's `PREFETCHNTA` (§4): every lookup walks the same upper
+//! levels again, and an NTA fill that leaves L1 is not kept in L2.
+//! [`InnerNode::select_child`] is a branchy scan and [`LeafNode::lookup`]
+//! a branch-free key mask; their docs give the measured reasons.
 
 mod node;
 mod tree;
 
-pub use node::{InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
+pub use node::{prefetch_node, InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
 pub use tree::{BPlusTree, BTreeStats};

@@ -53,16 +53,6 @@ pub async fn prefetch_yield<T>(ptr: *const T) {
     yield_now().await;
 }
 
-/// Prefetch both cache lines of a two-line (128-byte) node, then suspend.
-#[inline]
-pub async fn prefetch_yield_wide<T>(ptr: *const T) {
-    amac_mem::prefetch::prefetch_read(ptr);
-    // SAFETY: prefetch is a non-faulting hint; the target type spans 128
-    // bytes by the caller's contract.
-    amac_mem::prefetch::prefetch_read(unsafe { ptr.cast::<u8>().add(64) });
-    yield_now().await;
-}
-
 /// Prefetch for writing (exclusive state), then suspend — used by update
 /// lookups (group-by, build) whose first node access mutates.
 #[inline]

@@ -39,8 +39,8 @@ pub mod ops;
 pub mod skiplist_ins;
 
 pub use executor::{
-    prefetch_yield, prefetch_yield_wide, prefetch_yield_write, run_interleaved,
-    run_interleaved_collect, run_interleaved_with_idle, yield_now, InterleaveStats, YieldPoint,
+    prefetch_yield, prefetch_yield_write, run_interleaved, run_interleaved_collect,
+    run_interleaved_with_idle, yield_now, InterleaveStats, YieldPoint,
 };
 pub use groupby::{coro_groupby, coro_groupby_mt, groupby_one, CoroGroupByOutput};
 pub use ops::{

@@ -1,15 +1,17 @@
 //! Async lookup coroutines for the paper's read-only workloads, plus
 //! drivers mirroring the `amac-ops` interface.
 //!
-//! Each function here is the *baseline* traversal code with
-//! [`prefetch_yield`](crate::prefetch_yield()) dropped in at every pointer
-//! dereference — the "minimal modifications to baseline code" benefit §6
-//! predicts for a coroutine framework. Compare with the hand-written
+//! Each function here is the *baseline* traversal code with a prefetch
+//! and a yield dropped in at every pointer dereference — the "minimal
+//! modifications to baseline code" benefit §6 predicts for a coroutine
+//! framework. The prefetch is the structure's own: the hash chain's
+//! [`prefetch_yield`](crate::prefetch_yield()) (NTA), the trees'
+//! `prefetch_node` (T0). Compare with the hand-written
 //! state machines in `amac-ops`: same algorithms, but those had to be
 //! factored into explicit stage enums and resumable state structs.
 
 use crate::executor::{run_interleaved, run_interleaved_with_idle, yield_now, InterleaveStats};
-use crate::{prefetch_yield, prefetch_yield_wide};
+use crate::prefetch_yield;
 use amac::engine::{EngineStats, Hooks, Step};
 use amac_btree::{BPlusTree, InnerNode, LeafNode};
 use amac_hashtable::{tag_slots, BucketData, HashTable, Slots};
@@ -137,41 +139,46 @@ pub async fn probe_chain_tiered(
     }
 }
 
-/// Search the BST for `key` as a coroutine.
+/// Search the BST for `key` as a coroutine. Each node is fetched by the
+/// tree's own kernel (`PREFETCHT0`, child selected by address), as in
+/// `amac_ops::bst::BstOp`.
 pub async fn bst_find(tree: &Bst, key: u64) -> Option<u64> {
     let mut cur = tree.root();
     if cur.is_null() {
         return None;
     }
-    prefetch_yield(cur).await;
+    amac_tree::prefetch_node(cur);
+    yield_now().await;
     loop {
         // SAFETY: read-only phase; nodes are arena-owned by the tree.
         let node = unsafe { &*cur };
-        use core::cmp::Ordering::*;
-        cur = match key.cmp(&node.key) {
-            Equal => return Some(node.payload),
-            Less => node.left,
-            Greater => node.right,
-        };
+        if key == node.key {
+            return Some(node.payload);
+        }
+        cur = node.child(key > node.key);
         if cur.is_null() {
             return None;
         }
-        prefetch_yield(cur).await;
+        amac_tree::prefetch_node(cur);
+        yield_now().await;
     }
 }
 
-/// Search the B+-tree for `key` as a coroutine.
+/// Search the B+-tree for `key` as a coroutine, fetching both lines of
+/// each node with the tree's own kernel (`PREFETCHT0`).
 pub async fn btree_find(tree: &BPlusTree, key: u64) -> Option<u64> {
     let mut ptr = tree.root_ptr();
     if ptr.is_null() {
         return None;
     }
-    prefetch_yield_wide(ptr).await;
+    amac_btree::prefetch_node(ptr);
+    yield_now().await;
     for _ in 1..tree.height() {
         // SAFETY: read-only phase; levels above the last are inner nodes.
         let inner = unsafe { &*ptr.cast::<InnerNode>() };
         ptr = inner.select_child(key);
-        prefetch_yield_wide(ptr).await;
+        amac_btree::prefetch_node(ptr);
+        yield_now().await;
     }
     // SAFETY: the last level is a leaf.
     unsafe { (*ptr.cast::<LeafNode>()).lookup(key) }

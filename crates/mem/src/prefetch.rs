@@ -33,8 +33,10 @@ pub fn prefetch_read<T>(ptr: *const T) {
 /// Issue a temporal prefetch (`PREFETCHT0`) for the cache line containing
 /// `ptr`, pulling it into every cache level.
 ///
-/// Exposed so the benchmark harness can compare hint policies (an ablation
-/// the paper alludes to when discussing the SPARC strong prefetch variant).
+/// The ordered indexes' node kernels issue it (`amac_tree`, `amac_btree`,
+/// `amac_skiplist`): every lookup walks their upper levels again, so those
+/// lines are worth keeping in L2. It is also the `T0` policy of the hint
+/// ablation.
 #[inline(always)]
 pub fn prefetch_read_t0<T>(ptr: *const T) {
     #[cfg(target_arch = "x86_64")]

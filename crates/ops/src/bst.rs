@@ -1,9 +1,8 @@
 //! Binary search tree probe (§5.3) under all four techniques.
 
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
-use amac_mem::prefetch::prefetch_read;
 use amac_metrics::timer::CycleTimer;
-use amac_tree::{Bst, TreeNode};
+use amac_tree::{prefetch_node, Bst, TreeNode};
 use amac_workload::{Relation, Tuple};
 
 /// BST search configuration.
@@ -99,7 +98,7 @@ impl LookupOp for BstOp<'_> {
     /// Stage 0: get new tuple, access (prefetch) the root node.
     fn start(&mut self, input: Tuple, state: &mut BstState) {
         let root = self.tree.root();
-        prefetch_read(root);
+        prefetch_node(root);
         state.key = input.key;
         state.idx = self.cursor;
         state.ptr = root;
@@ -107,40 +106,30 @@ impl LookupOp for BstOp<'_> {
     }
 
     /// Stage 1 (repeated): compare keys — output on match, else prefetch
-    /// and move to the chosen child.
+    /// and move to the chosen child. The match test is predictable (one
+    /// hit per lookup); the direction is not, so the child is selected
+    /// by address ([`TreeNode::child`]) rather than by a branch.
     fn step(&mut self, state: &mut BstState) -> Step {
         if state.ptr.is_null() {
             return Step::Done; // empty tree
         }
         // SAFETY: read-only phase; nodes are arena-owned by the tree.
         let node = unsafe { &*state.ptr };
-        use core::cmp::Ordering::*;
-        match state.key.cmp(&node.key) {
-            Equal => {
-                self.found += 1;
-                self.checksum = self.checksum.wrapping_add(node.payload);
-                if self.materialize {
-                    self.out[state.idx] = node.payload;
-                }
-                Step::Done
+        if state.key == node.key {
+            self.found += 1;
+            self.checksum = self.checksum.wrapping_add(node.payload);
+            if self.materialize {
+                self.out[state.idx] = node.payload;
             }
-            Less => {
-                if node.left.is_null() {
-                    return Step::Done; // miss
-                }
-                prefetch_read(node.left);
-                state.ptr = node.left;
-                Step::Continue
-            }
-            Greater => {
-                if node.right.is_null() {
-                    return Step::Done; // miss
-                }
-                prefetch_read(node.right);
-                state.ptr = node.right;
-                Step::Continue
-            }
+            return Step::Done;
         }
+        let child = node.child(state.key > node.key);
+        if child.is_null() {
+            return Step::Done; // miss
+        }
+        prefetch_node(child);
+        state.ptr = child;
+        Step::Continue
     }
 }
 

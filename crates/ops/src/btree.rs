@@ -7,8 +7,7 @@
 //! as the variable behind AMAC's advantage (EXPERIMENTS.md, "btree_sweep").
 
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
-use amac_btree::{BPlusTree, InnerNode, LeafNode};
-use amac_mem::prefetch::prefetch_read;
+use amac_btree::{prefetch_node, BPlusTree, InnerNode, LeafNode};
 use amac_metrics::timer::CycleTimer;
 use amac_workload::{Relation, Tuple};
 
@@ -96,15 +95,6 @@ impl<'a> BTreeOp<'a> {
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
-
-    /// Prefetch both cache lines of a 128-byte node.
-    #[inline(always)]
-    fn prefetch_node(ptr: *const u8) {
-        prefetch_read(ptr);
-        // SAFETY: prefetch is a non-faulting hint; ptr + 64 stays within
-        // the 128-byte node allocation.
-        prefetch_read(unsafe { ptr.add(64) });
-    }
 }
 
 impl LookupOp for BTreeOp<'_> {
@@ -123,7 +113,7 @@ impl LookupOp for BTreeOp<'_> {
     fn start(&mut self, input: Tuple, state: &mut BTreeState) {
         let root = self.tree.root_ptr();
         if !root.is_null() {
-            Self::prefetch_node(root);
+            prefetch_node(root);
         }
         state.key = input.key;
         state.idx = self.cursor;
@@ -144,7 +134,7 @@ impl LookupOp for BTreeOp<'_> {
             // node of the arena-owned tree.
             let inner = unsafe { &*state.ptr.cast::<InnerNode>() };
             let child = inner.select_child(state.key);
-            Self::prefetch_node(child);
+            prefetch_node(child);
             state.ptr = child;
             state.level -= 1;
             Step::Continue

@@ -91,17 +91,20 @@ impl SkipNode {
 /// Prefetch the parts of node `p` a level-`level` visit will touch: the
 /// header line (key) and, for tall towers, the separate line holding the
 /// `level` tower slot. Safe for any pointer (prefetch never faults).
-/// Branch-free on purpose (a short tower prefetches its header twice):
-/// the sequential baseline's only memory parallelism is the core
+///
+/// `PREFETCHT0`, not the paper's NTA: every search walks the same tall
+/// towers near the head again, and an NTA fill that leaves L1 is not kept
+/// in L2. Branch-free on purpose (a short tower prefetches its header
+/// twice): the sequential baseline's only memory parallelism is the core
 /// speculating down the levels, and a tower-height branch inside the
 /// move cost it 10–25 % on a 2^20-key list, depending on block placement.
 #[inline(always)]
 fn prefetch_node(p: *const SkipNode, level: usize) {
-    use amac_mem::prefetch::prefetch_read;
-    prefetch_read(p);
+    use amac_mem::prefetch::prefetch_read_t0;
+    prefetch_read_t0(p);
     let slot = TOWER_OFFSET + level * core::mem::size_of::<AtomicPtr<SkipNode>>();
     let slot = if slot >= amac_mem::align::CACHE_LINE { slot } else { 0 };
-    prefetch_read((p as *const u8).wrapping_add(slot));
+    prefetch_read_t0((p as *const u8).wrapping_add(slot));
 }
 
 /// What one [`SkipCursor::step`] did (Table 1's search stages).
@@ -158,6 +161,11 @@ impl<'l> SkipCursor<'l> {
     }
 
     /// Compare `key` with the prefetched successor and make one move.
+    ///
+    /// Branchy on purpose: a cmov advance/descend took `ops.skiplist`
+    /// AMAC from 1248 to 1497 cycles/tuple and the baseline from 2742 to
+    /// 5076, whose only memory parallelism is speculation past these
+    /// branches.
     #[inline(always)]
     pub fn step(&mut self, key: u64) -> SkipMove {
         let next = self.next;

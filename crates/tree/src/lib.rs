@@ -11,8 +11,15 @@
 //! The tree is **built single-threaded and probed read-only**, so no
 //! latches are needed; `&self` traversal after build is safe by phase
 //! separation.
+//!
+//! The per-node kernel is [`prefetch_node`] plus [`TreeNode::child`].
+//! Unlike the paper's `PREFETCHNTA` (§4), the prefetch is `PREFETCHT0`:
+//! every lookup walks the same upper levels again, and an NTA fill that
+//! leaves L1 is not kept in L2. The child is selected by address, not by
+//! a branch on the key comparison, whose outcome is random per level.
 
 use amac_mem::arena::Arena;
+use amac_mem::prefetch::prefetch_read_t0;
 use amac_workload::Relation;
 
 /// One cache-line-aligned tree node.
@@ -33,6 +40,27 @@ impl Default for TreeNode {
     fn default() -> Self {
         TreeNode { key: 0, payload: 0, left: core::ptr::null_mut(), right: core::ptr::null_mut() }
     }
+}
+
+impl TreeNode {
+    /// `right` if `right`, else `left`: one load addressed by the
+    /// comparison result, so the descent has no data-dependent branch.
+    #[inline(always)]
+    pub fn child(&self, right: bool) -> *mut TreeNode {
+        let node: *const TreeNode = self;
+        // SAFETY: `repr(C)` places `right` directly after `left` (two
+        // pointers, no padding between), so `left`'s address plus 0 or 1
+        // names one of the two fields of this live node.
+        unsafe { *core::ptr::addr_of!((*node).left).add(right as usize) }
+    }
+}
+
+/// Prefetch node `p` with `PREFETCHT0` (safe for any pointer: prefetch
+/// never faults). Temporal, not the paper's NTA: every lookup walks the
+/// tree's upper levels again, so they are worth keeping in L2.
+#[inline(always)]
+pub fn prefetch_node(p: *const TreeNode) {
+    prefetch_read_t0(p);
 }
 
 /// An unbalanced binary search tree over arena-allocated nodes.
@@ -228,6 +256,29 @@ mod tests {
     fn node_is_one_cache_line() {
         assert_eq!(core::mem::size_of::<TreeNode>(), 64);
         assert_eq!(core::mem::align_of::<TreeNode>(), 64);
+    }
+
+    #[test]
+    fn right_sits_one_pointer_after_left() {
+        // `child` selects by address; a field reorder must fail here.
+        let n = TreeNode::default();
+        let left = core::ptr::addr_of!(n.left) as usize;
+        let right = core::ptr::addr_of!(n.right) as usize;
+        assert_eq!(right - left, 8);
+    }
+
+    #[test]
+    fn child_selects_left_or_right() {
+        let (mut a, mut b) = (TreeNode::default(), TreeNode::default());
+        let n = TreeNode { left: &mut a, right: &mut b, ..TreeNode::default() };
+        assert_eq!(n.child(false), n.left);
+        assert_eq!(n.child(true), n.right);
+        let leaf = TreeNode::default();
+        assert!(leaf.child(false).is_null());
+        assert!(leaf.child(true).is_null());
+        let half = TreeNode { right: &mut b, ..TreeNode::default() };
+        assert!(half.child(false).is_null());
+        assert_eq!(half.child(true), &mut b as *mut TreeNode);
     }
 
     #[test]

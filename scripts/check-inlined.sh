@@ -8,7 +8,8 @@
 # loop. This fails when an executor body (`AmacSession::feed`,
 # `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`, `run_gp`,
 # `run_spp`) calls a `start`/`step`/`start_plain`/`step_plain` of a
-# hash-table or B+-tree op, of the pipeline probe stage, of the serving
+# hash-table op, of an ordered-index search op (BST, skip list, B+-tree:
+# the `index_walk` kernels), of the pipeline probe stage, of the serving
 # tenant enum or of the serving window's `Mux`, either directly or through a
 # GOT slot (the default release profile reaches other codegen units that
 # way). The metered stages (`Op::{start,step}_metered`: one call per stage
@@ -46,7 +47,7 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)(_plain)?$/ ||
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)(_plain)?$/ ||
          name ~ /^<amac_ops::pipeline::ProbeStage as amac::engine::pipeline::PipelineOp>::(start|step)(_plain)?$/
 }
 function is_executor(name) {

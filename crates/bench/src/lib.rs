@@ -1,29 +1,47 @@
-//! Benchmark harness shared by the figure/table binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper, or measures one extension — the repository `README.md` carries
-//! the full artifact → binary map, including the JSON trajectories
-//! (`scaling` for morsel-vs-static `BENCH_SKEW_*`, `pipeline` for
-//! fused-vs-two-phase `BENCH_PIPELINE_*`). They share:
-//!
-//! * [`Args`] — a tiny flag parser (`--scale N`, `--paper`, `--trials K`,
-//!   `--threads T`, `--quick`) so runs scale from smoke-test to
-//!   paper-scale (2^27 keys) without recompiling;
-//! * [`JoinLab`] — cached relations/tables for the join experiments;
-//! * [`gate`] — the gated-counter list (`baselines.json`) reader that
-//!   `bin/regress` and `bin/trajectory --record` share;
-//! * helpers to run a `(build, probe)` or operator sweep over all four
-//!   techniques and print paper-shaped rows.
+//! The scenario core of the `bench` binary: every table and figure of
+//! the paper's evaluation (§5) and every extension trajectory is one row
+//! of [`SCENARIOS`], run as `bench <name> [flags]`; `bench trajectory`
+//! runs the gated rows in one process and checks their counters
+//! ([`gate`]). The repository `README.md` maps each paper artifact to its
+//! scenario. [`Args`] scales every run from smoke test to paper scale
+//! (2^27 keys) without recompiling.
 
 pub mod gate;
+mod scenarios;
+
+pub use scenarios::SCENARIOS;
 
 use amac::engine::{Technique, TuningParams};
 use amac_hashtable::HashTable;
-use amac_metrics::report::fnum;
+use amac_metrics::report::{fnum, Table};
 use amac_ops::join::{build, probe, BuildConfig, ProbeConfig};
 use amac_workload::Relation;
 
-/// Common command-line arguments for every experiment binary.
+/// One experiment of the `bench` binary.
+pub struct Scenario {
+    /// Command name: `bench <name>`.
+    pub name: &'static str,
+    /// One line for `bench list`.
+    pub about: &'static str,
+    /// The trajectory blob a gated scenario writes (`BENCH_*.json`);
+    /// `None` for the printed-only tables.
+    pub blob: Option<&'static str>,
+    /// Run the experiment: print its tables, return its blob.
+    pub run: fn(&Args) -> Outcome,
+}
+
+/// What a scenario run returns: its JSON blob (empty for a table-only
+/// scenario) and the blob's headline `BENCH_*` keys, rendered exactly as
+/// the blob prints them — the regression gate compares those renderings.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The blob.
+    pub body: String,
+    /// Headline `(key, rendered value)` pairs.
+    pub keys: Vec<(String, String)>,
+}
+
+/// Common command-line arguments for every scenario.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// log2 of the probe-relation cardinality (paper: 27).
@@ -37,9 +55,7 @@ pub struct Args {
     pub quick: bool,
     /// Full paper scale (2^27 probes, 2 GB relations). Needs ~12 GB RAM.
     pub paper: bool,
-    /// Also write the JSON trajectory blob to this path (`--json FILE`) —
-    /// how CI turns stdout trajectories into uploadable `BENCH_*.json`
-    /// artifacts the regression gate (`bin/regress`) can read back.
+    /// Also write the scenario's JSON blob to this path (`--json FILE`).
     pub json: Option<String>,
 }
 
@@ -57,30 +73,16 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parse `std::env::args`, exiting with usage on error.
-    pub fn parse() -> Args {
+    /// Parse the flags after the scenario name, exiting with usage on
+    /// error.
+    pub fn parse(flags: impl IntoIterator<Item = String>) -> Args {
         let mut a = Args::default();
-        let mut it = std::env::args().skip(1);
+        let mut it = flags.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
-                "--scale" => {
-                    a.scale = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a log2 size"));
-                }
-                "--trials" => {
-                    a.trials = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--trials needs a count"));
-                }
-                "--threads" => {
-                    a.threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--threads needs a count"));
-                }
+                "--scale" => a.scale = number(it.next(), "--scale needs a log2 size"),
+                "--trials" => a.trials = number(it.next(), "--trials needs a count"),
+                "--threads" => a.threads = number(it.next(), "--threads needs a count"),
                 "--quick" => a.quick = true,
                 "--json" => {
                     a.json = Some(it.next().unwrap_or_else(|| usage("--json needs a path")));
@@ -116,16 +118,25 @@ impl Args {
     }
 }
 
-fn usage(msg: &str) -> ! {
+/// Parse a numeric flag value, exiting with usage when it is missing or
+/// malformed.
+pub(crate) fn number<T: core::str::FromStr>(value: Option<String>, msg: &str) -> T {
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage(msg))
+}
+
+/// Print the usage message (after `msg`, if any) and exit with status 2.
+pub fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
     let defaults = Args::default();
     eprintln!(
-        "usage: <bin> [--scale N] [--trials K] [--threads T] [--quick] [--paper]\n\
+        "usage: bench <scenario> [--scale N] [--trials K] [--threads T] [--quick] [--paper] [--json F]\n\
+         \x20      bench trajectory [--scale N] [--bless] [--record F]\n\
+         \x20      bench list\n\
          \x20  --scale N   log2 |S| (default {}; paper = 27)\n\
          \x20  --trials K  repetitions, best-of reported (default {})\n\
-         \x20  --threads T max threads for scalability binaries\n\
+         \x20  --threads T max threads for scalability scenarios\n\
          \x20  --quick     smoke-test sizes (scale <= 18)\n\
          \x20  --json F    also write the JSON trajectory blob to file F\n\
          \x20  --paper     full paper scale (2^27; needs ~12 GB RAM)",
@@ -186,42 +197,25 @@ impl JoinLab {
         (ht, out.cycles as f64 / self.r.len().max(1) as f64)
     }
 
-    /// Probe `ht` with `technique`, returning cycles-per-S-tuple and the
-    /// checksum (for cross-technique validation).
-    pub fn probe_with(
-        &self,
-        ht: &HashTable,
-        technique: Technique,
-        cfg: &ProbeConfig,
-    ) -> (f64, u64) {
-        let out = probe(ht, &self.s, technique, cfg);
-        (out.cycles as f64 / self.s.len().max(1) as f64, out.checksum)
+    /// Probe `ht` with `technique`, returning cycles-per-S-tuple.
+    pub fn probe_with(&self, ht: &HashTable, technique: Technique, cfg: &ProbeConfig) -> f64 {
+        probe(ht, &self.s, technique, cfg).cycles as f64 / self.s.len().max(1) as f64
     }
 }
 
-/// Line-accumulating JSON emitter for the trajectory binaries.
-///
-/// The hand-rolled JSON blobs used to go straight to stdout, which is
-/// why the bench trajectory stayed empty: CI ran the binaries and threw
-/// the output away. Building the blob as a string lets every binary both
-/// print it (human runs keep working) and persist it via `--json PATH`
-/// (CI artifact + regression-gate input).
+/// Line-accumulating JSON emitter for the trajectory blobs: `{`, a
+/// `"bench"` tag, metadata lines, a `"results"` array, then the headline
+/// `BENCH_*` keys — one key per line, which the history log and the
+/// regression gate rely on.
 #[derive(Debug, Default)]
 pub struct JsonOut {
     body: String,
 }
 
 impl JsonOut {
-    /// An empty blob.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begin a trajectory object: `{` plus the `"bench"` tag line. Every
-    /// JSON-emitting binary opens with exactly this shape, so the
-    /// regression gate's line scanner can rely on it.
+    /// Begin a trajectory object: `{` plus the `"bench"` tag line.
     pub fn open(bench: &str) -> Self {
-        let mut j = Self::new();
+        let mut j = Self::default();
         j.line("{");
         j.line(format!("  \"bench\": \"{bench}\","));
         j
@@ -232,8 +226,7 @@ impl JsonOut {
         self.line(format!("  \"{key}\": {value},"));
     }
 
-    /// The `"results": [...]` array from pre-rendered row objects,
-    /// handling the trailing-comma dance every binary used to hand-roll.
+    /// The `"results": [...]` array from pre-rendered row objects.
     pub fn results<I: IntoIterator<Item = String>>(&mut self, rows: I) {
         self.line("  \"results\": [");
         let rows: Vec<String> = rows.into_iter().collect();
@@ -246,40 +239,21 @@ impl JsonOut {
     }
 
     /// Emit the headline `BENCH_*` keys (pre-rendered values; the last
-    /// line gets no comma), close the object, and
-    /// [`emit`](JsonOut::emit) it.
-    pub fn finish_with_keys(mut self, keys: &[(String, String)], path: Option<&str>) {
-        let n = keys.len();
+    /// line gets no comma) and close the object.
+    pub fn finish_with_keys<K: ToString>(mut self, keys: &[(K, String)]) -> Outcome {
+        let keys: Vec<(String, String)> =
+            keys.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
         for (i, (k, v)) in keys.iter().enumerate() {
-            let comma = if i + 1 == n { "" } else { "," };
+            let comma = if i + 1 == keys.len() { "" } else { "," };
             self.line(format!("  \"{k}\": {v}{comma}"));
         }
         self.line("}");
-        self.emit(path);
+        Outcome { body: self.body, keys }
     }
 
-    /// Append one line.
-    pub fn line(&mut self, s: impl AsRef<str>) {
+    fn line(&mut self, s: impl AsRef<str>) {
         self.body.push_str(s.as_ref());
         self.body.push('\n');
-    }
-
-    /// The accumulated blob.
-    pub fn body(&self) -> &str {
-        &self.body
-    }
-
-    /// Print the blob to stdout and, if `path` is set, write it there
-    /// too (exits with an error message on an unwritable path — a CI
-    /// misconfiguration should fail loudly, not silently drop evidence).
-    pub fn emit(self, path: Option<&str>) {
-        print!("{}", self.body);
-        if let Some(p) = path {
-            if let Err(e) = std::fs::write(p, &self.body) {
-                eprintln!("error: cannot write --json {p}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }
 
@@ -295,9 +269,32 @@ pub fn best_of<T>(trials: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
     best
 }
 
-/// Format a cycles-per-tuple cell.
-pub fn cpt(x: f64) -> String {
-    fnum(x)
+/// The cells of one paper-figure row, in [`Technique::ALL`] order: `run`
+/// measures one trial of a technique and returns its `C` columns (cycles
+/// per tuple), and each column keeps its best of `trials`.
+pub fn per_technique<const C: usize>(
+    trials: usize,
+    mut run: impl FnMut(Technique) -> [f64; C],
+) -> [[f64; C]; 4] {
+    Technique::ALL.map(|t| {
+        let mut best = run(t);
+        for _ in 1..trials.max(1) {
+            for (b, x) in best.iter_mut().zip(run(t)) {
+                *b = b.min(x);
+            }
+        }
+        best
+    })
+}
+
+/// A table whose columns are `first`, then one per technique.
+pub fn technique_table(title: impl Into<String>, first: &str) -> Table {
+    Table::new(title).header(std::iter::once(first).chain(Technique::ALL.map(Technique::label)))
+}
+
+/// A table row: `label`, then each value through [`fnum`].
+pub fn row(label: impl Into<String>, values: impl IntoIterator<Item = f64>) -> Vec<String> {
+    std::iter::once(label.into()).chain(values.into_iter().map(fnum)).collect()
 }
 
 /// Default probe config with `m` in-flight lookups and no materialization
@@ -310,12 +307,10 @@ pub fn probe_cfg(m: usize) -> ProbeConfig {
     }
 }
 
-/// Inputs for the runtime's *skewed-probe* scenario: a Zipf-keyed build
-/// relation (hot keys → long chains) probed by a **clustered** Zipf input,
-/// so the expensive probes occupy one contiguous region of S. Static
-/// chunking hands that whole region to one thread; morsel stealing
-/// redistributes it — this is the workload behind
-/// `benches/parallel.rs` and `bin/scaling.rs`.
+/// Inputs for the runtime's *skewed-probe* scenario (`bench scaling`): a
+/// Zipf-keyed build (hot keys → long chains) probed by a **clustered**
+/// Zipf input, so the expensive probes occupy one contiguous region of S
+/// that static chunking hands to one thread and morsel stealing spreads.
 pub struct SkewLab {
     /// Prebuilt hash table over the Zipf build relation.
     pub ht: HashTable,
@@ -323,17 +318,12 @@ pub struct SkewLab {
     pub s: Relation,
 }
 
-/// Generate the skewed-probe scenario. `theta` is the probe-side Zipf
-/// exponent (1.0 reproduces the acceptance workload); probes use
-/// `scan_all`, see [`skewed_probe_cfg`].
-///
-/// R draws half as many tuples from the same domain with θ = 0.5, which
-/// caps the hottest chain at a few hundred nodes (θ = 1 on both sides
-/// would make hot-hot probes quadratic). Crucially both relations use the
-/// **same generator seed**, hence the same Feistel rank→key permutation:
-/// the keys probed most often are exactly the keys with the longest
-/// chains, and after clustering those probes occupy a few contiguous runs
-/// of S — the positional skew that strands a static chunk.
+/// Generate the skewed-probe scenario with probe-side Zipf exponent
+/// `theta`. R draws half as many tuples with θ = 0.5, capping the hottest
+/// chain at a few hundred nodes (θ = 1 on both sides would make hot-hot
+/// probes quadratic). Both relations share the **generator seed**, hence
+/// the Feistel rank→key permutation: the most-probed keys are exactly
+/// the longest chains.
 pub fn skewed_probe_lab(n: usize, theta: f64, seed: u64) -> SkewLab {
     let domain = (n as u64 / 64).max(64);
     let r = Relation::zipf(n / 2, domain, 0.5, seed);
@@ -342,25 +332,10 @@ pub fn skewed_probe_lab(n: usize, theta: f64, seed: u64) -> SkewLab {
     SkewLab { ht, s }
 }
 
-/// Probe config for the skewed scenario: walk full chains (join
+/// Probe config with `m` in-flight lookups that walks full chains (join
 /// semantics under duplicate build keys), no materialization.
-pub fn skewed_probe_cfg(m: usize) -> ProbeConfig {
+pub fn scan_all_cfg(m: usize) -> ProbeConfig {
     ProbeConfig { scan_all: true, ..probe_cfg(m) }
-}
-
-/// The far-latency sweep axis shared by the tier trajectory and its
-/// docs: far-tier latency as a multiple of DRAM latency.
-pub const FAR_MULTS: [u64; 4] = [1, 2, 4, 8];
-
-/// Assert every labelled `(matches, checksum)` signature in `sigs`
-/// agrees with the first — the in-run result-equivalence check the
-/// trajectory binaries (`layout`, `serve`, `tier`) all perform before
-/// trusting their counters.
-pub fn assert_sigs_agree(context: &str, sigs: &[(&str, (u64, u64))]) {
-    let Some(((_, want), rest)) = sigs.split_first() else { return };
-    for (label, got) in rest {
-        assert_eq!(got, want, "{context}: '{}' diverged from '{}'", label, sigs[0].0);
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,218 @@
+//! **Chaos trajectory** (DESIGN.md "Failure model"): seeded far-tier
+//! faults against the serving stack's retry / deadline / breaker
+//! machinery, as deterministic `BENCH_CHAOS_*` counters. (1) A healthy
+//! and a faulted tenant share one window, plus two queries with an
+//! impossible deadline: the healthy tenant must match its solo run
+//! (results and `nodes_visited`) and every faulted survivor the
+//! fault-free reference. (2) An always-failing tenant trips the circuit
+//! breaker; later queries are shed. (3) The same faulted probe at 1/2/4
+//! threads injects the same faults: decisions hash `(key, hop)`, never
+//! issue order. Report and ledger conservation under random
+//! interleavings is `crates/server/tests/chaos_ledger.rs`'s contract.
+
+use super::submit_closed_loop;
+use crate::{scan_all_cfg, Args, JsonOut, Outcome};
+use amac::engine::{Technique, TuningParams};
+use amac_hashtable::HashTable;
+use amac_ops::join::ProbeConfig;
+use amac_ops::multi::{probe_multi_mt_rt, TenantProbe};
+use amac_runtime::MorselConfig;
+use amac_server::{
+    BreakerMode, QueryId, QueryOutcome, Request, ServeConfig, ServeSession, SubmitOpts,
+};
+use amac_tier::FaultPlan;
+use amac_workload::Relation;
+
+const SEED: u64 = 0xC4A05;
+const QUERIES_PER_TENANT: usize = 8;
+
+pub(super) fn run(args: &Args) -> Outcome {
+    let n = args.s_size();
+    let dim_n = (n / 16).max(1 << 10);
+    let q_tuples = (n / 16).max(512);
+    // Shared catalog all queries probe. The faulted tenant's chain loads
+    // go through the fault-checked far tier (`headers_near(1)` implied by
+    // `ProbeConfig::fault`); the healthy tenant's identical cfg minus the
+    // plan is untouched by construction.
+    let dim = Relation::dense_unique(dim_n, SEED);
+    let ht = HashTable::build_serial(&dim);
+    let stream = |i: usize| Relation::fk_uniform(&dim, q_tuples, SEED + i as u64);
+    let healthy: Vec<Relation> = (0..QUERIES_PER_TENANT).map(stream).collect();
+    let faulty: Vec<Relation> = (0..QUERIES_PER_TENANT).map(|i| stream(100 + i)).collect();
+    println!("# Chaos trajectory ({q_tuples} tuples/query, {QUERIES_PER_TENANT} queries/tenant)\n");
+
+    // --- 1. Fault sweep: healthy + faulted tenants, tight deadlines ------
+    let cfg = ServeConfig {
+        max_active: 8,
+        max_pending: 8,
+        quantum: 128,
+        max_retries: 4,
+        backoff_base: 32,
+        ..Default::default()
+    };
+    // One plan per query: all streams draw from the same key universe, so
+    // a shared seed would fault every query on the same attempts (fault
+    // decisions hash (key, hop)); per-query seeds give independent fates
+    // and a meaningful recovered fraction.
+    const FAIL_PER_MILLE: u16 = 1;
+    let plans: Vec<FaultPlan> = (0..QUERIES_PER_TENANT)
+        .map(|i| FaultPlan::fail_only(SEED ^ 0xFA17 ^ (i as u64) << 8, FAIL_PER_MILLE))
+        .collect();
+
+    // Fault-free references: the healthy tenant served solo, and each
+    // faulted stream probed solo without its plan.
+    let mut solo = ServeSession::new(&ht, cfg.clone());
+    let solo_ids: Vec<QueryId> = healthy
+        .iter()
+        .map(|q| {
+            let req = Request::Probe { probes: q, cfg: scan_all_cfg(10) };
+            submit_closed_loop(&mut solo, req, SubmitOpts::default())
+        })
+        .collect();
+    let solo_out = solo.finish();
+    let clean: Vec<_> = faulty
+        .iter()
+        .map(|s| amac_ops::join::probe(&ht, s, Technique::Amac, &scan_all_cfg(10)))
+        .collect();
+
+    let mut srv = ServeSession::new(&ht, cfg.clone());
+    let mut owner: Vec<(QueryId, u32, usize)> = Vec::new(); // (qid, tenant, stream idx)
+    for i in 0..QUERIES_PER_TENANT {
+        let req = Request::Probe { probes: &healthy[i], cfg: scan_all_cfg(10) };
+        owner.push((submit_closed_loop(&mut srv, req, SubmitOpts::default()), 0, i));
+        let fcfg = ProbeConfig { fault: Some(plans[i]), ..scan_all_cfg(10) };
+        let req = Request::Probe { probes: &faulty[i], cfg: fcfg };
+        owner.push((
+            submit_closed_loop(&mut srv, req, SubmitOpts { tenant: 1, ..Default::default() }),
+            1,
+            i,
+        ));
+    }
+    // Two queries with an impossible 1-tick deadline: cooperatively
+    // cancelled, reported, their partial work still on the books.
+    for (i, probes) in healthy.iter().take(2).enumerate() {
+        let opts = SubmitOpts { tenant: 2, deadline_ticks: Some(1), ..Default::default() };
+        owner.push((
+            submit_closed_loop(&mut srv, Request::Probe { probes, cfg: scan_all_cfg(10) }, opts),
+            2,
+            i,
+        ));
+    }
+    let out = srv.finish();
+
+    let find =
+        |qid: QueryId| out.reports.iter().find(|r| r.qid == qid).expect("one report per query");
+    let (mut recovered, mut failed, mut retried_ok) = (0u64, 0u64, 0u64);
+    for &(qid, tenant, i) in &owner {
+        let r = find(qid);
+        match (tenant, r.outcome) {
+            // Healthy tenant: bit-identical to its solo run, down to
+            // traversal work — the faulted tenant's retries cost it nothing.
+            (0, QueryOutcome::Completed) => {
+                let solo_r = solo_out.reports.iter().find(|r| r.qid == solo_ids[i]).unwrap();
+                assert_eq!(
+                    (r.matches, r.checksum, r.stats.nodes_visited),
+                    (solo_r.matches, solo_r.checksum, solo_r.stats.nodes_visited),
+                    "healthy q{i} diverged from its solo run"
+                );
+            }
+            // Faulted tenant: every survivor is bit-identical to the
+            // fault-free reference (retry reruns from scratch; degraded
+            // tiers move costs, never results).
+            (1, QueryOutcome::Completed) => {
+                assert_eq!((r.matches, r.checksum), (clean[i].matches, clean[i].checksum), "q{i}");
+                recovered += 1;
+                retried_ok += u64::from(r.attempts > 1);
+            }
+            (1, QueryOutcome::FailedAfterRetries) => {
+                assert_eq!(r.attempts, 1 + cfg.max_retries, "budget not exhausted");
+                failed += 1;
+            }
+            (2, QueryOutcome::DeadlineExceeded) => {}
+            (t, o) => panic!("tenant {t} query q{i}: unexpected outcome {o:?}"),
+        }
+    }
+    let deadline_misses = out.count(QueryOutcome::DeadlineExceeded);
+    let recovered_fraction = recovered as f64 / QUERIES_PER_TENANT as f64;
+    println!(
+        "fault sweep: {} retries; faulted tenant {recovered}/{QUERIES_PER_TENANT} recovered \
+         ({retried_ok} after >1 attempt), {failed} failed after retries, {deadline_misses} \
+         deadline misses",
+        out.retries(),
+    );
+    println!("healthy tenant bit-identical to solo, survivors to the fault-free reference\n");
+
+    // --- 2. Breaker demo: consecutive failures open the breaker ----------
+    let bcfg = ServeConfig {
+        max_retries: 0,
+        breaker_threshold: 2,
+        breaker_probe_pumps: u64::MAX >> 1, // stay open for the demo
+        breaker_mode: BreakerMode::Shed,
+        ..cfg.clone()
+    };
+    let doomed = FaultPlan::fail_only(SEED ^ 0xDEAD, 1000); // every far load fails
+    let mut brk = ServeSession::new(&ht, bcfg.clone());
+    for q in faulty.iter().take(6) {
+        let req = Request::Probe {
+            probes: q,
+            cfg: ProbeConfig { fault: Some(doomed), ..scan_all_cfg(10) },
+        };
+        submit_closed_loop(&mut brk, req, SubmitOpts { tenant: 7, ..Default::default() });
+        brk.run_to_completion();
+    }
+    let brk_out = brk.finish();
+    let shed = brk_out.count(QueryOutcome::Shed);
+    let brk_failed = brk_out.count(QueryOutcome::FailedAfterRetries);
+    println!(
+        "breaker demo: {brk_failed} consecutive failures opened the breaker, {shed} queries shed \
+         with zero work\n"
+    );
+
+    // --- 3. Schedule invariance: same faults at 1/2/4 threads ------------
+    let mt_cfg =
+        ProbeConfig { fault: Some(FaultPlan::fail_only(SEED ^ 0x7000, 5)), ..scan_all_cfg(10) };
+    let mt_sigs = [1usize, 2, 4].map(|threads| {
+        let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
+        let tenants = [TenantProbe::new(&faulty[0]), TenantProbe::new(&faulty[1])];
+        let params = TuningParams::default();
+        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &mt_cfg, params, 256, &rt);
+        o.tenants
+            .iter()
+            .map(|t| (t.stats.load_faults, t.stats.failed_lookups, t.matches, t.checksum))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        mt_sigs.windows(2).all(|w| w[0] == w[1]),
+        "fault sets diverged across 1/2/4 threads — decisions must hash (key, hop), not order"
+    );
+    let mt_faults: u64 = mt_sigs[0].iter().map(|s| s.0).sum();
+    println!("schedule invariance: {mt_faults} injected faults identical at 1/2/4 threads\n");
+
+    let mut j = JsonOut::open("chaos_fault_injection");
+    j.meta("tuples_per_query", q_tuples);
+    j.meta("queries_per_tenant", QUERIES_PER_TENANT);
+    j.meta("fail_per_mille", FAIL_PER_MILLE);
+    j.meta("max_retries", cfg.max_retries);
+    j.meta("breaker_threshold", bcfg.breaker_threshold);
+    j.results(owner.iter().map(|&(qid, tenant, i)| {
+        let r = find(qid);
+        format!(
+            "{{\"qid\": {}, \"tenant\": {tenant}, \"stream\": {i}, \"outcome\": \"{}\", \
+             \"attempts\": {}, \"lookups\": {}, \"failed_lookups\": {}}}",
+            qid.0,
+            r.outcome.label(),
+            r.attempts,
+            r.stats.lookups,
+            r.stats.failed_lookups
+        )
+    }));
+    // Deterministic: seeded faults, sim-tick deadlines, closed-loop admission.
+    let keys = [
+        ("BENCH_CHAOS_RETRIES", format!("{}", out.retries())),
+        ("BENCH_CHAOS_SHED", format!("{shed}")),
+        ("BENCH_CHAOS_DEADLINE_MISSES", format!("{deadline_misses}")),
+        ("BENCH_CHAOS_FAILED_AFTER_RETRIES", format!("{}", failed + brk_failed)),
+        ("BENCH_CHAOS_RECOVERED_FRACTION", format!("{recovered_fraction:.3}")),
+    ];
+    j.finish_with_keys(&keys)
+}

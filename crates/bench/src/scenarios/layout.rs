@@ -1,24 +1,14 @@
-//! **Hash-table layout ablation** (extension): the tag-probed fat-node
-//! layout's traversal cost by fill factor, then chained vs
-//! open-addressing (linear probing) across fill factors.
-//!
-//! §2.1.1: "state-of-the-art hash tables offer a tradeoff between
-//! performance (i.e., number of chained memory accesses) and space
-//! efficiency … it is not possible to generalize a single type of hash
-//! table layout". This binary walks that tradeoff twice:
-//!
-//! 1. **Node layout** — the build relation packed into tag-probed nodes
-//!    (3 tuples + SWAR tags + u32 index) at `n / (2·fill)` buckets,
-//!    probed scan-all with uniform and Zipf(1) inputs. The deterministic
-//!    evidence is **nodes visited per lookup** and the share of visits
-//!    the tag filter rejects, emitted as `BENCH_LAYOUT_*` JSON. (The
-//!    seed's 2-tuple pointer layout this replaced is gone; its numbers
-//!    on the same inputs are frozen in `tests/layout_ab.rs`.)
-//! 2. **Chained vs linear probing** — probe-length set by chain structure
-//!    vs by displacement at a given fill factor.
+//! **Hash-table layout ablation** (§2.1.1: no single layout wins both
+//! chained memory accesses and space). (1) The tag-probed node layout
+//! (3 tuples + SWAR tags + u32 index) at `n / (2·fill)` buckets, probed
+//! scan-all with uniform and Zipf(1) keys: the gated evidence is **nodes
+//! visited per lookup** and the share of visits the tag filter rejects
+//! (the replaced 2-tuple layout's numbers are frozen in
+//! `tests/layout_ab.rs`). (2) Chained vs linear probing across fill
+//! factors: probe length set by chain structure vs by displacement.
 
+use crate::{per_technique, probe_cfg, row, Args, JsonOut, Outcome};
 use amac::engine::{Technique, TuningParams};
-use amac_bench::{best_of, probe_cfg, Args};
 use amac_hashtable::{HashTable, LinearTable};
 use amac_metrics::report::{fnum, Table};
 use amac_ops::join::{probe, ProbeConfig};
@@ -70,12 +60,10 @@ fn layout_sweep(n: usize) -> Vec<LayoutRow> {
     rows
 }
 
-fn main() {
-    let args = Args::parse();
+pub(super) fn run(args: &Args) -> Outcome {
     let n = (1usize << args.scale.min(23)) / 2;
     println!("# Layout ablation ({n} keys)\n");
 
-    // --- Node layout: traversal cost of the tag-probed fat bucket --------
     let rows = layout_sweep(n);
     let mut layout_table =
         Table::new("Tag-probed nodes (3 tuples + tags + u32 idx): nodes visited per lookup")
@@ -94,21 +82,18 @@ fn main() {
 
     let rel = Relation::dense_unique(n, 0x1A);
     let probes = rel.shuffled(0x2B);
+    let per_probe = |cycles: u64| cycles as f64 / probes.len() as f64;
 
     // Chained reference point (the paper's layout, early-exit probes).
     let ht = HashTable::build_serial(&rel);
     let mut chained = Table::new("Chained table (paper layout), cycles per probe tuple")
         .header(["layout", "Baseline", "GP", "SPP", "AMAC"]);
-    let mut row = vec!["chained".to_string()];
-    for t in Technique::ALL {
-        let m = TuningParams::paper_best(t).in_flight;
-        let (c, _) = best_of(args.trials, || {
-            let out = probe(&ht, &probes, t, &probe_cfg(m));
-            (out.cycles as f64 / probes.len() as f64, out.checksum)
-        });
-        row.push(fnum(c));
-    }
-    chained.row(row);
+    let cells = per_technique(args.trials, |t| {
+        [per_probe(
+            probe(&ht, &probes, t, &probe_cfg(TuningParams::paper_best(t).in_flight)).cycles,
+        )]
+    });
+    chained.row(row("chained", cells.into_iter().flatten()));
     chained.print();
     println!();
 
@@ -116,27 +101,18 @@ fn main() {
         .header(["fill", "avg displ.", "Baseline", "GP", "SPP", "AMAC", "AMAC vs best-static"]);
     for fill in [0.25, 0.5, 0.7, 0.85, 0.95] {
         let table = LinearTable::build_serial(&rel, fill);
-        let stats = table.stats();
-        let mut cpt = [0.0f64; 4];
-        let mut row = vec![format!("{fill:.2}"), format!("{:.2}", stats.avg_displacement)];
-        let mut checks = Vec::new();
-        for (i, t) in Technique::ALL.iter().enumerate() {
+        let c = per_technique(args.trials, |t| {
             let cfg = LinearProbeConfig {
-                params: TuningParams::paper_best(*t),
+                params: TuningParams::paper_best(t),
                 materialize: false,
                 ..Default::default()
             };
-            let (c, check) = best_of(args.trials, || {
-                let out = linear_probe(&table, &probes, *t, &cfg);
-                (out.cycles as f64 / probes.len() as f64, out.checksum)
-            });
-            cpt[i] = c;
-            checks.push(check);
-            row.push(fnum(c));
-        }
-        assert!(checks.windows(2).all(|w| w[0] == w[1]), "techniques disagree at fill {fill}");
-        row.push(format!("{:.2}x", cpt[1].min(cpt[2]) / cpt[3]));
-        linear.row(row);
+            [per_probe(linear_probe(&table, &probes, t, &cfg).cycles)]
+        });
+        let mut r = vec![format!("{fill:.2}"), format!("{:.2}", table.stats().avg_displacement)];
+        r.extend(c.map(|[x]| fnum(x)));
+        r.push(format!("{:.2}x", c[1][0].min(c[2][0]) / c[3][0]));
+        linear.row(r);
     }
     linear.note("fill factors are honoured exactly (fastrange slot mapping, no pow2 rounding)");
     linear.print();
@@ -148,12 +124,10 @@ fn main() {
          by a completely different layout mechanism.\n"
     );
 
-    // Hand-rolled JSON trajectory: deterministic nodes/bytes-per-lookup
-    // evidence for the node layout (BENCH_LAYOUT_* keys).
     let pick = |w: &str, fill: usize| -> &LayoutRow {
         rows.iter().find(|r| r.workload == w && r.fill == fill).expect("row exists")
     };
-    let mut j = amac_bench::JsonOut::open("node_layout");
+    let mut j = JsonOut::open("node_layout");
     j.meta("tuples", n);
     j.results(rows.iter().map(|r| {
         format!(
@@ -166,21 +140,17 @@ fn main() {
             r.tag_reject_share
         )
     }));
-    let keys: Vec<(String, String)> = [
-        ("FF2_UNIFORM", pick("uniform", 2)),
-        ("FF2_ZIPF1", pick("zipf1", 2)),
-        ("FF4_UNIFORM", pick("uniform", 4)),
-        ("FF4_ZIPF1", pick("zipf1", 4)),
-        ("FF8_UNIFORM", pick("uniform", 8)),
-    ]
-    .into_iter()
-    .map(|(k, r)| {
-        (format!("BENCH_LAYOUT_NODES_PER_LOOKUP_{k}"), format!("{:.3}", r.nodes_per_lookup))
-    })
-    .chain([(
-        "BENCH_LAYOUT_TAG_REJECT_SHARE_FF4_UNIFORM".to_string(),
-        format!("{:.3}", pick("uniform", 4).tag_reject_share),
-    )])
-    .collect();
-    j.finish_with_keys(&keys, args.json.as_deref());
+    let npl = |w, fill| format!("{:.3}", pick(w, fill).nodes_per_lookup);
+    let keys = [
+        ("BENCH_LAYOUT_NODES_PER_LOOKUP_FF2_UNIFORM", npl("uniform", 2)),
+        ("BENCH_LAYOUT_NODES_PER_LOOKUP_FF2_ZIPF1", npl("zipf1", 2)),
+        ("BENCH_LAYOUT_NODES_PER_LOOKUP_FF4_UNIFORM", npl("uniform", 4)),
+        ("BENCH_LAYOUT_NODES_PER_LOOKUP_FF4_ZIPF1", npl("zipf1", 4)),
+        ("BENCH_LAYOUT_NODES_PER_LOOKUP_FF8_UNIFORM", npl("uniform", 8)),
+        (
+            "BENCH_LAYOUT_TAG_REJECT_SHARE_FF4_UNIFORM",
+            format!("{:.3}", pick("uniform", 4).tag_reject_share),
+        ),
+    ];
+    j.finish_with_keys(&keys)
 }

@@ -1,0 +1,356 @@
+//! Studies beyond the paper's figures, printed as tables: AMAC's
+//! engineering choices (§3.1), coroutine automation (§6), partitioning vs
+//! prefetching (§7), and BST vs B+-tree regularity.
+
+use crate::{best_of, per_technique, probe_cfg, row, Args, JoinLab, Outcome};
+use amac::engine::{run_amac, run_amac_modulo, run_amac_no_merge, Technique, TuningParams};
+use amac_btree::BPlusTree;
+use amac_coro::{
+    coro_bst_search, coro_btree_search, coro_probe, coro_skip_insert, coro_skip_search, CoroConfig,
+    CoroOutput,
+};
+use amac_hashtable::HashTable;
+use amac_mem::prefetch::PrefetchHint;
+use amac_metrics::report::{fnum, Table};
+use amac_metrics::timer::CycleTimer;
+use amac_ops::bst::{bst_search, BstConfig};
+use amac_ops::btree::{btree_search, BTreeConfig};
+use amac_ops::join::{probe, ProbeConfig, ProbeOp};
+use amac_ops::join_radix::{radix_join, RadixJoinConfig};
+use amac_ops::skiplist::{skip_insert, skip_search, SkipConfig};
+use amac_radix::{partition, partition_unbuffered};
+use amac_skiplist::SkipList;
+use amac_tree::Bst;
+use amac_workload::{Relation, Tuple};
+
+/// One AMAC run over a probe op, returning the prefetches it issued.
+type Exec = fn(&mut ProbeOp<'_>, &[Tuple]) -> u64;
+
+/// **Ablation** of AMAC's engineering choices (§3.1) on the large uniform
+/// and skewed probe: merged terminal+initial stage vs refilling one
+/// rotation later, rolling vs modulo slot indexing, and the prefetch hint
+/// (the paper's `PREFETCHNTA`, `T0`, write intent, or none at all).
+pub(super) fn ablation(args: &Args) -> Outcome {
+    println!("# Ablation — AMAC engineering choices (paper §3.1)\n");
+    let labs = [
+        JoinLab::generate(args.r_large(), args.s_size(), 0.0, 0.0, 0xAB1),
+        JoinLab::generate(args.r_large(), args.s_size(), 1.0, 0.0, 0xAB2),
+    ];
+    let tables: Vec<_> = labs.iter().map(|lab| lab.build_with(Technique::Amac, 10).0).collect();
+    // Best-of cycles/tuple and the prefetches issued per tuple of
+    // `exec` over each lab's probes.
+    let measure = |hint: PrefetchHint, exec: Exec| {
+        labs.iter().zip(&tables).map(move |(lab, ht)| {
+            let cfg =
+                ProbeConfig { materialize: false, scan_all: true, hint, ..Default::default() };
+            let n = lab.s.len() as f64;
+            let (c, prefetches) = best_of(args.trials, || {
+                let mut op = ProbeOp::new(ht, &cfg, lab.s.len());
+                let timer = CycleTimer::start();
+                let prefetches = exec(&mut op, &lab.s.tuples);
+                (timer.cycles() as f64 / n, prefetches)
+            });
+            (c, prefetches as f64 / n)
+        })
+    };
+    let mut table = Table::new("AMAC ablations: probe cycles/tuple (large join)").header([
+        "variant",
+        "uniform [0,0]",
+        "skewed [1,0]",
+    ]);
+    let variants: [(&str, Exec); 3] = [
+        ("AMAC (merged, rolling)", |op, s| run_amac(op, s, 10).prefetches),
+        ("no merged refill", |op, s| run_amac_no_merge(op, s, 10).prefetches),
+        ("modulo indexing", |op, s| run_amac_modulo(op, s, 10).prefetches),
+    ];
+    for (name, exec) in variants {
+        table.row(row(name, measure(PrefetchHint::Nta, exec).map(|(c, _)| c)));
+    }
+    table.note(format!("|R|=|S|=2^{}; M=10", args.scale));
+    table.print();
+
+    // Same probes and schedule; only the prefetch instruction varies.
+    println!();
+    let mut hints = Table::new("Prefetch hint policy: AMAC probe cycles/tuple").header([
+        "hint",
+        "uniform [0,0]",
+        "skewed [1,0]",
+        "pf/tuple uniform",
+        "pf/tuple skewed",
+    ]);
+    for (name, hint) in [
+        ("PREFETCHNTA (paper)", PrefetchHint::Nta),
+        ("PREFETCHT0", PrefetchHint::T0),
+        ("write-intent (T0 stand-in)", PrefetchHint::Write),
+        ("no prefetch (pure interleave)", PrefetchHint::None),
+    ] {
+        let cells: Vec<(f64, f64)> =
+            measure(hint, |op, s| run_amac(op, s, 10).prefetches).collect();
+        if hint != PrefetchHint::None {
+            assert!(cells.iter().all(|c| c.1 > 0.0), "real hints must report their prefetches");
+        }
+        hints.row(row(name, cells.iter().map(|c| c.0).chain(cells.iter().map(|c| c.1))));
+    }
+    hints.note("'no prefetch' isolates the scheduling contribution: interleaving alone cannot hide misses, it only reorders them");
+    hints.note("a hint other than NTA makes the context metered: those rows run one out-of-line call per stage where the NTA row runs the stage inlined, so their cycles include that call");
+    hints.print();
+    Outcome::default()
+}
+
+/// **Regularity ablation**: §5.3 blames GP/SPP's tree-search losses on
+/// lookup-depth *variance*. A random BST (depth varies per key) vs a
+/// bulk-loaded B+-tree (every lookup visits `height` nodes) isolates it:
+/// AMAC's margin over GP/SPP should be wide on the BST and collapse on
+/// the B+-tree.
+pub(super) fn btree_sweep(args: &Args) -> Outcome {
+    println!("# Regularity ablation — BST (irregular) vs B+-tree (regular)\n");
+    let top = args.scale.min(22);
+    let header = ["size (log2)", "Baseline", "GP", "SPP", "AMAC", "AMAC vs best-static"];
+    let mut bst_table =
+        Table::new("BST search cycles per probe tuple (irregular depth)").header(header);
+    let mut bt_table =
+        Table::new("B+-tree search cycles per probe tuple (uniform depth)").header(header);
+    for bits in (0..3).map(|i| top.saturating_sub(3 * (2 - i))).filter(|&b| b >= 12) {
+        let rel = Relation::sparse_unique(1 << bits, 0xB7 ^ bits as u64);
+        let probes = rel.shuffled(0xC9 ^ bits as u64);
+        let (bst, btree) = (Bst::build(&rel), BPlusTree::build(&rel));
+        let n = probes.len() as f64;
+        let c = per_technique(args.trials, |t| {
+            let params = TuningParams::paper_best(t);
+            let bst_cfg = BstConfig { params, materialize: false, ..Default::default() };
+            let bt_cfg = BTreeConfig { params, materialize: false };
+            [
+                bst_search(&bst, &probes, t, &bst_cfg).cycles as f64 / n,
+                btree_search(&btree, &probes, t, &bt_cfg).cycles as f64 / n,
+            ]
+        });
+        for (i, table) in [&mut bst_table, &mut bt_table].into_iter().enumerate() {
+            let best_static = c[1][i].min(c[2][i]);
+            let mut r = row(bits.to_string(), c.map(|t| t[i]));
+            r.push(format!("{:.2}x", best_static / c[3][i]));
+            table.row(r);
+        }
+    }
+    bst_table.note("paper Fig. 10 setting: depth varies per lookup; static schedules shed MLP");
+    bst_table.print();
+    println!();
+    bt_table.note("bulk-load balance: N = height fits every lookup; GP/SPP at full strength");
+    bt_table.print();
+    println!(
+        "\nReading: the last column is AMAC's speedup over the better of GP/SPP.\n\
+         Expect it >> 1 on the BST and ≈ 1 on the B+-tree — irregularity, not\n\
+         tree search itself, is what separates the techniques."
+    );
+    Outcome::default()
+}
+
+/// **Partitioning vs prefetching** (§7): remove the misses (radix join,
+/// PRO) or hide them (AMAC on the no-partitioning join, NPO)? Then price
+/// the radix pass's software-managed scatter buffers.
+pub(super) fn partition_study(args: &Args) -> Outcome {
+    let n = 1usize << args.scale.min(23);
+    println!("# Partitioning vs prefetching — NPO/AMAC vs radix join ({n} ⋈ {n})\n");
+    let r = Relation::dense_unique(n, 0x71);
+    let s = Relation::fk_uniform(&r, n, 0x72);
+    let d = s.len() as f64;
+
+    let ht = HashTable::build_serial(&r);
+    let m = TuningParams::paper_best(Technique::Amac).in_flight;
+    let npo = |t: Technique, m: usize| {
+        best_of(args.trials, || (probe(&ht, &s, t, &probe_cfg(m)).cycles as f64 / d, ())).0
+    };
+    let (npo_base, npo_amac) = (npo(Technique::Baseline, 1), npo(Technique::Amac, m));
+    drop(ht);
+
+    let mut table = Table::new("Cycles per probe tuple (probe-phase and end-to-end)").header([
+        "configuration",
+        "partition",
+        "build",
+        "probe",
+        "total",
+        "vs NPO+Base",
+    ]);
+    for (name, c) in [("NPO + Baseline", npo_base), ("NPO + AMAC", npo_amac)] {
+        let ratio = format!("{:.2}x", npo_base / c);
+        table.row([name.to_string(), "-".into(), "-".into(), fnum(c), fnum(c), ratio]);
+    }
+    for bits in [4u32, 8, 11] {
+        for technique in [Technique::Baseline, Technique::Amac] {
+            let cfg = RadixJoinConfig {
+                bits,
+                probe: probe_cfg(if technique == Technique::Amac { m } else { 1 }),
+                ..Default::default()
+            };
+            let (total, parts) = best_of(args.trials, || {
+                let out = radix_join(&r, &s, technique, &cfg);
+                let parts = [out.partition_cycles, out.build_cycles, out.probe_cycles];
+                (out.total_cycles() as f64 / d, parts.map(|c| c as f64 / d))
+            });
+            let mut r =
+                row(format!("radix {bits} bits + {technique}"), parts.into_iter().chain([total]));
+            r.push(format!("{:.2}x", npo_base / total));
+            table.row(r);
+        }
+    }
+    table.note("8 bits ≈ cache-resident partitions here; 11 bits exposes per-partition fixed costs (table allocation) — fan-out is a real tuning knob, like GP/SPP's N");
+    table.print();
+
+    let mut ab = Table::new("Scatter-pass ablation: software write buffers")
+        .header(["scatter", "cycles/tuple"]);
+    let scatter = |f: fn(&Relation, u32) -> amac_radix::Partitions| {
+        best_of(args.trials, || {
+            let t = CycleTimer::start();
+            let p = f(&s, 11);
+            (t.cycles() as f64 / d, p.tuples.len())
+        })
+        .0
+    };
+    let (buffered, unbuffered) = (scatter(partition), scatter(partition_unbuffered));
+    ab.row(row("cache-line buffered", [buffered]));
+    ab.row(row("unbuffered", [unbuffered]));
+    ab.note(format!(
+        "buffered/unbuffered ratio: {:.2} at 2^11 partitions — staging pays off only \
+         when open output streams exceed the TLB/cache budget; below that the extra \
+         copy is pure cost",
+        buffered / unbuffered
+    ));
+    println!();
+    ab.print();
+    println!(
+        "\nReading: AMAC closes most of the gap to the radix join *without*\n\
+         touching the data layout, and AMAC adds ~nothing on top of radix —\n\
+         cache-resident partitions leave no misses to hide (the paper's\n\
+         Fig. 5a/Table 3 regime). Hiding and removing misses are substitutes\n\
+         on the probe phase; partitioning additionally pays the scatter."
+    );
+    Outcome::default()
+}
+
+/// **Coroutine-framework overhead** (§6): hand-written AMAC state
+/// machines vs compiler-generated coroutines (`amac_coro`: same rolling
+/// ring, same prefetches) on identical workloads. §6 names the price of
+/// that automation — "state maintenance and space overhead" — so both
+/// are measured: cycles per tuple, and state struct vs suspended frame.
+pub(super) fn coro(args: &Args) -> Outcome {
+    let n = (1usize << args.scale.min(23)) / 2;
+    println!("# §6 automation — hand-written AMAC vs coroutine AMAC ({n} keys)\n");
+    let m = TuningParams::paper_best(Technique::Amac).in_flight;
+    let ccfg = CoroConfig { width: m, materialize: false, ..Default::default() };
+    let rel = Relation::dense_unique(n, 0x51);
+    let probes = rel.shuffled(0x62);
+
+    let mut table = Table::new("Cycles per lookup tuple").header([
+        "workload",
+        "Baseline",
+        "AMAC (state machine)",
+        "AMAC (coroutine)",
+        "coro overhead",
+        "frame bytes",
+    ]);
+    // One row: `hand(t)` runs the state machine under Baseline or AMAC,
+    // `coro()` the ring (cycles, frame bytes); both over `len` tuples.
+    let mut workload = |name: &str,
+                        len: usize,
+                        hand: &dyn Fn(Technique) -> u64,
+                        coro: &dyn Fn() -> (u64, usize)| {
+        let per = |c: u64| c as f64 / len as f64;
+        let base = best_of(args.trials, || (per(hand(Technique::Baseline)), ())).0;
+        let amac = best_of(args.trials, || (per(hand(Technique::Amac)), ())).0;
+        let (ring, frame) = best_of(args.trials, || {
+            let (c, frame) = coro();
+            (per(c), frame)
+        });
+        let mut r = row(name, [base, amac, ring]);
+        r.push(format!("{:+.1}%", (ring / amac - 1.0) * 100.0));
+        r.push(frame.to_string());
+        table.row(r);
+    };
+    let ring = |out: CoroOutput| (out.cycles, out.stats.future_bytes);
+    let params = TuningParams::paper_best;
+
+    let ht = HashTable::build_serial(&rel);
+    let pcfg = |t| probe_cfg(params(t).in_flight);
+    workload("hash probe", probes.len(), &|t| probe(&ht, &probes, t, &pcfg(t)).cycles, &|| {
+        ring(coro_probe(&ht, &probes, &ccfg))
+    });
+    let tree = Bst::build(&rel);
+    let bcfg = |t| BstConfig { params: params(t), materialize: false, ..Default::default() };
+    workload(
+        "BST search",
+        probes.len(),
+        &|t| bst_search(&tree, &probes, t, &bcfg(t)).cycles,
+        &|| ring(coro_bst_search(&tree, &probes, &ccfg)),
+    );
+    let bt = BPlusTree::build(&rel);
+    let btcfg = |t| BTreeConfig { params: params(t), materialize: false };
+    workload(
+        "B+-tree search",
+        probes.len(),
+        &|t| btree_search(&bt, &probes, t, &btcfg(t)).cycles,
+        &|| ring(coro_btree_search(&bt, &probes, &ccfg)),
+    );
+
+    // Skip list search + insert (the insert frame carries the §5.4
+    // predecessor vector — the paper's "0.5KB per lookup").
+    let list_n = n.min(1 << 20);
+    let srel = Relation::sparse_unique(list_n, 0x53);
+    let list = SkipList::new();
+    {
+        let mut h = list.handle(0x54);
+        for t in &srel.tuples {
+            h.insert(t.key, t.payload);
+        }
+    }
+    let sprobes = srel.shuffled(0x55);
+    let scfg = |t| SkipConfig { params: params(t), ..Default::default() };
+    workload(
+        "skip list search",
+        sprobes.len(),
+        &|t| skip_search(&list, &sprobes, t, &scfg(t)).cycles,
+        &|| ring(coro_skip_search(&list, &sprobes, &ccfg)),
+    );
+    // Insert: fresh lists per measurement (insertion is one-shot).
+    let ins = Relation::sparse_unique(list_n / 2, 0x56);
+    let seed = |t| if t == Technique::Baseline { 1 } else { 2 };
+    workload(
+        "skip list insert",
+        ins.len(),
+        &|t| skip_insert(&SkipList::new(), &ins, t, &scfg(t), seed(t)).cycles,
+        &|| {
+            let out = coro_skip_insert(&SkipList::new(), &ins, m, 3);
+            (out.cycles, out.stats.future_bytes)
+        },
+    );
+    table.note(format!(
+        "hand-written probe state: {} B; BST state: {} B; skip-insert state: {} B (compare 'frame bytes')",
+        core::mem::size_of::<amac_ops::join::ProbeState>(),
+        core::mem::size_of::<amac_ops::bst::BstState>(),
+        core::mem::size_of::<amac_ops::skiplist::SkipInsertState>(),
+    ));
+    table.print();
+
+    // Width sensitivity (the Fig. 6 sweep in the coroutine model): §6
+    // reports "little sensitivity … beyond eight or so" for AMAC; the
+    // coroutine ring should inherit exactly that saturation shape.
+    let mut sweep = Table::new("Coroutine ring width sensitivity (hash probe cycles/tuple)")
+        .header(["width", "cycles/tuple"]);
+    for width in [1usize, 2, 4, 6, 8, 10, 12, 16] {
+        let cfg = CoroConfig { width, materialize: false, ..Default::default() };
+        let c = best_of(args.trials, || {
+            (coro_probe(&ht, &probes, &cfg).cycles as f64 / probes.len() as f64, ())
+        });
+        sweep.row(row(width.to_string(), [c.0]));
+    }
+    sweep.note(
+        "expect the paper's Fig. 6c shape: monotone to ~M=8-10, flat past it (L1-D MSHR limit)",
+    );
+    println!();
+    sweep.print();
+    println!(
+        "\nReading: the coroutine column prices §6's proposal. Same schedule,\n\
+         same prefetches — any gap is pure state-save/restore overhead, and\n\
+         'frame bytes' vs the hand-written state sizes is the space cost the\n\
+         paper predicted for a generalized framework."
+    );
+    Outcome::default()
+}

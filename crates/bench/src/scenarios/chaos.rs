@@ -2,13 +2,14 @@
 //! faults against the serving stack's retry / deadline / breaker
 //! machinery, as deterministic `BENCH_CHAOS_*` counters. (1) A healthy
 //! and a faulted tenant share one window, plus two queries with an
-//! impossible deadline: the healthy tenant must match its solo run
-//! (results and `nodes_visited`) and every faulted survivor the
-//! fault-free reference. (2) An always-failing tenant trips the circuit
+//! impossible deadline. (2) An always-failing tenant trips the circuit
 //! breaker; later queries are shed. (3) The same faulted probe at 1/2/4
 //! threads injects the same faults: decisions hash `(key, hop)`, never
-//! issue order. Report and ledger conservation under random
-//! interleavings is `crates/server/tests/chaos_ledger.rs`'s contract.
+//! issue order. What each outcome must compute (healthy tenant equal to
+//! its solo run, survivors to the fault-free probe, the retry budget, the
+//! thread-count invariance) is `crates/server/tests/chaos_outcomes.rs`'s
+//! contract; report and ledger conservation under random interleavings is
+//! `crates/server/tests/chaos_ledger.rs`'s.
 
 use super::submit_closed_loop;
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
@@ -59,22 +60,6 @@ pub(super) fn run(args: &Args) -> Outcome {
         .map(|i| FaultPlan::fail_only(SEED ^ 0xFA17 ^ (i as u64) << 8, FAIL_PER_MILLE))
         .collect();
 
-    // Fault-free references: the healthy tenant served solo, and each
-    // faulted stream probed solo without its plan.
-    let mut solo = ServeSession::new(&ht, cfg.clone());
-    let solo_ids: Vec<QueryId> = healthy
-        .iter()
-        .map(|q| {
-            let req = Request::Probe { probes: q, cfg: scan_all_cfg(10) };
-            submit_closed_loop(&mut solo, req, SubmitOpts::default())
-        })
-        .collect();
-    let solo_out = solo.finish();
-    let clean: Vec<_> = faulty
-        .iter()
-        .map(|s| amac_ops::join::probe(&ht, s, Technique::Amac, &scan_all_cfg(10)))
-        .collect();
-
     let mut srv = ServeSession::new(&ht, cfg.clone());
     let mut owner: Vec<(QueryId, u32, usize)> = Vec::new(); // (qid, tenant, stream idx)
     for i in 0..QUERIES_PER_TENANT {
@@ -103,33 +88,15 @@ pub(super) fn run(args: &Args) -> Outcome {
     let find =
         |qid: QueryId| out.reports.iter().find(|r| r.qid == qid).expect("one report per query");
     let (mut recovered, mut failed, mut retried_ok) = (0u64, 0u64, 0u64);
-    for &(qid, tenant, i) in &owner {
+    for &(qid, tenant, _) in &owner {
         let r = find(qid);
         match (tenant, r.outcome) {
-            // Healthy tenant: bit-identical to its solo run, down to
-            // traversal work — the faulted tenant's retries cost it nothing.
-            (0, QueryOutcome::Completed) => {
-                let solo_r = solo_out.reports.iter().find(|r| r.qid == solo_ids[i]).unwrap();
-                assert_eq!(
-                    (r.matches, r.checksum, r.stats.nodes_visited),
-                    (solo_r.matches, solo_r.checksum, solo_r.stats.nodes_visited),
-                    "healthy q{i} diverged from its solo run"
-                );
-            }
-            // Faulted tenant: every survivor is bit-identical to the
-            // fault-free reference (retry reruns from scratch; degraded
-            // tiers move costs, never results).
             (1, QueryOutcome::Completed) => {
-                assert_eq!((r.matches, r.checksum), (clean[i].matches, clean[i].checksum), "q{i}");
                 recovered += 1;
                 retried_ok += u64::from(r.attempts > 1);
             }
-            (1, QueryOutcome::FailedAfterRetries) => {
-                assert_eq!(r.attempts, 1 + cfg.max_retries, "budget not exhausted");
-                failed += 1;
-            }
-            (2, QueryOutcome::DeadlineExceeded) => {}
-            (t, o) => panic!("tenant {t} query q{i}: unexpected outcome {o:?}"),
+            (1, QueryOutcome::FailedAfterRetries) => failed += 1,
+            _ => {}
         }
     }
     let deadline_misses = out.count(QueryOutcome::DeadlineExceeded);
@@ -137,10 +104,9 @@ pub(super) fn run(args: &Args) -> Outcome {
     println!(
         "fault sweep: {} retries; faulted tenant {recovered}/{QUERIES_PER_TENANT} recovered \
          ({retried_ok} after >1 attempt), {failed} failed after retries, {deadline_misses} \
-         deadline misses",
+         deadline misses\n",
         out.retries(),
     );
-    println!("healthy tenant bit-identical to solo, survivors to the fault-free reference\n");
 
     // --- 2. Breaker demo: consecutive failures open the breaker ----------
     let bcfg = ServeConfig {
@@ -171,22 +137,14 @@ pub(super) fn run(args: &Args) -> Outcome {
     // --- 3. Schedule invariance: same faults at 1/2/4 threads ------------
     let mt_cfg =
         ProbeConfig { fault: Some(FaultPlan::fail_only(SEED ^ 0x7000, 5)), ..scan_all_cfg(10) };
-    let mt_sigs = [1usize, 2, 4].map(|threads| {
+    let [t1, t2, t4] = [1usize, 2, 4].map(|threads| {
         let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
         let tenants = [TenantProbe::new(&faulty[0]), TenantProbe::new(&faulty[1])];
         let params = TuningParams::default();
         let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &mt_cfg, params, 256, &rt);
-        o.tenants
-            .iter()
-            .map(|t| (t.stats.load_faults, t.stats.failed_lookups, t.matches, t.checksum))
-            .collect::<Vec<_>>()
+        o.tenants.iter().map(|t| t.stats.load_faults).sum::<u64>()
     });
-    assert!(
-        mt_sigs.windows(2).all(|w| w[0] == w[1]),
-        "fault sets diverged across 1/2/4 threads — decisions must hash (key, hop), not order"
-    );
-    let mt_faults: u64 = mt_sigs[0].iter().map(|s| s.0).sum();
-    println!("schedule invariance: {mt_faults} injected faults identical at 1/2/4 threads\n");
+    println!("schedule invariance: {t1} / {t2} / {t4} injected faults at 1 / 2 / 4 threads\n");
 
     let mut j = JsonOut::open("chaos_fault_injection");
     j.meta("tuples_per_query", q_tuples);

@@ -13,7 +13,7 @@
 //! balance the static stage budget `N = height` fits **every** lookup, so
 //! GP and SPP lose nothing to no-ops or bailouts. Benchmarking both trees
 //! with the same executors isolates *irregularity itself* as the variable —
-//! see `bench/bin/btree_sweep` and EXPERIMENTS.md.
+//! see `bench btree_sweep`.
 //!
 //! Nodes deliberately keep the dependent-access property: the next node's
 //! address is only known after the current node's keys are compared, so

@@ -137,7 +137,7 @@ impl EngineStats {
     /// Fraction of simulated time spent stalled on unfinished loads:
     /// `sim_stalls / (sim_cycles + sim_stalls)` (0 when the run was
     /// untiered or fully hidden). The gated metric of
-    /// `bench/bin/tier.rs`: it grows toward 1 as exposed latency
+    /// `bench tier`: it grows toward 1 as exposed latency
     /// dominates work, and stays 0 for an executor whose window out-laps
     /// every load.
     pub fn stall_share(&self) -> f64 {
@@ -160,7 +160,7 @@ impl EngineStats {
     }
 
     /// Mean loads actually issued per completed lookup — the gated
-    /// metric of `bench/bin/amu.rs`. Under coalescing, skewed keys drive
+    /// metric of `bench amu`. Under coalescing, skewed keys drive
     /// this *below* the uniform-key value because hot lines are deduped
     /// within commit groups. 0 when the op ran without a memory unit.
     pub fn issued_per_lookup(&self) -> f64 {

@@ -30,7 +30,7 @@
 //! maintenance and space overhead". Both are measurable here —
 //! [`InterleaveStats::future_bytes`] reports the compiler-laid-out
 //! suspended-frame size next to the hand-written state struct's, and
-//! `bench/bin/coro` prices the scheduling overhead against
+//! `bench coro` prices the scheduling overhead against
 //! `amac::engine::run_amac` on identical probes.
 
 mod executor;

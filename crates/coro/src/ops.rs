@@ -101,10 +101,10 @@ pub async fn probe_chain(ht: &HashTable, key: u64, scan_all: bool) -> ChainHit {
 /// `Option<&RefCell<...>>` parameter on [`probe_chain`]: the context
 /// reference and the cursor's `ready_at`/hop/slab live across the yields,
 /// so folding the paths together grows the *untiered* suspended frame
-/// (`future_bytes`, the §6 state-overhead metric `bin/coro` reports)
+/// (`future_bytes`, the §6 state-overhead metric `bench coro` reports)
 /// from ≤128 B past two cache lines. Result equivalence is asserted by
-/// `tiered_probe_matches_untiered_and_hides_by_width` and in-run by
-/// `bench/bin/tier.rs`.
+/// `tiered_probe_matches_untiered_and_hides_by_width`; `bench tier`
+/// sweeps its stall share.
 pub async fn probe_chain_tiered(
     ht: &HashTable,
     key: u64,

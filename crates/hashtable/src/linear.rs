@@ -5,7 +5,7 @@
 //! between performance (i.e., number of chained memory accesses) and space
 //! efficiency" and that no single layout can guarantee a constant number
 //! of memory accesses per probe. This module provides the other end of
-//! that tradeoff for the layout ablation (`bench/bin/layout`): tuples live
+//! that tradeoff for the layout ablation (`bench layout`): tuples live
 //! in one flat, cache-line-aligned slot array; a probe walks *consecutive*
 //! cache lines from the home slot until it hits the key or an empty slot.
 //!

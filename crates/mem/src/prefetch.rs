@@ -58,7 +58,7 @@ pub fn prefetch_read_t0<T>(ptr: *const T) {
 /// L1, and the subsequent locked latch instruction upgrades it to exclusive
 /// ownership — but it does *not* request ownership up front the way real
 /// `PREFETCHW` would. The name records intent, not the opcode; the hint
-/// ablation (`bench/bin/ablation`, [`PrefetchHint::Write`]) sweeps this
+/// ablation (`bench ablation`, [`PrefetchHint::Write`]) sweeps this
 /// policy alongside the read hints so the substitution stays honest.
 #[inline(always)]
 pub fn prefetch_write<T>(ptr: *const T) {
@@ -68,7 +68,7 @@ pub fn prefetch_write<T>(ptr: *const T) {
 /// Which prefetch instruction an executor should issue.
 ///
 /// The paper fixes `PREFETCHNTA` on x86; the harness exposes the policy so
-/// the choice can be benchmarked (see `bench/bin/ablation`).
+/// the choice can be benchmarked (see `bench ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchHint {
     /// Non-temporal (`PREFETCHNTA`) — the paper's choice.

@@ -231,7 +231,7 @@ impl JsonBuf {
     }
 
     /// `"key": value` with fixed 4-decimal formatting (the same shape the
-    /// bench trajectory blobs and `bin/regress` use).
+    /// `bench trajectory` blobs and their gate use).
     pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
         self.key(key);
         let _ = write!(self.out, "{value:.4}");

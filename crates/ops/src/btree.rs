@@ -4,7 +4,7 @@
 //! every lookup dereference exactly `height` nodes, so GP/SPP's static
 //! stage budget `N = height` fits every lookup with zero no-ops and zero
 //! bailouts. Comparing this op against the BST op isolates *irregularity*
-//! as the variable behind AMAC's advantage (EXPERIMENTS.md, "btree_sweep").
+//! as the variable behind AMAC's advantage (`bench btree_sweep`).
 
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_btree::{prefetch_node, BPlusTree, InnerNode, LeafNode};

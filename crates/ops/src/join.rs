@@ -39,7 +39,7 @@ pub struct ProbeConfig {
     /// scale to avoid gigabyte outputs.
     pub materialize: bool,
     /// Prefetch instruction policy. The paper fixes `PREFETCHNTA` (§4);
-    /// `T0` and `None` exist for the hint ablation (`bench/bin/ablation` —
+    /// `T0` and `None` exist for the hint ablation (`bench ablation` —
     /// `None` turns every technique into pure interleaving, separating
     /// scheduling benefit from prefetch benefit). Any hint but `Nta` makes
     /// the context metered (see [`ProbeConfig::trace`]).

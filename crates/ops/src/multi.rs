@@ -73,7 +73,7 @@ impl MultiOutput {
 /// inputs report 1.0). With per-query windows this would be trivially
 /// 1-per-query; in a shared window it shows how unevenly tenants consume
 /// the engine. The single definition behind `MultiOutput`,
-/// `amac_server::ServeOutput` and `bench/bin/serve.rs`.
+/// `amac_server::ServeOutput` and `bench serve`.
 pub fn fairness_nodes_ratio(nodes: impl IntoIterator<Item = u64>) -> f64 {
     let nodes: Vec<f64> = nodes.into_iter().map(|n| n as f64).collect();
     if nodes.is_empty() {

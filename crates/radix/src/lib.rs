@@ -7,7 +7,7 @@
 //! (pay a scatter pass up front so every per-partition table is
 //! cache-resident and misses never happen). This crate implements the
 //! partitioning substrate so the repo can stage that comparison
-//! (`bench/bin/partition`): *hide* the misses with AMAC or *remove* them
+//! (`bench partition`): *hide* the misses with AMAC or *remove* them
 //! by partitioning — and show that once partitions fit in cache,
 //! prefetching has nothing left to hide (the paper's own small-join
 //! panel, Fig. 5a, in another guise; §7's "orthogonal" discussion made

@@ -23,19 +23,24 @@
 //! * [`Request`] / [`QueryReport`] — per-query submission and result
 //!   routing: results, materialized outputs and *exact* per-query
 //!   [`amac::engine::EngineStats`] (via `amac::engine::mux`'s per-lane
-//!   ledgers), plus submit-to-completion latency;
+//!   ledgers), plus submit-to-completion latency. Inside the session a
+//!   query is one record, built at submission and moved from pending to
+//!   the window, to retry backoff and back, and into its report. Every
+//!   outcome (completed, shed, cancelled, failed, ...) ends in the same
+//!   place, which files the report, settles the tenant's circuit breaker
+//!   and records the session trace event;
 //! * multi-threaded serving runs through `amac_ops::multi`, where every
 //!   worker's window is shared the same way.
 //!
 //! Results are bit-identical to solo runs by construction — sharing the
 //! window reschedules stages, it never changes what a query computes —
-//! and `crates/server/tests/fairness.rs` plus `bench/bin/serve.rs` hold
+//! and `crates/server/tests/fairness.rs` plus `bench serve` hold
 //! that line (a Zipf-skewed tenant must not inflate a uniform tenant's
 //! `nodes_visited`, reorder its results, or change its counters).
 //!
 //! ## Quickstart
 //!
-//! (Mirrored in the repository `README.md`; `bench/bin/serve.rs` is the
+//! (Mirrored in the repository `README.md`; `bench serve` is the
 //! load-generator version with Poisson arrivals and tenant mixes.)
 //!
 //! ```
@@ -68,6 +73,7 @@
 
 #![warn(missing_docs)]
 
+mod query;
 mod request;
 mod session;
 mod shard;

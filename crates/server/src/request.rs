@@ -7,7 +7,7 @@ use amac_ops::groupby::GroupByConfig;
 use amac_ops::join::ProbeConfig;
 use amac_ops::mutate::MutateConfig;
 use amac_ops::pipeline::PipelineConfig;
-use amac_workload::Relation;
+use amac_workload::{Relation, Tuple};
 
 /// Identifies one submitted query for the lifetime of a serving session
 /// (monotonically increasing, never reused — unlike the window *lane*,
@@ -74,15 +74,31 @@ pub enum Request<'a> {
     },
 }
 
-impl Request<'_> {
-    /// The tuples this request will feed through the window.
-    pub fn input_len(&self) -> usize {
+impl<'a> Request<'a> {
+    /// The report's name for this request: `"probe"`, `"groupby"`,
+    /// `"pipeline"` or `"upsert"`.
+    pub fn kind(&self) -> &'static str {
         match self {
-            Request::Probe { probes, .. } => probes.len(),
-            Request::GroupBy { input, .. } => input.len(),
-            Request::Pipeline { fact, .. } => fact.len(),
-            Request::Upsert { input, .. } => input.len(),
+            Request::Probe { .. } => "probe",
+            Request::GroupBy { .. } => "groupby",
+            Request::Pipeline { .. } => "pipeline",
+            Request::Upsert { .. } => "upsert",
         }
+    }
+
+    /// The tuples this request will feed through the window.
+    pub fn inputs(&self) -> &'a [Tuple] {
+        match self {
+            Request::Probe { probes: r, .. }
+            | Request::GroupBy { input: r, .. }
+            | Request::Pipeline { fact: r, .. }
+            | Request::Upsert { input: r, .. } => &r.tuples,
+        }
+    }
+
+    /// How many tuples [`inputs`](Request::inputs) holds.
+    pub fn input_len(&self) -> usize {
+        self.inputs().len()
     }
 }
 

@@ -1,7 +1,9 @@
 //! The serving scheduler: admission, deficit-round-robin interleaving,
-//! one shared in-flight window, per-query routing and accounting — plus
-//! the failure model: deadlines, bounded retry with sim-clock backoff,
-//! per-tenant circuit breakers, and cooperative cancellation.
+//! one shared in-flight window, and the sweep that retires, retries or
+//! reports each query — plus the failure model: deadlines, bounded retry
+//! with sim-clock backoff, per-tenant circuit breakers, and cooperative
+//! cancellation. A query's record, its report and the breaker are
+//! [`crate::query`]'s.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
@@ -18,6 +20,7 @@ use amac_tier::{TierSpec, WalRecord};
 use amac_trace::{TraceEvent, Tracer};
 use amac_workload::Tuple;
 
+use crate::query::{Breaker, Query, Work};
 use crate::request::{
     Backpressure, BreakerMode, QueryId, QueryOutcome, QueryReport, Request, Stalled, SubmitOpts,
 };
@@ -106,83 +109,17 @@ enum Aborting {
     Final(QueryOutcome),
 }
 
-/// Everything needed to (re)install one query attempt on a lane.
-struct Attempt<'a> {
-    qid: QueryId,
-    req: Request<'a>,
-    weight: u32,
-    tenant: u32,
-    /// 0-based attempt index about to run.
-    attempt: u32,
-    /// Absolute sim-tick deadline (fixed at first activation).
-    deadline_at: Option<u64>,
-    degraded: bool,
-    /// Crash-recovery re-run (reports [`QueryOutcome::Recovered`]).
-    recovered: bool,
-    /// Engine counters spent by aborted prior attempts.
-    spent: EngineStats,
-    submitted: Instant,
-}
-
-/// One admitted query's scheduling state.
+/// A query with one attempt in the window.
 struct Active<'a> {
-    qid: QueryId,
+    q: Query<Request<'a>>,
     lane: u32,
-    kind: &'static str,
-    inputs: &'a [Tuple],
+    /// Input tuples fed so far.
     cursor: usize,
     deficit: usize,
-    weight: u32,
-    submitted: Instant,
-    /// The original request, kept for retries (cheap: all borrows).
-    req: Request<'a>,
-    tenant: u32,
-    attempt: u32,
-    deadline_at: Option<u64>,
     aborting: Option<Aborting>,
-    spent: EngineStats,
-    degraded: bool,
-    recovered: bool,
     /// Sim tick at which this attempt entered the window (the start of
     /// the query span recorded into the session tracer).
     born_at: u64,
-}
-
-/// One query waiting for admission.
-struct Pending<'a> {
-    qid: QueryId,
-    req: Request<'a>,
-    weight: u32,
-    tenant: u32,
-    deadline_ticks: Option<u64>,
-    degraded: bool,
-    recovered: bool,
-    submitted: Instant,
-}
-
-/// One query in retry backoff.
-struct Waiting<'a> {
-    seed: Attempt<'a>,
-    /// Earliest sim tick the retry may re-enter the window.
-    not_before: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-enum BreakerState {
-    #[default]
-    Closed,
-    /// Shedding/degrading; lets one probe through at `probe_at` pumps.
-    Open { probe_at: u64 },
-    /// One full-service health probe is in flight.
-    HalfOpen,
-}
-
-/// Per-tenant failure tracking.
-#[derive(Debug, Clone, Copy, Default)]
-struct Breaker {
-    /// Consecutive terminally-failed queries.
-    fails: u32,
-    state: BreakerState,
 }
 
 /// Aggregate outcome of a serving session.
@@ -265,8 +202,10 @@ pub struct ServeSession<'a> {
     window: AmacSession<Mux<TenantOp<'a>>>,
     stats: EngineStats,
     active: Vec<Active<'a>>,
-    pending: VecDeque<Pending<'a>>,
-    waiting: Vec<Waiting<'a>>,
+    pending: VecDeque<Query<Request<'a>>>,
+    /// Retries in backoff, each behind the earliest sim tick it may
+    /// re-enter the window.
+    waiting: Vec<(u64, Query<Request<'a>>)>,
     breakers: BTreeMap<u32, Breaker>,
     finished: Vec<QueryReport>,
     latency: LatencyHistogram,
@@ -284,15 +223,6 @@ pub struct ServeSession<'a> {
     rejected: u64,
     pumps: u64,
     born: Instant,
-}
-
-fn kind_of(req: &Request<'_>) -> &'static str {
-    match req {
-        Request::Probe { .. } => "probe",
-        Request::GroupBy { .. } => "groupby",
-        Request::Pipeline { .. } => "pipeline",
-        Request::Upsert { .. } => "upsert",
-    }
 }
 
 impl<'a> ServeSession<'a> {
@@ -348,7 +278,7 @@ impl<'a> ServeSession<'a> {
     /// still gets a report, under its [`QueryId`]).
     pub fn submit_opts(
         &mut self,
-        mut req: Request<'a>,
+        req: Request<'a>,
         opts: SubmitOpts,
     ) -> Result<QueryId, Backpressure> {
         if self.active.len() >= self.cfg.max_active && self.pending.len() >= self.cfg.max_pending {
@@ -362,98 +292,57 @@ impl<'a> ServeSession<'a> {
         }
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
-        let submitted = Instant::now();
-        let tenant = opts.tenant;
-        let mut degraded = false;
-        if self.breaker_tripped(tenant) {
-            match self.cfg.breaker_mode {
-                BreakerMode::Shed => {
-                    self.emit_shed(qid, &req, tenant, submitted);
+        let mut q = Query::new(qid, req, opts);
+        if !self.breakers.entry(q.opts.tenant).or_default().admits(self.pumps) {
+            let mut shed = self.cfg.breaker_mode == BreakerMode::Shed;
+            match &mut q.req {
+                _ if shed => {}
+                Request::Probe { cfg, .. } if cfg.fault.is_some() => {
+                    // One rung down the tier ladder: fewer far loads, fewer
+                    // fault opportunities (AllNear faults never — near
+                    // loads are unchecked).
+                    let spec = cfg.tier.unwrap_or_else(|| TierSpec::headers_near(1));
+                    match spec.policy.degrade() {
+                        Some(policy) => {
+                            cfg.tier = Some(TierSpec { policy, ..spec });
+                            q.degraded = true;
+                        }
+                        None => shed = true,
+                    }
+                }
+                Request::Pipeline { fact, table, cfg } if cfg.fault.is_some() => {
+                    // The fused plan cannot be retried (its group-by
+                    // aggregates incrementally), so the breaker swaps the
+                    // plan: fault-free two-phase, run synchronously, same
+                    // results.
+                    let safe = PipelineConfig { fault: None, ..cfg.clone() };
+                    let out = probe_then_groupby_two_phase(
+                        self.catalog,
+                        table,
+                        fact,
+                        Technique::Amac,
+                        &safe,
+                    );
+                    self.stats.merge(&out.stats);
+                    (q.attempts, q.degraded) = (1, true);
+                    let rep = self.end(q, QueryOutcome::Completed, out.stats, None);
+                    (rep.matched, rep.matches) = (out.matched, out.aggregated);
+                    let latency_ns = rep.latency_ns;
+                    self.latency.record(latency_ns);
                     return Ok(qid);
                 }
-                BreakerMode::Degrade => {
-                    let mut shed_now = false;
-                    match &mut req {
-                        Request::Probe { cfg, .. } if cfg.fault.is_some() => {
-                            // One rung down the tier ladder: fewer far
-                            // loads, fewer fault opportunities (AllNear
-                            // faults never — near loads are unchecked).
-                            let spec = cfg.tier.unwrap_or_else(|| TierSpec::headers_near(1));
-                            match spec.policy.degrade() {
-                                Some(p) => {
-                                    cfg.tier = Some(TierSpec { policy: p, ..spec });
-                                    degraded = true;
-                                }
-                                None => shed_now = true,
-                            }
-                        }
-                        Request::Pipeline { fact, table, cfg } if cfg.fault.is_some() => {
-                            // The fused plan cannot be retried (its
-                            // group-by aggregates incrementally), so the
-                            // breaker swaps the plan: fault-free two-phase,
-                            // run synchronously, same results.
-                            let safe = PipelineConfig { fault: None, ..cfg.clone() };
-                            let out = probe_then_groupby_two_phase(
-                                self.catalog,
-                                table,
-                                fact,
-                                Technique::Amac,
-                                &safe,
-                            );
-                            self.stats.merge(&out.stats);
-                            let latency_ns = submitted.elapsed().as_nanos() as u64;
-                            self.latency.record(latency_ns);
-                            self.finished.push(QueryReport {
-                                qid,
-                                kind: "pipeline",
-                                tuples: fact.len() as u64,
-                                matched: out.matched,
-                                matches: out.aggregated,
-                                stats: out.stats,
-                                latency_ns,
-                                outcome: QueryOutcome::Completed,
-                                attempts: 1,
-                                degraded: true,
-                                tenant,
-                                ..Default::default()
-                            });
-                            return Ok(qid);
-                        }
-                        // Unfaultable requests pass through unchanged.
-                        _ => {}
-                    }
-                    if shed_now {
-                        self.emit_shed(qid, &req, tenant, submitted);
-                        return Ok(qid);
-                    }
-                }
+                // Unfaultable requests pass through unchanged.
+                _ => {}
+            }
+            if shed {
+                self.end(q, QueryOutcome::Shed, EngineStats::default(), None);
+                return Ok(qid);
             }
         }
         if self.active.len() < self.cfg.max_active {
-            let deadline_at = opts.deadline_ticks.map(|d| self.mux.now() + d);
-            self.activate(Attempt {
-                qid,
-                req,
-                weight: opts.weight,
-                tenant,
-                attempt: 0,
-                deadline_at,
-                degraded,
-                recovered: opts.recovered,
-                spent: EngineStats::default(),
-                submitted,
-            });
+            self.activate(q);
         } else {
-            self.pending.push_back(Pending {
-                qid,
-                req,
-                weight: opts.weight,
-                tenant,
-                deadline_ticks: opts.deadline_ticks,
-                degraded,
-                recovered: opts.recovered,
-                submitted,
-            });
+            self.pending.push_back(q);
         }
         Ok(qid)
     }
@@ -464,35 +353,22 @@ impl<'a> ServeSession<'a> {
     /// no results. Returns `false` if the id is unknown or already
     /// completed.
     pub fn cancel(&mut self, qid: QueryId) -> bool {
-        if let Some(i) = self.active.iter().position(|a| a.qid == qid) {
-            let lane = self.active[i].lane;
-            if !matches!(self.active[i].aborting, Some(Aborting::Final(_))) {
-                self.mux.cancel(lane);
-                self.active[i].aborting = Some(Aborting::Final(QueryOutcome::Cancelled));
+        if let Some(a) = self.active.iter_mut().find(|a| a.q.qid == qid) {
+            if !matches!(a.aborting, Some(Aborting::Final(_))) {
+                self.mux.cancel(a.lane);
+                a.aborting = Some(Aborting::Final(QueryOutcome::Cancelled));
             }
             return true;
         }
-        if let Some(i) = self.waiting.iter().position(|w| w.seed.qid == qid) {
-            let w = self.waiting.remove(i);
-            self.emit_terminal(w.seed, QueryOutcome::Cancelled);
-            return true;
-        }
-        if let Some(i) = self.pending.iter().position(|p| p.qid == qid) {
-            let p = self.pending.remove(i).expect("indexed pending entry");
-            self.finished.push(QueryReport {
-                qid: p.qid,
-                kind: kind_of(&p.req),
-                tuples: p.req.input_len() as u64,
-                latency_ns: p.submitted.elapsed().as_nanos() as u64,
-                outcome: QueryOutcome::Cancelled,
-                attempts: 0,
-                degraded: p.degraded,
-                tenant: p.tenant,
-                ..Default::default()
-            });
-            return true;
-        }
-        false
+        let q = if let Some(i) = self.waiting.iter().position(|(_, q)| q.qid == qid) {
+            self.waiting.remove(i).1
+        } else if let Some(i) = self.pending.iter().position(|q| q.qid == qid) {
+            self.pending.remove(i).expect("indexed pending entry")
+        } else {
+            return false;
+        };
+        self.end(q, QueryOutcome::Cancelled, EngineStats::default(), None);
+        true
     }
 
     /// One scheduling round. Returns the number of tuples fed; `0` means
@@ -503,8 +379,8 @@ impl<'a> ServeSession<'a> {
         self.pumps += 1;
         // Everyone backing off + empty window: sim time cannot advance
         // through work, so charge the wait to the clock directly.
-        if self.active.is_empty() && !self.waiting.is_empty() {
-            if let Some(t) = self.waiting.iter().map(|w| w.not_before).min() {
+        if self.active.is_empty() {
+            if let Some(t) = self.waiting.iter().map(|(t, _)| *t).min() {
                 self.mux.advance_to(t);
             }
         }
@@ -515,25 +391,21 @@ impl<'a> ServeSession<'a> {
         let n = self.active.len();
         for i in 0..n {
             let idx = (self.rr + i) % n;
-            let (lane, lo, hi) = {
+            let (lane, inputs, lo, hi) = {
                 let a = &mut self.active[idx];
-                if a.aborting.is_some() {
+                let inputs = a.q.req.inputs();
+                let remaining = inputs.len() - a.cursor;
+                if a.aborting.is_some() || remaining == 0 {
                     a.deficit = 0;
                     continue;
                 }
-                let remaining = a.inputs.len() - a.cursor;
-                if remaining == 0 {
-                    a.deficit = 0;
-                    continue;
-                }
-                a.deficit += self.cfg.quantum.max(1) * a.weight as usize;
+                a.deficit += self.cfg.quantum.max(1) * a.q.opts.weight as usize;
                 let take = a.deficit.min(remaining);
                 let lo = a.cursor;
                 a.cursor += take;
                 a.deficit -= take;
-                (a.lane, lo, lo + take)
+                (a.lane, inputs, lo, lo + take)
             };
-            let inputs = self.active[idx].inputs;
             self.tag_buf.clear();
             self.tag_buf.extend(inputs[lo..hi].iter().map(|t| Tagged::new(lane, *t)));
             self.window.feed(&mut self.mux, &self.tag_buf, &mut self.stats);
@@ -585,163 +457,71 @@ impl<'a> ServeSession<'a> {
         let q = self.cfg.quantum.max(1);
         self.active
             .iter()
-            .map(|a| (a.inputs.len() - a.cursor) / (q * a.weight.max(1) as usize) + 2)
+            .map(|a| (a.q.req.input_len() - a.cursor) / (q * a.q.opts.weight as usize) + 2)
             .min()
             .unwrap_or(1)
-    }
-
-    /// Whether `tenant`'s breaker currently refuses full service (and
-    /// perform the open → half-open transition when its probe timer
-    /// expires: the triggering query becomes the health probe).
-    fn breaker_tripped(&mut self, tenant: u32) -> bool {
-        let pumps = self.pumps;
-        let b = self.breakers.entry(tenant).or_default();
-        match b.state {
-            BreakerState::Closed => false,
-            BreakerState::HalfOpen => true, // one probe at a time
-            BreakerState::Open { probe_at } if pumps >= probe_at => {
-                b.state = BreakerState::HalfOpen;
-                false
-            }
-            BreakerState::Open { .. } => true,
-        }
     }
 
     /// Is `tenant`'s breaker open or half-open (new queries shed or
     /// degraded, except the single health probe)?
     pub fn breaker_open(&self, tenant: u32) -> bool {
-        matches!(
-            self.breakers.get(&tenant).map(|b| b.state),
-            Some(BreakerState::Open { .. }) | Some(BreakerState::HalfOpen)
-        )
+        self.breakers.get(&tenant).is_some_and(Breaker::is_open)
     }
 
-    /// Fold one terminal outcome into the tenant's breaker.
-    fn settle_breaker(&mut self, tenant: u32, outcome: QueryOutcome, degraded: bool) {
-        let pumps = self.pumps;
-        let probe_pumps = self.cfg.breaker_probe_pumps;
-        let threshold = self.cfg.breaker_threshold.max(1);
-        let b = self.breakers.entry(tenant).or_default();
-        match outcome {
-            // Only an *undegraded* completion proves the far tier works.
-            QueryOutcome::Completed if !degraded => {
-                b.fails = 0;
-                b.state = BreakerState::Closed;
-            }
-            QueryOutcome::FailedAfterRetries => {
-                b.fails += 1;
-                let reopen = BreakerState::Open { probe_at: pumps + probe_pumps };
-                match b.state {
-                    BreakerState::HalfOpen => b.state = reopen,
-                    _ if b.fails >= threshold => b.state = reopen,
-                    _ => {}
-                }
-            }
-            // Cancelled / deadline / shed / degraded completions carry no
-            // evidence about tier health either way.
-            _ => {}
-        }
-    }
-
-    fn emit_shed(&mut self, qid: QueryId, req: &Request<'a>, tenant: u32, submitted: Instant) {
-        self.trace.record(TraceEvent::shed(self.mux.now(), qid.0));
-        self.finished.push(QueryReport {
-            qid,
-            kind: kind_of(req),
-            tuples: req.input_len() as u64,
-            latency_ns: submitted.elapsed().as_nanos() as u64,
-            outcome: QueryOutcome::Shed,
-            attempts: 0,
-            tenant,
-            ..Default::default()
+    /// End `q` with `outcome` and its last attempt's ledger `led` (or the
+    /// work it did outside the window): file its one report, fold the
+    /// outcome into its tenant's breaker, and record its session event —
+    /// a `Shed` instant, or a `Query` span from `since` (the attempt's
+    /// window entry; now if it is not in the window). Returns the report
+    /// for the caller to route results into.
+    fn end<W: Work>(
+        &mut self,
+        q: Query<W>,
+        outcome: QueryOutcome,
+        led: EngineStats,
+        since: Option<u64>,
+    ) -> &mut QueryReport {
+        let (now, qid) = (self.mux.now(), q.qid.0);
+        self.trace.record(match outcome {
+            QueryOutcome::Shed => TraceEvent::shed(now, qid),
+            _ => TraceEvent::query(since.unwrap_or(now), qid, now, outcome.label()),
         });
+        let (threshold, probe_at) =
+            (self.cfg.breaker_threshold, self.pumps + self.cfg.breaker_probe_pumps);
+        let breaker = self.breakers.entry(q.opts.tenant).or_default();
+        breaker.settle(outcome, q.degraded, threshold, probe_at);
+        self.finished.push(q.report(outcome, led));
+        self.finished.last_mut().expect("report just filed")
     }
 
-    fn emit_terminal(&mut self, seed: Attempt<'a>, outcome: QueryOutcome) {
-        self.settle_breaker(seed.tenant, outcome, seed.degraded);
+    /// Install the query's next attempt on a fresh lane. The first
+    /// attempt fixes the deadline. Retries re-run the original request
+    /// with the fault plan reseeded by the attempt index, so a retry
+    /// re-rolls every fault decision instead of deterministically hitting
+    /// the identical failure forever.
+    fn activate(&mut self, mut q: Query<Request<'a>>) {
         let now = self.mux.now();
-        self.trace.record(TraceEvent::query(now, seed.qid.0, now, outcome.label()));
-        self.finished.push(QueryReport {
-            qid: seed.qid,
-            kind: kind_of(&seed.req),
-            tuples: seed.req.input_len() as u64,
-            stats: seed.spent,
-            latency_ns: seed.submitted.elapsed().as_nanos() as u64,
-            outcome,
-            attempts: seed.attempt,
-            degraded: seed.degraded,
-            tenant: seed.tenant,
-            ..Default::default()
-        });
-    }
-
-    /// Install one attempt on a fresh lane. Retries re-run the original
-    /// request with the fault plan reseeded by the attempt index, so a
-    /// retry re-rolls every fault decision instead of deterministically
-    /// hitting the identical failure forever.
-    fn activate(&mut self, seed: Attempt<'a>) {
-        let Attempt {
-            qid,
-            req,
-            weight,
-            tenant,
-            attempt,
-            deadline_at,
-            degraded,
-            recovered,
-            spent,
-            submitted,
-        } = seed;
-        let mut effective = req.clone();
-        if attempt > 0 {
-            if let Request::Probe { cfg, .. } = &mut effective {
-                if let Some(plan) = cfg.fault {
-                    cfg.fault = Some(plan.reseeded(attempt));
-                }
-            }
+        if q.attempts == 0 {
+            q.deadline_at = q.opts.deadline_ticks.map(|d| now + d);
         }
-        let (mut op, inputs, kind): (TenantOp<'a>, &'a [Tuple], &'static str) = match effective {
-            Request::Probe { probes, cfg } => (
-                TenantOp::Probe(ProbeOp::new(self.catalog, &cfg, probes.len())),
-                &probes.tuples,
-                "probe",
-            ),
-            Request::GroupBy { input, table, cfg } => {
-                (TenantOp::GroupBy(GroupByOp::new(table, &cfg)), &input.tuples, "groupby")
+        let mut op = match q.req.clone() {
+            Request::Probe { probes, mut cfg } => {
+                cfg.fault = cfg.fault.map(|plan| plan.reseeded(q.attempts));
+                TenantOp::Probe(ProbeOp::new(self.catalog, &cfg, probes.len()))
             }
-            Request::Pipeline { fact, table, cfg } => (
-                TenantOp::Pipeline(Box::new(fused_probe_groupby_op(self.catalog, table, &cfg))),
-                &fact.tuples,
-                "pipeline",
-            ),
-            Request::Upsert { input, cfg } => {
-                (TenantOp::Upsert(MutateOp::new(self.catalog, &cfg)), &input.tuples, "upsert")
+            Request::GroupBy { table, cfg, .. } => TenantOp::GroupBy(GroupByOp::new(table, &cfg)),
+            Request::Pipeline { table, cfg, .. } => {
+                TenantOp::Pipeline(Box::new(fused_probe_groupby_op(self.catalog, table, &cfg)))
             }
+            Request::Upsert { cfg, .. } => TenantOp::Upsert(MutateOp::new(self.catalog, &cfg)),
         };
+        q.attempts += 1;
         if self.cfg.flight_recorder > 0 {
-            let t = tenant.min(u32::from(u16::MAX)) as u16;
+            let t = q.opts.tenant.min(u32::from(u16::MAX)) as u16;
             op.ctx().set_tracer(Tracer::ring(self.cfg.flight_recorder).with_tenant(t));
         }
         let lane = self.mux.add(op);
-        self.active.push(Active {
-            qid,
-            lane,
-            kind,
-            inputs,
-            cursor: 0,
-            deficit: 0,
-            weight: weight.max(1),
-            submitted,
-            req,
-            tenant,
-            attempt,
-            deadline_at,
-            aborting: None,
-            spent,
-            degraded,
-            recovered,
-            born_at: self.mux.now(),
-        });
+        self.active.push(Active { q, lane, cursor: 0, deficit: 0, aborting: None, born_at: now });
     }
 
     /// Cancel attempts whose sim-tick deadline has passed. The lane's
@@ -749,26 +529,22 @@ impl<'a> ServeSession<'a> {
     /// emitted, so the ledger stays exact.
     fn check_deadlines(&mut self) {
         let now = self.mux.now();
-        for i in 0..self.active.len() {
-            let a = &self.active[i];
-            if matches!(a.aborting, Some(Aborting::Final(_))) {
+        for a in &mut self.active {
+            if matches!(a.aborting, Some(Aborting::Final(_)))
+                || a.q.deadline_at.map_or(true, |d| now < d)
+            {
                 continue;
             }
-            let Some(d) = a.deadline_at else { continue };
-            if now < d {
-                continue;
-            }
-            let (lane, qid) = (a.lane, a.qid.0);
-            self.mux.cancel(lane);
+            self.mux.cancel(a.lane);
             // The deadline instant is the ring's final entry: the
             // cancelled lane's steps short-circuit inside the mux, so the
             // inner op records nothing after this.
-            let mut cx = self.mux.lane_mut(lane).ctx();
+            let mut cx = self.mux.lane_mut(a.lane).ctx();
             if cx.tracing() {
-                cx.trace(TraceEvent::deadline(now, qid));
+                cx.trace(TraceEvent::deadline(now, a.q.qid.0));
             }
-            self.trace.record(TraceEvent::deadline(now, qid));
-            self.active[i].aborting = Some(Aborting::Final(QueryOutcome::DeadlineExceeded));
+            self.trace.record(TraceEvent::deadline(now, a.q.qid.0));
+            a.aborting = Some(Aborting::Final(QueryOutcome::DeadlineExceeded));
         }
     }
 
@@ -779,19 +555,16 @@ impl<'a> ServeSession<'a> {
     fn promote_waiting(&mut self) {
         let now = self.mux.now();
         let mut i = 0;
-        while i < self.waiting.len() {
-            if self.active.len() >= self.cfg.max_active {
-                return;
-            }
-            if self.waiting[i].not_before > now {
+        while i < self.waiting.len() && self.active.len() < self.cfg.max_active {
+            if self.waiting[i].0 > now {
                 i += 1;
                 continue;
             }
-            let w = self.waiting.remove(i);
-            if w.seed.deadline_at.is_some_and(|d| now >= d) {
-                self.emit_terminal(w.seed, QueryOutcome::DeadlineExceeded);
+            let (_, q) = self.waiting.remove(i);
+            if q.deadline_at.is_some_and(|d| now >= d) {
+                self.end(q, QueryOutcome::DeadlineExceeded, EngineStats::default(), None);
             } else {
-                self.activate(w.seed);
+                self.activate(q);
             }
         }
     }
@@ -801,18 +574,13 @@ impl<'a> ServeSession<'a> {
     /// per-lane ledger — live for lifecycle counters — so no failed
     /// lookup is ever silently dropped.
     fn detect_failures(&mut self) {
-        for i in 0..self.active.len() {
-            if self.active[i].aborting.is_some() {
+        for a in &mut self.active {
+            if a.aborting.is_some() || self.mux.observed(a.lane).failed_lookups == 0 {
                 continue;
             }
-            let lane = self.active[i].lane;
-            if self.mux.observed(lane).failed_lookups == 0 {
-                continue;
-            }
-            self.mux.cancel(lane);
-            let a = &mut self.active[i];
-            let retryable = matches!(a.req, Request::Probe { .. });
-            a.aborting = Some(if retryable && a.attempt < self.cfg.max_retries {
+            self.mux.cancel(a.lane);
+            let retryable = matches!(a.q.req, Request::Probe { .. });
+            a.aborting = Some(if retryable && a.q.attempts <= self.cfg.max_retries {
                 Aborting::Retry
             } else {
                 Aborting::Final(QueryOutcome::FailedAfterRetries)
@@ -823,26 +591,17 @@ impl<'a> ServeSession<'a> {
     fn sweep_completed(&mut self) {
         let mut i = 0;
         while i < self.active.len() {
-            let (retired, aborted) = {
-                let a = &self.active[i];
-                let led = self.mux.observed(a.lane);
-                match a.aborting {
-                    // Normal completion: all input fed and every lookup
-                    // retired, proven by the lane ledger.
-                    None => {
-                        (a.cursor == a.inputs.len() && led.lookups >= a.inputs.len() as u64, false)
-                    }
-                    // Aborting: every *fed* lookup retired (completed,
-                    // failed or cancelled — all count into `lookups`).
-                    Some(_) => (led.lookups >= a.cursor as u64, true),
-                }
-            };
-            if !retired {
+            // Retired once every fed lookup did (completed, failed or
+            // cancelled — all count into `lookups`, proven by the lane
+            // ledger), and, completing normally, all input was fed.
+            let a = &self.active[i];
+            let done = a.aborting.is_some() || a.cursor == a.q.req.input_len();
+            if !done || self.mux.observed(a.lane).lookups < a.cursor as u64 {
                 i += 1;
                 continue;
             }
-            let a = self.active.remove(i);
-            let (mut op, led) = self.mux.remove(a.lane);
+            let Active { mut q, lane, aborting, born_at, .. } = self.active.remove(i);
+            let (mut op, mut led) = self.mux.remove(lane);
             // Harvest the attempt's flight ring (disabled unless
             // `flight_recorder` is on); only failing outcomes keep it.
             let flight = op.ctx().take_tracer();
@@ -852,100 +611,49 @@ impl<'a> ServeSession<'a> {
             if let TenantOp::Upsert(m) = &mut op {
                 self.wal_buf.extend(m.drain_wal());
             }
-            let mut stats = a.spent;
-            stats.merge(&led);
-            if aborted {
-                match a.aborting.expect("aborted lane has a reason") {
-                    Aborting::Retry => {
-                        let shift = a.attempt.min(20);
-                        let wait =
-                            (self.cfg.backoff_base << shift).min(self.cfg.backoff_cap).max(1);
-                        self.waiting.push(Waiting {
-                            seed: Attempt {
-                                qid: a.qid,
-                                req: a.req,
-                                weight: a.weight,
-                                tenant: a.tenant,
-                                attempt: a.attempt + 1,
-                                deadline_at: a.deadline_at,
-                                degraded: a.degraded,
-                                recovered: a.recovered,
-                                spent: stats,
-                                submitted: a.submitted,
-                            },
-                            not_before: self.mux.now() + wait,
-                        });
-                    }
-                    Aborting::Final(outcome) => {
-                        self.settle_breaker(a.tenant, outcome, a.degraded);
-                        let now = self.mux.now();
-                        self.trace.record(TraceEvent::query(
-                            a.born_at,
-                            a.qid.0,
-                            now,
-                            outcome.label(),
-                        ));
-                        let flight = match outcome {
-                            QueryOutcome::DeadlineExceeded | QueryOutcome::FailedAfterRetries => {
-                                flight.into_events()
-                            }
-                            _ => Vec::new(),
-                        };
-                        self.finished.push(QueryReport {
-                            qid: a.qid,
-                            kind: a.kind,
-                            tuples: a.inputs.len() as u64,
-                            stats,
-                            latency_ns: a.submitted.elapsed().as_nanos() as u64,
-                            outcome,
-                            attempts: a.attempt + 1,
-                            degraded: a.degraded,
-                            tenant: a.tenant,
-                            flight,
-                            ..Default::default()
-                        });
+            match aborting {
+                Some(Aborting::Retry) => {
+                    q.spent.merge(&led);
+                    let shift = (q.attempts - 1).min(20);
+                    let wait = (self.cfg.backoff_base << shift).min(self.cfg.backoff_cap).max(1);
+                    self.waiting.push((self.mux.now() + wait, q));
+                }
+                Some(Aborting::Final(outcome)) => {
+                    let rep = self.end(q, outcome, led, Some(born_at));
+                    if matches!(
+                        outcome,
+                        QueryOutcome::DeadlineExceeded | QueryOutcome::FailedAfterRetries
+                    ) {
+                        rep.flight = flight.into_events();
                     }
                 }
-            } else {
-                let outcome =
-                    if a.recovered { QueryOutcome::Recovered } else { QueryOutcome::Completed };
-                self.settle_breaker(a.tenant, QueryOutcome::Completed, a.degraded);
-                let now = self.mux.now();
-                self.trace.record(TraceEvent::query(a.born_at, a.qid.0, now, outcome.label()));
-                let latency_ns = a.submitted.elapsed().as_nanos() as u64;
-                self.latency.record(latency_ns);
-                if a.recovered {
-                    // Both sides of the ledger invariant: the per-query
-                    // report and the session's global stats.
-                    stats.recovered_queries += 1;
-                    self.stats.recovered_queries += 1;
-                }
-                let mut report = QueryReport {
-                    qid: a.qid,
-                    kind: a.kind,
-                    tuples: a.inputs.len() as u64,
-                    stats,
-                    latency_ns,
-                    outcome,
-                    attempts: a.attempt + 1,
-                    degraded: a.degraded,
-                    tenant: a.tenant,
-                    ..Default::default()
-                };
-                match op {
-                    TenantOp::Probe(mut p) => {
-                        report.matches = p.matches();
-                        report.checksum = p.checksum();
-                        report.out = p.take_out();
+                None => {
+                    let outcome = if q.opts.recovered {
+                        // Both sides of the ledger invariant: the
+                        // per-query report and the session's global stats.
+                        led.recovered_queries += 1;
+                        self.stats.recovered_queries += 1;
+                        QueryOutcome::Recovered
+                    } else {
+                        QueryOutcome::Completed
+                    };
+                    let rep = self.end(q, outcome, led, Some(born_at));
+                    match op {
+                        TenantOp::Probe(mut p) => {
+                            rep.matches = p.matches();
+                            rep.checksum = p.checksum();
+                            rep.out = p.take_out();
+                        }
+                        TenantOp::GroupBy(g) => rep.matches = g.tuples(),
+                        TenantOp::Pipeline(f) => {
+                            rep.matched = f.pipe().up().matches();
+                            rep.matches = f.pipe().down().inner().tuples();
+                        }
+                        TenantOp::Upsert(m) => rep.matches = m.applied(),
                     }
-                    TenantOp::GroupBy(g) => report.matches = g.tuples(),
-                    TenantOp::Pipeline(f) => {
-                        report.matched = f.pipe().up().matches();
-                        report.matches = f.pipe().down().inner().tuples();
-                    }
-                    TenantOp::Upsert(m) => report.matches = m.applied(),
+                    let latency_ns = rep.latency_ns;
+                    self.latency.record(latency_ns);
                 }
-                self.finished.push(report);
             }
             self.promote_waiting();
             self.admit_from_pending();
@@ -959,24 +667,8 @@ impl<'a> ServeSession<'a> {
 
     fn admit_from_pending(&mut self) {
         while self.active.len() < self.cfg.max_active {
-            match self.pending.pop_front() {
-                Some(p) => {
-                    let deadline_at = p.deadline_ticks.map(|d| self.mux.now() + d);
-                    self.activate(Attempt {
-                        qid: p.qid,
-                        req: p.req,
-                        weight: p.weight,
-                        tenant: p.tenant,
-                        attempt: 0,
-                        deadline_at,
-                        degraded: p.degraded,
-                        recovered: p.recovered,
-                        spent: EngineStats::default(),
-                        submitted: p.submitted,
-                    });
-                }
-                None => break,
-            }
+            let Some(q) = self.pending.pop_front() else { break };
+            self.activate(q);
         }
     }
 
@@ -1054,23 +746,13 @@ impl<'a> ServeSession<'a> {
     /// [`QueryOutcome::Recovered`]) carries the same counters, so
     /// per-report ledgers still sum exactly to the session totals.
     pub fn recover_replay(&mut self, records: &[WalRecord]) -> EngineStats {
-        let submitted = Instant::now();
+        let mut q = Query::new(QueryId(self.next_qid), records, SubmitOpts::default());
+        self.next_qid += 1;
         let mut op = ReplayOp::new(self.catalog);
         let stats = run(Technique::Baseline, &mut op, records, TuningParams::with_in_flight(1));
         self.stats.merge(&stats);
-        let qid = QueryId(self.next_qid);
-        self.next_qid += 1;
-        self.finished.push(QueryReport {
-            qid,
-            kind: "replay",
-            tuples: records.len() as u64,
-            matches: stats.replayed_records,
-            stats,
-            latency_ns: submitted.elapsed().as_nanos() as u64,
-            outcome: QueryOutcome::Recovered,
-            attempts: 1,
-            ..Default::default()
-        });
+        q.attempts = 1;
+        self.end(q, QueryOutcome::Recovered, stats, None).matches = stats.replayed_records;
         stats
     }
 

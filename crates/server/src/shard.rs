@@ -11,7 +11,7 @@
 //! shard's window.
 //!
 //! Accounting is conservative by construction and *asserted* in the gate
-//! (`bench/bin/shard.rs`): each shard session's ledger equals the sum of
+//! (`bench shard`): each shard session's ledger equals the sum of
 //! its per-query reports (the existing `Mux` lane invariant), and the
 //! global ledger equals the sum of the shard ledgers — no counter is
 //! lost or double-counted crossing the shard boundary.

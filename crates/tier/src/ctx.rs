@@ -61,7 +61,7 @@
 //! cache line while both are in flight: skewed (Zipf) probe keys collide
 //! on hot bucket headers and hot chain nodes, so `issued_loads/lookup`
 //! drops; uniform keys almost never collide and pay the dedup lookup for
-//! nothing (`bench/bin/amu.rs` sweeps exactly this contrast). Coalescing
+//! nothing (`bench amu` sweeps exactly this contrast). Coalescing
 //! never changes results or fault decisions — a duplicate request
 //! re-runs the per-request fault check, so `load_faults` and every
 //! `Step::Failed` are identical with it on or off; only the *hardware*

@@ -9,7 +9,7 @@
 //! derived from the lookup's key and hop index — **not** from issue
 //! order — so the same plan produces the same fault set under any
 //! executor, any thread count, and any Mux interleaving. That is what
-//! lets `bench/bin/chaos.rs` gate recovery behavior with exact counters.
+//! lets `bench chaos` gate recovery behavior with exact counters.
 //!
 //! Faults apply only to **far-tier** loads (a near-DRAM load does not
 //! fail in this model); fault-free specs and `AllNear` placements are

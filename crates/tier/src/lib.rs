@@ -48,7 +48,7 @@
 //! now as arithmetic: AMAC with window `M > latency` stays stall-free at
 //! any far multiplier, while GP's sequential bailout stages expose
 //! `latency − 1` ticks each, so its stall share grows linearly with the
-//! far multiplier (`bench/bin/tier.rs` sweeps and gates this shape).
+//! far multiplier (`bench tier` sweeps and gates this shape).
 //!
 //! # Quickstart
 //!
@@ -177,13 +177,13 @@ impl Default for CostModel {
 
 impl CostModel {
     /// The default model at a given far multiplier (the sweep axis of
-    /// `bench/bin/tier.rs`).
+    /// `bench tier`).
     pub fn with_multiplier(far_multiplier: u64) -> Self {
         CostModel { far_multiplier: far_multiplier.max(1), ..Default::default() }
     }
 
     /// The default model at a given remote multiplier (the cross-shard
-    /// axis of `bench/bin/shard.rs`).
+    /// axis of `bench shard`).
     pub fn with_remote(remote_multiplier: u64) -> Self {
         CostModel { remote_multiplier: remote_multiplier.max(1), ..Default::default() }
     }
@@ -318,7 +318,7 @@ pub struct TierSpec {
 
 impl TierSpec {
     /// Far-only placement at `far_multiplier` with headers pinned near —
-    /// the sweep configuration of `bench/bin/tier.rs`.
+    /// the sweep configuration of `bench tier`.
     pub fn headers_near(far_multiplier: u64) -> Self {
         TierSpec {
             model: CostModel::with_multiplier(far_multiplier),

@@ -1,6 +1,6 @@
 //! Arrival processes and tenant mixes for the serving experiments.
 //!
-//! The serving layer (`amac_server`, `bench/bin/serve.rs`) needs
+//! The serving layer (`amac_server`, `bench serve`) needs
 //! *open-loop* load: queries arrive on their own schedule whether or not
 //! the engine has finished the previous ones — that is what exposes
 //! queueing delay, admission backpressure and tail latency, where a

@@ -270,6 +270,10 @@ impl AggTable {
     /// Enter (or re-observe) the latch-free merge epoch; see
     /// `HashTable::freeze` for the discipline. Returns the boundary.
     pub fn freeze(&self) -> u32 {
+        let cur = self.frozen.load(Ordering::Acquire);
+        if cur != u32::MAX {
+            return cur;
+        }
         let len = self.nodes.len() as u32;
         match self.frozen.compare_exchange(u32::MAX, len, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => len,

@@ -114,7 +114,7 @@ impl Iterator for Slots {
 /// `repr(C)` keeps the layout exact: 48 B tuples + 4 B next + 4 B meta =
 /// 56 B, leaving the latch and padding to reach one cache line.
 #[repr(C)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketData {
     /// Inline tuple storage; slots `0..count()` are valid.
     pub tuples: [Tuple; TUPLES_PER_NODE],

@@ -26,6 +26,7 @@
 //! and is encapsulated inside the data-structure crates.
 
 use crate::align::CACHE_LINE;
+use crate::prefetch::prefetch_write;
 use crate::region::{Region, HUGE_PAGE};
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
@@ -211,6 +212,14 @@ const BASE: usize = 1 << LOG_BASE;
 /// Slab directory size: geometric slabs cover the whole `u32` index space
 /// (`BASE * (2^23 - 1) > u32::MAX`).
 const MAX_SLABS: usize = 23;
+/// How many slots ahead of the bump frontier [`IndexedArena::alloc`]
+/// prefetches. A constant because one warmed line per allocation only has
+/// to arrive before that many later allocations. On a 2-vCPU x86-64 guest
+/// (THP `madvise`), 2^20 latch-free `fresh_insert`s into a frozen
+/// 2^22-tuple hash table took a median 100 / 101 / 107 ns each at
+/// 8 / 16 / 32 over 7 runs (best of 5 per run), against 110 ns with no
+/// prefetch.
+const FRONTIER_AHEAD: u32 = 16;
 
 /// Slab index holding arena index `idx` — the geometry is a pure
 /// function of the index (slab `k` holds indices
@@ -299,10 +308,30 @@ impl<T: Default> IndexedArena<T> {
     }
 
     /// Allocate one slot, returning both its index and its stable address.
+    ///
+    /// Also prefetches the slot `FRONTIER_AHEAD` indices further on.
+    /// Slots are handed out in index order, but one at a time between
+    /// random-access work (a chain insert, a replayed record), so no
+    /// hardware stream prefetcher follows them: unwarmed, every fresh node
+    /// is a cold line, and the caller's store to it must drain before its
+    /// next locked instruction. The warmed slot belongs to a later `alloc`
+    /// (of any thread); a slot past the current slab is skipped, not
+    /// created.
     #[inline]
     pub fn alloc(&self) -> (u32, *mut T) {
         let idx = self.alloc_index();
-        (idx, self.get(idx))
+        let (k, off) = Self::locate(idx);
+        let (ahead_k, ahead_off) = Self::locate(idx.saturating_add(FRONTIER_AHEAD));
+        let slab = self.slabs[k].load(Ordering::Acquire);
+        // SAFETY: `alloc_index` created slab `k`, which holds `BASE << k`
+        // slots; `off` and (when it is in slab `k`) `ahead_off` are below
+        // that by `locate`.
+        unsafe {
+            if ahead_k == k {
+                prefetch_write(slab.add(ahead_off));
+            }
+            (idx, UnsafeCell::raw_get(slab.add(off)))
+        }
     }
 
     /// Resolve an index to its slot's stable address.

@@ -2,9 +2,35 @@
 //! round-trips, non-aliasing of live allocations, and equivalence of
 //! index-linked chains with pointer-linked chains under 1/2/4 threads.
 
-use amac_mem::arena::{Arena, IndexedArena, NULL_INDEX};
+use amac_mem::arena::{slab_of_index, Arena, IndexedArena, NULL_INDEX};
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// `alloc` prefetches `FRONTIER_AHEAD` slots past the frontier, and skips
+/// the prefetch when that slot is in a slab not yet created. Across the
+/// first slab boundaries every index stays dense, every pointer resolves
+/// through `get`, and no write is lost.
+#[test]
+fn frontier_prefetch_keeps_indices_dense_across_slab_boundaries() {
+    let a = IndexedArena::<[u64; 8]>::new();
+    let n = 16_000u32; // slabs 0..=4 (boundaries at 1024, 3072, 7168, 15360)
+    let mut ptrs = Vec::new();
+    for i in 0..n {
+        let (idx, p) = a.alloc();
+        assert_eq!(idx, i, "dense, in allocation order");
+        assert_eq!(a.get(idx), p);
+        assert_eq!(a.index_of(p), Some(idx));
+        unsafe { *p = [u64::from(i); 8] };
+        ptrs.push(p);
+    }
+    assert_eq!(a.len(), n as usize);
+    assert_eq!(slab_of_index(n - 1), 4);
+    let distinct: HashSet<usize> = ptrs.iter().map(|p| *p as usize).collect();
+    assert_eq!(distinct.len(), n as usize, "no two allocations alias");
+    for (i, p) in ptrs.iter().enumerate() {
+        assert_eq!(unsafe { **p }, [i as u64; 8], "slot {i} kept its write");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

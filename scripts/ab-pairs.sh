@@ -10,14 +10,19 @@
 # list: each side's median, how many pairs the change won (ties count for
 # neither), the parent's q1/q3 (Python's exclusive quartiles, as the
 # benchmark pipeline computes them) and where the change median sits
-# against that IQR; finally `failed` summed per side. A gain is claimed
-# only with >= 9/10 wins and the change median outside the parent IQR.
+# against that IQR; then `failed` summed per side; finally each run's
+# set-up repetitions (the count in its `set-ups:` stderr line: the harness
+# repeats set-up while the repetitions take under 3 s together, so a faster
+# set-up runs more of them, which can move `peak_rss_mib`). A gain is
+# claimed only with >= 9/10 wins and the change median outside the parent
+# IQR.
 #
 # `--record <file>` (relative to the repository root) also appends the
 # summary to <file> as one JSON line: UTC date, each binary's file name and
 # SHA-256, workload, seed, seconds, pairs, `nproc`, the transparent huge
-# page mode, per metric both medians, the parent's q1/q3 and the wins, and
-# `failed` per side. `BENCH_HISTORY.jsonl` is the committed history.
+# page mode, per metric both medians, the parent's q1/q3 and the wins,
+# `failed` per side, and the set-up repetitions per side in pair order.
+# `BENCH_HISTORY.jsonl` is the committed history.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -44,17 +49,21 @@ metrics="$(awk '
 ' BENCHMARK.json)"
 [ -n "$metrics" ] || { echo "ab-pairs: no end_to_end metrics in BENCHMARK.json" >&2; exit 2; }
 
-runs="$(mktemp)"
-trap 'rm -f "$runs"' EXIT
+runs="$(mktemp)" errs="$(mktemp)"
+trap 'rm -f "$runs" "$errs"' EXIT
 
-# One run: "<side> <pair> <metric> <value>" lines, plus "<side> <pair> failed <n>".
+# One run: "<side> <pair> <metric> <value>" lines, plus "<side> <pair> failed <n>"
+# and "<side> <pair> setups <n>".
 run() {
-  local side="$1" pair="$2" bin="$3" line
-  line="$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)"
-  printf '%s\n' "$metrics" | awk -v side="$side" -v pair="$pair" -v line="$line" '
+  local side="$1" pair="$2" bin="$3" line setups
+  line="$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>"$errs" | tail -n 1)"
+  # "set-ups: [0.656, 0.612, ...] s": one comma fewer than repetitions
+  setups="$(awk '/^set-ups:/ { n = gsub(/,/, ",") + 1 } END { print n + 0 }' "$errs")"
+  printf '%s\n' "$metrics" | awk -v side="$side" -v pair="$pair" -v line="$line" -v setups="$setups" '
     BEGIN {
       f = line; sub(/.*"failed": */, "", f); sub(/[^0-9].*/, "", f)
       printf "%s %d failed %s\n", side, pair, f
+      printf "%s %d setups %d\n", side, pair, setups
     }
     {
       key = "\"" $1 "\": {\"value\": "
@@ -99,6 +108,7 @@ BEGIN {
     split(line, f, " ")
     val[f[1], f[2], f[3]] = f[4]
     if (f[3] == "failed") failed[f[1]] += f[4]
+    if (f[3] == "setups") setups[f[1]] = setups[f[1]] (f[2] == 1 ? "" : ", ") f[4]
   }
   printf "%s, seed %s, %d pairs\n", workload, seed, pairs
   printf "%-28s %12s %12s %6s %12s %12s  %s\n", "metric", "parent med", "change med", "wins", "parent q1", "parent q3", "change vs parent IQR"
@@ -121,8 +131,10 @@ BEGIN {
 }
 END {
   printf "failed: parent %d, change %d\n", failed["parent"], failed["change"]
+  printf "set-ups per run: parent [%s], change [%s]\n", setups["parent"], setups["change"]
   if (record != "") {
-    printf "{%s, \"metrics\": {%s}, \"failed\": {\"parent\": %d, \"change\": %d}}\n", header, json, failed["parent"], failed["change"] >> record
+    printf "{%s, \"metrics\": {%s}, \"failed\": {\"parent\": %d, \"change\": %d}, \"setups\": {\"parent\": [%s], \"change\": [%s]}}\n", \
+      header, json, failed["parent"], failed["change"], setups["parent"], setups["change"] >> record
     printf "recorded in %s\n", record
   }
 }'

@@ -24,13 +24,23 @@
 //! heap storage is stable even when the chunk list reallocates). Turning
 //! the returned `*mut` pointers into references is the caller's obligation
 //! and is encapsulated inside the data-structure crates.
+//!
+//! What is initialised differs. An [`Arena`] or [`VarArena`] chunk is
+//! filled in full when it is created. An [`IndexedArena`] slab is only
+//! reserved: a slot is written (`T::default()`) when it is handed out, so
+//! every slot below [`len`](IndexedArena::len) holds a value, none at or
+//! above it does, and the arena's `Drop` drops exactly the slots below
+//! `len()`. A slab's untouched tail is never written and never becomes
+//! resident.
 
 use crate::align::CACHE_LINE;
 use crate::prefetch::prefetch_write;
 use crate::region::{Region, HUGE_PAGE};
 use core::cell::UnsafeCell;
+use core::mem::MaybeUninit;
+use core::ptr::{drop_in_place, slice_from_raw_parts_mut};
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A chunked, append-only arena of fixed-size slots with stable addresses.
 ///
@@ -255,24 +265,34 @@ pub fn slab_of_index(idx: u32) -> u32 {
 /// when a fresh slab is first touched), so all build handles of one table
 /// share one arena and indices form a single address space.
 ///
+/// A slab is reserved, not filled: [`alloc_index`](IndexedArena::alloc_index)
+/// writes `T::default()` into the one slot it hands out, so a query-sized
+/// arena faults in only the pages its slots use.
+///
 /// # Safety model
-/// As for [`Arena`]: slots never move and never alias. Publication is
+/// As for [`Arena`]: slots never move and never alias. [`len`](IndexedArena::len)
+/// counts the indices handed out; every slot below it holds `T::default()`
+/// or whatever its owner wrote there, and slots at or above it are
+/// uninitialised (never read, and not dropped). Publication is
 /// safe across threads: a slab's base pointer is `Release`-stored before
 /// any index inside it is handed out, and `get` `Acquire`-loads it, so any
 /// thread that legitimately learned an index (e.g. by reading a chain link
-/// under the publishing thread's latch discipline) observes the slab.
+/// under the publishing thread's latch discipline) observes the slab and
+/// the slot's write.
 pub struct IndexedArena<T: Default> {
     /// Slab base pointers, lazily populated; entry `k` points at
     /// `BASE << k` slots.
     slabs: [AtomicPtr<UnsafeCell<T>>; MAX_SLABS],
     /// Next index to hand out.
     next: AtomicU32,
-    /// Owns the slab storage (freed on drop) and serializes slab creation.
-    owned: Mutex<Vec<Region<UnsafeCell<T>>>>,
+    /// Owns the slab storage (freed on drop, after `Drop` has dropped the
+    /// written slots) and serializes slab creation.
+    owned: Mutex<Vec<Region<MaybeUninit<UnsafeCell<T>>>>>,
 }
 
 // SAFETY: allocation is internally synchronized (atomics + mutex); access
 // to allocated slots is governed by the caller exactly as for `Arena`.
+// Any thread may make a slot's `T` and another drop it: hence `T: Send`.
 unsafe impl<T: Default + Send> Send for IndexedArena<T> {}
 unsafe impl<T: Default + Send> Sync for IndexedArena<T> {}
 
@@ -295,15 +315,21 @@ impl<T: Default> IndexedArena<T> {
         (k, idx as usize + BASE - (BASE << k))
     }
 
-    /// Allocate one default-initialized slot, returning its index.
+    /// Allocate one slot, write `T::default()` into it and return its index.
     #[inline]
     pub fn alloc_index(&self) -> u32 {
+        // Made before the bump: a panicking `Default` counts no slot.
+        let value = T::default();
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(idx != NULL_INDEX, "indexed arena exhausted (2^32 - 1 slots)");
-        let (k, _) = Self::locate(idx);
-        if self.slabs[k].load(Ordering::Acquire).is_null() {
-            self.grow_slab(k);
+        let (k, off) = Self::locate(idx);
+        let mut slab = self.slabs[k].load(Ordering::Acquire);
+        if slab.is_null() {
+            slab = self.grow_slab(k);
         }
+        // SAFETY: slab `k` holds `BASE << k > off` slots, and the bump
+        // handed slot `idx` to this call alone.
+        unsafe { UnsafeCell::raw_get(slab.add(off)).write(value) };
         idx
     }
 
@@ -313,10 +339,10 @@ impl<T: Default> IndexedArena<T> {
     /// Slots are handed out in index order, but one at a time between
     /// random-access work (a chain insert, a replayed record), so no
     /// hardware stream prefetcher follows them: unwarmed, every fresh node
-    /// is a cold line, and the caller's store to it must drain before its
+    /// is a cold line, and the stores to it must drain before the caller's
     /// next locked instruction. The warmed slot belongs to a later `alloc`
-    /// (of any thread); a slot past the current slab is skipped, not
-    /// created.
+    /// (of any thread) and is not written before then; a slot past the
+    /// current slab is skipped, not created.
     #[inline]
     pub fn alloc(&self) -> (u32, *mut T) {
         let idx = self.alloc_index();
@@ -371,7 +397,8 @@ impl<T: Default> IndexedArena<T> {
         None
     }
 
-    /// Number of allocated slots.
+    /// Number of indices handed out: slots `0..len()` are initialised
+    /// (once each allocating call has returned), the rest are not.
     #[inline]
     pub fn len(&self) -> usize {
         self.next.load(Ordering::Acquire) as usize
@@ -383,22 +410,48 @@ impl<T: Default> IndexedArena<T> {
         self.len() == 0
     }
 
-    /// Cold path: create slab `k` exactly once.
+    /// Cold path: reserve slab `k` exactly once, writing none of its
+    /// slots, and return its base.
     #[cold]
-    fn grow_slab(&self, k: usize) {
-        let mut owned = self.owned.lock().expect("indexed arena poisoned");
-        if self.slabs[k].load(Ordering::Relaxed).is_null() {
-            let slab = Region::<UnsafeCell<T>>::new(BASE << k);
-            let ptr = slab.as_ptr() as *mut UnsafeCell<T>;
+    fn grow_slab(&self, k: usize) -> *mut UnsafeCell<T> {
+        // A panic under the lock (a slab too large for a `Layout`) leaves
+        // `owned` and the directory as they were, so a poisoned guard is
+        // still a valid one.
+        let mut owned = self.owned.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ptr = self.slabs[k].load(Ordering::Relaxed);
+        if ptr.is_null() {
+            let mut slab = Region::<UnsafeCell<T>>::uninit(BASE << k);
+            ptr = slab.as_mut_ptr().cast();
             owned.push(slab);
             self.slabs[k].store(ptr, Ordering::Release);
         }
+        ptr
     }
 }
 
 impl<T: Default> Default for IndexedArena<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<T: Default> Drop for IndexedArena<T> {
+    /// Drops exactly the slots below `len()`: every one was written when it
+    /// was handed out, and no other was ever written. `owned` then frees
+    /// the slabs without reading them.
+    fn drop(&mut self) {
+        let len = *self.next.get_mut() as usize;
+        for (k, slab) in self.slabs.iter_mut().enumerate() {
+            let first = BASE * ((1 << k) - 1);
+            let slab = *slab.get_mut();
+            if first >= len || slab.is_null() {
+                continue;
+            }
+            let written = (len - first).min(BASE << k);
+            // SAFETY: slab `k` holds indices `first..first + (BASE << k)`,
+            // and the ones below `len` hold a value no one else drops.
+            unsafe { drop_in_place(slice_from_raw_parts_mut(slab, written)) };
+        }
     }
 }
 
@@ -539,7 +592,15 @@ mod tests {
 
     #[test]
     fn indexed_arena_concurrent_alloc_is_disjoint() {
-        let a = IndexedArena::<u64>::new();
+        /// Not all-zero bytes, so a slot the arena never wrote (a fresh
+        /// page reads zero) cannot pass for a default one.
+        struct Tag(u64);
+        impl Default for Tag {
+            fn default() -> Self {
+                Tag(0xA5A5_A5A5_A5A5_A5A5)
+            }
+        }
+        let a = IndexedArena::<Tag>::new();
         let per_thread = 4000u64;
         std::thread::scope(|s| {
             for tid in 0..4u64 {
@@ -547,8 +608,11 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_thread {
                         let (idx, p) = a.alloc();
+                        // Every slot from index FRONTIER_AHEAD on was
+                        // prefetched by an earlier `alloc` before this one.
+                        assert_eq!(unsafe { (*p).0 }, Tag::default().0, "slot {idx} handed out");
                         // Tag the slot; a collision would clobber it.
-                        unsafe { *p = (tid << 32) | i };
+                        unsafe { (*p).0 = (tid << 32) | i };
                         assert_eq!(a.get(idx), p);
                     }
                 });
@@ -558,7 +622,7 @@ mod tests {
         // Every slot carries exactly one thread's tag: no aliasing.
         let mut seen = HashSet::new();
         for idx in 0..a.len() as u32 {
-            let v = unsafe { *a.get(idx) };
+            let v = unsafe { (*a.get(idx)).0 };
             assert!(seen.insert(v), "value {v:#x} written twice: slots aliased");
         }
     }

@@ -17,7 +17,8 @@
 //! an allocator that recycles large blocks by exact layout keeps doing so.
 
 use crate::align::CACHE_LINE;
-use core::ptr::NonNull;
+use core::mem::{ManuallyDrop, MaybeUninit};
+use core::ptr::{drop_in_place, slice_from_raw_parts_mut, NonNull};
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::alloc::Layout;
 
@@ -25,12 +26,15 @@ use std::alloc::Layout;
 /// AArch64 with a 4 KiB granule.
 pub const HUGE_PAGE: usize = 2 << 20;
 
-/// An owned, default-initialised slice with stable addresses.
+/// An owned slice with stable addresses, filled with `T::default()`.
 ///
 /// The block starts on a [`CACHE_LINE`] boundary, and on a [`HUGE_PAGE`]
 /// boundary when it is at least that large (see the module documentation).
 /// It derefs to `[T]`, drops its elements and frees the block with the
-/// layout it was allocated with.
+/// layout it was allocated with. Inside this crate a region can also be
+/// reserved unwritten, as a `Region<MaybeUninit<T>>` whose pages stay
+/// non-resident until their slots are written: the `IndexedArena` slabs,
+/// which write one slot as they hand it out.
 pub struct Region<T> {
     ptr: NonNull<T>,
     len: usize,
@@ -43,12 +47,33 @@ unsafe impl<T: Sync> Sync for Region<T> {}
 
 impl<T> Region<T> {
     /// The layout of a region of `len` elements: a pure function of `len`,
-    /// so `drop` recomputes what `new` allocated with.
+    /// so `drop` recomputes what `uninit` allocated with.
     fn layout(len: usize) -> Layout {
         let size = core::mem::size_of::<T>().checked_mul(len).expect("allocation overflow");
         let align = if size >= HUGE_PAGE { HUGE_PAGE } else { CACHE_LINE };
         Layout::from_size_align(size.max(1), align.max(core::mem::align_of::<T>()))
             .expect("bad layout")
+    }
+
+    /// Reserve `len` slots and write none of them: the block is allocated,
+    /// aligned and advised exactly as for [`new`](Region::new), and no page
+    /// of it is touched here.
+    ///
+    /// # Panics
+    /// As [`new`](Region::new), less the panic of `T::default()`.
+    pub(crate) fn uninit(len: usize) -> Region<MaybeUninit<T>> {
+        // `MaybeUninit<T>` has `T`'s size and alignment, so `drop`
+        // recomputes this layout for either type.
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has a non-zero size.
+        let block = unsafe { std::alloc::alloc(layout) };
+        let Some(ptr) = NonNull::new(block.cast::<MaybeUninit<T>>()) else {
+            std::alloc::handle_alloc_error(layout);
+        };
+        if layout.align() >= HUGE_PAGE {
+            advise_huge(block, layout.size());
+        }
+        Region { ptr, len }
     }
 }
 
@@ -60,37 +85,26 @@ impl<T: Default> Region<T> {
     /// `Vec`. A panic in `T::default()` propagates after the elements
     /// already written are dropped and the block is freed.
     pub fn new(len: usize) -> Self {
-        /// Owns the block while it is being filled.
-        struct Filling<T> {
-            ptr: NonNull<T>,
-            written: usize,
-            layout: Layout,
-        }
-        impl<T> Drop for Filling<T> {
+        /// The first `.1` slots from `.0`, dropped if a `T::default()`
+        /// panics; the block itself goes back with its reserved `Region`.
+        struct Written<T>(NonNull<T>, usize);
+        impl<T> Drop for Written<T> {
             fn drop(&mut self) {
-                // SAFETY: exactly the first `written` slots hold a value,
-                // and the block came from `alloc(self.layout)`.
-                unsafe { destroy(self.ptr, self.written, self.layout) }
+                // SAFETY: exactly the first `self.1` slots hold a value.
+                unsafe { drop_in_place(slice_from_raw_parts_mut(self.0.as_ptr(), self.1)) }
             }
         }
 
-        let layout = Self::layout(len);
-        // SAFETY: `layout` has a non-zero size.
-        let block = unsafe { std::alloc::alloc(layout) };
-        let Some(ptr) = NonNull::new(block.cast::<T>()) else {
-            std::alloc::handle_alloc_error(layout);
-        };
-        if layout.align() >= HUGE_PAGE {
-            advise_huge(block, layout.size());
+        let block = Self::uninit(len);
+        let mut written = Written(block.ptr.cast::<T>(), 0);
+        while written.1 < len {
+            // SAFETY: slot `written.1 < len` is inside the block and vacant.
+            unsafe { written.0.as_ptr().add(written.1).write(T::default()) };
+            written.1 += 1;
         }
-        let mut filling = Filling { ptr, written: 0, layout };
-        while filling.written < len {
-            // SAFETY: slot `written < len` is inside the block and vacant.
-            unsafe { ptr.as_ptr().add(filling.written).write(T::default()) };
-            filling.written += 1;
-        }
-        core::mem::forget(filling);
-        Region { ptr, len }
+        core::mem::forget(written);
+        let block = ManuallyDrop::new(block);
+        Region { ptr: block.ptr.cast(), len }
     }
 }
 
@@ -113,20 +127,14 @@ impl<T> core::ops::DerefMut for Region<T> {
 
 impl<T> Drop for Region<T> {
     fn drop(&mut self) {
-        // SAFETY: all `len` slots are initialised, and `layout(len)` is
-        // what `new` allocated with.
-        unsafe { destroy(self.ptr, self.len, Self::layout(self.len)) }
+        // SAFETY: all `len` slots hold a value (a reserved region's are
+        // `MaybeUninit`s, which drop nothing), and the block came from
+        // `alloc(layout(len))` and is not used again.
+        unsafe {
+            drop_in_place(slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len));
+            std::alloc::dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len));
+        }
     }
-}
-
-/// Drop the first `initialised` elements of a block and free it.
-///
-/// # Safety
-/// `ptr` came from `alloc(layout)`, is not used afterwards, and exactly
-/// its first `initialised` slots hold a value.
-unsafe fn destroy<T>(ptr: NonNull<T>, initialised: usize, layout: Layout) {
-    core::ptr::drop_in_place(core::ptr::slice_from_raw_parts_mut(ptr.as_ptr(), initialised));
-    std::alloc::dealloc(ptr.as_ptr().cast(), layout);
 }
 
 impl<T: core::fmt::Debug> core::fmt::Debug for Region<T> {

@@ -1,10 +1,105 @@
 //! Property tests for the `u32`-indexed arena: index ↔ pointer
 //! round-trips, non-aliasing of live allocations, and equivalence of
 //! index-linked chains with pointer-linked chains under 1/2/4 threads.
+//! Also what a reserved slab owes its slots: each handed-out slot is
+//! written and later dropped exactly once, no other slot is either, and a
+//! slab's unused tail never becomes resident.
 
 use amac_mem::arena::{slab_of_index, Arena, IndexedArena, NULL_INDEX};
 use proptest::prelude::*;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
+
+thread_local! {
+    static MADE: Cell<u64> = const { Cell::new(0) };
+    static PANIC_AT: Cell<u64> = const { Cell::new(u64::MAX) };
+    static DROPPED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Numbered by construction from 1; construction number `PANIC_AT`
+/// panics; every drop logs its number.
+struct Counted(u64);
+impl Default for Counted {
+    fn default() -> Self {
+        let n = MADE.with(|m| m.replace(m.get() + 1) + 1);
+        assert!(n != PANIC_AT.with(Cell::get), "default #{n} refused");
+        Counted(n)
+    }
+}
+impl Drop for Counted {
+    fn drop(&mut self) {
+        DROPPED.with(|d| d.borrow_mut().push(self.0));
+    }
+}
+
+/// The numbers dropped so far, sorted, and the log emptied.
+fn take_dropped() -> Vec<u64> {
+    let mut d = DROPPED.with(RefCell::take);
+    d.sort_unstable();
+    d
+}
+
+#[test]
+fn every_handed_out_slot_is_dropped_once_and_no_other() {
+    MADE.with(|m| m.set(0));
+    let n = 8000u64;
+    let a = IndexedArena::<Counted>::new();
+    for i in 1..=n {
+        let (_, p) = a.alloc();
+        assert_eq!(unsafe { (*p).0 }, i, "the slot holds the default made for it");
+    }
+    assert_eq!(slab_of_index(n as u32 - 1), 3, "slabs 0..=3, the last one part-used");
+    assert_eq!(take_dropped(), Vec::<u64>::new(), "nothing dropped while the arena lives");
+    drop(a);
+    assert_eq!(take_dropped(), (1..=n).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_panicking_default_counts_no_slot() {
+    let k = 1500u64; // in slab 1
+    MADE.with(|m| m.set(0));
+    PANIC_AT.with(|p| p.set(k));
+    let a = IndexedArena::<Counted>::new();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+        a.alloc();
+    }));
+    PANIC_AT.with(|p| p.set(u64::MAX));
+    assert!(caught.is_err(), "the panic propagates");
+    assert_eq!(a.len() as u64, k - 1);
+    assert_eq!(take_dropped(), Vec::<u64>::new());
+    drop(a);
+    assert_eq!(take_dropped(), (1..k).collect::<Vec<_>>(), "exactly the k - 1 made values");
+}
+
+/// One allocation writes one slot, not its slab. Slab 0 of a 64 KiB element
+/// is 64 MiB, above glibc's largest mmap threshold (32 MiB on 64-bit), so
+/// it is always a fresh mapping whatever this process freed before, and
+/// only pages written since are resident. The one write faults in at most
+/// one huge page; the frontier prefetch faults nothing.
+#[cfg(all(target_os = "linux", not(miri)))]
+#[test]
+fn one_allocation_leaves_the_rest_of_its_slab_non_resident() {
+    struct Page([u8; 64 << 10]);
+    impl Default for Page {
+        fn default() -> Self {
+            Page([0x5A; 64 << 10])
+        }
+    }
+    const SLAB_0: usize = 1024 * (64 << 10);
+
+    let a = IndexedArena::<Page>::new();
+    let (idx, slot) = a.alloc();
+    assert_eq!(idx, 0);
+    assert_eq!(unsafe { (*slot).0[4095] }, 0x5A);
+    let page = unsafe { libc::sysconf(libc::_SC_PAGESIZE) } as usize;
+    let mut pages = vec![0u8; SLAB_0 / page];
+    // SAFETY: slot 0 starts slab 0, a live block of SLAB_0 bytes aligned to
+    // a huge page; `pages` has one byte per base page of it.
+    let rc = unsafe { libc::mincore(slot.cast(), SLAB_0, pages.as_mut_ptr()) };
+    assert_eq!(rc, 0, "mincore: {}", std::io::Error::last_os_error());
+    let resident = pages.iter().filter(|&&b| b & 1 != 0).count() * page;
+    assert!(resident < 4 << 20, "{resident} B of the 64 MiB slab 0 resident after one allocation");
+}
 
 /// `alloc` prefetches `FRONTIER_AHEAD` slots past the frontier, and skips
 /// the prefetch when that slot is in a slab not yet created. Across the

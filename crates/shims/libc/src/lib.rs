@@ -1,14 +1,16 @@
 //! Minimal offline stand-in for the `libc` crate.
 //!
-//! Declares only the symbols `amac_metrics` (perf counters, page size) and
-//! `amac_mem::region` (huge-page advice) need; they resolve against the
-//! platform C library that `std` already links.
+//! Declares only the symbols `amac_metrics` (perf counters, page size),
+//! `amac_mem::region` (huge-page advice) and `amac_mem`'s residency test
+//! need; they resolve against the platform C library that `std` already
+//! links.
 
 #![allow(non_camel_case_types, non_upper_case_globals)]
 
 pub type c_int = i32;
 pub type c_long = i64;
 pub type c_ulong = u64;
+pub type c_uchar = u8;
 pub type c_void = core::ffi::c_void;
 pub type size_t = usize;
 pub type ssize_t = isize;
@@ -34,6 +36,7 @@ extern "C" {
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn close(fd: c_int) -> c_int;
     pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+    pub fn mincore(addr: *mut c_void, length: size_t, vec: *mut c_uchar) -> c_int;
     pub fn sysconf(name: c_int) -> c_long;
 }
 

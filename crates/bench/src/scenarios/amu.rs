@@ -117,12 +117,7 @@ pub(super) fn run(args: &Args) -> Outcome {
     println!();
 
     // --- Morsel runtime: the dedup split at one thread ------------------
-    let rt = MorselConfig {
-        threads: 1,
-        morsel_tuples: 1024,
-        scheduling: Scheduling::StaticChunk,
-        auto_tune: false,
-    };
+    let rt = MorselConfig { threads: 1, morsel_tuples: 1024, scheduling: Scheduling::StaticChunk };
     let mt = probe_mt_rt(&ht, zprobes, Technique::Amac, &cfg(Some(G)), &rt).stats;
     println!("morsel runtime: issued = {}, coalesced = {}\n", mt.issued_loads, mt.coalesced_loads);
 

@@ -13,7 +13,7 @@
 
 use super::submit_closed_loop;
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
-use amac::engine::{Technique, TuningParams};
+use amac::engine::Technique;
 use amac_hashtable::HashTable;
 use amac_ops::join::ProbeConfig;
 use amac_ops::multi::{probe_multi_mt_rt, TenantProbe};
@@ -140,8 +140,7 @@ pub(super) fn run(args: &Args) -> Outcome {
     let [t1, t2, t4] = [1usize, 2, 4].map(|threads| {
         let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
         let tenants = [TenantProbe::new(&faulty[0]), TenantProbe::new(&faulty[1])];
-        let params = TuningParams::default();
-        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &mt_cfg, params, 256, &rt);
+        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &mt_cfg, 256, &rt);
         o.tenants.iter().map(|t| t.stats.load_faults).sum::<u64>()
     });
     println!("schedule invariance: {t1} / {t2} / {t4} injected faults at 1 / 2 / 4 threads\n");

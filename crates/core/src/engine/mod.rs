@@ -63,9 +63,7 @@ pub use gp::run_gp;
 pub use hooks::Hooks;
 pub use spp::run_spp;
 pub use stats::EngineStats;
-pub use tune::{
-    auto_tune_in_flight, auto_tune_in_flight_sim, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT,
-};
+pub use tune::{auto_tune_in_flight_sim, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT};
 
 /// Outcome of one executed code stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,33 +1,24 @@
-//! Adaptive in-flight calibration.
+//! Adaptive in-flight calibration on the simulated clock.
 //!
 //! The paper fixes `M ≈ 10` because that saturates the L1-D MSHRs of its
-//! Xeon (§2.2.2). MSHR capacity differs across hosts — more on recent
-//! server cores, fewer in small containers — so the right window is a
-//! property of the machine, not the algorithm. [`TuningParams::auto`]
-//! measures it: a short hill-climbing probe phase runs the real lookup
-//! state machine over a sample of the real input at a ladder of candidate
-//! widths and keeps the fastest.
-//!
-//! The probe phase *executes* lookups, so it is only safe for read-only
-//! ops (probe/search). Mutating ops (build, insert, group-by) must tune on
-//! a scratch copy of their structure or fall back to the presets.
-//!
-//! # Simulated-clock calibration ([`TuningParams::auto_sim`])
-//!
-//! Wall time is the wrong objective when the latency being hidden is
-//! *simulated* (`amac_tier`): far-memory sweeps on a DRAM-only host run
-//! every window width at the same nanoseconds. `auto_sim` hill-climbs the
-//! same ladder but minimizes **simulated ticks**
-//! (`sim_cycles + sim_stalls`) instead of nanoseconds — the op factory
+//! Xeon (§2.2.2). When the latency being hidden is *simulated*
+//! (`amac_tier`), the right window is a property of the cost model, and
+//! wall time cannot see it: far-memory sweeps on a DRAM-only host run
+//! every window width at the same nanoseconds. [`TuningParams::auto_sim`]
+//! therefore hill-climbs a ladder of candidate widths minimizing
+//! **simulated ticks** (`sim_cycles + sim_stalls`) — the op factory
 //! carries the cost model, so the tuner is literally "auto fed the tier
 //! latency": at far multiplier 1× the default `M = 10` already hides the
 //! 4-tick near latency and the climb stays put, while at 8× (32 ticks)
 //! every rung below 33 pays stalls and the climb walks up the ladder
 //! until the window out-laps the far tier. Fully deterministic (one trial
 //! per rung, counters only), so benches gate its picks exactly.
+//!
+//! The probe phase *executes* lookups, so it is only safe for read-only
+//! ops (probe/search). Mutating ops (build, insert, group-by) must tune on
+//! a scratch copy of their structure or fall back to the presets.
 
 use super::{run_amac, LookupOp, TuningParams};
-use std::time::Instant;
 
 /// Smallest window the tuner will pick.
 pub const AUTO_MIN_IN_FLIGHT: usize = 4;
@@ -43,34 +34,14 @@ pub const AUTO_MAX_IN_FLIGHT: usize = 64;
 /// `AUTO_MIN_IN_FLIGHT <= m <= AUTO_MAX_IN_FLIGHT`.
 const LADDER: [usize; 10] = [4, 6, 8, 10, 12, 16, 24, 32, 48, 64];
 
-/// Relative speedup a neighbour must show to win a hill-climb move; keeps
-/// measurement noise from dragging the pick away from the plateau.
-const MIN_GAIN: f64 = 0.02;
-
 impl TuningParams {
-    /// Calibrate the in-flight window by hill climbing over a sample.
-    ///
-    /// `make_op` builds a fresh lookup op per probe trial (each trial
-    /// re-executes the sample, so per-op accumulators must start clean);
-    /// `sample` should be a representative slice or stride-sample of the
-    /// real input. Returns the fastest measured width, always within
-    /// `[AUTO_MIN_IN_FLIGHT, AUTO_MAX_IN_FLIGHT]`. Samples smaller than
-    /// 512 lookups measure mostly overhead, so they return the paper
-    /// default instead.
-    pub fn auto<O, F>(mut make_op: F, sample: &[O::Input]) -> TuningParams
-    where
-        O: LookupOp,
-        F: FnMut() -> O,
-    {
-        TuningParams::with_in_flight(auto_tune_in_flight(&mut make_op, sample))
-    }
-
     /// Calibrate the in-flight window against a **simulated** cost model
-    /// (see the module docs): same ladder and climb as
-    /// [`auto`](TuningParams::auto), objective = simulated ticks instead
-    /// of nanoseconds. `make_op` must build ops carrying the tier clock
-    /// whose latency is being hidden (e.g. a tiered `ProbeOp`); ops
-    /// without a clock report 0 ticks and get the default back.
+    /// (see the module docs). `make_op` builds a fresh lookup op per
+    /// probe trial (each trial re-executes the sample, so per-op
+    /// accumulators must start clean) carrying the tier clock whose
+    /// latency is being hidden (e.g. a tiered `ProbeOp`); ops without a
+    /// clock report 0 ticks and get the default back. `sample` should be
+    /// a representative slice or stride-sample of the real input.
     pub fn auto_sim<O, F>(mut make_op: F, sample: &[O::Input]) -> TuningParams
     where
         O: LookupOp,
@@ -78,38 +49,6 @@ impl TuningParams {
     {
         TuningParams::with_in_flight(auto_tune_in_flight_sim(&mut make_op, sample))
     }
-}
-
-/// Nanoseconds to run `sample` at width `m` (best of `trials`).
-fn measure<O, F>(make_op: &mut F, sample: &[O::Input], m: usize, trials: usize) -> f64
-where
-    O: LookupOp,
-    F: FnMut() -> O,
-{
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let mut op = make_op();
-        let t0 = Instant::now();
-        let stats = run_amac(&mut op, sample, m);
-        let ns = t0.elapsed().as_nanos() as f64;
-        std::hint::black_box(stats);
-        best = best.min(ns);
-    }
-    best
-}
-
-/// Hill-climb the ladder; see [`TuningParams::auto`].
-pub fn auto_tune_in_flight<O, F>(make_op: &mut F, sample: &[O::Input]) -> usize
-where
-    O: LookupOp,
-    F: FnMut() -> O,
-{
-    if sample.len() < 512 {
-        return TuningParams::default().in_flight.clamp(AUTO_MIN_IN_FLIGHT, AUTO_MAX_IN_FLIGHT);
-    }
-    // Warm caches/TLB once so the first measured rung isn't penalized.
-    measure(make_op, sample, LADDER[0], 1);
-    climb(|m| measure(make_op, sample, m, 2), MIN_GAIN)
 }
 
 /// Simulated ticks (`sim_cycles + sim_stalls`) to run `sample` at width
@@ -125,13 +64,11 @@ where
 }
 
 /// Hill-climb the ladder on the simulated clock; see
-/// [`TuningParams::auto_sim`]. Same derivation rules as
-/// [`auto_tune_in_flight`] (always returns a rung, small samples fall
-/// back to the default), no warm-up run, and **no gain threshold**: the
-/// objective is an exact counter with zero measurement noise, so any
-/// strict improvement is real — the climb therefore keeps deepening the
-/// window until a rung is (as good as) stall-free, instead of parking
-/// one rung early on a sub-2% residual.
+/// [`TuningParams::auto_sim`]. Always returns a rung, and samples smaller
+/// than 512 lookups return the paper default. The objective is an exact
+/// counter with zero measurement noise, so any strict improvement is
+/// real — the climb therefore keeps deepening the window until a rung is
+/// (as good as) stall-free.
 pub fn auto_tune_in_flight_sim<O, F>(make_op: &mut F, sample: &[O::Input]) -> usize
 where
     O: LookupOp,
@@ -140,13 +77,13 @@ where
     if sample.len() < 512 {
         return TuningParams::default().in_flight.clamp(AUTO_MIN_IN_FLIGHT, AUTO_MAX_IN_FLIGHT);
     }
-    climb(|m| measure_sim(make_op, sample, m), 0.0)
+    climb(|m| measure_sim(make_op, sample, m))
 }
 
-/// The shared hill climb: start at the default rung, move to a neighbour
-/// only on a > `min_gain` relative improvement of `cost`, return the
-/// resting rung. Each rung is evaluated at most once.
-fn climb(mut cost: impl FnMut(usize) -> f64, min_gain: f64) -> usize {
+/// The hill climb: start at the default rung, move to a neighbour only
+/// on a strict improvement of `cost`, return the resting rung. Each rung
+/// is evaluated at most once.
+fn climb(mut cost: impl FnMut(usize) -> f64) -> usize {
     let mut times = [f64::INFINITY; LADDER.len()];
     let mut idx = LADDER.iter().position(|&m| m == 10).unwrap_or(3);
     times[idx] = cost(LADDER[idx]);
@@ -159,7 +96,7 @@ fn climb(mut cost: impl FnMut(usize) -> f64, min_gain: f64) -> usize {
             if times[next].is_infinite() {
                 times[next] = cost(LADDER[next]);
             }
-            if times[next] < times[best] * (1.0 - min_gain) {
+            if times[next] < times[best] {
                 best = next;
             }
         }
@@ -176,22 +113,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_stays_in_bounds_on_real_chains() {
-        let chains: Vec<usize> = (0..20_000).map(|i| 1 + (i * 7) % 5).collect();
-        let inputs: Vec<usize> = (0..chains.len()).collect();
-        let params = TuningParams::auto(|| ChainOp::new(&chains), &inputs);
-        assert!(
-            (AUTO_MIN_IN_FLIGHT..=AUTO_MAX_IN_FLIGHT).contains(&params.in_flight),
-            "picked {}",
-            params.in_flight
-        );
-    }
-
-    #[test]
     fn tiny_samples_fall_back_to_default() {
         let chains = vec![2usize; 64];
         let inputs: Vec<usize> = (0..64).collect();
-        let params = TuningParams::auto(|| ChainOp::new(&chains), &inputs);
+        let params = TuningParams::auto_sim(|| ChainOp::new(&chains), &inputs);
         assert_eq!(params.in_flight, TuningParams::default().in_flight);
     }
 
@@ -217,7 +142,7 @@ mod tests {
         for n in [64usize, 4096] {
             let chains: Vec<usize> = (0..n).map(|i| 1 + i % 4).collect();
             let inputs: Vec<usize> = (0..n).collect();
-            let m = auto_tune_in_flight(&mut || ChainOp::new(&chains), &inputs);
+            let m = auto_tune_in_flight_sim(&mut || ChainOp::new(&chains), &inputs);
             assert!(LADDER.contains(&m), "n={n}: picked off-ladder width {m}");
         }
     }

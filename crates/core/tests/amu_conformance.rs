@@ -211,7 +211,7 @@ fn morsel_runtime_coalescing_is_deterministic_across_threads_and_schedulings() {
     let n = 48 * 1024;
     let (ht, probes) = lab(4096, n, 256, 0x91);
     let mt = |threads, scheduling, coalesce| {
-        let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling, auto_tune: false };
+        let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
         probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(coalesce), &rt)
     };
     let reference = mt(1, Scheduling::StaticChunk, Some(G));
@@ -246,12 +246,7 @@ fn single_threaded_morsel_run_matches_the_one_shot_executor_ledger() {
     // 1024-tuple morsel, so the feed-boundary commit points are no-ops).
     let (ht, probes) = lab(4096, 8 * 1024, 256, 0x92);
     let one_shot = probe(&ht, &probes, Technique::Amac, &probe_cfg(Some(G)));
-    let rt = MorselConfig {
-        threads: 1,
-        morsel_tuples: 1024,
-        scheduling: Scheduling::StaticChunk,
-        auto_tune: false,
-    };
+    let rt = MorselConfig { threads: 1, morsel_tuples: 1024, scheduling: Scheduling::StaticChunk };
     let morsel = probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(Some(G)), &rt);
     assert_eq!(morsel.matches, one_shot.matches);
     assert_eq!(morsel.checksum, one_shot.checksum);

@@ -178,7 +178,7 @@ fn morsel_run(
     scheduling: Scheduling,
     trace: bool,
 ) -> (u64, u64, EngineStats, Tracer) {
-    let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling, auto_tune: false };
+    let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
     let out = probe_mt_rt(ht, probes, Technique::Amac, &probe_cfg(trace), &rt);
     (out.matches, out.checksum, out.stats, out.report.trace)
 }
@@ -281,12 +281,7 @@ fn every_mt_driver_honours_cfg_trace_at_1_2_4_threads() {
     let upserts = Relation::zipf(8 * 1024, 4096, 1.0, 0xB7);
 
     for threads in [1usize, 2, 4] {
-        let rt = MorselConfig {
-            threads,
-            morsel_tuples: 1024,
-            scheduling: Scheduling::StaticChunk,
-            auto_tune: false,
-        };
+        let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling: Scheduling::StaticChunk };
         let one = threads == 1;
 
         let run = |trace| probe_mt_rt(&ht, &probes, Technique::Amac, &probe_cfg(trace), &rt);

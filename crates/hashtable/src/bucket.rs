@@ -198,12 +198,6 @@ impl Bucket {
         &mut *self.data.get()
     }
 
-    /// Raw pointer to the payload, for prefetch address computation.
-    #[inline(always)]
-    pub fn data_ptr(&self) -> *const BucketData {
-        self.data.get()
-    }
-
     /// Atomic view of this node's chain link — the only field the
     /// latch-free mutation epoch writes on *published* nodes (fresh nodes
     /// are CAS-prepended here; see `HashTable::freeze`). Plain reads of a

@@ -5,11 +5,10 @@
 //! reports them (rows = configurations, columns = techniques), via this
 //! minimal formatter — no external table crate. [`JsonBuf`] is the
 //! equally minimal structured-output side: a comma-tracking JSON writer
-//! used by `amac_trace`'s Chrome `trace_event` exporter and
-//! `amac_runtime::RunReport::to_json`, whose byte output is a pure
-//! function of the emitted values (no maps, no float shortest-repr
-//! ambiguity beyond `Display`), so exported traces can be compared
-//! byte-for-byte across runs.
+//! used by `amac_trace`'s Chrome `trace_event` exporter, whose byte
+//! output is a pure function of the emitted values (no maps, no float
+//! shortest-repr ambiguity beyond `Display`), so exported traces can be
+//! compared byte-for-byte across runs.
 
 use std::fmt::Write as _;
 

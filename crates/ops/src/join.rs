@@ -543,21 +543,6 @@ pub fn build(ht: &HashTable, r: &Relation, technique: Technique, cfg: &BuildConf
     BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }
 }
 
-/// Convenience: build (always with `technique`) then probe, returning
-/// `(build, probe)` outputs — one full hash-join execution as in Fig. 5.
-pub fn hash_join(
-    r: &Relation,
-    s: &Relation,
-    technique: Technique,
-    probe_cfg: &ProbeConfig,
-) -> (BuildOutput, ProbeOutput) {
-    let ht = HashTable::for_tuples(r.len());
-    let b =
-        build(&ht, r, technique, &BuildConfig { params: probe_cfg.params, tier: probe_cfg.tier });
-    let p = probe(&ht, s, technique, probe_cfg);
-    (b, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,7 +635,9 @@ mod tests {
     fn hash_join_end_to_end() {
         let r = Relation::dense_unique(2048, 21);
         let s = Relation::fk_uniform(&r, 8192, 22);
-        let (b, p) = hash_join(&r, &s, Technique::Amac, &ProbeConfig::default());
+        let ht = HashTable::for_tuples(r.len());
+        let b = build(&ht, &r, Technique::Amac, &BuildConfig::default());
+        let p = probe(&ht, &s, Technique::Amac, &ProbeConfig::default());
         assert_eq!(b.stats.lookups, 2048);
         assert_eq!(p.matches, 8192);
         assert!(b.cycles > 0 && p.cycles > 0);

@@ -24,13 +24,15 @@
 //! compute identical results.
 //!
 //! [`parallel`] holds the multi-threaded drivers for the scalability
-//! experiments (Figs. 7–8, Table 4). [`multi`] holds the multi-tenant
-//! drivers: several queries' probe streams interleaved into the same
-//! workers' AMAC windows (`amac::engine::mux`), the parallel engine under
-//! the `amac_server` serving layer. [`pipeline`] fuses multi-operator
-//! chains (probe → filter → group-by, probe → probe) into a single AMAC
-//! window — §6's multi-operator integration — with two-phase
-//! materialized references for equivalence and traffic comparisons.
+//! experiments (Figs. 7–8, Table 4); an op without one there runs on
+//! the morsel runtime through `amac_runtime::execute`. [`multi`] holds
+//! the multi-tenant drivers: several queries' probe streams interleaved
+//! into the same workers' AMAC windows (`amac::engine::mux`), the
+//! parallel engine under the `amac_server` serving layer. [`pipeline`]
+//! fuses multi-operator chains (probe → filter → group-by, probe →
+//! probe) into a single AMAC window — §6's multi-operator integration —
+//! with two-phase materialized references for equivalence and traffic
+//! comparisons.
 
 pub mod bst;
 pub mod btree;

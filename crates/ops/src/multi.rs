@@ -16,7 +16,7 @@
 //! this module's tests and by `crates/server/tests/fairness.rs`.
 
 use amac::engine::mux::{Mux, Tagged};
-use amac::engine::{EngineStats, Technique, TuningParams};
+use amac::engine::{EngineStats, Technique};
 use amac_hashtable::HashTable;
 use amac_runtime::{execute, MorselConfig, RunReport};
 use amac_workload::{Relation, Tuple};
@@ -126,13 +126,12 @@ pub fn probe_multi_mt_rt(
     tenants: &[TenantProbe<'_>],
     technique: Technique,
     cfg: &ProbeConfig,
-    params: TuningParams,
     quantum: usize,
     rt: &MorselConfig,
 ) -> MultiOutput {
-    let cfg = ProbeConfig { materialize: false, params, ..cfg.clone() };
+    let cfg = ProbeConfig { materialize: false, ..cfg.clone() };
     let tagged = interleave_drr(tenants, quantum);
-    let run = execute(&tagged, technique, params, rt, |_tid| {
+    let run = execute(&tagged, technique, cfg.params, rt, |_tid| {
         let mut mux = Mux::new();
         for t in tenants {
             // Lane ids are assignment-ordered, so lane i == tenant i.
@@ -158,6 +157,7 @@ pub fn probe_multi_mt_rt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amac::engine::TuningParams;
     use amac_runtime::Scheduling;
 
     fn lab() -> (HashTable, Relation, Relation) {
@@ -197,7 +197,6 @@ mod tests {
     fn shared_window_is_bit_identical_to_solo_at_all_thread_counts() {
         let (ht, uniform, zipf) = lab();
         let cfg = ProbeConfig { scan_all: true, materialize: false, ..Default::default() };
-        let params = TuningParams::default();
         // Solo references (single-tenant runs through the same driver).
         let solo: Vec<TenantOutput> = [&uniform, &zipf]
             .iter()
@@ -208,7 +207,6 @@ mod tests {
                     &t,
                     Technique::Amac,
                     &cfg,
-                    params,
                     256,
                     &MorselConfig::with_threads(1),
                 )
@@ -224,10 +222,9 @@ mod tests {
 
         for threads in [1usize, 2, 4] {
             for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
-                let rt =
-                    MorselConfig { threads, morsel_tuples: 1024, scheduling, ..Default::default() };
+                let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
                 let tenants = [TenantProbe::new(&uniform), TenantProbe::new(&zipf)];
-                let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg, params, 256, &rt);
+                let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg, 256, &rt);
                 for (i, (got, want)) in out.tenants.iter().zip(&solo).enumerate() {
                     let tag = format!("tenant {i}, {threads}t {scheduling:?}");
                     assert_eq!(got.matches, want.matches, "{tag}: matches");
@@ -252,8 +249,8 @@ mod tests {
         let mut reference: Option<Vec<(u64, u64)>> = None;
         for technique in Technique::ALL {
             let tenants = [TenantProbe::new(&uniform), TenantProbe::new(&zipf)];
-            let params = TuningParams::paper_best(technique);
-            let out = probe_multi_mt_rt(&ht, &tenants, technique, &cfg, params, 128, &rt);
+            let cfg = ProbeConfig { params: TuningParams::paper_best(technique), ..cfg.clone() };
+            let out = probe_multi_mt_rt(&ht, &tenants, technique, &cfg, 128, &rt);
             let sig: Vec<(u64, u64)> =
                 out.tenants.iter().map(|t| (t.matches, t.checksum)).collect();
             match &reference {
@@ -274,7 +271,6 @@ mod tests {
             &tenants,
             Technique::Amac,
             &cfg,
-            TuningParams::default(),
             64,
             &MorselConfig::with_threads(2),
         );

@@ -477,7 +477,6 @@ pub fn mutate(
 }
 
 /// [`mutate`] over the morsel runtime (the 1/2/4T determinism surface).
-/// Auto-tune is disabled: a tuning probe would apply mutations twice.
 pub fn mutate_mt_rt(
     ht: &HashTable,
     rel: &Relation,
@@ -485,8 +484,7 @@ pub fn mutate_mt_rt(
     cfg: &MutateConfig,
     rt: &MorselConfig,
 ) -> MutateOutput {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&rel.tuples, technique, cfg.params, &rt, |_tid| {
+    let run = execute(&rel.tuples, technique, cfg.params, rt, |_tid| {
         crate::traced(MutateOp::new(ht, cfg), cfg.trace)
     });
     // `execute` already harvested every worker's tracer into the report.
@@ -706,12 +704,7 @@ mod tests {
             for sched in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
             {
                 let ht_t = HashTable::restore(&snap);
-                let rt = MorselConfig {
-                    threads,
-                    morsel_tuples: 1024,
-                    scheduling: sched,
-                    ..Default::default()
-                };
+                let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling: sched };
                 let out = mutate_mt_rt(&ht_t, &ups, Technique::Amac, &cfg, &rt);
                 assert_eq!(
                     out.stats.sim_cycles, reference.stats.sim_cycles,

@@ -11,12 +11,14 @@
 //! paper's static behaviour back (that is also the baseline every
 //! morsel-vs-static bench compares against).
 //!
-//! Every operator has one entry point, `*_mt_rt(.., &MorselConfig)`
+//! Each driver is `*_mt_rt(.., &MorselConfig)`
 //! ([`MorselConfig::with_threads`] for "just N threads"), returning
 //! per-thread observability in [`MtOutput::report`] — including the
 //! merged structured trace when the operator's config sets `trace`.
 //! Throughput is `|S| / wall_time` over the whole fan-out, the paper's
-//! `|S|/probeExecutionTime`.
+//! `|S|/probeExecutionTime`. An operator without a driver here (skip-list
+//! and B+-tree search) runs on the morsel runtime by handing its op to
+//! [`amac_runtime::execute`] directly.
 
 use amac::engine::{EngineStats, Technique};
 use amac_hashtable::{AggTable, HashTable};
@@ -94,8 +96,7 @@ pub fn probe_mt_rt(
     out
 }
 
-/// Multi-threaded hash-table build (`auto_tune` is ignored: the tuning
-/// probe executes real lookups, which would insert the sample twice).
+/// Multi-threaded hash-table build.
 pub fn build_mt_rt(
     ht: &HashTable,
     r: &Relation,
@@ -103,15 +104,13 @@ pub fn build_mt_rt(
     cfg: &crate::join::BuildConfig,
     rt: &MorselConfig,
 ) -> MtOutput {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&r.tuples, technique, cfg.params, &rt, |_tid| {
+    let run = execute(&r.tuples, technique, cfg.params, rt, |_tid| {
         crate::join::BuildOp::new(ht, &cfg.exec())
     });
     MtOutput::from_report(run.report)
 }
 
-/// Multi-threaded group-by (`auto_tune` ignored — the tuning probe
-/// would aggregate the sample twice).
+/// Multi-threaded group-by.
 pub fn groupby_mt_rt(
     table: &AggTable,
     input: &Relation,
@@ -119,8 +118,7 @@ pub fn groupby_mt_rt(
     cfg: &crate::groupby::GroupByConfig,
     rt: &MorselConfig,
 ) -> MtOutput {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&input.tuples, technique, cfg.params, &rt, |_tid| {
+    let run = execute(&input.tuples, technique, cfg.params, rt, |_tid| {
         crate::traced(crate::groupby::GroupByOp::new(table, cfg), cfg.trace)
     });
     let mut out = MtOutput::from_report(run.report);
@@ -146,8 +144,6 @@ pub struct MtPipeline {
 /// Multi-threaded **fused** probe→filter→group-by on the morsel runtime:
 /// every worker owns one fused op whose single AMAC window spans both
 /// operators and survives morsel boundaries ([`amac::engine::AmacSession`]).
-/// `auto_tune` is ignored (the tuning probe executes real lookups, which
-/// would aggregate the sample twice).
 pub fn probe_groupby_mt_rt(
     ht: &HashTable,
     table: &AggTable,
@@ -156,8 +152,7 @@ pub fn probe_groupby_mt_rt(
     cfg: &crate::pipeline::PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
+    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
         crate::traced(crate::pipeline::fused_probe_groupby_op(ht, table, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
@@ -183,8 +178,7 @@ pub fn probe_groupby_two_phase_mt_rt(
     cfg: &crate::pipeline::PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run1 = execute(&s.tuples, technique, cfg.params, &rt, |_tid| {
+    let run1 = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
         crate::traced(crate::pipeline::materializing_probe_op(ht, cfg), cfg.trace)
     });
     let mut matched = 0u64;
@@ -194,7 +188,7 @@ pub fn probe_groupby_two_phase_mt_rt(
         mid.extend(op.into_sink().out);
     }
     let mid = Relation::from_tuples(mid);
-    let gb = groupby_mt_rt(table, &mid, technique, &cfg.groupby(), &rt);
+    let gb = groupby_mt_rt(table, &mid, technique, &cfg.groupby(), rt);
     let mut report = run1.report;
     report.absorb(&gb.report);
     let mut out = MtOutput::from_report(report);
@@ -210,7 +204,7 @@ pub fn probe_groupby_two_phase_mt_rt(
 }
 
 /// Multi-threaded **fused** 2-join chain (probe→filter→probe) on the
-/// morsel runtime. Read-only, so `auto_tune` is honoured.
+/// morsel runtime.
 pub fn probe_probe_mt_rt(
     ht1: &HashTable,
     ht2: &HashTable,
@@ -233,27 +227,7 @@ pub fn probe_probe_mt_rt(
     res
 }
 
-/// Multi-threaded skip-list search.
-pub fn skip_search_mt_rt(
-    list: &SkipList,
-    probe_rel: &Relation,
-    technique: Technique,
-    cfg: &crate::skiplist::SkipConfig,
-    rt: &MorselConfig,
-) -> MtOutput {
-    let run = execute(&probe_rel.tuples, technique, cfg.params, rt, |_tid| {
-        crate::skiplist::SkipSearchOp::new(list, cfg)
-    });
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        out.matches += op.found();
-        out.checksum = out.checksum.wrapping_add(op.checksum());
-    }
-    out
-}
-
-/// Multi-threaded skip-list insert (`auto_tune` ignored — the tuning
-/// probe would insert the sample twice).
+/// Multi-threaded skip-list insert.
 pub fn skip_insert_mt_rt(
     list: &SkipList,
     input: &Relation,
@@ -261,33 +235,11 @@ pub fn skip_insert_mt_rt(
     cfg: &crate::skiplist::SkipConfig,
     rt: &MorselConfig,
 ) -> MtOutput {
-    let rt = MorselConfig { auto_tune: false, ..rt.clone() };
-    let run = execute(&input.tuples, technique, cfg.params, &rt, |tid| {
+    let run = execute(&input.tuples, technique, cfg.params, rt, |tid| {
         crate::skiplist::SkipInsertOp::new(list, cfg, input.len(), 0x51EE9 + tid as u64)
     });
     let mut out = MtOutput::from_report(run.report);
     out.matches = run.ops.iter().map(|op| op.inserted()).sum();
-    out
-}
-
-/// Multi-threaded B+-tree search. Materialization is disabled, as for
-/// [`probe_mt_rt`].
-pub fn btree_search_mt_rt(
-    tree: &amac_btree::BPlusTree,
-    probes: &Relation,
-    technique: Technique,
-    cfg: &crate::btree::BTreeConfig,
-    rt: &MorselConfig,
-) -> MtOutput {
-    let cfg = crate::btree::BTreeConfig { materialize: false, ..cfg.clone() };
-    let run = execute(&probes.tuples, technique, cfg.params, rt, |_tid| {
-        crate::btree::BTreeOp::new(tree, &cfg, 0)
-    });
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        out.matches += op.found();
-        out.checksum = out.checksum.wrapping_add(op.checksum());
-    }
     out
 }
 
@@ -327,8 +279,7 @@ mod tests {
         let mut reference = None;
         for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
         {
-            let rt =
-                MorselConfig { threads: 4, morsel_tuples: 1024, scheduling, ..Default::default() };
+            let rt = MorselConfig { threads: 4, morsel_tuples: 1024, scheduling };
             let mt = probe_mt_rt(&ht, &s, Technique::Amac, &ProbeConfig::default(), &rt);
             assert_eq!(mt.matches, s.len() as u64, "{scheduling:?}");
             match reference {
@@ -393,17 +344,15 @@ mod tests {
         let rel = Relation::sparse_unique(10_000, 93);
         let list = SkipList::new();
         crate::skiplist::skip_insert(&list, &rel, Technique::Amac, &Default::default(), 5);
-        let st = crate::skiplist::skip_search(
-            &list,
-            &rel.shuffled(94),
-            Technique::Amac,
-            &Default::default(),
-        );
+        let (probes, cfg) = (rel.shuffled(94), crate::skiplist::SkipConfig::default());
+        let st = crate::skiplist::skip_search(&list, &probes, Technique::Amac, &cfg);
         let rt = MorselConfig::with_threads(4);
-        let mt =
-            skip_search_mt_rt(&list, &rel.shuffled(94), Technique::Amac, &Default::default(), &rt);
-        assert_eq!(mt.matches, 10_000);
-        assert_eq!(mt.checksum, st.checksum);
+        let mt = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
+            crate::skiplist::SkipSearchOp::new(&list, &cfg)
+        });
+        assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), 10_000);
+        let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));
+        assert_eq!(checksum, st.checksum);
     }
 
     #[test]
@@ -412,10 +361,14 @@ mod tests {
         let tree = amac_btree::BPlusTree::from_sorted(&pairs);
         let probes = Relation::from_tuples((0..30_000u64).map(|i| Tuple::new(i, 0)).collect());
         let st = crate::btree::btree_search(&tree, &probes, Technique::Amac, &Default::default());
+        let cfg = crate::btree::BTreeConfig { materialize: false, ..Default::default() };
         let rt = MorselConfig::with_threads(4);
-        let mt = btree_search_mt_rt(&tree, &probes, Technique::Amac, &Default::default(), &rt);
-        assert_eq!(mt.matches, st.found);
-        assert_eq!(mt.checksum, st.checksum);
+        let mt = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
+            crate::btree::BTreeOp::new(&tree, &cfg, 0)
+        });
+        assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), st.found);
+        let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));
+        assert_eq!(checksum, st.checksum);
     }
 
     fn pipeline_lab(n_dim: usize, n_fact: usize, groups: u64, seed: u64) -> (HashTable, Relation) {
@@ -469,8 +422,7 @@ mod tests {
         let cfg = crate::pipeline::PipelineConfig::default();
         let st = crate::pipeline::probe_then_probe(&ht1, &ht2, &s, Technique::Amac, &cfg);
         for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
-            let rt =
-                MorselConfig { threads: 4, morsel_tuples: 512, scheduling, ..Default::default() };
+            let rt = MorselConfig { threads: 4, morsel_tuples: 512, scheduling };
             let mt = probe_probe_mt_rt(&ht1, &ht2, &s, Technique::Amac, &cfg, &rt);
             assert_eq!(mt.out.matches, st.aggregated, "{scheduling:?}");
             assert_eq!(mt.out.checksum, st.checksum, "{scheduling:?}");

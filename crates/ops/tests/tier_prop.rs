@@ -55,7 +55,6 @@ proptest! {
             threads: 2,
             morsel_tuples: 256,
             scheduling: Scheduling::StaticChunk,
-            auto_tune: false,
         };
         let a = probe_mt_rt(&ht, &probes, Technique::Amac, &cfg(mult, m), &rt).stats;
         let b = probe_mt_rt(&ht, &probes, Technique::Amac, &cfg(mult, m), &rt).stats;
@@ -80,7 +79,6 @@ proptest! {
                     threads,
                     morsel_tuples: 512,
                     scheduling,
-                    auto_tune: false,
                 };
                 let mt = probe_mt_rt(&ht, &probes, Technique::Amac, &cfg(mult, 10), &rt).stats;
                 prop_assert_eq!(

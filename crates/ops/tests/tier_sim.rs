@@ -139,7 +139,7 @@ fn morsel_runtime_matches_one_shot_and_is_thread_invariant() {
     let mut cycles_ref = None;
     for threads in [1usize, 2, 4] {
         for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
-            let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling, auto_tune: false };
+            let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
             let mt = probe_mt_rt(&ht, &probes, Technique::Amac, &cfg, &rt);
             let tag = format!("{threads}t/{scheduling:?}");
             assert_eq!(mt.matches, st.matches, "{tag}: matches");

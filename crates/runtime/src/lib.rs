@@ -52,7 +52,7 @@ pub(crate) mod testop;
 pub use dispatch::{Dispatcher, Scheduling};
 
 use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
-use amac_metrics::{JsonBuf, LatencyHistogram};
+use amac_metrics::LatencyHistogram;
 use amac_trace::{TraceEvent, Tracer};
 use std::time::Instant;
 
@@ -69,11 +69,6 @@ pub struct MorselConfig {
     pub morsel_tuples: usize,
     /// Dispatch discipline.
     pub scheduling: Scheduling,
-    /// Calibrate the in-flight window at startup via
-    /// [`TuningParams::auto`] over a stride-sample of the input,
-    /// overriding the caller's `TuningParams` (AMAC only; the probe phase
-    /// *executes* lookups, so enable it only for read-only ops).
-    pub auto_tune: bool,
 }
 
 impl Default for MorselConfig {
@@ -82,7 +77,6 @@ impl Default for MorselConfig {
             threads: 0,
             morsel_tuples: DEFAULT_MORSEL_TUPLES,
             scheduling: Scheduling::WorkSteal,
-            auto_tune: false,
         }
     }
 }
@@ -140,7 +134,7 @@ pub struct RunReport {
     pub seconds: f64,
     /// Total tuples processed.
     pub tuples: u64,
-    /// The in-flight window actually used (after auto-tuning, if any).
+    /// The in-flight window used (the caller's `TuningParams::in_flight`).
     pub in_flight: usize,
     /// Per-morsel service times (nanoseconds), merged over all workers.
     pub morsel_ns: LatencyHistogram,
@@ -224,57 +218,6 @@ impl RunReport {
         }
         self.trace.merge(other.trace.clone());
     }
-
-    /// Serialize the report as one JSON object: the merged counters, the
-    /// per-thread observations, and — when the run was traced — the
-    /// stall-attribution profile as `stall_profile` rows (one per
-    /// [`amac_trace::StallKey`] cell, in key order). The shape matches
-    /// the bench trajectory blobs so regress tooling can diff it.
-    pub fn to_json(&self) -> String {
-        let mut j = JsonBuf::new();
-        j.begin_obj();
-        j.u64_field("lookups", self.stats.lookups);
-        j.u64_field("tuples", self.tuples);
-        j.f64_field("seconds", self.seconds);
-        j.f64_field("throughput", self.throughput());
-        j.u64_field("in_flight", self.in_flight as u64);
-        j.u64_field("morsels", self.morsels());
-        j.u64_field("steals", self.steals());
-        j.f64_field("imbalance", self.imbalance());
-        j.u64_field("sim_cycles", self.stats.sim_cycles);
-        j.u64_field("sim_stalls", self.stats.sim_stalls);
-        j.u64_field("trace_events", self.trace.len() as u64);
-        j.u64_field("trace_loads", self.trace.loads());
-        j.u64_field("trace_retires", self.trace.retires());
-        j.u64_field("trace_stalls", self.trace.stalls());
-        j.begin_arr_key("threads");
-        for t in &self.per_thread {
-            j.begin_obj()
-                .u64_field("tid", t.tid as u64)
-                .f64_field("busy_seconds", t.busy_seconds)
-                .f64_field("finished_at", t.finished_at)
-                .u64_field("morsels", t.morsels)
-                .u64_field("tuples", t.tuples)
-                .u64_field("steals", t.steals)
-                .end_obj();
-        }
-        j.end_arr();
-        j.begin_arr_key("stall_profile");
-        for (k, v) in self.trace.stall_rows() {
-            j.begin_obj()
-                .str_field("op", k.op)
-                .str_field("class", &k.class.to_string())
-                .str_field("tier", &k.tier.to_string())
-                .u64_field("hop", u64::from(k.hop))
-                .u64_field("tenant", u64::from(k.tenant))
-                .u64_field("shard", u64::from(k.shard))
-                .u64_field("ticks", v)
-                .end_obj();
-        }
-        j.end_arr();
-        j.end_obj();
-        j.finish()
-    }
 }
 
 /// A finished run: the per-thread ops (holding their materialized
@@ -326,11 +269,6 @@ where
     P: Fn(&mut O, &[I]) + Sync,
 {
     let threads = cfg.resolved_threads().max(1);
-    let params = if cfg.auto_tune && technique == Technique::Amac {
-        TuningParams::auto(|| make_op(0), &stride_sample(inputs))
-    } else {
-        params
-    };
     let dispatcher = Dispatcher::new(inputs.len(), threads, cfg.morsel_tuples, cfg.scheduling);
     let section = Instant::now();
 
@@ -396,16 +334,6 @@ where
     RunOutput { ops, report }
 }
 
-/// Up-to-16K-element stride sample spanning the whole input, for the
-/// tuning probe (a contiguous prefix would bias the calibration on
-/// clustered inputs, where one region's chain lengths are unlike the
-/// rest).
-fn stride_sample<I: Copy>(inputs: &[I]) -> Vec<I> {
-    const TARGET: usize = 16 * 1024;
-    let stride = inputs.len().div_ceil(TARGET).max(1);
-    inputs.iter().step_by(stride).take(TARGET).copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,8 +365,7 @@ mod tests {
 
         for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
         {
-            let cfg =
-                MorselConfig { threads: 4, morsel_tuples: 1024, scheduling, auto_tune: false };
+            let cfg = MorselConfig { threads: 4, morsel_tuples: 1024, scheduling };
             let out = execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| {
                 ChainOp::new(&ch)
             });
@@ -496,18 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_tune_reports_a_bounded_window() {
-        let ch = chains(30_000);
-        let inputs: Vec<usize> = (0..ch.len()).collect();
-        let cfg = MorselConfig { threads: 2, auto_tune: true, ..Default::default() };
-        let out =
-            execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| ChainOp::new(&ch));
-        let m = out.report.in_flight;
-        assert!((4..=64).contains(&m), "auto-tuned window {m} out of bounds");
-        assert_eq!(out.report.stats.lookups, ch.len() as u64);
-    }
-
-    #[test]
     fn empty_input_and_oversubscription() {
         let ch: Vec<usize> = vec![];
         let inputs: Vec<usize> = vec![];
@@ -531,24 +446,6 @@ mod tests {
             |_| ChainOp::new(&ch),
         );
         assert_eq!(out.report.stats.lookups, 5);
-    }
-
-    #[test]
-    fn to_json_reports_counters_and_an_empty_profile_when_untraced() {
-        let ch = chains(2_000);
-        let inputs: Vec<usize> = (0..ch.len()).collect();
-        let cfg = MorselConfig { threads: 2, morsel_tuples: 512, ..Default::default() };
-        let out =
-            execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| ChainOp::new(&ch));
-        let js = out.report.to_json();
-        assert!(js.starts_with('{') && js.ends_with('}'));
-        assert!(js.contains("\"lookups\":2000"), "{js}");
-        assert!(js.contains("\"threads\":[{"), "{js}");
-        // ChainOp never installs a tracer, so the profile must be empty
-        // and the trace counters zero.
-        assert!(js.contains("\"stall_profile\":[]"), "{js}");
-        assert!(js.contains("\"trace_events\":0"), "{js}");
-        assert!(!out.report.trace.enabled());
     }
 
     #[test]

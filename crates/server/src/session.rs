@@ -724,12 +724,6 @@ impl<'a> ServeSession<'a> {
         self.trace = tracer;
     }
 
-    /// Remove and return the session tracer (also surrendered by
-    /// [`finish`](ServeSession::finish) via [`ServeOutput::trace`]).
-    pub fn take_trace(&mut self) -> Tracer {
-        self.trace.take()
-    }
-
     /// Take the WAL records surrendered by completed/aborted mutation
     /// lanes so far, in lane-retirement order. The caller owns
     /// persistence: append them to an [`amac_tier::Wal`] and seal at

@@ -141,8 +141,7 @@ fn injected_faults_are_identical_at_one_two_and_four_threads() {
     let sigs = [1usize, 2, 4].map(|threads| {
         let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
         let tenants: Vec<TenantProbe> = streams.iter().map(TenantProbe::new).collect();
-        let params = TuningParams::default();
-        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg, params, 256, &rt);
+        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg, 256, &rt);
         o.tenants
             .iter()
             .map(|t| (t.stats.load_faults, t.stats.failed_lookups, t.matches, t.checksum))

@@ -92,14 +92,12 @@ fn uniform_tenant_unaffected_in_serving_scheduler() {
 #[test]
 fn uniform_tenant_unaffected_on_morsel_runtime_1_2_4_threads() {
     let (ht, uniform, skewed) = lab();
-    let params = TuningParams::default();
     // Solo reference through the same multi-tenant driver, 1 thread.
     let solo = probe_multi_mt_rt(
         &ht,
         &[TenantProbe::new(&uniform)],
         Technique::Amac,
         &cfg(),
-        params,
         256,
         &MorselConfig::with_threads(1),
     )
@@ -109,9 +107,9 @@ fn uniform_tenant_unaffected_on_morsel_runtime_1_2_4_threads() {
     for threads in [1usize, 2, 4] {
         for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
         {
-            let rt = MorselConfig { threads, morsel_tuples: 512, scheduling, ..Default::default() };
+            let rt = MorselConfig { threads, morsel_tuples: 512, scheduling };
             let tenants = [TenantProbe::new(&uniform), TenantProbe::new(&skewed)];
-            let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg(), params, 256, &rt);
+            let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg(), 256, &rt);
             let got = &out.tenants[0];
             let tag = format!("{threads}t/{scheduling:?}");
             assert_eq!(got.matches, solo.matches, "{tag}: matches");

@@ -12,6 +12,13 @@
 //! coalescing unit dedups hot remote lines — deduped messages are never
 //! charged.
 //!
+//! Every driver is one call of the same fan-out: it deals the input into
+//! `(core, target-shard)` sub-runs, runs the operator's one-thread driver
+//! on each, keeps one [`CoreLedger`] entry per core and, when
+//! [`ShardConfig::trace`] is set, one merged trace. A driver only says how
+//! to run its operator on a sub-relation and how to fold a sub-run's
+//! output into its own.
+//!
 //! Determinism: each `(core, target-shard)` sub-run is an ordinary
 //! single-threaded operator run with its own simulated clock, so every
 //! counter is a pure function of the input and the placement — thread
@@ -32,6 +39,7 @@ use amac_trace::{TraceEvent, Tracer};
 use amac_workload::{Relation, Tuple};
 
 use crate::table::{ShardedAgg, ShardedTable};
+use crate::ShardRouter;
 
 /// Where input tuples execute, relative to the data they touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,24 +55,21 @@ pub enum Placement {
     Interleaved,
 }
 
-/// Knobs shared by every sharded driver.
+/// Knobs shared by every sharded driver. Every sub-run prices its loads
+/// with the default [`CostModel`]: local sub-runs pay
+/// [`TierPolicy::AllNear`], cross-shard sub-runs [`TierPolicy::Remote`]
+/// (`near_latency × remote_multiplier` per load).
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Executor tuning (the paper's `M`), applied to every sub-run.
     pub params: TuningParams,
-    /// One cost model for local *and* remote pricing: local sub-runs pay
-    /// [`TierPolicy::AllNear`], cross-shard sub-runs [`TierPolicy::Remote`]
-    /// (`near_latency × remote_multiplier` per load).
-    pub model: CostModel,
     /// AMU issue coalescing group size (`None` = scalar issue). Remote
-    /// lines dedup exactly like local ones.
+    /// lines dedup exactly like local ones. Mutations never coalesce.
     pub coalesce: Option<usize>,
     /// OS threads executing cores (cores deal round-robin onto threads).
     /// Results and counters are identical for any value ≥ 1.
     pub threads: usize,
-    /// Probe chain-walk mode (see [`ProbeConfig::scan_all`]).
-    pub scan_all: bool,
-    /// Trace probe sub-runs ([`amac_trace`]): each core's tracer is
+    /// Trace every sub-run ([`amac_trace`]): each core's tracer is
     /// re-stamped with the executing core's shard id and merged in core
     /// order (so the merged trace is thread-invariant), and every
     /// cross-shard sub-run appends an [`amac_trace::EventKind::Remote`]
@@ -76,22 +81,7 @@ pub struct ShardConfig {
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            params: TuningParams::default(),
-            model: CostModel::default(),
-            coalesce: None,
-            threads: 1,
-            scan_all: false,
-            trace: false,
-        }
-    }
-}
-
-impl ShardConfig {
-    /// Tier spec for a sub-run from core `core` against shard `target`.
-    fn spec(&self, core: usize, target: usize) -> TierSpec {
-        let policy = if core == target { TierPolicy::AllNear } else { TierPolicy::Remote };
-        TierSpec { model: self.model, policy }
+        ShardConfig { params: TuningParams::default(), coalesce: None, threads: 1, trace: false }
     }
 }
 
@@ -157,6 +147,8 @@ pub struct ShardAggOutput {
     pub tuples: u64,
     /// Makespan accounting.
     pub ledger: CoreLedger,
+    /// Merged structured trace (see [`ShardProbeOutput::trace`]).
+    pub trace: Tracer,
 }
 
 /// Result of a sharded fused-pipeline run.
@@ -172,6 +164,8 @@ pub struct ShardPipelineOutput {
     pub groups: Vec<(u64, AggValues)>,
     /// Makespan accounting.
     pub ledger: CoreLedger,
+    /// Merged structured trace (see [`ShardProbeOutput::trace`]).
+    pub trace: Tracer,
 }
 
 /// Result of a sharded mutation run.
@@ -191,15 +185,13 @@ pub struct ShardMutOutput {
     pub wals: Vec<Vec<WalRecord>>,
     /// Makespan accounting.
     pub ledger: CoreLedger,
+    /// Merged structured trace (see [`ShardProbeOutput::trace`]).
+    pub trace: Tracer,
 }
 
 /// Deal input tuple indices into the `(core, target)` sub-run plan.
 /// `plan[core][target]` = input indices, input order preserved.
-fn plan_runs(
-    router: &crate::ShardRouter,
-    input: &[Tuple],
-    placement: Placement,
-) -> Vec<Vec<Vec<usize>>> {
+fn plan_runs(router: &ShardRouter, input: &[Tuple], placement: Placement) -> Vec<Vec<Vec<usize>>> {
     let n = router.n_shards();
     let mut plan = vec![vec![Vec::new(); n]; n];
     for (i, t) in input.iter().enumerate() {
@@ -211,10 +203,6 @@ fn plan_runs(
         plan[core][target].push(i);
     }
     plan
-}
-
-fn sub_relation(input: &[Tuple], idxs: &[usize]) -> Relation {
-    Relation::from_tuples(idxs.iter().map(|&i| input[i]).collect())
 }
 
 /// Run `job(core)` for every core on `threads` OS threads (cores dealt
@@ -248,6 +236,59 @@ where
     out.into_iter().map(|o| o.expect("every core ran")).collect()
 }
 
+/// The fan-out every sharded driver is: deal `input` into the
+/// `(core, target)` plan, run each core's sub-runs on `threads` OS
+/// threads, then fold every sub-run's output in core order, then target
+/// order. `run(target, tier, sub)` runs the operator on shard `target`'s
+/// table under the sub-run's tier spec and returns its counters, trace
+/// and output; `fold(target, idxs, output)` gets the sub-run's input
+/// indices with it. Returns the per-core ledger and the merged trace.
+fn fan_out<R: Send>(
+    router: &ShardRouter,
+    input: &[Tuple],
+    placement: Placement,
+    threads: usize,
+    run: impl Fn(usize, TierSpec, &Relation) -> (EngineStats, Tracer, R) + Sync,
+    mut fold: impl FnMut(usize, &[usize], R),
+) -> (CoreLedger, Tracer) {
+    let plan = plan_runs(router, input, placement);
+    let cores = run_cores(router.n_shards(), threads, |core| {
+        let mut stats = EngineStats::default();
+        let mut trace = Tracer::off();
+        let mut outs = Vec::new();
+        for (target, idxs) in plan[core].iter().enumerate().filter(|(_, idxs)| !idxs.is_empty()) {
+            let policy = if core == target { TierPolicy::AllNear } else { TierPolicy::Remote };
+            let tier = TierSpec { model: CostModel::default(), policy };
+            let sub = Relation::from_tuples(idxs.iter().map(|&i| input[i]).collect());
+            let (s, mut t, out) = run(target, tier, &sub);
+            if core != target {
+                // One batch event per cross-shard sub-run, stamped at the
+                // sub-run's own clock end (sub-runs start at 0).
+                let end = s.sim_cycles + s.sim_stalls;
+                let (from, to) = (core as u16, target as u16);
+                t.record(TraceEvent::remote(end, from, to, s.remote_loads, s.remote_bytes));
+            }
+            stats.merge(&s);
+            trace.merge(t);
+            outs.push((target, out));
+        }
+        // Attribute everything this core executed — local or over the
+        // interconnect — to the core's shard id.
+        trace.retag_shard(core as u16);
+        (stats, trace, outs)
+    });
+    let mut per_core = Vec::with_capacity(cores.len());
+    let mut merged = Tracer::off();
+    for (core, (stats, trace, outs)) in cores.into_iter().enumerate() {
+        for (target, out) in outs {
+            fold(target, &plan[core][target], out);
+        }
+        per_core.push(stats);
+        merged.merge(trace);
+    }
+    (CoreLedger::from_cores(per_core), merged)
+}
+
 /// Sharded probe: each core probes its local shard directly and every
 /// other shard over the interconnect, per `placement`. Results are
 /// bit-identical to an unsharded [`probe`] of the same relation.
@@ -258,83 +299,35 @@ pub fn probe_sharded(
     cfg: &ShardConfig,
     placement: Placement,
 ) -> ShardProbeOutput {
-    let n = st.n_shards();
-    let plan = plan_runs(st.router(), &probes.tuples, placement);
-
-    struct Partial {
-        matches: u64,
-        checksum: u64,
-        scatter: Vec<(usize, u64)>,
-        stats: EngineStats,
-        trace: Tracer,
-    }
-    let partials = run_cores(n, cfg.threads, |core| {
-        let mut p = Partial {
-            matches: 0,
-            checksum: 0,
-            scatter: Vec::new(),
-            stats: EngineStats::default(),
-            trace: Tracer::off(),
-        };
-        for (target, idxs) in plan[core].iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
+    // Every input index lands in exactly one sub-run, so the scatter
+    // covers the whole vector; the fill value mirrors ProbeOp's
+    // "unmatched" sentinel for bit-comparability anyway.
+    let mut out = ShardProbeOutput { out: vec![u64::MAX; probes.len()], ..Default::default() };
+    (out.ledger, out.trace) = fan_out(
+        st.router(),
+        &probes.tuples,
+        placement,
+        cfg.threads,
+        |target, tier, sub| {
             let pcfg = ProbeConfig {
                 params: cfg.params,
-                scan_all: cfg.scan_all,
-                tier: Some(cfg.spec(core, target)),
+                tier: Some(tier),
                 coalesce: cfg.coalesce,
                 trace: cfg.trace,
                 ..Default::default()
             };
-            let sub =
-                probe(st.shard(target), &sub_relation(&probes.tuples, idxs), technique, &pcfg);
-            p.matches += sub.matches;
-            p.checksum = p.checksum.wrapping_add(sub.checksum);
-            p.scatter.extend(idxs.iter().copied().zip(sub.out.iter().copied()));
-            p.stats.merge(&sub.stats);
-            if cfg.trace {
-                let mut t = sub.trace;
-                if core != target {
-                    // One batch event per cross-shard sub-run, stamped at
-                    // the sub-run's own clock end (sub-runs start at 0).
-                    let end = sub.stats.sim_cycles + sub.stats.sim_stalls;
-                    t.record(TraceEvent::remote(
-                        end,
-                        core as u16,
-                        target as u16,
-                        sub.stats.remote_loads,
-                        sub.stats.remote_bytes,
-                    ));
-                }
-                p.trace.merge(t);
+            let sub = probe(st.shard(target), sub, technique, &pcfg);
+            (sub.stats, sub.trace, (sub.matches, sub.checksum, sub.out))
+        },
+        |_, idxs, (matches, checksum, payloads)| {
+            out.matches += matches;
+            out.checksum = out.checksum.wrapping_add(checksum);
+            for (&i, v) in idxs.iter().zip(payloads) {
+                out.out[i] = v;
             }
-        }
-        // Attribute everything this core executed — local or over the
-        // interconnect — to the core's shard id.
-        p.trace.retag_shard(core as u16);
-        p
-    });
-
-    // Every input index lands in exactly one sub-run, so the scatter
-    // covers the whole vector; the fill value mirrors ProbeOp's
-    // "unmatched" sentinel for bit-comparability anyway.
-    let mut out = vec![u64::MAX; probes.len()];
-    let mut matches = 0u64;
-    let mut checksum = 0u64;
-    let mut per_core = Vec::with_capacity(n);
-    let mut trace = Tracer::off();
-    for p in partials {
-        matches += p.matches;
-        checksum = checksum.wrapping_add(p.checksum);
-        for (i, v) in p.scatter {
-            out[i] = v;
-        }
-        per_core.push(p.stats);
-        trace.merge(p.trace);
-    }
-    ShardProbeOutput { matches, checksum, out, ledger: CoreLedger::from_cores(per_core), trace }
+        },
+    );
+    out
 }
 
 /// Sharded group-by. Aggregation state is **single-writer per shard**
@@ -347,25 +340,26 @@ pub fn groupby_sharded(
     technique: Technique,
     cfg: &ShardConfig,
 ) -> ShardAggOutput {
-    let n = agg.n_shards();
-    let plan = plan_runs(agg.router(), &input.tuples, Placement::Routed);
-    let results = run_cores(n, cfg.threads, |core| {
-        let idxs = &plan[core][core];
-        if idxs.is_empty() {
-            return (0u64, EngineStats::default());
-        }
-        let gcfg = GroupByConfig {
-            params: cfg.params,
-            tier: Some(cfg.spec(core, core)),
-            coalesce: cfg.coalesce,
-            ..Default::default()
-        };
-        let sub = groupby(agg.shard(core), &sub_relation(&input.tuples, idxs), technique, &gcfg);
-        (sub.tuples, sub.stats)
-    });
-    let tuples = results.iter().map(|r| r.0).sum();
-    let per_core = results.into_iter().map(|r| r.1).collect();
-    ShardAggOutput { tuples, ledger: CoreLedger::from_cores(per_core) }
+    let mut out = ShardAggOutput::default();
+    (out.ledger, out.trace) = fan_out(
+        agg.router(),
+        &input.tuples,
+        Placement::Routed,
+        cfg.threads,
+        |target, tier, sub| {
+            let gcfg = GroupByConfig {
+                params: cfg.params,
+                tier: Some(tier),
+                coalesce: cfg.coalesce,
+                trace: cfg.trace,
+                ..Default::default()
+            };
+            let sub = groupby(agg.shard(target), sub, technique, &gcfg);
+            (sub.stats, sub.trace, sub.tuples)
+        },
+        |_, _, tuples| out.tuples += tuples,
+    );
+    out
 }
 
 /// Sharded fused probe→group-by pipeline. The fact relation routes (or
@@ -380,60 +374,32 @@ pub fn pipeline_sharded(
     cfg: &ShardConfig,
     placement: Placement,
 ) -> ShardPipelineOutput {
-    let n = st.n_shards();
-    let plan = plan_runs(st.router(), &fact.tuples, placement);
-
-    struct Partial {
-        matched: u64,
-        aggregated: u64,
-        groups: Vec<(u64, AggValues)>,
-        stats: EngineStats,
-    }
-    let partials = run_cores(n, cfg.threads, |core| {
-        let mut p = Partial {
-            matched: 0,
-            aggregated: 0,
-            groups: Vec::new(),
-            stats: EngineStats::default(),
-        };
-        for (target, idxs) in plan[core].iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
+    let mut out = ShardPipelineOutput::default();
+    (out.ledger, out.trace) = fan_out(
+        st.router(),
+        &fact.tuples,
+        placement,
+        cfg.threads,
+        |target, tier, sub| {
             let pcfg = PipelineConfig {
                 params: cfg.params,
-                tier: Some(cfg.spec(core, target)),
+                tier: Some(tier),
                 coalesce: cfg.coalesce,
+                trace: cfg.trace,
                 ..Default::default()
             };
             let scratch = AggTable::for_groups(total_groups.max(1));
-            let sub = probe_then_groupby(
-                st.shard(target),
-                &scratch,
-                &sub_relation(&fact.tuples, idxs),
-                technique,
-                &pcfg,
-            );
-            p.matched += sub.matched;
-            p.aggregated += sub.aggregated;
-            p.groups.extend(scratch.groups());
-            p.stats.merge(&sub.stats);
-        }
-        p
-    });
-
-    let mut merged: Vec<(u64, AggValues)> = Vec::new();
-    let mut matched = 0u64;
-    let mut aggregated = 0u64;
-    let mut per_core = Vec::with_capacity(n);
-    for p in partials {
-        matched += p.matched;
-        aggregated += p.aggregated;
-        merged.extend(p.groups);
-        per_core.push(p.stats);
-    }
-    merged.sort_unstable_by_key(|&(k, _)| k);
-    merged.dedup_by(|b, a| {
+            let sub = probe_then_groupby(st.shard(target), &scratch, sub, technique, &pcfg);
+            (sub.stats, sub.trace, (sub.matched, sub.aggregated, scratch.groups()))
+        },
+        |_, _, (matched, aggregated, groups)| {
+            out.matched += matched;
+            out.aggregated += aggregated;
+            out.groups.extend(groups);
+        },
+    );
+    out.groups.sort_unstable_by_key(|&(k, _)| k);
+    out.groups.dedup_by(|b, a| {
         if a.0 == b.0 {
             // Same group touched from several sub-runs: combine.
             a.1.count += b.1.count;
@@ -446,12 +412,7 @@ pub fn pipeline_sharded(
             false
         }
     });
-    ShardPipelineOutput {
-        matched,
-        aggregated,
-        groups: merged,
-        ledger: CoreLedger::from_cores(per_core),
-    }
+    out
 }
 
 /// Sharded mutation: each tuple mutates the shard owning its key.
@@ -468,71 +429,41 @@ pub fn mutate_sharded(
     cfg: &ShardConfig,
     placement: Placement,
 ) -> ShardMutOutput {
-    let n = st.n_shards();
-    let plan = plan_runs(st.router(), &rel.tuples, placement);
     let threads = match placement {
         Placement::Routed => cfg.threads,
         Placement::Interleaved => 1,
     };
-
-    struct Partial {
-        applied: u64,
-        created: u64,
-        merged: u64,
-        deleted: u64,
-        wals: Vec<(usize, Vec<WalRecord>)>,
-        stats: EngineStats,
-    }
-    let partials = run_cores(n, threads, |core| {
-        let mut p = Partial {
-            applied: 0,
-            created: 0,
-            merged: 0,
-            deleted: 0,
-            wals: Vec::new(),
-            stats: EngineStats::default(),
-        };
-        for (target, idxs) in plan[core].iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
+    let mut out = ShardMutOutput { wals: vec![Vec::new(); st.n_shards()], ..Default::default() };
+    (out.ledger, out.trace) = fan_out(
+        st.router(),
+        &rel.tuples,
+        placement,
+        threads,
+        |target, tier, sub| {
             let mcfg = MutateConfig {
                 params: cfg.params,
                 kind,
-                tier: Some(cfg.spec(core, target)),
+                tier: Some(tier),
+                trace: cfg.trace,
                 ..Default::default()
             };
-            let sub = mutate(st.shard(target), &sub_relation(&rel.tuples, idxs), technique, &mcfg);
-            p.applied += sub.applied;
-            p.created += sub.created;
-            p.merged += sub.merged;
-            p.deleted += sub.deleted;
-            p.wals.push((target, sub.wal));
-            p.stats.merge(&sub.stats);
-        }
-        p
-    });
-
-    let mut out = ShardMutOutput { wals: vec![Vec::new(); n], ..Default::default() };
-    let mut per_core = Vec::with_capacity(n);
-    for p in partials {
-        out.applied += p.applied;
-        out.created += p.created;
-        out.merged += p.merged;
-        out.deleted += p.deleted;
-        for (target, wal) in p.wals {
-            out.wals[target].extend(wal);
-        }
-        per_core.push(p.stats);
-    }
-    out.ledger = CoreLedger::from_cores(per_core);
+            let mut sub = mutate(st.shard(target), sub, technique, &mcfg);
+            (sub.stats, sub.trace.take(), sub)
+        },
+        |target, _, sub| {
+            out.applied += sub.applied;
+            out.created += sub.created;
+            out.merged += sub.merged;
+            out.deleted += sub.deleted;
+            out.wals[target].extend(sub.wal);
+        },
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardRouter;
     use amac_hashtable::HashTable;
 
     fn fixtures() -> (Relation, Relation) {
@@ -592,48 +523,81 @@ mod tests {
         assert_eq!(mt.out, out.out);
     }
 
+    /// One sharded run on fresh state: how many input tuples its fold
+    /// accounted for, its results as text, its ledger and its trace.
+    type Traced = (u64, String, CoreLedger, Tracer);
+    type Run<'a> = &'a dyn Fn(&ShardConfig) -> Traced;
+
     #[test]
     fn traced_sharded_probe_conserves_and_records_remote_batches() {
-        let (build, probes) = fixtures();
-        let st = ShardedTable::build(&build, ShardRouter::new(6, 4));
-        let plain = probe_sharded(
-            &st,
-            &probes,
-            Technique::Amac,
-            &ShardConfig::default(),
-            Placement::Interleaved,
-        );
-        let cfg = ShardConfig { trace: true, ..Default::default() };
-        let out = probe_sharded(&st, &probes, Technique::Amac, &cfg, Placement::Interleaved);
-        // Tracing must not move results or any counter.
-        assert_eq!(out.out, plain.out);
-        assert_eq!(out.ledger.stats, plain.ledger.stats);
-        // Conservation across every core and interconnect hop: attributed
-        // stalls sum to sim_stalls, retirements to lookups.
-        assert!(out.trace.conserves(out.ledger.stats.sim_stalls, out.ledger.stats.lookups));
-        // The Remote batch events account for every interconnect message.
-        let remote_loads: u64 = out
-            .trace
-            .events()
-            .filter_map(|e| match e.kind {
-                amac_trace::EventKind::Remote { loads, .. } => Some(loads),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(remote_loads, out.ledger.stats.remote_loads);
-        // Events are stamped with the executing core's shard id.
-        let shards: std::collections::BTreeSet<u16> = out.trace.events().map(|e| e.shard).collect();
-        assert!(shards.len() > 1, "interleaved placement must exercise several cores");
-        // Thread-invariance: the merged trace is byte-identical at 4
-        // threads (sub-runs are deterministic, merge order is core order).
-        let mt = probe_sharded(
-            &st,
-            &probes,
-            Technique::Amac,
-            &ShardConfig { threads: 4, trace: true, ..Default::default() },
-            Placement::Interleaved,
-        );
-        assert_eq!(mt.trace.render(), out.trace.render());
+        // Table-driven over every sharded operator (pipelines filterless,
+        // so retirements conserve exactly).
+        let dim = Relation::fk_dimension(1 << 9, 64, 7);
+        let fact = Relation::fk_uniform(&dim, 1 << 11, 9);
+        let ups = Relation::zipf(1 << 9, 1 << 10, 0.6, 23);
+        let router = ShardRouter::new(6, 4);
+        let st = ShardedTable::build(&dim, router.clone());
+        let (amac, dealt) = (Technique::Amac, Placement::Interleaved);
+        let probe_run = |cfg: &ShardConfig| -> Traced {
+            let o = probe_sharded(&st, &fact, amac, cfg, dealt);
+            (o.matches, format!("{} {:?}", o.checksum, o.out), o.ledger, o.trace)
+        };
+        let groupby_run = |cfg: &ShardConfig| -> Traced {
+            let agg = ShardedAgg::for_groups(1 << 9, router.clone());
+            let o = groupby_sharded(&agg, &fact, amac, cfg);
+            (o.tuples, format!("{:?}", agg.merged_groups()), o.ledger, o.trace)
+        };
+        let pipeline_run = |cfg: &ShardConfig| -> Traced {
+            let o = pipeline_sharded(&st, &fact, 64, amac, cfg, dealt);
+            (o.matched, format!("{} {:?}", o.aggregated, o.groups), o.ledger, o.trace)
+        };
+        let upsert_run = |cfg: &ShardConfig| -> Traced {
+            let st = ShardedTable::build(&dim, router.clone());
+            let o = mutate_sharded(&st, &ups, MutateKind::Upsert, amac, cfg, dealt);
+            let res = format!("{} {} {:?} {:?}", o.created, o.merged, o.wals, st.contents_sorted());
+            (o.applied, res, o.ledger, o.trace)
+        };
+        let runs: [(&str, Run); 4] = [
+            ("probe", &probe_run),
+            ("groupby", &groupby_run),
+            ("pipeline", &pipeline_run),
+            ("upsert", &upsert_run),
+        ];
+        for (name, run) in runs {
+            let (plain_n, plain, plain_ledger, _) = run(&ShardConfig::default());
+            let traced = ShardConfig { trace: true, ..Default::default() };
+            let (n, res, ledger, trace) = run(&traced);
+            // Tracing must not move results or any counter.
+            assert_eq!((n, res), (plain_n, plain), "{name}");
+            assert_eq!(ledger.per_core, plain_ledger.per_core, "{name}");
+            assert_eq!(ledger.stats, plain_ledger.stats, "{name}");
+            // Every sub-run's output is folded, and global == Σ per-core.
+            assert_eq!(n, ledger.stats.lookups, "{name}: a sub-run's output was not folded");
+            let mut sum = EngineStats::default();
+            for s in &ledger.per_core {
+                sum.merge(s);
+            }
+            assert_eq!(sum, ledger.stats, "{name}");
+            // Conservation across every core and interconnect hop:
+            // attributed stalls sum to sim_stalls, retirements to lookups.
+            assert!(trace.conserves(ledger.stats.sim_stalls, ledger.stats.lookups), "{name}");
+            // The Remote batch events account for every interconnect message.
+            let remote_loads: u64 = trace
+                .events()
+                .filter_map(|e| match e.kind {
+                    amac_trace::EventKind::Remote { loads, .. } => Some(loads),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(remote_loads, ledger.stats.remote_loads, "{name}");
+            // Events are stamped with the executing core's shard id.
+            let shards: std::collections::BTreeSet<u16> = trace.events().map(|e| e.shard).collect();
+            assert!(shards.len() > 1, "{name}: every placement exercises several cores");
+            // Thread-invariance: the merged trace is byte-identical at 4
+            // threads (sub-runs are deterministic, merge order is core order).
+            let (.., mt) = run(&ShardConfig { threads: 4, ..traced });
+            assert_eq!(mt.render(), trace.render(), "{name}");
+        }
     }
 
     #[test]

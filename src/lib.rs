@@ -93,7 +93,7 @@ pub mod prelude {
     pub use amac_btree::BPlusTree;
     pub use amac_coro::{run_interleaved_collect, CoroConfig};
     pub use amac_hashtable::{AggTable, HashTable, LinearTable};
-    pub use amac_ops::join::{hash_join, probe, ProbeConfig};
+    pub use amac_ops::join::{probe, ProbeConfig};
     pub use amac_ops::join_radix::{radix_join, RadixJoinConfig};
     pub use amac_ops::parallel::{probe_groupby_mt_rt, probe_mt_rt, MtOutput};
     pub use amac_ops::pipeline::{

@@ -102,8 +102,7 @@ fn fused_mt_is_deterministic_and_equals_reference() {
             for scheduling in
                 [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
             {
-                let rt =
-                    MorselConfig { threads, morsel_tuples: 1024, scheduling, ..Default::default() };
+                let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
                 let table = AggTable::for_groups(GROUPS as usize);
                 let mt = probe_groupby_mt_rt(&ht, &table, &fact, Technique::Amac, &cfg, &rt);
                 assert_eq!(mt.out.matches, st.aggregated, "{tag}/{threads}t/{scheduling:?}");

@@ -1,10 +1,10 @@
 //! Workspace-level tests of the morsel-driven runtime against the real
-//! operators: determinism across scheduling disciplines, balance under
-//! positional skew, and the in-flight auto-tuner.
+//! operators: determinism across scheduling disciplines and balance under
+//! positional skew.
 
-use amac_suite::engine::{Technique, TuningParams};
+use amac_suite::engine::Technique;
 use amac_suite::hashtable::HashTable;
-use amac_suite::ops::join::{probe, ProbeConfig, ProbeOp};
+use amac_suite::ops::join::{probe, ProbeConfig};
 use amac_suite::ops::parallel::probe_mt_rt;
 use amac_suite::runtime::{MorselConfig, Scheduling};
 use amac_suite::workload::Relation;
@@ -32,7 +32,7 @@ fn morsel_probe_checksum_equals_static_chunk_checksum() {
     let (ht, s) = skewed_probe_inputs(60_000, 0xA11);
     let single = probe(&ht, &s, Technique::Amac, &scan_all_cfg());
     for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal] {
-        let rt = MorselConfig { threads: 4, morsel_tuples: 4096, scheduling, ..Default::default() };
+        let rt = MorselConfig { threads: 4, morsel_tuples: 4096, scheduling };
         let mt = probe_mt_rt(&ht, &s, Technique::Amac, &scan_all_cfg(), &rt);
         assert_eq!(mt.matches, single.matches, "{scheduling:?}");
         assert_eq!(mt.checksum, single.checksum, "{scheduling:?}");
@@ -68,21 +68,4 @@ fn work_stealing_flattens_the_skewed_tail() {
         );
     }
     panic!("{last_failure}");
-}
-
-#[test]
-fn auto_tuner_picks_a_sane_window() {
-    let r = Relation::dense_unique(1 << 16, 0x70E);
-    let s = Relation::fk_uniform(&r, 1 << 17, 0xD06);
-    let ht = HashTable::build_serial(&r);
-    // Driver-level: auto_tune through the runtime.
-    let rt = MorselConfig { threads: 2, auto_tune: true, ..Default::default() };
-    let mt = probe_mt_rt(&ht, &s, Technique::Amac, &ProbeConfig::default(), &rt);
-    assert!((4..=64).contains(&mt.report.in_flight), "runtime-tuned M = {}", mt.report.in_flight);
-    assert_eq!(mt.matches, s.len() as u64);
-
-    // API-level: TuningParams::auto directly over a scratch op.
-    let cfg = ProbeConfig { materialize: false, ..Default::default() };
-    let params = TuningParams::auto(|| ProbeOp::new(&ht, &cfg, 0), &s.tuples);
-    assert!((4..=64).contains(&params.in_flight), "direct-tuned M = {}", params.in_flight);
 }

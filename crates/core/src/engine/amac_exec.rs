@@ -8,7 +8,9 @@ use super::{AmacSession, EngineStats, LookupOp, Step};
 ///
 /// `m` is the circular-buffer size (paper's in-flight lookup count; ~10
 /// saturates a Xeon core's L1-D MSHRs). This is one [`AmacSession`]
-/// window, clamped to the input count, fed the whole input and drained:
+/// window, clamped to the input count, fed the whole input and drained,
+/// so an op that [looks ahead](LookupOp::looks_ahead) has each input's
+/// stage-0 line requested `m` inputs before its slot opens (`m < 16`):
 ///
 /// * each in-flight lookup keeps its full state in its own buffer slot;
 /// * slots are visited with a **rolling counter** (no modulo — §3.1 notes

@@ -72,6 +72,18 @@ impl<O: LookupOp, const PLAIN: bool> Call<'_, O, PLAIN> {
         self.op.ctx().issues_prefetches() as u64
     }
 
+    /// [`LookupOp::looks_ahead`], asked once per call.
+    #[inline(always)]
+    pub(crate) fn looks_ahead(&self) -> bool {
+        self.op.looks_ahead()
+    }
+
+    /// [`LookupOp::lookahead`]: the same hint in either mode.
+    #[inline(always)]
+    pub(crate) fn lookahead(&self, input: O::Input) {
+        self.op.lookahead(input);
+    }
+
     #[inline(always)]
     pub(crate) fn budgeted_steps(&self) -> usize {
         self.op.budgeted_steps()

@@ -23,6 +23,27 @@
 //! to maintain the prefetch counter without threading a stats handle
 //! through the hot path — **gated** on [`Hooks::issues_prefetches`], so an
 //! op running the `PrefetchHint::None` ablation honestly reports zero.
+//! Lookahead prefetches (below) are not counted, in
+//! [`EngineStats::prefetches`] or in any ledger.
+//!
+//! # Lookahead
+//!
+//! A lookup's stage-0 address depends only on its key, so it can be
+//! requested before the lookup has a window slot. When input `i` enters
+//! an [`AmacSession`] window of width `M < 16`, the session calls
+//! [`LookupOp::lookahead`] for input `i + M` of the same feed, which
+//! issues that lookup's stage-0 prefetch and does nothing else; the line
+//! is on its way about one rotation before the lookup starts. The window
+//! thus keeps up to `2M` misses in flight with `M` slots. From `M = 16`
+//! up the window alone keeps enough in flight (a DRAM-resident probe read
+//! even with lookahead at `M = 16` and slower at `M = 20`), so wider
+//! windows do not look ahead. It is a hint
+//! outside the simulation: no counter, clock or trace moves. An op opts
+//! in through [`LookupOp::looks_ahead`]: the probe and mutate ops over a
+//! chained hash table do, when its bucket array is at least a huge page.
+//! The reference rotation loop behind the §3.1 ablations, GP, SPP and the
+//! baseline never look ahead, so an AMAC in-flight sweep below `M = 16`
+//! (Fig. 6) compares AMAC *with* lookahead against GP and SPP without.
 //!
 //! # Execution context
 //!
@@ -156,6 +177,24 @@ pub trait LookupOp {
     /// context — the hook calls compile away.
     #[inline(always)]
     fn ctx(&mut self) -> impl Hooks + '_ {}
+
+    /// Asked once per [`AmacSession::feed`] call, like
+    /// [`plain`](LookupOp::plain): whether the window should call
+    /// [`lookahead`](LookupOp::lookahead) (see "Lookahead" in the
+    /// [module docs](self)). `false` (the default) for an op whose stage 0
+    /// has no miss to hide.
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        false
+    }
+
+    /// Issue stage 0's hardware prefetch for `input` and nothing else: no
+    /// lane, ticket, clock tick, ledger entry or trace event. The window
+    /// calls it one window width before `input`'s own `start`.
+    #[inline(always)]
+    fn lookahead(&self, input: Self::Input) {
+        let _ = input;
+    }
 }
 
 /// The prefetching technique to execute a workload with.
@@ -213,7 +252,12 @@ impl core::str::FromStr for Technique {
 /// SPP, circular-buffer size for AMAC). The paper finds ~10 saturates a
 /// Xeon core's L1-D MSHRs and uses the best value per technique
 /// (GP 15, SPP 12, AMAC 10) — those are the [`TuningParams::paper_best`]
-/// presets.
+/// presets. On a newer core the knee sits further right (a DRAM-resident
+/// probe kept improving up to `M` ≈ 16–20 on a Xeon with AVX-512). The
+/// presets stay the paper's, so the simulated counters and the figures
+/// keep the paper's `M`; the AMAC window recovers most of that gap at
+/// `M = 10` through its lookahead (see the [module docs](self)), not all
+/// of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningParams {
     /// Number of in-flight lookups per thread (the paper's `M`).

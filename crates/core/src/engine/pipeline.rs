@@ -130,6 +130,19 @@ pub trait PipelineOp {
     /// [`Chain`] pairs its members' contexts.
     #[inline(always)]
     fn ctx(&mut self) -> impl Hooks + '_ {}
+
+    /// As [`LookupOp::looks_ahead`]; a [`Chain`] asks its upstream
+    /// operator, whose stage 0 is the chain's.
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        false
+    }
+
+    /// As [`LookupOp::lookahead`].
+    #[inline(always)]
+    fn lookahead(&self, input: Self::Input) {
+        let _ = input;
+    }
 }
 
 /// The fused filter + projection between two pipeline operators.
@@ -344,6 +357,16 @@ where
     fn ctx(&mut self) -> impl Hooks + '_ {
         (self.up.ctx(), Some(self.down.ctx()))
     }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        self.up.looks_ahead()
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Self::Input) {
+        self.up.lookahead(input);
+    }
 }
 
 /// Adapts any existing [`LookupOp`] into a **terminal** pipeline
@@ -415,6 +438,16 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
 
     fn ctx(&mut self) -> impl Hooks + '_ {
         self.0.ctx()
+    }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        self.0.looks_ahead()
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Self::Input) {
+        self.0.lookahead(input);
     }
 }
 
@@ -553,6 +586,16 @@ where
 
     fn ctx(&mut self) -> impl Hooks + '_ {
         self.pipe.ctx()
+    }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        self.pipe.looks_ahead()
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Self::Input) {
+        self.pipe.lookahead(input);
     }
 }
 

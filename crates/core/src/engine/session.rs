@@ -12,6 +12,11 @@
 //! [`run_amac`](crate::engine::run_amac) is exactly one `feed` plus one `drain`,
 //! so this is the only AMAC rotation loop the engine schedules with.
 //!
+//! An input entering a window narrower than [`LOOKAHEAD_BELOW`] slots
+//! also [looks ahead](LookupOp::lookahead) one window width, within the
+//! same feed (see "Lookahead" in the [engine docs](crate::engine));
+//! [`drain`](AmacSession::drain) has no inputs to look ahead to.
+//!
 //! The session is generic over any [`LookupOp`], including fused
 //! multi-operator pipelines ([`Fused`](crate::engine::pipeline::Fused)): a slot
 //! mid-way through a probe→group-by chain survives morsel boundaries
@@ -20,6 +25,13 @@
 
 use crate::engine::call::Call;
 use crate::engine::{EngineStats, LookupOp, Step};
+
+/// Windows of this many slots or more do not look ahead: the window alone
+/// keeps enough misses in flight there. On a DRAM-resident probe (Xeon
+/// with AVX-512, 2^23-tuple table, 10 alternating pairs each) looking
+/// ahead read even at `M = 16` (45.2 → 45.3 cycles/tuple) and cost at
+/// `M = 20` (40.0 → 41.9), against 56.1 → 46.9 at `M = 10`.
+const LOOKAHEAD_BELOW: usize = 16;
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
 /// one worker thread for the whole run).
@@ -90,7 +102,11 @@ impl<O: LookupOp> AmacSession<O> {
     /// Execute every lookup of `inputs`, leaving up to `M` of them in
     /// flight. Counters accumulate into `stats`: one stage per `start`
     /// and per `step` that made progress, one prefetch per `start` and
-    /// per `Continue` (gated on [`Hooks::issues_prefetches`]).
+    /// per `Continue` (gated on [`Hooks::issues_prefetches`]). When the
+    /// op [looks ahead](LookupOp::looks_ahead) and `M` is below 16, the
+    /// input at position `i` of `inputs` starting also asks for the
+    /// lookahead of position `i + M`: every position from `M` on, in input
+    /// order, and none past the slice. Those prefetches are not counted.
     ///
     /// [`Hooks::issues_prefetches`]: crate::engine::Hooks::issues_prefetches
     pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
@@ -109,6 +125,7 @@ impl<O: LookupOp> AmacSession<O> {
     ) {
         let m = self.states.len();
         let pf = op.prefetch_gate();
+        let ahead = m < LOOKAHEAD_BELOW && op.looks_ahead();
         let mut next = 0usize;
         // Fill any empty slots (first morsel of the run, or after a drain).
         if self.in_flight < m {
@@ -118,6 +135,7 @@ impl<O: LookupOp> AmacSession<O> {
                 }
                 if !self.active[slot] {
                     op.start(inputs[next], &mut self.states[slot]);
+                    look_ahead(&op, ahead, inputs, next + m);
                     stats.stages += 1;
                     stats.prefetches += pf;
                     next += 1;
@@ -152,6 +170,7 @@ impl<O: LookupOp> AmacSession<O> {
                 s @ (Step::Done | Step::Failed) => {
                     failed += (s == Step::Failed) as u64;
                     op.start(inputs[next], &mut states[k]);
+                    look_ahead(&op, ahead, inputs, next + m);
                     next += 1;
                 }
             }
@@ -265,6 +284,23 @@ impl<O: LookupOp> AmacSession<O> {
     }
 }
 
+/// Lookahead (see the [engine docs](crate::engine)): an input entered the
+/// window, so request stage 0 of the feed's input `at`, one window width
+/// later, if the feed has it.
+#[inline(always)]
+fn look_ahead<O: LookupOp, const PLAIN: bool>(
+    op: &Call<'_, O, PLAIN>,
+    ahead: bool,
+    inputs: &[O::Input],
+    at: usize,
+) {
+    if ahead {
+        if let Some(&input) = inputs.get(at) {
+            op.lookahead(input);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +335,7 @@ mod tests {
         let want_latched = rotate(&mut whole_latched, &inputs, M, true, false);
         assert!(want_latched.latch_retries > 0, "the latched schedule must exercise Blocked");
         for chunk in [1, M - 1, M, 37, inputs.len()] {
+            // `ChainOp` looks ahead; `rotate` never does.
             let mut op = ChainOp::new(&chains);
             assert_eq!(windowed(&mut op, &inputs, M, chunk), want, "chunk {chunk}: counters");
             assert_eq!(op.outputs, whole.outputs, "chunk {chunk}: results");
@@ -315,6 +352,44 @@ mod tests {
         let mut op = ChainOp::new(&chains);
         assert_eq!(run_amac(&mut op, &inputs, M), want);
         assert_eq!(op.completed, whole.completed);
+    }
+
+    #[test]
+    fn lookahead_asks_for_each_feed_from_m_on() {
+        // Each feed asks for its own inputs at positions >= M, in input
+        // order, and never for one past its slice: the lookahead does not
+        // cross feeds, also not into a feed after a full drain.
+        const M: usize = 10;
+        let chains: Vec<usize> = (0..500).map(|i| 1 + (i * 13) % 7).collect();
+        let inputs: Vec<usize> = (0..chains.len()).collect();
+        for chunk in [1, M - 1, M, 37, inputs.len()] {
+            let mut op = ChainOp::new(&chains);
+            let mut session = AmacSession::new(M);
+            let mut stats = EngineStats::default();
+            let mut want = Vec::new();
+            for morsel in inputs.chunks(chunk) {
+                session.feed(&mut op, morsel, &mut stats);
+                want.extend(morsel.iter().skip(M));
+                assert_eq!(*op.looked.borrow(), want, "chunk {chunk}");
+            }
+            session.drain(&mut op, &mut stats);
+            assert_eq!(*op.looked.borrow(), want, "chunk {chunk}: the drain looks ahead");
+            let again = &inputs[..chunk];
+            session.feed(&mut op, again, &mut stats);
+            want.extend(again.iter().skip(M));
+            assert_eq!(*op.looked.borrow(), want, "chunk {chunk}: feed after a drain");
+        }
+        // An op that does not look ahead is never asked, and neither is
+        // one in a window of `LOOKAHEAD_BELOW` slots or more.
+        let mut op = ChainOp::new(&chains);
+        op.ahead = false;
+        windowed(&mut op, &inputs, M, 37);
+        assert!(op.looked.borrow().is_empty());
+        let mut op = ChainOp::new(&chains);
+        windowed(&mut op, &inputs, LOOKAHEAD_BELOW, 37);
+        assert!(op.looked.borrow().is_empty(), "M = {LOOKAHEAD_BELOW}");
+        windowed(&mut op, &inputs, LOOKAHEAD_BELOW - 1, 37);
+        assert!(!op.looked.borrow().is_empty(), "M = {}", LOOKAHEAD_BELOW - 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Mock lookup ops used by the executor unit tests.
 
 use super::{EngineStats, Hooks, LookupOp, Step};
+use std::cell::RefCell;
 
 /// What a [`ChainOp`]'s context observed: idle ticks, and a per-rotation
 /// recount of an AMAC window's occupancy from the op's side — every `step`
@@ -46,6 +47,10 @@ pub struct ChainOp {
     pub completed: Vec<usize>,
     /// The op's execution context.
     pub seen: Observed,
+    /// Whether the op [looks ahead](LookupOp::looks_ahead) (default on).
+    pub ahead: bool,
+    /// Every input the window asked to look ahead for, in call order.
+    pub looked: RefCell<Vec<usize>>,
 }
 
 /// Per-lookup state for [`ChainOp`].
@@ -71,6 +76,8 @@ impl ChainOp {
             max_concurrent: 0,
             completed: Vec::new(),
             seen: Observed::default(),
+            ahead: true,
+            looked: RefCell::new(Vec::new()),
         }
     }
 }
@@ -120,6 +127,14 @@ impl LookupOp for ChainOp {
 
     fn ctx(&mut self) -> impl Hooks + '_ {
         &mut self.seen
+    }
+
+    fn looks_ahead(&self) -> bool {
+        self.ahead
+    }
+
+    fn lookahead(&self, input: usize) {
+        self.looked.borrow_mut().push(input);
     }
 }
 

@@ -111,6 +111,15 @@ impl HashTable {
         bucket_of(key, self.mask) as usize
     }
 
+    /// Whether the bucket-header array is at least a huge page
+    /// ([`Region::is_huge`](amac_mem::Region::is_huge)): large enough
+    /// that stage-0 header loads miss, so the ops over this table look
+    /// ahead of the AMAC window.
+    #[inline]
+    pub fn headers_huge(&self) -> bool {
+        self.buckets.is_huge()
+    }
+
     /// Address of `key`'s bucket header — computed without touching table
     /// memory, so it can be prefetched (the paper's code stage 0).
     #[inline(always)]

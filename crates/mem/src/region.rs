@@ -50,9 +50,18 @@ impl<T> Region<T> {
     /// so `drop` recomputes what `uninit` allocated with.
     fn layout(len: usize) -> Layout {
         let size = core::mem::size_of::<T>().checked_mul(len).expect("allocation overflow");
-        let align = if size >= HUGE_PAGE { HUGE_PAGE } else { CACHE_LINE };
+        let align = if huge(size) { HUGE_PAGE } else { CACHE_LINE };
         Layout::from_size_align(size.max(1), align.max(core::mem::align_of::<T>()))
             .expect("bad layout")
+    }
+
+    /// Whether the block is at least [`HUGE_PAGE`] bytes: huge-page
+    /// aligned and advised, and too large to stay in one core's L2 (2 MiB
+    /// on current x86 server cores). The chained hash tables look ahead
+    /// of the AMAC window only when their bucket array is (see
+    /// `amac::engine`'s "Lookahead"): below that there is no miss to hide.
+    pub fn is_huge(&self) -> bool {
+        huge(core::mem::size_of::<T>() * self.len)
     }
 
     /// Reserve `len` slots and write none of them: the block is allocated,
@@ -141,6 +150,12 @@ impl<T: core::fmt::Debug> core::fmt::Debug for Region<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         (**self).fmt(f)
     }
+}
+
+/// The one size rule: a block of `size` bytes is huge from [`HUGE_PAGE`]
+/// up.
+fn huge(size: usize) -> bool {
+    size >= HUGE_PAGE
 }
 
 /// Process-wide account of the huge-page advice given so far.
@@ -247,6 +262,7 @@ mod tests {
             let l = Region::<u8>::layout(len);
             assert_eq!(l.size(), len);
             assert_eq!(l.align(), if len >= HUGE_PAGE { HUGE_PAGE } else { CACHE_LINE });
+            assert_eq!(Region::<u8>::uninit(len).is_huge(), len >= HUGE_PAGE);
         }
         assert_eq!(Region::<Node>::layout(0).size(), 1, "an empty region is still a block");
     }

@@ -93,6 +93,22 @@ impl ChainCursor {
         }
     }
 
+    /// Whether lookups over `ht` in context `cx` look ahead of the AMAC
+    /// window (`amac::engine`'s "Lookahead"): the context's hint is a
+    /// real instruction and the header array is large enough to miss
+    /// ([`HashTable::headers_huge`]).
+    #[inline(always)]
+    pub fn looks_ahead(ht: &HashTable, cx: &ExecCtx) -> bool {
+        cx.hint().is_real() && ht.headers_huge()
+    }
+
+    /// [`start`](ChainCursor::start)'s header request for `key` as a bare
+    /// hint: the same instruction, and no lane, ticket or ledger entry.
+    #[inline(always)]
+    pub fn lookahead(ht: &HashTable, key: u64, cx: &ExecCtx) {
+        cx.hint().issue(ht.bucket_addr(key));
+    }
+
     /// Wait for the requested node of `ht` (the table the cursor was
     /// started on) and dereference it. Also returns the slots whose tag
     /// admits `key` ([`tag_slots`] on the packed meta word), lowest

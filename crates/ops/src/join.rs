@@ -339,6 +339,16 @@ impl LookupOp for ProbeOp<'_> {
     fn ctx(&mut self) -> impl Hooks + '_ {
         &mut self.cx
     }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        ChainCursor::looks_ahead(self.ht, &self.cx)
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Tuple) {
+        ChainCursor::lookahead(self.ht, input.key, &self.cx);
+    }
 }
 
 /// Run a probe of `s` against `ht` with `technique`.
@@ -556,7 +566,18 @@ mod tests {
 
     #[test]
     fn probe_finds_every_fk_match_all_techniques() {
-        let (ht, r, s) = small_join_setup(4096, 10_000);
+        // 2^17 build tuples: 4 MiB of bucket headers, so the hash-table
+        // ops look ahead of the AMAC window; 2^12 stays below the gate.
+        for nr in [4096, 1 << 17] {
+            probe_all_techniques(nr);
+        }
+    }
+
+    fn probe_all_techniques(nr: usize) {
+        let (ht, r, s) = small_join_setup(nr, 10_000);
+        let gate = |hint| ProbeOp::new(&ht, &ProbeConfig { hint, ..Default::default() }, 0);
+        assert_eq!(gate(PrefetchHint::Nta).looks_ahead(), nr == 1 << 17, "{nr} build tuples");
+        assert!(!gate(PrefetchHint::None).looks_ahead(), "no lookahead without a prefetch");
         let mut reference: Option<(u64, u64, Vec<u64>)> = None;
         for t in Technique::ALL {
             let out = probe(&ht, &s, t, &ProbeConfig::default());

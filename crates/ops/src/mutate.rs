@@ -424,6 +424,16 @@ impl LookupOp for MutateOp<'_> {
     fn ctx(&mut self) -> impl Hooks + '_ {
         &mut self.cx
     }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        ChainCursor::looks_ahead(self.ht, &self.cx)
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Tuple) {
+        ChainCursor::lookahead(self.ht, input.key, &self.cx);
+    }
 }
 
 /// Result of one mutation run.
@@ -595,8 +605,15 @@ mod tests {
 
     #[test]
     fn all_techniques_agree_with_a_serial_model() {
-        let build = Relation::dense_unique(4_000, 3);
-        let ups = zipf_rel(6_000, 6_000, 7);
+        // The larger table's header array is past the lookahead gate.
+        for n_build in [4_000, 1 << 17] {
+            all_techniques_agree_over(n_build);
+        }
+    }
+
+    fn all_techniques_agree_over(n_build: usize) {
+        let build = Relation::dense_unique(n_build, 3);
+        let ups = zipf_rel(6_000, n_build as u64 * 3 / 2, 7);
         let mut reference: Option<Vec<(u64, u64)>> = None;
         for t in Technique::ALL {
             let ht = HashTable::build_serial(&build);

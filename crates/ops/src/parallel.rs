@@ -22,9 +22,9 @@
 
 use amac::engine::{EngineStats, Technique};
 use amac_hashtable::{AggTable, HashTable};
-use amac_runtime::{execute, execute_with_prologue, MorselConfig, RunReport};
+use amac_runtime::{execute, MorselConfig, RunReport};
 use amac_skiplist::SkipList;
-use amac_workload::{Relation, Tuple};
+use amac_workload::Relation;
 
 pub use amac_runtime::Scheduling;
 
@@ -64,10 +64,11 @@ impl MtOutput {
 
 /// Multi-threaded hash-table probe (the paper's scalability workload).
 ///
-/// Materialization is disabled (morsel order is not input order); the
-/// morsel prologue issues temporal (`T0`) prefetches for the first few
-/// bucket headers so reused headers stay cache-resident under skew, while
-/// chain nodes keep the paper's non-temporal hint inside the op.
+/// Materialization is disabled (morsel order is not input order). Under
+/// AMAC each worker's window looks ahead inside every morsel when the
+/// table's headers span a huge page (see `amac::engine`'s "Lookahead"),
+/// so a morsel's headers past its first `M` are requested before their
+/// lookups start; GP, SPP and the baseline request none early.
 pub fn probe_mt_rt(
     ht: &HashTable,
     s: &Relation,
@@ -76,18 +77,9 @@ pub fn probe_mt_rt(
     rt: &MorselConfig,
 ) -> MtOutput {
     let cfg = crate::join::ProbeConfig { materialize: false, ..cfg.clone() };
-    let run = execute_with_prologue(
-        &s.tuples,
-        technique,
-        cfg.params,
-        rt,
-        |_tid| crate::traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace),
-        |_op, morsel: &[Tuple]| {
-            for t in &morsel[..morsel.len().min(64)] {
-                amac_mem::prefetch::prefetch_read_t0(ht.bucket_addr(t.key));
-            }
-        },
-    );
+    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
+        crate::traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace)
+    });
     let mut out = MtOutput::from_report(run.report);
     for op in &run.ops {
         out.matches += op.matches();
@@ -247,6 +239,7 @@ pub fn skip_insert_mt_rt(
 mod tests {
     use super::*;
     use crate::join::ProbeConfig;
+    use amac_workload::Tuple;
 
     #[test]
     fn probe_mt_matches_single_thread() {

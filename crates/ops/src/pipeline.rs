@@ -49,6 +49,7 @@
 //! assert_eq!(out.intermediate_bytes, 0);       // nothing materialized
 //! ```
 
+use crate::chain::ChainCursor;
 use crate::join::ProbeState;
 use amac::engine::pipeline::{
     Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
@@ -289,6 +290,16 @@ impl PipelineOp for ProbeStage<'_> {
 
     fn ctx(&mut self) -> impl Hooks + '_ {
         &mut self.cx
+    }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        ChainCursor::looks_ahead(self.ht, &self.cx)
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Tuple) {
+        ChainCursor::lookahead(self.ht, input.key, &self.cx);
     }
 }
 
@@ -624,7 +635,15 @@ mod tests {
 
     #[test]
     fn fused_matches_model_and_two_phase_all_techniques() {
-        let (ht, dim, fact) = lab(2048, 10_000, 64, 0x11);
+        // A 2^17-tuple dimension puts the probe stage past the lookahead
+        // gate.
+        for n_dim in [2048, 1 << 17] {
+            fused_matches_over(n_dim);
+        }
+    }
+
+    fn fused_matches_over(n_dim: usize) {
+        let (ht, dim, fact) = lab(n_dim, 10_000, 64, 0x11);
         for filter in [None, Some(FilterSpec::selectivity(0.4))] {
             let want = model(&dim, &fact, filter);
             let cfg = PipelineConfig { filter, ..Default::default() };

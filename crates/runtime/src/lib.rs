@@ -230,8 +230,6 @@ pub struct RunOutput<O> {
 }
 
 /// Run `make_op(tid)` per worker over `inputs` with morsel dispatch.
-///
-/// Equivalent to [`execute_with_prologue`] with a no-op prologue.
 pub fn execute<I, O, F>(
     inputs: &[I],
     technique: Technique,
@@ -244,30 +242,6 @@ where
     O: LookupOp<Input = I> + Send,
     F: Fn(usize) -> O + Sync,
 {
-    execute_with_prologue(inputs, technique, params, cfg, make_op, |_op: &mut O, _m: &[I]| {})
-}
-
-/// [`execute`] with a per-morsel prologue hook.
-///
-/// `prologue(op, morsel)` runs on the worker thread right before the
-/// morsel's lookups start — the place to issue temporal
-/// (`prefetch_read_t0`) prefetches for structures the whole morsel will
-/// reuse (bucket headers under skew, tree roots), while the chain nodes
-/// themselves keep the paper's non-temporal hint inside the op.
-pub fn execute_with_prologue<I, O, F, P>(
-    inputs: &[I],
-    technique: Technique,
-    params: TuningParams,
-    cfg: &MorselConfig,
-    make_op: F,
-    prologue: P,
-) -> RunOutput<O>
-where
-    I: Copy + Sync,
-    O: LookupOp<Input = I> + Send,
-    F: Fn(usize) -> O + Sync,
-    P: Fn(&mut O, &[I]) + Sync,
-{
     let threads = cfg.resolved_threads().max(1);
     let dispatcher = Dispatcher::new(inputs.len(), threads, cfg.morsel_tuples, cfg.scheduling);
     let section = Instant::now();
@@ -277,7 +251,6 @@ where
             .map(|tid| {
                 let dispatcher = &dispatcher;
                 let make_op = &make_op;
-                let prologue = &prologue;
                 scope.spawn(move || {
                     let mut op = make_op(tid);
                     let mut session =
@@ -287,7 +260,6 @@ where
                     while let Some((range, stolen)) = dispatcher.next_morsel(tid) {
                         let morsel = &inputs[range];
                         let t0 = Instant::now();
-                        prologue(&mut op, morsel);
                         match session.as_mut() {
                             Some(s) => s.feed(&mut op, morsel, &mut rep.stats),
                             None => rep.stats.merge(&run(technique, &mut op, morsel, params)),

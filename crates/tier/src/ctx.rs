@@ -335,6 +335,14 @@ impl ExecCtx {
         self.metered
     }
 
+    /// The hardware prefetch instruction this context's requests issue
+    /// (`PREFETCHNTA` on a plain context). An op's lookahead issues the
+    /// same one, outside the lane protocol.
+    #[inline(always)]
+    pub fn hint(&self) -> PrefetchHint {
+        self.hint
+    }
+
     /// A fresh [`Ledger`] for one executor call if the context is plain,
     /// `None` if it is [`metered`](ExecCtx::metered).
     #[inline(always)]

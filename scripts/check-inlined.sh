@@ -7,9 +7,10 @@
 # The paper's Listing 1 has Table 1's code stages *inside* the rolling-buffer
 # loop. This fails when an executor body (`AmacSession::feed`,
 # `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`, `run_gp`,
-# `run_spp`) calls a `start`/`step`/`start_plain`/`step_plain` of a
-# hash-table op, of an ordered-index search op (BST, skip list, B+-tree:
-# the `index_walk` kernels), of the pipeline probe stage, of the serving
+# `run_spp`) calls a `start`/`step`/`start_plain`/`step_plain` (or the
+# window's `looks_ahead`/`lookahead`) of a hash-table op, of an
+# ordered-index search op (BST, skip list, B+-tree: the `index_walk`
+# kernels), of the pipeline probe stage, of the serving
 # tenant enum or of the serving window's `Mux`, either directly or through a
 # GOT slot (the default release profile reaches other codegen units that
 # way). The metered stages (`Op::{start,step}_metered`: one call per stage
@@ -47,8 +48,8 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::(start|step)(_plain)?$/ ||
-         name ~ /^<amac_ops::pipeline::ProbeStage as amac::engine::pipeline::PipelineOp>::(start|step)(_plain)?$/
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp)|amac_server::tenant::TenantOp|amac::engine::mux::Mux<O>) as amac::engine::LookupOp>::((start|step)(_plain)?|looks_ahead|lookahead)$/ ||
+         name ~ /^<amac_ops::pipeline::ProbeStage as amac::engine::pipeline::PipelineOp>::((start|step)(_plain)?|looks_ahead|lookahead)$/
 }
 function is_executor(name) {
   return name ~ /AmacSession<.*>::(feed|drain_budgeted)$/ || name ~ /amac_exec::run_amac$/ ||

@@ -8,7 +8,6 @@
 
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
 use amac::engine::Technique;
-use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::HashTable;
 use amac_metrics::report::Table;
 use amac_ops::join::{probe, ProbeConfig};
@@ -61,22 +60,13 @@ pub(super) fn run(args: &Args) -> Outcome {
                 coalesce_rate: on.coalesce_rate(),
             });
         }
-        // Coroutine ring at the AMAC window: same dedup protocol.
-        let ccfg =
-            CoroConfig { width: 10, scan_all: true, materialize: false, ..Default::default() };
-        let tier = Some(TierSpec::headers_near(4));
-        let ring = coro_probe(&ht, probes, &CoroConfig { tier, coalesce: Some(G), ..ccfg });
-        let requested = (ring.issued_loads + ring.coalesced_loads).max(1) as f64;
-        let issued_per_lookup = ring.issued_loads as f64 / lookups;
-        let coalesce_rate = ring.coalesced_loads as f64 / requested;
-        rows.push(Row { dist, executor: "coro", issued_per_lookup, coalesce_rate });
     }
     let row_of = |executor: &str, dist: &str| -> &Row {
         rows.iter().find(|r| r.executor == executor && r.dist == dist).expect("row exists")
     };
     let mut table = Table::new("Issued loads per lookup with coalescing on (G = 8)")
         .header(["executor", "zipf1", "uniform", "rate z1", "rate uni"]);
-    for name in ["Baseline", "GP", "SPP", "AMAC", "coro"] {
+    for name in ["Baseline", "GP", "SPP", "AMAC"] {
         let (z, u) = (row_of(name, "zipf1"), row_of(name, "uniform"));
         table.row(
             [name.to_string()].into_iter().chain(

@@ -1,14 +1,10 @@
 //! Studies beyond the paper's figures, printed as tables: AMAC's
-//! engineering choices (§3.1), coroutine automation (§6), partitioning vs
-//! prefetching (§7), and BST vs B+-tree regularity.
+//! engineering choices (§3.1), partitioning vs prefetching (§7), and BST
+//! vs B+-tree regularity.
 
 use crate::{best_of, per_technique, probe_cfg, row, Args, JoinLab, Outcome};
 use amac::engine::{run_amac, run_amac_modulo, run_amac_no_merge, Technique, TuningParams};
 use amac_btree::BPlusTree;
-use amac_coro::{
-    coro_bst_search, coro_btree_search, coro_probe, coro_skip_insert, coro_skip_search, CoroConfig,
-    CoroOutput,
-};
 use amac_hashtable::HashTable;
 use amac_mem::prefetch::PrefetchHint;
 use amac_metrics::report::{fnum, Table};
@@ -17,9 +13,7 @@ use amac_ops::bst::{bst_search, BstConfig};
 use amac_ops::btree::{btree_search, BTreeConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
 use amac_ops::join_radix::{radix_join, RadixJoinConfig};
-use amac_ops::skiplist::{skip_insert, skip_search, SkipConfig};
 use amac_radix::{partition, partition_unbuffered};
-use amac_skiplist::SkipList;
 use amac_tree::Bst;
 use amac_workload::{Relation, Tuple};
 
@@ -222,135 +216,6 @@ pub(super) fn partition_study(args: &Args) -> Outcome {
          cache-resident partitions leave no misses to hide (the paper's\n\
          Fig. 5a/Table 3 regime). Hiding and removing misses are substitutes\n\
          on the probe phase; partitioning additionally pays the scatter."
-    );
-    Outcome::default()
-}
-
-/// **Coroutine-framework overhead** (§6): hand-written AMAC state
-/// machines vs compiler-generated coroutines (`amac_coro`: same rolling
-/// ring, same prefetches) on identical workloads. §6 names the price of
-/// that automation — "state maintenance and space overhead" — so both
-/// are measured: cycles per tuple, and state struct vs suspended frame.
-pub(super) fn coro(args: &Args) -> Outcome {
-    let n = (1usize << args.scale.min(23)) / 2;
-    println!("# §6 automation — hand-written AMAC vs coroutine AMAC ({n} keys)\n");
-    let m = TuningParams::paper_best(Technique::Amac).in_flight;
-    let ccfg = CoroConfig { width: m, materialize: false, ..Default::default() };
-    let rel = Relation::dense_unique(n, 0x51);
-    let probes = rel.shuffled(0x62);
-
-    let mut table = Table::new("Cycles per lookup tuple").header([
-        "workload",
-        "Baseline",
-        "AMAC (state machine)",
-        "AMAC (coroutine)",
-        "coro overhead",
-        "frame bytes",
-    ]);
-    // One row: `hand(t)` runs the state machine under Baseline or AMAC,
-    // `coro()` the ring (cycles, frame bytes); both over `len` tuples.
-    let mut workload = |name: &str,
-                        len: usize,
-                        hand: &dyn Fn(Technique) -> u64,
-                        coro: &dyn Fn() -> (u64, usize)| {
-        let per = |c: u64| c as f64 / len as f64;
-        let base = best_of(args.trials, || (per(hand(Technique::Baseline)), ())).0;
-        let amac = best_of(args.trials, || (per(hand(Technique::Amac)), ())).0;
-        let (ring, frame) = best_of(args.trials, || {
-            let (c, frame) = coro();
-            (per(c), frame)
-        });
-        let mut r = row(name, [base, amac, ring]);
-        r.push(format!("{:+.1}%", (ring / amac - 1.0) * 100.0));
-        r.push(frame.to_string());
-        table.row(r);
-    };
-    let ring = |out: CoroOutput| (out.cycles, out.stats.future_bytes);
-    let params = TuningParams::paper_best;
-
-    let ht = HashTable::build_serial(&rel);
-    let pcfg = |t| probe_cfg(params(t).in_flight);
-    workload("hash probe", probes.len(), &|t| probe(&ht, &probes, t, &pcfg(t)).cycles, &|| {
-        ring(coro_probe(&ht, &probes, &ccfg))
-    });
-    let tree = Bst::build(&rel);
-    let bcfg = |t| BstConfig { params: params(t), materialize: false, ..Default::default() };
-    workload(
-        "BST search",
-        probes.len(),
-        &|t| bst_search(&tree, &probes, t, &bcfg(t)).cycles,
-        &|| ring(coro_bst_search(&tree, &probes, &ccfg)),
-    );
-    let bt = BPlusTree::build(&rel);
-    let btcfg = |t| BTreeConfig { params: params(t), materialize: false };
-    workload(
-        "B+-tree search",
-        probes.len(),
-        &|t| btree_search(&bt, &probes, t, &btcfg(t)).cycles,
-        &|| ring(coro_btree_search(&bt, &probes, &ccfg)),
-    );
-
-    // Skip list search + insert (the insert frame carries the §5.4
-    // predecessor vector — the paper's "0.5KB per lookup").
-    let list_n = n.min(1 << 20);
-    let srel = Relation::sparse_unique(list_n, 0x53);
-    let list = SkipList::new();
-    {
-        let mut h = list.handle(0x54);
-        for t in &srel.tuples {
-            h.insert(t.key, t.payload);
-        }
-    }
-    let sprobes = srel.shuffled(0x55);
-    let scfg = |t| SkipConfig { params: params(t), ..Default::default() };
-    workload(
-        "skip list search",
-        sprobes.len(),
-        &|t| skip_search(&list, &sprobes, t, &scfg(t)).cycles,
-        &|| ring(coro_skip_search(&list, &sprobes, &ccfg)),
-    );
-    // Insert: fresh lists per measurement (insertion is one-shot).
-    let ins = Relation::sparse_unique(list_n / 2, 0x56);
-    let seed = |t| if t == Technique::Baseline { 1 } else { 2 };
-    workload(
-        "skip list insert",
-        ins.len(),
-        &|t| skip_insert(&SkipList::new(), &ins, t, &scfg(t), seed(t)).cycles,
-        &|| {
-            let out = coro_skip_insert(&SkipList::new(), &ins, m, 3);
-            (out.cycles, out.stats.future_bytes)
-        },
-    );
-    table.note(format!(
-        "hand-written probe state: {} B; BST state: {} B; skip-insert state: {} B (compare 'frame bytes')",
-        core::mem::size_of::<amac_ops::join::ProbeState>(),
-        core::mem::size_of::<amac_ops::bst::BstState>(),
-        core::mem::size_of::<amac_ops::skiplist::SkipInsertState>(),
-    ));
-    table.print();
-
-    // Width sensitivity (the Fig. 6 sweep in the coroutine model): §6
-    // reports "little sensitivity … beyond eight or so" for AMAC; the
-    // coroutine ring should inherit exactly that saturation shape.
-    let mut sweep = Table::new("Coroutine ring width sensitivity (hash probe cycles/tuple)")
-        .header(["width", "cycles/tuple"]);
-    for width in [1usize, 2, 4, 6, 8, 10, 12, 16] {
-        let cfg = CoroConfig { width, materialize: false, ..Default::default() };
-        let c = best_of(args.trials, || {
-            (coro_probe(&ht, &probes, &cfg).cycles as f64 / probes.len() as f64, ())
-        });
-        sweep.row(row(width.to_string(), [c.0]));
-    }
-    sweep.note(
-        "expect the paper's Fig. 6c shape: monotone to ~M=8-10, flat past it (L1-D MSHR limit)",
-    );
-    println!();
-    sweep.print();
-    println!(
-        "\nReading: the coroutine column prices §6's proposal. Same schedule,\n\
-         same prefetches — any gap is pure state-save/restore overhead, and\n\
-         'frame bytes' vs the hand-written state sizes is the space cost the\n\
-         paper predicted for a generalized framework."
     );
     Outcome::default()
 }

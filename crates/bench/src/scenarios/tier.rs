@@ -10,7 +10,6 @@
 
 use crate::{Args, JsonOut, Outcome};
 use amac::engine::{Technique, TuningParams};
-use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::HashTable;
 use amac_metrics::report::Table;
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
@@ -95,25 +94,6 @@ pub(super) fn run(args: &Args) -> Outcome {
                 (s.stall_share(), s.sim_cycles, s.sim_stalls);
             rows.push(Row { mult, executor, m, stall_share, sim_cycles, sim_stalls });
         }
-        // Coroutine ring at the same fixed width: one tick per resumption.
-        let tier = Some(TierSpec::headers_near(mult));
-        let ccfg = CoroConfig {
-            width: 10,
-            scan_all: true,
-            materialize: false,
-            tier,
-            ..Default::default()
-        };
-        let coro = coro_probe(&lab.ht, &lab.probes, &ccfg);
-        let total = coro.sim_cycles + coro.sim_stalls;
-        rows.push(Row {
-            mult,
-            executor: "coro",
-            m: 10,
-            stall_share: if total == 0 { 0.0 } else { coro.sim_stalls as f64 / total as f64 },
-            sim_cycles: coro.sim_cycles,
-            sim_stalls: coro.sim_stalls,
-        });
     }
     let work = rows[0].sim_cycles;
     for r in &rows {
@@ -130,7 +110,7 @@ pub(super) fn run(args: &Args) -> Outcome {
     let share = |executor: &str, mult: u64| row_of(executor, mult).stall_share;
     let mut sweep = Table::new("Stall share by far-latency multiplier (headers near, nodes far)")
         .header(["executor", "M", "1x", "2x", "4x", "8x"]);
-    for name in ["Baseline", "GP", "SPP", "AMAC", "coro", "AMAC-auto"] {
+    for name in ["Baseline", "GP", "SPP", "AMAC", "AMAC-auto"] {
         // Label with the windows actually run (per-mult list when the
         // auto-tuner varies them, the single M otherwise).
         let ms = FAR_MULTS.map(|mult| row_of(name, mult).m);

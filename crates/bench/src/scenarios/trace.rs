@@ -1,6 +1,6 @@
 //! **Deterministic tracing trajectory** (DESIGN.md "Tracing &
-//! attribution"): three zero invariants, counted over every executor and
-//! the coroutine ring — the stall profile sums to `sim_stalls` and the
+//! attribution"): three zero invariants, counted over every executor —
+//! the stall profile sums to `sim_stalls` and the
 //! retirements to `lookups` (conservation), an untraced run's ledger
 //! equals the traced run's (disabled overhead, in differing `EngineStats`
 //! fields), and a rerun traces byte-identically (determinism). The shape
@@ -11,7 +11,6 @@
 
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
 use amac::engine::{EngineStats, Technique};
-use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::HashTable;
 use amac_ops::join::{probe, ProbeConfig};
 use amac_tier::TierSpec;
@@ -57,23 +56,6 @@ pub(super) fn run(args: &Args) -> Outcome {
             amac_run = Some(on);
         }
     }
-    // Coroutine ring: same invariants through the async path.
-    let ring = |trace| {
-        let cfg = CoroConfig {
-            scan_all: true,
-            materialize: false,
-            tier: Some(TierSpec::headers_near(4)),
-            trace,
-            ..Default::default()
-        };
-        coro_probe(&ht, &probes, &cfg)
-    };
-    let (coro_off, coro_on) = (ring(false), ring(true));
-    disabled_overhead += u64::from(
-        coro_on.sim_stalls != coro_off.sim_stalls || coro_on.sim_cycles != coro_off.sim_cycles,
-    );
-    conservation_violations +=
-        u64::from(!coro_on.trace.conserves(coro_on.sim_stalls, probes.len() as u64));
 
     let amac = amac_run.expect("AMAC is in Technique::ALL");
     let lookups = amac.stats.lookups.max(1);

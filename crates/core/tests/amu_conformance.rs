@@ -3,15 +3,14 @@
 //!
 //! Every operator that routes loads through an `ExecCtx` must compute
 //! **bit-identical results** with coalescing on or off, under every
-//! executor, the coroutine ring, and the morsel runtime at any thread
-//! count — coalescing dedups *issue traffic*, never semantics. The suite
-//! also pins the counter ledger (`issued + coalesced == requested`, with
-//! the uncoalesced run as the requested-count oracle) and the determinism of
+//! executor and the morsel runtime at any thread count — coalescing
+//! dedups *issue traffic*, never semantics. The suite also pins the
+//! counter ledger (`issued + coalesced == requested`, with the
+//! uncoalesced run as the requested-count oracle) and the determinism of
 //! `coalesced_loads` across thread counts and scheduling disciplines.
 
 use amac::engine::mux::{Mux, Tagged};
 use amac::engine::{run, EngineStats, Technique, TuningParams};
-use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
@@ -179,30 +178,6 @@ fn fused_pipeline_is_bit_identical_with_coalescing_under_every_executor() {
 }
 
 #[test]
-fn coro_ring_is_bit_identical_with_coalescing_and_matches_the_state_machine() {
-    let (ht, probes) = lab(4096, 8192, 256, 0xF7);
-    let cfg = |coalesce| CoroConfig {
-        scan_all: true,
-        tier: Some(TierSpec::headers_near(4)),
-        coalesce,
-        ..Default::default()
-    };
-    let off = coro_probe(&ht, &probes, &cfg(None));
-    let on = coro_probe(&ht, &probes, &cfg(Some(G)));
-    assert_eq!(on.matches, off.matches);
-    assert_eq!(on.checksum, off.checksum);
-    assert_eq!(on.out, off.out, "coro materialization diverged");
-    assert_eq!(on.sim_cycles, off.sim_cycles, "work ticks must not change");
-    assert_eq!(off.coalesced_loads, 0);
-    assert_eq!(on.issued_loads + on.coalesced_loads, off.issued_loads);
-    assert!(on.coalesced_loads > 0, "zipf probes across ring slots must coalesce");
-    // The ring computes what the hand-written state machine computes.
-    let hand = probe(&ht, &probes, Technique::Amac, &probe_cfg(Some(G)));
-    assert_eq!(on.matches, hand.matches);
-    assert_eq!(on.checksum, hand.checksum);
-}
-
-#[test]
 fn morsel_runtime_coalescing_is_deterministic_across_threads_and_schedulings() {
     // Aligned geometry: 48 morsels of 1024 tuples split 1/2/4 ways, with
     // G | morsel_tuples, so commit groups are a pure function of morsel
@@ -224,8 +199,7 @@ fn morsel_runtime_coalescing_is_deterministic_across_threads_and_schedulings() {
         "morsel-runtime ledger must conserve requests"
     );
     for threads in [1usize, 2, 4] {
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let out = mt(threads, scheduling, Some(G));
             let tag = format!("threads={threads} {scheduling:?}");
             assert_eq!(out.matches, reference.matches, "{tag}");

@@ -12,11 +12,10 @@
 //!    *and* the full [`EngineStats`] ledger are bit-identical with
 //!    tracing on or off.
 //!
-//! Coverage: all four executors, the coroutine ring, and the morsel
-//! runtime at 1/2/4 threads under every scheduling discipline.
+//! Coverage: all four executors, and the morsel runtime at 1/2/4
+//! threads under every scheduling discipline.
 
 use amac::engine::{EngineStats, Technique};
-use amac_coro::{coro_probe, CoroConfig};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig};
@@ -139,35 +138,6 @@ fn groupby_trace_conserves_and_is_bit_identical_under_every_executor() {
     }
 }
 
-#[test]
-fn coro_ring_trace_conserves_and_is_bit_identical() {
-    let (ht, probes) = lab(4096, 8192, 256, 0xE5);
-    let cfg = |trace| CoroConfig {
-        scan_all: true,
-        tier: Some(TierSpec::headers_near(4)),
-        trace,
-        ..Default::default()
-    };
-    let off = coro_probe(&ht, &probes, &cfg(false));
-    let on = coro_probe(&ht, &probes, &cfg(true));
-    assert_eq!(on.matches, off.matches);
-    assert_eq!(on.checksum, off.checksum);
-    assert_eq!(on.out, off.out, "coro materialization diverged");
-    assert_eq!(on.sim_cycles, off.sim_cycles);
-    assert_eq!(on.sim_stalls, off.sim_stalls);
-    assert_eq!(on.issued_loads, off.issued_loads);
-    assert!(!off.trace.enabled());
-    // The ring retires one span per input tuple.
-    assert!(
-        on.trace.conserves(on.sim_stalls, probes.len() as u64),
-        "coro profile {} != sim_stalls {} or retires {} != tuples {}",
-        on.trace.stalls(),
-        on.sim_stalls,
-        on.trace.retires(),
-        probes.len()
-    );
-}
-
 /// Morsel-runtime probe through the public driver: `cfg.trace` arms a
 /// tracer on every worker op and the harvest folds the per-worker
 /// tracers into `report.trace` in tid order.
@@ -193,16 +163,15 @@ fn morsel_runtime_trace_conserves_across_threads_and_schedulings() {
     let (m_ref, c_ref, s_ref, _) = morsel_run(&ht, &probes, 1, Scheduling::StaticChunk, false);
     assert!(s_ref.sim_stalls > 0, "tiered lab must stall");
     for threads in [1usize, 2, 4] {
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let tag = format!("threads={threads} {scheduling:?}");
             let (m_off, c_off, s_off, t_off) = morsel_run(&ht, &probes, threads, scheduling, false);
             let (m_on, c_on, s_on, t_on) = morsel_run(&ht, &probes, threads, scheduling, true);
             // Bit-identity: tracing must not perturb the run. Full
             // EngineStats equality is only re-runnable under StaticChunk
-            // (SharedCursor/WorkSteal race the morsel→worker assignment,
-            // which legitimately moves sim_stalls between runs); the racy
-            // disciplines compare the schedule-invariant counters.
+            // (WorkSteal races the morsel→worker assignment, which
+            // legitimately moves sim_stalls between runs); the racy
+            // discipline compares the schedule-invariant counters.
             assert_eq!((m_on, c_on), (m_off, c_off), "{tag}: results diverged under tracing");
             if scheduling == Scheduling::StaticChunk {
                 assert_eq!(s_on, s_off, "{tag}: EngineStats diverged under tracing");

@@ -53,14 +53,6 @@ pub async fn prefetch_yield<T>(ptr: *const T) {
     yield_now().await;
 }
 
-/// Prefetch for writing (exclusive state), then suspend — used by update
-/// lookups (group-by, build) whose first node access mutates.
-#[inline]
-pub async fn prefetch_yield_write<T>(ptr: *const T) {
-    amac_mem::prefetch::prefetch_write(ptr);
-    yield_now().await;
-}
-
 // The cooperative scheduler never parks, so wakers are inert.
 const NOOP_VTABLE: RawWakerVTable =
     RawWakerVTable::new(|_| RawWaker::new(core::ptr::null(), &NOOP_VTABLE), |_| {}, |_| {}, |_| {});
@@ -106,38 +98,14 @@ struct Slot<Fut> {
 pub fn run_interleaved<I, T, F, Fut, S>(
     width: usize,
     inputs: &[I],
-    make: F,
-    sink: S,
-) -> InterleaveStats
-where
-    I: Copy,
-    F: FnMut(usize, I) -> Fut,
-    Fut: Future<Output = T>,
-    S: FnMut(usize, T),
-{
-    run_interleaved_with_idle(width, inputs, make, sink, || {})
-}
-
-/// [`run_interleaved`] with an `on_idle` callback fired once per ring
-/// visit to a **drained** slot (a slot whose future completed after the
-/// input ran out). The ring's rotation over such slots is the coroutine
-/// analogue of AMAC's drain-phase status checks: a tiered run passes a
-/// closure ticking its `amac_tier::ExecCtx` one idle tick, so simulated
-/// prefetch distances keep pace with the rotation exactly as in the
-/// state-machine executors (`Hooks::idle`).
-pub fn run_interleaved_with_idle<I, T, F, Fut, S, D>(
-    width: usize,
-    inputs: &[I],
     mut make: F,
     mut sink: S,
-    mut on_idle: D,
 ) -> InterleaveStats
 where
     I: Copy,
     F: FnMut(usize, I) -> Fut,
     Fut: Future<Output = T>,
     S: FnMut(usize, T),
-    D: FnMut(),
 {
     let width = width.max(1).min(inputs.len().max(1));
     let mut stats = InterleaveStats {
@@ -172,11 +140,6 @@ where
     let mut k = 0usize;
     while live > 0 {
         let slot = &mut ring[k];
-        if slot.fut.is_none() {
-            // Drained slot: the rotation's status check still costs a
-            // tick of simulated time.
-            on_idle();
-        }
         // Refill loop: a Ready slot immediately starts (and first-polls)
         // the next lookup — the merged terminal+initial stage.
         while let Some(fut) = slot.fut.as_mut() {

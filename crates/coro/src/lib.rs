@@ -27,24 +27,17 @@
 //! ```
 //!
 //! The paper also predicts the cost: "the user-land threads' state
-//! maintenance and space overhead". Both are measurable here —
-//! [`InterleaveStats::future_bytes`] reports the compiler-laid-out
-//! suspended-frame size next to the hand-written state struct's, and
-//! `bench coro` prices the scheduling overhead against
-//! `amac::engine::run_amac` on identical probes.
+//! maintenance and space overhead". [`InterleaveStats::future_bytes`]
+//! reports the compiler-laid-out suspended-frame size next to the
+//! hand-written state struct's, and the repository benchmark's
+//! `coro.probe` ladder rung prices [`coro_probe`] against the
+//! state-machine probe on the same table.
 
 mod executor;
-pub mod groupby;
 pub mod ops;
-pub mod skiplist_ins;
 
 pub use executor::{
-    prefetch_yield, prefetch_yield_write, run_interleaved, run_interleaved_collect,
-    run_interleaved_with_idle, yield_now, InterleaveStats, YieldPoint,
+    prefetch_yield, run_interleaved, run_interleaved_collect, yield_now, InterleaveStats,
+    YieldPoint,
 };
-pub use groupby::{coro_groupby, coro_groupby_mt, groupby_one, CoroGroupByOutput};
-pub use ops::{
-    bst_find, btree_find, coro_bst_search, coro_btree_search, coro_probe, coro_skip_search,
-    probe_chain, probe_chain_tiered, skip_find, ChainHit, CoroConfig, CoroOutput,
-};
-pub use skiplist_ins::{coro_skip_insert, coro_skip_insert_mt, skip_insert_one, CoroInsertOutput};
+pub use ops::{coro_probe, probe_chain, ChainHit, CoroConfig, CoroOutput};

@@ -718,8 +718,7 @@ mod tests {
         let reference = mutate(&ht, &ups, Technique::Amac, &cfg);
         assert!(reference.stats.sim_cycles > 0 && reference.stats.sim_stalls > 0);
         for threads in [1usize, 2, 4] {
-            for sched in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-            {
+            for sched in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
                 let ht_t = HashTable::restore(&snap);
                 let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling: sched };
                 let out = mutate_mt_rt(&ht_t, &ups, Technique::Amac, &cfg, &rt);

@@ -270,8 +270,7 @@ mod tests {
         let s = Relation::fk_uniform(&r, 20_000, 92);
         let ht = HashTable::build_serial(&r);
         let mut reference = None;
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let rt = MorselConfig { threads: 4, morsel_tuples: 1024, scheduling };
             let mt = probe_mt_rt(&ht, &s, Technique::Amac, &ProbeConfig::default(), &rt);
             assert_eq!(mt.matches, s.len() as u64, "{scheduling:?}");

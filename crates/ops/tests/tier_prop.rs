@@ -73,7 +73,7 @@ proptest! {
         prop_assert!(st.sim_cycles > 0);
         for threads in [1usize, 2, 4] {
             for scheduling in
-                [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
+                [Scheduling::StaticChunk, Scheduling::WorkSteal]
             {
                 let rt = MorselConfig {
                     threads,

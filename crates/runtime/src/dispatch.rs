@@ -17,10 +17,6 @@ pub enum Scheduling {
     /// One contiguous chunk per thread, no redistribution — the paper's
     /// §5.1 setup, kept as the comparison baseline.
     StaticChunk,
-    /// A single global cursor; every thread pulls the next morsel from it.
-    /// Perfect balance, but all threads contend on one cache line and
-    /// NUMA locality is accidental.
-    SharedCursor,
     /// Per-thread ranges with morsel stealing from the fullest victim —
     /// the default.
     #[default]
@@ -46,14 +42,13 @@ impl Dispatcher {
     /// units under `scheduling`.
     pub fn new(len: usize, threads: usize, morsel: usize, scheduling: Scheduling) -> Dispatcher {
         let threads = threads.max(1);
-        let (parts, steal, morsel) = match scheduling {
-            Scheduling::SharedCursor => (1, false, morsel.max(1)),
+        let (steal, morsel) = match scheduling {
             // One morsel == the whole per-thread range.
-            Scheduling::StaticChunk => (threads, false, usize::MAX),
-            Scheduling::WorkSteal => (threads, true, morsel.max(1)),
+            Scheduling::StaticChunk => (false, usize::MAX),
+            Scheduling::WorkSteal => (true, morsel.max(1)),
         };
-        let per = len.div_ceil(parts).max(1);
-        let ranges = (0..parts)
+        let per = len.div_ceil(threads).max(1);
+        let ranges = (0..threads)
             .map(|i| {
                 let lo = (i * per).min(len);
                 let hi = ((i + 1) * per).min(len);
@@ -133,8 +128,7 @@ mod tests {
 
     #[test]
     fn covers_every_index_exactly_once() {
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let d = Dispatcher::new(1000, 4, 64, scheduling);
             let mut seen = BTreeSet::new();
             for tid in 0..4 {

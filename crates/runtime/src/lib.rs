@@ -335,8 +335,7 @@ mod tests {
         let mut reference = ChainOp::new(&ch);
         run_amac(&mut reference, &inputs, 10);
 
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let cfg = MorselConfig { threads: 4, morsel_tuples: 1024, scheduling };
             let out = execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| {
                 ChainOp::new(&ch)

@@ -105,8 +105,7 @@ fn uniform_tenant_unaffected_on_morsel_runtime_1_2_4_threads() {
     .remove(0);
 
     for threads in [1usize, 2, 4] {
-        for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-        {
+        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let rt = MorselConfig { threads, morsel_tuples: 512, scheduling };
             let tenants = [TenantProbe::new(&uniform), TenantProbe::new(&skewed)];
             let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg(), 256, &rt);

@@ -2,19 +2,15 @@
 //! generated coroutines must compute exactly what the hand-written state
 //! machines compute, for every workload, width, and input shape.
 
-use amac_suite::btree::BPlusTree;
-use amac_suite::coro::{coro_bst_search, coro_btree_search, coro_probe, CoroConfig};
+use amac_suite::coro::{coro_probe, CoroConfig};
 use amac_suite::engine::Technique;
 use amac_suite::hashtable::HashTable;
-use amac_suite::ops::bst::{bst_search, BstConfig};
-use amac_suite::ops::btree::{btree_search, BTreeConfig};
 use amac_suite::ops::join::{probe, ProbeConfig};
-use amac_suite::tree::Bst;
 use amac_suite::workload::{Relation, Tuple};
 use proptest::prelude::*;
 
 fn coro_cfg(width: usize, scan_all: bool) -> CoroConfig {
-    CoroConfig { width, scan_all, materialize: true, ..Default::default() }
+    CoroConfig { width, scan_all, materialize: true }
 }
 
 #[test]
@@ -36,30 +32,6 @@ fn probe_agrees_with_state_machine_uniform_and_skewed() {
             assert_eq!(hand.out, coro.out, "{label} scan_all={scan_all}");
         }
     }
-}
-
-#[test]
-fn tree_searches_agree_with_state_machines() {
-    let rel = Relation::sparse_unique(1 << 14, 11);
-    let probes = rel.shuffled(12);
-    // Mix in guaranteed misses.
-    let mut with_misses = probes.tuples.clone();
-    with_misses.extend((0..500u64).map(|i| Tuple::new(i | (1 << 62), 0)));
-    let probes = Relation::from_tuples(with_misses);
-
-    let bst = Bst::build(&rel);
-    let hand = bst_search(&bst, &probes, Technique::Amac, &BstConfig::default());
-    let coro = coro_bst_search(&bst, &probes, &coro_cfg(10, false));
-    assert_eq!(hand.found, coro.matches);
-    assert_eq!(hand.checksum, coro.checksum);
-    assert_eq!(hand.out, coro.out);
-
-    let btree = BPlusTree::build(&rel);
-    let hand = btree_search(&btree, &probes, Technique::Amac, &BTreeConfig::default());
-    let coro = coro_btree_search(&btree, &probes, &coro_cfg(10, false));
-    assert_eq!(hand.found, coro.matches);
-    assert_eq!(hand.checksum, coro.checksum);
-    assert_eq!(hand.out, coro.out);
 }
 
 /// The ring must behave at degenerate widths exactly like the AMAC
@@ -133,13 +105,16 @@ proptest! {
 
     /// Arbitrary relations, widths and probe mixes: coroutine probe ==
     /// state-machine probe (which itself == every other technique, by
-    /// the engine equivalence proptests).
+    /// the engine equivalence proptests). Unmaterialized is the
+    /// benchmark's configuration: the signature still agrees and no
+    /// payload vector is built.
     #[test]
     fn coro_probe_equivalence(
         kv in prop::collection::vec((1u64..200, 0u64..1000), 0..250),
         q in prop::collection::vec(1u64..300, 0..250),
         width in 1usize..24,
         scan_all in proptest::bool::ANY,
+        materialize in proptest::bool::ANY,
     ) {
         let r = Relation::from_tuples(kv.iter().map(|&(k, p)| Tuple::new(k, p)).collect());
         let s = Relation::from_tuples(q.iter().map(|&k| Tuple::new(k, 0)).collect());
@@ -156,29 +131,13 @@ proptest! {
             Technique::Amac,
             &ProbeConfig { scan_all, ..Default::default() },
         );
-        let coro = coro_probe(&ht, &s, &coro_cfg(width, scan_all));
+        let coro = coro_probe(&ht, &s, &CoroConfig { materialize, ..coro_cfg(width, scan_all) });
         prop_assert_eq!(hand.matches, coro.matches);
         prop_assert_eq!(hand.checksum, coro.checksum);
-        prop_assert_eq!(hand.out, coro.out);
-    }
-
-    /// Arbitrary key sets through the B+-tree coroutine.
-    #[test]
-    fn coro_btree_equivalence(
-        keys in prop::collection::btree_set(0u64..100_000, 0..300),
-        width in 1usize..24,
-    ) {
-        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
-        let tree = BPlusTree::from_sorted(&pairs);
-        let s = Relation::from_tuples(
-            keys.iter().map(|&k| Tuple::new(k, 0))
-                .chain((0..10).map(|i| Tuple::new(200_000 + i, 0)))
-                .collect(),
-        );
-        let hand = btree_search(&tree, &s, Technique::Amac, &BTreeConfig::default());
-        let coro = coro_btree_search(&tree, &s, &coro_cfg(width, false));
-        prop_assert_eq!(hand.found, coro.matches);
-        prop_assert_eq!(hand.checksum, coro.checksum);
-        prop_assert_eq!(hand.out, coro.out);
+        if materialize {
+            prop_assert_eq!(hand.out, coro.out);
+        } else {
+            prop_assert!(coro.out.is_empty());
+        }
     }
 }

@@ -99,9 +99,7 @@ fn fused_mt_is_deterministic_and_equals_reference() {
         let st = probe_then_groupby(&ht, &t_ref, &fact, Technique::Amac, &cfg);
         let want = snapshot(&t_ref);
         for threads in [1, 2, 4] {
-            for scheduling in
-                [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal]
-            {
+            for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
                 let rt = MorselConfig { threads, morsel_tuples: 1024, scheduling };
                 let table = AggTable::for_groups(GROUPS as usize);
                 let mt = probe_groupby_mt_rt(&ht, &table, &fact, Technique::Amac, &cfg, &rt);

@@ -31,7 +31,7 @@ fn scan_all_cfg() -> ProbeConfig {
 fn morsel_probe_checksum_equals_static_chunk_checksum() {
     let (ht, s) = skewed_probe_inputs(60_000, 0xA11);
     let single = probe(&ht, &s, Technique::Amac, &scan_all_cfg());
-    for scheduling in [Scheduling::StaticChunk, Scheduling::SharedCursor, Scheduling::WorkSteal] {
+    for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
         let rt = MorselConfig { threads: 4, morsel_tuples: 4096, scheduling };
         let mt = probe_mt_rt(&ht, &s, Technique::Amac, &scan_all_cfg(), &rt);
         assert_eq!(mt.matches, single.matches, "{scheduling:?}");

@@ -28,8 +28,13 @@
 //! feed the per-lane [`EngineStats`] ledger:
 //!
 //! * lifecycle counters (`stages`, `lookups`, `latch_retries`,
-//!   `prefetches`) — counted directly by `Mux` in `start`/`step`, which
-//!   know the lane;
+//!   `prefetches`) — counted by `Mux` in `start`/`step`, which know the
+//!   lane, except on a plain lane feed
+//!   ([`AmacSession::feed_lane`](super::AmacSession::feed_lane)): there
+//!   the fed lane's are settled once per feed, as the feed's counts less
+//!   what it routed to other lanes' slots, and so is its share of `seq`.
+//!   A ledger ([`Mux::observed`]) is therefore current as of the last
+//!   feed, drain or executor run;
 //! * op-observed counters (`nodes_visited`, `tag_rejects`, and the
 //!   cost-model ticks `sim_cycles`/`sim_stalls`) — each lane has its
 //!   **own** inner op, so everything that op accumulated belongs to its
@@ -37,7 +42,8 @@
 //!   its op, then drains every inner op into its lane ledger *and*
 //!   forwards the same deltas to the executor's global stats, preserving
 //!   the drain-and-reset contract that keeps counters exact across morsel
-//!   reuse. Lane cost-model clocks are kept in
+//!   reuse (a plain lane feed flushes only the fed lane and the lanes it
+//!   routed to: no other lane ran). Lane cost-model clocks are kept in
 //!   lock-step with a window-wide simulated time (`seq`), so one lane's
 //!   stages count toward every other lane's prefetch distances — the
 //!   cross-query hiding the shared window exists to provide;
@@ -101,17 +107,40 @@ struct Lane<O: LookupOp> {
 
 impl<O: LookupOp> Lane<O> {
     /// Settle a plain lane's tally into its op and demote the lane to
-    /// `start`/`step` until [`Lane::resample`].
+    /// `start`/`step` until its next flush picks the mode again.
     fn settle(&mut self) {
         if let (Some(op), Some(tally)) = (self.op.as_mut(), self.tally.take()) {
             op.settle(tally);
         }
     }
 
-    /// Pick the lane's mode afresh (a tracer may have come or gone).
-    fn resample(&mut self) {
-        self.tally = self.op.as_ref().and_then(O::plain);
+    /// This lane's part of a flush (see [`flush_op`]).
+    fn flush(&mut self, stats: &mut EngineStats) {
+        let tally = self.tally.take();
+        if let Some(op) = self.op.as_mut() {
+            self.tally = flush_op(op, tally, &mut self.led, stats);
+        }
     }
+}
+
+/// One lane's flush, written once for [`Mux`]'s and a [`LaneView`]'s:
+/// settle a plain lane's `tally` into `op`, drain the op's context into
+/// the lane ledger `led` and into `stats`, and return the lane's mode
+/// picked afresh (a tracer may have come or gone).
+fn flush_op<O: LookupOp>(
+    op: &mut O,
+    tally: Option<O::Tally>,
+    led: &mut EngineStats,
+    stats: &mut EngineStats,
+) -> Option<O::Tally> {
+    if let Some(tally) = tally {
+        op.settle(tally);
+    }
+    let mut delta = EngineStats::default();
+    op.ctx().flush(&mut delta);
+    led.merge(&delta);
+    stats.merge(&delta);
+    op.plain()
 }
 
 /// A multiplexer op: one inner [`LookupOp`] per active query lane, all
@@ -145,6 +174,9 @@ pub struct Mux<O: LookupOp> {
     /// at window time (`seq`). Per-lookup events belong to the lanes'
     /// inner ops, which carry their own tracers.
     trace: amac_trace::Tracer,
+    /// Installed lanes that keep time. While there are none, nothing reads
+    /// `seq` during a feed, so a [`LaneView`] may settle it once per feed.
+    clocked: usize,
 }
 
 impl<O: LookupOp> Default for Mux<O> {
@@ -156,7 +188,13 @@ impl<O: LookupOp> Default for Mux<O> {
 impl<O: LookupOp> Mux<O> {
     /// An empty multiplexer.
     pub fn new() -> Self {
-        Mux { lanes: Vec::new(), seq: 0, pending_cancelled: 0, trace: amac_trace::Tracer::off() }
+        Mux {
+            lanes: Vec::new(),
+            seq: 0,
+            pending_cancelled: 0,
+            trace: amac_trace::Tracer::off(),
+            clocked: 0,
+        }
     }
 
     /// Install `op` on a free lane and return its id (vacant slots are
@@ -174,6 +212,7 @@ impl<O: LookupOp> Mux<O> {
             prefetches,
             clocked,
         };
+        self.clocked += clocked as usize;
         let lane = if let Some(i) = self.lanes.iter().position(|l| l.op.is_none()) {
             self.lanes[i] = fresh;
             i as u32
@@ -197,6 +236,7 @@ impl<O: LookupOp> Mux<O> {
         let l = &mut self.lanes[lane as usize];
         l.settle();
         let op = l.op.take().expect("remove of vacant mux lane");
+        self.clocked -= l.clocked as usize;
         (op, core::mem::take(&mut l.led))
     }
 
@@ -236,10 +276,9 @@ impl<O: LookupOp> Mux<O> {
         l.op.as_mut().expect("vacant mux lane")
     }
 
-    /// The lane's accounting ledger so far. Lifecycle counters are live;
-    /// op-observed counters (`nodes_visited`, `tag_rejects`) are current
-    /// as of the last flush — i.e. exact at every executor-run
-    /// or morsel-feed boundary.
+    /// The lane's accounting ledger, current as of the last feed, drain
+    /// or executor run, i.e. exact between calls (see "Per-lane
+    /// accounting" in the [module docs](self)).
     pub fn observed(&self, lane: u32) -> &EngineStats {
         &self.lanes[lane as usize].led
     }
@@ -399,14 +438,7 @@ impl<O: LookupOp> Hooks for Mux<O> {
     /// its mode picked again after.
     fn flush(&mut self, stats: &mut EngineStats) {
         for l in &mut self.lanes {
-            l.settle();
-            if let Some(op) = l.op.as_mut() {
-                let mut delta = EngineStats::default();
-                op.ctx().flush(&mut delta);
-                l.led.merge(&delta);
-                stats.merge(&delta);
-            }
-            l.resample();
+            l.flush(stats);
         }
         // Cancelled retirements were reported to the executor as plain
         // `Done`s; fold them into the global subset counter here so lane
@@ -440,11 +472,229 @@ impl<O: LookupOp> Hooks for Mux<O> {
     }
 }
 
+impl<O: LookupOp> Mux<O> {
+    /// The lane's op out of the lane table, with the tally a plain
+    /// [`LaneView`] call starts from, when the lane may be fed that way:
+    /// it is not cancelled, its op is plain once its tally is settled, and
+    /// no installed lane keeps time. `None` leaves the lane where it is.
+    pub(crate) fn take_plain(&mut self, lane: u32) -> Option<(O, O::Tally)> {
+        if self.clocked > 0 {
+            return None;
+        }
+        let l = &mut self.lanes[lane as usize];
+        if l.cancelled {
+            return None;
+        }
+        l.settle();
+        let tally = l.op.as_ref()?.plain()?;
+        Some((l.op.take()?, tally))
+    }
+
+    /// Reinstall the op [`take_plain`](Mux::take_plain) took out.
+    pub(crate) fn put_back(&mut self, lane: u32, op: O) {
+        self.lanes[lane as usize].op = Some(op);
+    }
+}
+
+/// One plain call's view of a [`Mux`] fed one lane's inputs (see
+/// [`AmacSession::feed_lane`](super::AmacSession::feed_lane)): the fed
+/// lane's op, out of the lane table for the call, runs its own plain
+/// stages over the call's tally; a slot still held by another lane goes
+/// through [`Mux::step`] out of line. The fed lane's lifecycle counters
+/// and window time are settled at the flush, from the feed's counts less
+/// what was routed.
+pub(crate) struct LaneView<'a, O: LookupOp> {
+    mux: &'a mut Mux<O>,
+    lane: u32,
+    op: &'a mut O,
+    /// The fed op's tally as the call starts, answered by `plain`.
+    tally: O::Tally,
+    /// What the call routed to other lanes: `stages`, `lookups`,
+    /// `failed_lookups` and `latch_retries`.
+    routed: EngineStats,
+    /// The lanes it routed to, one bit per lane id modulo 64.
+    touched: u64,
+}
+
+impl<'a, O: LookupOp> LaneView<'a, O> {
+    /// A view of `mux` feeding `lane`, whose `op` and `tally` are what
+    /// [`Mux::take_plain`] returned.
+    pub(crate) fn new(mux: &'a mut Mux<O>, lane: u32, op: &'a mut O, tally: O::Tally) -> Self {
+        LaneView { mux, lane, op, tally, routed: EngineStats::default(), touched: 0 }
+    }
+
+    /// A stage of another lane's lookup, through the mux, which bills that
+    /// lane; the call counts it so the fed lane's share can be derived.
+    #[inline(never)]
+    fn step_routed(&mut self, state: &mut MuxState<O::State>) -> Step {
+        self.touched |= 1 << (state.lane % 64);
+        let r = self.mux.step(state);
+        let routed = &mut self.routed;
+        match r {
+            Step::Continue => routed.stages += 1,
+            Step::Blocked => routed.latch_retries += 1,
+            Step::Done | Step::Failed => {
+                routed.stages += 1;
+                routed.lookups += 1;
+                routed.failed_lookups += (r == Step::Failed) as u64;
+            }
+        }
+        r
+    }
+}
+
+/// Plain calls only: [`Mux::take_plain`] made sure of it, so `plain` is
+/// always `Some` and `start`/`step` are never called.
+impl<O: LookupOp> LookupOp for LaneView<'_, O> {
+    type Input = O::Input;
+    type State = MuxState<O::State>;
+    type Tally = O::Tally;
+
+    fn budgeted_steps(&self) -> usize {
+        self.op.budgeted_steps()
+    }
+
+    fn start(&mut self, _input: O::Input, _state: &mut Self::State) {
+        unreachable!("a lane view runs plain calls only")
+    }
+
+    fn step(&mut self, _state: &mut Self::State) -> Step {
+        unreachable!("a lane view runs plain calls only")
+    }
+
+    #[inline(always)]
+    fn plain(&self) -> Option<O::Tally> {
+        Some(self.tally)
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, tally: &mut O::Tally, input: O::Input, state: &mut Self::State) {
+        state.lane = self.lane;
+        self.op.start_plain(tally, input, &mut state.inner);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, tally: &mut O::Tally, state: &mut Self::State) -> Step {
+        if state.lane == self.lane {
+            self.op.step_plain(tally, &mut state.inner)
+        } else {
+            self.step_routed(state)
+        }
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, tally: O::Tally) {
+        self.op.settle(tally);
+    }
+
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        self
+    }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        self.op.looks_ahead()
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: O::Input) {
+        self.op.lookahead(input);
+    }
+}
+
+/// A plain call uses only the prefetch gate and the flush.
+impl<O: LookupOp> Hooks for LaneView<'_, O> {
+    /// The mux's gate, with the fed lane's op out of the table.
+    fn issues_prefetches(&self) -> bool {
+        self.mux.issues_prefetches() && self.mux.lanes[self.lane as usize].prefetches
+    }
+
+    /// `stats` holds this feed's counts only (the view's caller flushes
+    /// into fresh stats): less what was routed, they are the fed lane's,
+    /// and each of its starts and steps ticked the window once. Then the
+    /// fed lane and the lanes routed to are flushed; no other lane ran.
+    fn flush(&mut self, stats: &mut EngineStats) {
+        let mux = &mut *self.mux;
+        let fed = self.lane as usize;
+        let r = &self.routed;
+        let l = &mut mux.lanes[fed];
+        let stages = stats.stages - r.stages;
+        let lookups = stats.lookups - r.lookups;
+        let blocked = stats.latch_retries - r.latch_retries;
+        l.led.stages += stages;
+        l.led.lookups += lookups;
+        l.led.failed_lookups += stats.failed_lookups - r.failed_lookups;
+        l.led.latch_retries += blocked;
+        l.led.prefetches += l.prefetches as u64 * (stages - lookups);
+        mux.seq += stages + blocked;
+        l.tally = flush_op(&mut *self.op, None, &mut l.led, stats);
+        for (i, l) in mux.lanes.iter_mut().enumerate() {
+            if i != fed && self.touched >> (i % 64) & 1 == 1 {
+                if let Some(op) = l.op.as_mut() {
+                    op.ctx().commit_group();
+                }
+                l.flush(stats);
+            }
+        }
+        stats.cancelled_lookups += core::mem::take(&mut mux.pending_cancelled);
+    }
+}
+
+/// A lane feed that runs every stage through the mux, as a feed of the
+/// tagged inputs does: the fallback of
+/// [`AmacSession::feed_lane`](super::AmacSession::feed_lane) when the
+/// lane is not plain or some lane keeps time.
+pub(crate) struct RoutedLane<'a, O: LookupOp> {
+    mux: &'a mut Mux<O>,
+    lane: u32,
+}
+
+impl<'a, O: LookupOp> RoutedLane<'a, O> {
+    /// A feed of `lane` through `mux`.
+    pub(crate) fn new(mux: &'a mut Mux<O>, lane: u32) -> Self {
+        RoutedLane { mux, lane }
+    }
+}
+
+impl<O: LookupOp> LookupOp for RoutedLane<'_, O> {
+    type Input = O::Input;
+    type State = MuxState<O::State>;
+    type Tally = ();
+
+    fn budgeted_steps(&self) -> usize {
+        self.mux.budgeted_steps()
+    }
+
+    #[inline(always)]
+    fn start(&mut self, input: O::Input, state: &mut Self::State) {
+        self.mux.start(Tagged::new(self.lane, input), state);
+    }
+
+    #[inline(always)]
+    fn step(&mut self, state: &mut Self::State) -> Step {
+        self.mux.step(state)
+    }
+
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut *self.mux
+    }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        self.mux.lane(self.lane).looks_ahead()
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: O::Input) {
+        self.mux.lane(self.lane).lookahead(input);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{ChainOp as TestChainOp, ChainState};
-    use crate::engine::{run, Technique, TuningParams};
+    use crate::engine::testutil::{ChainOp as TestChainOp, ChainState, LatchedOp, LatchedState};
+    use crate::engine::{run, AmacSession, Technique, TuningParams};
 
     /// Interleave two queries' inputs round-robin with quantum `q`.
     fn interleave(a: &[usize], b: &[usize], q: usize) -> Vec<Tagged<usize>> {
@@ -706,5 +956,146 @@ mod tests {
         let (op, led) = mux.remove(lane);
         assert_eq!(op.outputs, solo.outputs);
         assert_eq!(led.lookups, want.lookups);
+    }
+
+    /// A lane of the differential schedule: a chain walk (plain or not),
+    /// a latched op, or a chain walk under a stalling clock.
+    struct Mixed {
+        chain: TestChainOp,
+        latch: Option<LatchedOp>,
+        clock: ToyClock,
+    }
+
+    #[derive(Default)]
+    struct MixedState {
+        chain: ChainState,
+        latch: LatchedState,
+    }
+
+    impl Mixed {
+        fn chain(ch: &[usize]) -> Self {
+            let mut chain = TestChainOp::new(ch);
+            chain.plain = true;
+            Mixed { chain, latch: None, clock: ToyClock::default() }
+        }
+        fn latched(ch: &[usize]) -> Self {
+            Mixed { latch: Some(LatchedOp::new(ch.len())), ..Self::chain(ch) }
+        }
+        fn stalling(ch: &[usize]) -> Self {
+            let clock = ToyClock { keeps: true, stall: 3, ..Default::default() };
+            Mixed { clock, ..Self::chain(ch) }
+        }
+        fn completed(&self) -> &[usize] {
+            self.latch.as_ref().map_or(&self.chain.completed, |l| &l.completed)
+        }
+    }
+
+    impl LookupOp for Mixed {
+        type Input = usize;
+        type State = MixedState;
+        type Tally = ();
+        fn budgeted_steps(&self) -> usize {
+            self.chain.budgeted_steps()
+        }
+        fn start(&mut self, input: usize, state: &mut MixedState) {
+            self.clock.now += self.clock.stall;
+            match &mut self.latch {
+                Some(l) => l.start(input, &mut state.latch),
+                None => self.chain.start(input, &mut state.chain),
+            }
+        }
+        fn step(&mut self, state: &mut MixedState) -> Step {
+            self.clock.now += self.clock.stall;
+            match &mut self.latch {
+                Some(l) => l.step(&mut state.latch),
+                None => self.chain.step(&mut state.chain),
+            }
+        }
+        fn plain(&self) -> Option<()> {
+            if self.clock.keeps {
+                None
+            } else {
+                self.chain.plain()
+            }
+        }
+        fn ctx(&mut self) -> impl Hooks + '_ {
+            (&mut self.chain.seen, Some(&mut self.clock))
+        }
+        fn looks_ahead(&self) -> bool {
+            self.chain.looks_ahead()
+        }
+        fn lookahead(&self, input: usize) {
+            self.chain.lookahead(input);
+        }
+    }
+
+    #[test]
+    fn lane_feeds_match_tagged_feeds_in_the_same_quanta() {
+        const M: usize = 10;
+        let ch = chains(300, 6);
+        let inputs: Vec<usize> = (0..ch.len()).collect();
+        for timed in [false, true] {
+            for quantum in [1, M - 1, M, 37] {
+                let at = format!("timed {timed}, quantum {quantum}");
+                let install = || {
+                    let mut mux = Mux::new();
+                    mux.add(Mixed::chain(&ch));
+                    mux.add(Mixed::latched(&ch));
+                    mux.add(Mixed::chain(&ch)); // cancelled after its fourth feed
+                    if timed {
+                        mux.add(Mixed::stalling(&ch));
+                    }
+                    mux
+                };
+                let (mut by_lane, mut tagged) = (install(), install());
+                let lanes = by_lane.active_lanes() as u32;
+                let (mut window, mut reference) = (AmacSession::new(M), AmacSession::new(M));
+                let (mut stats, mut want) = (EngineStats::default(), EngineStats::default());
+                let mut plain_feeds = 0;
+                for (round, lo) in (0..inputs.len()).step_by(quantum).enumerate() {
+                    let morsel = &inputs[lo..(lo + quantum).min(inputs.len())];
+                    for lane in 0..lanes {
+                        if by_lane.is_cancelled(lane) {
+                            continue;
+                        }
+                        if let Some((op, _)) = by_lane.take_plain(lane) {
+                            by_lane.put_back(lane, op);
+                            plain_feeds += 1;
+                        }
+                        window.feed_lane(&mut by_lane, lane, morsel, &mut stats);
+                        let chunk: Vec<Tagged<usize>> =
+                            morsel.iter().map(|&i| Tagged::new(lane, i)).collect();
+                        reference.feed(&mut tagged, &chunk, &mut want);
+                        assert_eq!(stats, want, "{at}: global stats");
+                        assert_eq!(by_lane.now(), tagged.now(), "{at}: window time");
+                        let mut sum = EngineStats::default();
+                        for l in 0..lanes {
+                            assert_eq!(by_lane.observed(l), tagged.observed(l), "{at}: lane {l}");
+                            sum.merge(by_lane.observed(l));
+                        }
+                        assert_eq!(sum, stats, "{at}: lane ledgers vs global stats");
+                        if (lane, round) == (2, 3) {
+                            // Its lookups still in flight retire through
+                            // the other lanes' feeds.
+                            by_lane.cancel(2);
+                            tagged.cancel(2);
+                        }
+                    }
+                }
+                assert_eq!(plain_feeds > 0, !timed, "{at}: plain feeds {plain_feeds}");
+                window.drain(&mut by_lane, &mut stats);
+                reference.drain(&mut tagged, &mut want);
+                assert_eq!(stats, want, "{at}: drained");
+                assert_eq!(by_lane.now(), tagged.now(), "{at}: drained window time");
+                assert!(stats.latch_retries > 0, "{at}: the latched lane blocked");
+                assert!(by_lane.observed(2).cancelled_lookups > 0, "{at}: cancelled in flight");
+                for l in 0..lanes {
+                    let (a, b) = (by_lane.lane(l), tagged.lane(l));
+                    assert_eq!(a.chain.outputs, b.chain.outputs, "{at}: lane {l} outputs");
+                    assert_eq!(a.completed(), b.completed(), "{at}: lane {l} completion order");
+                    assert_eq!(a.clock.now, b.clock.now, "{at}: lane {l} clock");
+                }
+            }
+        }
     }
 }

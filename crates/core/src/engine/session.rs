@@ -24,6 +24,7 @@
 //! across the run too.
 
 use crate::engine::call::Call;
+use crate::engine::mux::{LaneView, Mux, RoutedLane};
 use crate::engine::{EngineStats, LookupOp, Step};
 
 /// Windows of this many slots or more do not look ahead: the window alone
@@ -109,7 +110,20 @@ impl<O: LookupOp> AmacSession<O> {
     /// order, and none past the slice. Those prefetches are not counted.
     ///
     /// [`Hooks::issues_prefetches`]: crate::engine::Hooks::issues_prefetches
+    #[inline]
     pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
+        self.feed_with(op, inputs, stats);
+    }
+
+    /// [`feed`](AmacSession::feed) through any op over the window's slot
+    /// states: a view of `O` (one [`Mux`] lane, say) drives the same
+    /// window as `O` itself.
+    pub fn feed_with<P: LookupOp<State = O::State>>(
+        &mut self,
+        op: &mut P,
+        inputs: &[P::Input],
+        stats: &mut EngineStats,
+    ) {
         match op.plain() {
             Some(tally) => self.feed_in(Call::plain(op, tally), inputs, stats),
             None => self.feed_in(Call::direct(op), inputs, stats),
@@ -117,10 +131,10 @@ impl<O: LookupOp> AmacSession<O> {
     }
 
     #[inline(always)]
-    fn feed_in<const PLAIN: bool>(
+    fn feed_in<P: LookupOp<State = O::State>, const PLAIN: bool>(
         &mut self,
-        mut op: Call<'_, O, PLAIN>,
-        inputs: &[O::Input],
+        mut op: Call<'_, P, PLAIN>,
+        inputs: &[P::Input],
         stats: &mut EngineStats,
     ) {
         let m = self.states.len();
@@ -281,6 +295,38 @@ impl<O: LookupOp> AmacSession<O> {
         self.hi = 0;
         op.flush(stats);
         true
+    }
+}
+
+impl<T: LookupOp> AmacSession<Mux<T>> {
+    /// Feed untagged `inputs` to one lane of a shared [`Mux`] window, as
+    /// one call (a serving scheduler's quantum). When the lane runs plain
+    /// and no installed lane keeps time, the lane's op leaves the lane table for the call
+    /// and its stages run as the op's own plain stages, over a tally in
+    /// the call's locals; only slots still held by other lanes go through
+    /// the mux, and the lane's ledger and window time are settled once,
+    /// from this feed's counts. Otherwise every stage is routed through
+    /// the mux as a [`feed`](AmacSession::feed) of the tagged inputs would
+    /// be. Either way every counter, ledger and window tick ends where
+    /// that feed leaves it.
+    pub fn feed_lane(
+        &mut self,
+        mux: &mut Mux<T>,
+        lane: u32,
+        inputs: &[T::Input],
+        stats: &mut EngineStats,
+    ) {
+        // The lane view's settlement reads this feed's counts off the
+        // stats it flushes into, so they start at zero.
+        let mut feed = EngineStats::default();
+        match mux.take_plain(lane) {
+            Some((mut op, tally)) => {
+                self.feed_with(&mut LaneView::new(mux, lane, &mut op, tally), inputs, &mut feed);
+                mux.put_back(lane, op);
+            }
+            None => self.feed_with(&mut RoutedLane::new(mux, lane), inputs, &mut feed),
+        }
+        stats.merge(&feed);
     }
 }
 

@@ -49,6 +49,9 @@ pub struct ChainOp {
     pub seen: Observed,
     /// Whether the op [looks ahead](LookupOp::looks_ahead) (default on).
     pub ahead: bool,
+    /// Whether its calls are [plain](LookupOp::plain) (default off: a
+    /// plain call charges no idle ticks).
+    pub plain: bool,
     /// Every input the window asked to look ahead for, in call order.
     pub looked: RefCell<Vec<usize>>,
 }
@@ -77,6 +80,7 @@ impl ChainOp {
             completed: Vec::new(),
             seen: Observed::default(),
             ahead: true,
+            plain: false,
             looked: RefCell::new(Vec::new()),
         }
     }
@@ -125,6 +129,10 @@ impl LookupOp for ChainOp {
         }
     }
 
+    fn plain(&self) -> Option<()> {
+        self.plain.then_some(())
+    }
+
     fn ctx(&mut self) -> impl Hooks + '_ {
         &mut self.seen
     }
@@ -171,6 +179,11 @@ impl LookupOp for LatchedOp {
 
     fn budgeted_steps(&self) -> usize {
         2
+    }
+
+    /// No context, so every call is plain.
+    fn plain(&self) -> Option<()> {
+        Some(())
     }
 
     fn start(&mut self, input: usize, state: &mut LatchedState) {

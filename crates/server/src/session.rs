@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
-use amac::engine::mux::{Mux, Tagged};
+use amac::engine::mux::Mux;
 use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
@@ -18,7 +18,6 @@ use amac_ops::mutate::{MutateOp, ReplayOp};
 use amac_ops::pipeline::{fused_probe_groupby_op, probe_then_groupby_two_phase, PipelineConfig};
 use amac_tier::{TierSpec, WalRecord};
 use amac_trace::{TraceEvent, Tracer};
-use amac_workload::Tuple;
 
 use crate::query::{Breaker, Query, Work};
 use crate::request::{
@@ -40,8 +39,11 @@ pub struct ServeConfig {
     /// [`ServeSession::submit`] refuses outright.
     pub max_pending: usize,
     /// Deficit-round-robin quantum in tuples: how many of one query's
-    /// lookups are fed before the next query's turn. Small quanta mix
-    /// queries tightly in the window; large quanta amortize dispatch.
+    /// lookups are fed before the next query's turn. A quantum is one
+    /// call of the query's lane ([`AmacSession::feed_lane`]): its stages
+    /// run as that query's own op, and its ledger settles once, so small
+    /// quanta mix queries tightly in the window and large quanta run
+    /// longer stretches of one query's code.
     pub quantum: usize,
     /// Retry budget for retryable queries (probes) beyond the first
     /// attempt. Fused pipelines are never retried — their group-by stage
@@ -180,8 +182,9 @@ impl ServeOutput {
 ///    clock jumps to the earliest retry time — backoff is *charged*, not
 ///    busy-waited);
 /// 3. deficit-round-robin over active queries: each gets
-///    `quantum × weight` tuples of credit, tagged with its lane and fed
-///    into the shared [`AmacSession`];
+///    `quantum × weight` tuples of credit, fed into the shared
+///    [`AmacSession`] as one call of its lane
+///    ([`AmacSession::feed_lane`]), which looks ahead like a solo feed;
 /// 4. if no query had input left, the window is drained (under
 ///    [`ServeConfig::drain_budget`]) so tails retire;
 /// 5. fault sweep: a lane whose ledger shows a failed lookup has its
@@ -213,7 +216,6 @@ pub struct ServeSession<'a> {
     /// in lane-retirement order — the durability frontier the client
     /// seals/persists via [`ServeSession::drain_wal`].
     wal_buf: Vec<WalRecord>,
-    tag_buf: Vec<Tagged<Tuple>>,
     /// Session-level tracer: query spans (activation → settle), sheds and
     /// deadline instants — the serving-layer events no single lane op can
     /// see. Disabled unless [`ServeSession::set_tracer`] installs one.
@@ -243,7 +245,6 @@ impl<'a> ServeSession<'a> {
             finished: Vec::new(),
             latency: LatencyHistogram::new(),
             wal_buf: Vec::new(),
-            tag_buf: Vec::new(),
             trace: Tracer::off(),
             rr: 0,
             next_qid: 0,
@@ -406,9 +407,7 @@ impl<'a> ServeSession<'a> {
                 a.deficit -= take;
                 (a.lane, inputs, lo, lo + take)
             };
-            self.tag_buf.clear();
-            self.tag_buf.extend(inputs[lo..hi].iter().map(|t| Tagged::new(lane, *t)));
-            self.window.feed(&mut self.mux, &self.tag_buf, &mut self.stats);
+            self.window.feed_lane(&mut self.mux, lane, &inputs[lo..hi], &mut self.stats);
             fed += hi - lo;
         }
         if n > 0 {

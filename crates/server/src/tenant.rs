@@ -126,6 +126,26 @@ impl LookupOp for TenantOp<'_> {
             TenantOp::Upsert(op) => (&mut op.cx, None),
         }
     }
+
+    #[inline(always)]
+    fn looks_ahead(&self) -> bool {
+        match self {
+            TenantOp::Probe(op) => op.looks_ahead(),
+            TenantOp::GroupBy(op) => op.looks_ahead(),
+            TenantOp::Pipeline(op) => op.looks_ahead(),
+            TenantOp::Upsert(op) => op.looks_ahead(),
+        }
+    }
+
+    #[inline(always)]
+    fn lookahead(&self, input: Tuple) {
+        match self {
+            TenantOp::Probe(op) => op.lookahead(input),
+            TenantOp::GroupBy(op) => op.lookahead(input),
+            TenantOp::Pipeline(op) => op.lookahead(input),
+            TenantOp::Upsert(op) => op.lookahead(input),
+        }
+    }
 }
 
 /// One variant's stage 0 in the call's mode.

@@ -327,63 +327,80 @@ fn a_budgeted_drain_settles_the_tally_at_every_give_up() {
 
 #[test]
 fn mux_lane_ledgers_sum_to_the_global_stats_at_every_flush() {
-    let r = build_side();
-    let (ht, target) = (chained_table(&r), chained_table(&r));
-    let s = probe_side(&r);
-    let (agg, fused_agg) = (AggTable::with_buckets(64), AggTable::with_buckets(64));
-    let probe_cfg = ProbeConfig::default();
-    let mut mux: Mux<TenantOp> = Mux::new();
-    let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
-    traced.ctx().set_tracer(Tracer::on());
-    let lanes = [
-        mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
-        mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
-        mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
-            &ht,
-            &fused_agg,
-            &PipelineConfig::default(),
-        )))),
-        mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
-        mux.add(TenantOp::Probe(traced)),
-    ];
-    let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
-    assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
-    // Every fifth probe misses the table; those go to the group-by lane.
-    let lane_of = |i: usize| lanes[(i + 1) % lanes.len()];
-    let tagged: Vec<Tagged<Tuple>> =
-        s.tuples.iter().enumerate().map(|(i, &t)| Tagged::new(lane_of(i), t)).collect();
+    // Two legs over the same tuples: tagged feeds of the whole mix, and
+    // per-lane feeds in quanta (`AmacSession::feed_lane`), where the plain
+    // lanes run as the lane's own call and the traced one is routed.
+    for lane_feeds in [false, true] {
+        let r = build_side();
+        let (ht, target) = (chained_table(&r), chained_table(&r));
+        let s = probe_side(&r);
+        let (agg, fused_agg) = (AggTable::with_buckets(64), AggTable::with_buckets(64));
+        let probe_cfg = ProbeConfig::default();
+        let mut mux: Mux<TenantOp> = Mux::new();
+        let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
+        traced.ctx().set_tracer(Tracer::on());
+        let lanes = [
+            mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
+            mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
+            mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
+                &ht,
+                &fused_agg,
+                &PipelineConfig::default(),
+            )))),
+            mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
+            mux.add(TenantOp::Probe(traced)),
+        ];
+        let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
+        assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
+        // Every fifth probe misses the table; those go to the group-by lane.
+        let lane_of = |i: usize| lanes[(i + 1) % lanes.len()];
+        let tagged: Vec<Tagged<Tuple>> =
+            s.tuples.iter().enumerate().map(|(i, &t)| Tagged::new(lane_of(i), t)).collect();
 
-    let mut session = AmacSession::new(M);
-    let mut global = EngineStats::default();
-    // Lookups fed per lane so far: what a lane has not retired is in flight.
-    let mut fed = [0u64; 5];
-    let sums_up = |mux: &Mux<TenantOp>, global: &EngineStats, fed: &[u64; 5], at: &str| {
-        let mut sum = EngineStats::default();
-        for (&l, &fed) in lanes.iter().zip(fed) {
-            let led = mux.observed(l);
-            assert_ledger_recounts(led, (fed - led.lookups) as usize, &format!("{at}, lane {l}"));
-            sum.merge(led);
+        let mut session = AmacSession::new(M);
+        let mut global = EngineStats::default();
+        // Lookups fed per lane so far: what a lane has not retired is in flight.
+        let mut fed = [0u64; 5];
+        let sums_up = |mux: &Mux<TenantOp>, global: &EngineStats, fed: &[u64; 5], at: &str| {
+            let at = format!("lane feeds {lane_feeds}, {at}");
+            let mut sum = EngineStats::default();
+            for (&l, &fed) in lanes.iter().zip(fed) {
+                let (led, at) = (mux.observed(l), format!("{at}, lane {l}"));
+                assert_ledger_recounts(led, (fed - led.lookups) as usize, &at);
+                sum.merge(led);
+            }
+            assert_eq!(sum, *global, "{at}: lane ledgers vs global stats");
+        };
+        for chunk in tagged.chunks(500) {
+            if lane_feeds {
+                for (i, &lane) in lanes.iter().enumerate() {
+                    let quantum: Vec<Tuple> =
+                        chunk.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
+                    fed[i] += quantum.len() as u64;
+                    session.feed_lane(&mut mux, lane, &quantum, &mut global);
+                    sums_up(&mux, &global, &fed, "after a lane feed");
+                }
+                continue;
+            }
+            for t in chunk {
+                fed[lanes.iter().position(|&l| l == t.lane).unwrap()] += 1;
+            }
+            session.feed(&mut mux, chunk, &mut global);
+            sums_up(&mux, &global, &fed, "after a feed");
         }
-        assert_eq!(sum, *global, "{at}: lane ledgers vs global stats");
-    };
-    for chunk in tagged.chunks(500) {
-        for t in chunk {
-            fed[lanes.iter().position(|&l| l == t.lane).unwrap()] += 1;
+        while !session.drain_budgeted(&mut mux, &mut global, 7) {
+            sums_up(&mux, &global, &fed, "after a give-up");
         }
-        session.feed(&mut mux, chunk, &mut global);
-        sums_up(&mux, &global, &fed, "after a feed");
-    }
-    while !session.drain_budgeted(&mut mux, &mut global, 7) {
-        sums_up(&mux, &global, &fed, "after a give-up");
-    }
-    sums_up(&mux, &global, &fed, "drained");
-    assert_eq!(global.lookups, s.len() as u64);
-    // Both probe lanes' settled accumulators are their solo runs'.
-    for lane in [lanes[0], lanes[4]] {
-        let TenantOp::Probe(op) = mux.remove(lane).0 else { unreachable!() };
-        let mine = tagged.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
-        let solo = probe(&ht, &Relation::from_tuples(mine), Technique::Amac, &probe_cfg);
-        assert_eq!((op.matches(), op.checksum()), (solo.matches, solo.checksum), "lane {lane}");
-        assert!(solo.matches > 0, "lane {lane} hits");
+        sums_up(&mux, &global, &fed, "drained");
+        assert_eq!(global.lookups, s.len() as u64);
+        // Both probe lanes' settled accumulators are their solo runs'.
+        for lane in [lanes[0], lanes[4]] {
+            let TenantOp::Probe(op) = mux.remove(lane).0 else { unreachable!() };
+            let mine = tagged.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
+            let solo = probe(&ht, &Relation::from_tuples(mine), Technique::Amac, &probe_cfg);
+            let got = (op.matches(), op.checksum());
+            assert_eq!(got, (solo.matches, solo.checksum), "lane feeds {lane_feeds}, lane {lane}");
+            assert!(solo.matches > 0, "lane {lane} hits");
+        }
     }
 }

@@ -66,7 +66,6 @@ pub static SCENARIOS: &[Scenario] = &[
     table("table04", "Table 4: AMAC probe scaling profile vs threads", figures::table04),
     table("ablation", "§3.1: merged refill, modulo indexing, prefetch hints", studies::ablation),
     table("btree_sweep", "BST (irregular) vs B+-tree (regular) search", studies::btree_sweep),
-    table("partition", "§7: radix partitioning vs prefetching", studies::partition_study),
     gated("scaling", "BENCH_SCALING.json", scaling::run, "static vs morsel dispatch"),
     gated("pipeline", "BENCH_PIPELINE.json", pipeline::run, "§6 fused vs two-phase pipelines"),
     gated("layout", "BENCH_LAYOUT.json", layout::run, "node layout; chained vs linear"),

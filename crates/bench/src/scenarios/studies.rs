@@ -1,19 +1,15 @@
 //! Studies beyond the paper's figures, printed as tables: AMAC's
-//! engineering choices (§3.1), partitioning vs prefetching (§7), and BST
-//! vs B+-tree regularity.
+//! engineering choices (§3.1) and BST vs B+-tree regularity.
 
-use crate::{best_of, per_technique, probe_cfg, row, Args, JoinLab, Outcome};
+use crate::{best_of, per_technique, row, Args, JoinLab, Outcome};
 use amac::engine::{run_amac, run_amac_modulo, run_amac_no_merge, Technique, TuningParams};
 use amac_btree::BPlusTree;
-use amac_hashtable::HashTable;
 use amac_mem::prefetch::PrefetchHint;
-use amac_metrics::report::{fnum, Table};
+use amac_metrics::report::Table;
 use amac_metrics::timer::CycleTimer;
 use amac_ops::bst::{bst_search, BstConfig};
 use amac_ops::btree::{btree_search, BTreeConfig};
-use amac_ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_ops::join_radix::{radix_join, RadixJoinConfig};
-use amac_radix::{partition, partition_unbuffered};
+use amac_ops::join::{ProbeConfig, ProbeOp};
 use amac_tree::Bst;
 use amac_workload::{Relation, Tuple};
 
@@ -134,88 +130,6 @@ pub(super) fn btree_sweep(args: &Args) -> Outcome {
         "\nReading: the last column is AMAC's speedup over the better of GP/SPP.\n\
          Expect it >> 1 on the BST and ≈ 1 on the B+-tree — irregularity, not\n\
          tree search itself, is what separates the techniques."
-    );
-    Outcome::default()
-}
-
-/// **Partitioning vs prefetching** (§7): remove the misses (radix join,
-/// PRO) or hide them (AMAC on the no-partitioning join, NPO)? Then price
-/// the radix pass's software-managed scatter buffers.
-pub(super) fn partition_study(args: &Args) -> Outcome {
-    let n = 1usize << args.scale.min(23);
-    println!("# Partitioning vs prefetching — NPO/AMAC vs radix join ({n} ⋈ {n})\n");
-    let r = Relation::dense_unique(n, 0x71);
-    let s = Relation::fk_uniform(&r, n, 0x72);
-    let d = s.len() as f64;
-
-    let ht = HashTable::build_serial(&r);
-    let m = TuningParams::paper_best(Technique::Amac).in_flight;
-    let npo = |t: Technique, m: usize| {
-        best_of(args.trials, || (probe(&ht, &s, t, &probe_cfg(m)).cycles as f64 / d, ())).0
-    };
-    let (npo_base, npo_amac) = (npo(Technique::Baseline, 1), npo(Technique::Amac, m));
-    drop(ht);
-
-    let mut table = Table::new("Cycles per probe tuple (probe-phase and end-to-end)").header([
-        "configuration",
-        "partition",
-        "build",
-        "probe",
-        "total",
-        "vs NPO+Base",
-    ]);
-    for (name, c) in [("NPO + Baseline", npo_base), ("NPO + AMAC", npo_amac)] {
-        let ratio = format!("{:.2}x", npo_base / c);
-        table.row([name.to_string(), "-".into(), "-".into(), fnum(c), fnum(c), ratio]);
-    }
-    for bits in [4u32, 8, 11] {
-        for technique in [Technique::Baseline, Technique::Amac] {
-            let cfg = RadixJoinConfig {
-                bits,
-                probe: probe_cfg(if technique == Technique::Amac { m } else { 1 }),
-                ..Default::default()
-            };
-            let (total, parts) = best_of(args.trials, || {
-                let out = radix_join(&r, &s, technique, &cfg);
-                let parts = [out.partition_cycles, out.build_cycles, out.probe_cycles];
-                (out.total_cycles() as f64 / d, parts.map(|c| c as f64 / d))
-            });
-            let mut r =
-                row(format!("radix {bits} bits + {technique}"), parts.into_iter().chain([total]));
-            r.push(format!("{:.2}x", npo_base / total));
-            table.row(r);
-        }
-    }
-    table.note("8 bits ≈ cache-resident partitions here; 11 bits exposes per-partition fixed costs (table allocation) — fan-out is a real tuning knob, like GP/SPP's N");
-    table.print();
-
-    let mut ab = Table::new("Scatter-pass ablation: software write buffers")
-        .header(["scatter", "cycles/tuple"]);
-    let scatter = |f: fn(&Relation, u32) -> amac_radix::Partitions| {
-        best_of(args.trials, || {
-            let t = CycleTimer::start();
-            let p = f(&s, 11);
-            (t.cycles() as f64 / d, p.tuples.len())
-        })
-        .0
-    };
-    let (buffered, unbuffered) = (scatter(partition), scatter(partition_unbuffered));
-    ab.row(row("cache-line buffered", [buffered]));
-    ab.row(row("unbuffered", [unbuffered]));
-    ab.note(format!(
-        "buffered/unbuffered ratio: {:.2} at 2^11 partitions — staging pays off only \
-         when open output streams exceed the TLB/cache budget; below that the extra \
-         copy is pure cost",
-        buffered / unbuffered
-    ));
-    println!();
-    ab.print();
-    println!(
-        "\nReading: AMAC closes most of the gap to the radix join *without*\n\
-         touching the data layout, and AMAC adds ~nothing on top of radix —\n\
-         cache-resident partitions leave no misses to hide (the paper's\n\
-         Fig. 5a/Table 3 regime). Hiding and removing misses are substitutes\n\
-         on the probe phase; partitioning additionally pays the scatter."
     );
     Outcome::default()
 }

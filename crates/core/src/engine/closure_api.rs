@@ -6,7 +6,12 @@
 //! of implementing [`super::LookupOp`], callers provide two
 //! closures — one to *start* a lookup (issue the first prefetch, return
 //! state) and one to *advance* it — and get interleaved execution of any
-//! technique:
+//! technique.
+//!
+//! No operator, driver or scenario runs on it: every operator is a
+//! [`super::LookupOp`]. It is kept only for the benchmark harness's rung 0
+//! (`engine.closure_loop`), the price of a hand-written probe closure with
+//! no operator layer above the engine.
 //!
 //! ```
 //! use amac::engine::closure_api::{for_each_interleaved, Resume};
@@ -47,6 +52,9 @@ pub enum Resume {
     Blocked,
 }
 
+/// GP/SPP stage budget of every closure run (the paper's `N`).
+const BUDGET: usize = 4;
+
 struct ClosureOp<'c, I, S, FStart, FStep>
 where
     FStart: FnMut(&I) -> S,
@@ -54,7 +62,6 @@ where
 {
     start: &'c mut FStart,
     advance: &'c mut FStep,
-    budget: usize,
     _marker: core::marker::PhantomData<fn(&I) -> S>,
 }
 
@@ -68,7 +75,7 @@ where
     type Tally = ();
 
     fn budgeted_steps(&self) -> usize {
-        self.budget
+        BUDGET
     }
 
     fn start(&mut self, input: I, state: &mut S) {
@@ -85,8 +92,7 @@ where
 }
 
 /// Run `start`/`advance` over `inputs` with `in_flight` concurrent
-/// lookups under `technique` (GP/SPP stage budget defaults to 4; use
-/// [`for_each_interleaved_with_budget`] to tune it).
+/// lookups under `technique` (GP and SPP with a stage budget of 4).
 pub fn for_each_interleaved<I: Copy, S: Default>(
     technique: Technique,
     inputs: &[I],
@@ -94,21 +100,8 @@ pub fn for_each_interleaved<I: Copy, S: Default>(
     mut start: impl FnMut(&I) -> S,
     mut advance: impl FnMut(&mut S) -> Resume,
 ) -> EngineStats {
-    for_each_interleaved_with_budget(technique, inputs, in_flight, 4, &mut start, &mut advance)
-}
-
-/// As [`for_each_interleaved`], with an explicit GP/SPP stage budget (the
-/// paper's `N`).
-pub fn for_each_interleaved_with_budget<I: Copy, S: Default>(
-    technique: Technique,
-    inputs: &[I],
-    in_flight: usize,
-    budget: usize,
-    start: &mut impl FnMut(&I) -> S,
-    advance: &mut impl FnMut(&mut S) -> Resume,
-) -> EngineStats {
     let mut op =
-        ClosureOp { start, advance, budget: budget.max(1), _marker: core::marker::PhantomData };
+        ClosureOp { start: &mut start, advance: &mut advance, _marker: core::marker::PhantomData };
     run(technique, &mut op, inputs, TuningParams::with_in_flight(in_flight))
 }
 

@@ -17,8 +17,6 @@ use amac_mem::hash::{bucket_of, next_pow2};
 use amac_mem::latch::Latch;
 use amac_mem::NULL_INDEX;
 use core::cell::UnsafeCell;
-use core::ptr::addr_of_mut;
-use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Aggregates maintained per group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +92,8 @@ impl Default for AggData {
 }
 
 /// One cache-line aggregate chain node (header and overflow share the
-/// layout; the header's latch guards its whole chain).
+/// layout; the header's latch guards its whole chain, and every write to
+/// a node happens under it).
 #[repr(C, align(64))]
 #[derive(Debug, Default)]
 pub struct AggBucket {
@@ -127,54 +126,21 @@ impl AggBucket {
     pub unsafe fn data_mut(&self) -> &mut AggData {
         &mut *self.data.get()
     }
-
-    /// Atomic view of the chain link (the field latch-free merges CAS to
-    /// publish fresh group nodes; see [`AggTable::merge_latchfree`]).
-    #[inline(always)]
-    pub fn next_atomic(&self) -> &AtomicU32 {
-        // SAFETY: `next` is a 4-aligned u32 inside the UnsafeCell.
-        unsafe { AtomicU32::from_ptr(addr_of_mut!((*self.data.get()).next)) }
-    }
-
-    /// Atomic view of the group key (immutable once its `count` is
-    /// nonzero, but read concurrently with other fields' writes).
-    #[inline(always)]
-    pub fn key_atomic(&self) -> &AtomicU64 {
-        // SAFETY: 8-aligned u64 inside the UnsafeCell.
-        unsafe { AtomicU64::from_ptr(addr_of_mut!((*self.data.get()).key)) }
-    }
-
-    /// Atomic views of the five stored aggregates, in
-    /// (count, sum, min, max, sumsq) order. count/sum/sumsq merge with
-    /// `fetch_add`, min/max with `fetch_min`/`fetch_max` — all
-    /// commutative, so any interleaving folds identically.
-    #[inline(always)]
-    pub fn aggs_atomic(&self) -> [&AtomicU64; 5] {
-        // SAFETY: AggValues fields are 8-aligned u64s in the UnsafeCell.
-        unsafe {
-            let a = addr_of_mut!((*self.data.get()).aggs);
-            [
-                AtomicU64::from_ptr(addr_of_mut!((*a).count)),
-                AtomicU64::from_ptr(addr_of_mut!((*a).sum)),
-                AtomicU64::from_ptr(addr_of_mut!((*a).min)),
-                AtomicU64::from_ptr(addr_of_mut!((*a).max)),
-                AtomicU64::from_ptr(addr_of_mut!((*a).sumsq)),
-            ]
-        }
-    }
 }
 
 /// The group-by hash table: one aggregate node per distinct key.
+///
+/// The header latch is the table's one write protocol: every update goes
+/// through an [`AggHandle`] (`update`, or `update_latched` /
+/// `visit_latched` from a stage that holds the latch), and reads
+/// ([`get`](AggTable::get), [`groups`](AggTable::groups)) run in
+/// read-only phases.
 pub struct AggTable {
     buckets: amac_mem::Region<AggBucket>,
     mask: u64,
     /// Overflow group nodes, shared by every handle and addressed by the
     /// `u32` chain indices stored in [`AggData::next`].
     nodes: IndexedArena<AggBucket>,
-    /// Frozen boundary for the latch-free merge epoch (same discipline as
-    /// `HashTable::freeze`): nodes `< frozen` plus occupied headers are
-    /// immutable structure; nodes `>= frozen` are epoch-created groups.
-    frozen: AtomicU32,
 }
 
 impl AggTable {
@@ -185,7 +151,6 @@ impl AggTable {
             buckets: amac_mem::Region::new(n),
             mask: (n - 1) as u64,
             nodes: IndexedArena::new(),
-            frozen: AtomicU32::new(u32::MAX),
         }
     }
 
@@ -265,111 +230,6 @@ impl AggTable {
     /// Number of distinct groups stored.
     pub fn group_count(&self) -> usize {
         self.groups().len()
-    }
-
-    /// Enter (or re-observe) the latch-free merge epoch; see
-    /// `HashTable::freeze` for the discipline. Returns the boundary.
-    pub fn freeze(&self) -> u32 {
-        let cur = self.frozen.load(Ordering::Acquire);
-        if cur != u32::MAX {
-            return cur;
-        }
-        let len = self.nodes.len() as u32;
-        match self.frozen.compare_exchange(u32::MAX, len, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => len,
-            Err(cur) => cur,
-        }
-    }
-
-    /// The frozen boundary ([`u32::MAX`] before [`freeze`](AggTable::freeze)).
-    #[inline(always)]
-    pub fn frozen_bound(&self) -> u32 {
-        self.frozen.load(Ordering::Acquire)
-    }
-
-    /// Latch-free aggregate merge: fold `payload` into `key`'s group,
-    /// creating the group if absent. Returns true when a fresh group node
-    /// was created.
-    ///
-    /// All five stored aggregates merge with commutative atomics
-    /// (`fetch_add` for count/sum/sumsq, `fetch_min`/`fetch_max`), and a
-    /// miss CAS-prepends a fully initialized node at the header's `next`
-    /// with the same re-walk retry as `HashTable::fresh_upsert` — so any
-    /// interleaving across threads or AMAC slots produces bit-identical
-    /// group values. Unlike the latched path this never claims an empty
-    /// header: epoch groups always live in fresh nodes (the read paths
-    /// already follow `next` from empty headers).
-    pub fn merge_latchfree(&self, key: u64, payload: u64) -> bool {
-        let bound = self.freeze();
-        let header = self.bucket_addr(key);
-        // SAFETY: header/chain pointers resolve into this table; frozen
-        // nodes' key/count/next are immutable during the epoch.
-        unsafe {
-            let hb = &*header;
-            // Occupancy and key of a frozen header are immutable during
-            // the epoch, but its count is concurrently folded — read it
-            // through the atomic view.
-            if hb.aggs_atomic()[0].load(Ordering::Acquire) > 0
-                && hb.key_atomic().load(Ordering::Acquire) == key
-            {
-                Self::fold_atomic(hb, payload);
-                return false;
-            }
-            // Walk the frozen chain tail (fresh prefix handled below).
-            let head = hb.next_atomic().load(Ordering::Acquire);
-            let mut idx = head;
-            while idx != NULL_INDEX && idx >= bound {
-                idx = (*self.node_ptr(idx)).next_atomic().load(Ordering::Acquire);
-            }
-            while idx != NULL_INDEX {
-                let b = &*self.node_ptr(idx);
-                if b.key_atomic().load(Ordering::Acquire) == key {
-                    Self::fold_atomic(b, payload);
-                    return false;
-                }
-                idx = b.next_atomic().load(Ordering::Acquire);
-            }
-        }
-        // No frozen group: merge into (or create) the fresh prefix node.
-        let mut fresh: Option<(u32, *mut AggBucket)> = None;
-        loop {
-            // SAFETY: as above; published fresh nodes are initialized.
-            let head = unsafe { &*header }.next_atomic().load(Ordering::Acquire);
-            let mut idx = head;
-            while idx != NULL_INDEX && idx >= bound {
-                let b = unsafe { &*self.node_ptr(idx) };
-                if b.key_atomic().load(Ordering::Acquire) == key {
-                    Self::fold_atomic(b, payload);
-                    return false;
-                }
-                idx = b.next_atomic().load(Ordering::Acquire);
-            }
-            let (nidx, nptr) = *fresh.get_or_insert_with(|| self.nodes.alloc());
-            // SAFETY: unpublished node owned by this thread.
-            unsafe {
-                let d = (*nptr).data_mut();
-                d.key = key;
-                d.aggs = AggValues::first(payload);
-                d.next = head;
-            }
-            if unsafe { &*header }
-                .next_atomic()
-                .compare_exchange(head, nidx, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return true;
-            }
-        }
-    }
-
-    /// Fold `payload` into an existing group with commutative atomics.
-    fn fold_atomic(node: &AggBucket, payload: u64) {
-        let [count, sum, min, max, sumsq] = node.aggs_atomic();
-        count.fetch_add(1, Ordering::AcqRel);
-        sum.fetch_add(payload, Ordering::AcqRel);
-        min.fetch_min(payload, Ordering::AcqRel);
-        max.fetch_max(payload, Ordering::AcqRel);
-        sumsq.fetch_add(payload.wrapping_mul(payload), Ordering::AcqRel);
     }
 }
 
@@ -570,79 +430,6 @@ mod tests {
             assert_eq!(a.sum, THREADS * PER / 10);
             assert_eq!(a.min, 1);
             assert_eq!(a.max, 1);
-        }
-    }
-
-    #[test]
-    fn latchfree_merge_matches_latched_reference() {
-        // Same updates through the latched handle and the latch-free
-        // path: all six aggregates must agree bit-for-bit.
-        let latched = AggTable::for_groups(16);
-        let free = AggTable::for_groups(16);
-        {
-            // Pre-populate both with a latched build phase, then freeze.
-            let mut h = latched.handle();
-            let mut h2 = free.handle();
-            for k in 0..20u64 {
-                h.update(k, k * 7);
-                h2.update(k, k * 7);
-            }
-        }
-        free.freeze();
-        for i in 0..5_000u64 {
-            let (k, p) = (i % 40, i.wrapping_mul(31) % 1000);
-            let mut h = latched.handle();
-            h.update(k, p);
-            let created = free.merge_latchfree(k, p);
-            assert_eq!(created, latched.get(k).unwrap().count == 1 && k >= 20 && i % 40 == i);
-        }
-        assert_eq!(latched.group_count(), free.group_count());
-        for (k, a) in latched.groups() {
-            assert_eq!(free.get(k), Some(a), "group {k}");
-        }
-    }
-
-    #[test]
-    fn concurrent_latchfree_merges_are_exact() {
-        // The order-independence claim under real parallelism: any
-        // interleaving of commutative atomic folds produces the same
-        // groups as a serial reference.
-        let t = AggTable::for_groups(8);
-        {
-            let mut h = t.handle();
-            for k in 0..5u64 {
-                h.update(k, 500 + k);
-            }
-        }
-        t.freeze();
-        const THREADS: u64 = 4;
-        const PER: u64 = 8_000;
-        std::thread::scope(|s| {
-            for tid in 0..THREADS {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..PER {
-                        t.merge_latchfree(i % 10, tid * PER + i);
-                    }
-                });
-            }
-        });
-        let mut reference = AggTable::for_groups(8);
-        {
-            let mut h = reference.handle();
-            for k in 0..5u64 {
-                h.update(k, 500 + k);
-            }
-            for tid in 0..THREADS {
-                for i in 0..PER {
-                    h.update(i % 10, tid * PER + i);
-                }
-            }
-        }
-        let _ = &mut reference;
-        assert_eq!(t.group_count(), 10);
-        for k in 0..10u64 {
-            assert_eq!(t.get(k), reference.get(k), "group {k}");
         }
     }
 

@@ -234,8 +234,8 @@ const FRONTIER_AHEAD: u32 = 16;
 /// Slab index holding arena index `idx` — the geometry is a pure
 /// function of the index (slab `k` holds indices
 /// `[BASE·(2^k − 1), BASE·(2^(k+1) − 1))`), shared by every
-/// [`IndexedArena`] regardless of element type. Memory-tier placement
-/// policies (`amac_tier::TierPolicy::slab_tier`) key on this value, so
+/// [`IndexedArena`] regardless of element type. The memory-tier fault
+/// plan (`amac_tier::FaultPlan::degraded_slab`) keys on this value, so
 /// the slab an index maps to is part of the arena's stable contract.
 #[inline(always)]
 pub fn slab_of_index(idx: u32) -> u32 {

@@ -16,7 +16,7 @@
 //! stages (an executor call whose context is plain, see
 //! [`ExecCtx::plain`]) run `METERED = false`, the walk alone — count the
 //! load into the call's [`Ledger`], prefetch, dereference — with no lane,
-//! ticket, fault token or slab kept and the context untouched; its
+//! ticket or fault token kept and the context untouched; its
 //! `start`/`step` run `METERED = true`, the full protocol. Nodes and tag
 //! rejections count into the ledger in both modes.
 
@@ -42,9 +42,6 @@ pub struct ChainCursor {
     /// tracer armed while the lookup is in flight reports it at
     /// retirement.
     pub(crate) hop: u32,
-    /// Arena slab of the pending node (0 for the header), so traced
-    /// stalls attribute to the slab's tier (metered stages only).
-    pub(crate) slab: u32,
     /// Commit group the lookup's lane was born into (metered stages
     /// only).
     pub(crate) group: u32,
@@ -54,15 +51,7 @@ impl Default for ChainCursor {
     /// An idle window slot: executors `start` a slot before stepping it,
     /// so this null cursor is never walked.
     fn default() -> Self {
-        ChainCursor {
-            key: 0,
-            ptr: core::ptr::null(),
-            probe: 0,
-            ready_at: 0,
-            hop: 0,
-            slab: 0,
-            group: 0,
-        }
+        ChainCursor { key: 0, ptr: core::ptr::null(), probe: 0, ready_at: 0, hop: 0, group: 0 }
     }
 }
 
@@ -86,7 +75,6 @@ impl ChainCursor {
         if METERED {
             let group = cx.begin_lane();
             self.ready_at = cx.issue_header(ptr, group).ready_at;
-            self.slab = 0;
             self.group = group;
         } else {
             led.issue(ptr);
@@ -124,7 +112,7 @@ impl ChainCursor {
     ) -> (&'t BucketData, Slots) {
         let _ = ht;
         if METERED {
-            cx.deref(op, self.key, self.hop, self.slab, self.ready_at);
+            cx.deref(op, self.key, self.hop, self.ready_at);
         }
         debug_assert!(!self.ptr.is_null(), "cursor stepped before start");
         // SAFETY: `ptr` is only ever written by `start` (a header of the
@@ -168,13 +156,11 @@ impl ChainCursor {
         }
         let token = fault_token(self.key, self.hop);
         self.hop += 1;
-        let slab = slab_of_index(next);
-        let t = cx.issue_slab(slab, ptr, token, self.group);
+        let t = cx.issue_slab(slab_of_index(next), ptr, token, self.group);
         if t.failed {
             cx.fail(op, self.key, self.hop, self.group);
             return Step::Failed;
         }
-        self.slab = slab;
         self.ready_at = t.ready_at;
         Step::Continue
     }

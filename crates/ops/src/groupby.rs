@@ -43,7 +43,7 @@ pub struct GroupByConfig {
     /// AMAC and the baseline ignore this value.
     pub n_stages: usize,
     /// Memory-tier cost model (headers pay the header tier, chained
-    /// group nodes their arena slab's tier; blocked latch attempts count
+    /// group nodes the slab tier; blocked latch attempts count
     /// as executed stages, so multi-threaded simulated counters are only
     /// run-to-run deterministic single-threaded). See
     /// [`ProbeConfig::tier`](crate::join::ProbeConfig::tier).
@@ -96,9 +96,6 @@ pub struct GroupByState {
     /// Chain hop index of the pending load (0 = header), for traced
     /// stall attribution.
     hop: u32,
-    /// Arena slab of the node the pending load targets (0 for the
-    /// header).
-    slab: u32,
     /// A load was issued and its trace event not yet recorded. Cleared
     /// at the first wait; a blocked latch attempt re-enters `step` and
     /// re-waits the same ticket without recording a duplicate event.
@@ -117,7 +114,6 @@ impl Default for GroupByState {
             latched: false,
             ready_at: 0,
             hop: 0,
-            slab: 0,
             pending: false,
             group: 0,
         }
@@ -182,9 +178,8 @@ impl GroupByOp<'_> {
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
         // A plain stage only counts the load: no lane to open, no
-        // arrival tick or slab to keep, no load event pending.
+        // arrival tick to keep, no load event pending.
         let fresh = if METERED {
-            state.slab = 0;
             state.pending = true;
             state.group = self.cx.begin_lane();
             let ticket = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
@@ -213,7 +208,7 @@ impl GroupByOp<'_> {
         if METERED {
             if state.pending {
                 state.pending = false;
-                self.cx.trace_load("groupby", state.key, state.hop, state.slab, state.ready_at);
+                self.cx.trace_load("groupby", state.key, state.hop, state.ready_at);
             }
             self.cx.wait(state.ready_at);
             self.cx.stage();
@@ -244,9 +239,9 @@ impl GroupByOp<'_> {
             state.cur = next;
             state.hop += 1;
             let fresh = if METERED {
-                state.slab = slab_of_index(idx);
                 state.pending = true;
-                let ticket = self.cx.request(AddrClass::slab_ptr(state.slab, next), 0, state.group);
+                let class = AddrClass::slab_ptr(slab_of_index(idx), next);
+                let ticket = self.cx.request(class, 0, state.group);
                 state.ready_at = ticket.ready_at;
                 ticket.fresh
             } else {

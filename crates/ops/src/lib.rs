@@ -8,7 +8,6 @@
 //! |----------|--------|--------------|
 //! | Hash join probe | [`join`] | 0: hash + prefetch bucket; 1: compare keys / output / chase `next` |
 //! | Hash join build | [`join`] | 0: hash + prefetch bucket; 1: latch? retry : O(1) head insert |
-//! | Radix-partitioned join | [`join_radix`] | scatter → per-partition build+probe (the partitioning alternative to miss-hiding, §7) |
 //! | Group-by (immediate agg) | [`groupby`] | 0: hash + prefetch; 1: latch? retry : walk; 1b: latched walk (extra stage avoids re-acquire deadlock); update / append |
 //! | BST search | [`bst`] | 0: prefetch root; 1: compare, descend + prefetch child |
 //! | B+-tree search | [`btree`] | 0: prefetch root; 1: select + prefetch child (inner) / resolve (leaf) — the *regular* tree counterpart |
@@ -39,7 +38,6 @@ pub mod btree;
 pub mod chain;
 pub mod groupby;
 pub mod join;
-pub mod join_radix;
 pub mod linear;
 pub mod multi;
 pub mod mutate;

@@ -221,7 +221,7 @@ impl<'a> MutateOp<'a> {
         if METERED {
             let now = self.cx.now();
             let residual = cur.ready_at.saturating_sub(now).saturating_sub(self.hide);
-            self.cx.trace_load("mutate", cur.key, cur.hop, cur.slab, now + residual);
+            self.cx.trace_load("mutate", cur.key, cur.hop, now + residual);
             self.cx.wait(now + residual);
         }
     }

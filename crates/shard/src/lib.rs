@@ -1,9 +1,9 @@
 //! # amac_shard — shard-per-core scale-out over a simulated interconnect
 //!
 //! AMAC hides *intra-socket* memory latency; this crate makes shard
-//! count the next axis. A [`ShardRouter`] (rendezvous hashing over the
-//! `2^bits` radix partitions of `amac_radix`) assigns every key to one
-//! shard; a [`ShardedTable`] holds one frozen hash table per shard; and
+//! count the next axis. A [`ShardRouter`] (rendezvous hashing over
+//! `2^bits` radix partitions, the top `bits` bits of a key's hash)
+//! assigns every key to one shard; a [`ShardedTable`] holds one frozen hash table per shard; and
 //! the drivers in [`exec`] run the existing operators per
 //! `(core, shard)` pair, pricing cross-shard loads at
 //! [`amac_tier::Tier::Remote`] — each one a request/response message
@@ -49,6 +49,7 @@
 
 pub mod elastic;
 pub mod exec;
+pub mod partition;
 pub mod router;
 pub mod table;
 

@@ -1,7 +1,7 @@
 //! Consistent key→shard routing: rendezvous hashing over radix partitions.
 //!
 //! The unit of placement is a **radix partition** — one of the `2^bits`
-//! top-hash-bit buckets [`amac_radix::partition_of`] assigns every key to.
+//! top-hash-bit buckets [`partition_of`] assigns every key to.
 //! Each partition is owned by exactly one shard, chosen by rendezvous
 //! (highest-random-weight) hashing: the owner of partition `p` is the
 //! shard whose `score(p, shard_id)` is largest. The scheme needs no
@@ -10,8 +10,8 @@
 //! and removing a shard only moves the partitions the *removed* shard
 //! owned — every other key keeps its home.
 
+use crate::partition::partition_of;
 use amac_mem::hash::mix64;
-use amac_radix::partition_of;
 
 /// Rendezvous score of `(partition, shard)` — deterministic, no state.
 ///

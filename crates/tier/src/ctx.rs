@@ -451,23 +451,23 @@ impl ExecCtx {
     }
 
     /// Record (when tracing) the load a lookup of `op` is about to wait
-    /// on: hop 0 is the header line, later hops are nodes of `slab`, and
-    /// the tier is whatever the policy assigns that address. Call it
+    /// on: hop 0 is the header line, later hops are chain nodes, and the
+    /// tier is whatever the policy assigns that region. Call it
     /// immediately before [`wait`](ExecCtx::wait) so the recorded stall
     /// is exactly what the wait charges.
     #[inline(always)]
-    pub fn trace_load(&mut self, op: &'static str, key: u64, hop: u32, slab: u32, ready_at: u64) {
+    pub fn trace_load(&mut self, op: &'static str, key: u64, hop: u32, ready_at: u64) {
         if self.tracer.enabled() {
-            self.record_load(op, key, hop, slab, ready_at);
+            self.record_load(op, key, hop, ready_at);
         }
     }
 
     #[cold]
-    fn record_load(&mut self, op: &'static str, key: u64, hop: u32, slab: u32, ready_at: u64) {
+    fn record_load(&mut self, op: &'static str, key: u64, hop: u32, ready_at: u64) {
         let class = if hop == 0 { ClassKind::Header } else { ClassKind::Slab };
         let tier = match self.policy() {
             None => TierKind::Untiered,
-            Some(p) => trace_tier(if hop == 0 { p.header_tier() } else { p.slab_tier(slab) }),
+            Some(p) => trace_tier(if hop == 0 { p.header_tier() } else { p.slab_tier() }),
         };
         self.tracer.load(self.now(), op, key, class, tier, hop16(hop), ready_at);
     }
@@ -484,8 +484,8 @@ impl ExecCtx {
     /// Dereference the line a lookup requested: trace the load, stall
     /// until it is resident, charge the stage.
     #[inline(always)]
-    pub fn deref(&mut self, op: &'static str, key: u64, hop: u32, slab: u32, ready_at: u64) {
-        self.trace_load(op, key, hop, slab, ready_at);
+    pub fn deref(&mut self, op: &'static str, key: u64, hop: u32, ready_at: u64) {
+        self.trace_load(op, key, hop, ready_at);
         self.wait(ready_at);
         self.stage();
     }
@@ -668,7 +668,7 @@ mod tests {
         assert_eq!(cx.plain(), None, "a metered context hands out no ledger");
         let g = cx.begin_lane();
         let t = cx.issue_header(x.as_ptr(), g);
-        cx.deref("probe", 42, 0, 0, t.ready_at);
+        cx.deref("probe", 42, 0, t.ready_at);
         cx.retire("probe", 42, 0, g);
         let tr = cx.take_tracer();
         assert!(!cx.metered(), "taking the tracer returns the context to plain");
@@ -784,7 +784,7 @@ mod tests {
         cx.set_tracer(Tracer::on());
         let g = cx.begin_lane();
         let t = cx.request(AddrClass::Slab { slab: 0, line: 1 }, 0, g);
-        cx.deref("probe", 42, 1, 0, t.ready_at);
+        cx.deref("probe", 42, 1, t.ready_at);
         cx.retire("probe", 42, 1, g);
         let mut s = EngineStats::default();
         cx.flush(&mut s);

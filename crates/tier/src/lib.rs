@@ -76,7 +76,7 @@
 //! assert_eq!(spec.model.latency(Tier::Far), 32);
 //! assert_eq!(spec.model.latency(Tier::Remote), 64);
 //! assert_eq!(spec.policy.header_tier(), Tier::Near);
-//! assert_eq!(spec.policy.slab_tier(0), Tier::Far);
+//! assert_eq!(spec.policy.slab_tier(), Tier::Far);
 //!
 //! // The context an op embeds: request, do other work, dereference.
 //! let mut cx = ExecCtx::new(&ExecSpec { tier: Some(spec), ..Default::default() });
@@ -236,13 +236,6 @@ pub enum TierPolicy {
     /// working set that fits in DRAM stays there, the long tail of
     /// overflow nodes pays far latency.
     HeadersNear,
-    /// Headers and all slabs far — the whole structure demoted.
-    AllFar,
-    /// Headers plus the first `n` arena slabs near, the rest far: the
-    /// slab-granular placement (slabs grow geometrically, so `n` slabs
-    /// hold the `BASE·(2^n − 1)` oldest nodes — a "hot head of the arena
-    /// in DRAM, cold growth tail in CXL" split).
-    NearSlabs(u32),
     /// The whole structure lives on **another shard**: headers and every
     /// slab are priced at [`Tier::Remote`] and each load crosses the
     /// simulated interconnect. This is how a cross-shard probe reuses the
@@ -255,26 +248,17 @@ impl TierPolicy {
     #[inline(always)]
     pub fn header_tier(&self) -> Tier {
         match self {
-            TierPolicy::AllFar => Tier::Far,
             TierPolicy::Remote => Tier::Remote,
             _ => Tier::Near,
         }
     }
 
-    /// Tier of arena slab `slab` (from
-    /// [`slab_of_index`](amac_mem::arena::slab_of_index)).
+    /// Tier of the chain-node slabs (every slab shares one tier).
     #[inline(always)]
-    pub fn slab_tier(&self, slab: u32) -> Tier {
+    pub fn slab_tier(&self) -> Tier {
         match self {
             TierPolicy::AllNear => Tier::Near,
-            TierPolicy::HeadersNear | TierPolicy::AllFar => Tier::Far,
-            TierPolicy::NearSlabs(n) => {
-                if slab < *n {
-                    Tier::Near
-                } else {
-                    Tier::Far
-                }
-            }
+            TierPolicy::HeadersNear => Tier::Far,
             TierPolicy::Remote => Tier::Remote,
         }
     }
@@ -285,8 +269,7 @@ impl TierPolicy {
     /// nowhere left to go.
     pub fn degrade(&self) -> Option<TierPolicy> {
         match self {
-            TierPolicy::AllFar => Some(TierPolicy::HeadersNear),
-            TierPolicy::HeadersNear | TierPolicy::NearSlabs(_) => Some(TierPolicy::AllNear),
+            TierPolicy::HeadersNear => Some(TierPolicy::AllNear),
             // A faulting interconnect degrades to serving from a local
             // replica (the router's job to provide); one rung, then done.
             TierPolicy::Remote => Some(TierPolicy::AllNear),
@@ -299,8 +282,6 @@ impl TierPolicy {
         match self {
             TierPolicy::AllNear => "all-near".into(),
             TierPolicy::HeadersNear => "headers-near".into(),
-            TierPolicy::AllFar => "all-far".into(),
-            TierPolicy::NearSlabs(n) => format!("near-slabs-{n}"),
             TierPolicy::Remote => "remote".into(),
         }
     }
@@ -410,7 +391,7 @@ impl SimClock {
     pub fn resolve(&mut self, class: AddrClass, token: u64) -> (u64, bool) {
         let tier = match class {
             AddrClass::Header { .. } => self.spec.policy.header_tier(),
-            AddrClass::Slab { slab, .. } => self.spec.policy.slab_tier(slab),
+            AddrClass::Slab { .. } => self.spec.policy.slab_tier(),
         };
         if tier == Tier::Remote {
             self.remote += 1;
@@ -438,10 +419,10 @@ impl SimClock {
     /// never fault: local DRAM is not the narrow interface.
     #[inline]
     pub fn resolve_dup(&mut self, class: AddrClass, token: u64) -> bool {
-        let (AddrClass::Slab { slab, .. }, Some(plan)) = (class, self.fault) else {
+        let (AddrClass::Slab { .. }, Some(plan)) = (class, self.fault) else {
             return false;
         };
-        let failed = self.spec.policy.slab_tier(slab) != Tier::Near && plan.fails(token);
+        let failed = self.spec.policy.slab_tier() != Tier::Near && plan.fails(token);
         self.faults += failed as u64;
         failed
     }
@@ -505,20 +486,12 @@ mod tests {
     #[test]
     fn policies_assign_documented_tiers() {
         assert_eq!(TierPolicy::AllNear.header_tier(), Tier::Near);
-        assert_eq!(TierPolicy::AllNear.slab_tier(5), Tier::Near);
+        assert_eq!(TierPolicy::AllNear.slab_tier(), Tier::Near);
         assert_eq!(TierPolicy::HeadersNear.header_tier(), Tier::Near);
-        assert_eq!(TierPolicy::HeadersNear.slab_tier(0), Tier::Far);
-        assert_eq!(TierPolicy::AllFar.header_tier(), Tier::Far);
-        assert_eq!(TierPolicy::AllFar.slab_tier(3), Tier::Far);
-        let p = TierPolicy::NearSlabs(2);
-        assert_eq!(p.header_tier(), Tier::Near);
-        assert_eq!(p.slab_tier(0), Tier::Near);
-        assert_eq!(p.slab_tier(1), Tier::Near);
-        assert_eq!(p.slab_tier(2), Tier::Far);
-        assert_eq!(p.label(), "near-slabs-2");
+        assert_eq!(TierPolicy::HeadersNear.slab_tier(), Tier::Far);
+        assert_eq!(TierPolicy::HeadersNear.label(), "headers-near");
         assert_eq!(TierPolicy::Remote.header_tier(), Tier::Remote);
-        assert_eq!(TierPolicy::Remote.slab_tier(0), Tier::Remote);
-        assert_eq!(TierPolicy::Remote.slab_tier(7), Tier::Remote);
+        assert_eq!(TierPolicy::Remote.slab_tier(), Tier::Remote);
         assert_eq!(TierPolicy::Remote.label(), "remote");
     }
 
@@ -606,13 +579,11 @@ mod tests {
 
     #[test]
     fn degrade_ladder_ends_at_all_near() {
-        assert_eq!(TierPolicy::AllFar.degrade(), Some(TierPolicy::HeadersNear));
         assert_eq!(TierPolicy::HeadersNear.degrade(), Some(TierPolicy::AllNear));
-        assert_eq!(TierPolicy::NearSlabs(3).degrade(), Some(TierPolicy::AllNear));
         assert_eq!(TierPolicy::Remote.degrade(), Some(TierPolicy::AllNear));
         assert_eq!(TierPolicy::AllNear.degrade(), None);
         // Every rung strictly reduces far exposure until none remains.
-        let mut p = TierPolicy::AllFar;
+        let mut p = TierPolicy::HeadersNear;
         let mut rungs = 0;
         while let Some(next) = p.degrade() {
             p = next;

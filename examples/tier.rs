@@ -28,7 +28,7 @@ fn main() {
     assert_eq!(spec.model.latency(Tier::Far), 32);
     assert_eq!(spec.model.latency(Tier::Remote), 64);
     assert_eq!(spec.policy.header_tier(), Tier::Near);
-    assert_eq!(spec.policy.slab_tier(0), Tier::Far);
+    assert_eq!(spec.policy.slab_tier(), Tier::Far);
 
     // The context an op embeds: request, do other work, dereference.
     let mut cx = ExecCtx::new(&ExecSpec { tier: Some(spec), ..Default::default() });

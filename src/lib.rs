@@ -77,7 +77,6 @@ pub use amac_hashtable as hashtable;
 pub use amac_mem as mem;
 pub use amac_metrics as metrics;
 pub use amac_ops as ops;
-pub use amac_radix as radix;
 pub use amac_runtime as runtime;
 pub use amac_server as server;
 pub use amac_shard as shard;
@@ -94,7 +93,6 @@ pub mod prelude {
     pub use amac_coro::{run_interleaved_collect, CoroConfig};
     pub use amac_hashtable::{AggTable, HashTable, LinearTable};
     pub use amac_ops::join::{probe, ProbeConfig};
-    pub use amac_ops::join_radix::{radix_join, RadixJoinConfig};
     pub use amac_ops::parallel::{probe_groupby_mt_rt, probe_mt_rt, MtOutput};
     pub use amac_ops::pipeline::{
         probe_then_groupby, probe_then_groupby_two_phase, probe_then_probe, PipelineConfig,

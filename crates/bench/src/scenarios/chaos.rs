@@ -3,21 +3,17 @@
 //! machinery, as deterministic `BENCH_CHAOS_*` counters. (1) A healthy
 //! and a faulted tenant share one window, plus two queries with an
 //! impossible deadline. (2) An always-failing tenant trips the circuit
-//! breaker; later queries are shed. (3) The same faulted probe at 1/2/4
-//! threads injects the same faults: decisions hash `(key, hop)`, never
-//! issue order. What each outcome must compute (healthy tenant equal to
-//! its solo run, survivors to the fault-free probe, the retry budget, the
-//! thread-count invariance) is `crates/server/tests/chaos_outcomes.rs`'s
-//! contract; report and ledger conservation under random interleavings is
+//! breaker; later queries are shed. What each outcome must compute
+//! (healthy tenant equal to its solo run, survivors to the fault-free
+//! probe, the retry budget, the thread-count invariance) is
+//! `crates/server/tests/chaos_outcomes.rs`'s contract; report and ledger
+//! conservation under random interleavings is
 //! `crates/server/tests/chaos_ledger.rs`'s.
 
 use super::submit_closed_loop;
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
-use amac::engine::Technique;
 use amac_hashtable::HashTable;
 use amac_ops::join::ProbeConfig;
-use amac_ops::multi::{probe_multi_mt_rt, TenantProbe};
-use amac_runtime::MorselConfig;
 use amac_server::{
     BreakerMode, QueryId, QueryOutcome, Request, ServeConfig, ServeSession, SubmitOpts,
 };
@@ -133,17 +129,6 @@ pub(super) fn run(args: &Args) -> Outcome {
         "breaker demo: {brk_failed} consecutive failures opened the breaker, {shed} queries shed \
          with zero work\n"
     );
-
-    // --- 3. Schedule invariance: same faults at 1/2/4 threads ------------
-    let mt_cfg =
-        ProbeConfig { fault: Some(FaultPlan::fail_only(SEED ^ 0x7000, 5)), ..scan_all_cfg(10) };
-    let [t1, t2, t4] = [1usize, 2, 4].map(|threads| {
-        let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
-        let tenants = [TenantProbe::new(&faulty[0]), TenantProbe::new(&faulty[1])];
-        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &mt_cfg, 256, &rt);
-        o.tenants.iter().map(|t| t.stats.load_faults).sum::<u64>()
-    });
-    println!("schedule invariance: {t1} / {t2} / {t4} injected faults at 1 / 2 / 4 threads\n");
 
     let mut j = JsonOut::open("chaos_fault_injection");
     j.meta("tuples_per_query", q_tuples);

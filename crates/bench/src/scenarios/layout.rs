@@ -1,18 +1,16 @@
 //! **Hash-table layout ablation** (§2.1.1: no single layout wins both
-//! chained memory accesses and space). (1) The tag-probed node layout
+//! chained memory accesses and space). The tag-probed node layout
 //! (3 tuples + SWAR tags + u32 index) at `n / (2·fill)` buckets, probed
 //! scan-all with uniform and Zipf(1) keys: the gated evidence is **nodes
 //! visited per lookup** and the share of visits the tag filter rejects
 //! (the replaced 2-tuple layout's numbers are frozen in
-//! `tests/layout_ab.rs`). (2) Chained vs linear probing across fill
-//! factors: probe length set by chain structure vs by displacement.
+//! `tests/layout_ab.rs`).
 
-use crate::{per_technique, probe_cfg, row, Args, JsonOut, Outcome};
-use amac::engine::{Technique, TuningParams};
-use amac_hashtable::{HashTable, LinearTable};
-use amac_metrics::report::{fnum, Table};
+use crate::{probe_cfg, Args, JsonOut, Outcome};
+use amac::engine::Technique;
+use amac_hashtable::HashTable;
+use amac_metrics::report::Table;
 use amac_ops::join::{probe, ProbeConfig};
-use amac_ops::linear::{linear_probe, LinearProbeConfig};
 use amac_workload::Relation;
 
 /// One node-layout measurement row.
@@ -79,50 +77,6 @@ pub(super) fn run(args: &Args) -> Outcome {
     layout_table.note("fill = tuples per bucket / 2; scan-all probes");
     layout_table.print();
     println!();
-
-    let rel = Relation::dense_unique(n, 0x1A);
-    let probes = rel.shuffled(0x2B);
-    let per_probe = |cycles: u64| cycles as f64 / probes.len() as f64;
-
-    // Chained reference point (the paper's layout, early-exit probes).
-    let ht = HashTable::build_serial(&rel);
-    let mut chained = Table::new("Chained table (paper layout), cycles per probe tuple")
-        .header(["layout", "Baseline", "GP", "SPP", "AMAC"]);
-    let cells = per_technique(args.trials, |t| {
-        [per_probe(
-            probe(&ht, &probes, t, &probe_cfg(TuningParams::paper_best(t).in_flight)).cycles,
-        )]
-    });
-    chained.row(row("chained", cells.into_iter().flatten()));
-    chained.print();
-    println!();
-
-    let mut linear = Table::new("Linear-probing table, cycles per probe tuple by fill factor")
-        .header(["fill", "avg displ.", "Baseline", "GP", "SPP", "AMAC", "AMAC vs best-static"]);
-    for fill in [0.25, 0.5, 0.7, 0.85, 0.95] {
-        let table = LinearTable::build_serial(&rel, fill);
-        let c = per_technique(args.trials, |t| {
-            let cfg = LinearProbeConfig {
-                params: TuningParams::paper_best(t),
-                materialize: false,
-                ..Default::default()
-            };
-            [per_probe(linear_probe(&table, &probes, t, &cfg).cycles)]
-        });
-        let mut r = vec![format!("{fill:.2}"), format!("{:.2}", table.stats().avg_displacement)];
-        r.extend(c.map(|[x]| fnum(x)));
-        r.push(format!("{:.2}x", c[1][0].min(c[2][0]) / c[3][0]));
-        linear.row(r);
-    }
-    linear.note("fill factors are honoured exactly (fastrange slot mapping, no pow2 rounding)");
-    linear.print();
-    println!(
-        "\nReading: at low fill every technique sees ~1 line per probe and the\n\
-         prefetchers' margins compress; as fill grows the displacement tail\n\
-         lengthens and AMAC's robustness advantage (last column) widens —\n\
-         the same irregularity story as the paper's skewed chains, produced\n\
-         by a completely different layout mechanism.\n"
-    );
 
     let pick = |w: &str, fill: usize| -> &LayoutRow {
         rows.iter().find(|r| r.workload == w && r.fill == fill).expect("row exists")

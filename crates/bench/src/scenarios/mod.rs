@@ -68,7 +68,7 @@ pub static SCENARIOS: &[Scenario] = &[
     table("btree_sweep", "BST (irregular) vs B+-tree (regular) search", studies::btree_sweep),
     gated("scaling", "BENCH_SCALING.json", scaling::run, "static vs morsel dispatch"),
     gated("pipeline", "BENCH_PIPELINE.json", pipeline::run, "§6 fused vs two-phase pipelines"),
-    gated("layout", "BENCH_LAYOUT.json", layout::run, "node layout; chained vs linear"),
+    gated("layout", "BENCH_LAYOUT.json", layout::run, "node layout"),
     gated("serve", "BENCH_SERVE.json", serve::run, "cross-query serving, shared windows"),
     gated("tier", "BENCH_TIER.json", tier::run, "far-memory latency sweep (simulated)"),
     gated("chaos", "BENCH_CHAOS.json", chaos::run, "faults, retries, deadlines, breaker"),

@@ -64,7 +64,7 @@ pub(super) fn run(args: &Args) -> Outcome {
     };
     let (mixed_u, mixed_z) = (tenant(true), tenant(false));
     let npl = |t: (u64, u64)| t.1 as f64 / t.0.max(1) as f64;
-    let fairness = amac_ops::multi::fairness_nodes_ratio([mixed_u.1, mixed_z.1]);
+    let fairness = amac_server::fairness_nodes_ratio([mixed_u.1, mixed_z.1]);
     println!("closed mixed run: occupancy {:.2}/{}", mixed.occupancy, mixed.window);
     println!(
         "nodes/lookup: uniform {:.3}, zipf {:.3}; fairness max/mean {:.3}\n",

@@ -1,7 +1,6 @@
-//! Hash tables in the paper's (Balkesen et al.) layout, plus the
-//! open-addressing counterpart for the layout ablation.
+//! Hash tables in the paper's (Balkesen et al.) layout.
 //!
-//! Three tables:
+//! Two tables:
 //!
 //! * [`HashTable`] — the chained hash-join table (§4) in the **tag-probed
 //!   fat layout**: each 64-byte, cache-line-aligned node holds a 1-byte
@@ -13,9 +12,6 @@
 //! * [`agg::AggTable`] — the group-by table: one group per node, carrying
 //!   the paper's six aggregates (count, sum, min, max, sum of squares, and
 //!   avg derived at read time), chain-linked by `u32` index.
-//! * [`linear::LinearTable`] — open-addressing linear probing over flat
-//!   cache-line slot groups: the other end of §2.1.1's layout/space
-//!   tradeoff, with the fill factor as the irregularity knob.
 //!
 //! # Concurrency model
 //!
@@ -30,12 +26,10 @@
 
 pub mod agg;
 pub mod bucket;
-pub mod linear;
 pub mod table;
 
 pub use agg::{AggBucket, AggTable};
 pub use bucket::{
     probe_word, tag_slots, tags_may_match, Bucket, BucketData, Slots, TUPLES_PER_NODE,
 };
-pub use linear::{LinearTable, SlotLine, EMPTY_KEY, SLOTS_PER_LINE};
 pub use table::{BuildHandle, HashTable, TableSnapshot, TableStats};

@@ -11,7 +11,6 @@
 //! | Group-by (immediate agg) | [`groupby`] | 0: hash + prefetch; 1: latch? retry : walk; 1b: latched walk (extra stage avoids re-acquire deadlock); update / append |
 //! | BST search | [`bst`] | 0: prefetch root; 1: compare, descend + prefetch child |
 //! | B+-tree search | [`btree`] | 0: prefetch root; 1: select + prefetch child (inner) / resolve (leaf) — the *regular* tree counterpart |
-//! | Linear-probing probe | [`linear`] | 0: hash + prefetch slot group; 1: scan group / advance + prefetch next group — the flat-layout counterpart |
 //! | Skip list search | [`skiplist`] | 0: prefetch top-level successor; 1: compare / advance / descend |
 //! | Skip list insert | [`skiplist`] | search stages + 2: random level & node allocation; 3: per-level latched splice |
 //! | Latch-free upsert/insert/delete | [`mutate`] | 0: hash + prefetch header; 1..N: frozen-chain walk + WAL append; terminal: fresh-prefix CAS action |
@@ -24,10 +23,7 @@
 //!
 //! [`parallel`] holds the multi-threaded drivers for the scalability
 //! experiments (Figs. 7–8, Table 4); an op without one there runs on
-//! the morsel runtime through `amac_runtime::execute`. [`multi`] holds
-//! the multi-tenant drivers: several queries' probe streams interleaved
-//! into the same workers' AMAC windows (`amac::engine::mux`), the
-//! parallel engine under the `amac_server` serving layer. [`pipeline`]
+//! the morsel runtime through `amac_runtime::execute`. [`pipeline`]
 //! fuses multi-operator chains (probe → filter → group-by, probe →
 //! probe) into a single AMAC window — §6's multi-operator integration —
 //! with two-phase materialized references for equivalence and traffic
@@ -38,8 +34,6 @@ pub mod btree;
 pub mod chain;
 pub mod groupby;
 pub mod join;
-pub mod linear;
-pub mod multi;
 pub mod mutate;
 pub mod parallel;
 pub mod pipeline;

@@ -16,9 +16,9 @@
 //! per-thread observability in [`MtOutput::report`] — including the
 //! merged structured trace when the operator's config sets `trace`.
 //! Throughput is `|S| / wall_time` over the whole fan-out, the paper's
-//! `|S|/probeExecutionTime`. An operator without a driver here (skip-list
-//! and B+-tree search) runs on the morsel runtime by handing its op to
-//! [`amac_runtime::execute`] directly.
+//! `|S|/probeExecutionTime`. An operator without a driver here (build,
+//! skip-list and B+-tree search) runs on the morsel runtime by handing
+//! its op to [`amac_runtime::execute`] directly.
 
 use amac::engine::{EngineStats, Technique};
 use amac_hashtable::{AggTable, HashTable};
@@ -86,20 +86,6 @@ pub fn probe_mt_rt(
         out.checksum = out.checksum.wrapping_add(op.checksum());
     }
     out
-}
-
-/// Multi-threaded hash-table build.
-pub fn build_mt_rt(
-    ht: &HashTable,
-    r: &Relation,
-    technique: Technique,
-    cfg: &crate::join::BuildConfig,
-    rt: &MorselConfig,
-) -> MtOutput {
-    let run = execute(&r.tuples, technique, cfg.params, rt, |_tid| {
-        crate::join::BuildOp::new(ht, &cfg.exec())
-    });
-    MtOutput::from_report(run.report)
 }
 
 /// Multi-threaded group-by.
@@ -284,10 +270,13 @@ mod tests {
     #[test]
     fn build_mt_all_techniques_complete_table() {
         let r = Relation::zipf(30_000, 5_000, 0.7, 83);
+        let cfg = crate::join::BuildConfig::default();
         for t in Technique::ALL {
             let ht = HashTable::for_tuples(r.len());
-            let out = build_mt_rt(&ht, &r, t, &Default::default(), &MorselConfig::with_threads(4));
-            assert_eq!(out.stats.lookups, r.len() as u64, "{t}");
+            let out = execute(&r.tuples, t, cfg.params, &MorselConfig::with_threads(4), |_tid| {
+                crate::join::BuildOp::new(&ht, &cfg.exec())
+            });
+            assert_eq!(out.report.stats.lookups, r.len() as u64, "{t}");
             assert_eq!(ht.len(), r.len(), "{t}");
         }
     }

@@ -29,8 +29,8 @@
 //!   outcome (completed, shed, cancelled, failed, ...) ends in the same
 //!   place, which files the report, settles the tenant's circuit breaker
 //!   and records the session trace event;
-//! * multi-threaded serving runs through `amac_ops::multi`, where every
-//!   worker's window is shared the same way.
+//! * [`ShardedServe`] runs one such session, and so one shared window,
+//!   per shard.
 //!
 //! Results are bit-identical to solo runs by construction — sharing the
 //! window reschedules stages, it never changes what a query computes —
@@ -82,6 +82,6 @@ mod tenant;
 pub use request::{
     Backpressure, BreakerMode, QueryId, QueryOutcome, QueryReport, Request, Stalled, SubmitOpts,
 };
-pub use session::{ServeConfig, ServeOutput, ServeSession};
+pub use session::{fairness_nodes_ratio, ServeConfig, ServeOutput, ServeSession};
 pub use shard::{ShardedServe, ShardedServeOutput};
 pub use tenant::{TenantOp, TenantState};

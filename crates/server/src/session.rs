@@ -151,12 +151,31 @@ pub struct ServeOutput {
     pub trace: Tracer,
 }
 
+/// Fairness ratio: max over tenants of per-tenant nodes visited, divided
+/// by the mean (1.0 = perfectly even traversal work; empty or all-zero
+/// inputs report 1.0). With per-query windows this would be trivially
+/// 1-per-query; in a shared window it shows how unevenly tenants consume
+/// the engine. The single definition behind [`ServeOutput`],
+/// [`ShardedServeOutput`](crate::ShardedServeOutput) and `bench serve`.
+pub fn fairness_nodes_ratio(nodes: impl IntoIterator<Item = u64>) -> f64 {
+    let nodes: Vec<f64> = nodes.into_iter().map(|n| n as f64).collect();
+    if nodes.is_empty() {
+        return 1.0;
+    }
+    let mean = nodes.iter().sum::<f64>() / nodes.len() as f64;
+    if mean > 0.0 {
+        nodes.iter().fold(0.0f64, |a, &b| a.max(b)) / mean
+    } else {
+        1.0
+    }
+}
+
 impl ServeOutput {
     /// Fairness ratio: max over queries of nodes visited divided by the
     /// mean (1.0 = every query paid the same traversal work; the single
-    /// definition lives in [`amac_ops::multi::fairness_nodes_ratio`]).
+    /// definition is [`fairness_nodes_ratio`]).
     pub fn fairness_nodes_ratio(&self) -> f64 {
-        amac_ops::multi::fairness_nodes_ratio(self.reports.iter().map(|r| r.stats.nodes_visited))
+        fairness_nodes_ratio(self.reports.iter().map(|r| r.stats.nodes_visited))
     }
 
     /// Reports with the given outcome.
@@ -258,16 +277,6 @@ impl<'a> ServeSession<'a> {
     /// deadline).
     pub fn submit(&mut self, req: Request<'a>) -> Result<QueryId, Backpressure> {
         self.submit_opts(req, SubmitOpts::default())
-    }
-
-    /// Submit a query with a deficit-round-robin `weight` (2 = twice the
-    /// per-round tuple share).
-    pub fn submit_weighted(
-        &mut self,
-        req: Request<'a>,
-        weight: u32,
-    ) -> Result<QueryId, Backpressure> {
-        self.submit_opts(req, SubmitOpts { weight, ..Default::default() })
     }
 
     /// Submit a query with full options. Admits immediately if a lane is
@@ -945,8 +954,8 @@ mod tests {
         let light = Relation::fk_uniform(&dim, 8_192, 0x52);
         let pcfg = ProbeConfig { materialize: false, ..Default::default() };
         let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        let w =
-            srv.submit_weighted(Request::Probe { probes: &heavy, cfg: pcfg.clone() }, 4).unwrap();
+        let req = Request::Probe { probes: &heavy, cfg: pcfg.clone() };
+        let w = srv.submit_opts(req, SubmitOpts { weight: 4, ..Default::default() }).unwrap();
         let l = srv.submit(Request::Probe { probes: &light, cfg: pcfg }).unwrap();
         let out = srv.finish();
         // Completion order: the weight-4 query got 4x the feed share, so it

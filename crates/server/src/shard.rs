@@ -18,7 +18,6 @@
 
 use amac::engine::EngineStats;
 use amac_shard::{ShardRouter, ShardedTable};
-use amac_tier::WalRecord;
 
 use crate::request::{Backpressure, QueryId, QueryOutcome, QueryReport, Request, SubmitOpts};
 use crate::session::{ServeConfig, ServeOutput, ServeSession};
@@ -77,12 +76,6 @@ impl<'a> ShardedServe<'a> {
         &mut self.sessions[s]
     }
 
-    /// Per-shard WAL drains, index = shard (each shard's durability is
-    /// its own: a shard's records never mix into another's log).
-    pub fn drain_wals(&mut self) -> Vec<Vec<WalRecord>> {
-        self.sessions.iter_mut().map(|s| s.drain_wal()).collect()
-    }
-
     /// Drive every shard to completion and collect per-shard outputs
     /// plus the merged global ledger.
     pub fn finish(self) -> ShardedServeOutput {
@@ -123,11 +116,10 @@ impl ShardedServeOutput {
 
     /// Fairness across **all** shards' queries (max/mean of
     /// `nodes_visited`, the single definition in
-    /// `amac_ops::multi::fairness_nodes_ratio`): sharding must not let
-    /// one shard's tenants pay more traversal work per query than
-    /// another's.
+    /// [`crate::fairness_nodes_ratio`]): sharding must not let one
+    /// shard's tenants pay more traversal work per query than another's.
     pub fn fairness_nodes_ratio(&self) -> f64 {
-        amac_ops::multi::fairness_nodes_ratio(self.reports().map(|r| r.stats.nodes_visited))
+        crate::fairness_nodes_ratio(self.reports().map(|r| r.stats.nodes_visited))
     }
 
     /// Ledger conservation check: per shard, the session ledger must
@@ -277,8 +269,10 @@ mod tests {
         let opts = SubmitOpts { tenant, ..Default::default() };
         srv.submit(Request::Upsert { input: &ups, cfg: Default::default() }, opts).unwrap();
         srv.session_mut(home).run_to_completion();
-        let wals = srv.drain_wals();
-        for (s, wal) in wals.iter().enumerate() {
+        // Each shard's durability is its own: a shard's records never mix
+        // into another's log.
+        for s in 0..srv.n_shards() {
+            let wal = srv.session_mut(s).drain_wal();
             if s == home {
                 assert_eq!(wal.len(), ups.len(), "home shard logs every applied upsert");
                 assert!(wal.iter().all(|r| router.shard_of_key(r.key()) == home));

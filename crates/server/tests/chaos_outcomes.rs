@@ -15,7 +15,7 @@
 use amac::engine::{Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_ops::join::{probe, ProbeConfig};
-use amac_ops::multi::{probe_multi_mt_rt, TenantProbe};
+use amac_ops::parallel::probe_mt_rt;
 use amac_runtime::MorselConfig;
 use amac_server::{QueryId, QueryOutcome, Request, ServeConfig, ServeSession, SubmitOpts};
 use amac_tier::FaultPlan;
@@ -140,11 +140,12 @@ fn injected_faults_are_identical_at_one_two_and_four_threads() {
     let cfg = ProbeConfig { fault: Some(FaultPlan::fail_only(SEED ^ 0x7000, 5)), ..scan_all() };
     let sigs = [1usize, 2, 4].map(|threads| {
         let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
-        let tenants: Vec<TenantProbe> = streams.iter().map(TenantProbe::new).collect();
-        let o = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg, 256, &rt);
-        o.tenants
+        streams
             .iter()
-            .map(|t| (t.stats.load_faults, t.stats.failed_lookups, t.matches, t.checksum))
+            .map(|s| {
+                let o = probe_mt_rt(&ht, s, Technique::Amac, &cfg, &rt);
+                (o.stats.load_faults, o.stats.failed_lookups, o.matches, o.checksum)
+            })
             .collect::<Vec<_>>()
     });
     assert!(sigs[0].iter().any(|s| s.0 > 0), "the plan injected no fault");

@@ -1,16 +1,13 @@
 //! Multi-tenant fairness: a Zipf-skewed tenant sharing a window with a
 //! uniform tenant must not inflate the uniform tenant's `nodes_visited`,
 //! reorder its results, or change any of its counters — asserted
-//! bit-identically against solo runs, under all four executors, the
-//! single-threaded serving scheduler, and the morsel runtime at 1/2/4
-//! threads.
+//! bit-identically against solo runs, under all four executors and the
+//! serving scheduler.
 
 use amac::engine::mux::{Mux, Tagged};
 use amac::engine::{run, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
-use amac_ops::multi::{probe_multi_mt_rt, TenantProbe};
-use amac_runtime::{MorselConfig, Scheduling};
 use amac_server::{Request, ServeConfig, ServeSession};
 use amac_workload::Relation;
 
@@ -87,46 +84,6 @@ fn uniform_tenant_unaffected_in_serving_scheduler() {
     assert_eq!(ru.out, solo.out, "sharing must not reorder the uniform tenant's output");
     assert_eq!(ru.stats.nodes_visited, solo.stats.nodes_visited);
     assert_eq!(ru.stats.lookups, solo.stats.lookups);
-}
-
-#[test]
-fn uniform_tenant_unaffected_on_morsel_runtime_1_2_4_threads() {
-    let (ht, uniform, skewed) = lab();
-    // Solo reference through the same multi-tenant driver, 1 thread.
-    let solo = probe_multi_mt_rt(
-        &ht,
-        &[TenantProbe::new(&uniform)],
-        Technique::Amac,
-        &cfg(),
-        256,
-        &MorselConfig::with_threads(1),
-    )
-    .tenants
-    .remove(0);
-
-    for threads in [1usize, 2, 4] {
-        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
-            let rt = MorselConfig { threads, morsel_tuples: 512, scheduling };
-            let tenants = [TenantProbe::new(&uniform), TenantProbe::new(&skewed)];
-            let out = probe_multi_mt_rt(&ht, &tenants, Technique::Amac, &cfg(), 256, &rt);
-            let got = &out.tenants[0];
-            let tag = format!("{threads}t/{scheduling:?}");
-            assert_eq!(got.matches, solo.matches, "{tag}: matches");
-            assert_eq!(got.checksum, solo.checksum, "{tag}: checksum");
-            assert_eq!(got.stats.lookups, solo.stats.lookups, "{tag}: lookups");
-            assert_eq!(
-                got.stats.nodes_visited, solo.stats.nodes_visited,
-                "{tag}: skewed neighbour inflated the uniform tenant's nodes"
-            );
-            // The skewed tenant *does* do more traversal work per lookup —
-            // that is what the fairness ratio reports.
-            assert!(
-                out.tenants[1].stats.nodes_visited > out.tenants[0].stats.nodes_visited,
-                "{tag}: zipf tenant should walk more nodes"
-            );
-            assert!(out.fairness_nodes_ratio() > 1.0, "{tag}");
-        }
-    }
 }
 
 #[test]

@@ -91,7 +91,7 @@ pub mod prelude {
     pub use amac::engine::{Technique, TuningParams};
     pub use amac_btree::BPlusTree;
     pub use amac_coro::{run_interleaved_collect, CoroConfig};
-    pub use amac_hashtable::{AggTable, HashTable, LinearTable};
+    pub use amac_hashtable::{AggTable, HashTable};
     pub use amac_ops::join::{probe, ProbeConfig};
     pub use amac_ops::parallel::{probe_groupby_mt_rt, probe_mt_rt, MtOutput};
     pub use amac_ops::pipeline::{

@@ -1,14 +1,10 @@
-//! Integration tests for the extension substrates: B+-tree index and
-//! linear-probing table, cross-validated against the paper's structures
-//! and a std model, under all four techniques.
+//! Integration tests for the B+-tree index, cross-validated against the
+//! paper's BST and a std model, under all four techniques.
 
 use amac_suite::btree::{BPlusTree, FANOUT_KEYS};
 use amac_suite::engine::{Technique, TuningParams};
-use amac_suite::hashtable::{HashTable, LinearTable};
 use amac_suite::ops::bst::{bst_search, BstConfig};
 use amac_suite::ops::btree::{btree_search, BTreeConfig};
-use amac_suite::ops::join::{probe, ProbeConfig};
-use amac_suite::ops::linear::{linear_probe, LinearProbeConfig};
 use amac_suite::tree::Bst;
 use amac_suite::workload::{Relation, Tuple};
 use proptest::prelude::*;
@@ -44,33 +40,6 @@ fn btree_and_bst_agree_on_index_join() {
     }
 }
 
-/// Chained and linear tables must find the same matches for the same
-/// relation (early-exit semantics, unique keys).
-#[test]
-fn chained_and_linear_tables_agree() {
-    let r = Relation::dense_unique(30_000, 201);
-    let s = r.shuffled(202);
-    let ht = HashTable::build_serial(&r);
-    let lt = LinearTable::build_serial(&r, 0.7);
-    for t in Technique::ALL {
-        let c = probe(
-            &ht,
-            &s,
-            t,
-            &ProbeConfig { params: TuningParams::paper_best(t), ..Default::default() },
-        );
-        let l = linear_probe(
-            &lt,
-            &s,
-            t,
-            &LinearProbeConfig { params: TuningParams::paper_best(t), ..Default::default() },
-        );
-        assert_eq!(c.matches, l.matches, "{t}");
-        assert_eq!(c.checksum, l.checksum, "{t}");
-        assert_eq!(c.out, l.out, "{t}");
-    }
-}
-
 /// GP/SPP must run the balanced B+-tree with zero bailouts at any size
 /// straddling a height transition (the regularity guarantee the ablation
 /// relies on).
@@ -90,32 +59,6 @@ fn btree_regularity_holds_across_height_transitions() {
             assert_eq!(out.found as usize, n, "{t} n={n}");
             assert_eq!(out.stats.bailouts, 0, "{t} n={n}: balance ⇒ no bailouts");
             assert_eq!(out.stats.bailout_stages, 0, "{t} n={n}");
-        }
-    }
-}
-
-/// A linear table at punishing fill must stay correct for every
-/// technique, including duplicate-heavy scan-all probes.
-#[test]
-fn linear_table_survives_extreme_fill() {
-    let tuples: Vec<Tuple> = (0..8192u64)
-        .map(|i| Tuple::new(i / 2, i)) // every key twice
-        .collect();
-    let rel = Relation::from_tuples(tuples);
-    let table = LinearTable::build_serial(&rel, 0.98);
-    let probes = Relation::from_tuples((0..4096u64).map(|k| Tuple::new(k, 0)).collect());
-    let mut reference = None;
-    for t in Technique::ALL {
-        let out = linear_probe(
-            &table,
-            &probes,
-            t,
-            &LinearProbeConfig { scan_all: true, materialize: false, ..Default::default() },
-        );
-        assert_eq!(out.matches, 8192, "{t}: both copies of every key");
-        match reference {
-            None => reference = Some(out.checksum),
-            Some(c) => assert_eq!(out.checksum, c, "{t}"),
         }
     }
 }
@@ -175,34 +118,6 @@ proptest! {
         let (lo, hi) = (a.min(b), a.max(b));
         let want: Vec<(u64, u64)> = model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(tree.range(lo, hi), want);
-    }
-
-    /// All four techniques agree on the linear table for arbitrary
-    /// contents, fill factors and widths.
-    #[test]
-    fn linear_probe_equivalence(
-        kv in prop::collection::vec((1u64..500, 0u64..1000), 1..300),
-        fill_pct in 30u32..95,
-        m in 1usize..16,
-        scan_all in proptest::bool::ANY,
-    ) {
-        let rel = Relation::from_tuples(kv.iter().map(|&(k, p)| Tuple::new(k, p)).collect());
-        let table = LinearTable::build_serial(&rel, fill_pct as f64 / 100.0);
-        let probes = Relation::from_tuples((0u64..600).map(|k| Tuple::new(k, 0)).collect());
-        let mut results = Vec::new();
-        for t in Technique::ALL {
-            let cfg = LinearProbeConfig {
-                params: TuningParams::with_in_flight(m),
-                scan_all,
-                materialize: false,
-                ..Default::default()
-            };
-            let out = linear_probe(&table, &probes, t, &cfg);
-            results.push((out.matches, out.checksum));
-        }
-        for r in &results[1..] {
-            prop_assert_eq!(results[0], *r);
-        }
     }
 
     /// All four techniques agree on the B+-tree for arbitrary contents

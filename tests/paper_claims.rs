@@ -197,38 +197,3 @@ fn static_schedule_overheads_vanish_on_regular_structures() {
         );
     }
 }
-
-/// The layout ablation's mechanistic half: raising the linear table's
-/// fill factor raises the *variance* of lookup length, which GP/SPP pay
-/// for in no-ops while AMAC pays nothing.
-#[test]
-fn linear_table_fill_drives_static_schedule_waste() {
-    use amac_suite::hashtable::LinearTable;
-    use amac_suite::ops::linear::{linear_probe, LinearProbeConfig};
-    let rel = Relation::dense_unique(1 << 13, 27);
-    let probes = rel.shuffled(28);
-    let mut prev_noops = 0u64;
-    for fill in [0.5, 0.95] {
-        let table = LinearTable::build_serial(&rel, fill);
-        let gp = linear_probe(
-            &table,
-            &probes,
-            Technique::Gp,
-            &LinearProbeConfig { materialize: false, ..Default::default() },
-        );
-        assert!(
-            gp.stats.noops >= prev_noops,
-            "fill {fill}: GP no-ops must not shrink as displacement grows"
-        );
-        prev_noops = gp.stats.noops;
-        let amac = linear_probe(
-            &table,
-            &probes,
-            Technique::Amac,
-            &LinearProbeConfig { materialize: false, ..Default::default() },
-        );
-        assert_eq!(amac.stats.noops, 0, "fill {fill}");
-        assert_eq!(amac.stats.bailouts, 0, "fill {fill}");
-    }
-    assert!(prev_noops > 0, "high fill must produce some GP waste");
-}

@@ -5,9 +5,9 @@
 use amac_suite::engine::{Technique, TuningParams};
 use amac_suite::hashtable::{AggTable, HashTable};
 use amac_suite::ops::groupby::{groupby, GroupByConfig};
-use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig};
-use amac_suite::ops::parallel::{build_mt_rt, groupby_mt_rt};
-use amac_suite::runtime::MorselConfig;
+use amac_suite::ops::join::{build, probe, BuildConfig, BuildOp, ProbeConfig};
+use amac_suite::ops::parallel::groupby_mt_rt;
+use amac_suite::runtime::{execute, MorselConfig};
 use amac_suite::workload::{Relation, Tuple};
 
 /// Latch storm: every tuple targets ONE bucket, every technique, with
@@ -134,8 +134,8 @@ fn independent_structures_in_parallel() {
     std::thread::scope(|s| {
         let (ht, agg, r, g) = (&ht, &agg, &r, &g);
         s.spawn(move || {
-            let rt = MorselConfig::with_threads(2);
-            build_mt_rt(ht, r, Technique::Amac, &Default::default(), &rt);
+            let (rt, cfg) = (MorselConfig::with_threads(2), BuildConfig::default());
+            execute(&r.tuples, Technique::Amac, cfg.params, &rt, |_| BuildOp::new(ht, &cfg.exec()));
         });
         s.spawn(move || {
             let rt = MorselConfig::with_threads(2);

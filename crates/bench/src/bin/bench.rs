@@ -1,6 +1,8 @@
 //! `bench`: the paper's evaluation and the extension trajectories, one
 //! scenario per subcommand (`bench list`; see `amac_bench::SCENARIOS`).
 
+#![forbid(unsafe_code)]
+
 use amac_bench::{gate, usage, Args, SCENARIOS};
 
 fn main() {

@@ -6,6 +6,8 @@
 //! scenario. [`Args`] scales every run from smoke test to paper scale
 //! (2^27 keys) without recompiling.
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 mod scenarios;
 

@@ -6,12 +6,14 @@
 //! (§3: the window entries are independent state machines). The AMAU
 //! line of follow-up work generalizes exactly this: one asynchronous
 //! access engine multiplexing many independent request streams. [`Mux`]
-//! is that idea as an op: it implements [`LookupOp`] over
-//! [`Tagged`]`<Input>` tuples and routes every `start`/`step` to the
-//! *lane* (per-query inner op) named by the tag, so a single executor
-//! window — under any of the four techniques, or a persistent
-//! [`AmacSession`](super::AmacSession) — interleaves lookups from every
-//! active query.
+//! is that idea as a lane table: one inner [`LookupOp`] per active query
+//! (a *lane*), all sharing one persistent
+//! [`AmacSession`](super::AmacSession) window. A query's quantum is one
+//! [`feed_lane`](super::AmacSession::feed_lane) call: the lane's own
+//! stages run in the window loop, and a slot another lane still holds
+//! takes one routed stage through the mux.
+//! [`drain_lanes`](super::AmacSession::drain_lanes) routes every slot.
+//! Those two calls are the only way to run a mux: it is not an op itself.
 //!
 //! Why share instead of giving each query its own window? A query whose
 //! remaining input is smaller than `M` cannot fill a private window —
@@ -24,58 +26,47 @@
 //!
 //! # Per-lane accounting
 //!
-//! Tenant-billing counters must be exact, not estimated. Three sources
-//! feed the per-lane [`EngineStats`] ledger:
+//! Tenant-billing counters must be exact, not estimated. Two sources feed
+//! the per-lane [`EngineStats`] ledger:
 //!
 //! * lifecycle counters (`stages`, `lookups`, `latch_retries`,
-//!   `prefetches`) — counted by `Mux` in `start`/`step`, which know the
-//!   lane, except on a plain lane feed
-//!   ([`AmacSession::feed_lane`](super::AmacSession::feed_lane)): there
-//!   the fed lane's are settled once per feed, as the feed's counts less
-//!   what it routed to other lanes' slots, and so is its share of `seq`.
-//!   A ledger ([`Mux::observed`]) is therefore current as of the last
-//!   feed, drain or executor run;
+//!   `prefetches`) — a routed stage bills its lane as it runs; the fed
+//!   lane's are settled once per feed, as the feed's counts less what it
+//!   routed. A ledger ([`Mux::observed`]) is therefore current as of the
+//!   last feed or drain. Prefetches are counted with each lane's own gate
+//!   ([`Hooks::issues_prefetches`]), in its ledger and in the global stats
+//!   alike;
 //! * op-observed counters (`nodes_visited`, `tag_rejects`, and the
 //!   cost-model ticks `sim_cycles`/`sim_stalls`) — each lane has its
 //!   **own** inner op, so everything that op accumulated belongs to its
-//!   lane; the mux's [`Hooks::flush`] settles a plain lane's tally into
-//!   its op, then drains every inner op into its lane ledger *and*
-//!   forwards the same deltas to the executor's global stats, preserving
-//!   the drain-and-reset contract that keeps counters exact across morsel
-//!   reuse (a plain lane feed flushes only the fed lane and the lanes it
-//!   routed to: no other lane ran). Lane cost-model clocks are kept in
-//!   lock-step with a window-wide simulated time (`seq`), so one lane's
-//!   stages count toward every other lane's prefetch distances — the
-//!   cross-query hiding the shared window exists to provide;
-//! * executor-side counters (`noops`, `bailouts`) are scheduling
-//!   artifacts of the whole window and stay global-only.
+//!   lane. A feed's flush settles the fed lane's tally into its op, then
+//!   drains the fed lane and every lane it routed to into their ledgers
+//!   *and* forwards the same deltas to the global stats (no other lane
+//!   ran; a drain flushes them all), preserving the drain-and-reset
+//!   contract that keeps counters exact across morsel reuse.
 //!
 //! The invariant (asserted in tests): summing lane ledgers reproduces the
-//! executor's global totals exactly, field for field (`noops`/`bailouts`
-//! aside).
+//! window's global totals exactly, field for field.
+//!
+//! # Window time
+//!
+//! Lane cost-model clocks are kept in lock-step with a window-wide
+//! simulated time (`seq`): one tick per stage and per idle visit, lifted
+//! to a clocked lane's `now` after each of its stages. Before a clocked
+//! lane's stage, its clock is advanced to `seq`, so one lane's stages
+//! count toward every other lane's prefetch distances — the cross-query
+//! hiding the shared window exists to provide. A lane whose context keeps
+//! no time ([`Hooks::keeps_time`], sampled at [`Mux::add`]) skips both
+//! calls. A plain lane's feed does not touch `seq` per stage: the call
+//! counts its ticks and adds them before its next routed stage and at its
+//! end, so every clocked stage reads the time it would have read had each
+//! tick been added as it ran.
 
 use super::{EngineStats, Hooks, LookupOp, Step};
 
-/// A per-query input: the lane that owns it plus the inner op's input.
-#[derive(Debug, Clone, Copy)]
-pub struct Tagged<I: Copy> {
-    /// Lane id returned by [`Mux::add`].
-    pub lane: u32,
-    /// The inner op's input.
-    pub input: I,
-}
-
-impl<I: Copy> Tagged<I> {
-    /// Tag `input` for `lane`.
-    #[inline]
-    pub fn new(lane: u32, input: I) -> Self {
-        Tagged { lane, input }
-    }
-}
-
 /// Per-lookup state: the owning lane plus the inner op's state.
 #[derive(Debug, Default)]
-pub struct MuxState<S: Default> {
+pub struct MuxState<S> {
     lane: u32,
     inner: S,
 }
@@ -83,7 +74,8 @@ pub struct MuxState<S: Default> {
 /// One lane: its inner op and everything a routed stage reads or bills,
 /// in one record so a stage touches one bounds-checked slot.
 struct Lane<O: LookupOp> {
-    /// `None` once [`Mux::remove`]d (the slot waits for reuse).
+    /// `None` once [`Mux::remove`]d (the slot waits for reuse), and while
+    /// the lane is being fed.
     op: Option<O>,
     /// The lane's accounting ledger (see the module docs).
     led: EngineStats,
@@ -101,7 +93,7 @@ struct Lane<O: LookupOp> {
     clocked: bool,
     /// The lane's mode, picked at [`Mux::add`] and again after every
     /// flush ([`LookupOp::plain`]): `Some` holds a plain lane's tally,
-    /// which its stages count into and every flush settles first.
+    /// which its routed stages count into and every flush settles first.
     tally: Option<O::Tally>,
 }
 
@@ -123,7 +115,7 @@ impl<O: LookupOp> Lane<O> {
     }
 }
 
-/// One lane's flush, written once for [`Mux`]'s and a [`LaneView`]'s:
+/// One lane's flush, written once for a lane in the table and a fed one:
 /// settle a plain lane's `tally` into `op`, drain the op's context into
 /// the lane ledger `led` and into `stats`, and return the lane's mode
 /// picked afresh (a tracer may have come or gone).
@@ -143,8 +135,8 @@ fn flush_op<O: LookupOp>(
     op.plain()
 }
 
-/// A multiplexer op: one inner [`LookupOp`] per active query lane, all
-/// sharing whichever executor window runs the `Mux`.
+/// A multiplexer: one inner [`LookupOp`] per active query lane, all
+/// sharing one [`AmacSession`](super::AmacSession) window.
 ///
 /// Lanes are added with [`add`](Mux::add) and removed with
 /// [`remove`](Mux::remove) (only once all of the lane's lookups have
@@ -153,30 +145,19 @@ fn flush_op<O: LookupOp>(
 /// without bound as queries come and go.
 pub struct Mux<O: LookupOp> {
     lanes: Vec<Lane<O>>,
-    /// The shared window's simulated time: advanced one tick per routed
-    /// stage (and by executor idle visits via [`Hooks::idle`]), and lifted
-    /// to a clocked lane's `now` after each of its stages so lane stalls
-    /// push window time forward too. Before routing a stage to a clocked
-    /// lane, the lane's clock is advanced to `seq` — that is how time
-    /// spent on *other* tenants' stages counts toward this tenant's
-    /// prefetch distances, which is precisely the cross-query
-    /// latency-hiding claim. A lane whose context keeps no time
-    /// ([`Hooks::keeps_time`] sampled at [`Mux::add`]) would only answer
-    /// `now() == 0`, so its stages skip both calls and just tick `seq`.
+    /// The shared window's simulated time (see "Window time" in the
+    /// [module docs](self)).
     seq: u64,
     /// Cancelled retirements not yet folded into *global* stats: lane
-    /// ledgers count `cancelled_lookups` live, but the executor only sees
-    /// a plain `Done`, so the global counter is reconciled at the next
-    /// flush — keeping the lane-sum == global invariant exact
-    /// at every flush boundary.
+    /// ledgers count `cancelled_lookups` live, but the window only sees a
+    /// plain `Done`, so the global counter is reconciled at the next
+    /// flush — keeping the lane-sum == global invariant exact at every
+    /// flush boundary.
     pending_cancelled: u64,
-    /// The mux's own tracer: records lane activation/cancellation events
-    /// at window time (`seq`). Per-lookup events belong to the lanes'
-    /// inner ops, which carry their own tracers.
-    trace: amac_trace::Tracer,
-    /// Installed lanes that keep time. While there are none, nothing reads
-    /// `seq` during a feed, so a [`LaneView`] may settle it once per feed.
-    clocked: usize,
+    /// Prefetches routed stages billed to their lanes, not yet folded into
+    /// the global stats likewise: the window counts none itself, so every
+    /// lane's are counted with its own gate.
+    pending_prefetches: u64,
 }
 
 impl<O: LookupOp> Default for Mux<O> {
@@ -188,13 +169,7 @@ impl<O: LookupOp> Default for Mux<O> {
 impl<O: LookupOp> Mux<O> {
     /// An empty multiplexer.
     pub fn new() -> Self {
-        Mux {
-            lanes: Vec::new(),
-            seq: 0,
-            pending_cancelled: 0,
-            trace: amac_trace::Tracer::off(),
-            clocked: 0,
-        }
+        Mux { lanes: Vec::new(), seq: 0, pending_cancelled: 0, pending_prefetches: 0 }
     }
 
     /// Install `op` on a free lane and return its id (vacant slots are
@@ -212,18 +187,13 @@ impl<O: LookupOp> Mux<O> {
             prefetches,
             clocked,
         };
-        self.clocked += clocked as usize;
-        let lane = if let Some(i) = self.lanes.iter().position(|l| l.op.is_none()) {
+        if let Some(i) = self.lanes.iter().position(|l| l.op.is_none()) {
             self.lanes[i] = fresh;
             i as u32
         } else {
             self.lanes.push(fresh);
             (self.lanes.len() - 1) as u32
-        };
-        if self.trace.enabled() {
-            self.trace.record(amac_trace::TraceEvent::lane(self.seq, lane, true));
         }
-        lane
     }
 
     /// Remove a lane, returning its inner op (with whatever outputs it
@@ -236,28 +206,19 @@ impl<O: LookupOp> Mux<O> {
         let l = &mut self.lanes[lane as usize];
         l.settle();
         let op = l.op.take().expect("remove of vacant mux lane");
-        self.clocked -= l.clocked as usize;
         (op, core::mem::take(&mut l.led))
     }
 
     /// Cooperatively cancel a lane: every in-flight lookup of this lane
-    /// retires (as `cancelled_lookups`) the next time the executor visits
+    /// retires (as `cancelled_lookups`) the next time the window visits
     /// its slot, without executing any remaining stages of the inner op.
     /// The lane stays installed — its op, outputs-so-far and ledger remain
-    /// readable — until [`remove`](Mux::remove); the caller must stop
-    /// submitting new inputs for it. Idempotent; panics on a vacant lane.
+    /// readable — until [`remove`](Mux::remove), and takes no new inputs.
+    /// Idempotent; panics on a vacant lane.
     pub fn cancel(&mut self, lane: u32) {
         let l = &mut self.lanes[lane as usize];
         assert!(l.op.is_some(), "cancel of vacant mux lane");
-        if !l.cancelled && self.trace.enabled() {
-            self.trace.record(amac_trace::TraceEvent::lane(self.seq, lane, false));
-        }
         l.cancelled = true;
-    }
-
-    /// Whether [`cancel`](Mux::cancel) has been called on this lane.
-    pub fn is_cancelled(&self, lane: u32) -> bool {
-        self.lanes[lane as usize].cancelled
     }
 
     /// The lane's inner op (panics on a vacant lane). A plain lane's
@@ -267,94 +228,48 @@ impl<O: LookupOp> Mux<O> {
     }
 
     /// The lane's inner op, mutably (panics on a vacant lane). Settles a
-    /// plain lane's tally first, and runs the lane's `start`/`step` until
-    /// the next flush picks its mode again: whatever the caller changes
-    /// (a tracer, say) is seen from the next stage on.
+    /// plain lane's tally first, and routes the lane's stages to its
+    /// `start`/`step` until the next flush or feed of the lane picks its
+    /// mode again: whatever the caller changes (a tracer, say) is seen from
+    /// the next stage on.
     pub fn lane_mut(&mut self, lane: u32) -> &mut O {
         let l = &mut self.lanes[lane as usize];
         l.settle();
         l.op.as_mut().expect("vacant mux lane")
     }
 
-    /// The lane's accounting ledger, current as of the last feed, drain
-    /// or executor run, i.e. exact between calls (see "Per-lane
-    /// accounting" in the [module docs](self)).
+    /// The lane's accounting ledger, current as of the last feed or
+    /// drain, i.e. exact between calls (see "Per-lane accounting" in the
+    /// [module docs](self)).
     pub fn observed(&self, lane: u32) -> &EngineStats {
         &self.lanes[lane as usize].led
     }
 
-    /// Number of occupied lanes.
-    pub fn active_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| l.op.is_some()).count()
+    /// The shared window's simulated time.
+    pub fn now(&self) -> u64 {
+        self.seq
     }
 
-    /// Iterate over `(lane, op)` pairs of occupied lanes.
-    pub fn iter_lanes(&self) -> impl Iterator<Item = (u32, &O)> {
-        self.lanes.iter().enumerate().filter_map(|(i, l)| l.op.as_ref().map(|op| (i as u32, op)))
-    }
-}
-
-/// Lanes pick their modes one by one, so the mux itself has no plain
-/// stages: every executor call runs `start`/`step`, and each routes to the
-/// lane's plain or own stage.
-impl<O: LookupOp> LookupOp for Mux<O> {
-    type Input = Tagged<O::Input>;
-    type State = MuxState<O::State>;
-    type Tally = ();
-
-    /// GP/SPP stage budget: the worst lane's budget (a static schedule
-    /// must cover the longest regular chain among active queries).
-    fn budgeted_steps(&self) -> usize {
-        self.lanes
-            .iter()
-            .flat_map(|l| &l.op)
-            .map(|op| op.budgeted_steps())
-            .max()
-            .unwrap_or(1)
-            .max(1)
+    /// Lift window time to `now` if it is behind (a serving layer charging
+    /// a wait to the clock); every lane is caught up lazily at its next
+    /// stage.
+    pub fn advance_to(&mut self, now: u64) {
+        self.seq = self.seq.max(now);
     }
 
+    /// One stage of the lookup in `state`, run by the lane that holds it
+    /// and billed to that lane: a clocked lane is caught up to window time
+    /// first and lifts it after; any other stage ticks it once.
     #[inline(always)]
-    fn start(&mut self, input: Tagged<O::Input>, state: &mut MuxState<O::State>) {
-        state.lane = input.lane;
-        let l = &mut self.lanes[input.lane as usize];
-        if l.cancelled {
-            // A racing feed to a just-cancelled lane: accept the slot but
-            // never run the inner op; the next `step` retires it as
-            // cancelled. Billed like any other executed stage.
-            self.seq += 1;
-            assert!(l.op.is_some(), "start routed to vacant lane");
-        } else {
-            let op = l.op.as_mut().expect("start routed to vacant lane");
-            if l.clocked {
-                // Clock sync: catch the lane up to window time, run its
-                // stage, then fold its (possibly stalled) clock back.
-                op.ctx().advance_to(self.seq);
-                op.start(input.input, &mut state.inner);
-                self.seq = (self.seq + 1).max(op.ctx().now());
-            } else {
-                match &mut l.tally {
-                    Some(tally) => op.start_plain(tally, input.input, &mut state.inner),
-                    None => op.start(input.input, &mut state.inner),
-                }
-                debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
-                self.seq += 1;
-            }
-        }
-        l.led.stages += 1;
-        l.led.prefetches += l.prefetches as u64;
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
+    pub(crate) fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
         let l = &mut self.lanes[state.lane as usize];
         if l.cancelled {
             // Cooperative cancellation: retire the slot without running
             // the inner op. The visit still costs a window tick (the
-            // executor spent a rotation on it), and the retirement is
-            // billed to the lane as a cancelled lookup; the executor sees
-            // a plain `Done` (its global `cancelled_lookups` is
-            // reconciled at the next flush via `pending_cancelled`).
+            // window spent a rotation on it), and the retirement is
+            // billed to the lane as a cancelled lookup; the window sees a
+            // plain `Done` (its global `cancelled_lookups` is reconciled
+            // at the next flush via `pending_cancelled`).
             self.seq += 1;
             l.led.stages += 1;
             l.led.lookups += 1;
@@ -383,6 +298,7 @@ impl<O: LookupOp> LookupOp for Mux<O> {
             Step::Continue => {
                 led.stages += 1;
                 led.prefetches += pf;
+                self.pending_prefetches += pf;
             }
             Step::Blocked => led.latch_retries += 1,
             Step::Done => {
@@ -398,117 +314,42 @@ impl<O: LookupOp> LookupOp for Mux<O> {
         r
     }
 
-    fn ctx(&mut self) -> impl Hooks + '_ {
-        self
-    }
-}
-
-/// The mux as its own context: window time is `seq`, the ledger is the
-/// per-lane ledgers, and the tracer records lane lifecycle events only
-/// (per-lookup events belong to the lane ops' tracers, installed before
-/// [`Mux::add`]).
-impl<O: LookupOp> Hooks for Mux<O> {
-    /// Executor idle visits advance the shared window's simulated time;
-    /// every lane is caught up lazily at its next routed stage.
-    fn idle(&mut self, ticks: u64) {
-        self.seq += ticks;
-    }
-
-    fn now(&self) -> u64 {
-        self.seq
-    }
-
-    fn advance_to(&mut self, now: u64) {
-        self.seq = self.seq.max(now);
-    }
-
-    /// Window time is always kept (`seq`), so a mux nested as another
-    /// mux's lane is synchronized like any clocked lane.
-    fn keeps_time(&self) -> bool {
-        true
-    }
-
-    fn commit_group(&mut self) {
-        for op in self.lanes.iter_mut().flat_map(|l| &mut l.op) {
-            op.ctx().commit_group();
-        }
-    }
-
-    /// Each lane's tally is settled before its context is flushed, and
-    /// its mode picked again after.
-    fn flush(&mut self, stats: &mut EngineStats) {
-        for l in &mut self.lanes {
-            l.flush(stats);
-        }
-        // Cancelled retirements were reported to the executor as plain
-        // `Done`s; fold them into the global subset counter here so lane
-        // sums and global totals agree at every flush boundary.
-        stats.cancelled_lookups += core::mem::take(&mut self.pending_cancelled);
-    }
-
-    /// Conservative global gate: true only if every lane prefetches
-    /// (executors count the convention globally; the per-lane ledgers
-    /// remain exact either way because they use each lane's own gate).
-    /// Lane gates are fixed at construction, so they are sampled once at
-    /// [`Mux::add`].
-    fn issues_prefetches(&self) -> bool {
-        self.lanes.iter().all(|l| l.op.is_none() || l.prefetches)
-    }
-
-    fn set_tracer(&mut self, tracer: amac_trace::Tracer) {
-        self.trace = tracer;
-    }
-
-    fn take_tracer(&mut self) -> amac_trace::Tracer {
-        self.trace.take()
-    }
-
-    fn tracing(&self) -> bool {
-        self.trace.enabled()
-    }
-
-    fn trace(&mut self, ev: amac_trace::TraceEvent) {
-        self.trace.record(ev);
-    }
-}
-
-impl<O: LookupOp> Mux<O> {
-    /// The lane's op out of the lane table, with the tally a plain
-    /// [`LaneView`] call starts from, when the lane may be fed that way:
-    /// it is not cancelled, its op is plain once its tally is settled, and
-    /// no installed lane keeps time. `None` leaves the lane where it is.
-    pub(crate) fn take_plain(&mut self, lane: u32) -> Option<(O, O::Tally)> {
-        if self.clocked > 0 {
-            return None;
-        }
+    /// The lane's op out of the lane table for one feed, a plain lane's
+    /// tally settled into it first. Panics on a vacant or cancelled lane.
+    pub(crate) fn take(&mut self, lane: u32) -> O {
         let l = &mut self.lanes[lane as usize];
-        if l.cancelled {
-            return None;
-        }
+        assert!(!l.cancelled, "feed of a cancelled mux lane");
         l.settle();
-        let tally = l.op.as_ref()?.plain()?;
-        Some((l.op.take()?, tally))
+        l.op.take().expect("feed of a vacant mux lane")
     }
 
-    /// Reinstall the op [`take_plain`](Mux::take_plain) took out.
+    /// Reinstall the op [`take`](Mux::take) took out.
     pub(crate) fn put_back(&mut self, lane: u32, op: O) {
         self.lanes[lane as usize].op = Some(op);
     }
 }
 
-/// One plain call's view of a [`Mux`] fed one lane's inputs (see
-/// [`AmacSession::feed_lane`](super::AmacSession::feed_lane)): the fed
-/// lane's op, out of the lane table for the call, runs its own plain
-/// stages over the call's tally; a slot still held by another lane goes
-/// through [`Mux::step`] out of line. The fed lane's lifecycle counters
-/// and window time are settled at the flush, from the feed's counts less
-/// what was routed.
+/// One window call's view of a [`Mux`]: a feed of one lane's inputs
+/// ([`AmacSession::feed_lane`](super::AmacSession::feed_lane)), or a drain
+/// of every lane ([`AmacSession::drain_lanes`](super::AmacSession::drain_lanes)).
+///
+/// A feed holds the fed lane's op, out of the lane table for the call, and
+/// runs that lane's stages itself: a plain lane's over the call's tally,
+/// which also counts the lane's window ticks, a metered lane's through
+/// its own `start`/`step`, synced with window time stage by stage if it
+/// keeps time. A slot still held by another lane goes through
+/// [`Mux::step`] out of line; a drain, which feeds no lane, runs
+/// [`Mux::step`] inline for every slot. The fed lane's lifecycle counters
+/// are settled at the flush, from the feed's counts less what was
+/// routed.
 pub(crate) struct LaneView<'a, O: LookupOp> {
     mux: &'a mut Mux<O>,
+    /// The fed lane; `u32::MAX`, which no slot holds, on a drain.
     lane: u32,
-    op: &'a mut O,
-    /// The fed op's tally as the call starts, answered by `plain`.
-    tally: O::Tally,
+    /// The fed lane's op; `None` on a drain.
+    op: Option<&'a mut O>,
+    /// Whether the fed lane keeps time.
+    clocked: bool,
     /// What the call routed to other lanes: `stages`, `lookups`,
     /// `failed_lookups` and `latch_retries`.
     routed: EngineStats,
@@ -517,16 +358,54 @@ pub(crate) struct LaneView<'a, O: LookupOp> {
 }
 
 impl<'a, O: LookupOp> LaneView<'a, O> {
-    /// A view of `mux` feeding `lane`, whose `op` and `tally` are what
-    /// [`Mux::take_plain`] returned.
-    pub(crate) fn new(mux: &'a mut Mux<O>, lane: u32, op: &'a mut O, tally: O::Tally) -> Self {
-        LaneView { mux, lane, op, tally, routed: EngineStats::default(), touched: 0 }
+    /// A feed of `lane`, whose op [`Mux::take`] returned.
+    pub(crate) fn feeding(mux: &'a mut Mux<O>, lane: u32, op: &'a mut O) -> Self {
+        let clocked = mux.lanes[lane as usize].clocked;
+        LaneView { mux, lane, op: Some(op), clocked, routed: EngineStats::default(), touched: 0 }
+    }
+
+    /// A drain of every lane.
+    pub(crate) fn draining(mux: &'a mut Mux<O>) -> Self {
+        LaneView {
+            mux,
+            lane: u32::MAX,
+            op: None,
+            clocked: false,
+            routed: EngineStats::default(),
+            touched: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn op(&mut self) -> &mut O {
+        self.op.as_deref_mut().expect("a drain feeds no lane")
+    }
+
+    /// Before a metered stage of the fed lane: a clocked lane is caught up
+    /// to window time, as [`Mux::step`] does.
+    #[inline(always)]
+    fn sync_before(&mut self) {
+        if self.clocked {
+            let seq = self.mux.seq;
+            self.op().ctx().advance_to(seq);
+        }
+    }
+
+    /// After a metered stage of the fed lane: the stage ticks window time,
+    /// and a clocked lane lifts it to its clock.
+    #[inline(always)]
+    fn sync_after(&mut self) {
+        let now = if self.clocked { self.op().ctx().now() } else { 0 };
+        self.mux.seq = (self.mux.seq + 1).max(now);
     }
 
     /// A stage of another lane's lookup, through the mux, which bills that
-    /// lane; the call counts it so the fed lane's share can be derived.
+    /// lane; window time first counts the `ticks` a plain fed lane ran
+    /// since the last count, and the call counts the stage so the fed
+    /// lane's share can be derived.
     #[inline(never)]
-    fn step_routed(&mut self, state: &mut MuxState<O::State>) -> Step {
+    fn step_routed(&mut self, ticks: u64, state: &mut MuxState<O::State>) -> Step {
+        self.mux.seq += ticks;
         self.touched |= 1 << (state.lane % 64);
         let r = self.mux.step(state);
         let routed = &mut self.routed;
@@ -543,48 +422,66 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
     }
 }
 
-/// Plain calls only: [`Mux::take_plain`] made sure of it, so `plain` is
-/// always `Some` and `start`/`step` are never called.
+/// A feed of a plain lane is a plain call, whose tally is the lane's and
+/// the count of its window ticks not yet added to `seq`; a feed of a
+/// metered lane and a drain run `start`/`step`.
 impl<O: LookupOp> LookupOp for LaneView<'_, O> {
     type Input = O::Input;
     type State = MuxState<O::State>;
-    type Tally = O::Tally;
+    type Tally = (O::Tally, u64);
 
     fn budgeted_steps(&self) -> usize {
-        self.op.budgeted_steps()
-    }
-
-    fn start(&mut self, _input: O::Input, _state: &mut Self::State) {
-        unreachable!("a lane view runs plain calls only")
-    }
-
-    fn step(&mut self, _state: &mut Self::State) -> Step {
-        unreachable!("a lane view runs plain calls only")
+        self.op.as_ref().map_or(1, |op| op.budgeted_steps())
     }
 
     #[inline(always)]
-    fn plain(&self) -> Option<O::Tally> {
-        Some(self.tally)
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, tally: &mut O::Tally, input: O::Input, state: &mut Self::State) {
+    fn start(&mut self, input: O::Input, state: &mut Self::State) {
         state.lane = self.lane;
-        self.op.start_plain(tally, input, &mut state.inner);
+        self.sync_before();
+        self.op().start(input, &mut state.inner);
+        self.sync_after();
     }
 
     #[inline(always)]
-    fn step_plain(&mut self, tally: &mut O::Tally, state: &mut Self::State) -> Step {
+    fn step(&mut self, state: &mut Self::State) -> Step {
         if state.lane == self.lane {
-            self.op.step_plain(tally, &mut state.inner)
+            self.sync_before();
+            let r = self.op().step(&mut state.inner);
+            self.sync_after();
+            r
+        } else if self.op.is_some() {
+            self.step_routed(0, state)
         } else {
-            self.step_routed(state)
+            self.mux.step(state)
         }
     }
 
     #[inline(always)]
-    fn settle(&mut self, tally: O::Tally) {
-        self.op.settle(tally);
+    fn plain(&self) -> Option<Self::Tally> {
+        Some((self.op.as_ref()?.plain()?, 0))
+    }
+
+    #[inline(always)]
+    fn start_plain(&mut self, tally: &mut Self::Tally, input: O::Input, state: &mut Self::State) {
+        state.lane = self.lane;
+        tally.1 += 1;
+        self.op().start_plain(&mut tally.0, input, &mut state.inner);
+    }
+
+    #[inline(always)]
+    fn step_plain(&mut self, tally: &mut Self::Tally, state: &mut Self::State) -> Step {
+        if state.lane == self.lane {
+            tally.1 += 1;
+            self.op().step_plain(&mut tally.0, &mut state.inner)
+        } else {
+            self.step_routed(core::mem::take(&mut tally.1), state)
+        }
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, (tally, ticks): Self::Tally) {
+        self.op().settle(tally);
+        self.mux.seq += ticks;
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -593,100 +490,68 @@ impl<O: LookupOp> LookupOp for LaneView<'_, O> {
 
     #[inline(always)]
     fn looks_ahead(&self) -> bool {
-        self.op.looks_ahead()
+        self.op.as_ref().is_some_and(|op| op.looks_ahead())
     }
 
     #[inline(always)]
     fn lookahead(&self, input: O::Input) {
-        self.op.lookahead(input);
+        if let Some(op) = &self.op {
+            op.lookahead(input);
+        }
     }
 }
 
-/// A plain call uses only the prefetch gate and the flush.
+/// A window call uses the idle tick, the prefetch gate and the flush.
 impl<O: LookupOp> Hooks for LaneView<'_, O> {
-    /// The mux's gate, with the fed lane's op out of the table.
-    fn issues_prefetches(&self) -> bool {
-        self.mux.issues_prefetches() && self.mux.lanes[self.lane as usize].prefetches
+    /// A drain's visit to an idle slot ticks window time.
+    fn idle(&mut self, ticks: u64) {
+        self.mux.seq += ticks;
     }
 
-    /// `stats` holds this feed's counts only (the view's caller flushes
-    /// into fresh stats): less what was routed, they are the fed lane's,
-    /// and each of its starts and steps ticked the window once. Then the
-    /// fed lane and the lanes routed to are flushed; no other lane ran.
+    /// Off: the view counts prefetches with each lane's own gate, at the
+    /// flush.
+    fn issues_prefetches(&self) -> bool {
+        false
+    }
+
+    /// At a feed's end `stats` holds this feed's counts only (the view's
+    /// caller flushes into fresh stats): less what was routed, they are
+    /// the fed lane's. Every lane's commit group is sealed, and the fed
+    /// lane and the lanes routed to are flushed; no other lane ran. A
+    /// drain flushes every lane.
     fn flush(&mut self, stats: &mut EngineStats) {
         let mux = &mut *self.mux;
-        let fed = self.lane as usize;
-        let r = &self.routed;
-        let l = &mut mux.lanes[fed];
-        let stages = stats.stages - r.stages;
-        let lookups = stats.lookups - r.lookups;
-        let blocked = stats.latch_retries - r.latch_retries;
-        l.led.stages += stages;
-        l.led.lookups += lookups;
-        l.led.failed_lookups += stats.failed_lookups - r.failed_lookups;
-        l.led.latch_retries += blocked;
-        l.led.prefetches += l.prefetches as u64 * (stages - lookups);
-        mux.seq += stages + blocked;
-        l.tally = flush_op(&mut *self.op, None, &mut l.led, stats);
-        for (i, l) in mux.lanes.iter_mut().enumerate() {
-            if i != fed && self.touched >> (i % 64) & 1 == 1 {
+        if let Some(op) = self.op.as_deref_mut() {
+            op.ctx().commit_group();
+            let fed = self.lane as usize;
+            let r = &self.routed;
+            let l = &mut mux.lanes[fed];
+            let stages = stats.stages - r.stages;
+            let lookups = stats.lookups - r.lookups;
+            l.led.stages += stages;
+            l.led.lookups += lookups;
+            l.led.failed_lookups += stats.failed_lookups - r.failed_lookups;
+            l.led.latch_retries += stats.latch_retries - r.latch_retries;
+            let prefetches = l.prefetches as u64 * (stages - lookups);
+            l.led.prefetches += prefetches;
+            stats.prefetches += prefetches;
+            l.tally = flush_op(op, None, &mut l.led, stats);
+            // The fed lane's op is out of the table: it is sealed above.
+            for (i, l) in mux.lanes.iter_mut().enumerate() {
                 if let Some(op) = l.op.as_mut() {
                     op.ctx().commit_group();
                 }
+                if i != fed && self.touched >> (i % 64) & 1 == 1 {
+                    l.flush(stats);
+                }
+            }
+        } else {
+            for l in &mut mux.lanes {
                 l.flush(stats);
             }
         }
         stats.cancelled_lookups += core::mem::take(&mut mux.pending_cancelled);
-    }
-}
-
-/// A lane feed that runs every stage through the mux, as a feed of the
-/// tagged inputs does: the fallback of
-/// [`AmacSession::feed_lane`](super::AmacSession::feed_lane) when the
-/// lane is not plain or some lane keeps time.
-pub(crate) struct RoutedLane<'a, O: LookupOp> {
-    mux: &'a mut Mux<O>,
-    lane: u32,
-}
-
-impl<'a, O: LookupOp> RoutedLane<'a, O> {
-    /// A feed of `lane` through `mux`.
-    pub(crate) fn new(mux: &'a mut Mux<O>, lane: u32) -> Self {
-        RoutedLane { mux, lane }
-    }
-}
-
-impl<O: LookupOp> LookupOp for RoutedLane<'_, O> {
-    type Input = O::Input;
-    type State = MuxState<O::State>;
-    type Tally = ();
-
-    fn budgeted_steps(&self) -> usize {
-        self.mux.budgeted_steps()
-    }
-
-    #[inline(always)]
-    fn start(&mut self, input: O::Input, state: &mut Self::State) {
-        self.mux.start(Tagged::new(self.lane, input), state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut Self::State) -> Step {
-        self.mux.step(state)
-    }
-
-    fn ctx(&mut self) -> impl Hooks + '_ {
-        &mut *self.mux
-    }
-
-    #[inline(always)]
-    fn looks_ahead(&self) -> bool {
-        self.mux.lane(self.lane).looks_ahead()
-    }
-
-    #[inline(always)]
-    fn lookahead(&self, input: O::Input) {
-        self.mux.lane(self.lane).lookahead(input);
+        stats.prefetches += core::mem::take(&mut mux.pending_prefetches);
     }
 }
 
@@ -696,68 +561,58 @@ mod tests {
     use crate::engine::testutil::{ChainOp as TestChainOp, ChainState, LatchedOp, LatchedState};
     use crate::engine::{run, AmacSession, Technique, TuningParams};
 
-    /// Interleave two queries' inputs round-robin with quantum `q`.
-    fn interleave(a: &[usize], b: &[usize], q: usize) -> Vec<Tagged<usize>> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (0usize, 0usize);
-        while ia < a.len() || ib < b.len() {
-            for _ in 0..q {
-                if ia < a.len() {
-                    out.push(Tagged::new(0, a[ia]));
-                    ia += 1;
-                }
-            }
-            for _ in 0..q {
-                if ib < b.len() {
-                    out.push(Tagged::new(1, b[ib]));
-                    ib += 1;
-                }
-            }
-        }
-        out
-    }
-
     fn chains(n: usize, salt: usize) -> Vec<usize> {
         (0..n).map(|i| 1 + (i * 31 + salt) % 7).collect()
     }
 
+    /// Feed each lane its inputs in round-robin quanta of `q` on a fresh
+    /// `m`-wide window, then drain it; returns the global stats.
+    fn feed_round_robin<O: LookupOp>(
+        mux: &mut Mux<O>,
+        lanes: &[(u32, &[O::Input])],
+        q: usize,
+        m: usize,
+    ) -> EngineStats {
+        let mut window = AmacSession::new(m);
+        let mut stats = EngineStats::default();
+        let rounds = lanes.iter().map(|(_, inputs)| inputs.len().div_ceil(q)).max().unwrap_or(0);
+        for round in 0..rounds {
+            for &(lane, inputs) in lanes {
+                let quantum = inputs.iter().skip(round * q).take(q).copied().collect::<Vec<_>>();
+                window.feed_lane(mux, lane, &quantum, &mut stats);
+            }
+        }
+        assert!(window.drain_lanes(mux, &mut stats, usize::MAX));
+        stats
+    }
+
     #[test]
-    fn mux_matches_solo_runs_under_all_executors() {
+    fn lane_feeds_match_solo_runs() {
         let ch = chains(4_000, 0);
         let qa: Vec<usize> = (0..2_000).collect();
         let qb: Vec<usize> = (2_000..4_000).rev().collect();
-        for technique in Technique::ALL {
-            let params = TuningParams::paper_best(technique);
-            // Solo references.
-            let mut solo_a = TestChainOp::new(&ch);
-            let sa = run(technique, &mut solo_a, &qa, params);
-            let mut solo_b = TestChainOp::new(&ch);
-            let sb = run(technique, &mut solo_b, &qb, params);
+        let params = TuningParams::default();
+        let mut solo_a = TestChainOp::new(&ch);
+        let sa = run(Technique::Amac, &mut solo_a, &qa, params);
+        let mut solo_b = TestChainOp::new(&ch);
+        let sb = run(Technique::Amac, &mut solo_b, &qb, params);
 
-            // Shared window.
-            let mut mux = Mux::new();
-            let la = mux.add(TestChainOp::new(&ch));
-            let lb = mux.add(TestChainOp::new(&ch));
-            let tagged = interleave(&qa, &qb, 16);
-            let global = run(technique, &mut mux, &tagged, params);
+        let mut mux = Mux::new();
+        let la = mux.add(TestChainOp::new(&ch));
+        let lb = mux.add(TestChainOp::new(&ch));
+        let global = feed_round_robin(&mut mux, &[(la, &qa), (lb, &qb)], 16, params.in_flight);
 
-            let (oa, leda) = mux.remove(la);
-            let (ob, ledb) = mux.remove(lb);
-            assert_eq!(oa.outputs, solo_a.outputs, "{technique}: lane A results");
-            assert_eq!(ob.outputs, solo_b.outputs, "{technique}: lane B results");
-            assert_eq!(leda.lookups, sa.lookups, "{technique}: lane A lookups");
-            assert_eq!(ledb.lookups, sb.lookups, "{technique}: lane B lookups");
-            assert_eq!(
-                leda.nodes_visited, sa.nodes_visited,
-                "{technique}: sharing must not inflate lane A's nodes"
-            );
-            assert_eq!(ledb.nodes_visited, sb.nodes_visited, "{technique}: lane B nodes");
-            assert_eq!(
-                global.lookups,
-                sa.lookups + sb.lookups,
-                "{technique}: global lookups are the lane sum"
-            );
-        }
+        let (oa, leda) = mux.remove(la);
+        let (ob, ledb) = mux.remove(lb);
+        assert_eq!(oa.outputs, solo_a.outputs, "lane A results");
+        assert_eq!(ob.outputs, solo_b.outputs, "lane B results");
+        assert_eq!(leda.lookups, sa.lookups, "lane A lookups");
+        assert_eq!(ledb.lookups, sb.lookups, "lane B lookups");
+        assert_eq!(leda.stages, sa.stages, "sharing must not change lane A's stages");
+        assert_eq!(ledb.stages, sb.stages, "lane B stages");
+        let mut sum = leda;
+        sum.merge(&ledb);
+        assert_eq!(sum, global, "global stats are the lane sum");
     }
 
     #[test]
@@ -767,27 +622,18 @@ mod tests {
         let a = mux.add(TestChainOp::new(&ch));
         let b = mux.add(TestChainOp::new(&ch));
         assert_eq!((a, b), (0, 1));
+        feed_round_robin(&mut mux, &[(a, &[1, 2, 3])], 2, 4);
         mux.remove(a);
-        assert_eq!(mux.active_lanes(), 1);
         let c = mux.add(TestChainOp::new(&ch));
         assert_eq!(c, 0, "vacant lane 0 must be reused");
-        assert_eq!(mux.active_lanes(), 2);
+        assert_eq!(mux.add(TestChainOp::new(&ch)), 2, "no lane is vacant: the table grows");
         // The recycled lane's ledger starts clean.
         assert_eq!(*mux.observed(c), EngineStats::default());
-        let _ = b;
-    }
-
-    #[test]
-    fn budget_is_worst_lane() {
-        let short = chains(16, 0); // chain lengths 1..=7
-        let mut mux: Mux<TestChainOp> = Mux::new();
-        assert_eq!(mux.budgeted_steps(), 1, "empty mux still legal for GP/SPP sizing");
-        mux.add(TestChainOp::new(&short));
-        assert!(mux.budgeted_steps() >= 1);
     }
 
     #[test]
     fn cancelled_lane_retires_exactly_and_ledgers_still_sum() {
+        const M: usize = 10;
         let ch = chains(2_000, 2);
         let qa: Vec<usize> = (0..1_000).collect();
         let qb: Vec<usize> = (1_000..2_000).collect();
@@ -798,27 +644,42 @@ mod tests {
         let mut mux = Mux::new();
         let la = mux.add(TestChainOp::new(&ch));
         let lb = mux.add(TestChainOp::new(&ch));
+        let mut window = AmacSession::new(M);
+        let mut global = EngineStats::default();
+        // A is fed its first quantum only, then cancelled with lookups in
+        // flight; B's feeds and the drain retire them.
+        window.feed_lane(&mut mux, la, &qa[..16], &mut global);
         mux.cancel(la);
-        assert!(mux.is_cancelled(la));
-        let tagged = interleave(&qa, &qb, 16);
-        let global = run(Technique::Amac, &mut mux, &tagged, TuningParams::default());
+        for quantum in qb.chunks(16) {
+            window.feed_lane(&mut mux, lb, quantum, &mut global);
+        }
+        assert!(window.drain_lanes(&mut mux, &mut global, usize::MAX));
 
         let (a, b) = (*mux.observed(la), *mux.observed(lb));
-        // Every submitted lookup retired exactly once; A's all as cancelled.
-        assert_eq!(global.lookups, (qa.len() + qb.len()) as u64);
-        assert_eq!(a.lookups, qa.len() as u64);
-        assert_eq!(a.cancelled_lookups, qa.len() as u64);
+        // Every fed lookup retired exactly once; A's in flight as cancelled.
+        assert_eq!(global.lookups, 16 + qb.len() as u64);
+        assert_eq!(a.lookups, 16);
+        assert!(a.cancelled_lookups > 0 && a.cancelled_lookups < 16, "{a:?}");
         assert_eq!(b.cancelled_lookups, 0);
         // Reconciliation: lane sums equal global totals, including the
         // cancelled subset folded in at flush.
-        assert_eq!(a.lookups + b.lookups, global.lookups);
-        assert_eq!(a.stages + b.stages, global.stages);
-        assert_eq!(a.cancelled_lookups + b.cancelled_lookups, global.cancelled_lookups);
-        assert_eq!(a.nodes_visited, 0, "cancelled stages never touch the inner op");
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(sum, global);
         // The healthy lane is bit-identical to its solo run.
         let (ob, ledb) = mux.remove(lb);
         assert_eq!(ob.outputs, solo_b.outputs);
-        assert_eq!(ledb.nodes_visited, sb.nodes_visited);
+        assert_eq!(ledb.stages, sb.stages);
+    }
+
+    #[test]
+    #[should_panic(expected = "feed of a cancelled mux lane")]
+    fn a_cancelled_lane_takes_no_inputs() {
+        let ch = chains(8, 3);
+        let mut mux = Mux::new();
+        let lane = mux.add(TestChainOp::new(&ch));
+        mux.cancel(lane);
+        AmacSession::new(4).feed_lane(&mut mux, lane, &[0], &mut EngineStats::default());
     }
 
     /// A toy lane clock: keeps time if `keeps`, stalls `stall` ticks per
@@ -844,100 +705,66 @@ mod tests {
         }
     }
 
-    /// A chain op whose context is a [`ToyClock`].
-    struct Timed {
-        chain: TestChainOp,
-        clock: ToyClock,
-    }
-
-    impl Timed {
-        fn plain(ch: &[usize]) -> Self {
-            Timed { chain: TestChainOp::new(ch), clock: ToyClock::default() }
-        }
-        fn passive(ch: &[usize]) -> Self {
-            Timed { clock: ToyClock { keeps: true, ..Default::default() }, ..Self::plain(ch) }
-        }
-        fn stalling(ch: &[usize]) -> Self {
-            Timed {
-                clock: ToyClock { keeps: true, stall: 3, ..Default::default() },
-                ..Self::plain(ch)
-            }
-        }
-    }
-
-    impl LookupOp for Timed {
-        type Input = usize;
-        type State = ChainState;
-        type Tally = ();
-        fn budgeted_steps(&self) -> usize {
-            self.chain.budgeted_steps()
-        }
-        fn start(&mut self, input: usize, state: &mut ChainState) {
-            self.clock.now += self.clock.stall;
-            self.chain.start(input, state);
-        }
-        fn step(&mut self, state: &mut ChainState) -> Step {
-            self.clock.now += self.clock.stall;
-            self.chain.step(state)
-        }
-        fn ctx(&mut self) -> impl Hooks + '_ {
-            &mut self.clock
-        }
-    }
-
     #[test]
     fn plain_neighbours_skip_the_clock_sync_without_moving_window_time() {
         let ch = chains(3_000, 3);
-        let tagged: Vec<Tagged<usize>> = (0..3_000).map(|i| Tagged::new(i as u32 % 3, i)).collect();
-        for technique in Technique::ALL {
-            let params = TuningParams::paper_best(technique);
+        let inputs: Vec<Vec<usize>> =
+            (0..3).map(|lane| (lane..3_000).step_by(3).collect()).collect();
+        for quantum in [1, 9, 10, 37] {
             // (stalling lane's clock, window time, neighbour syncs, stages)
-            let shared = |neighbour: fn(&[usize]) -> Timed| {
+            let shared = |neighbour: fn(&[usize]) -> Mixed| {
                 let mut mux = Mux::new();
                 let lanes = [
-                    mux.add(Timed::stalling(&ch)),
+                    mux.add(Mixed::stalling(&ch)),
                     mux.add(neighbour(&ch)),
                     mux.add(neighbour(&ch)),
                 ];
-                let stats = run(technique, &mut mux, &tagged, params);
+                let fed: Vec<(u32, &[usize])> =
+                    lanes.iter().zip(&inputs).map(|(&l, i)| (l, &i[..])).collect();
+                let stats = feed_round_robin(&mut mux, &fed, quantum, 10);
                 let syncs = mux.lane(lanes[1]).clock.syncs + mux.lane(lanes[2]).clock.syncs;
                 (mux.lane(lanes[0]).clock.now, mux.now(), syncs, stats.stages)
             };
-            let (clock, now, syncs, stages) = shared(Timed::plain);
-            let passive = shared(Timed::passive);
-            assert_eq!((clock, now), (passive.0, passive.1), "{technique}: window time moved");
-            assert_eq!(syncs, 0, "{technique}: a plain lane was synced");
-            assert!(passive.2 > 0, "{technique}: a passive clock is synced");
-            assert!(now > stages && clock > stages, "{technique}: stalls lift window time");
+            let (clock, now, syncs, stages) = shared(Mixed::chain);
+            let (metered, passive) = (shared(Mixed::metered), shared(Mixed::passive));
+            assert_eq!(
+                (syncs, metered.2),
+                (0, 0),
+                "quantum {quantum}: a lane without a clock synced"
+            );
+            assert_eq!((clock, now), (metered.0, metered.1), "quantum {quantum}: window time");
+            assert_eq!((clock, now), (passive.0, passive.1), "quantum {quantum}: window time");
+            assert!(passive.2 > 0, "quantum {quantum}: a passive clock is synced");
+            assert!(now > stages && clock > stages, "quantum {quantum}: stalls lift window time");
         }
     }
 
     #[test]
     fn recycled_lane_resamples_the_clock_bit() {
         let ch = chains(600, 4);
-        let tagged: Vec<Tagged<usize>> = (0..600).map(|i| Tagged::new(0, i)).collect();
-        let params = TuningParams::default();
+        let inputs: Vec<usize> = (0..600).collect();
+        let m = TuningParams::default().in_flight;
         let mut fresh = Mux::new();
-        fresh.add(Timed::stalling(&ch));
-        run(Technique::Amac, &mut fresh, &tagged, params);
+        fresh.add(Mixed::stalling(&ch));
+        feed_round_robin(&mut fresh, &[(0, &inputs)], inputs.len(), m);
         let want = (fresh.lane(0).clock.now, fresh.now());
 
         let mut mux = Mux::new();
-        let plain = mux.add(Timed::plain(&ch));
-        run(Technique::Amac, &mut mux, &tagged, params);
+        let plain = mux.add(Mixed::chain(&ch));
+        feed_round_robin(&mut mux, &[(plain, &inputs)], inputs.len(), m);
         mux.remove(plain);
         // plain -> clocked: synced from its first stage on, so the run is the
         // fresh one shifted by the window time it joins at.
-        let clocked = mux.add(Timed::stalling(&ch));
+        let clocked = mux.add(Mixed::stalling(&ch));
         assert_eq!(clocked, plain, "the lane id is recycled");
         let at = mux.now();
-        run(Technique::Amac, &mut mux, &tagged, params);
+        feed_round_robin(&mut mux, &[(clocked, &inputs)], inputs.len(), m);
         assert_eq!((mux.lane(clocked).clock.now - at, mux.now() - at), want);
         mux.remove(clocked);
         // clocked -> plain: never synced again.
-        let plain = mux.add(Timed::plain(&ch));
+        let plain = mux.add(Mixed::chain(&ch));
         assert_eq!(plain, clocked);
-        run(Technique::Amac, &mut mux, &tagged, params);
+        feed_round_robin(&mut mux, &[(plain, &inputs)], inputs.len(), m);
         assert_eq!(mux.lane(plain).clock.syncs, 0);
     }
 
@@ -950,20 +777,25 @@ mod tests {
 
         let mut mux = Mux::new();
         let lane = mux.add(TestChainOp::new(&ch));
-        let tagged: Vec<Tagged<usize>> = inputs.iter().map(|&i| Tagged::new(lane, i)).collect();
-        let got = run(Technique::Amac, &mut mux, &tagged, TuningParams::default());
+        let got = feed_round_robin(&mut mux, &[(lane, &inputs)], inputs.len(), 10);
         assert_eq!(got, want, "a 1-lane mux must not change any counter");
         let (op, led) = mux.remove(lane);
         assert_eq!(op.outputs, solo.outputs);
-        assert_eq!(led.lookups, want.lookups);
+        assert_eq!(led, want);
     }
 
-    /// A lane of the differential schedule: a chain walk (plain or not),
-    /// a latched op, or a chain walk under a stalling clock.
+    /// A test lane: a chain walk (plain or metered), a latched op, or a
+    /// chain walk under a passive or stalling clock. It counts the
+    /// stages it ran through its own `start`/`step`, and those it ran on
+    /// itself at `home`: a lane-table slot's address, set by the test,
+    /// where a routed stage runs and a fed lane's stage does not.
     struct Mixed {
         chain: TestChainOp,
         latch: Option<LatchedOp>,
         clock: ToyClock,
+        own: u64,
+        home: core::cell::Cell<usize>,
+        at_home: u64,
     }
 
     #[derive(Default)]
@@ -976,10 +808,19 @@ mod tests {
         fn chain(ch: &[usize]) -> Self {
             let mut chain = TestChainOp::new(ch);
             chain.plain = true;
-            Mixed { chain, latch: None, clock: ToyClock::default() }
+            let (clock, home) = (ToyClock::default(), Default::default());
+            Mixed { chain, latch: None, clock, own: 0, home, at_home: 0 }
+        }
+        fn metered(ch: &[usize]) -> Self {
+            let mut op = Self::chain(ch);
+            op.chain.plain = false;
+            op
         }
         fn latched(ch: &[usize]) -> Self {
             Mixed { latch: Some(LatchedOp::new(ch.len())), ..Self::chain(ch) }
+        }
+        fn passive(ch: &[usize]) -> Self {
+            Mixed { clock: ToyClock { keeps: true, ..Default::default() }, ..Self::chain(ch) }
         }
         fn stalling(ch: &[usize]) -> Self {
             let clock = ToyClock { keeps: true, stall: 3, ..Default::default() };
@@ -987,6 +828,10 @@ mod tests {
         }
         fn completed(&self) -> &[usize] {
             self.latch.as_ref().map_or(&self.chain.completed, |l| &l.completed)
+        }
+        fn stage(&mut self) {
+            self.clock.now += self.clock.stall;
+            self.at_home += (self as *const Mixed as usize == self.home.get()) as u64;
         }
     }
 
@@ -998,24 +843,32 @@ mod tests {
             self.chain.budgeted_steps()
         }
         fn start(&mut self, input: usize, state: &mut MixedState) {
-            self.clock.now += self.clock.stall;
-            match &mut self.latch {
-                Some(l) => l.start(input, &mut state.latch),
-                None => self.chain.start(input, &mut state.chain),
-            }
+            self.own += 1;
+            self.start_plain(&mut (), input, state);
         }
         fn step(&mut self, state: &mut MixedState) -> Step {
-            self.clock.now += self.clock.stall;
-            match &mut self.latch {
-                Some(l) => l.step(&mut state.latch),
-                None => self.chain.step(&mut state.chain),
-            }
+            self.own += 1;
+            self.step_plain(&mut (), state)
         }
         fn plain(&self) -> Option<()> {
             if self.clock.keeps {
                 None
             } else {
                 self.chain.plain()
+            }
+        }
+        fn start_plain(&mut self, _: &mut (), input: usize, state: &mut MixedState) {
+            self.stage();
+            match &mut self.latch {
+                Some(l) => l.start(input, &mut state.latch),
+                None => self.chain.start(input, &mut state.chain),
+            }
+        }
+        fn step_plain(&mut self, _: &mut (), state: &mut MixedState) -> Step {
+            self.stage();
+            match &mut self.latch {
+                Some(l) => l.step(&mut state.latch),
+                None => self.chain.step(&mut state.chain),
             }
         }
         fn ctx(&mut self) -> impl Hooks + '_ {
@@ -1027,6 +880,92 @@ mod tests {
         fn lookahead(&self, input: usize) {
             self.chain.lookahead(input);
         }
+    }
+
+    /// The reference feed: `(lane, input)` pairs through the mux, every
+    /// stage routed to its lane and synced as that lane's stage, and every
+    /// lane sealed and flushed at each call's end.
+    struct Tagged<'a, O: LookupOp>(&'a mut Mux<O>);
+
+    impl<O: LookupOp> LookupOp for Tagged<'_, O> {
+        type Input = (u32, O::Input);
+        type State = MuxState<O::State>;
+        type Tally = ();
+        fn budgeted_steps(&self) -> usize {
+            1
+        }
+        fn start(&mut self, (lane, input): (u32, O::Input), state: &mut Self::State) {
+            let mux = &mut *self.0;
+            state.lane = lane;
+            let l = &mut mux.lanes[lane as usize];
+            let op = l.op.as_mut().expect("start routed to vacant lane");
+            if l.clocked {
+                op.ctx().advance_to(mux.seq);
+                op.start(input, &mut state.inner);
+                mux.seq = (mux.seq + 1).max(op.ctx().now());
+            } else {
+                match &mut l.tally {
+                    Some(tally) => op.start_plain(tally, input, &mut state.inner),
+                    None => op.start(input, &mut state.inner),
+                }
+                mux.seq += 1;
+            }
+            l.led.stages += 1;
+            l.led.prefetches += l.prefetches as u64;
+            mux.pending_prefetches += l.prefetches as u64;
+        }
+        fn step(&mut self, state: &mut Self::State) -> Step {
+            self.0.step(state)
+        }
+        fn ctx(&mut self) -> impl Hooks + '_ {
+            self
+        }
+    }
+
+    impl<O: LookupOp> Hooks for Tagged<'_, O> {
+        fn idle(&mut self, ticks: u64) {
+            self.0.seq += ticks;
+        }
+        fn commit_group(&mut self) {
+            for op in self.0.lanes.iter_mut().flat_map(|l| &mut l.op) {
+                op.ctx().commit_group();
+            }
+        }
+        fn flush(&mut self, stats: &mut EngineStats) {
+            for l in &mut self.0.lanes {
+                l.flush(stats);
+            }
+            stats.cancelled_lookups += core::mem::take(&mut self.0.pending_cancelled);
+            stats.prefetches += core::mem::take(&mut self.0.pending_prefetches);
+        }
+        fn issues_prefetches(&self) -> bool {
+            false
+        }
+    }
+
+    /// Tag `inputs` for `lane`.
+    fn tagged(lane: u32, inputs: &[usize]) -> Vec<(u32, usize)> {
+        inputs.iter().map(|&i| (lane, i)).collect()
+    }
+
+    /// Lane feeds and the tagged reference agree in every global counter,
+    /// lane ledger, window time and lane clock.
+    fn assert_same(
+        by_lane: &Mux<Mixed>,
+        tagged: &Mux<Mixed>,
+        stats: &EngineStats,
+        want: &EngineStats,
+        at: &str,
+    ) {
+        assert_eq!(stats, want, "{at}: global stats");
+        assert_eq!(by_lane.now(), tagged.now(), "{at}: window time");
+        let mut sum = EngineStats::default();
+        for l in 0..by_lane.lanes.len() as u32 {
+            assert_eq!(by_lane.observed(l), tagged.observed(l), "{at}: lane {l}");
+            assert_eq!(by_lane.lane(l).clock.now, tagged.lane(l).clock.now, "{at}: lane {l} clock");
+            sum.merge(by_lane.observed(l));
+        }
+        assert_eq!(sum, *stats, "{at}: lane ledgers vs global stats");
     }
 
     #[test]
@@ -1047,55 +986,94 @@ mod tests {
                     }
                     mux
                 };
-                let (mut by_lane, mut tagged) = (install(), install());
-                let lanes = by_lane.active_lanes() as u32;
+                let (mut by_lane, mut tagged_mux) = (install(), install());
+                let lanes = by_lane.lanes.len() as u32;
                 let (mut window, mut reference) = (AmacSession::new(M), AmacSession::new(M));
                 let (mut stats, mut want) = (EngineStats::default(), EngineStats::default());
-                let mut plain_feeds = 0;
+                let (mut plain_feeds, mut cancelled) = (0, false);
                 for (round, lo) in (0..inputs.len()).step_by(quantum).enumerate() {
                     let morsel = &inputs[lo..(lo + quantum).min(inputs.len())];
                     for lane in 0..lanes {
-                        if by_lane.is_cancelled(lane) {
+                        if lane == 2 && cancelled {
                             continue;
                         }
-                        if let Some((op, _)) = by_lane.take_plain(lane) {
-                            by_lane.put_back(lane, op);
-                            plain_feeds += 1;
-                        }
+                        plain_feeds += by_lane.lane(lane).plain().is_some() as usize;
                         window.feed_lane(&mut by_lane, lane, morsel, &mut stats);
-                        let chunk: Vec<Tagged<usize>> =
-                            morsel.iter().map(|&i| Tagged::new(lane, i)).collect();
-                        reference.feed(&mut tagged, &chunk, &mut want);
-                        assert_eq!(stats, want, "{at}: global stats");
-                        assert_eq!(by_lane.now(), tagged.now(), "{at}: window time");
-                        let mut sum = EngineStats::default();
-                        for l in 0..lanes {
-                            assert_eq!(by_lane.observed(l), tagged.observed(l), "{at}: lane {l}");
-                            sum.merge(by_lane.observed(l));
-                        }
-                        assert_eq!(sum, stats, "{at}: lane ledgers vs global stats");
+                        let chunk = tagged(lane, morsel);
+                        reference.feed(&mut Tagged(&mut tagged_mux), &chunk, &mut want);
+                        assert_same(&by_lane, &tagged_mux, &stats, &want, &at);
                         if (lane, round) == (2, 3) {
                             // Its lookups still in flight retire through
                             // the other lanes' feeds.
                             by_lane.cancel(2);
-                            tagged.cancel(2);
+                            tagged_mux.cancel(2);
+                            cancelled = true;
                         }
                     }
                 }
-                assert_eq!(plain_feeds > 0, !timed, "{at}: plain feeds {plain_feeds}");
-                window.drain(&mut by_lane, &mut stats);
-                reference.drain(&mut tagged, &mut want);
-                assert_eq!(stats, want, "{at}: drained");
-                assert_eq!(by_lane.now(), tagged.now(), "{at}: drained window time");
+                assert!(plain_feeds > 0, "{at}: plain feeds {plain_feeds}");
+                assert!(window.drain_lanes(&mut by_lane, &mut stats, usize::MAX));
+                reference.drain(&mut Tagged(&mut tagged_mux), &mut want);
+                assert_same(&by_lane, &tagged_mux, &stats, &want, &format!("{at}: drained"));
                 assert!(stats.latch_retries > 0, "{at}: the latched lane blocked");
                 assert!(by_lane.observed(2).cancelled_lookups > 0, "{at}: cancelled in flight");
                 for l in 0..lanes {
-                    let (a, b) = (by_lane.lane(l), tagged.lane(l));
+                    let (a, b) = (by_lane.lane(l), tagged_mux.lane(l));
                     assert_eq!(a.chain.outputs, b.chain.outputs, "{at}: lane {l} outputs");
                     assert_eq!(a.completed(), b.completed(), "{at}: lane {l} completion order");
-                    assert_eq!(a.clock.now, b.clock.now, "{at}: lane {l} clock");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_plain_lane_runs_its_own_stages_beside_a_stalling_clocked_lane() {
+        const M: usize = 10;
+        let ch = chains(400, 7);
+        let inputs: Vec<usize> = (0..ch.len()).collect();
+        // Stages of the clocked lane that the plain lane's feeds routed.
+        let mut clocked_ran = 0;
+        for quantum in [1, M - 1, M, 37] {
+            let at = format!("quantum {quantum}");
+            let install = || {
+                let mut mux = Mux::new();
+                mux.add(Mixed::chain(&ch));
+                mux.add(Mixed::stalling(&ch));
+                mux
+            };
+            let (mut by_lane, mut tagged_mux) = (install(), install());
+            for l in 0..2 {
+                let op = by_lane.lane(l);
+                op.home.set(op as *const Mixed as usize);
+            }
+            assert!(by_lane.lane(0).plain().is_some() && by_lane.lanes[1].clocked);
+            let (mut window, mut reference) = (AmacSession::new(M), AmacSession::new(M));
+            let (mut stats, mut want) = (EngineStats::default(), EngineStats::default());
+            for morsel in inputs.chunks(quantum) {
+                // The clocked lane first, so the plain lane's feed finds
+                // the clocked lane's lookups in the window.
+                for lane in [1, 0] {
+                    let home = [0, 1].map(|l| by_lane.lane(l).at_home);
+                    window.feed_lane(&mut by_lane, lane, morsel, &mut stats);
+                    reference.feed(&mut Tagged(&mut tagged_mux), &tagged(lane, morsel), &mut want);
+                    assert_same(&by_lane, &tagged_mux, &stats, &want, &at);
+                    if lane == 0 {
+                        assert_eq!(by_lane.lane(0).at_home, home[0], "{at}: own slot routed");
+                        clocked_ran += by_lane.lane(1).at_home - home[1];
+                    }
+                }
+            }
+            assert!(window.drain_lanes(&mut by_lane, &mut stats, usize::MAX));
+            reference.drain(&mut Tagged(&mut tagged_mux), &mut want);
+            assert_same(&by_lane, &tagged_mux, &stats, &want, &format!("{at}: drained"));
+            assert_eq!(by_lane.lane(0).own, 0, "{at}: the plain lane ran its own start/step");
+            assert!(by_lane.now() > stats.stages, "{at}: stalls lift window time");
+            for l in 0..2 {
+                let (a, b) = (by_lane.lane(l), tagged_mux.lane(l));
+                assert_eq!(a.chain.outputs, b.chain.outputs, "{at}: lane {l} outputs");
+                assert_eq!(a.completed(), b.completed(), "{at}: lane {l} completion order");
+            }
+        }
+        assert!(clocked_ran > 0, "the plain lane's feeds never met a clocked stage");
     }
 }

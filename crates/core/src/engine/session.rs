@@ -17,14 +17,17 @@
 //! same feed (see "Lookahead" in the [engine docs](crate::engine));
 //! [`drain`](AmacSession::drain) has no inputs to look ahead to.
 //!
-//! The session is generic over any [`LookupOp`], including fused
-//! multi-operator pipelines ([`Fused`](crate::engine::pipeline::Fused)): a slot
-//! mid-way through a probe→group-by chain survives morsel boundaries
-//! exactly like a plain probe slot, so whole-pipeline windows persist
-//! across the run too.
+//! The session is generic over its slot state, so any [`LookupOp`] with
+//! that state feeds it, including fused multi-operator pipelines
+//! ([`Fused`](crate::engine::pipeline::Fused)): a slot mid-way through a
+//! probe→group-by chain survives morsel boundaries exactly like a plain
+//! probe slot, so whole-pipeline windows persist across the run too. A
+//! window of [`MuxState`] slots is shared by a [`Mux`]'s lanes, fed one
+//! lane at a time ([`feed_lane`](AmacSession::feed_lane)) and drained
+//! together ([`drain_lanes`](AmacSession::drain_lanes)).
 
 use crate::engine::call::Call;
-use crate::engine::mux::{LaneView, Mux, RoutedLane};
+use crate::engine::mux::{LaneView, Mux, MuxState};
 use crate::engine::{EngineStats, LookupOp, Step};
 
 /// Windows of this many slots or more do not look ahead: the window alone
@@ -35,9 +38,10 @@ use crate::engine::{EngineStats, LookupOp, Step};
 const LOOKAHEAD_BELOW: usize = 16;
 
 /// Persistent AMAC circular buffer (the paper's Fig. 4 state, owned by
-/// one worker thread for the whole run).
-pub struct AmacSession<O: LookupOp> {
-    states: Vec<O::State>,
+/// one worker thread for the whole run), over slot states `S`: any op
+/// whose [`LookupOp::State`] is `S` can feed and drain it.
+pub struct AmacSession<S> {
+    states: Vec<S>,
     active: Vec<bool>,
     k: usize,
     in_flight: usize,
@@ -55,12 +59,12 @@ pub struct AmacSession<O: LookupOp> {
     occ_ticks: u64,
 }
 
-impl<O: LookupOp> AmacSession<O> {
+impl<S: Default> AmacSession<S> {
     /// A session with an `m`-slot window (`m >= 1` enforced).
     pub fn new(m: usize) -> Self {
         let m = m.max(1);
         AmacSession {
-            states: (0..m).map(|_| O::State::default()).collect(),
+            states: (0..m).map(|_| S::default()).collect(),
             active: vec![false; m],
             k: 0,
             in_flight: 0,
@@ -110,18 +114,10 @@ impl<O: LookupOp> AmacSession<O> {
     /// order, and none past the slice. Those prefetches are not counted.
     ///
     /// [`Hooks::issues_prefetches`]: crate::engine::Hooks::issues_prefetches
-    #[inline]
-    pub fn feed(&mut self, op: &mut O, inputs: &[O::Input], stats: &mut EngineStats) {
-        self.feed_with(op, inputs, stats);
-    }
-
-    /// [`feed`](AmacSession::feed) through any op over the window's slot
-    /// states: a view of `O` (one [`Mux`] lane, say) drives the same
-    /// window as `O` itself.
-    pub fn feed_with<P: LookupOp<State = O::State>>(
+    pub fn feed<O: LookupOp<State = S>>(
         &mut self,
-        op: &mut P,
-        inputs: &[P::Input],
+        op: &mut O,
+        inputs: &[O::Input],
         stats: &mut EngineStats,
     ) {
         match op.plain() {
@@ -131,10 +127,10 @@ impl<O: LookupOp> AmacSession<O> {
     }
 
     #[inline(always)]
-    fn feed_in<P: LookupOp<State = O::State>, const PLAIN: bool>(
+    fn feed_in<O: LookupOp<State = S>, const PLAIN: bool>(
         &mut self,
-        mut op: Call<'_, P, PLAIN>,
-        inputs: &[P::Input],
+        mut op: Call<'_, O, PLAIN>,
+        inputs: &[O::Input],
         stats: &mut EngineStats,
     ) {
         let m = self.states.len();
@@ -216,7 +212,7 @@ impl<O: LookupOp> AmacSession<O> {
     }
 
     /// Retire every lookup still in flight (the end-of-run epilogue).
-    pub fn drain(&mut self, op: &mut O, stats: &mut EngineStats) {
+    pub fn drain<O: LookupOp<State = S>>(&mut self, op: &mut O, stats: &mut EngineStats) {
         let _ = self.drain_budgeted(op, stats, usize::MAX);
     }
 
@@ -229,7 +225,7 @@ impl<O: LookupOp> AmacSession<O> {
     /// Counters (a plain call's tally first) are settled and flushed on
     /// both outcomes, so partial drains stay ledger-exact. Returns `true`
     /// once the window is empty.
-    pub fn drain_budgeted(
+    pub fn drain_budgeted<O: LookupOp<State = S>>(
         &mut self,
         op: &mut O,
         stats: &mut EngineStats,
@@ -242,7 +238,7 @@ impl<O: LookupOp> AmacSession<O> {
     }
 
     #[inline(always)]
-    fn drain_in<const PLAIN: bool>(
+    fn drain_in<O: LookupOp<State = S>, const PLAIN: bool>(
         &mut self,
         mut op: Call<'_, O, PLAIN>,
         stats: &mut EngineStats,
@@ -298,18 +294,19 @@ impl<O: LookupOp> AmacSession<O> {
     }
 }
 
-impl<T: LookupOp> AmacSession<Mux<T>> {
+impl<S: Default> AmacSession<MuxState<S>> {
     /// Feed untagged `inputs` to one lane of a shared [`Mux`] window, as
-    /// one call (a serving scheduler's quantum). When the lane runs plain
-    /// and no installed lane keeps time, the lane's op leaves the lane table for the call
-    /// and its stages run as the op's own plain stages, over a tally in
-    /// the call's locals; only slots still held by other lanes go through
-    /// the mux, and the lane's ledger and window time are settled once,
-    /// from this feed's counts. Otherwise every stage is routed through
-    /// the mux as a [`feed`](AmacSession::feed) of the tagged inputs would
-    /// be. Either way every counter, ledger and window tick ends where
-    /// that feed leaves it.
-    pub fn feed_lane(
+    /// one call (a serving scheduler's quantum). The lane's op leaves the
+    /// lane table for the call and runs its own stages: plain ones over a
+    /// tally in the call's locals, metered ones synced with window time
+    /// stage by stage when its context keeps time. Only slots still held
+    /// by other lanes go through the mux, one out-of-line stage each. The
+    /// lane's lifecycle counters are settled once, from this feed's
+    /// counts, and every lane's commit group is sealed at the feed end.
+    ///
+    /// Panics on a vacant or cancelled lane: a cancelled lane takes no
+    /// new inputs.
+    pub fn feed_lane<T: LookupOp<State = S>>(
         &mut self,
         mux: &mut Mux<T>,
         lane: u32,
@@ -319,14 +316,22 @@ impl<T: LookupOp> AmacSession<Mux<T>> {
         // The lane view's settlement reads this feed's counts off the
         // stats it flushes into, so they start at zero.
         let mut feed = EngineStats::default();
-        match mux.take_plain(lane) {
-            Some((mut op, tally)) => {
-                self.feed_with(&mut LaneView::new(mux, lane, &mut op, tally), inputs, &mut feed);
-                mux.put_back(lane, op);
-            }
-            None => self.feed_with(&mut RoutedLane::new(mux, lane), inputs, &mut feed),
-        }
+        let mut op = mux.take(lane);
+        self.feed(&mut LaneView::feeding(mux, lane, &mut op), inputs, &mut feed);
+        mux.put_back(lane, op);
         stats.merge(&feed);
+    }
+
+    /// [`drain_budgeted`](AmacSession::drain_budgeted) of a shared [`Mux`]
+    /// window: every slot's stage is routed to the lane that holds it.
+    pub fn drain_lanes<T: LookupOp<State = S>>(
+        &mut self,
+        mux: &mut Mux<T>,
+        stats: &mut EngineStats,
+        max_rotations: usize,
+    ) -> bool {
+        // A drain feeds no lane, so its call is never plain.
+        self.drain_in(Call::direct(&mut LaneView::draining(mux)), stats, max_rotations)
     }
 }
 
@@ -352,7 +357,7 @@ mod tests {
     use super::*;
     use crate::engine::amac_exec::rotate;
     use crate::engine::run_amac;
-    use crate::engine::testutil::{ChainOp, LatchedOp};
+    use crate::engine::testutil::{ChainOp, ChainState, LatchedOp};
 
     /// Feed `inputs` to an `m`-wide window in `chunk`-sized feeds, drain.
     fn windowed<O>(op: &mut O, inputs: &[usize], m: usize, chunk: usize) -> EngineStats
@@ -467,7 +472,7 @@ mod tests {
     fn occupancy_tracks_window_fill() {
         // Derived, not counted: the session's mean must equal the op-side
         // per-rotation recount bit for bit wherever it is read.
-        let recounted = |session: &AmacSession<ChainOp>, op: &ChainOp, at: &str| {
+        let recounted = |session: &AmacSession<ChainState>, op: &ChainOp, at: &str| {
             let want = op.seen.occ_sum as f64 / op.seen.occ_ticks as f64;
             assert_eq!(session.mean_occupancy().to_bits(), want.to_bits(), "{at}");
         };
@@ -526,7 +531,7 @@ mod tests {
         }
 
         let mut op = Wedge { release: false };
-        let mut session: AmacSession<Wedge> = AmacSession::new(4);
+        let mut session: AmacSession<usize> = AmacSession::new(4);
         let mut stats = EngineStats::default();
         session.feed(&mut op, &[0, 1, 2, 3], &mut stats);
         // The wedged window burns exactly its budget and reports failure.
@@ -568,7 +573,7 @@ mod tests {
 
     #[test]
     fn occupancy_zero_before_any_work() {
-        let session: AmacSession<ChainOp> = AmacSession::new(4);
+        let session: AmacSession<ChainState> = AmacSession::new(4);
         assert_eq!(session.mean_occupancy(), 0.0);
     }
 
@@ -576,7 +581,7 @@ mod tests {
     fn empty_feed_and_drain_are_noops() {
         let chains: Vec<usize> = vec![];
         let mut op = ChainOp::new(&chains);
-        let mut session: AmacSession<ChainOp> = AmacSession::new(4);
+        let mut session: AmacSession<ChainState> = AmacSession::new(4);
         let mut stats = EngineStats::default();
         session.feed(&mut op, &[], &mut stats);
         session.drain(&mut op, &mut stats);

@@ -29,6 +29,7 @@
 //! state machine so a whole pipeline shares a single in-flight window —
 //! the paper's §6 multi-operator integration.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

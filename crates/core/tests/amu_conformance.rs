@@ -9,8 +9,8 @@
 //! uncoalesced run as the requested-count oracle) and the determinism of
 //! `coalesced_loads` across thread counts and scheduling disciplines.
 
-use amac::engine::mux::{Mux, Tagged};
-use amac::engine::{run, EngineStats, Technique, TuningParams};
+use amac::engine::mux::Mux;
+use amac::engine::{AmacSession, EngineStats, Technique, TuningParams};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
@@ -304,11 +304,11 @@ fn every_driver_flushes_the_amu_ledger() {
 
 #[test]
 fn lane_ledgers_sum_to_global_totals() {
-    // Two probe queries share one AMAC window, tiered + coalesced +
-    // faulted so every op-side counter moves. AMAC has no no-ops and no
-    // bailouts, so the lane ledgers must reproduce the executor's global
-    // stats in *every* field — a counter the mux forgot to copy into the
-    // per-query ledgers would break the equality.
+    // Two probe queries share one AMAC window, fed lane by lane, tiered
+    // + coalesced + faulted so every op-side counter moves. A window has
+    // no no-ops and no bailouts, so the lane ledgers must reproduce its
+    // global stats in *every* field — a counter the mux forgot to copy
+    // into the per-query ledgers would break the equality.
     let (ht, probes) = lab(4096, 6000, 256, 0x97);
     let cfg = ProbeConfig {
         materialize: false,
@@ -319,18 +319,19 @@ fn lane_ledgers_sum_to_global_totals() {
     let mut mux = Mux::new();
     let la = mux.add(ProbeOp::new(&ht, &cfg, 0));
     let lb = mux.add(ProbeOp::new(&ht, &cfg, 0));
-    // Interleave the two queries in quanta of 7 tuples.
+    // Feed the two queries in alternating quanta of 7 tuples.
+    let mut window = AmacSession::new(TuningParams::default().in_flight);
+    let mut global = EngineStats::default();
     let (mut ia, mut ib) = (qa.chunks(7), qb.chunks(7));
-    let mut tagged = Vec::with_capacity(probes.len());
     loop {
         let (a, b) = (ia.next(), ib.next());
         if a.is_none() && b.is_none() {
             break;
         }
-        tagged.extend(a.unwrap_or_default().iter().map(|&t| Tagged::new(la, t)));
-        tagged.extend(b.unwrap_or_default().iter().map(|&t| Tagged::new(lb, t)));
+        window.feed_lane(&mut mux, la, a.unwrap_or_default(), &mut global);
+        window.feed_lane(&mut mux, lb, b.unwrap_or_default(), &mut global);
     }
-    let global = run(Technique::Amac, &mut mux, &tagged, TuningParams::default());
+    assert!(window.drain_lanes(&mut mux, &mut global, usize::MAX));
     let mut sum = *mux.observed(la);
     sum.merge(mux.observed(lb));
     assert_eq!(sum, global, "lane ledgers must sum to the global stats, field for field");

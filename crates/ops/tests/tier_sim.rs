@@ -5,7 +5,7 @@
 //! latency), and `sim_cycles` must be a pure work count — identical
 //! across executors, thread counts and schedulings.
 
-use amac::engine::{run, run_amac, AmacSession, EngineStats, Technique, TuningParams};
+use amac::engine::{run_amac, AmacSession, EngineStats, Technique, TuningParams};
 use amac_hashtable::{AggTable, HashTable};
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig, ProbeOp};
@@ -228,23 +228,21 @@ fn auto_sim_picks_deeper_window_at_higher_far_latency() {
 
 #[test]
 fn mux_lane_ledgers_carry_sim_ticks_exactly() {
-    use amac::engine::mux::{Mux, Tagged};
+    use amac::engine::mux::Mux;
     let (ht, probes) = lab(4096);
     let cfg = tiered_cfg(8, 10);
     let half = probes.len() / 2;
-    let (qa, qb) = (&probes.tuples[..half], &probes.tuples[half..]);
+    let (qa, qb) = probes.tuples.split_at(half);
     let mut mux = Mux::new();
     let la = mux.add(ProbeOp::new(&ht, &cfg, 0));
     let lb = mux.add(ProbeOp::new(&ht, &cfg, 0));
-    let mut tagged = Vec::new();
-    for i in (0..half).step_by(64) {
-        for (lane, q) in [(la, qa), (lb, qb)] {
-            for t in q.iter().skip(i).take(64) {
-                tagged.push(Tagged::new(lane, *t));
-            }
-        }
+    let mut window = AmacSession::new(cfg.params.in_flight);
+    let mut global = EngineStats::default();
+    for (a, b) in qa.chunks(64).zip(qb.chunks(64)) {
+        window.feed_lane(&mut mux, la, a, &mut global);
+        window.feed_lane(&mut mux, lb, b, &mut global);
     }
-    let global = run(Technique::Amac, &mut mux, &tagged, cfg.params);
+    assert!(window.drain_lanes(&mut mux, &mut global, usize::MAX));
     let (a, b) = (*mux.observed(la), *mux.observed(lb));
     assert!(global.sim_cycles > 0);
     assert_eq!(a.sim_cycles + b.sim_cycles, global.sim_cycles, "lane work must sum to global");

@@ -43,6 +43,7 @@
 //! ([`amac_metrics::LatencyHistogram`]), so tail stragglers and steal
 //! traffic are visible to benches and tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dispatch;

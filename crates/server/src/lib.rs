@@ -71,6 +71,7 @@
 //! assert!(out.reports.iter().any(|r| r.qid == b));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod query;

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
-use amac::engine::mux::Mux;
+use amac::engine::mux::{Mux, MuxState};
 use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
@@ -23,7 +23,7 @@ use crate::query::{Breaker, Query, Work};
 use crate::request::{
     Backpressure, BreakerMode, QueryId, QueryOutcome, QueryReport, Request, Stalled, SubmitOpts,
 };
-use crate::tenant::TenantOp;
+use crate::tenant::{TenantOp, TenantState};
 
 /// Serving-session policy knobs.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ pub struct ServeConfig {
     pub breaker_mode: BreakerMode,
     /// Slot-rotation budget for one pump's window drain. Bounds the cost
     /// of a pump even if a lane is wedged (see
-    /// [`AmacSession::drain_budgeted`]); combined with
+    /// [`AmacSession::drain_lanes`]); combined with
     /// [`run_with_budget`](ServeSession::run_with_budget) it turns
     /// livelock into a reportable [`Stalled`].
     pub drain_budget: usize,
@@ -221,7 +221,7 @@ pub struct ServeSession<'a> {
     catalog: &'a HashTable,
     cfg: ServeConfig,
     mux: Mux<TenantOp<'a>>,
-    window: AmacSession<Mux<TenantOp<'a>>>,
+    window: AmacSession<MuxState<TenantState>>,
     stats: EngineStats,
     active: Vec<Active<'a>>,
     pending: VecDeque<Query<Request<'a>>>,
@@ -423,7 +423,7 @@ impl<'a> ServeSession<'a> {
             self.rr = (self.rr + 1) % n;
         }
         if fed == 0 && self.window.in_flight() > 0 {
-            self.window.drain_budgeted(&mut self.mux, &mut self.stats, self.cfg.drain_budget);
+            self.window.drain_lanes(&mut self.mux, &mut self.stats, self.cfg.drain_budget);
         }
         self.detect_failures();
         self.sweep_completed();

@@ -47,6 +47,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod elastic;
 pub mod exec;
 pub mod partition;

@@ -41,6 +41,8 @@
 //! assert!(!Tracer::off().enabled()); // disabled mode records nothing
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::fmt;
 

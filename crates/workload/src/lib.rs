@@ -22,6 +22,8 @@
 //! experiments add [`arrival`]: deterministic Poisson arrival processes
 //! and uniform/Zipf tenant mixes for open-loop multi-query load.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod feistel;
 pub mod filter;

@@ -5,22 +5,22 @@
 #   bash scripts/check-inlined.sh <binary>   # check an already built harness
 #
 # The paper's Listing 1 has Table 1's code stages *inside* the rolling-buffer
-# loop. This fails when an executor body (`AmacSession::feed_with`, the
-# window loop of `feed`; `feed_lane`, the serving window's lane feeds with
-# that loop inlined; `drain_budgeted`, `run_amac`, `engine::run`, `run_baseline`, `run_gp`,
-# `run_spp`) calls a `start`/`step`/`start_plain`/`step_plain` (or the
-# window's `looks_ahead`/`lookahead`) of a hash-table op, of an
-# ordered-index search op (BST, skip list, B+-tree: the `index_walk`
-# kernels), of the pipeline probe stage, of the serving
-# tenant enum, of the serving window's `Mux` or of its lane feeds
-# (`LaneView`, `RoutedLane`), either directly or through a
+# loop. This fails when an executor body (`AmacSession::feed`, the window
+# loop; `feed_lane` and `drain_lanes`, the serving window's lane feed and
+# drain with that loop inlined; `drain_budgeted`, `run_amac`, `engine::run`,
+# `run_baseline`, `run_gp`, `run_spp`) calls a `start`/`step`/`start_plain`/
+# `step_plain` (or the window's `looks_ahead`/`lookahead`) of a hash-table
+# op, of an ordered-index search op (BST, skip list, B+-tree: the
+# `index_walk` kernels), of the pipeline probe stage, of the serving tenant
+# enum, of the serving window's lane view (`LaneView`) or the mux stage it
+# routes through (`Mux::step`), either directly or through a
 # GOT slot (the default release profile reaches other codegen units that
 # way). The metered stages (`Op::{start,step}_metered`: one call per stage
 # on an executor call whose context has a clock, coalescer, armed tracer or
 # ablation hint) and a lane view's `step_routed` (a stage of a slot another
 # lane still holds) are the out-of-line code that is meant to remain; they
 # and every other surviving `start`/`step` symbol are listed with their
-# byte sizes. Every `feed_with` and `feed_lane` instance is listed too, with its size, its count of
+# byte sizes. Every `feed` and `feed_lane` instance is listed too, with its size, its count of
 # indirect jumps (`jmp *`: jump tables, so a stage's enum dispatches show up
 # here once inlined) and the metered stages it calls, which name the op it
 # was instantiated for. Last come the instance count of each executor and
@@ -51,17 +51,18 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp)|amac_server::tenant::TenantOp|amac::engine::mux::(Mux|LaneView|RoutedLane)<O>) as amac::engine::LookupOp>::((start|step)(_plain)?|looks_ahead|lookahead)$/ ||
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp)|amac_server::tenant::TenantOp|amac::engine::mux::LaneView<O>) as amac::engine::LookupOp>::((start|step)(_plain)?|looks_ahead|lookahead)(::\{\{closure\}\})?$/ ||
+         name ~ /^amac::engine::mux::Mux<O>::step$/ ||
          name ~ /^<amac_ops::pipeline::ProbeStage as amac::engine::pipeline::PipelineOp>::((start|step)(_plain)?|looks_ahead|lookahead)$/
 }
 function is_executor(name) {
-  return name ~ /AmacSession<.*>::(feed|feed_with|feed_lane|drain_budgeted)$/ || name ~ /amac_exec::run_amac$/ ||
+  return name ~ /AmacSession<.*>::(feed|feed_lane|drain_budgeted|drain_lanes)$/ || name ~ /amac_exec::run_amac$/ ||
          name ~ /^amac::engine::run$/ || name ~ /::(baseline::run_baseline|gp::run_gp|spp::run_spp)$/
 }
 # The executors whose instances are counted, by the name `nm -C` prints.
 function executor_of(name) {
   if (name == "amac::engine::run") return "engine::run"
-  if (name ~ /^amac::session::AmacSession<.*>::(feed_with|feed_lane|drain_budgeted)$/) { sub(/.*::/, "", name); return name }
+  if (name ~ /^amac::session::AmacSession<.*>::(feed|feed_lane|drain_budgeted|drain_lanes)$/) { sub(/.*::/, "", name); return name }
   if (name ~ /^amac::engine::(baseline::run_baseline|gp::run_gp|spp::run_spp|amac_exec::run_amac)$/) { sub(/.*::/, "", name); return name }
   return ""
 }
@@ -87,7 +88,7 @@ BEGIN {
   body = $0; sub(/^[0-9a-f]+ </, "", body); sub(/>:$/, "", body)
   watched = is_executor(body); bodies += watched
   feed = ""
-  if (body ~ /::(feed_with|feed_lane)$/ && watched) { feed = addr($1); feeds[feed] = 0; callees[feed] = "" }
+  if (body ~ /::(feed|feed_lane)$/ && watched) { feed = addr($1); feeds[feed] = 0; callees[feed] = "" }
   next
 }
 feed != "" && /\tjmp +\*/ { feeds[feed]++ }
@@ -109,11 +110,11 @@ END {
   print "out-of-line start/step symbols (bytes):"
   for (k in sizes) { name = k; sub(/ [0-9a-f]+$/, "", name); printf "  %6d  %s\n", sizes[k], name | "sort -k2 -k1n" }
   close("sort -k2 -k1n")
-  print "feed_with/feed_lane instances (bytes, jmp *, out-of-line stages called):"
+  print "feed/feed_lane instances (bytes, jmp *, out-of-line stages called):"
   for (a in feeds) printf "  %6d  %3d %s\n", size[a], feeds[a], callees[a] | "sort -k1n"
   close("sort -k1n")
   print "executor instances:"
-  n = split("engine::run feed_with feed_lane drain_budgeted run_baseline run_gp run_spp run_amac", names, " ")
+  n = split("engine::run feed feed_lane drain_budgeted drain_lanes run_baseline run_gp run_spp run_amac", names, " ")
   for (i = 1; i <= n; i++) printf "  %-15s %3d\n", names[i], instances[names[i]]
   printf ".text: %d bytes\n", text
   if (bodies == 0) { print "check-inlined: found no executor body to check"; exit 2 }

@@ -11,7 +11,7 @@
 //! counter that is not simulated time — including at every flush, which
 //! a plain call's tally is settled before.
 
-use amac_suite::engine::engine::mux::{Mux, Tagged};
+use amac_suite::engine::engine::mux::Mux;
 use amac_suite::engine::engine::AmacSession;
 use amac_suite::engine::{EngineStats, Hooks, LookupOp, Technique};
 use amac_suite::hashtable::agg::AggValues;
@@ -21,7 +21,7 @@ use amac_suite::ops::groupby::{groupby, GroupByConfig, GroupByOp};
 use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig, ProbeOp};
 use amac_suite::ops::mutate::{mutate, MutateConfig, MutateKind, MutateOp};
 use amac_suite::ops::pipeline::{fused_probe_groupby_op, probe_then_groupby, PipelineConfig};
-use amac_suite::server::TenantOp;
+use amac_suite::server::{Request, ServeConfig, ServeSession, TenantOp};
 use amac_suite::tier::{TierSpec, WalRecord};
 use amac_suite::trace::{TraceEvent, Tracer};
 use amac_suite::workload::{Relation, Tuple};
@@ -110,6 +110,28 @@ fn hint_none_reports_no_prefetches_in_both_modes() {
         assert_eq!((out.matches, out.checksum), (reference.matches, reference.checksum));
         assert_eq!(out.stats.issued_loads, reference.stats.issued_loads, "requests still count");
     }
+}
+
+#[test]
+fn a_query_without_prefetches_leaves_the_session_totals_exact() {
+    // Two probe queries share a serving window, one with its prefetch gate
+    // off: each lane counts prefetches with its own gate, and the session
+    // counts what its queries' reports sum to, field for field.
+    let r = build_side();
+    let ht = chained_table(&r);
+    let (a, b) = (Relation::fk_uniform(&r, 2_000, 21), Relation::fk_uniform(&r, 2_000, 22));
+    let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
+    let cfg = ProbeConfig::default();
+    let quiet = ProbeConfig { hint: PrefetchHint::None, ..cfg.clone() };
+    let loud = srv.submit(Request::Probe { probes: &a, cfg }).unwrap();
+    srv.submit(Request::Probe { probes: &b, cfg: quiet }).unwrap();
+    let out = srv.finish();
+    let mut sum = EngineStats::default();
+    for rep in &out.reports {
+        assert_eq!(rep.stats.prefetches > 0, rep.qid == loud, "query {:?}", rep.qid);
+        sum.merge(&rep.stats);
+    }
+    assert_eq!(sum, out.stats, "per-query reports vs session stats");
 }
 
 #[test]
@@ -327,80 +349,70 @@ fn a_budgeted_drain_settles_the_tally_at_every_give_up() {
 
 #[test]
 fn mux_lane_ledgers_sum_to_the_global_stats_at_every_flush() {
-    // Two legs over the same tuples: tagged feeds of the whole mix, and
-    // per-lane feeds in quanta (`AmacSession::feed_lane`), where the plain
-    // lanes run as the lane's own call and the traced one is routed.
-    for lane_feeds in [false, true] {
-        let r = build_side();
-        let (ht, target) = (chained_table(&r), chained_table(&r));
-        let s = probe_side(&r);
-        let (agg, fused_agg) = (AggTable::with_buckets(64), AggTable::with_buckets(64));
-        let probe_cfg = ProbeConfig::default();
-        let mut mux: Mux<TenantOp> = Mux::new();
-        let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
-        traced.ctx().set_tracer(Tracer::on());
-        let lanes = [
-            mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
-            mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
-            mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
-                &ht,
-                &fused_agg,
-                &PipelineConfig::default(),
-            )))),
-            mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
-            mux.add(TenantOp::Probe(traced)),
-        ];
-        let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
-        assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
-        // Every fifth probe misses the table; those go to the group-by lane.
-        let lane_of = |i: usize| lanes[(i + 1) % lanes.len()];
-        let tagged: Vec<Tagged<Tuple>> =
-            s.tuples.iter().enumerate().map(|(i, &t)| Tagged::new(lane_of(i), t)).collect();
+    // Per-lane feeds in quanta (`AmacSession::feed_lane`): the plain lanes
+    // run as the lane's own plain call, the traced one as its metered one.
+    let r = build_side();
+    let (ht, target) = (chained_table(&r), chained_table(&r));
+    let s = probe_side(&r);
+    let (agg, fused_agg) = (AggTable::with_buckets(64), AggTable::with_buckets(64));
+    let probe_cfg = ProbeConfig::default();
+    let mut mux: Mux<TenantOp> = Mux::new();
+    let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
+    traced.ctx().set_tracer(Tracer::on());
+    let lanes = [
+        mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
+        mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
+        mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
+            &ht,
+            &fused_agg,
+            &PipelineConfig::default(),
+        )))),
+        mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
+        mux.add(TenantOp::Probe(traced)),
+    ];
+    let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
+    assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
+    // Every fifth probe misses the table; those go to the group-by lane.
+    let lane_of = |i: usize| (i + 1) % lanes.len();
 
-        let mut session = AmacSession::new(M);
-        let mut global = EngineStats::default();
-        // Lookups fed per lane so far: what a lane has not retired is in flight.
-        let mut fed = [0u64; 5];
-        let sums_up = |mux: &Mux<TenantOp>, global: &EngineStats, fed: &[u64; 5], at: &str| {
-            let at = format!("lane feeds {lane_feeds}, {at}");
-            let mut sum = EngineStats::default();
-            for (&l, &fed) in lanes.iter().zip(fed) {
-                let (led, at) = (mux.observed(l), format!("{at}, lane {l}"));
-                assert_ledger_recounts(led, (fed - led.lookups) as usize, &at);
-                sum.merge(led);
-            }
-            assert_eq!(sum, *global, "{at}: lane ledgers vs global stats");
-        };
-        for chunk in tagged.chunks(500) {
-            if lane_feeds {
-                for (i, &lane) in lanes.iter().enumerate() {
-                    let quantum: Vec<Tuple> =
-                        chunk.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
-                    fed[i] += quantum.len() as u64;
-                    session.feed_lane(&mut mux, lane, &quantum, &mut global);
-                    sums_up(&mux, &global, &fed, "after a lane feed");
-                }
-                continue;
-            }
-            for t in chunk {
-                fed[lanes.iter().position(|&l| l == t.lane).unwrap()] += 1;
-            }
-            session.feed(&mut mux, chunk, &mut global);
-            sums_up(&mux, &global, &fed, "after a feed");
+    let mut session = AmacSession::new(M);
+    let mut global = EngineStats::default();
+    // Lookups fed per lane so far: what a lane has not retired is in flight.
+    let mut fed = [0u64; 5];
+    let sums_up = |mux: &Mux<TenantOp>, global: &EngineStats, fed: &[u64; 5], at: &str| {
+        let mut sum = EngineStats::default();
+        for (&l, &fed) in lanes.iter().zip(fed) {
+            let (led, at) = (mux.observed(l), format!("{at}, lane {l}"));
+            assert_ledger_recounts(led, (fed - led.lookups) as usize, &at);
+            sum.merge(led);
         }
-        while !session.drain_budgeted(&mut mux, &mut global, 7) {
-            sums_up(&mux, &global, &fed, "after a give-up");
+        assert_eq!(sum, *global, "{at}: lane ledgers vs global stats");
+    };
+    for (c, chunk) in s.tuples.chunks(500).enumerate() {
+        for (i, &lane) in lanes.iter().enumerate() {
+            let quantum: Vec<Tuple> =
+                (0..chunk.len()).filter(|&j| lane_of(c * 500 + j) == i).map(|j| chunk[j]).collect();
+            fed[i] += quantum.len() as u64;
+            session.feed_lane(&mut mux, lane, &quantum, &mut global);
+            sums_up(&mux, &global, &fed, "after a lane feed");
         }
-        sums_up(&mux, &global, &fed, "drained");
-        assert_eq!(global.lookups, s.len() as u64);
-        // Both probe lanes' settled accumulators are their solo runs'.
-        for lane in [lanes[0], lanes[4]] {
-            let TenantOp::Probe(op) = mux.remove(lane).0 else { unreachable!() };
-            let mine = tagged.iter().filter(|t| t.lane == lane).map(|t| t.input).collect();
-            let solo = probe(&ht, &Relation::from_tuples(mine), Technique::Amac, &probe_cfg);
-            let got = (op.matches(), op.checksum());
-            assert_eq!(got, (solo.matches, solo.checksum), "lane feeds {lane_feeds}, lane {lane}");
-            assert!(solo.matches > 0, "lane {lane} hits");
-        }
+    }
+    while !session.drain_lanes(&mut mux, &mut global, 7) {
+        sums_up(&mux, &global, &fed, "after a give-up");
+    }
+    sums_up(&mux, &global, &fed, "drained");
+    assert_eq!(global.lookups, s.len() as u64);
+    // Both probe lanes' settled accumulators are their solo runs'.
+    for i in [0, 4] {
+        let TenantOp::Probe(op) = mux.remove(lanes[i]).0 else { unreachable!() };
+        let mine = s.tuples.iter().enumerate().filter(|&(j, _)| lane_of(j) == i);
+        let solo = probe(
+            &ht,
+            &Relation::from_tuples(mine.map(|(_, &t)| t).collect()),
+            Technique::Amac,
+            &probe_cfg,
+        );
+        assert_eq!((op.matches(), op.checksum()), (solo.matches, solo.checksum), "lane {i}");
+        assert!(solo.matches > 0, "lane {i} hits");
     }
 }

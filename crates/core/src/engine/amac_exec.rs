@@ -1,7 +1,7 @@
 //! The one-shot AMAC executor (§3 of the paper), its §3.1 ablation
 //! variants, and the general rotation loop the ablations run on.
 
-use super::call::Call;
+use super::call::{mode, Call};
 use super::{AmacSession, EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Asynchronous Memory Access Chaining**.
@@ -59,11 +59,11 @@ pub(crate) fn rotate<O: LookupOp>(
     if inputs.is_empty() {
         return EngineStats::default();
     }
-    match op.plain() {
+    match mode(op) {
         Some(tally) => {
             rotate_in(Call::plain(op, tally), inputs, m, merge_done_with_start, modulo_index)
         }
-        None => rotate_in(Call::direct(op), inputs, m, merge_done_with_start, modulo_index),
+        None => rotate_in(Call::metered(op), inputs, m, merge_done_with_start, modulo_index),
     }
 }
 
@@ -114,10 +114,10 @@ fn rotate_in<O: LookupOp, const PLAIN: bool>(
                     // Coarse-grained spin: move on, retry on next rotation.
                     stats.latch_retries += 1;
                 }
-                s @ (Step::Done | Step::Failed) => {
+                s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                     stats.stages += 1;
                     stats.lookups += 1;
-                    stats.failed_lookups += (s == Step::Failed) as u64;
+                    stats.failed_lookups += matches!(s, Step::Failed) as u64;
                     if merge_done_with_start && next < inputs.len() {
                         // Merged terminal+initial stage: refill immediately
                         // so in-flight memory accesses stay constant.

@@ -1,6 +1,6 @@
 //! The no-prefetch baseline executor.
 
-use super::call::Call;
+use super::call::{mode, Call};
 use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` one lookup at a time, exactly as the paper's "highly
@@ -18,9 +18,9 @@ use super::{EngineStats, LookupOp, Step};
 /// speculation depends on — flips with the size of unrelated code.
 #[inline]
 pub fn run_baseline<O: LookupOp>(op: &mut O, inputs: &[O::Input]) -> EngineStats {
-    match op.plain() {
+    match mode(op) {
         Some(tally) => baseline(Call::plain(op, tally), inputs),
-        None => baseline(Call::direct(op), inputs),
+        None => baseline(Call::metered(op), inputs),
     }
 }
 
@@ -47,10 +47,10 @@ fn baseline<O: LookupOp, const PLAIN: bool>(
                     stats.latch_retries += 1;
                     core::hint::spin_loop();
                 }
-                s @ (Step::Done | Step::Failed) => {
+                s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                     stats.stages += 1;
                     stats.lookups += 1;
-                    stats.failed_lookups += (s == Step::Failed) as u64;
+                    stats.failed_lookups += matches!(s, Step::Failed) as u64;
                     break;
                 }
             }

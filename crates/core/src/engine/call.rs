@@ -1,12 +1,70 @@
 //! One executor call's view of its op, in the mode chosen at the call's
-//! start (see "One mode per call" in the [module docs](super)).
+//! start (see "One mode per call" in the [module docs](super)), and the
+//! engine's one out-of-line metered stage pair.
 
 use super::{EngineStats, Hooks, LookupOp, Step};
 
-/// The op as one executor call drives it. `PLAIN` is what
-/// [`LookupOp::plain`] answered when the call began; `tally` is the op's
-/// loop-carried scalars on a plain call, a local of the executor until
-/// [`flush`](Call::flush) settles it into the op. Every method is
+/// The mode of a call on `op`, asked once at its start: the op's scalars
+/// as they stand if its context is plain, `None` if it is metered.
+#[inline(always)]
+pub(crate) fn mode<O: LookupOp>(op: &mut O) -> Option<O::Tally> {
+    let plain = op.ctx().plain();
+    plain.then(|| op.tally())
+}
+
+/// Stage 0 of `op`'s lookup for `input` in mode `PLAIN`: a plain stage
+/// runs inline over `tally`, a metered one through the out-of-line pair
+/// unless `op` [routes](LookupOp::ROUTES) it (then `tally` is unused).
+#[inline(always)]
+pub fn start<O: LookupOp, const PLAIN: bool>(
+    op: &mut O,
+    tally: &mut O::Tally,
+    input: O::Input,
+    state: &mut O::State,
+) {
+    if PLAIN || O::ROUTES {
+        op.start::<PLAIN>(tally, input, state);
+    } else {
+        metered_start(op, input, state);
+    }
+}
+
+/// The next stage of the lookup in `state`, dispatched like [`start`].
+#[inline(always)]
+pub fn step<O: LookupOp, const PLAIN: bool>(
+    op: &mut O,
+    tally: &mut O::Tally,
+    state: &mut O::State,
+) -> Step<O::Output> {
+    if PLAIN || O::ROUTES {
+        op.step::<PLAIN>(tally, state)
+    } else {
+        metered_step(op, state)
+    }
+}
+
+/// A metered stage 0, out of line: the op's scalars as they stand, the
+/// stage, and the scalars settled back.
+#[inline(never)]
+fn metered_start<O: LookupOp>(op: &mut O, input: O::Input, state: &mut O::State) {
+    let mut tally = op.tally();
+    op.start::<false>(&mut tally, input, state);
+    op.settle(tally);
+}
+
+/// A metered later stage, out of line, like [`metered_start`].
+#[inline(never)]
+fn metered_step<O: LookupOp>(op: &mut O, state: &mut O::State) -> Step<O::Output> {
+    let mut tally = op.tally();
+    let step = op.step::<false>(&mut tally, state);
+    op.settle(tally);
+    step
+}
+
+/// The op as one executor call drives it. `PLAIN` is what the op's
+/// context answered ([`Hooks::plain`]) when the call began; `tally` is
+/// the op's loop-carried scalars on a plain call, a local of the executor
+/// until [`flush`](Call::flush) settles it into the op. Every method is
 /// `#[inline(always)]`, so an executor body generic over `PLAIN` is two
 /// loops, each with its mode fixed.
 pub(crate) struct Call<'o, O: LookupOp, const PLAIN: bool> {
@@ -15,7 +73,7 @@ pub(crate) struct Call<'o, O: LookupOp, const PLAIN: bool> {
 }
 
 impl<'o, O: LookupOp> Call<'o, O, true> {
-    /// A plain call over the tally `op.plain()` returned.
+    /// A plain call over the tally [`mode`] returned.
     #[inline(always)]
     pub(crate) fn plain(op: &'o mut O, tally: O::Tally) -> Self {
         Call { op, tally }
@@ -23,9 +81,9 @@ impl<'o, O: LookupOp> Call<'o, O, true> {
 }
 
 impl<'o, O: LookupOp> Call<'o, O, false> {
-    /// A call that runs the op's own `start`/`step`.
+    /// A call whose every stage is metered.
     #[inline(always)]
-    pub(crate) fn direct(op: &'o mut O) -> Self {
+    pub(crate) fn metered(op: &'o mut O) -> Self {
         Call { op, tally: O::Tally::default() }
     }
 }
@@ -33,20 +91,12 @@ impl<'o, O: LookupOp> Call<'o, O, false> {
 impl<O: LookupOp, const PLAIN: bool> Call<'_, O, PLAIN> {
     #[inline(always)]
     pub(crate) fn start(&mut self, input: O::Input, state: &mut O::State) {
-        if PLAIN {
-            self.op.start_plain(&mut self.tally, input, state);
-        } else {
-            self.op.start(input, state);
-        }
+        start::<O, PLAIN>(self.op, &mut self.tally, input, state);
     }
 
     #[inline(always)]
-    pub(crate) fn step(&mut self, state: &mut O::State) -> Step {
-        if PLAIN {
-            self.op.step_plain(&mut self.tally, state)
-        } else {
-            self.op.step(state)
-        }
+    pub(crate) fn step(&mut self, state: &mut O::State) -> Step<O::Output> {
+        step::<O, PLAIN>(self.op, &mut self.tally, state)
     }
 
     /// One tick for a visit to an idle slot; a plain context keeps no

@@ -73,16 +73,17 @@ where
     type Input = I;
     type State = S;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         BUDGET
     }
 
-    fn start(&mut self, input: I, state: &mut S) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: I, state: &mut S) {
         *state = (self.start)(&input);
     }
 
-    fn step(&mut self, state: &mut S) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut S) -> Step {
         match (self.advance)(state) {
             Resume::Later => Step::Continue,
             Resume::Finished => Step::Done,

@@ -8,17 +8,28 @@
 //! fused chains, the mux and the serving layer talk to that context only
 //! through [`Hooks`]; none of them knows what is behind it.
 //!
-//! Every method defaults to "no context": nothing to advance, flush or
-//! trace, and prefetches are unconditional. `()` takes all the defaults,
-//! so an op that never overrides `ctx` (tree, skip-list and linear-probe
-//! searches, test ops) runs the bare executor loop with the hook calls
-//! compiled away.
+//! Every method but [`plain`](Hooks::plain) defaults to "no context":
+//! nothing to advance, flush or trace, and prefetches are unconditional.
+//! `()` takes all the defaults and is plain, so an op that never
+//! overrides `ctx` (tree, skip-list and closure searches, test ops) runs
+//! the bare executor loop's plain call with the hook calls compiled away.
 
 use super::EngineStats;
 use amac_trace::{TraceEvent, Tracer};
 
 /// What a composition layer may ask of an op's execution context.
 pub trait Hooks {
+    /// Whether the context is *plain* — it keeps no time, coalesces
+    /// nothing, traces nothing and prefetches with the paper's hint — so
+    /// an executor call may run the op's plain stages and skip every hook
+    /// but [`flush`](Hooks::flush). Asked once per call (see "One mode
+    /// per call" in the [engine docs](super)). `false` by default: a
+    /// context is metered unless it says otherwise.
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        false
+    }
+
     /// Let `ticks` of simulated time pass without the op executing a
     /// stage. Executors call this once per visit to an idle window slot
     /// (a GP/SPP no-op check, a drained AMAC slot) so a tiered op's clock
@@ -108,11 +119,21 @@ pub trait Hooks {
     }
 }
 
-/// No context: every hook keeps its default.
-impl Hooks for () {}
+/// No context: plain, and every other hook keeps its default.
+impl Hooks for () {
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        true
+    }
+}
 
 /// A borrowed context, as returned by an op that owns one.
 impl<H: Hooks + ?Sized> Hooks for &mut H {
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        (**self).plain()
+    }
+
     #[inline(always)]
     fn idle(&mut self, ticks: u64) {
         (**self).idle(ticks);
@@ -178,6 +199,12 @@ impl<H: Hooks + ?Sized> Hooks for &mut H {
 /// optional so a sum-type op whose variants hold one or two contexts can
 /// return a single type; `None` leaves exactly the upstream context.
 impl<A: Hooks, B: Hooks> Hooks for (A, Option<B>) {
+    /// Plain only when both members are.
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        self.0.plain() && self.1.as_ref().map_or(true, B::plain)
+    }
+
     #[inline(always)]
     fn idle(&mut self, ticks: u64) {
         let t = self.now() + ticks;
@@ -311,6 +338,7 @@ mod tests {
     #[test]
     fn unit_context_is_inert_and_prefetches() {
         let mut cx = ();
+        assert!(cx.plain(), "no context = a plain call");
         cx.idle(5);
         cx.advance_to(9);
         cx.commit_group();
@@ -358,6 +386,11 @@ mod tests {
         // Members are borrows, so this also goes through `&mut H`.
         assert!(((), Some(&mut clock)).keeps_time(), "a clocked downstream member counts");
         assert!((&mut clock, None::<()>).keeps_time());
+        // The mode follows the same rule: a pair is plain only when both
+        // members are.
+        assert!(((), None::<()>).plain() && ((), Some(())).plain());
+        assert!(!((), Some(&mut clock)).plain(), "a metered downstream member counts");
+        assert!(!(&mut clock, None::<()>).plain());
     }
 
     #[test]

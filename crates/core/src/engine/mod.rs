@@ -57,17 +57,21 @@
 //!
 //! # One mode per call
 //!
-//! Every executor call asks the op once, at its start, whether its
-//! context is *plain* ([`LookupOp::plain`]). A plain call runs
-//! [`LookupOp::start_plain`]/[`LookupOp::step_plain`] over a
-//! [`Tally`](LookupOp::Tally) of the op's loop-carried scalars that the
-//! call keeps in its own locals, and settles it into the op
-//! ([`LookupOp::settle`]) before every flush; any other call runs
-//! `start`/`step`. The mode is never tested inside the loop.
+//! Every executor call asks the op's context once, at its start, whether
+//! it is *plain* ([`Hooks::plain`]). Each op writes its two code stages
+//! once, generic over that answer: [`LookupOp::start`] and
+//! [`LookupOp::step`] take `PLAIN` and the op's loop-carried scalars (its
+//! [`Tally`](LookupOp::Tally)). A plain call keeps the tally in its own
+//! locals, runs the `PLAIN = true` stages inline in its loop and settles
+//! the tally into the op ([`LookupOp::settle`]) before every flush. Any
+//! other call runs each `PLAIN = false` stage through the engine's one
+//! out-of-line metered pair ([`call::step`]): a fresh tally from
+//! [`LookupOp::tally`], the stage, and the settle. The mode is never
+//! tested inside the loop.
 
 pub(crate) mod amac_exec;
 mod baseline;
-pub(crate) mod call;
+pub mod call;
 pub mod closure_api;
 mod gp;
 mod hooks;
@@ -86,14 +90,18 @@ pub use spp::run_spp;
 pub use stats::EngineStats;
 pub use tune::{auto_tune_in_flight_sim, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT};
 
-/// Outcome of one executed code stage.
+/// Outcome of one executed code stage. `O` is what a finished lookup
+/// hands the next operator of a fused chain ([`LookupOp::Output`]);
+/// [`Infallible`](core::convert::Infallible), the default, for an op that
+/// materializes its own output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
+pub enum Step<O = core::convert::Infallible> {
     /// The stage issued a prefetch for the next node; resume this lookup
     /// after other lookups have had a turn.
     Continue,
-    /// The lookup finished; its output (if any) has been materialized by
-    /// the op.
+    /// The lookup finished and hands nothing on: its output (if any) has
+    /// been materialized by the op, or it left a fused chain (a probe
+    /// miss, a filtered tuple).
     Done,
     /// A latch was busy; the stage made **no progress** and must be retried.
     Blocked,
@@ -104,23 +112,39 @@ pub enum Step {
     /// [`EngineStats::failed_lookups`] records the abort. Fault policy
     /// (retry, degrade, shed) lives in `amac_server`, not here.
     Failed,
+    /// The lookup finished and hands `O` downstream: a
+    /// [`Chain`](pipeline::Chain) starts it in the next operator in the
+    /// same rotation, a [`Fused`](pipeline::Fused) sink consumes it. An
+    /// executor retires it like [`Step::Done`].
+    Emit(O),
 }
 
 /// One pointer-chasing workload, written once and run by all four
 /// executors.
 ///
 /// Implementations materialize their own outputs (they own output buffers
-/// or accumulators), so executors return only [`EngineStats`].
+/// or accumulators), so executors return only [`EngineStats`]; an
+/// operator of a fused chain hands its output on through [`Step::Emit`].
 pub trait LookupOp {
     /// Per-tuple input (16-byte tuples in all paper workloads).
     type Input: Copy;
     /// Per-lookup resumable state — the paper's circular-buffer entry
     /// (key, payload, rid, node pointer, stage).
     type State: Default;
-    /// The op's loop-carried scalars on a plain call (its plain ledger and
-    /// accumulators), held in the executor's locals instead of behind
-    /// `&mut self`. `()` for an op without plain stages.
+    /// The op's loop-carried scalars (its ledger and accumulators), held
+    /// in the executor's locals on a plain call instead of behind
+    /// `&mut self`. `()` for an op without any.
     type Tally: Copy + Default;
+    /// What a finished lookup hands downstream ([`Step::Emit`]):
+    /// [`Infallible`](core::convert::Infallible) for an op that
+    /// materializes its own output.
+    type Output;
+
+    /// Whether the op routes each stage to another op's state machine
+    /// (the serving sum type, the mux's lane view): its metered stages
+    /// then run inline, and the routed op's go through [`call::step`].
+    /// `false` (the default): a metered stage is one out-of-line call.
+    const ROUTES: bool = false;
 
     /// The paper's `N`: how many `step` calls a *regular* lookup needs.
     /// GP and SPP size their static schedules with this; AMAC and the
@@ -128,61 +152,46 @@ pub trait LookupOp {
     fn budgeted_steps(&self) -> usize;
 
     /// Code stage 0: begin a lookup for `input`, issuing the first
-    /// prefetch.
-    fn start(&mut self, input: Self::Input, state: &mut Self::State);
-
-    /// Execute the next code stage of the lookup held in `state`.
-    fn step(&mut self, state: &mut Self::State) -> Step;
-
-    /// Asked once per executor call. `Some` when the op's context is
-    /// *plain* — it keeps no time, coalesces nothing and traces nothing —
-    /// carrying the op's loop-carried scalars as they stand. The call then
-    /// runs [`start_plain`](LookupOp::start_plain)/
-    /// [`step_plain`](LookupOp::step_plain) over that tally, may skip
-    /// every [`Hooks`] call but `flush`, and hands the tally back through
-    /// [`settle`](LookupOp::settle) before it flushes. `None` (the
-    /// default): the call runs `start`/`step`.
-    #[inline(always)]
-    fn plain(&self) -> Option<Self::Tally> {
-        None
-    }
-
-    /// [`start`](LookupOp::start) on a plain call, counting into `tally`.
-    #[inline(always)]
-    fn start_plain(
+    /// prefetch, counting into `tally`. `PLAIN` is the call's mode (see
+    /// "One mode per call" in the [module docs](self)): a plain stage may
+    /// skip every [`Hooks`] call.
+    fn start<const PLAIN: bool>(
         &mut self,
         tally: &mut Self::Tally,
         input: Self::Input,
         state: &mut Self::State,
-    ) {
-        let _ = tally;
-        self.start(input, state);
-    }
+    );
 
-    /// [`step`](LookupOp::step) on a plain call, counting into `tally`.
+    /// Execute the next code stage of the lookup held in `state`, in mode
+    /// `PLAIN`, counting into `tally`.
+    fn step<const PLAIN: bool>(
+        &mut self,
+        tally: &mut Self::Tally,
+        state: &mut Self::State,
+    ) -> Step<Self::Output>;
+
+    /// The op's loop-carried scalars as they stand, with an empty ledger.
     #[inline(always)]
-    fn step_plain(&mut self, tally: &mut Self::Tally, state: &mut Self::State) -> Step {
-        let _ = tally;
-        self.step(state)
+    fn tally(&self) -> Self::Tally {
+        Self::Tally::default()
     }
 
-    /// Write a plain call's tally back: accumulators into the op, the
-    /// ledger into its context's observations.
+    /// Write a tally back: accumulators into the op, the ledger into its
+    /// context's observations.
     #[inline(always)]
     fn settle(&mut self, tally: Self::Tally) {
         let _ = tally;
     }
 
     /// The op's execution context (see [`Hooks`]). Default: `()`, no
-    /// context — the hook calls compile away.
+    /// context — every call is plain and the hook calls compile away.
     #[inline(always)]
     fn ctx(&mut self) -> impl Hooks + '_ {}
 
-    /// Asked once per [`AmacSession::feed`] call, like
-    /// [`plain`](LookupOp::plain): whether the window should call
-    /// [`lookahead`](LookupOp::lookahead) (see "Lookahead" in the
-    /// [module docs](self)). `false` (the default) for an op whose stage 0
-    /// has no miss to hide.
+    /// Asked once per [`AmacSession::feed`] call, like the mode: whether
+    /// the window should call [`lookahead`](LookupOp::lookahead) (see
+    /// "Lookahead" in the [module docs](self)). `false` (the default) for
+    /// an op whose stage 0 has no miss to hide.
     #[inline(always)]
     fn looks_ahead(&self) -> bool {
         false

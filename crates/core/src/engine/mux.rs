@@ -62,7 +62,7 @@
 //! end, so every clocked stage reads the time it would have read had each
 //! tick been added as it ran.
 
-use super::{EngineStats, Hooks, LookupOp, Step};
+use super::{call, EngineStats, Hooks, LookupOp, Step};
 
 /// Per-lookup state: the owning lane plus the inner op's state.
 #[derive(Debug, Default)]
@@ -92,7 +92,7 @@ struct Lane<O: LookupOp> {
     /// only a clocked lane is synchronized with window time.
     clocked: bool,
     /// The lane's mode, picked at [`Mux::add`] and again after every
-    /// flush ([`LookupOp::plain`]): `Some` holds a plain lane's tally,
+    /// flush ([`Hooks::plain`]): `Some` holds a plain lane's tally,
     /// which its routed stages count into and every flush settles first.
     tally: Option<O::Tally>,
 }
@@ -132,7 +132,7 @@ fn flush_op<O: LookupOp>(
     op.ctx().flush(&mut delta);
     led.merge(&delta);
     stats.merge(&delta);
-    op.plain()
+    call::mode(op)
 }
 
 /// A multiplexer: one inner [`LookupOp`] per active query lane, all
@@ -180,7 +180,7 @@ impl<O: LookupOp> Mux<O> {
             (cx.issues_prefetches(), cx.keeps_time())
         };
         let fresh = Lane {
-            tally: op.plain(),
+            tally: call::mode(&mut op),
             op: Some(op),
             led: EngineStats::default(),
             cancelled: false,
@@ -261,7 +261,7 @@ impl<O: LookupOp> Mux<O> {
     /// and billed to that lane: a clocked lane is caught up to window time
     /// first and lifts it after; any other stage ticks it once.
     #[inline(always)]
-    pub(crate) fn step(&mut self, state: &mut MuxState<O::State>) -> Step {
+    pub(crate) fn step(&mut self, state: &mut MuxState<O::State>) -> Step<O::Output> {
         let l = &mut self.lanes[state.lane as usize];
         if l.cancelled {
             // Cooperative cancellation: retire the slot without running
@@ -280,13 +280,13 @@ impl<O: LookupOp> Mux<O> {
         let op = l.op.as_mut().expect("step routed to vacant lane");
         let r = if l.clocked {
             op.ctx().advance_to(self.seq);
-            let r = op.step(&mut state.inner);
+            let r = call::step::<O, false>(op, &mut Default::default(), &mut state.inner);
             self.seq = (self.seq + 1).max(op.ctx().now());
             r
         } else {
             let r = match &mut l.tally {
-                Some(tally) => op.step_plain(tally, &mut state.inner),
-                None => op.step(&mut state.inner),
+                Some(tally) => call::step::<O, true>(op, tally, &mut state.inner),
+                None => call::step::<O, false>(op, &mut Default::default(), &mut state.inner),
             };
             debug_assert_eq!(op.ctx().now(), 0, "a lane that keeps no time has a clock");
             self.seq += 1;
@@ -301,7 +301,7 @@ impl<O: LookupOp> Mux<O> {
                 self.pending_prefetches += pf;
             }
             Step::Blocked => led.latch_retries += 1,
-            Step::Done => {
+            Step::Done | Step::Emit(_) => {
                 led.stages += 1;
                 led.lookups += 1;
             }
@@ -335,9 +335,9 @@ impl<O: LookupOp> Mux<O> {
 ///
 /// A feed holds the fed lane's op, out of the lane table for the call, and
 /// runs that lane's stages itself: a plain lane's over the call's tally,
-/// which also counts the lane's window ticks, a metered lane's through
-/// its own `start`/`step`, synced with window time stage by stage if it
-/// keeps time. A slot still held by another lane goes through
+/// which also counts the lane's window ticks, a metered lane's as metered
+/// stages, synced with window time stage by stage if it keeps time. A
+/// slot still held by another lane goes through
 /// [`Mux::step`] out of line; a drain, which feeds no lane, runs
 /// [`Mux::step`] inline for every slot. The fed lane's lifecycle counters
 /// are settled at the flush, from the feed's counts less what was
@@ -350,6 +350,8 @@ pub(crate) struct LaneView<'a, O: LookupOp> {
     op: Option<&'a mut O>,
     /// Whether the fed lane keeps time.
     clocked: bool,
+    /// Whether the fed lane's context is plain; never on a drain.
+    plain: bool,
     /// What the call routed to other lanes: `stages`, `lookups`,
     /// `failed_lookups` and `latch_retries`.
     routed: EngineStats,
@@ -361,7 +363,9 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
     /// A feed of `lane`, whose op [`Mux::take`] returned.
     pub(crate) fn feeding(mux: &'a mut Mux<O>, lane: u32, op: &'a mut O) -> Self {
         let clocked = mux.lanes[lane as usize].clocked;
-        LaneView { mux, lane, op: Some(op), clocked, routed: EngineStats::default(), touched: 0 }
+        let plain = op.ctx().plain();
+        let routed = EngineStats::default();
+        LaneView { mux, lane, op: Some(op), clocked, plain, routed, touched: 0 }
     }
 
     /// A drain of every lane.
@@ -371,6 +375,7 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
             lane: u32::MAX,
             op: None,
             clocked: false,
+            plain: false,
             routed: EngineStats::default(),
             touched: 0,
         }
@@ -404,7 +409,7 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
     /// since the last count, and the call counts the stage so the fed
     /// lane's share can be derived.
     #[inline(never)]
-    fn step_routed(&mut self, ticks: u64, state: &mut MuxState<O::State>) -> Step {
+    fn step_routed(&mut self, ticks: u64, state: &mut MuxState<O::State>) -> Step<O::Output> {
         self.mux.seq += ticks;
         self.touched |= 1 << (state.lane % 64);
         let r = self.mux.step(state);
@@ -412,10 +417,10 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
         match r {
             Step::Continue => routed.stages += 1,
             Step::Blocked => routed.latch_retries += 1,
-            Step::Done | Step::Failed => {
+            Step::Done | Step::Failed | Step::Emit(_) => {
                 routed.stages += 1;
                 routed.lookups += 1;
-                routed.failed_lookups += (r == Step::Failed) as u64;
+                routed.failed_lookups += matches!(r, Step::Failed) as u64;
             }
         }
         r
@@ -424,31 +429,55 @@ impl<'a, O: LookupOp> LaneView<'a, O> {
 
 /// A feed of a plain lane is a plain call, whose tally is the lane's and
 /// the count of its window ticks not yet added to `seq`; a feed of a
-/// metered lane and a drain run `start`/`step`.
+/// metered lane and a drain are metered calls. The view routes every
+/// stage: the fed lane's own to its op, the others to the mux.
 impl<O: LookupOp> LookupOp for LaneView<'_, O> {
     type Input = O::Input;
     type State = MuxState<O::State>;
     type Tally = (O::Tally, u64);
+    type Output = O::Output;
+    const ROUTES: bool = true;
 
     fn budgeted_steps(&self) -> usize {
         self.op.as_ref().map_or(1, |op| op.budgeted_steps())
     }
 
     #[inline(always)]
-    fn start(&mut self, input: O::Input, state: &mut Self::State) {
+    fn start<const PLAIN: bool>(
+        &mut self,
+        tally: &mut Self::Tally,
+        input: O::Input,
+        state: &mut Self::State,
+    ) {
         state.lane = self.lane;
-        self.sync_before();
-        self.op().start(input, &mut state.inner);
-        self.sync_after();
+        if PLAIN {
+            tally.1 += 1;
+        } else {
+            self.sync_before();
+        }
+        call::start::<O, PLAIN>(self.op(), &mut tally.0, input, &mut state.inner);
+        if !PLAIN {
+            self.sync_after();
+        }
     }
 
     #[inline(always)]
-    fn step(&mut self, state: &mut Self::State) -> Step {
+    fn step<const PLAIN: bool>(
+        &mut self,
+        tally: &mut Self::Tally,
+        state: &mut Self::State,
+    ) -> Step<O::Output> {
         if state.lane == self.lane {
+            if PLAIN {
+                tally.1 += 1;
+                return call::step::<O, true>(self.op(), &mut tally.0, &mut state.inner);
+            }
             self.sync_before();
-            let r = self.op().step(&mut state.inner);
+            let r = call::step::<O, false>(self.op(), &mut tally.0, &mut state.inner);
             self.sync_after();
             r
+        } else if PLAIN {
+            self.step_routed(core::mem::take(&mut tally.1), state)
         } else if self.op.is_some() {
             self.step_routed(0, state)
         } else {
@@ -456,26 +485,10 @@ impl<O: LookupOp> LookupOp for LaneView<'_, O> {
         }
     }
 
+    /// Asked of a plain call only, which a drain never is.
     #[inline(always)]
-    fn plain(&self) -> Option<Self::Tally> {
-        Some((self.op.as_ref()?.plain()?, 0))
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, tally: &mut Self::Tally, input: O::Input, state: &mut Self::State) {
-        state.lane = self.lane;
-        tally.1 += 1;
-        self.op().start_plain(&mut tally.0, input, &mut state.inner);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, tally: &mut Self::Tally, state: &mut Self::State) -> Step {
-        if state.lane == self.lane {
-            tally.1 += 1;
-            self.op().step_plain(&mut tally.0, &mut state.inner)
-        } else {
-            self.step_routed(core::mem::take(&mut tally.1), state)
-        }
+    fn tally(&self) -> Self::Tally {
+        (self.op.as_deref().expect("a drain feeds no lane").tally(), 0)
     }
 
     #[inline(always)]
@@ -501,8 +514,14 @@ impl<O: LookupOp> LookupOp for LaneView<'_, O> {
     }
 }
 
-/// A window call uses the idle tick, the prefetch gate and the flush.
+/// A window call uses the mode, the idle tick, the prefetch gate and the
+/// flush.
 impl<O: LookupOp> Hooks for LaneView<'_, O> {
+    /// The fed lane's mode; a drain is metered.
+    fn plain(&self) -> bool {
+        self.plain
+    }
+
     /// A drain's visit to an idle slot ticks window time.
     fn idle(&mut self, ticks: u64) {
         self.mux.seq += ticks;
@@ -693,6 +712,9 @@ mod tests {
     }
 
     impl Hooks for ToyClock {
+        fn plain(&self) -> bool {
+            !self.keeps
+        }
         fn now(&self) -> u64 {
             self.now
         }
@@ -807,13 +829,13 @@ mod tests {
     impl Mixed {
         fn chain(ch: &[usize]) -> Self {
             let mut chain = TestChainOp::new(ch);
-            chain.plain = true;
+            chain.seen.plain = true;
             let (clock, home) = (ToyClock::default(), Default::default());
             Mixed { chain, latch: None, clock, own: 0, home, at_home: 0 }
         }
         fn metered(ch: &[usize]) -> Self {
             let mut op = Self::chain(ch);
-            op.chain.plain = false;
+            op.chain.seen.plain = false;
             op
         }
         fn latched(ch: &[usize]) -> Self {
@@ -839,36 +861,24 @@ mod tests {
         type Input = usize;
         type State = MixedState;
         type Tally = ();
+        type Output = core::convert::Infallible;
         fn budgeted_steps(&self) -> usize {
             self.chain.budgeted_steps()
         }
-        fn start(&mut self, input: usize, state: &mut MixedState) {
-            self.own += 1;
-            self.start_plain(&mut (), input, state);
-        }
-        fn step(&mut self, state: &mut MixedState) -> Step {
-            self.own += 1;
-            self.step_plain(&mut (), state)
-        }
-        fn plain(&self) -> Option<()> {
-            if self.clock.keeps {
-                None
-            } else {
-                self.chain.plain()
-            }
-        }
-        fn start_plain(&mut self, _: &mut (), input: usize, state: &mut MixedState) {
+        fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut MixedState) {
+            self.own += !PLAIN as u64;
             self.stage();
             match &mut self.latch {
-                Some(l) => l.start(input, &mut state.latch),
-                None => self.chain.start(input, &mut state.chain),
+                Some(l) => l.start::<PLAIN>(&mut (), input, &mut state.latch),
+                None => self.chain.start::<PLAIN>(&mut (), input, &mut state.chain),
             }
         }
-        fn step_plain(&mut self, _: &mut (), state: &mut MixedState) -> Step {
+        fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut MixedState) -> Step {
+            self.own += !PLAIN as u64;
             self.stage();
             match &mut self.latch {
-                Some(l) => l.step(&mut state.latch),
-                None => self.chain.step(&mut state.chain),
+                Some(l) => l.step::<PLAIN>(&mut (), &mut state.latch),
+                None => self.chain.step::<PLAIN>(&mut (), &mut state.chain),
             }
         }
         fn ctx(&mut self) -> impl Hooks + '_ {
@@ -891,22 +901,33 @@ mod tests {
         type Input = (u32, O::Input);
         type State = MuxState<O::State>;
         type Tally = ();
+        type Output = O::Output;
         fn budgeted_steps(&self) -> usize {
             1
         }
-        fn start(&mut self, (lane, input): (u32, O::Input), state: &mut Self::State) {
+        fn start<const PLAIN: bool>(
+            &mut self,
+            _: &mut (),
+            (lane, input): (u32, O::Input),
+            state: &mut Self::State,
+        ) {
             let mux = &mut *self.0;
             state.lane = lane;
             let l = &mut mux.lanes[lane as usize];
             let op = l.op.as_mut().expect("start routed to vacant lane");
             if l.clocked {
                 op.ctx().advance_to(mux.seq);
-                op.start(input, &mut state.inner);
+                call::start::<O, false>(op, &mut Default::default(), input, &mut state.inner);
                 mux.seq = (mux.seq + 1).max(op.ctx().now());
             } else {
                 match &mut l.tally {
-                    Some(tally) => op.start_plain(tally, input, &mut state.inner),
-                    None => op.start(input, &mut state.inner),
+                    Some(tally) => call::start::<O, true>(op, tally, input, &mut state.inner),
+                    None => call::start::<O, false>(
+                        op,
+                        &mut Default::default(),
+                        input,
+                        &mut state.inner,
+                    ),
                 }
                 mux.seq += 1;
             }
@@ -914,7 +935,11 @@ mod tests {
             l.led.prefetches += l.prefetches as u64;
             mux.pending_prefetches += l.prefetches as u64;
         }
-        fn step(&mut self, state: &mut Self::State) -> Step {
+        fn step<const PLAIN: bool>(
+            &mut self,
+            _: &mut (),
+            state: &mut Self::State,
+        ) -> Step<O::Output> {
             self.0.step(state)
         }
         fn ctx(&mut self) -> impl Hooks + '_ {
@@ -997,7 +1022,7 @@ mod tests {
                         if lane == 2 && cancelled {
                             continue;
                         }
-                        plain_feeds += by_lane.lane(lane).plain().is_some() as usize;
+                        plain_feeds += by_lane.lanes[lane as usize].tally.is_some() as usize;
                         window.feed_lane(&mut by_lane, lane, morsel, &mut stats);
                         let chunk = tagged(lane, morsel);
                         reference.feed(&mut Tagged(&mut tagged_mux), &chunk, &mut want);
@@ -1046,7 +1071,7 @@ mod tests {
                 let op = by_lane.lane(l);
                 op.home.set(op as *const Mixed as usize);
             }
-            assert!(by_lane.lane(0).plain().is_some() && by_lane.lanes[1].clocked);
+            assert!(by_lane.lanes[0].tally.is_some() && by_lane.lanes[1].clocked);
             let (mut window, mut reference) = (AmacSession::new(M), AmacSession::new(M));
             let (mut stats, mut want) = (EngineStats::default(), EngineStats::default());
             for morsel in inputs.chunks(quantum) {

@@ -12,138 +12,33 @@
 //!
 //! # Vocabulary
 //!
-//! * [`PipelineOp`] — generalizes [`LookupOp`] with a typed output: a
-//!   stage finishes by *emitting* a tuple downstream
-//!   ([`StageStep::Emit`]) or *dropping* it ([`StageStep::Skip`]).
-//! * [`Chain`] — fuses two `PipelineOp`s. Its per-slot state is the
-//!   stage tag + operator-local state union ([`ChainState`]): a slot is
-//!   either still in the upstream operator or already in the downstream
-//!   one. The upstream's terminal stage and the downstream's initial
-//!   stage execute in the **same** rotation (the cross-operator analogue
-//!   of AMAC's merged terminal+initial stage), so the number of in-flight
-//!   memory accesses never dips at an operator boundary.
+//! * An operator of a chain is a [`LookupOp`] whose lookups finish by
+//!   *emitting* a tuple downstream ([`Step::Emit`], typed by
+//!   [`LookupOp::Output`]) or by leaving the pipeline ([`Step::Done`]: a
+//!   probe miss, a filtered tuple).
+//! * [`Chain`] — fuses two ops. Its per-slot state is the stage tag +
+//!   operator-local state union ([`ChainState`]): a slot is either still
+//!   in the upstream operator or already in the downstream one. The
+//!   upstream's terminal stage and the downstream's initial stage execute
+//!   in the **same** rotation (the cross-operator analogue of AMAC's
+//!   merged terminal+initial stage), so the number of in-flight memory
+//!   accesses never dips at an operator boundary. A chain is one state
+//!   machine: its stages are its members' stage bodies, run over the pair
+//!   of their tallies, so a metered chain stage is one out-of-line call
+//!   like any other op's.
 //! * [`Route`] — the fused filter/projection between two operators:
 //!   maps an upstream output to the downstream input, or drops it.
 //!   Filters cost zero extra rotations.
-//! * [`Fused`] — adapts a `PipelineOp` back into a [`LookupOp`] so all
-//!   four executors (and the morsel runtime) can run a fused chain
-//!   unchanged; terminal outputs go to a [`Consumer`].
+//! * [`Fused`] — hands a chain's emitted outputs to a [`Consumer`]. A
+//!   chain whose last operator materializes its own output (a group-by)
+//!   needs none: the executors run it as it is.
 //!
 //! Chains nest — `Chain<Chain<A, B, _>, C, _>` is a three-operator
 //! pipeline — and every composition stays a plain state machine: no
 //! allocation, no dynamic dispatch, no queues between operators.
 
 use super::{Hooks, LookupOp, Step};
-
-/// Outcome of one executed code stage of a pipeline operator.
-///
-/// `Continue`/`Blocked` mean exactly what they mean for [`LookupOp`];
-/// the two terminal outcomes are split by whether the tuple survives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageStep<O> {
-    /// The stage issued a prefetch for the next node; resume later.
-    Continue,
-    /// A latch was busy; no progress was made, retry this stage.
-    Blocked,
-    /// The operator finished and hands `O` to the next operator (or the
-    /// pipeline's [`Consumer`] if this is the last one).
-    Emit(O),
-    /// The operator finished and the tuple leaves the pipeline (probe
-    /// miss, filtered out). No downstream work happens.
-    Skip,
-    /// A simulated far-memory load failed and the tuple's chain walk
-    /// aborted (see [`Step::Failed`]). The slot retires with no
-    /// downstream work; chains propagate the failure unchanged so the
-    /// executor sees exactly one `Failed` retirement per poisoned tuple.
-    Failed,
-}
-
-/// One operator of a fused pipeline.
-///
-/// Same contract as [`LookupOp`] — `start` consumes an input and issues
-/// the first prefetch, each `step` consumes the previously prefetched
-/// node — except that finishing is typed: [`StageStep::Emit`] carries the
-/// operator's output downstream. The prefetch accounting convention is
-/// unchanged: `start` and `Continue` issue exactly one prefetch each;
-/// `Emit`/`Skip`/`Blocked` issue none of their own (a [`Chain`] handoff
-/// issues the *downstream* operator's `start` prefetch in the same
-/// rotation).
-pub trait PipelineOp {
-    /// Per-tuple input arriving from upstream (or the scan).
-    type Input: Copy;
-    /// Output handed downstream on [`StageStep::Emit`].
-    type Output;
-    /// Per-slot resumable state for this operator.
-    type State: Default;
-    /// The operator's loop-carried scalars on a plain call (see
-    /// [`LookupOp::Tally`]); a [`Chain`]'s is its members' pair.
-    type Tally: Copy + Default;
-
-    /// The paper's `N` for this operator: `step` calls a regular tuple
-    /// needs. [`Chain`] sums the stages of its operators so GP/SPP can
-    /// size their static schedules for the whole pipeline.
-    fn budgeted_steps(&self) -> usize;
-
-    /// Code stage 0: begin processing `input`, issuing the first prefetch.
-    fn start(&mut self, input: Self::Input, state: &mut Self::State);
-
-    /// Execute the next code stage of the tuple held in `state`.
-    fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output>;
-
-    /// As [`LookupOp::plain`]: `Some` when the operator's context is plain
-    /// for this call.
-    #[inline(always)]
-    fn plain(&self) -> Option<Self::Tally> {
-        None
-    }
-
-    /// [`start`](PipelineOp::start) on a plain call.
-    #[inline(always)]
-    fn start_plain(
-        &mut self,
-        tally: &mut Self::Tally,
-        input: Self::Input,
-        state: &mut Self::State,
-    ) {
-        let _ = tally;
-        self.start(input, state);
-    }
-
-    /// [`step`](PipelineOp::step) on a plain call.
-    #[inline(always)]
-    fn step_plain(
-        &mut self,
-        tally: &mut Self::Tally,
-        state: &mut Self::State,
-    ) -> StageStep<Self::Output> {
-        let _ = tally;
-        self.step(state)
-    }
-
-    /// As [`LookupOp::settle`].
-    #[inline(always)]
-    fn settle(&mut self, tally: Self::Tally) {
-        let _ = tally;
-    }
-
-    /// The operator's execution context (see [`LookupOp::ctx`]); a
-    /// [`Chain`] pairs its members' contexts.
-    #[inline(always)]
-    fn ctx(&mut self) -> impl Hooks + '_ {}
-
-    /// As [`LookupOp::looks_ahead`]; a [`Chain`] asks its upstream
-    /// operator, whose stage 0 is the chain's.
-    #[inline(always)]
-    fn looks_ahead(&self) -> bool {
-        false
-    }
-
-    /// As [`LookupOp::lookahead`].
-    #[inline(always)]
-    fn lookahead(&self, input: Self::Input) {
-        let _ = input;
-    }
-}
+use core::convert::Infallible;
 
 /// The fused filter + projection between two pipeline operators.
 ///
@@ -184,10 +79,10 @@ impl<A: Default, B> Default for ChainState<A, B> {
     }
 }
 
-/// Two pipeline operators fused into one: `up`'s emits are routed through
-/// `R` and immediately `start` the slot in `down` — within the same slot
+/// Two operators fused into one: `up`'s emits are routed through `R` and
+/// immediately `start` the slot in `down` — within the same slot
 /// rotation, keeping the in-flight window full across the operator
-/// boundary. Itself a [`PipelineOp`], so chains nest.
+/// boundary. Itself a [`LookupOp`], so chains nest.
 #[derive(Debug)]
 pub struct Chain<A, B, R> {
     up: A,
@@ -218,134 +113,88 @@ impl<A, B, R> Chain<A, B, R> {
     }
 }
 
-impl<A, B, R> Chain<A, B, R>
+/// Clock sync: each member op carries its own cost-model clock but the
+/// fused window has one timeline, so on a metered call the member about
+/// to execute is first lifted to the other's `now` — lazily, O(1) per
+/// stage. A plain call has no clocks to sync.
+impl<A, B, R> LookupOp for Chain<A, B, R>
 where
-    A: PipelineOp,
-    B: PipelineOp,
-    R: Route<A::Output, B::Input>,
-{
-    /// Stage 0, in either mode. Clock sync: each member op carries its
-    /// own cost-model clock but the fused window has one timeline, so the
-    /// member about to execute is first lifted to the other's `now` —
-    /// lazily, O(1) per stage. A plain call has no clocks to sync.
-    #[inline(always)]
-    fn start_in<const PLAIN: bool>(
-        &mut self,
-        tally: &mut (A::Tally, B::Tally),
-        input: A::Input,
-        state: &mut ChainState<A::State, B::State>,
-    ) {
-        // Slots are recycled, so the state may still hold the previous
-        // tuple's Down variant; reset to a fresh upstream state.
-        *state = ChainState::Up(A::State::default());
-        let ChainState::Up(a) = state else { unreachable!() };
-        if PLAIN {
-            self.up.start_plain(&mut tally.0, input, a);
-        } else {
-            self.up.ctx().advance_to(self.down.ctx().now());
-            self.up.start(input, a);
-        }
-    }
-
-    #[inline(always)]
-    fn step_in<const PLAIN: bool>(
-        &mut self,
-        tally: &mut (A::Tally, B::Tally),
-        state: &mut ChainState<A::State, B::State>,
-    ) -> StageStep<B::Output> {
-        match state {
-            ChainState::Up(a) => {
-                let up = if PLAIN {
-                    self.up.step_plain(&mut tally.0, a)
-                } else {
-                    self.up.ctx().advance_to(self.down.ctx().now());
-                    self.up.step(a)
-                };
-                match up {
-                    StageStep::Continue => StageStep::Continue,
-                    StageStep::Blocked => StageStep::Blocked,
-                    StageStep::Skip => StageStep::Skip,
-                    StageStep::Failed => StageStep::Failed,
-                    StageStep::Emit(out) => match self.route.route(out) {
-                        // Filtered out: the tuple leaves the pipeline.
-                        None => StageStep::Skip,
-                        // Handoff: the downstream stage 0 runs in this same
-                        // rotation, issuing its first prefetch, so the slot
-                        // stays in flight with no idle turn in between.
-                        Some(next) => {
-                            let mut b = B::State::default();
-                            if PLAIN {
-                                self.down.start_plain(&mut tally.1, next, &mut b);
-                            } else {
-                                self.down.ctx().advance_to(self.up.ctx().now());
-                                self.down.start(next, &mut b);
-                            }
-                            *state = ChainState::Down(b);
-                            StageStep::Continue
-                        }
-                    },
-                }
-            }
-            ChainState::Down(b) => {
-                if PLAIN {
-                    self.down.step_plain(&mut tally.1, b)
-                } else {
-                    self.down.ctx().advance_to(self.up.ctx().now());
-                    self.down.step(b)
-                }
-            }
-        }
-    }
-}
-
-impl<A, B, R> PipelineOp for Chain<A, B, R>
-where
-    A: PipelineOp,
-    B: PipelineOp,
+    A: LookupOp,
+    B: LookupOp,
     R: Route<A::Output, B::Input>,
 {
     type Input = A::Input;
-    type Output = B::Output;
     type State = ChainState<A::State, B::State>;
     type Tally = (A::Tally, B::Tally);
+    type Output = B::Output;
 
     fn budgeted_steps(&self) -> usize {
         self.up.budgeted_steps() + self.down.budgeted_steps()
     }
 
-    #[inline]
-    fn start(&mut self, input: Self::Input, state: &mut Self::State) {
-        self.start_in::<false>(&mut Default::default(), input, state);
-    }
-
-    #[inline]
-    fn step(&mut self, state: &mut Self::State) -> StageStep<Self::Output> {
-        self.step_in::<false>(&mut Default::default(), state)
-    }
-
-    /// Plain only when both members are.
     #[inline(always)]
-    fn plain(&self) -> Option<Self::Tally> {
-        Some((self.up.plain()?, self.down.plain()?))
-    }
-
-    #[inline(always)]
-    fn start_plain(
+    fn start<const PLAIN: bool>(
         &mut self,
         tally: &mut Self::Tally,
-        input: Self::Input,
+        input: A::Input,
         state: &mut Self::State,
     ) {
-        self.start_in::<true>(tally, input, state);
+        // Slots are recycled, so the state may still hold the previous
+        // tuple's Down variant; reset to a fresh upstream state.
+        *state = ChainState::Up(A::State::default());
+        let ChainState::Up(a) = state else { unreachable!() };
+        if !PLAIN {
+            self.up.ctx().advance_to(self.down.ctx().now());
+        }
+        self.up.start::<PLAIN>(&mut tally.0, input, a);
     }
 
     #[inline(always)]
-    fn step_plain(
+    fn step<const PLAIN: bool>(
         &mut self,
         tally: &mut Self::Tally,
         state: &mut Self::State,
-    ) -> StageStep<Self::Output> {
-        self.step_in::<true>(tally, state)
+    ) -> Step<B::Output> {
+        match state {
+            ChainState::Up(a) => {
+                if !PLAIN {
+                    self.up.ctx().advance_to(self.down.ctx().now());
+                }
+                match self.up.step::<PLAIN>(&mut tally.0, a) {
+                    Step::Continue => Step::Continue,
+                    Step::Blocked => Step::Blocked,
+                    Step::Done => Step::Done,
+                    Step::Failed => Step::Failed,
+                    Step::Emit(out) => match self.route.route(out) {
+                        // Filtered out: the tuple leaves the pipeline.
+                        None => Step::Done,
+                        // Handoff: the downstream stage 0 runs in this same
+                        // rotation, issuing its first prefetch, so the slot
+                        // stays in flight with no idle turn in between.
+                        Some(next) => {
+                            let mut b = B::State::default();
+                            if !PLAIN {
+                                self.down.ctx().advance_to(self.up.ctx().now());
+                            }
+                            self.down.start::<PLAIN>(&mut tally.1, next, &mut b);
+                            *state = ChainState::Down(b);
+                            Step::Continue
+                        }
+                    },
+                }
+            }
+            ChainState::Down(b) => {
+                if !PLAIN {
+                    self.down.ctx().advance_to(self.up.ctx().now());
+                }
+                self.down.step::<PLAIN>(&mut tally.1, b)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn tally(&self) -> Self::Tally {
+        (self.up.tally(), self.down.tally())
     }
 
     #[inline(always)]
@@ -358,96 +207,15 @@ where
         (self.up.ctx(), Some(self.down.ctx()))
     }
 
+    /// The upstream operator's: its stage 0 is the chain's.
     #[inline(always)]
     fn looks_ahead(&self) -> bool {
         self.up.looks_ahead()
     }
 
     #[inline(always)]
-    fn lookahead(&self, input: Self::Input) {
+    fn lookahead(&self, input: A::Input) {
         self.up.lookahead(input);
-    }
-}
-
-/// Adapts any existing [`LookupOp`] into a **terminal** pipeline
-/// operator: every completed lookup emits `()` downstream (the op
-/// materializes its real output internally, e.g. into an aggregation
-/// table). This lets an operator written once for the standalone drivers
-/// serve as the last stage of a fused chain with no duplicated state
-/// machine.
-#[derive(Debug)]
-pub struct Terminal<L>(pub L);
-
-impl<L> Terminal<L> {
-    /// The adapted lookup op (for reading its accumulators after a run).
-    pub fn inner(&self) -> &L {
-        &self.0
-    }
-}
-
-/// A lookup's end is the terminal operator's emit.
-#[inline(always)]
-fn emit_done(step: Step) -> StageStep<()> {
-    match step {
-        Step::Continue => StageStep::Continue,
-        Step::Blocked => StageStep::Blocked,
-        Step::Done => StageStep::Emit(()),
-        Step::Failed => StageStep::Failed,
-    }
-}
-
-impl<L: LookupOp> PipelineOp for Terminal<L> {
-    type Input = L::Input;
-    type Output = ();
-    type State = L::State;
-    type Tally = L::Tally;
-
-    fn budgeted_steps(&self) -> usize {
-        self.0.budgeted_steps()
-    }
-
-    #[inline]
-    fn start(&mut self, input: Self::Input, state: &mut Self::State) {
-        self.0.start(input, state);
-    }
-
-    #[inline]
-    fn step(&mut self, state: &mut Self::State) -> StageStep<()> {
-        emit_done(self.0.step(state))
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<L::Tally> {
-        self.0.plain()
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, tally: &mut L::Tally, input: Self::Input, state: &mut Self::State) {
-        self.0.start_plain(tally, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, tally: &mut L::Tally, state: &mut Self::State) -> StageStep<()> {
-        emit_done(self.0.step_plain(tally, state))
-    }
-
-    #[inline(always)]
-    fn settle(&mut self, tally: L::Tally) {
-        self.0.settle(tally);
-    }
-
-    fn ctx(&mut self) -> impl Hooks + '_ {
-        self.0.ctx()
-    }
-
-    #[inline(always)]
-    fn looks_ahead(&self) -> bool {
-        self.0.looks_ahead()
-    }
-
-    #[inline(always)]
-    fn lookahead(&self, input: Self::Input) {
-        self.0.lookahead(input);
     }
 }
 
@@ -459,16 +227,6 @@ impl<L: LookupOp> PipelineOp for Terminal<L> {
 pub trait Consumer<T> {
     /// Accept one tuple that survived the whole pipeline.
     fn consume(&mut self, item: T);
-}
-
-/// Ignores every output — for pipelines whose terminal operator
-/// materializes internally (e.g. an aggregation table).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Discard;
-
-impl<T> Consumer<T> for Discard {
-    #[inline(always)]
-    fn consume(&mut self, _item: T) {}
 }
 
 /// Collects outputs into a `Vec` — the *materializing* sink used by
@@ -486,9 +244,8 @@ impl<T> Consumer<T> for Collect<T> {
     }
 }
 
-/// Adapts a [`PipelineOp`] into a [`LookupOp`] so the four executors and
-/// the morsel runtime can run a fused chain unchanged: `Emit` feeds the
-/// [`Consumer`] and completes the slot, `Skip` completes it silently.
+/// An op whose emitted outputs go to a [`Consumer`]: `Emit` feeds the
+/// sink and completes the slot, so the fused op emits nothing itself.
 #[derive(Debug)]
 pub struct Fused<P, C> {
     pipe: P,
@@ -506,11 +263,6 @@ impl<P, C> Fused<P, C> {
         &self.pipe
     }
 
-    /// The fused pipeline, mutably.
-    pub fn pipe_mut(&mut self) -> &mut P {
-        &mut self.pipe
-    }
-
     /// The terminal consumer (for reading collected outputs).
     pub fn sink(&self) -> &C {
         &self.sink
@@ -522,61 +274,43 @@ impl<P, C> Fused<P, C> {
     }
 }
 
-impl<P: PipelineOp, C: Consumer<P::Output>> Fused<P, C> {
-    /// An emitted tuple goes to the sink; the lookup is over either way.
-    #[inline(always)]
-    fn sink_done(&mut self, step: StageStep<P::Output>) -> Step {
-        match step {
-            StageStep::Continue => Step::Continue,
-            StageStep::Blocked => Step::Blocked,
-            StageStep::Skip => Step::Done,
-            StageStep::Failed => Step::Failed,
-            StageStep::Emit(out) => {
-                self.sink.consume(out);
-                Step::Done
-            }
-        }
-    }
-}
-
-impl<P, C> LookupOp for Fused<P, C>
-where
-    P: PipelineOp,
-    C: Consumer<P::Output>,
-{
+impl<P: LookupOp, C: Consumer<P::Output>> LookupOp for Fused<P, C> {
     type Input = P::Input;
     type State = P::State;
     type Tally = P::Tally;
+    type Output = Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.pipe.budgeted_steps()
     }
 
-    #[inline]
-    fn start(&mut self, input: Self::Input, state: &mut Self::State) {
-        self.pipe.start(input, state);
+    #[inline(always)]
+    fn start<const PLAIN: bool>(
+        &mut self,
+        tally: &mut P::Tally,
+        input: P::Input,
+        state: &mut P::State,
+    ) {
+        self.pipe.start::<PLAIN>(tally, input, state);
     }
 
     #[inline(always)]
-    fn step(&mut self, state: &mut Self::State) -> Step {
-        let step = self.pipe.step(state);
-        self.sink_done(step)
+    fn step<const PLAIN: bool>(&mut self, tally: &mut P::Tally, state: &mut P::State) -> Step {
+        match self.pipe.step::<PLAIN>(tally, state) {
+            Step::Continue => Step::Continue,
+            Step::Blocked => Step::Blocked,
+            Step::Done => Step::Done,
+            Step::Failed => Step::Failed,
+            Step::Emit(out) => {
+                self.sink.consume(out);
+                Step::Done
+            }
+        }
     }
 
     #[inline(always)]
-    fn plain(&self) -> Option<P::Tally> {
-        self.pipe.plain()
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, tally: &mut P::Tally, input: Self::Input, state: &mut Self::State) {
-        self.pipe.start_plain(tally, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, tally: &mut P::Tally, state: &mut Self::State) -> Step {
-        let step = self.pipe.step_plain(tally, state);
-        self.sink_done(step)
+    fn tally(&self) -> P::Tally {
+        self.pipe.tally()
     }
 
     #[inline(always)]
@@ -594,7 +328,7 @@ where
     }
 
     #[inline(always)]
-    fn lookahead(&self, input: Self::Input) {
+    fn lookahead(&self, input: P::Input) {
         self.pipe.lookahead(input);
     }
 }
@@ -615,27 +349,27 @@ mod tests {
         left: usize,
     }
 
-    impl PipelineOp for Triple {
+    impl LookupOp for Triple {
         type Input = u64;
-        type Output = u64;
         type State = TripleState;
         type Tally = ();
+        type Output = u64;
 
         fn budgeted_steps(&self) -> usize {
             self.steps + 1
         }
 
-        fn start(&mut self, input: u64, state: &mut TripleState) {
+        fn start<const PLAIN: bool>(&mut self, _: &mut (), input: u64, state: &mut TripleState) {
             state.v = input;
             state.left = self.steps;
         }
 
-        fn step(&mut self, state: &mut TripleState) -> StageStep<u64> {
+        fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut TripleState) -> Step<u64> {
             if state.left > 0 {
                 state.left -= 1;
-                StageStep::Continue
+                Step::Continue
             } else {
-                StageStep::Emit(state.v * 3)
+                Step::Emit(state.v * 3)
             }
         }
     }

@@ -26,7 +26,7 @@
 //! lane at a time ([`feed_lane`](AmacSession::feed_lane)) and drained
 //! together ([`drain_lanes`](AmacSession::drain_lanes)).
 
-use crate::engine::call::Call;
+use crate::engine::call::{mode, Call};
 use crate::engine::mux::{LaneView, Mux, MuxState};
 use crate::engine::{EngineStats, LookupOp, Step};
 
@@ -120,9 +120,9 @@ impl<S: Default> AmacSession<S> {
         inputs: &[O::Input],
         stats: &mut EngineStats,
     ) {
-        match op.plain() {
+        match mode(op) {
             Some(tally) => self.feed_in(Call::plain(op, tally), inputs, stats),
-            None => self.feed_in(Call::direct(op), inputs, stats),
+            None => self.feed_in(Call::metered(op), inputs, stats),
         }
     }
 
@@ -177,8 +177,8 @@ impl<S: Default> AmacSession<S> {
                 // Coarse-grained spin (§3.2): leave the slot as it is
                 // and retry it on the next rotation.
                 Step::Blocked => blocked += 1,
-                s @ (Step::Done | Step::Failed) => {
-                    failed += (s == Step::Failed) as u64;
+                s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
+                    failed += matches!(s, Step::Failed) as u64;
                     op.start(inputs[next], &mut states[k]);
                     look_ahead(&op, ahead, inputs, next + m);
                     next += 1;
@@ -231,9 +231,9 @@ impl<S: Default> AmacSession<S> {
         stats: &mut EngineStats,
         max_rotations: usize,
     ) -> bool {
-        match op.plain() {
+        match mode(op) {
             Some(tally) => self.drain_in(Call::plain(op, tally), stats, max_rotations),
-            None => self.drain_in(Call::direct(op), stats, max_rotations),
+            None => self.drain_in(Call::metered(op), stats, max_rotations),
         }
     }
 
@@ -261,10 +261,10 @@ impl<S: Default> AmacSession<S> {
                     Step::Blocked => {
                         stats.latch_retries += 1;
                     }
-                    s @ (Step::Done | Step::Failed) => {
+                    s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                         stats.stages += 1;
                         stats.lookups += 1;
-                        stats.failed_lookups += (s == Step::Failed) as u64;
+                        stats.failed_lookups += matches!(s, Step::Failed) as u64;
                         self.active[self.k] = false;
                         self.in_flight -= 1;
                     }
@@ -331,7 +331,7 @@ impl<S: Default> AmacSession<MuxState<S>> {
         max_rotations: usize,
     ) -> bool {
         // A drain feeds no lane, so its call is never plain.
-        self.drain_in(Call::direct(&mut LaneView::draining(mux)), stats, max_rotations)
+        self.drain_in(Call::metered(&mut LaneView::draining(mux)), stats, max_rotations)
     }
 }
 
@@ -517,11 +517,12 @@ mod tests {
             type Input = usize;
             type State = usize;
             type Tally = ();
+            type Output = core::convert::Infallible;
             fn budgeted_steps(&self) -> usize {
                 1
             }
-            fn start(&mut self, _input: usize, _state: &mut usize) {}
-            fn step(&mut self, _state: &mut usize) -> Step {
+            fn start<const PLAIN: bool>(&mut self, _: &mut (), _input: usize, _state: &mut usize) {}
+            fn step<const PLAIN: bool>(&mut self, _: &mut (), _state: &mut usize) -> Step {
                 if self.release {
                     Step::Done
                 } else {

@@ -1,7 +1,7 @@
 //! The Software-Pipelined Prefetching executor (Chen et al., reproduced as
 //! the paper's comparison point).
 
-use super::call::Call;
+use super::call::{mode, Call};
 use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Software-Pipelined Prefetching**.
@@ -25,9 +25,9 @@ pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> Engine
     if inputs.is_empty() {
         return EngineStats::default();
     }
-    match op.plain() {
+    match mode(op) {
         Some(tally) => spp(Call::plain(op, tally), inputs, m),
-        None => spp(Call::direct(op), inputs, m),
+        None => spp(Call::metered(op), inputs, m),
     }
 }
 
@@ -107,10 +107,10 @@ fn spp<O: LookupOp, const PLAIN: bool>(
                     stats.stages += 1;
                     stats.prefetches += pf;
                 }
-                s @ (Step::Done | Step::Failed) => {
+                s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                     stats.stages += 1;
                     stats.lookups += 1;
-                    stats.failed_lookups += (s == Step::Failed) as u64;
+                    stats.failed_lookups += matches!(s, Step::Failed) as u64;
                     done[k] = true;
                 }
                 Step::Blocked => {
@@ -140,10 +140,10 @@ fn finish_one<O: LookupOp, const PLAIN: bool>(
     loop {
         match op.step(&mut states[k]) {
             Step::Continue => stats.bailout_stages += 1,
-            s @ (Step::Done | Step::Failed) => {
+            s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                 stats.bailout_stages += 1;
                 stats.lookups += 1;
-                stats.failed_lookups += (s == Step::Failed) as u64;
+                stats.failed_lookups += matches!(s, Step::Failed) as u64;
                 done[k] = true;
                 return;
             }
@@ -159,10 +159,10 @@ fn finish_one<O: LookupOp, const PLAIN: bool>(
                             stats.bailout_stages += 1;
                             progressed = true;
                         }
-                        s @ (Step::Done | Step::Failed) => {
+                        s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
                             stats.bailout_stages += 1;
                             stats.lookups += 1;
-                            stats.failed_lookups += (s == Step::Failed) as u64;
+                            stats.failed_lookups += matches!(s, Step::Failed) as u64;
                             done[j] = true;
                             progressed = true;
                         }

@@ -88,7 +88,7 @@ pub struct EngineStats {
     /// the lookup pipeline. 0 when no records were logged.
     pub log_stalls: u64,
     /// WAL records re-applied during recovery replay
-    /// (`amac_ops::mutate::ReplayOp`). 0 outside recovery.
+    /// (`amac_ops::mutate::replay`). 0 outside recovery.
     pub replayed_records: u64,
     /// Queries that completed as `QueryOutcome::Recovered` — re-admitted
     /// after a crash by `amac_server`'s recovery path. 0 outside

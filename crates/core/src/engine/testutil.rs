@@ -3,13 +3,17 @@
 use super::{EngineStats, Hooks, LookupOp, Step};
 use std::cell::RefCell;
 
-/// What a [`ChainOp`]'s context observed: idle ticks, and a per-rotation
+/// A [`ChainOp`]'s context: whether its calls are plain, and what it
+/// observed: idle ticks, and a per-rotation
 /// recount of an AMAC window's occupancy from the op's side — every `step`
 /// is a rotation, and so is a `start` unless it refills the slot the
 /// previous call retired (the merged terminal+initial stage is one
 /// rotation). The sample is the in-flight count after the rotation.
 #[derive(Default)]
 pub struct Observed {
+    /// Whether the op's calls are [plain](Hooks::plain) (default off: a
+    /// plain call charges no idle ticks).
+    pub plain: bool,
     /// Ticks charged through [`Hooks::idle`].
     pub idle: u64,
     /// Sum of the per-rotation in-flight samples.
@@ -20,6 +24,9 @@ pub struct Observed {
 }
 
 impl Hooks for Observed {
+    fn plain(&self) -> bool {
+        self.plain
+    }
     fn idle(&mut self, ticks: u64) {
         self.idle += ticks;
     }
@@ -49,9 +56,6 @@ pub struct ChainOp {
     pub seen: Observed,
     /// Whether the op [looks ahead](LookupOp::looks_ahead) (default on).
     pub ahead: bool,
-    /// Whether its calls are [plain](LookupOp::plain) (default off: a
-    /// plain call charges no idle ticks).
-    pub plain: bool,
     /// Every input the window asked to look ahead for, in call order.
     pub looked: RefCell<Vec<usize>>,
 }
@@ -80,7 +84,6 @@ impl ChainOp {
             completed: Vec::new(),
             seen: Observed::default(),
             ahead: true,
-            plain: false,
             looked: RefCell::new(Vec::new()),
         }
     }
@@ -90,12 +93,13 @@ impl LookupOp for ChainOp {
     type Input = usize;
     type State = ChainState;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.budget
     }
 
-    fn start(&mut self, input: usize, state: &mut ChainState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         assert!(self.chains[input] >= 1, "chains must need at least one step");
         state.idx = input;
         state.remaining = self.chains[input];
@@ -110,7 +114,7 @@ impl LookupOp for ChainOp {
         self.seen.just_retired = false;
     }
 
-    fn step(&mut self, state: &mut ChainState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut ChainState) -> Step {
         let done = state.remaining <= 1;
         if done {
             self.outputs[state.idx] = 10 * self.chains[state.idx] as u64;
@@ -127,10 +131,6 @@ impl LookupOp for ChainOp {
         } else {
             Step::Continue
         }
-    }
-
-    fn plain(&self) -> Option<()> {
-        self.plain.then_some(())
     }
 
     fn ctx(&mut self) -> impl Hooks + '_ {
@@ -172,27 +172,24 @@ impl LatchedOp {
     }
 }
 
+/// No context, so every call is plain.
 impl LookupOp for LatchedOp {
     type Input = usize;
     type State = LatchedState;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         2
     }
 
-    /// No context, so every call is plain.
-    fn plain(&self) -> Option<()> {
-        Some(())
-    }
-
-    fn start(&mut self, input: usize, state: &mut LatchedState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut LatchedState) {
         assert!(input < self.n);
         state.idx = input;
         state.steps_left = 2;
     }
 
-    fn step(&mut self, state: &mut LatchedState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut LatchedState) -> Step {
         if state.idx == 0 && self.remaining_others > 0 {
             return Step::Blocked;
         }

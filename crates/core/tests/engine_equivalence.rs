@@ -35,17 +35,18 @@ impl LookupOp for SimOp {
     type Input = usize;
     type State = SimState;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.budget
     }
 
-    fn start(&mut self, input: usize, state: &mut SimState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut SimState) {
         state.idx = input;
         state.remaining = self.chains[input];
     }
 
-    fn step(&mut self, state: &mut SimState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut SimState) -> Step {
         if state.remaining > 1 {
             state.remaining -= 1;
             Step::Continue
@@ -148,14 +149,15 @@ fn amac_interleaves_lookups() {
         type Input = usize;
         type State = S;
         type Tally = ();
+        type Output = core::convert::Infallible;
         fn budgeted_steps(&self) -> usize {
             4
         }
-        fn start(&mut self, i: usize, s: &mut S) {
+        fn start<const PLAIN: bool>(&mut self, _: &mut (), i: usize, s: &mut S) {
             s.idx = i;
             s.remaining = self.chains[i];
         }
-        fn step(&mut self, s: &mut S) -> Step {
+        fn step<const PLAIN: bool>(&mut self, _: &mut (), s: &mut S) -> Step {
             if s.remaining > 1 {
                 s.remaining -= 1;
                 Step::Continue

@@ -623,13 +623,6 @@ pub struct TableSnapshot {
     tuples: u64,
 }
 
-impl TableSnapshot {
-    /// Arena nodes captured (diagnostics; includes any abandoned nodes).
-    pub fn node_count(&self) -> usize {
-        self.node_data.len()
-    }
-}
-
 /// An insertion session against a shared [`HashTable`].
 ///
 /// Each build thread owns one handle; overflow nodes come from the
@@ -1012,6 +1005,6 @@ mod tests {
         // Mutating the restored table diverges it, not the original.
         back.upsert_latchfree(123_456, 1);
         assert_ne!(back.contents_sorted(), ht.contents_sorted());
-        assert!(snap.node_count() <= ht.nodes().len());
+        assert!(snap.node_data.len() <= ht.nodes().len());
     }
 }

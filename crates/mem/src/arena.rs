@@ -197,11 +197,6 @@ impl VarArena {
     pub fn allocations(&self) -> usize {
         self.allocated
     }
-
-    /// Total bytes held by the arena's chunks.
-    pub fn footprint_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
-    }
 }
 
 impl Default for VarArena {
@@ -512,7 +507,7 @@ mod tests {
         assert_eq!(a.allocations(), 6);
         // 1+1+1+2+7 lines fill 768 bytes of the first chunk; the 4096-byte
         // request opens a second. Chunks carry no alignment slack.
-        assert_eq!(a.footprint_bytes(), 2 * 4096);
+        assert_eq!(a.chunks.iter().map(|c| c.len()).sum::<usize>(), 2 * 4096);
     }
 
     #[test]

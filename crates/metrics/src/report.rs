@@ -229,14 +229,6 @@ impl JsonBuf {
         self
     }
 
-    /// `"key": value` with fixed 4-decimal formatting (the same shape the
-    /// `bench trajectory` blobs and their gate use).
-    pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.out, "{value:.4}");
-        self
-    }
-
     /// The accumulated JSON text.
     pub fn finish(self) -> String {
         debug_assert!(self.stack.is_empty(), "unclosed JSON container");
@@ -303,13 +295,13 @@ mod tests {
         j.u64_field("n", 42);
         j.begin_arr_key("rows");
         j.begin_obj().u64_field("x", 1).end_obj();
-        j.begin_obj().f64_field("y", 0.25).end_obj();
+        j.begin_obj().u64_field("y", 2).end_obj();
         j.end_arr();
         j.begin_obj_key("inner").end_obj();
         j.end_obj();
         assert_eq!(
             j.finish(),
-            r#"{"name":"a\"b\\c\nd","n":42,"rows":[{"x":1},{"y":0.2500}],"inner":{}}"#
+            r#"{"name":"a\"b\\c\nd","n":42,"rows":[{"x":1},{"y":2}],"inner":{}}"#
         );
     }
 

@@ -36,15 +36,6 @@ impl Summary {
             if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) };
         Summary { n, mean, stddev: var.sqrt(), min: sorted[0], max: sorted[n - 1], median }
     }
-
-    /// Relative standard deviation (stddev / mean), 0 when mean is 0.
-    pub fn rsd(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 /// Geometric mean of a positive sample (the paper reports geomean
@@ -91,7 +82,6 @@ mod tests {
     fn summary_empty() {
         let s = Summary::of(&[]);
         assert_eq!(s.n, 0);
-        assert_eq!(s.rsd(), 0.0);
     }
 
     #[test]
@@ -105,12 +95,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_nonpositive() {
         geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn rsd_is_scale_free() {
-        let a = Summary::of(&[1.0, 2.0, 3.0]);
-        let b = Summary::of(&[10.0, 20.0, 30.0]);
-        assert!((a.rsd() - b.rsd()).abs() < 1e-12);
     }
 }

@@ -49,15 +49,6 @@ impl CycleTimer {
         self.start_wall.elapsed().as_secs_f64()
     }
 
-    /// Cycles per item for a run that processed `n` items.
-    #[inline]
-    pub fn cycles_per(&self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.cycles() as f64 / n as f64
-    }
-
     /// Items per second for a run that processed `n` items.
     #[inline]
     pub fn throughput(&self, n: usize) -> f64 {
@@ -103,8 +94,6 @@ mod tests {
     fn cycles_per_and_throughput() {
         let t = CycleTimer::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(t.cycles_per(1000) > 0.0);
-        assert_eq!(t.cycles_per(0), 0.0);
         let tput = t.throughput(1_000_000);
         assert!(tput > 0.0 && tput.is_finite());
     }

@@ -4,6 +4,7 @@ use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_metrics::timer::CycleTimer;
 use amac_tree::{prefetch_node, Bst, TreeNode};
 use amac_workload::{Relation, Tuple};
+use core::convert::Infallible;
 
 /// BST search configuration.
 #[derive(Debug, Clone)]
@@ -90,13 +91,14 @@ impl LookupOp for BstOp<'_> {
     type Input = Tuple;
     type State = BstState;
     type Tally = ();
+    type Output = Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
     /// Stage 0: get new tuple, access (prefetch) the root node.
-    fn start(&mut self, input: Tuple, state: &mut BstState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: Tuple, state: &mut BstState) {
         let root = self.tree.root();
         prefetch_node(root);
         state.key = input.key;
@@ -109,7 +111,7 @@ impl LookupOp for BstOp<'_> {
     /// and move to the chosen child. The match test is predictable (one
     /// hit per lookup); the direction is not, so the child is selected
     /// by address ([`TreeNode::child`]) rather than by a branch.
-    fn step(&mut self, state: &mut BstState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut BstState) -> Step {
         if state.ptr.is_null() {
             return Step::Done; // empty tree
         }

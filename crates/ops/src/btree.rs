@@ -10,6 +10,7 @@ use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_btree::{prefetch_node, BPlusTree, InnerNode, LeafNode};
 use amac_metrics::timer::CycleTimer;
 use amac_workload::{Relation, Tuple};
+use core::convert::Infallible;
 
 /// B+-tree search configuration.
 #[derive(Debug, Clone)]
@@ -101,6 +102,7 @@ impl LookupOp for BTreeOp<'_> {
     type Input = Tuple;
     type State = BTreeState;
     type Tally = ();
+    type Output = Infallible;
 
     /// Exactly `height` node visits per lookup — the static schedules'
     /// best case: `N` is both tight and uniform.
@@ -110,7 +112,7 @@ impl LookupOp for BTreeOp<'_> {
 
     /// Stage 0: get new tuple, prefetch the root node.
     #[inline]
-    fn start(&mut self, input: Tuple, state: &mut BTreeState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: Tuple, state: &mut BTreeState) {
         let root = self.tree.root_ptr();
         if !root.is_null() {
             prefetch_node(root);
@@ -125,7 +127,7 @@ impl LookupOp for BTreeOp<'_> {
     /// Later stages: select and prefetch a child (inner), or resolve the
     /// lookup (leaf).
     #[inline(always)]
-    fn step(&mut self, state: &mut BTreeState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut BTreeState) -> Step {
         if state.ptr.is_null() {
             return Step::Done; // empty tree
         }

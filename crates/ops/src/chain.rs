@@ -14,11 +14,11 @@
 //!
 //! Every method is generic over the call's mode: an operator's plain
 //! stages (an executor call whose context is plain, see
-//! [`ExecCtx::plain`]) run `METERED = false`, the walk alone — count the
-//! load into the call's [`Ledger`], prefetch, dereference — with no lane,
-//! ticket or fault token kept and the context untouched; its
-//! `start`/`step` run `METERED = true`, the full protocol. Nodes and tag
-//! rejections count into the ledger in both modes.
+//! [`Hooks::plain`](amac::engine::Hooks::plain)) run `PLAIN = true`, the
+//! walk alone — count the load into the call's [`Ledger`], prefetch,
+//! dereference — with no lane, ticket or fault token kept and the context
+//! untouched; its metered stages run `PLAIN = false`, the full protocol.
+//! Nodes and tag rejections count into the ledger in both modes.
 
 use amac::engine::Step;
 use amac_hashtable::{probe_word, tag_slots, Bucket, BucketData, HashTable, Slots};
@@ -60,7 +60,7 @@ impl ChainCursor {
     /// address and SWAR probe word, request the header line. Written in
     /// place so the plain instantiation stores only what the walk reads.
     #[inline(always)]
-    pub fn start<const METERED: bool>(
+    pub fn start<const PLAIN: bool>(
         &mut self,
         ht: &HashTable,
         key: u64,
@@ -72,7 +72,7 @@ impl ChainCursor {
         self.ptr = ptr;
         self.probe = probe_word(tag_of(key));
         self.hop = 0;
-        if METERED {
+        if !PLAIN {
             let group = cx.begin_lane();
             self.ready_at = cx.issue_header(ptr, group).ready_at;
             self.group = group;
@@ -103,7 +103,7 @@ impl ChainCursor {
     /// first: a node with none is a tag reject, rejected without touching
     /// its tuple slots, and the caller compares keys only at the others.
     #[inline(always)]
-    pub fn node<'t, const METERED: bool>(
+    pub fn node<'t, const PLAIN: bool>(
         &self,
         op: &'static str,
         ht: &'t HashTable,
@@ -111,7 +111,7 @@ impl ChainCursor {
         led: &mut Ledger,
     ) -> (&'t BucketData, Slots) {
         let _ = ht;
-        if METERED {
+        if !PLAIN {
             cx.deref(op, self.key, self.hop, self.ready_at);
         }
         debug_assert!(!self.ptr.is_null(), "cursor stepped before start");
@@ -135,7 +135,7 @@ impl ChainCursor {
     /// executor and schedule — and under coalescing, which re-runs the
     /// decision per request.
     #[inline(always)]
-    pub fn advance<const METERED: bool>(
+    pub fn advance<const PLAIN: bool>(
         &mut self,
         op: &'static str,
         ht: &HashTable,
@@ -144,12 +144,12 @@ impl ChainCursor {
         led: &mut Ledger,
     ) -> Step {
         if next == NULL_INDEX {
-            self.retire::<METERED>(op, cx);
+            self.retire::<PLAIN>(op, cx);
             return Step::Done;
         }
         let ptr = ht.node_ptr(next);
         self.ptr = ptr;
-        if !METERED {
+        if PLAIN {
             self.hop += 1;
             led.issue(ptr);
             return Step::Continue;
@@ -168,8 +168,8 @@ impl ChainCursor {
     /// The lookup ends at the current node: trace the retirement and free
     /// the lane.
     #[inline(always)]
-    pub fn retire<const METERED: bool>(&self, op: &'static str, cx: &mut ExecCtx) {
-        if METERED {
+    pub fn retire<const PLAIN: bool>(&self, op: &'static str, cx: &mut ExecCtx) {
+        if !PLAIN {
             cx.retire(op, self.key, self.hop, self.group);
         }
     }

@@ -28,6 +28,7 @@ use amac_metrics::timer::CycleTimer;
 use amac_tier::{AddrClass, ExecCtx, ExecSpec, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{GroupByInput, Relation, Tuple};
+use core::convert::Infallible;
 
 /// Group-by configuration.
 #[derive(Debug, Clone, Default)]
@@ -155,14 +156,18 @@ pub struct GroupByTally {
     tuples: u64,
 }
 
-impl GroupByOp<'_> {
-    #[inline(always)]
-    fn tally(&self, led: Ledger) -> GroupByTally {
-        GroupByTally { led, tuples: self.tuples }
+impl LookupOp for GroupByOp<'_> {
+    type Input = Tuple;
+    type State = GroupByState;
+    type Tally = GroupByTally;
+    type Output = Infallible;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
     }
 
     #[inline(always)]
-    fn stage0<const METERED: bool>(
+    fn start<const PLAIN: bool>(
         &mut self,
         t: &mut GroupByTally,
         input: Tuple,
@@ -179,7 +184,7 @@ impl GroupByOp<'_> {
         // still only suppresses the hardware hint — never the latch walk.
         // A plain stage only counts the load: no lane to open, no
         // arrival tick to keep, no load event pending.
-        let fresh = if METERED {
+        let fresh = if !PLAIN {
             state.pending = true;
             state.group = self.cx.begin_lane();
             let ticket = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
@@ -195,17 +200,13 @@ impl GroupByOp<'_> {
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(
-        &mut self,
-        t: &mut GroupByTally,
-        state: &mut GroupByState,
-    ) -> Step {
+    fn step<const PLAIN: bool>(&mut self, t: &mut GroupByTally, state: &mut GroupByState) -> Step {
         // The latch word shares the (prefetched) header line; a blocked
         // attempt is executed work that read the line. Only the *first*
         // wait on a ticket records a load event (a blocked retry re-waits
         // at zero stall), keeping one event per issued request while the
         // attributed stall stays exactly what the wait charges.
-        if METERED {
+        if !PLAIN {
             if state.pending {
                 state.pending = false;
                 self.cx.trace_load("groupby", state.key, state.hop, state.ready_at);
@@ -230,7 +231,7 @@ impl GroupByOp<'_> {
                 // Updated, claimed or appended: the tuple is aggregated.
                 (*state.header).latch.release();
                 t.tuples += 1;
-                if METERED {
+                if !PLAIN {
                     self.cx.retire("groupby", state.key, state.hop, state.group);
                 }
                 return Step::Done;
@@ -238,7 +239,7 @@ impl GroupByOp<'_> {
             let next = self.handle.table().node_ptr(idx);
             state.cur = next;
             state.hop += 1;
-            let fresh = if METERED {
+            let fresh = if !PLAIN {
                 state.pending = true;
                 let class = AddrClass::slab_ptr(slab_of_index(idx), next);
                 let ticket = self.cx.request(class, 0, state.group);
@@ -255,54 +256,9 @@ impl GroupByOp<'_> {
         }
     }
 
-    #[inline(never)]
-    fn start_metered(&mut self, input: Tuple, state: &mut GroupByState) {
-        let mut t = self.tally(Ledger::default());
-        self.stage0::<true>(&mut t, input, state);
-        self.settle(t);
-    }
-
-    #[inline(never)]
-    fn step_metered(&mut self, state: &mut GroupByState) -> Step {
-        let mut t = self.tally(Ledger::default());
-        let step = self.stage1::<true>(&mut t, state);
-        self.settle(t);
-        step
-    }
-}
-
-impl LookupOp for GroupByOp<'_> {
-    type Input = Tuple;
-    type State = GroupByState;
-    type Tally = GroupByTally;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
     #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut GroupByState) {
-        self.start_metered(input, state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut GroupByState) -> Step {
-        self.step_metered(state)
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<GroupByTally> {
-        self.cx.plain().map(|led| self.tally(led))
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, t: &mut GroupByTally, input: Tuple, state: &mut GroupByState) {
-        self.stage0::<false>(t, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, t: &mut GroupByTally, state: &mut GroupByState) -> Step {
-        self.stage1::<false>(t, state)
+    fn tally(&self) -> GroupByTally {
+        GroupByTally { led: Ledger::default(), tuples: self.tuples }
     }
 
     #[inline(always)]

@@ -8,6 +8,7 @@ use amac_metrics::timer::CycleTimer;
 use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
+use core::convert::Infallible;
 
 /// Probe configuration.
 #[derive(Debug, Clone)]
@@ -69,7 +70,7 @@ pub struct ProbeConfig {
     /// results and [`EngineStats`] are bit-identical with tracing on or
     /// off. `false` (default) = a disabled tracer: with `tier`, `fault`
     /// and `coalesce` also unset and the `Nta` hint the context is
-    /// *plain* ([`ExecCtx::metered`] is false). Each executor call asks
+    /// *plain* ([`Hooks::plain`]). Each executor call asks
     /// that once and runs the stages inlined in its loop, counting only
     /// `issued_loads`, `nodes_visited`, `tag_rejects` and the op's
     /// accumulators, into a tally held in the call's locals; with any of
@@ -229,23 +230,29 @@ pub struct ProbeTally {
     cursor: usize,
 }
 
-impl ProbeOp<'_> {
-    /// The op's scalars as they stand, counting into `led`.
-    #[inline(always)]
-    fn tally(&self, led: Ledger) -> ProbeTally {
-        ProbeTally { led, matches: self.matches, checksum: self.checksum, cursor: self.cursor }
+/// Each stage is written once, over the tally: a plain call inlines the
+/// `PLAIN = true` instantiation into the executor's loop, any other call
+/// makes one out-of-line call per stage.
+impl LookupOp for ProbeOp<'_> {
+    type Input = Tuple;
+    type State = ProbeState;
+    type Tally = ProbeTally;
+    type Output = Infallible;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
     }
 
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
     #[inline(always)]
-    fn stage0<const METERED: bool>(
+    fn start<const PLAIN: bool>(
         &mut self,
         t: &mut ProbeTally,
         input: Tuple,
         state: &mut ProbeState,
     ) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
+        state.cursor.start::<PLAIN>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.tag = t.cursor as u64;
         t.cursor += 1;
     }
@@ -253,8 +260,8 @@ impl ProbeOp<'_> {
     /// Code 1 (Table 1): compare keys only at the node's tag-matching
     /// slots, output on match, chase the `u32` chain index.
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
-        let (d, slots) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
+    fn step<const PLAIN: bool>(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
+        let (d, slots) = state.cursor.node::<PLAIN>("probe", self.ht, &mut self.cx, &mut t.led);
         let mut hit = false;
         for i in slots {
             let tuple = d.tuples[i];
@@ -269,63 +276,20 @@ impl ProbeOp<'_> {
             }
         }
         if hit && !self.scan_all {
-            state.cursor.retire::<METERED>("probe", &mut self.cx);
+            state.cursor.retire::<PLAIN>("probe", &mut self.cx);
             return Step::Done; // early exit on unique-key match
         }
-        state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx, &mut t.led)
-    }
-
-    #[inline(never)]
-    fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
-        let mut t = self.tally(Ledger::default());
-        self.stage0::<true>(&mut t, input, state);
-        self.settle(t);
-    }
-
-    #[inline(never)]
-    fn step_metered(&mut self, state: &mut ProbeState) -> Step {
-        let mut t = self.tally(Ledger::default());
-        let step = self.stage1::<true>(&mut t, state);
-        self.settle(t);
-        step
-    }
-}
-
-/// Each stage is written once, over the tally: a plain call inlines the
-/// `METERED = false` instantiation into the executor's loop, any other
-/// call makes one out-of-line call per stage.
-impl LookupOp for ProbeOp<'_> {
-    type Input = Tuple;
-    type State = ProbeState;
-    type Tally = ProbeTally;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
+        state.cursor.advance::<PLAIN>("probe", self.ht, d.next, &mut self.cx, &mut t.led)
     }
 
     #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        self.start_metered(input, state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut ProbeState) -> Step {
-        self.step_metered(state)
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<ProbeTally> {
-        self.cx.plain().map(|led| self.tally(led))
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, t: &mut ProbeTally, input: Tuple, state: &mut ProbeState) {
-        self.stage0::<false>(t, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, t: &mut ProbeTally, state: &mut ProbeState) -> Step {
-        self.stage1::<false>(t, state)
+    fn tally(&self) -> ProbeTally {
+        ProbeTally {
+            led: Ledger::default(),
+            matches: self.matches,
+            checksum: self.checksum,
+            cursor: self.cursor,
+        }
     }
 
     #[inline(always)]
@@ -434,35 +398,40 @@ impl<'a> BuildOp<'a> {
     }
 }
 
-impl BuildOp<'_> {
+/// A build's tally is its ledger alone.
+impl LookupOp for BuildOp<'_> {
+    type Input = Tuple;
+    type State = BuildState;
+    type Tally = Ledger;
+    type Output = Infallible;
+
+    fn budgeted_steps(&self) -> usize {
+        1
+    }
+
     /// Code 0: get new tuple, compute bucket address, prefetch (for write).
     #[inline(always)]
-    fn stage0<const METERED: bool>(
-        &mut self,
-        led: &mut Ledger,
-        input: Tuple,
-        state: &mut BuildState,
-    ) {
+    fn start<const PLAIN: bool>(&mut self, led: &mut Ledger, input: Tuple, state: &mut BuildState) {
         let bucket = self.handle.table().bucket_addr(input.key);
         amac_mem::prefetch::prefetch_write(bucket);
         state.key = input.key;
         state.payload = input.payload;
         state.bucket = bucket;
-        if METERED {
+        if PLAIN {
+            led.issued_loads += 1;
+        } else {
             state.group = self.cx.begin_lane();
             state.ready_at =
                 self.cx.request(AddrClass::header_ptr(bucket), 0, state.group).ready_at;
-        } else {
-            led.issued_loads += 1;
         }
     }
 
     /// Code 1: latch? retry later : insert at chain head, release.
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, led: &mut Ledger, state: &mut BuildState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, led: &mut Ledger, state: &mut BuildState) -> Step {
         // The latch word shares the header line the prefetch fetched; a
         // blocked attempt is real executed work (it read the line).
-        if METERED {
+        if !PLAIN {
             self.cx.wait(state.ready_at);
             self.cx.stage();
         }
@@ -477,61 +446,10 @@ impl BuildOp<'_> {
         // The O(1) head insert dereferences the (prefetched) header; any
         // overflow-head touch shares the same latched stage.
         led.nodes_visited += 1;
-        if METERED {
+        if !PLAIN {
             self.cx.retire_lane(state.group);
         }
         Step::Done
-    }
-
-    #[inline(never)]
-    fn start_metered(&mut self, input: Tuple, state: &mut BuildState) {
-        let mut led = Ledger::default();
-        self.stage0::<true>(&mut led, input, state);
-        self.cx.settle(led);
-    }
-
-    #[inline(never)]
-    fn step_metered(&mut self, state: &mut BuildState) -> Step {
-        let mut led = Ledger::default();
-        let step = self.stage1::<true>(&mut led, state);
-        self.cx.settle(led);
-        step
-    }
-}
-
-/// A build's tally is its ledger alone.
-impl LookupOp for BuildOp<'_> {
-    type Input = Tuple;
-    type State = BuildState;
-    type Tally = Ledger;
-
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
-    #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut BuildState) {
-        self.start_metered(input, state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut BuildState) -> Step {
-        self.step_metered(state)
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<Ledger> {
-        self.cx.plain()
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, led: &mut Ledger, input: Tuple, state: &mut BuildState) {
-        self.stage0::<false>(led, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, led: &mut Ledger, state: &mut BuildState) -> Step {
-        self.stage1::<false>(led, state)
     }
 
     #[inline(always)]

@@ -48,6 +48,7 @@ use amac_runtime::{execute, MorselConfig};
 use amac_tier::{ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
+use core::convert::Infallible;
 
 /// Which mutation a [`MutateOp`] applies per input tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,8 +218,8 @@ impl<'a> MutateOp<'a> {
     /// this model too. A plain context has no clock to charge and no
     /// tracer to tell.
     #[inline(always)]
-    fn charge_residual<const METERED: bool>(&mut self, cur: &ChainCursor) {
-        if METERED {
+    fn charge_residual<const PLAIN: bool>(&mut self, cur: &ChainCursor) {
+        if !PLAIN {
             let now = self.cx.now();
             let residual = cur.ready_at.saturating_sub(now).saturating_sub(self.hide);
             self.cx.trace_load("mutate", cur.key, cur.hop, now + residual);
@@ -235,7 +236,7 @@ impl<'a> MutateOp<'a> {
         }
     }
 
-    /// Terminal fresh-prefix action, counted into `t`.
+    /// The fresh-prefix action that ends the walk, counted into `t`.
     fn terminal(&mut self, t: &mut MutateTally, key: u64, delta: u64) {
         match self.cfg.kind {
             MutateKind::Upsert => {
@@ -273,37 +274,33 @@ pub struct MutateTally {
     log_stalls: u64,
 }
 
-impl MutateOp<'_> {
-    #[inline(always)]
-    fn tally(&self, led: Ledger) -> MutateTally {
-        MutateTally {
-            led,
-            applied: self.applied,
-            created: self.created,
-            merged: self.merged,
-            deleted: self.deleted,
-            log_bytes: 0,
-            log_stalls: 0,
-        }
+impl LookupOp for MutateOp<'_> {
+    type Input = Tuple;
+    type State = MutState;
+    type Tally = MutateTally;
+    type Output = Infallible;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
     }
 
     #[inline(always)]
-    fn stage0<const METERED: bool>(
+    fn start<const PLAIN: bool>(
         &mut self,
         t: &mut MutateTally,
         input: Tuple,
         state: &mut MutState,
     ) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
+        state.cursor.start::<PLAIN>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.delta = input.payload;
         state.at_header = true;
-        self.charge_residual::<METERED>(&state.cursor);
+        self.charge_residual::<PLAIN>(&state.cursor);
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(&mut self, t: &mut MutateTally, state: &mut MutState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, t: &mut MutateTally, state: &mut MutState) -> Step {
         let (key, delta) = (state.cursor.key, state.delta);
-        if METERED {
+        if !PLAIN {
             self.cx.stage();
         }
         // SAFETY: the cursor points at the header or a frozen arena node
@@ -316,7 +313,7 @@ impl MutateOp<'_> {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
                 self.terminal(t, key, delta);
-                state.cursor.retire::<METERED>("mutate", &mut self.cx);
+                state.cursor.retire::<PLAIN>("mutate", &mut self.cx);
                 return Step::Done;
             }
             // SAFETY (both arms): frozen node of this table.
@@ -325,7 +322,7 @@ impl MutateOp<'_> {
                     t.merged += 1;
                     t.applied += 1;
                     self.log(t, WalRecord::Upsert { key, delta });
-                    state.cursor.retire::<METERED>("mutate", &mut self.cx);
+                    state.cursor.retire::<PLAIN>("mutate", &mut self.cx);
                     return Step::Done;
                 }
             }
@@ -351,63 +348,25 @@ impl MutateOp<'_> {
             // before the cursor retires the lane.
             self.terminal(t, key, delta);
         }
-        let step =
-            state.cursor.advance::<METERED>("mutate", self.ht, next, &mut self.cx, &mut t.led);
+        let step = state.cursor.advance::<PLAIN>("mutate", self.ht, next, &mut self.cx, &mut t.led);
         if step == Step::Continue {
-            self.charge_residual::<METERED>(&state.cursor);
+            self.charge_residual::<PLAIN>(&state.cursor);
             state.at_header = false;
         }
         step
     }
 
-    #[inline(never)]
-    fn start_metered(&mut self, input: Tuple, state: &mut MutState) {
-        let mut t = self.tally(Ledger::default());
-        self.stage0::<true>(&mut t, input, state);
-        self.settle(t);
-    }
-
-    #[inline(never)]
-    fn step_metered(&mut self, state: &mut MutState) -> Step {
-        let mut t = self.tally(Ledger::default());
-        let step = self.stage1::<true>(&mut t, state);
-        self.settle(t);
-        step
-    }
-}
-
-impl LookupOp for MutateOp<'_> {
-    type Input = Tuple;
-    type State = MutState;
-    type Tally = MutateTally;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
     #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut MutState) {
-        self.start_metered(input, state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut MutState) -> Step {
-        self.step_metered(state)
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<MutateTally> {
-        self.cx.plain().map(|led| self.tally(led))
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, t: &mut MutateTally, input: Tuple, state: &mut MutState) {
-        self.stage0::<false>(t, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, t: &mut MutateTally, state: &mut MutState) -> Step {
-        self.stage1::<false>(t, state)
+    fn tally(&self) -> MutateTally {
+        MutateTally {
+            led: Ledger::default(),
+            applied: self.applied,
+            created: self.created,
+            merged: self.merged,
+            deleted: self.deleted,
+            log_bytes: 0,
+            log_stalls: 0,
+        }
     }
 
     #[inline(always)]
@@ -516,20 +475,19 @@ pub fn mutate_mt_rt(
 
 /// The recovery replay lookup: one WAL record per input, re-applied
 /// through the whole-table latch-free primitives in one budgeted step.
-/// `replayed_records` lives in the context's ledger, so a replay run
-/// under the Mux keeps lane ledgers exact like any other op.
+/// It keeps no time and traces nothing: it has no context, and every
+/// replay call is plain.
 pub struct ReplayOp<'a> {
     ht: &'a HashTable,
     created: u64,
     tombstoned: u64,
-    cx: ExecCtx,
 }
 
 impl<'a> ReplayOp<'a> {
     /// Create a replay op applying records to `ht` (entering its epoch).
     pub fn new(ht: &'a HashTable) -> Self {
         ht.freeze();
-        ReplayOp { ht, created: 0, tombstoned: 0, cx: ExecCtx::new(&ExecSpec::default()) }
+        ReplayOp { ht, created: 0, tombstoned: 0 }
     }
 
     /// Fresh nodes created during replay.
@@ -547,16 +505,17 @@ impl LookupOp for ReplayOp<'_> {
     type Input = WalRecord;
     type State = WalRecord;
     type Tally = ();
+    type Output = Infallible;
 
     fn budgeted_steps(&self) -> usize {
         1
     }
 
-    fn start(&mut self, input: WalRecord, state: &mut WalRecord) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: WalRecord, state: &mut WalRecord) {
         *state = input;
     }
 
-    fn step(&mut self, state: &mut WalRecord) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut WalRecord) -> Step {
         match *state {
             WalRecord::Insert { key, payload } => {
                 self.ht.fresh_insert(key, payload);
@@ -571,12 +530,7 @@ impl LookupOp for ReplayOp<'_> {
                 self.tombstoned += self.ht.delete_latchfree(key);
             }
         }
-        self.cx.obs.replayed_records += 1;
         Step::Done
-    }
-
-    fn ctx(&mut self) -> impl Hooks + '_ {
-        &mut self.cx
     }
 }
 
@@ -586,7 +540,9 @@ impl LookupOp for ReplayOp<'_> {
 /// `stats.replayed_records == records.len()`.
 pub fn replay(ht: &HashTable, records: &[WalRecord]) -> EngineStats {
     let mut op = ReplayOp::new(ht);
-    run(Technique::Baseline, &mut op, records, TuningParams::with_in_flight(1))
+    let stats = run(Technique::Baseline, &mut op, records, TuningParams::with_in_flight(1));
+    // Every record is one lookup, and a replay never fails.
+    EngineStats { replayed_records: stats.lookups, ..stats }
 }
 
 #[cfg(test)]

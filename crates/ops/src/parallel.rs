@@ -136,8 +136,8 @@ pub fn probe_groupby_mt_rt(
     let mut res = MtPipeline { passes: 1, ..Default::default() };
     let mut out = MtOutput::from_report(run.report);
     for op in &run.ops {
-        res.matched += op.pipe().up().matches();
-        out.matches += op.pipe().down().inner().tuples();
+        res.matched += op.up().matches();
+        out.matches += op.down().tuples();
     }
     res.out = out;
     res

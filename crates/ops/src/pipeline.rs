@@ -50,10 +50,9 @@
 //! ```
 
 use crate::chain::ChainCursor;
+use crate::groupby::GroupByOp;
 use crate::join::ProbeState;
-use amac::engine::pipeline::{
-    Chain, Consumer, Discard, Fused, PipelineOp, Route, StageStep, Terminal,
-};
+use amac::engine::pipeline::{Chain, Consumer, Fused, Route};
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{AggTable, HashTable};
 use amac_mem::prefetch::PrefetchHint;
@@ -132,7 +131,7 @@ pub struct Joined {
 }
 
 /// Hash-table probe as a pipeline operator: emits the **first** match as
-/// a [`Joined`] tuple (FK join semantics), skips on a miss.
+/// a [`Joined`] tuple (FK join semantics); a miss leaves the pipeline.
 pub struct ProbeStage<'a> {
     ht: &'a HashTable,
     n_stages: usize,
@@ -182,30 +181,34 @@ pub struct StageTally {
     matches: u64,
 }
 
-impl ProbeStage<'_> {
-    #[inline(always)]
-    fn tally(&self, led: Ledger) -> StageTally {
-        StageTally { led, matches: self.matches }
+impl LookupOp for ProbeStage<'_> {
+    type Input = Tuple;
+    type State = ProbeState;
+    type Tally = StageTally;
+    type Output = Joined;
+
+    fn budgeted_steps(&self) -> usize {
+        self.n_stages
     }
 
     #[inline(always)]
-    fn stage0<const METERED: bool>(
+    fn start<const PLAIN: bool>(
         &mut self,
         t: &mut StageTally,
         input: Tuple,
         state: &mut ProbeState,
     ) {
-        state.cursor.start::<METERED>(self.ht, input.key, &mut self.cx, &mut t.led);
+        state.cursor.start::<PLAIN>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.tag = input.payload;
     }
 
     #[inline(always)]
-    fn stage1<const METERED: bool>(
+    fn step<const PLAIN: bool>(
         &mut self,
         t: &mut StageTally,
         state: &mut ProbeState,
-    ) -> StageStep<Joined> {
-        let (d, slots) = state.cursor.node::<METERED>("probe", self.ht, &mut self.cx, &mut t.led);
+    ) -> Step<Joined> {
+        let (d, slots) = state.cursor.node::<PLAIN>("probe", self.ht, &mut self.cx, &mut t.led);
         for i in slots {
             let tuple = d.tuples[i];
             if tuple.key == state.cursor.key {
@@ -213,73 +216,27 @@ impl ProbeStage<'_> {
                 // A non-terminal stage hands the tuple downstream — the
                 // terminal operator records the retirement.
                 if self.terminal {
-                    state.cursor.retire::<METERED>("probe", &mut self.cx);
-                } else if METERED {
+                    state.cursor.retire::<PLAIN>("probe", &mut self.cx);
+                } else if !PLAIN {
                     self.cx.retire_lane(state.cursor.group);
                 }
-                return StageStep::Emit(Joined {
+                return Step::Emit(Joined {
                     key: tuple.key,
                     probe_payload: state.tag,
                     build_payload: tuple.payload,
                 });
             }
         }
-        match state.cursor.advance::<METERED>("probe", self.ht, d.next, &mut self.cx, &mut t.led) {
-            Step::Continue => StageStep::Continue,
-            Step::Failed => StageStep::Failed,
-            _ => StageStep::Skip, // chain exhausted: probe miss
+        match state.cursor.advance::<PLAIN>("probe", self.ht, d.next, &mut self.cx, &mut t.led) {
+            Step::Continue => Step::Continue,
+            Step::Failed => Step::Failed,
+            _ => Step::Done, // chain exhausted: probe miss
         }
     }
 
-    #[inline(never)]
-    fn start_metered(&mut self, input: Tuple, state: &mut ProbeState) {
-        let mut t = self.tally(Ledger::default());
-        self.stage0::<true>(&mut t, input, state);
-        self.settle(t);
-    }
-
-    #[inline(never)]
-    fn step_metered(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        let mut t = self.tally(Ledger::default());
-        let step = self.stage1::<true>(&mut t, state);
-        self.settle(t);
-        step
-    }
-}
-
-impl PipelineOp for ProbeStage<'_> {
-    type Input = Tuple;
-    type Output = Joined;
-    type State = ProbeState;
-    type Tally = StageTally;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
     #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut ProbeState) {
-        self.start_metered(input, state);
-    }
-
-    #[inline(always)]
-    fn step(&mut self, state: &mut ProbeState) -> StageStep<Joined> {
-        self.step_metered(state)
-    }
-
-    #[inline(always)]
-    fn plain(&self) -> Option<StageTally> {
-        self.cx.plain().map(|led| self.tally(led))
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, t: &mut StageTally, input: Tuple, state: &mut ProbeState) {
-        self.stage0::<false>(t, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, t: &mut StageTally, state: &mut ProbeState) -> StageStep<Joined> {
-        self.stage1::<false>(t, state)
+    fn tally(&self) -> StageTally {
+        StageTally { led: Ledger::default(), matches: self.matches }
     }
 
     #[inline(always)]
@@ -303,21 +260,6 @@ impl PipelineOp for ProbeStage<'_> {
     }
 }
 
-/// Group-by aggregation as a terminal pipeline operator: the existing
-/// [`GroupByOp`](crate::groupby::GroupByOp) latched state machine
-/// (acquire → latched walk → update/claim/append), adapted through
-/// [`Terminal`] so the unsafe walk exists in exactly one place. Read the
-/// aggregated-tuple count back via
-/// [`Terminal::inner`]`().`[`tuples()`](crate::groupby::GroupByOp::tuples).
-pub type GroupByStage<'a> = Terminal<crate::groupby::GroupByOp<'a>>;
-
-/// Build a [`GroupByStage`] aggregating into `table` with the derived
-/// (`n_stages = 0`) stage budget, under the pipeline's tier and
-/// coalescing knobs.
-pub fn groupby_stage<'a>(table: &'a AggTable, cfg: &PipelineConfig) -> GroupByStage<'a> {
-    Terminal(crate::groupby::GroupByOp::new(table, &cfg.groupby()))
-}
-
 /// The fused filter + projection between the probe and its consumer:
 /// keeps a [`Joined`] tuple when the filter passes on the probe payload,
 /// projecting it to `Tuple { key: build_payload, payload: probe_payload }`
@@ -339,7 +281,7 @@ impl Route<Joined, Tuple> for FilterProject {
     }
 }
 
-/// Terminal consumer counting matches and an order-independent checksum
+/// Sink counting matches and an order-independent checksum
 /// of the matched build payloads (for probe→probe chains).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountChecksum {
@@ -398,9 +340,9 @@ pub fn materializing_probe_op<'a>(
 }
 
 /// The fused probe → filter → group-by executor op (nameable so
-/// multi-threaded drivers can read per-worker accumulators back).
-pub type FusedProbeGroupBy<'a> =
-    Fused<Chain<ProbeStage<'a>, GroupByStage<'a>, FilterProject>, Discard>;
+/// multi-threaded drivers can read per-worker accumulators back). The
+/// group-by materializes into its table, so the chain needs no sink.
+pub type FusedProbeGroupBy<'a> = Chain<ProbeStage<'a>, GroupByOp<'a>, FilterProject>;
 
 /// The fused probe → filter → probe executor op for 2-join chains.
 pub type FusedProbeProbe<'a> =
@@ -414,13 +356,10 @@ pub fn fused_probe_groupby_op<'a>(
     table: &'a AggTable,
     cfg: &PipelineConfig,
 ) -> FusedProbeGroupBy<'a> {
-    Fused::new(
-        Chain::new(
-            ProbeStage::new(ht, &cfg.exec()),
-            groupby_stage(table, cfg),
-            FilterProject { filter: cfg.filter },
-        ),
-        Discard,
+    Chain::new(
+        ProbeStage::new(ht, &cfg.exec()),
+        GroupByOp::new(table, &cfg.groupby()),
+        FilterProject { filter: cfg.filter },
     )
 }
 
@@ -485,8 +424,8 @@ pub fn probe_then_groupby(
     let stats = run(technique, &mut op, &s.tuples, cfg.params);
     let trace = op.ctx().take_tracer();
     PipelineOutput {
-        matched: op.pipe().up().matches(),
-        aggregated: op.pipe().down().inner().tuples(),
+        matched: op.up().matches(),
+        aggregated: op.down().tuples(),
         checksum: 0,
         stats,
         cycles: timer.cycles(),
@@ -747,6 +686,6 @@ mod tests {
         let out = probe_then_groupby(&ht, &agg, &s, Technique::Amac, &PipelineConfig::default());
         assert_eq!(out.matched, 0);
         assert_eq!(out.aggregated, 0);
-        assert_eq!(out.stats.lookups, 100, "every lookup completes via Skip");
+        assert_eq!(out.stats.lookups, 100, "every lookup completes as a miss");
     }
 }

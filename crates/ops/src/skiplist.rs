@@ -19,6 +19,7 @@ use amac_skiplist::{
     MAX_LEVEL,
 };
 use amac_workload::{Relation, Tuple};
+use core::convert::Infallible;
 
 /// Skip-list operation configuration.
 #[derive(Debug, Clone, Default)]
@@ -83,20 +84,26 @@ impl<'a> LookupOp for SkipSearchOp<'a> {
     type Input = Tuple;
     type State = SkipSearchState<'a>;
     type Tally = ();
+    type Output = Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
     /// Stage 0: access the highest head node's successor (Table 1).
-    fn start(&mut self, input: Tuple, state: &mut SkipSearchState<'a>) {
+    fn start<const PLAIN: bool>(
+        &mut self,
+        _: &mut (),
+        input: Tuple,
+        state: &mut SkipSearchState<'a>,
+    ) {
         state.key = input.key;
         state.cursor = SkipCursor::start(self.list);
     }
 
     /// Later stages: compare with the prefetched successor; advance,
     /// match, or descend.
-    fn step(&mut self, state: &mut SkipSearchState<'a>) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut SkipSearchState<'a>) -> Step {
         match state.cursor.step(state.key) {
             SkipMove::Advanced | SkipMove::Descended(..) => Step::Continue,
             SkipMove::Found(payload) => {
@@ -217,12 +224,18 @@ impl<'a> LookupOp for SkipInsertOp<'a> {
     type Input = Tuple;
     type State = SkipInsertState<'a>;
     type Tally = ();
+    type Output = Infallible;
 
     fn budgeted_steps(&self) -> usize {
         self.n_stages
     }
 
-    fn start(&mut self, input: Tuple, state: &mut SkipInsertState<'a>) {
+    fn start<const PLAIN: bool>(
+        &mut self,
+        _: &mut (),
+        input: Tuple,
+        state: &mut SkipInsertState<'a>,
+    ) {
         let list = self.handle.list();
         // Predecessors above the entry level are the head itself.
         state.preds = [list.head() as *mut SkipNode; MAX_LEVEL + 1];
@@ -234,7 +247,7 @@ impl<'a> LookupOp for SkipInsertOp<'a> {
         state.phase = InsertPhase::Search;
     }
 
-    fn step(&mut self, state: &mut SkipInsertState<'a>) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut SkipInsertState<'a>) -> Step {
         match state.phase {
             InsertPhase::Search => {
                 match state.cursor.step(state.key) {

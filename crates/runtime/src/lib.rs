@@ -20,9 +20,10 @@
 //! #     type Input = u64;
 //! #     type State = NopState;
 //! #     type Tally = ();
+//! #     type Output = core::convert::Infallible;
 //! #     fn budgeted_steps(&self) -> usize { 1 }
-//! #     fn start(&mut self, i: u64, s: &mut NopState) { s.0 = i; }
-//! #     fn step(&mut self, _s: &mut NopState) -> Step { Step::Done }
+//! #     fn start<const PLAIN: bool>(&mut self, _: &mut (), i: u64, s: &mut NopState) { s.0 = i; }
+//! #     fn step<const PLAIN: bool>(&mut self, _: &mut (), _s: &mut NopState) -> Step { Step::Done }
 //! # }
 //! let inputs: Vec<u64> = (0..100_000).collect();
 //! let cfg = MorselConfig::with_threads(4);

@@ -31,18 +31,19 @@ impl LookupOp for ChainOp {
     type Input = usize;
     type State = ChainState;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         4
     }
 
-    fn start(&mut self, input: usize, state: &mut ChainState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         assert!(self.chains[input] >= 1, "chains must need at least one step");
         state.idx = input;
         state.remaining = self.chains[input];
     }
 
-    fn step(&mut self, state: &mut ChainState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut ChainState) -> Step {
         if state.remaining > 1 {
             state.remaining -= 1;
             Step::Continue

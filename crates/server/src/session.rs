@@ -9,12 +9,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use amac::engine::mux::{Mux, MuxState};
-use amac::engine::{run, AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
+use amac::engine::{AmacSession, EngineStats, Hooks, LookupOp, Technique, TuningParams};
 use amac_hashtable::HashTable;
 use amac_metrics::LatencyHistogram;
 use amac_ops::groupby::GroupByOp;
 use amac_ops::join::ProbeOp;
-use amac_ops::mutate::{MutateOp, ReplayOp};
+use amac_ops::mutate::{replay, MutateOp};
 use amac_ops::pipeline::{fused_probe_groupby_op, probe_then_groupby_two_phase, PipelineConfig};
 use amac_tier::{TierSpec, WalRecord};
 use amac_trace::{TraceEvent, Tracer};
@@ -24,6 +24,12 @@ use crate::request::{
     Backpressure, BreakerMode, QueryId, QueryOutcome, QueryReport, Request, Stalled, SubmitOpts,
 };
 use crate::tenant::{TenantOp, TenantState};
+
+/// Slot-rotation budget for one pump's window drain. Bounds the cost of a
+/// pump even if a lane is wedged (see [`AmacSession::drain_lanes`]);
+/// combined with [`run_with_budget`](ServeSession::run_with_budget) it
+/// turns livelock into a reportable [`Stalled`].
+const DRAIN_BUDGET: usize = 1 << 20;
 
 /// Serving-session policy knobs.
 #[derive(Debug, Clone)]
@@ -65,12 +71,6 @@ pub struct ServeConfig {
     pub breaker_probe_pumps: u64,
     /// What an open breaker does with the tripped tenant's new queries.
     pub breaker_mode: BreakerMode,
-    /// Slot-rotation budget for one pump's window drain. Bounds the cost
-    /// of a pump even if a lane is wedged (see
-    /// [`AmacSession::drain_lanes`]); combined with
-    /// [`run_with_budget`](ServeSession::run_with_budget) it turns
-    /// livelock into a reportable [`Stalled`].
-    pub drain_budget: usize,
     /// Per-query flight recorder: `k > 0` installs a last-`k` ring tracer
     /// ([`amac_trace::Tracer::ring`]) on every attempt's lane op, stamped
     /// with the query's tenant. When the query ends in
@@ -95,7 +95,6 @@ impl Default for ServeConfig {
             breaker_threshold: 3,
             breaker_probe_pumps: 8,
             breaker_mode: BreakerMode::Degrade,
-            drain_budget: 1 << 20,
             flight_recorder: 0,
         }
     }
@@ -107,7 +106,7 @@ enum Aborting {
     /// A transient fault poisoned this attempt; requeue with backoff once
     /// the lane's in-flight lookups retire.
     Retry,
-    /// Terminal: report this outcome once the lane drains.
+    /// No retry: report this outcome once the lane drains.
     Final(QueryOutcome),
 }
 
@@ -205,7 +204,7 @@ impl ServeOutput {
 ///    [`AmacSession`] as one call of its lane
 ///    ([`AmacSession::feed_lane`]), which looks ahead like a solo feed;
 /// 4. if no query had input left, the window is drained (under
-///    [`ServeConfig::drain_budget`]) so tails retire;
+///    a fixed budget of 2^20 slot rotations) so tails retire;
 /// 5. fault sweep: a lane whose ledger shows a failed lookup has its
 ///    attempt cancelled; retryable queries requeue with exponential
 ///    backoff, others fail terminally;
@@ -423,7 +422,7 @@ impl<'a> ServeSession<'a> {
             self.rr = (self.rr + 1) % n;
         }
         if fed == 0 && self.window.in_flight() > 0 {
-            self.window.drain_lanes(&mut self.mux, &mut self.stats, self.cfg.drain_budget);
+            self.window.drain_lanes(&mut self.mux, &mut self.stats, DRAIN_BUDGET);
         }
         self.detect_failures();
         self.sweep_completed();
@@ -438,11 +437,11 @@ impl<'a> ServeSession<'a> {
 
     /// [`run_to_completion`](ServeSession::run_to_completion) with a pump
     /// budget: give up after `max_pumps` rounds and return [`Stalled`]
-    /// with queries still unfinished. Together with
-    /// [`ServeConfig::drain_budget`] this bounds the work of a run even
-    /// when a lane is wedged (a latch that never frees, an op that never
-    /// progresses) — livelock becomes a value the caller can act on. The
-    /// session stays valid: grant more budget or cancel the stragglers.
+    /// with queries still unfinished. Together with each pump's fixed
+    /// drain budget this bounds the work of a run even when a lane is
+    /// wedged (a latch that never frees, an op that never progresses) —
+    /// livelock becomes a value the caller can act on. The session stays
+    /// valid: grant more budget or cancel the stragglers.
     pub fn run_with_budget(&mut self, max_pumps: usize) -> Result<(), Stalled> {
         let mut pumps = 0usize;
         while !self.active.is_empty() || !self.pending.is_empty() || !self.waiting.is_empty() {
@@ -654,8 +653,8 @@ impl<'a> ServeSession<'a> {
                         }
                         TenantOp::GroupBy(g) => rep.matches = g.tuples(),
                         TenantOp::Pipeline(f) => {
-                            rep.matched = f.pipe().up().matches();
-                            rep.matches = f.pipe().down().inner().tuples();
+                            rep.matched = f.up().matches();
+                            rep.matches = f.down().tuples();
                         }
                         TenantOp::Upsert(m) => rep.matches = m.applied(),
                     }
@@ -750,8 +749,7 @@ impl<'a> ServeSession<'a> {
     pub fn recover_replay(&mut self, records: &[WalRecord]) -> EngineStats {
         let mut q = Query::new(QueryId(self.next_qid), records, SubmitOpts::default());
         self.next_qid += 1;
-        let mut op = ReplayOp::new(self.catalog);
-        let stats = run(Technique::Baseline, &mut op, records, TuningParams::with_in_flight(1));
+        let stats = replay(self.catalog, records);
         self.stats.merge(&stats);
         q.attempts = 1;
         self.end(q, QueryOutcome::Recovered, stats, None).matches = stats.replayed_records;

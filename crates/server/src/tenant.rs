@@ -10,12 +10,13 @@
 //! a pipeline query and back as lanes are recycled.
 
 use amac::engine::pipeline::ChainState;
-use amac::engine::{Hooks, LookupOp, Step};
+use amac::engine::{call, Hooks, LookupOp, Step};
 use amac_ops::groupby::{GroupByOp, GroupByState, GroupByTally};
 use amac_ops::join::{ProbeOp, ProbeState, ProbeTally};
 use amac_ops::mutate::{MutState, MutateOp, MutateTally};
 use amac_ops::pipeline::{FusedProbeGroupBy, StageTally};
 use amac_workload::Tuple;
+use core::convert::Infallible;
 
 /// State of one in-flight serving lookup (variant always matches the
 /// owning lane's op; `Vacant` only before the first `start`).
@@ -51,17 +52,21 @@ pub enum TenantOp<'a> {
     Probe(ProbeOp<'a>),
     /// Group-by into the query's own table.
     GroupBy(GroupByOp<'a>),
-    /// Fused probe → filter → group-by (boxed: the fused chain state
-    /// machine is much larger than the other variants).
+    /// Fused probe → filter → group-by (boxed: the fused chain is much
+    /// larger than the other variants).
     Pipeline(Box<FusedProbeGroupBy<'a>>),
     /// Latch-free mutation of the shared catalog table (WAL-logged).
     Upsert(MutateOp<'a>),
 }
 
+/// Each variant's stages go to its op in the call's mode, through
+/// [`call`]: a metered stage is the variant op's own out-of-line call.
 impl LookupOp for TenantOp<'_> {
     type Input = Tuple;
     type State = TenantState;
     type Tally = TenantTally;
+    type Output = Infallible;
+    const ROUTES: bool = true;
 
     fn budgeted_steps(&self) -> usize {
         match self {
@@ -72,35 +77,66 @@ impl LookupOp for TenantOp<'_> {
         }
     }
 
+    /// `start` fully reinitializes the state with the op's variant.
     #[inline(always)]
-    fn start(&mut self, input: Tuple, state: &mut TenantState) {
-        self.start_in::<false>(&mut TenantTally::default(), input, state);
+    fn start<const PLAIN: bool>(
+        &mut self,
+        t: &mut TenantTally,
+        input: Tuple,
+        state: &mut TenantState,
+    ) {
+        match self {
+            TenantOp::Probe(op) => {
+                let mut s = ProbeState::default();
+                call::start::<_, PLAIN>(op, &mut t.probe, input, &mut s);
+                *state = TenantState::Probe(s);
+            }
+            TenantOp::GroupBy(op) => {
+                let mut s = GroupByState::default();
+                call::start::<_, PLAIN>(op, &mut t.groupby, input, &mut s);
+                *state = TenantState::GroupBy(s);
+            }
+            TenantOp::Pipeline(op) => {
+                let mut s = ChainState::default();
+                call::start::<_, PLAIN>(&mut **op, &mut t.pipeline, input, &mut s);
+                *state = TenantState::Pipeline(s);
+            }
+            TenantOp::Upsert(op) => {
+                let mut s = MutState::default();
+                call::start::<_, PLAIN>(op, &mut t.upsert, input, &mut s);
+                *state = TenantState::Upsert(s);
+            }
+        }
     }
 
     #[inline(always)]
-    fn step(&mut self, state: &mut TenantState) -> Step {
-        self.step_in::<false>(&mut TenantTally::default(), state)
+    fn step<const PLAIN: bool>(&mut self, t: &mut TenantTally, state: &mut TenantState) -> Step {
+        match (self, state) {
+            (TenantOp::Probe(op), TenantState::Probe(s)) => {
+                call::step::<_, PLAIN>(op, &mut t.probe, s)
+            }
+            (TenantOp::GroupBy(op), TenantState::GroupBy(s)) => {
+                call::step::<_, PLAIN>(op, &mut t.groupby, s)
+            }
+            (TenantOp::Pipeline(op), TenantState::Pipeline(s)) => {
+                call::step::<_, PLAIN>(&mut **op, &mut t.pipeline, s)
+            }
+            (TenantOp::Upsert(op), TenantState::Upsert(s)) => {
+                call::step::<_, PLAIN>(op, &mut t.upsert, s)
+            }
+            _ => unreachable!("serving state variant does not match its lane's op"),
+        }
     }
 
     #[inline(always)]
-    fn plain(&self) -> Option<TenantTally> {
+    fn tally(&self) -> TenantTally {
         let none = TenantTally::default();
-        Some(match self {
-            TenantOp::Probe(op) => TenantTally { probe: op.plain()?, ..none },
-            TenantOp::GroupBy(op) => TenantTally { groupby: op.plain()?, ..none },
-            TenantOp::Pipeline(op) => TenantTally { pipeline: op.plain()?, ..none },
-            TenantOp::Upsert(op) => TenantTally { upsert: op.plain()?, ..none },
-        })
-    }
-
-    #[inline(always)]
-    fn start_plain(&mut self, t: &mut TenantTally, input: Tuple, state: &mut TenantState) {
-        self.start_in::<true>(t, input, state);
-    }
-
-    #[inline(always)]
-    fn step_plain(&mut self, t: &mut TenantTally, state: &mut TenantState) -> Step {
-        self.step_in::<true>(t, state)
+        match self {
+            TenantOp::Probe(op) => TenantTally { probe: op.tally(), ..none },
+            TenantOp::GroupBy(op) => TenantTally { groupby: op.tally(), ..none },
+            TenantOp::Pipeline(op) => TenantTally { pipeline: op.tally(), ..none },
+            TenantOp::Upsert(op) => TenantTally { upsert: op.tally(), ..none },
+        }
     }
 
     #[inline(always)]
@@ -120,8 +156,8 @@ impl LookupOp for TenantOp<'_> {
             TenantOp::Probe(op) => (&mut op.cx, None),
             TenantOp::GroupBy(op) => (&mut op.cx, None),
             TenantOp::Pipeline(op) => {
-                let (probe, groupby) = op.pipe_mut().members_mut();
-                (&mut probe.cx, Some(&mut groupby.0.cx))
+                let (probe, groupby) = op.members_mut();
+                (&mut probe.cx, Some(&mut groupby.cx))
             }
             TenantOp::Upsert(op) => (&mut op.cx, None),
         }
@@ -144,88 +180,6 @@ impl LookupOp for TenantOp<'_> {
             TenantOp::GroupBy(op) => op.lookahead(input),
             TenantOp::Pipeline(op) => op.lookahead(input),
             TenantOp::Upsert(op) => op.lookahead(input),
-        }
-    }
-}
-
-/// One variant's stage 0 in the call's mode.
-#[inline(always)]
-fn start_in<O: LookupOp, const PLAIN: bool>(
-    op: &mut O,
-    tally: &mut O::Tally,
-    input: O::Input,
-    state: &mut O::State,
-) {
-    if PLAIN {
-        op.start_plain(tally, input, state);
-    } else {
-        op.start(input, state);
-    }
-}
-
-/// One variant's next stage in the call's mode.
-#[inline(always)]
-fn step_in<O: LookupOp, const PLAIN: bool>(
-    op: &mut O,
-    tally: &mut O::Tally,
-    state: &mut O::State,
-) -> Step {
-    if PLAIN {
-        op.step_plain(tally, state)
-    } else {
-        op.step(state)
-    }
-}
-
-impl TenantOp<'_> {
-    /// `start` fully reinitializes the state with the op's variant.
-    #[inline(always)]
-    fn start_in<const PLAIN: bool>(
-        &mut self,
-        t: &mut TenantTally,
-        input: Tuple,
-        state: &mut TenantState,
-    ) {
-        match self {
-            TenantOp::Probe(op) => {
-                let mut s = ProbeState::default();
-                start_in::<_, PLAIN>(op, &mut t.probe, input, &mut s);
-                *state = TenantState::Probe(s);
-            }
-            TenantOp::GroupBy(op) => {
-                let mut s = GroupByState::default();
-                start_in::<_, PLAIN>(op, &mut t.groupby, input, &mut s);
-                *state = TenantState::GroupBy(s);
-            }
-            TenantOp::Pipeline(op) => {
-                let mut s = ChainState::default();
-                start_in::<_, PLAIN>(&mut **op, &mut t.pipeline, input, &mut s);
-                *state = TenantState::Pipeline(s);
-            }
-            TenantOp::Upsert(op) => {
-                let mut s = MutState::default();
-                start_in::<_, PLAIN>(op, &mut t.upsert, input, &mut s);
-                *state = TenantState::Upsert(s);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn step_in<const PLAIN: bool>(&mut self, t: &mut TenantTally, state: &mut TenantState) -> Step {
-        match (self, state) {
-            (TenantOp::Probe(op), TenantState::Probe(s)) => {
-                step_in::<_, PLAIN>(op, &mut t.probe, s)
-            }
-            (TenantOp::GroupBy(op), TenantState::GroupBy(s)) => {
-                step_in::<_, PLAIN>(op, &mut t.groupby, s)
-            }
-            (TenantOp::Pipeline(op), TenantState::Pipeline(s)) => {
-                step_in::<_, PLAIN>(&mut **op, &mut t.pipeline, s)
-            }
-            (TenantOp::Upsert(op), TenantState::Upsert(s)) => {
-                step_in::<_, PLAIN>(op, &mut t.upsert, s)
-            }
-            _ => unreachable!("serving state variant does not match its lane's op"),
         }
     }
 }

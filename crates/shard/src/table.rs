@@ -75,11 +75,6 @@ impl ShardedTable {
         &self.shards
     }
 
-    /// Live tuples per shard (diagnostics / balance checks).
-    pub fn tuple_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.len() as u64).collect()
-    }
-
     /// Every live `(key, payload)` across all shards, sorted — the
     /// logical contents, comparable against an unsharded
     /// [`HashTable::contents_sorted`].
@@ -156,7 +151,7 @@ mod tests {
         let solo = HashTable::build_serial(&rel);
         let st = ShardedTable::build(&rel, ShardRouter::new(6, 4));
         assert_eq!(st.contents_sorted(), solo.contents_sorted());
-        assert_eq!(st.tuple_counts().iter().sum::<u64>(), solo.len() as u64);
+        assert_eq!(st.shards().iter().map(|s| s.len()).sum::<usize>(), solo.len());
     }
 
     #[test]

@@ -35,16 +35,16 @@
 //!
 //! A context with no clock, no coalescer and no armed tracer, issuing the
 //! paper's `PREFETCHNTA`, has nobody to keep lanes, tickets or waits for:
-//! every request is fresh, ready and healthy. [`ExecCtx::metered`] is that
+//! every request is fresh, ready and healthy. [`Hooks::plain`] is that
 //! fact as one bit, kept current by
-//! [`Hooks::set_tracer`]/[`Hooks::take_tracer`], and [`ExecCtx::plain`]
-//! hands an executor call a [`Ledger`] when it is clear. An op writes each
-//! code stage once, generic over `const METERED: bool`: the call asks once
-//! and runs one instantiation throughout. The plain one is inlined into
-//! the executor loop and counts into the call's ledger — `issued_loads`
-//! per request ([`Ledger::issue`]) and `nodes_visited`/`tag_rejects` per
-//! node — which the call settles ([`ExecCtx::settle`]) before it flushes;
-//! the metered one is the full protocol above, behind one call per stage.
+//! [`Hooks::set_tracer`]/[`Hooks::take_tracer`]. An op writes each code
+//! stage once, generic over `const PLAIN: bool`: the executor call asks
+//! once and runs one instantiation throughout. The plain one is inlined
+//! into the executor loop and counts into a [`Ledger`] in the call's
+//! tally — `issued_loads` per request ([`Ledger::issue`]) and
+//! `nodes_visited`/`tag_rejects` per node — which the call settles
+//! ([`ExecCtx::settle`]) before it flushes; the metered one is the full
+//! protocol above, behind one call per stage.
 //! Every method of the protocol is correct on a plain context too (each
 //! re-tests what it needs) — the bit only lets a call skip asking.
 //!
@@ -259,8 +259,8 @@ impl Coalescer {
 }
 
 /// What a code stage counts per request and per node, held by its caller
-/// instead of the context: a plain executor call takes one from
-/// [`ExecCtx::plain`], keeps it in its locals, and hands it back through
+/// instead of the context: a plain executor call keeps one (empty at the
+/// call's start) in its locals, and hands it back through
 /// [`ExecCtx::settle`] before it flushes. Metered stages count
 /// `nodes_visited`/`tag_rejects` into one too, and their requests into the
 /// context.
@@ -295,12 +295,11 @@ pub struct ExecCtx {
     coalescer: Option<Coalescer>,
     hint: PrefetchHint,
     tracer: Tracer,
-    /// Someone is listening to the lane protocol (see
-    /// [`metered`](ExecCtx::metered)).
+    /// Someone is listening to the lane protocol (see [`Hooks::plain`]).
     metered: bool,
     /// Op-side observations since the last flush. Ops bump the counters
-    /// only they can see (`nodes_visited`, `tag_rejects`, `log_*`,
-    /// `replayed_records`); the context itself counts
+    /// only they can see (`nodes_visited`, `tag_rejects`, `log_*`); the
+    /// context itself counts
     /// `issued_loads`/`coalesced_loads`.
     pub obs: EngineStats,
 }
@@ -324,30 +323,12 @@ impl ExecCtx {
         cx
     }
 
-    /// Whether anything listens to the lane protocol — a clock (any of
-    /// `tier`/`fault`), a coalescer, or an armed tracer — or the prefetch
-    /// hint is one of the ablation's rather than the paper's
-    /// `PREFETCHNTA`. `false` is the *plain* context, on which a stage may
-    /// run its `METERED = false` instantiation — see the
-    /// [module docs](self).
-    #[inline(always)]
-    pub fn metered(&self) -> bool {
-        self.metered
-    }
-
     /// The hardware prefetch instruction this context's requests issue
     /// (`PREFETCHNTA` on a plain context). An op's lookahead issues the
     /// same one, outside the lane protocol.
     #[inline(always)]
     pub fn hint(&self) -> PrefetchHint {
         self.hint
-    }
-
-    /// A fresh [`Ledger`] for one executor call if the context is plain,
-    /// `None` if it is [`metered`](ExecCtx::metered).
-    #[inline(always)]
-    pub fn plain(&self) -> Option<Ledger> {
-        (!self.metered).then_some(Ledger::default())
     }
 
     /// Fold a ledger's counts into the observations the next flush drains.
@@ -529,6 +510,15 @@ fn hop16(hop: u32) -> u16 {
 }
 
 impl Hooks for ExecCtx {
+    /// Plain unless anything listens to the lane protocol — a clock (any
+    /// of `tier`/`fault`), a coalescer, or an armed tracer — or the
+    /// prefetch hint is one of the ablation's rather than the paper's
+    /// `PREFETCHNTA` (see the [module docs](self)).
+    #[inline(always)]
+    fn plain(&self) -> bool {
+        !self.metered
+    }
+
     #[inline(always)]
     fn idle(&mut self, ticks: u64) {
         if let Some(c) = &mut self.clock {
@@ -631,7 +621,7 @@ mod tests {
                 assert_eq!(cx.coalescer.is_some(), coalesce.is_some());
                 // Any listener makes the context metered from birth.
                 assert_eq!(
-                    cx.metered(),
+                    !cx.plain(),
                     tier.is_some() || fault.is_some() || coalesce.is_some(),
                     "tier {tier:?} fault {fault:?} coalesce {coalesce:?}"
                 );
@@ -642,18 +632,18 @@ mod tests {
         assert!(!ExecCtx::new(&none).issues_prefetches());
         // A plain stage issues `PREFETCHNTA`; any other hint is metered.
         for hint in [PrefetchHint::T0, PrefetchHint::Write, PrefetchHint::None] {
-            assert!(ExecCtx::new(&ExecSpec { hint, ..Default::default() }).metered(), "{hint:?}");
+            assert!(!ExecCtx::new(&ExecSpec { hint, ..Default::default() }).plain(), "{hint:?}");
         }
     }
 
     #[test]
     fn mode_bit_follows_the_tracer() {
         let mut cx = ExecCtx::new(&ExecSpec::default());
-        assert!(!cx.metered(), "a default context is plain");
+        assert!(cx.plain(), "a default context is plain");
         // A plain call's ledger: requests count there, not in the
         // context, until the call settles it.
         let x = [0u8; 64];
-        let mut led = cx.plain().expect("a plain context hands out a ledger");
+        let mut led = Ledger::default();
         led.issue(x.as_ptr());
         led.issue(x.as_ptr());
         led.nodes_visited += 1;
@@ -662,16 +652,15 @@ mod tests {
         assert_eq!((cx.obs.issued_loads, cx.obs.nodes_visited), (2, 1));
 
         cx.set_tracer(Tracer::off());
-        assert!(!cx.metered(), "a disabled tracer is nobody listening");
+        assert!(cx.plain(), "a disabled tracer is nobody listening");
         cx.set_tracer(Tracer::on());
-        assert!(cx.metered(), "an armed tracer is");
-        assert_eq!(cx.plain(), None, "a metered context hands out no ledger");
+        assert!(!cx.plain(), "an armed tracer is");
         let g = cx.begin_lane();
         let t = cx.issue_header(x.as_ptr(), g);
         cx.deref("probe", 42, 0, t.ready_at);
         cx.retire("probe", 42, 0, g);
         let tr = cx.take_tracer();
-        assert!(!cx.metered(), "taking the tracer returns the context to plain");
+        assert!(cx.plain(), "taking the tracer returns the context to plain");
         assert_eq!(tr.len(), 2, "the deref and the retirement were recorded");
         assert_eq!(cx.obs.issued_loads, 3, "metered requests count in the same ledger");
     }

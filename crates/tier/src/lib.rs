@@ -212,13 +212,6 @@ impl CostModel {
     pub fn write_latency(&self) -> u64 {
         self.near_latency * self.write_multiplier.max(1)
     }
-
-    /// The remote-tier latency (`latency(Tier::Remote)`) — one
-    /// cross-shard message-hop pair on the simulated interconnect.
-    #[inline]
-    pub fn remote_latency(&self) -> u64 {
-        self.latency(Tier::Remote)
-    }
 }
 
 /// Placement policy: which tier each memory region is assigned to.
@@ -318,7 +311,7 @@ impl TierSpec {
 ///
 /// One clock per [`ExecCtx`], behind `Option`: a context without one
 /// (and without a coalescer or an armed tracer) is *plain*, and its op's
-/// stages never ask ([`ExecCtx::metered`]). Composed ops keep their
+/// stages never ask ([`Hooks::plain`](amac::engine::Hooks::plain)). Composed ops keep their
 /// member clocks in lock-step through `Hooks::{now, advance_to}` (`Mux`
 /// lanes, fused `Chain` stages): the clock is monotone, so lifting it to
 /// a neighbour's `now` is exactly "that much wall time passed while
@@ -474,10 +467,10 @@ mod tests {
             4,
             "write multiplier clamps to >= 1"
         );
-        assert_eq!(CostModel::default().remote_latency(), 64, "16x default interconnect");
+        assert_eq!(CostModel::default().latency(Tier::Remote), 64, "16x default interconnect");
         assert_eq!(CostModel::with_remote(32).latency(Tier::Remote), 128);
         assert_eq!(
-            CostModel { remote_multiplier: 0, ..Default::default() }.remote_latency(),
+            CostModel { remote_multiplier: 0, ..Default::default() }.latency(Tier::Remote),
             4,
             "remote multiplier clamps to >= 1"
         );

@@ -35,18 +35,19 @@ impl LookupOp for FarChainOp {
     type Input = usize;
     type State = ChainState;
     type Tally = ();
+    type Output = core::convert::Infallible;
 
     fn budgeted_steps(&self) -> usize {
         3
     }
 
-    fn start(&mut self, input: usize, state: &mut ChainState) {
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         state.left = self.chains[input];
         state.group = self.cx.begin_lane();
         state.ready_at = self.cx.request(FAR, 0, state.group).ready_at;
     }
 
-    fn step(&mut self, state: &mut ChainState) -> Step {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut ChainState) -> Step {
         self.cx.wait(state.ready_at);
         self.cx.stage();
         if state.left <= 1 {

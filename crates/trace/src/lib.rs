@@ -173,14 +173,6 @@ pub enum EventKind {
         /// Query id.
         qid: u64,
     },
-    /// A mux lane switched state (scheduling detail: excluded from
-    /// [`Tracer::canonical_hash`]).
-    Lane {
-        /// Lane index.
-        lane: u32,
-        /// True on activation, false on cancel/removal.
-        active: bool,
-    },
     /// A batch of cross-shard loads crossed the simulated interconnect.
     Remote {
         /// Issuing shard.
@@ -236,11 +228,6 @@ impl TraceEvent {
         Self::new(at, qid, "deadline", EventKind::Deadline { qid })
     }
 
-    /// A mux lane state change.
-    pub fn lane(at: u64, lane: u32, active: bool) -> Self {
-        Self::new(at, 0, "lane", EventKind::Lane { lane, active })
-    }
-
     /// A cross-shard message batch.
     pub fn remote(at: u64, from: u16, to: u16, loads: u64, bytes: u64) -> Self {
         Self::new(at, 0, "remote", EventKind::Remote { from, to, loads, bytes })
@@ -248,7 +235,7 @@ impl TraceEvent {
 
     /// The structural projection hashed by [`Tracer::canonical_hash`]:
     /// everything except ticks, or `None` for scheduling-detail events
-    /// (morsels, lanes) that legitimately differ across thread counts.
+    /// (morsels) that legitimately differ across thread counts.
     fn canonical(&self) -> Option<String> {
         let body = match self.kind {
             EventKind::Load { class, tier, hop, .. } => {
@@ -262,7 +249,7 @@ impl TraceEvent {
             EventKind::Remote { from, to, loads, bytes } => {
                 format!("X|{from}|{to}|{loads}|{bytes}")
             }
-            EventKind::Morsel { .. } | EventKind::Lane { .. } => return None,
+            EventKind::Morsel { .. } => return None,
         };
         Some(format!("{}|{}|{}|{}|{}", self.op, self.key, self.tenant, self.shard, body))
     }
@@ -337,14 +324,6 @@ impl Tracer {
         self
     }
 
-    /// Stamp subsequent events (and attribution cells) with `shard`.
-    pub fn with_shard(mut self, shard: u16) -> Self {
-        if let Some(b) = self.0.as_deref_mut() {
-            b.shard = shard;
-        }
-        self
-    }
-
     /// Whether this tracer records. Hook sites branch on this once; the
     /// disabled path never touches the clock, so results are identical
     /// with tracing on or off.
@@ -372,7 +351,7 @@ impl Tracer {
         }
     }
 
-    /// Record a pre-built event (query spans, sheds, lane changes, …).
+    /// Record a pre-built event (query spans, sheds, deadlines, …).
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
         if let Some(b) = self.0.as_deref_mut() {
@@ -571,7 +550,7 @@ impl Tracer {
 
     /// An order-independent structural fingerprint: FNV-1a over the
     /// *sorted* canonical projections of the buffered events, excluding
-    /// ticks and scheduling-detail events (morsels, lane changes). Two
+    /// ticks and scheduling-detail events (morsels). Two
     /// runs of the same workload under different thread counts or morsel
     /// schedulings hash equal — they observed the same loads, faults and
     /// retirements, just at different times.
@@ -640,10 +619,6 @@ impl Tracer {
                         }
                         EventKind::Morsel { tid, tuples } => {
                             args.u64_field("tid", u64::from(tid)).u64_field("tuples", tuples);
-                        }
-                        EventKind::Lane { lane, active } => {
-                            args.u64_field("lane", u64::from(lane))
-                                .u64_field("active", u64::from(active));
                         }
                         EventKind::Remote { from, to, loads, bytes } => {
                             args.u64_field("from", u64::from(from))
@@ -746,7 +721,8 @@ mod tests {
     #[test]
     fn merge_adopts_appends_and_adds() {
         let mut a = Tracer::off();
-        let mut b = Tracer::on().with_shard(3);
+        let mut b = Tracer::on();
+        b.retag_shard(3);
         probe_load(&mut b, 0, 1, 1, 16);
         a.merge(b);
         assert!(a.enabled(), "merging into off adopts the other buffer");
@@ -795,7 +771,6 @@ mod tests {
         let mut a = Tracer::on();
         probe_load(&mut a, 0, 1, 0, 4);
         probe_load(&mut a, 4, 2, 1, 20);
-        a.record(TraceEvent::lane(1, 0, true));
         a.record(TraceEvent::morsel(9, 1, 64));
 
         let mut b = Tracer::on();
@@ -812,7 +787,8 @@ mod tests {
     #[test]
     fn chrome_json_is_deterministic_and_balanced() {
         let build = || {
-            let mut t = Tracer::on().with_tenant(2).with_shard(1);
+            let mut t = Tracer::on().with_tenant(2);
+            t.retag_shard(1);
             probe_load(&mut t, 0, 42, 0, 4);
             t.fault(4, "probe", 42, 1);
             t.retire(4, "probe", 42, 1, true);

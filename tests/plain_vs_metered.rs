@@ -1,8 +1,8 @@
 //! Plain and metered are one program.
 //!
 //! Every hash-table op writes each code stage once, over its tally and
-//! generic over the execution context's mode (`amac_tier::ExecCtx::plain`),
-//! and every executor call picks the mode once, at its start. `tier: None`
+//! generic over the execution context's mode (`Hooks::plain`), and every
+//! executor call picks the mode once, at its start. `tier: None`
 //! runs the plain instantiation (inlined into the executor loop, counting
 //! into a tally the call keeps in its locals), `tier:
 //! Some(TierSpec::headers_near(1))` without faults runs the metered one
@@ -20,11 +20,13 @@ use amac_suite::mem::prefetch::PrefetchHint;
 use amac_suite::ops::groupby::{groupby, GroupByConfig, GroupByOp};
 use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig, ProbeOp};
 use amac_suite::ops::mutate::{mutate, MutateConfig, MutateKind, MutateOp};
-use amac_suite::ops::pipeline::{fused_probe_groupby_op, probe_then_groupby, PipelineConfig};
+use amac_suite::ops::pipeline::{
+    fused_probe_groupby_op, probe_then_groupby, probe_then_probe, PipelineConfig,
+};
 use amac_suite::server::{Request, ServeConfig, ServeSession, TenantOp};
 use amac_suite::tier::{TierSpec, WalRecord};
 use amac_suite::trace::{TraceEvent, Tracer};
-use amac_suite::workload::{Relation, Tuple};
+use amac_suite::workload::{FilterSpec, Relation, Tuple};
 
 const N: usize = 1 << 12;
 
@@ -209,6 +211,34 @@ fn fused_pipeline_agrees_under_every_technique() {
     }
 }
 
+#[test]
+fn probe_probe_pipeline_agrees_under_every_technique() {
+    // S ⋈ R1 ⋈ R2, both tables chained: the one fused chain whose last
+    // operator emits, into a sink. R1's payloads are R2's keys, and the
+    // filter drops tuples between the two probes.
+    let r2 = Relation::fk_dimension(N, 1 << 20, 17);
+    let r1 = Relation::fk_dimension(N, N as u64, 18);
+    let (ht1, ht2) = (chained_table(&r1), chained_table(&r2));
+    let s = probe_side(&r1);
+    for filter in [None, Some(FilterSpec::selectivity(0.5))] {
+        for t in Technique::ALL {
+            let plain = PipelineConfig { filter, ..Default::default() };
+            let a = probe_then_probe(&ht1, &ht2, &s, t, &plain);
+            let b =
+                probe_then_probe(&ht1, &ht2, &s, t, &PipelineConfig { tier: metered(), ..plain });
+            assert!(a.matched > 0 && a.matched < s.len() as u64, "{t}: hits and misses");
+            assert!(a.aggregated > 0, "{t}: tuples reach the sink");
+            assert_eq!(
+                (a.matched, a.aggregated, a.checksum),
+                (b.matched, b.aggregated, b.checksum),
+                "{t} {filter:?}"
+            );
+            assert!(b.stats.sim_cycles > 0, "{t}: the metered one ticks");
+            assert_eq!(a.stats, unsimulated(b.stats), "{t} {filter:?}: counters");
+        }
+    }
+}
+
 /// Window width of the session tests.
 const M: usize = 10;
 
@@ -227,7 +257,7 @@ struct Halves {
 /// drain.
 fn fed_in_halves(ht: &HashTable, s: &Relation, arm_before: Option<usize>) -> Halves {
     let mut op = ProbeOp::new(ht, &ProbeConfig::default(), s.len());
-    assert!(op.plain().is_some(), "a default probe is plain");
+    assert!(op.ctx().plain(), "a default probe is plain");
     let mut session = AmacSession::new(M);
     let mut stats = EngineStats::default();
     let mut at_arm = (0, 0);
@@ -286,7 +316,7 @@ fn give_up_in_lockstep<O: LookupOp<Input = Tuple>>(
     inputs: &[Tuple],
     mut check: impl FnMut(&mut O, &mut O, &EngineStats, &EngineStats, usize, &str),
 ) -> usize {
-    assert!(plain.plain().is_some() && twin.plain().is_none(), "one plain op, one metered");
+    assert!(plain.ctx().plain() && !twin.ctx().plain(), "one plain op, one metered");
     let (mut a, mut b) = (AmacSession::new(M), AmacSession::new(M));
     let (mut sa, mut sb) = (EngineStats::default(), EngineStats::default());
     for chunk in inputs.chunks(333) {
@@ -359,19 +389,20 @@ fn mux_lane_ledgers_sum_to_the_global_stats_at_every_flush() {
     let mut mux: Mux<TenantOp> = Mux::new();
     let mut traced = ProbeOp::new(&ht, &probe_cfg, s.len());
     traced.ctx().set_tracer(Tracer::on());
-    let lanes = [
-        mux.add(TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len()))),
-        mux.add(TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default()))),
-        mux.add(TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
+    let mut ops = [
+        TenantOp::Probe(ProbeOp::new(&ht, &probe_cfg, s.len())),
+        TenantOp::GroupBy(GroupByOp::new(&agg, &GroupByConfig::default())),
+        TenantOp::Pipeline(Box::new(fused_probe_groupby_op(
             &ht,
             &fused_agg,
             &PipelineConfig::default(),
-        )))),
-        mux.add(TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default()))),
-        mux.add(TenantOp::Probe(traced)),
+        ))),
+        TenantOp::Upsert(MutateOp::new(&target, &MutateConfig::default())),
+        TenantOp::Probe(traced),
     ];
-    let plain_lanes = lanes.iter().filter(|&&l| mux.lane(l).plain().is_some()).count();
+    let plain_lanes = ops.iter_mut().map(|op| op.ctx().plain() as usize).sum::<usize>();
     assert_eq!(plain_lanes, 4, "every lane but the traced one is plain");
+    let lanes = ops.map(|op| mux.add(op));
     // Every fifth probe misses the table; those go to the group-by lane.
     let lane_of = |i: usize| (i + 1) % lanes.len();
 

@@ -5,10 +5,12 @@
 //! impossible deadline. (2) An always-failing tenant trips the circuit
 //! breaker; later queries are shed. What each outcome must compute
 //! (healthy tenant equal to its solo run, survivors to the fault-free
-//! probe, the retry budget, the thread-count invariance) is
-//! `crates/server/tests/chaos_outcomes.rs`'s contract; report and ledger
-//! conservation under random interleavings is
-//! `crates/server/tests/chaos_ledger.rs`'s.
+//! probe, the retry budget) is the serving simulation's contract
+//! (`crates/server/tests/sim.rs`: invariant 5 and the plan
+//! `faulted_tenant_survivors_and_healthy_neighbours_stay_exact`), and so
+//! are report and ledger conservation under random interleavings
+//! (invariants 1–4); the thread-count invariance is
+//! `crates/ops/tests/tier_sim.rs`'s.
 
 use super::submit_closed_loop;
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};

@@ -6,8 +6,8 @@
 //! the last checkpoint, replays the sealed WAL tail, re-runs the lost wave
 //! as recovered, and continues. The durability counters are the
 //! `BENCH_RECOVERY_*` keys; that every recovered run is bit-identical to
-//! the crash-free reference is `crates/server/tests/recovery_prop.rs`'s
-//! contract.
+//! the crash-free reference is invariant 7 of the serving simulation,
+//! `crates/server/tests/sim.rs`.
 
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
 use amac::engine::EngineStats;

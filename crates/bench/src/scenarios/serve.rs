@@ -6,8 +6,8 @@
 //! Poisson arrivals at ~70% of the calibrated service rate from a Zipf
 //! tenant mix, with admission shedding: latency, throughput and shed
 //! count — wall clock, never gated. That sharing leaves each tenant
-//! bit-identical to its solo run is `crates/server/tests/fairness.rs`'s
-//! contract.
+//! bit-identical to its solo run is invariant 5 of the serving simulation,
+//! `crates/server/tests/sim.rs`.
 
 use std::time::Instant;
 

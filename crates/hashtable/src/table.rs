@@ -466,51 +466,6 @@ impl HashTable {
         won
     }
 
-    /// Whole-table latch-free upsert (`key += delta`, creating the tuple
-    /// if absent): the recovery-replay primitive, equivalent to one
-    /// charged `amac_ops::mutate` upsert without the simulation. Returns
-    /// true if a node was created.
-    pub fn upsert_latchfree(&self, key: u64, delta: u64) -> bool {
-        let bound = self.freeze();
-        let header = self.bucket_addr(key);
-        let probe = probe_word(tag_of(key));
-        // SAFETY: header/chain pointers resolve into this table.
-        unsafe {
-            if self.frozen_merge(header, (*header).slots(probe), key, delta) {
-                return false;
-            }
-            let head = (*header).next_atomic().load(Ordering::Acquire);
-            let mut idx = self.skip_fresh(head, bound);
-            while idx != NULL_INDEX {
-                let node = self.node_ptr(idx);
-                if self.frozen_merge(node, (*node).slots(probe), key, delta) {
-                    return false;
-                }
-                idx = (*node).next_atomic().load(Ordering::Acquire);
-            }
-        }
-        self.fresh_upsert(key, delta)
-    }
-
-    /// Whole-table latch-free delete: tombstone every live `key` tuple,
-    /// frozen and fresh. Returns the tombstoned count.
-    pub fn delete_latchfree(&self, key: u64) -> u64 {
-        let bound = self.freeze();
-        let header = self.bucket_addr(key);
-        let probe = probe_word(tag_of(key));
-        // SAFETY: header/chain pointers resolve into this table.
-        let mut won = unsafe { self.frozen_tombstone(header, (*header).slots(probe), key) };
-        let head = unsafe { &*header }.next_atomic().load(Ordering::Acquire);
-        let mut idx = self.skip_fresh(head, bound);
-        while idx != NULL_INDEX {
-            let node = self.node_ptr(idx);
-            // SAFETY: as above.
-            won += unsafe { self.frozen_tombstone(node, (*node).slots(probe), key) };
-            idx = unsafe { &*node }.next_atomic().load(Ordering::Acquire);
-        }
-        won + self.fresh_delete(key)
-    }
-
     /// All live `(key, payload)` tuples, sorted — the canonical logical
     /// contents (tombstones skipped). Quiescent phases only; this is what
     /// recovery equivalence checks compare.
@@ -875,7 +830,7 @@ mod tests {
         let built = ht.nodes().len() as u32;
         assert_eq!(ht.frozen_bound(), u32::MAX, "unfrozen until first freeze");
         assert_eq!(ht.freeze(), built);
-        assert!(ht.upsert_latchfree(999_999, 5), "miss creates a fresh node");
+        assert!(ht.fresh_upsert(999_999, 5), "miss creates a fresh node");
         assert_eq!(ht.freeze(), built, "later freezes keep the original boundary");
         assert_eq!(ht.frozen_bound(), built);
     }
@@ -889,19 +844,19 @@ mod tests {
         for t in &rel.tuples {
             model.entry(t.key).or_default().push(t.payload);
         }
-        // Upsert existing keys (merge into the chain's first match; with
-        // build duplicates that is *a* copy, so compare per-key sums and
-        // counts) and fresh keys (create).
-        for k in 0..800u64 {
-            let delta = k.wrapping_mul(3) + 1;
-            let created = ht.upsert_latchfree(k, delta);
-            let payloads = model.entry(k).or_default();
-            if let Some(first) = payloads.first_mut() {
-                assert!(!created, "existing key {k} merges");
-                *first = first.wrapping_add(delta);
-            } else {
-                assert!(created, "missing key {k} inserts");
-                payloads.push(delta);
+        // Keys the build never saw: the first upsert creates a fresh node,
+        // the second merges into it. (Merges into built tuples are the
+        // frozen walk's, checked against a model in `amac_ops::mutate`.)
+        let fresh: Vec<u64> = (0..800u64).filter(|k| !model.contains_key(k)).collect();
+        for round in 0..2 {
+            for &k in &fresh {
+                let delta = k.wrapping_mul(3) + 1;
+                assert_eq!(ht.fresh_upsert(k, delta), round == 0, "key {k} round {round}");
+                let payloads = model.entry(k).or_default();
+                match payloads.first_mut() {
+                    Some(first) => *first = first.wrapping_add(delta),
+                    None => payloads.push(delta),
+                }
             }
         }
         for (k, v) in &model {
@@ -922,49 +877,37 @@ mod tests {
             ht.fresh_insert(7, i);
         }
         assert_eq!(ht.lookup_all(7).len(), 50, "inserts never dedup");
-        assert_eq!(ht.delete_latchfree(7), 50);
+        assert_eq!(ht.fresh_delete(7), 50);
         assert!(ht.lookup_all(7).is_empty(), "tombstoned keys never match");
-        assert_eq!(ht.delete_latchfree(7), 0, "second delete finds nothing");
+        assert_eq!(ht.fresh_delete(7), 0, "second delete finds nothing");
         assert_eq!(ht.contents_sorted(), vec![]);
-        // Deleting a frozen (built) key tombstones it too.
-        let rel = Relation::dense_unique(300, 5);
-        let ht = HashTable::build_serial(&rel);
-        let victim = rel.tuples[10].key;
-        assert_eq!(ht.delete_latchfree(victim), 1);
-        assert_eq!(ht.lookup_first(victim), None);
-        assert_eq!(ht.contents_sorted().len(), 299);
     }
 
     #[test]
     fn concurrent_latchfree_upserts_sum_exactly() {
-        // 4 threads upsert overlapping key ranges; commutative fetch_add
-        // plus CAS-prepend-with-recheck must agree with a serial model.
+        // 4 threads upsert the same fresh keys; commutative fetch_add plus
+        // CAS-prepend-with-recheck must agree with a serial model.
         let rel = Relation::dense_unique(2_000, 9);
         let ht = HashTable::build_serial(&rel);
         ht.freeze();
         const THREADS: u64 = 4;
-        const KEYS: u64 = 3_000; // half existing, half fresh
+        const KEYS: u64 = 3_000; // all past the build's 1..=2000
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let ht = &ht;
                 scope.spawn(move || {
                     for k in 0..KEYS {
-                        ht.upsert_latchfree(k + 1, t + 1);
+                        ht.fresh_upsert(k + 2_001, t + 1);
                     }
                 });
             }
         });
         let per_key: u64 = (1..=THREADS).sum();
-        for k in 1..=KEYS {
-            let total: u64 = ht.lookup_all(k).iter().sum();
-            let base: u64 =
-                rel.tuples.iter().filter(|t| t.key == k).map(|t| t.payload).sum::<u64>();
-            assert_eq!(total, base + per_key, "key {k}");
+        for k in 2_001..2_001 + KEYS {
+            assert_eq!(ht.lookup_all(k), [per_key], "key {k}");
         }
-        // Exactly one fresh node exists per fresh key: live tuple count
-        // is base + fresh keys.
-        let fresh_keys = (1..=KEYS).filter(|k| rel.tuples.iter().all(|t| t.key != *k)).count();
-        assert_eq!(ht.contents_sorted().len(), rel.len() + fresh_keys);
+        // Exactly one fresh node exists per fresh key.
+        assert_eq!(ht.contents_sorted().len(), rel.len() + KEYS as usize);
     }
 
     #[test]
@@ -973,9 +916,9 @@ mod tests {
         let ht = HashTable::build_serial(&rel);
         ht.freeze();
         for k in 0..500u64 {
-            ht.upsert_latchfree(k * 3, k + 1);
+            ht.fresh_upsert(k * 3, k + 1);
         }
-        ht.delete_latchfree(rel.tuples[0].key);
+        ht.fresh_delete(0);
         let snap = ht.snapshot();
         let back = HashTable::restore(&snap);
         assert_eq!(back.bucket_count(), ht.bucket_count());
@@ -1003,7 +946,7 @@ mod tests {
             }
         }
         // Mutating the restored table diverges it, not the original.
-        back.upsert_latchfree(123_456, 1);
+        back.fresh_upsert(123_456, 1);
         assert_ne!(back.contents_sorted(), ht.contents_sorted());
         assert!(snap.node_data.len() <= ht.nodes().len());
     }

@@ -1,5 +1,5 @@
 //! Latch-free mutation operators (upsert / insert / delete) and the
-//! recovery replay operator.
+//! recovery replay that reruns them.
 //!
 //! PR 5's latched build/group-by stages left a caveat: latch retries are
 //! schedule-dependent, so their simulated counters are only deterministic
@@ -34,8 +34,8 @@
 //! `EngineStats::log_bytes` (encoded size) and `log_stalls` (the
 //! asymmetric NVM write latency `CostModel::write_latency`, amortized
 //! over the commit group `M` by group commit — arxiv 1809.09395). A
-//! crash loses the unsealed tail; [`ReplayOp`] re-applies a sealed WAL
-//! segment through the same primitives, reproducing the physical table
+//! crash loses the unsealed tail; [`replay`] re-applies a sealed WAL
+//! segment through the same op, reproducing the physical table
 //! bit-for-bit (same fresh-node indices, same chain order).
 
 use crate::chain::ChainCursor;
@@ -473,74 +473,34 @@ pub fn mutate_mt_rt(
     out
 }
 
-/// The recovery replay lookup: one WAL record per input, re-applied
-/// through the whole-table latch-free primitives in one budgeted step.
-/// It keeps no time and traces nothing: it has no context, and every
-/// replay call is plain.
-pub struct ReplayOp<'a> {
-    ht: &'a HashTable,
-    created: u64,
-    tombstoned: u64,
-}
-
-impl<'a> ReplayOp<'a> {
-    /// Create a replay op applying records to `ht` (entering its epoch).
-    pub fn new(ht: &'a HashTable) -> Self {
-        ht.freeze();
-        ReplayOp { ht, created: 0, tombstoned: 0 }
-    }
-
-    /// Fresh nodes created during replay.
-    pub fn created(&self) -> u64 {
-        self.created
-    }
-
-    /// Tuples tombstoned during replay.
-    pub fn tombstoned(&self) -> u64 {
-        self.tombstoned
+/// A WAL record as the mutation that logged it.
+fn as_mutation(rec: &WalRecord) -> (MutateKind, Tuple) {
+    match *rec {
+        WalRecord::Upsert { key, delta } => (MutateKind::Upsert, Tuple::new(key, delta)),
+        WalRecord::Insert { key, payload } => (MutateKind::Insert, Tuple::new(key, payload)),
+        WalRecord::Delete { key } => (MutateKind::Delete, Tuple::new(key, 0)),
     }
 }
 
-impl LookupOp for ReplayOp<'_> {
-    type Input = WalRecord;
-    type State = WalRecord;
-    type Tally = ();
-    type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
-    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: WalRecord, state: &mut WalRecord) {
-        *state = input;
-    }
-
-    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut WalRecord) -> Step {
-        match *state {
-            WalRecord::Insert { key, payload } => {
-                self.ht.fresh_insert(key, payload);
-                self.created += 1;
-            }
-            WalRecord::Upsert { key, delta } => {
-                if self.ht.upsert_latchfree(key, delta) {
-                    self.created += 1;
-                }
-            }
-            WalRecord::Delete { key } => {
-                self.tombstoned += self.ht.delete_latchfree(key);
-            }
-        }
-        Step::Done
-    }
-}
-
-/// Replay a sealed WAL segment against `ht` **in record order** (the
-/// baseline executor — replay must preserve inter-key order across
-/// deletes, which interleaving would not). Returns the executor stats;
-/// `stats.replayed_records == records.len()`.
+/// Replay a sealed WAL segment against `ht` **in record order**: each
+/// maximal run of same-kind records goes through one [`MutateOp`] of that
+/// kind, logging off, under the baseline executor at `M = 1` (replay must
+/// preserve inter-key order across deletes, which interleaving would
+/// not). Returns the executor stats;
+/// `stats.replayed_records == stats.lookups == records.len()`.
 pub fn replay(ht: &HashTable, records: &[WalRecord]) -> EngineStats {
-    let mut op = ReplayOp::new(ht);
-    let stats = run(Technique::Baseline, &mut op, records, TuningParams::with_in_flight(1));
+    let muts: Vec<(MutateKind, Tuple)> = records.iter().map(as_mutation).collect();
+    let mut stats = EngineStats::default();
+    let mut lo = 0;
+    while lo < muts.len() {
+        let kind = muts[lo].0;
+        let hi = muts[lo..].iter().position(|m| m.0 != kind).map_or(muts.len(), |n| lo + n);
+        let tuples: Vec<Tuple> = muts[lo..hi].iter().map(|m| m.1).collect();
+        let params = TuningParams::with_in_flight(1);
+        let cfg = MutateConfig { params, kind, wal: false, ..Default::default() };
+        stats.merge(&run(Technique::Baseline, &mut MutateOp::new(ht, &cfg), &tuples, params));
+        lo = hi;
+    }
     // Every record is one lookup, and a replay never fails.
     EngineStats { replayed_records: stats.lookups, ..stats }
 }

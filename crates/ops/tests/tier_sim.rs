@@ -298,3 +298,34 @@ fn chunked_window_equals_the_one_shot_run_tiered_and_faulted() {
         assert_eq!(invariant(&got), invariant(&want), "coalesced, chunk {chunk}");
     }
 }
+
+/// Fault decisions hash `(key, hop)`, never issue order: the same faulted
+/// probe injects the same faults at 1, 2 and 4 threads.
+#[test]
+fn injected_faults_are_identical_at_one_two_and_four_threads() {
+    const SEED: u64 = 0xC4A05;
+    let dim = Relation::dense_unique(2048, SEED);
+    let ht = HashTable::build_serial(&dim);
+    let streams: Vec<Relation> =
+        (0..2).map(|i| Relation::fk_uniform(&dim, 2048, SEED + 100 + i)).collect();
+    let cfg = ProbeConfig {
+        params: TuningParams::with_in_flight(10),
+        scan_all: true,
+        materialize: false,
+        fault: Some(FaultPlan::fail_only(SEED ^ 0x7000, 5)),
+        ..Default::default()
+    };
+    let sigs = [1usize, 2, 4].map(|threads| {
+        let rt = MorselConfig { threads, morsel_tuples: 1024, ..Default::default() };
+        streams
+            .iter()
+            .map(|s| {
+                let o = probe_mt_rt(&ht, s, Technique::Amac, &cfg, &rt);
+                (o.stats.load_faults, o.stats.failed_lookups, o.matches, o.checksum)
+            })
+            .collect::<Vec<_>>()
+    });
+    assert!(sigs[0].iter().any(|s| s.0 > 0), "the plan injected no fault");
+    assert_eq!(sigs[0], sigs[1], "fault sets diverged between 1 and 2 threads");
+    assert_eq!(sigs[0], sigs[2], "fault sets diverged between 1 and 4 threads");
+}

@@ -34,8 +34,8 @@
 //!
 //! Results are bit-identical to solo runs by construction — sharing the
 //! window reschedules stages, it never changes what a query computes —
-//! and `crates/server/tests/fairness.rs` plus `bench serve` hold
-//! that line (a Zipf-skewed tenant must not inflate a uniform tenant's
+//! and the serving simulation (`crates/server/tests/sim.rs`, invariant
+//! 5) plus `bench serve` hold that line (a Zipf-skewed tenant must not inflate a uniform tenant's
 //! `nodes_visited`, reorder its results, or change its counters).
 //!
 //! ## Quickstart

@@ -134,12 +134,6 @@ impl Breaker {
         }
     }
 
-    /// Open or half-open: new queries are shed or degraded, except the
-    /// single health probe.
-    pub fn is_open(&self) -> bool {
-        !matches!(self.state, BreakerState::Closed)
-    }
-
     /// Fold one terminal outcome in: `threshold` consecutive failures,
     /// or a failed health probe, open the breaker until pump `probe_at`.
     pub fn settle(&mut self, outcome: QueryOutcome, degraded: bool, threshold: u32, probe_at: u64) {

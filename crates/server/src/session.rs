@@ -31,6 +31,9 @@ use crate::tenant::{TenantOp, TenantState};
 /// turns livelock into a reportable [`Stalled`].
 const DRAIN_BUDGET: usize = 1 << 20;
 
+/// Ceiling on one retry backoff wait, in sim ticks.
+const BACKOFF_CAP: u64 = 1024;
+
 /// Serving-session policy knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -57,12 +60,9 @@ pub struct ServeConfig {
     /// fail terminally (or the breaker degrades them to two-phase).
     pub max_retries: u32,
     /// Backoff before retry attempt `k` (1-based): `backoff_base << (k-1)`
-    /// sim ticks, capped at [`backoff_cap`](ServeConfig::backoff_cap).
-    /// Charged to the simulated clock, so backoff counts against
-    /// deadlines deterministically.
+    /// sim ticks, capped at a fixed 1024. Charged to the simulated clock,
+    /// so backoff counts against deadlines deterministically.
     pub backoff_base: u64,
-    /// Ceiling on one backoff wait, in sim ticks.
-    pub backoff_cap: u64,
     /// Consecutive [`QueryOutcome::FailedAfterRetries`] outcomes from one
     /// tenant that open its circuit breaker.
     pub breaker_threshold: u32,
@@ -91,7 +91,6 @@ impl Default for ServeConfig {
             quantum: 256,
             max_retries: 2,
             backoff_base: 64,
-            backoff_cap: 1024,
             breaker_threshold: 3,
             breaker_probe_pumps: 8,
             breaker_mode: BreakerMode::Degrade,
@@ -469,12 +468,6 @@ impl<'a> ServeSession<'a> {
             .unwrap_or(1)
     }
 
-    /// Is `tenant`'s breaker open or half-open (new queries shed or
-    /// degraded, except the single health probe)?
-    pub fn breaker_open(&self, tenant: u32) -> bool {
-        self.breakers.get(&tenant).is_some_and(Breaker::is_open)
-    }
-
     /// End `q` with `outcome` and its last attempt's ledger `led` (or the
     /// work it did outside the window): file its one report, fold the
     /// outcome into its tenant's breaker, and record its session event —
@@ -622,7 +615,7 @@ impl<'a> ServeSession<'a> {
                 Some(Aborting::Retry) => {
                     q.spent.merge(&led);
                     let shift = (q.attempts - 1).min(20);
-                    let wait = (self.cfg.backoff_base << shift).min(self.cfg.backoff_cap).max(1);
+                    let wait = (self.cfg.backoff_base << shift).clamp(1, BACKOFF_CAP);
                     self.waiting.push((self.mux.now() + wait, q));
                 }
                 Some(Aborting::Final(outcome)) => {
@@ -771,657 +764,5 @@ impl<'a> ServeSession<'a> {
             seconds: self.born.elapsed().as_secs_f64(),
             trace: self.trace,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use amac::engine::Technique;
-    use amac_hashtable::AggTable;
-    use amac_ops::groupby::GroupByConfig;
-    use amac_ops::join::ProbeConfig;
-    use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
-    use amac_tier::FaultPlan;
-    use amac_workload::{FilterSpec, Relation};
-
-    fn catalog(n: usize) -> (Relation, HashTable) {
-        let dim = Relation::fk_dimension(n, (n as u64 / 4).max(4), 0xCA7);
-        let ht = HashTable::build_serial(&dim);
-        (dim, ht)
-    }
-
-    /// 8x over-occupied chained table: multi-hop lookups, so a fault plan
-    /// has plenty of far chain loads to poison.
-    fn chained_catalog(n: usize) -> (Relation, HashTable) {
-        let r = Relation::dense_unique(n, 0xC4A1);
-        let ht = HashTable::with_buckets(n / 8);
-        {
-            let mut h = ht.build_handle();
-            for t in &r.tuples {
-                h.insert(t.key, t.payload);
-            }
-        }
-        (r, ht)
-    }
-
-    #[test]
-    fn probe_queries_match_solo_results_including_order() {
-        let (dim, ht) = catalog(4096);
-        let q1 = Relation::fk_uniform(&dim, 10_000, 0x11);
-        let q2 = Relation::zipf(10_000, 4096, 1.0, 0x12);
-        let cfg = ProbeConfig::default(); // materializing, early-exit
-        let solo1 = amac_ops::join::probe(&ht, &q1, Technique::Amac, &cfg);
-        let solo2 = amac_ops::join::probe(&ht, &q2, Technique::Amac, &cfg);
-
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        let a = srv.submit(Request::Probe { probes: &q1, cfg: cfg.clone() }).unwrap();
-        let b = srv.submit(Request::Probe { probes: &q2, cfg: cfg.clone() }).unwrap();
-        srv.run_to_completion();
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 2);
-        let ra = out.reports.iter().find(|r| r.qid == a).unwrap();
-        let rb = out.reports.iter().find(|r| r.qid == b).unwrap();
-        assert_eq!(ra.outcome, QueryOutcome::Completed);
-        assert_eq!(ra.attempts, 1);
-        assert_eq!(ra.matches, solo1.matches);
-        assert_eq!(ra.checksum, solo1.checksum);
-        assert_eq!(ra.out, solo1.out, "materialized output reordered by sharing");
-        assert_eq!(rb.matches, solo2.matches);
-        assert_eq!(rb.checksum, solo2.checksum);
-        assert_eq!(rb.out, solo2.out);
-        assert_eq!(ra.stats.nodes_visited, solo1.stats.nodes_visited);
-        assert_eq!(rb.stats.nodes_visited, solo2.stats.nodes_visited);
-        assert_eq!(out.stats.lookups, 20_000);
-    }
-
-    #[test]
-    fn groupby_and_pipeline_queries_share_one_window() {
-        let (dim, ht) = catalog(2048);
-        let gb_in = amac_workload::GroupByInput::zipf(64, 8_000, 0.9, 0x21).relation;
-        let gb_table = AggTable::for_groups(64);
-        let fact = Relation::fk_uniform(&dim, 8_000, 0x22);
-        let pipe_table = AggTable::for_groups(512);
-        let pipe_cfg =
-            PipelineConfig { filter: Some(FilterSpec::selectivity(0.5)), ..Default::default() };
-
-        // Solo references.
-        let gb_solo = AggTable::for_groups(64);
-        amac_ops::groupby::groupby(&gb_solo, &gb_in, Technique::Amac, &GroupByConfig::default());
-        let pipe_solo = AggTable::for_groups(512);
-        let ps = probe_then_groupby(&ht, &pipe_solo, &fact, Technique::Amac, &pipe_cfg);
-
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 128, ..Default::default() });
-        srv.submit(Request::GroupBy {
-            input: &gb_in,
-            table: &gb_table,
-            cfg: GroupByConfig::default(),
-        })
-        .unwrap();
-        srv.submit(Request::Pipeline { fact: &fact, table: &pipe_table, cfg: pipe_cfg }).unwrap();
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 2);
-        let gb = out.reports.iter().find(|r| r.kind == "groupby").unwrap();
-        let pipe = out.reports.iter().find(|r| r.kind == "pipeline").unwrap();
-        assert_eq!(gb.matches, 8_000);
-        assert_eq!(pipe.matched, ps.matched);
-        assert_eq!(pipe.matches, ps.aggregated);
-
-        let snap = |t: &AggTable| {
-            let mut g = t.groups();
-            g.sort_by_key(|(k, _)| *k);
-            g
-        };
-        assert_eq!(snap(&gb_table), snap(&gb_solo), "group-by aggregates diverge");
-        assert_eq!(snap(&pipe_table), snap(&pipe_solo), "pipeline aggregates diverge");
-    }
-
-    #[test]
-    fn admission_bounds_and_backpressure() {
-        let (dim, ht) = catalog(256);
-        let q = Relation::fk_uniform(&dim, 512, 0x31);
-        let cfg = ServeConfig { max_active: 2, max_pending: 2, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, cfg);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        for _ in 0..4 {
-            srv.submit(Request::Probe { probes: &q, cfg: pcfg.clone() }).unwrap();
-        }
-        assert_eq!(srv.active_queries(), 2);
-        assert_eq!(srv.pending_queries(), 2);
-        let err = srv
-            .submit(Request::Probe { probes: &q, cfg: pcfg.clone() })
-            .expect_err("5th query must hit backpressure");
-        assert_eq!(err.max_pending, 2);
-        assert!(err.retry_after_pumps >= 1, "hint must be actionable");
-        assert_eq!(srv.rejected(), 1);
-        // Closed-loop client: honoring the hint frees capacity.
-        for _ in 0..err.retry_after_pumps {
-            srv.pump();
-        }
-        srv.submit(Request::Probe { probes: &q, cfg: pcfg.clone() })
-            .expect("capacity must free after the hinted number of pumps");
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 5);
-        assert_eq!(out.rejected, 1);
-        // Latency histogram has one observation per completed query.
-        assert_eq!(out.latency.count(), 5);
-        assert!(out.latency.quantile(0.99).is_some());
-    }
-
-    #[test]
-    fn small_queries_keep_the_shared_window_fuller_than_private_windows() {
-        let (dim, ht) = catalog(4096);
-        // 16 small queries, each smaller than 4 windows' worth of input.
-        let qs: Vec<Relation> =
-            (0..16).map(|i| Relation::fk_uniform(&dim, 256, 0x40 + i)).collect();
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-
-        // Private windows: one session per query (what per-query engines do).
-        let mut private_occ = 0.0;
-        for q in &qs {
-            let mut srv = ServeSession::new(&ht, ServeConfig::default());
-            srv.submit(Request::Probe { probes: q, cfg: pcfg.clone() }).unwrap();
-            private_occ += srv.finish().occupancy;
-        }
-        private_occ /= qs.len() as f64;
-
-        // Shared window: all 16 interleave.
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig { max_active: 16, quantum: 64, ..Default::default() },
-        );
-        for q in &qs {
-            srv.submit(Request::Probe { probes: q, cfg: pcfg.clone() }).unwrap();
-        }
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 16);
-        assert!(
-            out.occupancy > private_occ,
-            "shared window occupancy {:.2} should beat per-query windows {:.2}",
-            out.occupancy,
-            private_occ
-        );
-        // And it should be near the full window.
-        assert!(out.occupancy > 0.8 * out.window as f64, "occupancy {:.2}", out.occupancy);
-    }
-
-    #[test]
-    fn weighted_query_finishes_earlier_under_contention() {
-        let (dim, ht) = catalog(1024);
-        let heavy = Relation::fk_uniform(&dim, 8_192, 0x51);
-        let light = Relation::fk_uniform(&dim, 8_192, 0x52);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        let req = Request::Probe { probes: &heavy, cfg: pcfg.clone() };
-        let w = srv.submit_opts(req, SubmitOpts { weight: 4, ..Default::default() }).unwrap();
-        let l = srv.submit(Request::Probe { probes: &light, cfg: pcfg }).unwrap();
-        let out = srv.finish();
-        // Completion order: the weight-4 query got 4x the feed share, so it
-        // must complete first even though both arrived together.
-        assert_eq!(out.reports[0].qid, w);
-        assert_eq!(out.reports[1].qid, l);
-    }
-
-    #[test]
-    fn empty_query_completes_immediately() {
-        let (_dim, ht) = catalog(64);
-        let empty = Relation::default();
-        let mut srv = ServeSession::new(&ht, ServeConfig::default());
-        let q = srv.submit(Request::Probe { probes: &empty, cfg: ProbeConfig::default() }).unwrap();
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 1);
-        assert_eq!(out.reports[0].qid, q);
-        assert_eq!(out.reports[0].matches, 0);
-        assert_eq!(out.reports[0].stats.lookups, 0);
-    }
-
-    #[test]
-    fn query_ids_are_unique_and_monotone_across_reuse() {
-        let (dim, ht) = catalog(128);
-        let q = Relation::fk_uniform(&dim, 64, 0x61);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, ServeConfig { max_active: 1, ..Default::default() });
-        let mut ids = Vec::new();
-        for _ in 0..6 {
-            ids.push(srv.submit(Request::Probe { probes: &q, cfg: pcfg.clone() }).unwrap());
-            srv.run_to_completion();
-        }
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 6);
-        for w in ids.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-    }
-
-    #[test]
-    fn faulted_probe_retries_and_recovers_bit_identically() {
-        let (r, ht) = chained_catalog(1 << 12);
-        // A small stream keeps the expected faults per attempt near 1:
-        // the first attempt (very likely) hits one, and a reseeded retry
-        // re-rolls every decision, so some attempt in the budget runs
-        // clean. All of it is deterministic for this (seed, stream) pair.
-        let s = Relation::fk_uniform(&r, 64, 0x71);
-        let clean_cfg = ProbeConfig { scan_all: true, materialize: false, ..Default::default() };
-        let clean = amac_ops::join::probe(&ht, &s, Technique::Amac, &clean_cfg);
-
-        let fault_cfg =
-            ProbeConfig { fault: Some(FaultPlan::fail_only(0xFA11, 8)), ..clean_cfg.clone() };
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig { max_retries: 16, backoff_base: 16, ..Default::default() },
-        );
-        let q = srv.submit(Request::Probe { probes: &s, cfg: fault_cfg }).unwrap();
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 1);
-        let rep = &out.reports[0];
-        assert_eq!(rep.qid, q);
-        assert_eq!(rep.outcome, QueryOutcome::Completed, "retry budget must recover");
-        assert!(rep.attempts > 1, "first attempt must have faulted (got {})", rep.attempts);
-        // Surviving results are bit-identical to the fault-free run.
-        assert_eq!(rep.matches, clean.matches);
-        assert_eq!(rep.checksum, clean.checksum);
-        // The report charges the aborted attempts' work too, so per-query
-        // stats still sum to the session's global counters.
-        assert!(rep.stats.failed_lookups > 0);
-        assert_eq!(rep.stats.lookups, out.stats.lookups);
-        assert_eq!(rep.stats.load_faults, out.stats.load_faults);
-        assert_eq!(out.retries(), (rep.attempts - 1) as u64);
-    }
-
-    #[test]
-    fn deadline_exceeded_is_reported_and_the_lane_drains_clean() {
-        let (dim, ht) = catalog(1024);
-        let big = Relation::fk_uniform(&dim, 50_000, 0x81);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        let q = srv
-            .submit_opts(
-                Request::Probe { probes: &big, cfg: pcfg.clone() },
-                SubmitOpts { deadline_ticks: Some(1), ..Default::default() },
-            )
-            .unwrap();
-        let ok = srv.submit(Request::Probe { probes: &big, cfg: pcfg }).unwrap();
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 2);
-        let missed = out.reports.iter().find(|r| r.qid == q).unwrap();
-        let fine = out.reports.iter().find(|r| r.qid == ok).unwrap();
-        assert_eq!(missed.outcome, QueryOutcome::DeadlineExceeded);
-        assert!(missed.out.is_empty(), "no results for a missed deadline");
-        assert_eq!(fine.outcome, QueryOutcome::Completed);
-        // Ledger exactness: every fed lookup of the cancelled lane retired
-        // (completed or cancelled — both inside `lookups`), and per-query
-        // stats sum to the global counters.
-        assert!(missed.stats.lookups >= missed.stats.cancelled_lookups);
-        let mut sum = EngineStats::default();
-        for r in &out.reports {
-            sum.merge(&r.stats);
-        }
-        assert_eq!(sum, out.stats, "per-query ledgers must sum to global stats");
-    }
-
-    #[test]
-    fn cancel_reaps_active_and_pending_queries() {
-        let (dim, ht) = catalog(1024);
-        let big = Relation::fk_uniform(&dim, 20_000, 0x91);
-        let small = Relation::fk_uniform(&dim, 1_000, 0x92);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let solo = amac_ops::join::probe(&ht, &small, Technique::Amac, &pcfg);
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig { max_active: 2, quantum: 64, ..Default::default() },
-        );
-        let doomed = srv.submit(Request::Probe { probes: &big, cfg: pcfg.clone() }).unwrap();
-        let kept = srv.submit(Request::Probe { probes: &small, cfg: pcfg.clone() }).unwrap();
-        let queued = srv.submit(Request::Probe { probes: &big, cfg: pcfg.clone() }).unwrap();
-        srv.pump();
-        assert!(srv.cancel(doomed), "active query");
-        assert!(srv.cancel(queued), "pending query");
-        assert!(!srv.cancel(QueryId(999)), "unknown id");
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 3, "one report per submitted query, none lost");
-        let d = out.reports.iter().find(|r| r.qid == doomed).unwrap();
-        let k = out.reports.iter().find(|r| r.qid == kept).unwrap();
-        let p = out.reports.iter().find(|r| r.qid == queued).unwrap();
-        assert_eq!(d.outcome, QueryOutcome::Cancelled);
-        assert_eq!(p.outcome, QueryOutcome::Cancelled);
-        assert_eq!(p.attempts, 0, "cancelled before any attempt ran");
-        // The surviving query is untouched by its neighbor's cancellation.
-        assert_eq!(k.outcome, QueryOutcome::Completed);
-        assert_eq!(k.matches, solo.matches);
-        assert_eq!(k.checksum, solo.checksum);
-        assert_eq!(k.stats.nodes_visited, solo.stats.nodes_visited);
-        let mut sum = EngineStats::default();
-        for r in &out.reports {
-            sum.merge(&r.stats);
-        }
-        assert_eq!(sum, out.stats);
-    }
-
-    #[test]
-    fn breaker_sheds_after_consecutive_failures_and_half_opens() {
-        let (r, ht) = chained_catalog(1 << 12);
-        let s = Relation::fk_uniform(&r, 2_000, 0xA1);
-        // Every chain hop fails: no retry budget can save these queries.
-        let cfg = ProbeConfig {
-            scan_all: true,
-            materialize: false,
-            fault: Some(FaultPlan::fail_only(0xDEAD, 1000)),
-            ..Default::default()
-        };
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig {
-                max_retries: 0,
-                breaker_threshold: 2,
-                breaker_mode: BreakerMode::Shed,
-                breaker_probe_pumps: 4,
-                ..Default::default()
-            },
-        );
-        for _ in 0..2 {
-            srv.submit(Request::Probe { probes: &s, cfg: cfg.clone() }).unwrap();
-            srv.run_to_completion();
-        }
-        assert!(srv.breaker_open(0), "two consecutive failures must open the breaker");
-        let shed_q = srv.submit(Request::Probe { probes: &s, cfg: cfg.clone() }).unwrap();
-        srv.run_to_completion();
-        // After the probe timer, one query is let through (and fails,
-        // re-opening the breaker).
-        for _ in 0..8 {
-            srv.pump();
-        }
-        let probe_q = srv.submit(Request::Probe { probes: &s, cfg: cfg.clone() }).unwrap();
-        srv.run_to_completion();
-        assert!(srv.breaker_open(0), "failed health probe must re-open the breaker");
-        let out = srv.finish();
-        assert_eq!(out.count(QueryOutcome::FailedAfterRetries), 3);
-        assert_eq!(out.count(QueryOutcome::Shed), 1);
-        let shed = out.reports.iter().find(|r| r.qid == shed_q).unwrap();
-        assert_eq!(shed.outcome, QueryOutcome::Shed);
-        assert_eq!(shed.attempts, 0);
-        assert_eq!(shed.stats, EngineStats::default(), "shed queries do no work");
-        let probe = out.reports.iter().find(|r| r.qid == probe_q).unwrap();
-        assert_eq!(probe.outcome, QueryOutcome::FailedAfterRetries);
-    }
-
-    #[test]
-    fn breaker_degrade_serves_probe_near_and_pipeline_two_phase() {
-        let (r, ht) = chained_catalog(1 << 12);
-        let s = Relation::fk_uniform(&r, 2_000, 0xB1);
-        let clean_cfg = ProbeConfig { scan_all: true, materialize: false, ..Default::default() };
-        let clean = amac_ops::join::probe(&ht, &s, Technique::Amac, &clean_cfg);
-        let all_fail = Some(FaultPlan::fail_only(0xB00, 1000));
-        let cfg = ProbeConfig { fault: all_fail, ..clean_cfg.clone() };
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig {
-                max_retries: 0,
-                breaker_threshold: 1,
-                breaker_mode: BreakerMode::Degrade,
-                breaker_probe_pumps: 1_000_000, // stay open for the test
-                ..Default::default()
-            },
-        );
-        srv.submit(Request::Probe { probes: &s, cfg: cfg.clone() }).unwrap();
-        srv.run_to_completion();
-        assert!(srv.breaker_open(0));
-
-        // Degraded probe: one rung down (headers-near → all-near), which
-        // sidesteps far faults entirely; results stay exact.
-        let dq = srv.submit(Request::Probe { probes: &s, cfg: cfg.clone() }).unwrap();
-        srv.run_to_completion();
-
-        // Degraded pipeline: two-phase fault-free fallback, synchronous.
-        let fact = Relation::fk_uniform(&r, 2_000, 0xB2);
-        let table = AggTable::for_groups(512);
-        let solo_table = AggTable::for_groups(512);
-        let pcfg = PipelineConfig {
-            filter: Some(FilterSpec::selectivity(0.5)),
-            fault: Some(FaultPlan::fail_only(0xB01, 1000)),
-            ..Default::default()
-        };
-        let solo_cfg = PipelineConfig { fault: None, ..pcfg.clone() };
-        let solo = probe_then_groupby(&ht, &solo_table, &fact, Technique::Amac, &solo_cfg);
-        let pq = srv.submit(Request::Pipeline { fact: &fact, table: &table, cfg: pcfg }).unwrap();
-        let out = srv.finish();
-        let d = out.reports.iter().find(|r| r.qid == dq).unwrap();
-        assert_eq!(d.outcome, QueryOutcome::Completed);
-        assert!(d.degraded, "served by the degraded plan");
-        assert_eq!(d.attempts, 1, "the near plan cannot fault");
-        assert_eq!(d.matches, clean.matches, "degraded results stay exact");
-        assert_eq!(d.checksum, clean.checksum);
-        let p = out.reports.iter().find(|r| r.qid == pq).unwrap();
-        assert_eq!(p.outcome, QueryOutcome::Completed);
-        assert!(p.degraded);
-        assert_eq!(p.matched, solo.matched);
-        assert_eq!(p.matches, solo.aggregated);
-        let snap = |t: &AggTable| {
-            let mut g = t.groups();
-            g.sort_by_key(|(k, _)| *k);
-            g
-        };
-        assert_eq!(snap(&table), snap(&solo_table), "two-phase fallback aggregates diverge");
-        let mut sum = EngineStats::default();
-        for rep in &out.reports {
-            sum.merge(&rep.stats);
-        }
-        assert_eq!(sum, out.stats, "degraded paths still keep ledgers exact");
-    }
-
-    #[test]
-    fn run_with_budget_reports_stalled_and_can_resume() {
-        let (dim, ht) = catalog(1024);
-        let big = Relation::fk_uniform(&dim, 100_000, 0xC1);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        srv.submit(Request::Probe { probes: &big, cfg: pcfg }).unwrap();
-        let err = srv.run_with_budget(3).expect_err("3 pumps cannot finish 100k tuples");
-        assert_eq!(err.pumps, 3);
-        assert_eq!(err.active, 1);
-        // The session survives a stall verdict: more budget finishes it.
-        srv.run_with_budget(usize::MAX).expect("unbounded budget completes");
-        let out = srv.finish();
-        assert_eq!(out.reports.len(), 1);
-        assert_eq!(out.reports[0].outcome, QueryOutcome::Completed);
-    }
-
-    #[test]
-    fn upsert_queries_mutate_the_catalog_and_log_durably() {
-        use amac_hashtable::HashTable;
-        use amac_ops::mutate::MutateConfig;
-
-        let (_r, ht) = catalog(2048);
-        ht.freeze();
-        let checkpoint = ht.snapshot();
-        let probes = Relation::zipf(4_000, 2048, 0.8, 0xE1);
-        let ups = Relation::zipf(3_000, 3_000, 0.6, 0xE2);
-
-        // Solo reference: same mutations against a restored twin.
-        let twin = HashTable::restore(&checkpoint);
-        let solo = amac_ops::mutate::mutate(&twin, &ups, Technique::Amac, &MutateConfig::default());
-
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        srv.submit(Request::Probe { probes: &probes, cfg: pcfg }).unwrap();
-        let uq = srv.submit(Request::Upsert { input: &ups, cfg: MutateConfig::default() }).unwrap();
-        srv.run_to_completion();
-        let wal = srv.drain_wal();
-        let out = srv.finish();
-        let u = out.reports.iter().find(|r| r.qid == uq).unwrap();
-        assert_eq!(u.outcome, QueryOutcome::Completed);
-        assert_eq!(u.kind, "upsert");
-        assert_eq!(u.matches, ups.len() as u64, "every mutation applied");
-        assert_eq!(wal.len(), ups.len(), "every applied mutation logged");
-        assert!(u.stats.log_bytes > 0 && u.stats.log_stalls > 0);
-        // Sharing the window changes nothing about the table contents.
-        assert_eq!(ht.contents_sorted(), twin.contents_sorted());
-        // WAL-record multiset matches the solo run's (same mutations).
-        let sortkey = |r: &amac_tier::WalRecord| (r.key(), r.encode());
-        let mut a = wal.clone();
-        let mut b = solo.wal.clone();
-        a.sort_by_key(sortkey);
-        b.sort_by_key(sortkey);
-        assert_eq!(a, b);
-        let mut sum = EngineStats::default();
-        for r in &out.reports {
-            sum.merge(&r.stats);
-        }
-        assert_eq!(sum, out.stats, "mutation lanes keep ledgers exact");
-    }
-
-    #[test]
-    fn recover_replay_rebuilds_the_catalog_and_keeps_books() {
-        use amac_hashtable::HashTable;
-        use amac_ops::mutate::MutateConfig;
-
-        let (_r, ht) = catalog(1024);
-        ht.freeze();
-        let checkpoint = ht.snapshot();
-        let ups = Relation::zipf(2_000, 1_500, 0.6, 0xF1);
-        let mut srv = ServeSession::new(&ht, ServeConfig::default());
-        srv.submit(Request::Upsert { input: &ups, cfg: MutateConfig::default() }).unwrap();
-        srv.run_to_completion();
-        let wal = srv.drain_wal();
-        drop(srv.finish());
-
-        // Crash: a fresh session over the restored checkpoint replays the
-        // log, then serves a recovered re-run of a lost query.
-        let back = HashTable::restore(&checkpoint);
-        let mut srv2 = ServeSession::new(&back, ServeConfig::default());
-        let stats = srv2.recover_replay(&wal);
-        assert_eq!(stats.replayed_records, wal.len() as u64);
-        assert_eq!(back.contents_sorted(), ht.contents_sorted(), "replay rebuilds the table");
-        let probes = Relation::zipf(500, 1024, 0.9, 0xF2);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let rq = srv2
-            .submit_opts(
-                Request::Probe { probes: &probes, cfg: pcfg },
-                SubmitOpts { recovered: true, ..Default::default() },
-            )
-            .unwrap();
-        let out = srv2.finish();
-        assert_eq!(out.count(QueryOutcome::Recovered), 2, "replay report + recovered re-run");
-        let r = out.reports.iter().find(|rep| rep.qid == rq).unwrap();
-        assert_eq!(r.outcome, QueryOutcome::Recovered);
-        assert_eq!(r.stats.recovered_queries, 1);
-        assert_eq!(out.stats.recovered_queries, 1);
-        assert_eq!(out.stats.replayed_records, wal.len() as u64);
-        let mut sum = EngineStats::default();
-        for rep in &out.reports {
-            sum.merge(&rep.stats);
-        }
-        assert_eq!(sum, out.stats, "replay + recovered lanes keep ledgers exact");
-    }
-
-    /// Every lane of an untiered run keeps no time, so window time is one
-    /// tick per routed stage plus idle visits. The constants were read off
-    /// the commit before plain lanes stopped syncing their absent clocks.
-    #[test]
-    fn untiered_mixed_run_pins_window_time_and_ledger() {
-        use amac_ops::mutate::MutateConfig;
-
-        let (dim, ht) = catalog(2048);
-        ht.freeze();
-        let inputs: Vec<Relation> =
-            (0..12).map(|i| Relation::fk_uniform(&dim, 300, 0x300 + i)).collect();
-        let tables: Vec<AggTable> = (0..6).map(|_| AggTable::for_groups(512)).collect();
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        for (i, input) in inputs.iter().enumerate() {
-            let table = &tables[i / 2];
-            srv.submit(match i % 4 {
-                0 => Request::Probe { probes: input, cfg: ProbeConfig::default() },
-                1 => Request::GroupBy { input, table, cfg: GroupByConfig::default() },
-                2 => Request::Pipeline { fact: input, table, cfg: PipelineConfig::default() },
-                _ => Request::Upsert { input, cfg: MutateConfig::default() },
-            })
-            .unwrap();
-        }
-        srv.run_to_completion();
-        let now = srv.sim_now();
-        let out = srv.finish();
-        assert_eq!(out.count(QueryOutcome::Completed), 12);
-        assert_eq!(now, 8_485, "8,478 stages + 7 idle visits");
-        let want = EngineStats {
-            lookups: 3_600,
-            stages: 8_478,
-            prefetches: 4_878,
-            nodes_visited: 4_878,
-            tag_rejects: 302,
-            issued_loads: 4_878,
-            log_bytes: 15_300,
-            log_stalls: 1_800,
-            ..Default::default()
-        };
-        assert_eq!(out.stats, want);
-    }
-
-    /// When an untiered deadline fires is window time, and so pinned like
-    /// the run above: the deadline instant, the missed query's progress
-    /// and the session's final time.
-    #[test]
-    fn untiered_deadline_fires_at_a_pinned_tick() {
-        let (dim, ht) = catalog(1024);
-        let big = Relation::fk_uniform(&dim, 5_000, 0x3D1);
-        let pcfg = ProbeConfig { materialize: false, ..Default::default() };
-        let mut srv = ServeSession::new(&ht, ServeConfig { quantum: 64, ..Default::default() });
-        srv.set_tracer(Tracer::on());
-        let q = srv
-            .submit_opts(
-                Request::Probe { probes: &big, cfg: pcfg.clone() },
-                SubmitOpts { deadline_ticks: Some(2_000), ..Default::default() },
-            )
-            .unwrap();
-        srv.submit(Request::Probe { probes: &big, cfg: pcfg }).unwrap();
-        srv.run_to_completion();
-        let now = srv.sim_now();
-        let out = srv.finish();
-        let missed = out.reports.iter().find(|r| r.qid == q).unwrap();
-        assert_eq!(missed.outcome, QueryOutcome::DeadlineExceeded);
-        let fired: Vec<u64> = out
-            .trace
-            .events()
-            .filter(|e| matches!(e.kind, amac_trace::EventKind::Deadline { .. }))
-            .map(|e| e.at)
-            .collect();
-        assert_eq!(fired, [2_166]);
-        assert_eq!(missed.stats.lookups, 512);
-        assert_eq!(now, 11_639);
-    }
-
-    #[test]
-    fn backoff_is_charged_to_the_sim_clock() {
-        let (r, ht) = chained_catalog(1 << 12);
-        let s = Relation::fk_uniform(&r, 1_000, 0xD1);
-        let cfg = ProbeConfig {
-            scan_all: true,
-            materialize: false,
-            fault: Some(FaultPlan::fail_only(0xD0, 2)),
-            ..Default::default()
-        };
-        // A deadline shorter than one backoff: if the first attempt
-        // faults, the backoff alone must burn the deadline.
-        let mut srv = ServeSession::new(
-            &ht,
-            ServeConfig {
-                max_retries: 8,
-                backoff_base: 1 << 40,
-                backoff_cap: 1 << 40,
-                ..Default::default()
-            },
-        );
-        let q = srv
-            .submit_opts(
-                Request::Probe { probes: &s, cfg },
-                SubmitOpts { deadline_ticks: Some(1 << 30), ..Default::default() },
-            )
-            .unwrap();
-        let out = srv.finish();
-        let rep = out.reports.iter().find(|r| r.qid == q).unwrap();
-        assert_eq!(
-            rep.outcome,
-            QueryOutcome::DeadlineExceeded,
-            "a huge backoff must consume a smaller deadline deterministically"
-        );
-        assert_eq!(rep.attempts, 1, "the retry never re-entered the window");
     }
 }

@@ -22,7 +22,7 @@ pub struct ShardedTable {
 impl ShardedTable {
     /// Partition `rel` under `router` and build one frozen table per
     /// shard (frozen so the latch-free mutation path is open — see
-    /// [`HashTable::upsert_latchfree`]).
+    /// [`HashTable::freeze`]).
     pub fn build(rel: &Relation, router: ShardRouter) -> Self {
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); router.n_shards()];
         for t in &rel.tuples {

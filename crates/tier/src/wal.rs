@@ -47,11 +47,7 @@
 //! ```
 
 /// One logical mutation, as appended by `amac_ops::mutate::MutateOp` and
-/// re-applied by `amac_ops::mutate::ReplayOp`.
-///
-/// `Copy` on purpose: replay feeds records straight through the
-/// `LookupOp` input contract (`type Input: Copy`), so a WAL segment can
-/// be replayed by any executor without conversion.
+/// re-applied through the same op by `amac_ops::mutate::replay`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
     /// Prepend a fresh `(key, payload)` node unconditionally (no dedup).

@@ -171,15 +171,14 @@ fn deletes_tombstone_every_copy_in_the_node() {
             let out = mutate(&ht, &del, t, &cfg);
             assert_eq!(out.deleted, copies, "{label}: mutate {t}");
             assert!(ht.lookup_all(KEY).is_empty(), "{label}: {t}");
+            let foreign = keys.iter().filter(|&&k| k == FOREIGN).count();
+            assert_eq!(ht.lookup_all(FOREIGN).len(), foreign, "{label}: {t}");
             // Replaying the logged delete on the checkpoint does the same.
             let back = HashTable::restore(&snap);
             replay(&back, &out.wal);
             assert!(back.lookup_all(KEY).is_empty(), "{label}: replay {t}");
             assert_eq!(back.contents_sorted(), ht.contents_sorted(), "{label}: replay {t}");
         }
-        let ht = HashTable::restore(&snap);
-        assert_eq!(ht.delete_latchfree(KEY), copies, "{label}: delete_latchfree");
-        assert_eq!(ht.lookup_all(FOREIGN).len(), keys.iter().filter(|&&k| k == FOREIGN).count());
     }
 }
 
@@ -199,8 +198,5 @@ fn upserts_merge_into_the_lowest_copy() {
         let out = mutate(&ht, &ups, Technique::Amac, &MutateConfig::default());
         assert_eq!((out.merged, out.created), (1, 0), "{label}");
         assert_eq!(ht.lookup_all(KEY), want, "{label}: mutate");
-        let ht = HashTable::restore(&snap);
-        assert!(!ht.upsert_latchfree(KEY, 5), "{label}");
-        assert_eq!(ht.lookup_all(KEY), want, "{label}: upsert_latchfree");
     }
 }

@@ -331,9 +331,11 @@ impl<'a> ServeSession<'a> {
                         Technique::Amac,
                         &safe,
                     );
-                    self.stats.merge(&out.stats);
+                    let mut led = out.stats;
+                    self.stats.merge(&led);
                     (q.attempts, q.degraded) = (1, true);
-                    let rep = self.end(q, QueryOutcome::Completed, out.stats, None);
+                    let outcome = self.completion(q.opts.recovered, &mut led);
+                    let rep = self.end(q, outcome, led, None);
                     (rep.matched, rep.matches) = (out.matched, out.aggregated);
                     let latency_ns = rep.latency_ns;
                     self.latency.record(latency_ns);
@@ -628,15 +630,7 @@ impl<'a> ServeSession<'a> {
                     }
                 }
                 None => {
-                    let outcome = if q.opts.recovered {
-                        // Both sides of the ledger invariant: the
-                        // per-query report and the session's global stats.
-                        led.recovered_queries += 1;
-                        self.stats.recovered_queries += 1;
-                        QueryOutcome::Recovered
-                    } else {
-                        QueryOutcome::Completed
-                    };
+                    let outcome = self.completion(q.opts.recovered, &mut led);
                     let rep = self.end(q, outcome, led, Some(born_at));
                     match op {
                         TenantOp::Probe(mut p) => {
@@ -663,6 +657,18 @@ impl<'a> ServeSession<'a> {
         } else {
             self.rr %= self.active.len();
         }
+    }
+
+    /// The outcome of a successful completion: a recovered re-run counts
+    /// on both sides of the ledger invariant, its report and the
+    /// session's global stats.
+    fn completion(&mut self, recovered: bool, led: &mut EngineStats) -> QueryOutcome {
+        if !recovered {
+            return QueryOutcome::Completed;
+        }
+        led.recovered_queries += 1;
+        self.stats.recovered_queries += 1;
+        QueryOutcome::Recovered
     }
 
     fn admit_from_pending(&mut self) {

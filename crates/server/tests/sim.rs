@@ -912,6 +912,33 @@ fn generated_plans_hold_every_invariant() {
     assert_eq!(a.union(&b).copied().collect::<BTreeSet<_>>(), want, "coverage");
 }
 
+/// Generated single-session plans that interleave several tenants: the
+/// per-tenant ledger sums are the session's stats.
+#[test]
+fn per_tenant_ledgers_sum_to_global_under_random_interleavings() {
+    let plans = (64..).map(gen).filter(|p| p.mode == Mode::Single && p.tenants.len() > 1);
+    for plan in plans.filter(|p| p.crash.is_none()).take(12) {
+        for out in drive(&plan).0.iter().flat_map(|r| &r.outs) {
+            let mut tenants: BTreeMap<u32, EngineStats> = BTreeMap::new();
+            for r in &out.reports {
+                tenants.entry(r.tenant).or_default().merge(&r.stats);
+            }
+            let mut sum = EngineStats::default();
+            tenants.values().for_each(|t| sum.merge(t));
+            assert_eq!(sum, out.stats, "{}: per-tenant sums", plan.name);
+        }
+    }
+}
+
+/// Generated crash plans past the coverage seeds: whatever the crash tick
+/// and checkpoint interval, recovery is bit-identical (invariant 7).
+#[test]
+fn any_crash_point_recovers_bit_identically() {
+    let plans = (64..).map(gen).filter(|p| p.crash.is_some());
+    let replayed: Vec<usize> = plans.take(6).map(|p| drive(&p).1).collect();
+    assert!(replayed.iter().any(|&n| n > 0), "no recovery replayed a tail: {replayed:?}");
+}
+
 // --- Named plans -----------------------------------------------------------
 
 const EARLY: Kind = Kind::Probe { materialize: false, scan_all: false };
@@ -936,20 +963,38 @@ fn outcomes(run: &Run) -> Vec<(QueryOutcome, u32)> {
     (0..run.subs.len()).map(|i| (run.report(i).outcome, run.report(i).attempts)).collect()
 }
 
-/// Generic asserts only: solo order beside a skewed neighbour, group-by and
-/// pipeline in one window, an empty query, ids over reused lanes.
+/// Generic asserts only: solo results and order beside a skewed neighbour.
 #[test]
 fn probe_queries_match_solo_results_including_order() {
     let acts =
         vec![sub(MATERIALIZE, fk(2_000, 0x11)), sub(MATERIALIZE, zipf(2_000, 4096, 1.0, 0x12))];
     run(&Plan::new("solo_order", 4096, 0, acts).cfg(quantum(64)));
+}
+
+/// Results and aggregates against solo runs are the generic oracle.
+#[test]
+fn groupby_and_pipeline_queries_share_one_window() {
     let (gb, pipe) = (Kind::GroupBy, Kind::Pipeline { filter: true });
-    let acts =
-        vec![sub(gb, zipf(2_000, 64, 0.9, 0x21)), sub(pipe, fk(2_000, 0x22)), sub(PROBE, fk(0, 1))];
-    run(&Plan::new("groupby_and_pipeline", 2048, 0, acts).cfg(quantum(128)));
+    let acts = vec![sub(gb, zipf(2_000, 64, 0.9, 0x21)), sub(pipe, fk(2_000, 0x22))];
+    let run = run(&Plan::new("groupby_and_pipeline", 2048, 0, acts).cfg(quantum(128)));
+    assert_eq!(run.report(0).matches, 2_000, "every group-by tuple aggregated");
+}
+
+#[test]
+fn empty_query_completes_immediately() {
+    let run = run(&Plan::new("empty_query", 64, 0, vec![sub(PROBE, fk(0, 1))]));
+    let r = run.report(0);
+    assert_eq!((r.outcome, r.matches, r.stats.lookups), (Completed, 0, 0));
+}
+
+/// Each admitted id exceeds its shard's previous one (a generic check);
+/// here every query reuses the one lane its predecessor left.
+#[test]
+fn query_ids_are_unique_and_monotone_across_reuse() {
     let acts = (0..6).flat_map(|_| [sub(EARLY, fk(64, 0x61)), DONE]).collect();
-    run(&Plan::new("query_ids", 128, 0, acts)
+    let run = run(&Plan::new("query_ids", 128, 0, acts)
         .cfg(ServeConfig { max_active: 1, ..Default::default() }));
+    assert_eq!(run.outs[0].reports.len(), 6);
 }
 
 /// Two lanes and a two-deep queue refuse a fifth query; a closed-loop
@@ -1010,6 +1055,15 @@ fn cancel_reaps_active_and_pending_queries() {
     assert_eq!(outcomes(&run), [(Cancelled, 1), (Completed, 1), (Cancelled, 0)]);
 }
 
+/// A missed deadline drains its lane without results (invariant 4) and
+/// leaves the ledgers exact (invariant 1); its neighbour completes.
+#[test]
+fn deadline_exceeded_is_reported_and_the_lane_drains_clean() {
+    let acts = vec![sub(EARLY, fk(5_000, 0x81)).deadline(1), sub(EARLY, fk(5_000, 0x81))];
+    let run = run(&Plan::new("deadline", 1024, 0, acts).cfg(quantum(64)));
+    assert_eq!(outcomes(&run), [(DeadlineExceeded, 1), (Completed, 1)]);
+}
+
 /// Two failures open the breaker; after its probe timer one health probe
 /// runs, fails, and re-opens it.
 #[test]
@@ -1035,6 +1089,24 @@ fn breaker_degrade_serves_probe_near_and_pipeline_two_phase() {
     let run = run(&Plan::new("degrade", 1 << 12, 8, acts).cfg(cfg).tenants(vec![doomed(0xB00)]));
     assert_eq!(outcomes(&run), [(FailedAfterRetries, 1), (Completed, 1), (Completed, 1)]);
     assert_eq!((0..3).map(|i| run.report(i).degraded).collect::<Vec<_>>(), [false, true, true]);
+}
+
+/// A shedding breaker in a crash plan: the recovery session files the
+/// replay report, the failure and the shed, each with its event (invariant
+/// 3), beside an upsert whose WAL tail it replays.
+#[test]
+fn breaker_and_replay_reports_file_their_event_too() {
+    let ups = Src::Zipf { len: 300, domain: 512, theta: 0.6, seed: 0x64, offset: 768 };
+    let q = || sub(PROBE, zipf(500, 512, 0.0, 0x61)).tenant(1);
+    let acts = vec![sub(UPSERT, ups), DONE, q(), DONE, q()];
+    let cfg = ServeConfig { max_retries: 0, breaker_threshold: 1, ..Default::default() };
+    let cfg = ServeConfig { breaker_mode: BreakerMode::Shed, breaker_probe_pumps: 1 << 20, ..cfg };
+    let seed = (0u64..).find(|&s| CrashPlan::new(s).wave(WAVES) >= 1).unwrap();
+    let plan = Plan::new("shed_replay", 1024, 8, acts).cfg(cfg).tenants(vec![HEALTHY, doomed(4)]);
+    let (runs, replayed) = drive(&Plan { crash: Some((seed, WAVES + 1)), ..plan });
+    assert!(replayed > 0, "recovery replayed nothing");
+    let (c, f, s) = ((Completed, 1), (FailedAfterRetries, 1), (Shed, 0));
+    assert!(runs.iter().all(|run| outcomes(run) == [c, f, s]), "breaker outcomes");
 }
 
 #[test]
@@ -1156,42 +1228,79 @@ fn faulted_tenant_survivors_and_healthy_neighbours_stay_exact() {
     assert!(reports.iter().filter(|r| r.tenant == 2).all(|r| r.outcome == DeadlineExceeded));
 }
 
-/// Skewed and far-heavy neighbours leave a tenant its solo counters (the
-/// generic oracle); the near tenant stays stall-free.
+/// A uniform probe and, as tenant 1, a skewed one over a 4,096-key catalog.
+fn neighbours(uniform: Kind, skewed: Kind) -> Vec<Act> {
+    let (u, s) = (zipf(4_000, 2048, 0.0, 0x5EED), zipf(4_000, 2048, 1.0, 0x5EED));
+    vec![sub(uniform, u), sub(skewed, s).tenant(1)]
+}
+
+/// A skewed neighbour leaves a tenant its solo results, order,
+/// `nodes_visited` and lookups (the generic oracle).
+#[test]
+fn uniform_tenant_unaffected_in_serving_scheduler() {
+    let acts = neighbours(MATERIALIZE, MATERIALIZE);
+    let run = run(&Plan::new("skewed_neighbour", 4096, 8, acts).cfg(quantum(64)));
+    assert!(run.outs[0].fairness_nodes_ratio() > 1.0, "the neighbour is skewed");
+}
+
+#[test]
+fn solo_vs_shared_serving_occupancy_and_report_consistency() {
+    let run = run(&Plan::new("shared", 4096, 8, neighbours(PROBE, PROBE)).cfg(quantum(128)));
+    let out = &run.outs[0];
+    assert!(out.occupancy > 0.0 && out.occupancy <= out.window as f64, "occupancy");
+    assert!(out.fairness_nodes_ratio() > 1.0);
+    assert_eq!(out.latency.count(), 2);
+}
+
+/// A far-heavy neighbour leaves an `AllNear` tenant its solo counters,
+/// cycles and stalls (the generic oracle); the near tenant is stall-free.
 #[test]
 fn far_tier_tenant_does_not_inflate_near_tier_tenant() {
-    let (uniform, skewed) = (zipf(4_000, 2048, 0.0, 0x5EED), zipf(4_000, 2048, 1.0, 0x5EED));
-    let acts = vec![sub(MATERIALIZE, uniform), sub(PROBE, skewed).tenant(1)];
-    let skewed = run(&Plan::new("skewed_neighbour", 4096, 8, acts.clone()).cfg(quantum(64)));
-    assert!(skewed.outs[0].fairness_nodes_ratio() > 1.0);
     let far = Tenant { tier: Some(TierSpec::headers_near(8)), fault: None };
     let tenants = vec![Tenant { tier: near(), fault: None }, far];
+    let acts = neighbours(MATERIALIZE, PROBE);
     let run = run(&Plan::new("far_neighbour", 4096, 8, acts).cfg(quantum(64)).tenants(tenants));
     assert_eq!(run.report(0).stats.sim_stalls, 0, "a near-only tenant at M = 10 is stall-free");
     assert!(run.report(1).stats.sim_stalls > 0, "the far tenant pays its own latency");
 }
 
-/// Rings carry their tenant's stamp, a failure's ring holds its fault, and
-/// rings are deterministic and pay-for-use.
-#[test]
-fn failing_queries_surface_their_ring_and_healthy_tenants_retain_nothing() {
+/// A deadline victim (tenant 0), a doomed query (tenant 1) and two healthy
+/// ones, with 32-event flight rings.
+fn flight() -> Plan {
     let (big, small) = (fk(4_000, 0x81), fk(1_000, 0x82));
     let acts = (1..4).map(|t| sub(PROBE, small).tenant(t));
     let acts = [sub(PROBE, big).deadline(1)].into_iter().chain(acts).collect();
     let cfg = ServeConfig { max_retries: 0, flight_recorder: 32, ..quantum(64) };
-    let plan =
-        Plan::new("flight", 1 << 12, 8, acts).cfg(cfg).tenants(vec![HEALTHY, doomed(0xDEAD)]);
-    let on = run(&plan);
+    Plan::new("flight", 1 << 12, 8, acts).cfg(cfg).tenants(vec![HEALTHY, doomed(0xDEAD)])
+}
+
+fn flights(run: &Run) -> Vec<Vec<amac_trace::TraceEvent>> {
+    (0..run.subs.len()).map(|i| run.report(i).flight.clone()).collect()
+}
+
+/// Rings carry their tenant's stamp and a failure's ring holds its fault;
+/// which rings are kept is invariant 8.
+#[test]
+fn failing_queries_surface_their_ring_and_healthy_tenants_retain_nothing() {
+    let on = run(&flight());
     let (c, d, f) = ((Completed, 1), (DeadlineExceeded, 1), (FailedAfterRetries, 1));
     assert_eq!(outcomes(&on), [d, f, c, c]);
     let stamped =
         |i| on.report(i).flight.iter().all(|e| u32::from(e.tenant) == on.report(i).tenant);
     assert!(stamped(0) && stamped(1), "ring events carry their tenant");
     assert!(on.report(1).flight.iter().any(|e| matches!(e.kind, EventKind::Fault { .. })));
-    let flights = |run: &Run| (0..4).map(|i| run.report(i).flight.clone()).collect::<Vec<_>>();
+}
+
+#[test]
+fn flight_rings_are_deterministic_and_off_by_default() {
+    let plan = flight();
+    let on = run(&plan);
     assert_eq!(flights(&on), flights(&run(&plan)), "rings must be deterministic");
-    let off = Plan { cfg: ServeConfig { flight_recorder: 0, ..plan.cfg.clone() }, ..plan };
-    assert_eq!(sigs(&on), sigs(&run(&off)), "the recorder must not perturb a query");
+    let default = ServeConfig::default().flight_recorder;
+    let off =
+        run(&Plan { cfg: ServeConfig { flight_recorder: default, ..plan.cfg.clone() }, ..plan });
+    assert!(flights(&off).iter().all(Vec::is_empty), "a ring with the recorder off");
+    assert_eq!(sigs(&on), sigs(&off), "the recorder must not perturb a query");
 }
 
 #[test]

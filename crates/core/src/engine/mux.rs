@@ -227,17 +227,6 @@ impl<O: LookupOp> Mux<O> {
         self.lanes[lane as usize].op.as_ref().expect("vacant mux lane")
     }
 
-    /// The lane's inner op, mutably (panics on a vacant lane). Settles a
-    /// plain lane's tally first, and routes the lane's stages to its
-    /// `start`/`step` until the next flush or feed of the lane picks its
-    /// mode again: whatever the caller changes (a tracer, say) is seen from
-    /// the next stage on.
-    pub fn lane_mut(&mut self, lane: u32) -> &mut O {
-        let l = &mut self.lanes[lane as usize];
-        l.settle();
-        l.op.as_mut().expect("vacant mux lane")
-    }
-
     /// The lane's accounting ledger, current as of the last feed or
     /// drain, i.e. exact between calls (see "Per-lane accounting" in the
     /// [module docs](self)).

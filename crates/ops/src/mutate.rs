@@ -40,7 +40,7 @@
 
 use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::HashTable;
+use amac_hashtable::{Bucket, HashTable};
 use amac_mem::prefetch::PrefetchHint;
 use amac_mem::NULL_INDEX;
 use amac_metrics::timer::CycleTimer;
@@ -49,6 +49,8 @@ use amac_tier::{ExecCtx, ExecSpec, FaultPlan, Ledger, TierSpec, WalRecord};
 use amac_trace::Tracer;
 use amac_workload::{Relation, Tuple};
 use core::convert::Infallible;
+use core::ptr::NonNull;
+use core::sync::atomic::Ordering;
 
 /// Which mutation a [`MutateOp`] applies per input tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,12 +132,18 @@ pub struct MutState {
     /// Set by `start`, cleared once the header step ran (its `next` needs
     /// the fresh-prefix skip; frozen interiors cannot grow fresh nodes).
     at_header: bool,
+    /// A delete's first frozen node holding a live copy of the key.
+    hit: Option<NonNull<Bucket>>,
 }
 
 /// The latch-free mutation lookup as a state machine: stage 0 hashes and
 /// requests the header; each later stage processes one **frozen** chain
 /// node and requests the next; the terminal stage runs the fresh-prefix
-/// action (merge/prepend/tombstone) and appends the WAL record.
+/// action (merge/prepend/tombstone) and appends the WAL record. Each
+/// lookup applies its mutation at one stage, the one that logs it, so a
+/// lookup cut short (cancelled, timed out, faulted) applied nothing: a
+/// delete's walk only finds the key's first frozen copy, and its terminal
+/// tombstones from there.
 pub struct MutateOp<'a> {
     ht: &'a HashTable,
     cfg: MutateConfig,
@@ -236,8 +244,10 @@ impl<'a> MutateOp<'a> {
         }
     }
 
-    /// The fresh-prefix action that ends the walk, counted into `t`.
-    fn terminal(&mut self, t: &mut MutateTally, key: u64, delta: u64) {
+    /// The fresh-prefix action that ends the walk, counted into `t`; a
+    /// delete also tombstones the frozen copies its walk found.
+    fn terminal(&mut self, t: &mut MutateTally, state: &MutState) {
+        let (key, delta) = (state.cursor.key, state.delta);
         match self.cfg.kind {
             MutateKind::Upsert => {
                 if self.ht.fresh_upsert(key, delta) {
@@ -253,11 +263,34 @@ impl<'a> MutateOp<'a> {
                 self.log(t, WalRecord::Insert { key, payload: delta });
             }
             MutateKind::Delete => {
+                if let Some(node) = state.hit {
+                    // SAFETY: the walk took `node` from this table's chain.
+                    t.deleted +=
+                        unsafe { self.tombstone_from(node.as_ptr(), state.cursor.probe, key) };
+                }
                 t.deleted += self.ht.fresh_delete(key);
                 self.log(t, WalRecord::Delete { key });
             }
         }
         t.applied += 1;
+    }
+
+    /// Tombstone `key` in `node` and every frozen node after it: the nodes
+    /// the charged walk already visited, so this pass charges nothing.
+    ///
+    /// # Safety
+    /// `node` must be a header or frozen node of this table.
+    unsafe fn tombstone_from(&self, mut node: *const Bucket, probe: u32, key: u64) -> u64 {
+        let mut won = 0;
+        loop {
+            let b = &*node;
+            won += self.ht.frozen_tombstone(node, b.slots(probe), key);
+            let next = self.ht.skip_fresh(b.next_atomic().load(Ordering::Acquire), self.bound);
+            if next == NULL_INDEX {
+                return won;
+            }
+            node = self.ht.node_ptr(next);
+        }
     }
 }
 
@@ -294,6 +327,7 @@ impl LookupOp for MutateOp<'_> {
         state.cursor.start::<PLAIN>(self.ht, input.key, &mut self.cx, &mut t.led);
         state.delta = input.payload;
         state.at_header = true;
+        state.hit = None;
         self.charge_residual::<PLAIN>(&state.cursor);
     }
 
@@ -312,11 +346,11 @@ impl LookupOp for MutateOp<'_> {
         match self.cfg.kind {
             MutateKind::Insert => {
                 // O(1): the header load was the whole charged walk.
-                self.terminal(t, key, delta);
+                self.terminal(t, state);
                 state.cursor.retire::<PLAIN>("mutate", &mut self.cx);
                 return Step::Done;
             }
-            // SAFETY (both arms): frozen node of this table.
+            // SAFETY: frozen node of this table.
             MutateKind::Upsert => {
                 if unsafe { self.ht.frozen_merge(state.cursor.ptr, slots, key, delta) } {
                     t.merged += 1;
@@ -327,7 +361,12 @@ impl LookupOp for MutateOp<'_> {
                 }
             }
             MutateKind::Delete => {
-                t.deleted += unsafe { self.ht.frozen_tombstone(state.cursor.ptr, slots, key) };
+                let mut copies = slots;
+                if state.hit.is_none()
+                    && copies.any(|i| b.key_atomic(i).load(Ordering::Relaxed) == key)
+                {
+                    state.hit = NonNull::new(state.cursor.ptr.cast_mut());
+                }
             }
         }
         if slots.is_empty() {
@@ -336,7 +375,7 @@ impl LookupOp for MutateOp<'_> {
         // Advance to the next frozen node. Only the header's link can
         // point into the fresh prefix (prepends land at chain heads).
         let next = {
-            let link = b.next_atomic().load(core::sync::atomic::Ordering::Acquire);
+            let link = b.next_atomic().load(Ordering::Acquire);
             if state.at_header {
                 self.ht.skip_fresh(link, self.bound)
             } else {
@@ -346,7 +385,7 @@ impl LookupOp for MutateOp<'_> {
         if next == NULL_INDEX {
             // The frozen walk is over: run the fresh-prefix action
             // before the cursor retires the lane.
-            self.terminal(t, key, delta);
+            self.terminal(t, state);
         }
         let step = state.cursor.advance::<PLAIN>("mutate", self.ht, next, &mut self.cx, &mut t.led);
         if step == Step::Continue {
@@ -599,26 +638,33 @@ mod tests {
     #[test]
     fn faults_abort_without_applying_or_logging() {
         let build = Relation::dense_unique(2_000, 3);
-        // Force overflow chains so upserts take checkable slab hops.
+        // Force overflow chains so mutations take checkable slab hops;
+        // every key twice, so a delete's copies sit in different nodes.
         let ht = HashTable::with_buckets(64);
         {
             let mut h = ht.build_handle();
-            for t in &build.tuples {
+            for t in build.tuples.iter().chain(&build.tuples) {
                 h.insert(t.key, t.payload);
             }
         }
         let ups = zipf_rel(2_000, 2_000, 9);
-        let cfg = MutateConfig { fault: Some(FaultPlan::fail_only(7, 60)), ..tiered() };
-        let mut sets: Vec<(u64, u64)> = Vec::new();
-        for t in Technique::ALL {
-            let ht_t = HashTable::restore(&ht.snapshot());
-            let out = mutate(&ht_t, &ups, t, &cfg);
-            assert!(out.stats.failed_lookups > 0, "fault plan fired under {t:?}");
-            assert_eq!(out.applied + out.stats.failed_lookups, ups.len() as u64);
-            assert_eq!(out.wal.len() as u64, out.applied, "failed mutations are not logged");
-            sets.push((out.stats.failed_lookups, out.applied));
+        for kind in [MutateKind::Upsert, MutateKind::Delete] {
+            let cfg = MutateConfig { kind, fault: Some(FaultPlan::fail_only(7, 60)), ..tiered() };
+            let mut sets: Vec<(u64, u64)> = Vec::new();
+            for t in Technique::ALL {
+                let ht_t = HashTable::restore(&ht.snapshot());
+                let out = mutate(&ht_t, &ups, t, &cfg);
+                assert!(out.stats.failed_lookups > 0, "fault plan fired under {t:?}");
+                assert_eq!(out.applied + out.stats.failed_lookups, ups.len() as u64);
+                assert_eq!(out.wal.len() as u64, out.applied, "failed mutations are not logged");
+                // Nor applied: the log alone rebuilds the table.
+                let back = HashTable::restore(&ht.snapshot());
+                replay(&back, &out.wal);
+                assert_eq!(back.contents_sorted(), ht_t.contents_sorted(), "{kind:?} {t:?}");
+                sets.push((out.stats.failed_lookups, out.applied));
+            }
+            assert!(sets.windows(2).all(|w| w[0] == w[1]), "fault sets invariant: {sets:?}");
         }
-        assert!(sets.windows(2).all(|w| w[0] == w[1]), "fault sets executor-invariant: {sets:?}");
     }
 
     #[test]

@@ -285,7 +285,8 @@ pub struct QueryReport {
     /// [`QueryOutcome::FailedAfterRetries`] — healthy queries retain
     /// nothing, so steady-state serving pays only the ring's bounded
     /// buffer. A deadline victim's tail ends with the
-    /// [`amac_trace::EventKind::Deadline`] instant (the cancelled lane
-    /// records no further events).
+    /// [`amac_trace::EventKind::Deadline`] instant (recorded into the
+    /// ring when it is harvested, after a fused pipeline's stage rings
+    /// merged).
     pub flight: Vec<amac_trace::TraceEvent>,
 }

@@ -107,6 +107,9 @@ enum Aborting {
     Retry,
     /// No retry: report this outcome once the lane drains.
     Final(QueryOutcome),
+    /// The deadline passed at this sim tick: report `DeadlineExceeded`
+    /// once the lane drains.
+    Deadline(u64),
 }
 
 /// A query with one attempt in the window.
@@ -364,7 +367,7 @@ impl<'a> ServeSession<'a> {
     /// completed.
     pub fn cancel(&mut self, qid: QueryId) -> bool {
         if let Some(a) = self.active.iter_mut().find(|a| a.q.qid == qid) {
-            if !matches!(a.aborting, Some(Aborting::Final(_))) {
+            if !matches!(a.aborting, Some(Aborting::Final(_) | Aborting::Deadline(_))) {
                 self.mux.cancel(a.lane);
                 a.aborting = Some(Aborting::Final(QueryOutcome::Cancelled));
             }
@@ -532,21 +535,14 @@ impl<'a> ServeSession<'a> {
     fn check_deadlines(&mut self) {
         let now = self.mux.now();
         for a in &mut self.active {
-            if matches!(a.aborting, Some(Aborting::Final(_)))
+            if matches!(a.aborting, Some(Aborting::Final(_) | Aborting::Deadline(_)))
                 || a.q.deadline_at.map_or(true, |d| now < d)
             {
                 continue;
             }
             self.mux.cancel(a.lane);
-            // The deadline instant is the ring's final entry: the
-            // cancelled lane's steps short-circuit inside the mux, so the
-            // inner op records nothing after this.
-            let mut cx = self.mux.lane_mut(a.lane).ctx();
-            if cx.tracing() {
-                cx.trace(TraceEvent::deadline(now, a.q.qid.0));
-            }
             self.trace.record(TraceEvent::deadline(now, a.q.qid.0));
-            a.aborting = Some(Aborting::Final(QueryOutcome::DeadlineExceeded));
+            a.aborting = Some(Aborting::Deadline(now));
         }
     }
 
@@ -606,7 +602,7 @@ impl<'a> ServeSession<'a> {
             let (mut op, mut led) = self.mux.remove(lane);
             // Harvest the attempt's flight ring (disabled unless
             // `flight_recorder` is on); only failing outcomes keep it.
-            let flight = op.ctx().take_tracer();
+            let mut flight = op.ctx().take_tracer();
             // Mutation lanes surrender their WAL records whatever the
             // outcome: an aborted attempt's applied prefix is already in
             // the table, so it must be in the log too or replay diverges.
@@ -622,12 +618,17 @@ impl<'a> ServeSession<'a> {
                 }
                 Some(Aborting::Final(outcome)) => {
                     let rep = self.end(q, outcome, led, Some(born_at));
-                    if matches!(
-                        outcome,
-                        QueryOutcome::DeadlineExceeded | QueryOutcome::FailedAfterRetries
-                    ) {
+                    if outcome == QueryOutcome::FailedAfterRetries {
                         rep.flight = flight.into_events();
                     }
+                }
+                Some(Aborting::Deadline(at)) => {
+                    // The instant ends the ring: recorded after a fused
+                    // pipeline's stage rings merged, and the cancelled
+                    // lane's steps recorded nothing since the deadline.
+                    flight.record(TraceEvent::deadline(at, q.qid.0));
+                    let rep = self.end(q, QueryOutcome::DeadlineExceeded, led, Some(born_at));
+                    rep.flight = flight.into_events();
                 }
                 None => {
                     let outcome = self.completion(q.opts.recovered, &mut led);

@@ -19,11 +19,13 @@
 //!    pristine catalog; a healthy probe (untiered or `AllNear`, no fault,
 //!    no deadline, no writes in the plan) also its `nodes_visited` and
 //!    `lookups`, and an `AllNear` one its `sim_cycles` and `sim_stalls`;
-//! 6. after each wave the catalog is its start plus the drained WAL;
+//! 6. after each wave the catalog is its start plus the drained WAL, and
+//!    the WAL holds each completed mutation's input once and at most the
+//!    input of an aborted one;
 //! 7. crash plus recovery equals the crash-free run: report fingerprints,
 //!    table contents and WAL length;
 //! 8. only `DeadlineExceeded` and `FailedAfterRetries` keep a flight ring,
-//!    and a ring cut by a deadline ends with its `Deadline` instant;
+//!    and a deadline victim's ends with its `Deadline` instant;
 //! 9. sharded, a query runs on its tenant's home shard, and a shard's WAL
 //!    holds only that shard's keys.
 //!
@@ -37,7 +39,7 @@ use amac_hashtable::{AggTable, HashTable};
 use amac_mem::rng::XorShift64;
 use amac_ops::groupby::{groupby, GroupByConfig};
 use amac_ops::join::{probe, ProbeConfig};
-use amac_ops::mutate::{MutateConfig, MutateKind};
+use amac_ops::mutate::{mutate, MutateConfig, MutateKind};
 use amac_ops::pipeline::{probe_then_groupby, PipelineConfig};
 use amac_server::QueryOutcome::{self, *};
 use amac_server::{
@@ -45,14 +47,14 @@ use amac_server::{
     ServeSession, ShardedServe, Stalled, SubmitOpts,
 };
 use amac_shard::{ShardRouter, ShardedTable};
-use amac_tier::{CostModel, CrashPlan, FaultPlan, TierPolicy, TierSpec, Wal, WalRecord};
+use amac_tier::{CostModel, CrashPlan, FaultPlan, TierPolicy, TierSpec, WalRecord};
 use amac_trace::{EventKind, Tracer};
 use amac_workload::{FilterSpec, Relation};
 
 const OUTCOMES: [QueryOutcome; 6] =
     [Completed, DeadlineExceeded, FailedAfterRetries, Cancelled, Shed, Recovered];
 /// Waves of a crash plan: each is one session over the persistent catalog.
-const WAVES: usize = 2;
+const WAVES: usize = 3;
 /// Pumps after which a run that has not finished counts as stalled.
 const PUMPS: usize = 100_000;
 
@@ -226,10 +228,7 @@ fn gen(seed: u64) -> Plan {
         ..Default::default()
     };
     let n64 = n as u64;
-    // Which submissions are deletes: a delete cut short mid-walk keeps
-    // tombstones its WAL lacks, so deletes run fault-free, without a
-    // deadline, and are never cancelled.
-    let (mut acts, mut dels) = (Vec::new(), Vec::new());
+    let mut acts = Vec::new();
     for _ in 0..4 + r.next_below(12) {
         let what = r.next_below(13);
         acts.push(match what {
@@ -240,14 +239,10 @@ fn gen(seed: u64) -> Plan {
                     0..=2 => Kind::Probe { materialize: r.next_below(2) == 0, scan_all: true },
                     3 => Kind::GroupBy,
                     4 | 5 => Kind::Pipeline { filter: r.next_below(2) == 0 },
-                    7 if tenants[tenant as usize].fault.is_none() => {
-                        Kind::Mutate(MutateKind::Delete)
-                    }
-                    6 | 7 => Kind::Mutate(MutateKind::Insert),
+                    6 => Kind::Mutate(MutateKind::Insert),
+                    7 => Kind::Mutate(MutateKind::Delete),
                     _ => UPSERT,
                 };
-                let delete = kind == Kind::Mutate(MutateKind::Delete);
-                dels.push(delete);
                 let (domain, offset) = match kind {
                     Kind::GroupBy => (64, 0),
                     Kind::Mutate(MutateKind::Insert) => (n64, 2 * n64),
@@ -261,7 +256,7 @@ fn gen(seed: u64) -> Plan {
                 let opts = SubmitOpts {
                     weight: 1 + r.next_below(3) as u32,
                     tenant,
-                    deadline_ticks: deadline.filter(|_| !delete),
+                    deadline_ticks: deadline,
                     recovered: r.next_below(8) == 0,
                 };
                 Act::Submit { kind, src, opts, closed: r.next_below(2) == 0 }
@@ -269,8 +264,8 @@ fn gen(seed: u64) -> Plan {
             9 => Act::Pump(1 + r.next_below(6) as usize),
             10 => Act::UntilBackoff,
             11 => {
-                let k = r.next_below(dels.len() as u64 + 1) as usize;
-                Act::Cancel(if dels.get(k) == Some(&true) { dels.len() } else { k })
+                let subs = acts.iter().filter(|a| matches!(a, Act::Submit { .. })).count();
+                Act::Cancel(r.next_below(subs as u64 + 1) as usize)
             }
             _ => Act::Budget(1 + r.next_below(8) as usize),
         });
@@ -300,23 +295,16 @@ fn catalog(plan: &Plan, rel: &Relation) -> HashTable {
     ht
 }
 
-/// One wave's world: the plan, its catalog (as a relation, and built
-/// pristine for the oracles), each act's input and output table, and the
-/// WAL tail a recovery wave replays first.
-struct Ctx<'p> {
-    plan: &'p Plan,
+/// A plan's catalog: as a relation, the router of a sharded plan, and
+/// built pristine (one table per shard) for the oracles.
+struct Catalog {
     rel: Relation,
     router: Option<ShardRouter>,
     pristine: Vec<HashTable>,
-    inputs: Vec<Relation>,
-    tables: Vec<AggTable>,
-    tail: Option<&'p [WalRecord]>,
 }
 
-impl<'p> Ctx<'p> {
-    /// Wave `w`'s inputs draw their seeds `w << 16` further on; sharded,
-    /// each holds only its tenant's home shard's keys.
-    fn new(plan: &'p Plan, w: u64, tail: Option<&'p [WalRecord]>) -> Self {
+impl Catalog {
+    fn new(plan: &Plan) -> Self {
         let rel = Relation::fk_dimension(plan.n, (plan.n as u64 / 4).max(4), plan.seed ^ 0xCA7);
         let (router, pristine) = match plan.mode {
             Mode::Single => (None, vec![catalog(plan, &rel)]),
@@ -326,10 +314,29 @@ impl<'p> Ctx<'p> {
                 (Some(router), shards)
             }
         };
+        Catalog { rel, router, pristine }
+    }
+}
+
+/// One wave's world: the plan, its catalog, each act's input, each
+/// aggregating act's output table, and the WAL tail a recovery wave
+/// replays first.
+struct Ctx<'p> {
+    plan: &'p Plan,
+    cat: &'p Catalog,
+    inputs: Vec<Relation>,
+    tables: Vec<Option<AggTable>>,
+    tail: Option<&'p [WalRecord]>,
+}
+
+impl<'p> Ctx<'p> {
+    /// Wave `w`'s inputs draw their seeds `w << 16` further on; sharded,
+    /// each holds only its tenant's home shard's keys.
+    fn new(plan: &'p Plan, cat: &'p Catalog, w: u64, tail: Option<&'p [WalRecord]>) -> Self {
         let input = |act: &Act| {
             let Act::Submit { src, opts, .. } = *act else { return Relation::default() };
             let mut input = match src {
-                Src::Fk { len, seed } => Relation::fk_uniform(&rel, len, seed + (w << 16)),
+                Src::Fk { len, seed } => Relation::fk_uniform(&cat.rel, len, seed + (w << 16)),
                 Src::Zipf { len, domain, theta, seed, offset } => {
                     let mut z = Relation::zipf(len, domain, theta, seed + (w << 16));
                     // Payloads from 1, so every logged delta is visible.
@@ -339,20 +346,24 @@ impl<'p> Ctx<'p> {
                     z
                 }
             };
-            if let Some(r) = &router {
+            if let Some(r) = &cat.router {
                 input.tuples.retain(|t| r.shard_of_key(t.key) == r.shard_of_tenant(opts.tenant));
             }
             input
         };
         let inputs = plan.acts.iter().map(input).collect();
-        let tables = plan.acts.iter().map(|_| AggTable::for_groups(512)).collect();
-        Ctx { plan, rel, router, pristine, inputs, tables, tail }
+        let aggregates =
+            |a: &Act| matches!(a, Act::Submit { kind: Kind::GroupBy | Kind::Pipeline { .. }, .. });
+        let tables = plan.acts.iter().map(|a| aggregates(a).then(|| AggTable::for_groups(512)));
+        let tables = tables.collect();
+        Ctx { plan, cat, inputs, tables, tail }
     }
 
     /// The request act `i` submits as its tenant's `nth` query.
     fn request(&self, i: usize, nth: u64) -> Request<'_> {
         let Act::Submit { kind, opts, .. } = self.plan.acts[i] else { unreachable!("no query") };
-        let (input, table) = (&self.inputs[i], &self.tables[i]);
+        let input = &self.inputs[i];
+        let table = || self.tables[i].as_ref().expect("an aggregating act");
         let t = self.plan.tenant(opts.tenant);
         let (tier, fault) = (t.tier, t.fault.map(|f| FaultPlan { seed: f.seed ^ nth << 8, ..f }));
         match kind {
@@ -360,13 +371,15 @@ impl<'p> Ctx<'p> {
                 let cfg = ProbeConfig { scan_all, materialize, tier, fault, ..Default::default() };
                 Request::Probe { probes: input, cfg }
             }
-            Kind::GroupBy => {
-                Request::GroupBy { input, table, cfg: GroupByConfig { tier, ..Default::default() } }
-            }
+            Kind::GroupBy => Request::GroupBy {
+                input,
+                table: table(),
+                cfg: GroupByConfig { tier, ..Default::default() },
+            },
             Kind::Pipeline { filter } => {
                 let filter = filter.then(|| FilterSpec::selectivity(0.5));
                 let cfg = PipelineConfig { filter, tier, fault, ..Default::default() };
-                Request::Pipeline { fact: input, table, cfg }
+                Request::Pipeline { fact: input, table: table(), cfg }
             }
             Kind::Mutate(kind) => Request::Upsert {
                 input,
@@ -409,9 +422,11 @@ struct Run {
     /// Tuples fed by each explicit pump.
     fed: Vec<usize>,
     budgets: Vec<Result<(), Stalled>>,
-    /// Per shard: sim time when all work finished, and the drained WAL.
+    /// Per shard: sim time when all work finished, the drained WAL and
+    /// the table's final contents.
     now: Vec<u64>,
     wal: Vec<Vec<WalRecord>>,
+    contents: Vec<Vec<(u64, u64)>>,
 }
 
 impl Run {
@@ -455,7 +470,7 @@ impl<'a> Driver<'a, '_> {
             assert!(srv.sim_now() >= self.run.now[s], "{at}: time ran backwards");
             self.run.now[s] = srv.sim_now();
             let wal = srv.drain_wal();
-            if let Some(router) = &self.cx.router {
+            if let Some(router) = &self.cx.cat.router {
                 let foreign = wal.iter().find(|r| router.shard_of_key(r.key()) != s);
                 assert!(foreign.is_none(), "{at}: shard {s} logged {foreign:?}");
             }
@@ -475,7 +490,7 @@ impl<'a> Driver<'a, '_> {
     fn submit(&mut self, act: usize, req: Request<'a>, opts: SubmitOpts, closed: bool) {
         let plan = self.cx.plan;
         let (at, cfg) = (&plan.name, &plan.cfg);
-        let s = self.cx.router.as_ref().map_or(0, |r| r.shard_of_tenant(opts.tenant));
+        let s = self.cx.cat.router.as_ref().map_or(0, |r| r.shard_of_tenant(opts.tenant));
         let mut refused = 0;
         let qid = loop {
             let got = match &mut self.srv {
@@ -575,25 +590,14 @@ impl<'a> Driver<'a, '_> {
     }
 }
 
-/// What a wave serves: one table, or a sharded one.
-#[derive(Clone, Copy)]
-enum Target<'t> {
-    One(&'t HashTable),
-    Many(&'t ShardedTable),
-}
-
-/// Run one wave on `target` and check it; given a crash tick, the wave
-/// dies there instead and returns `None`.
-fn wave(cx: &Ctx, target: Target<'_>, crash: Option<u64>) -> Option<Run> {
+/// Run one wave on `srv`, which serves `tables`, and check it; given a
+/// crash tick, the wave dies there instead and returns `None`.
+fn wave<'a>(cx: &'a Ctx, srv: Srv<'a>, tables: Vec<&HashTable>, crash: Option<u64>) -> Option<Run> {
     let plan = cx.plan;
-    let (srv, tables): (_, Vec<&HashTable>) = match target {
-        Target::One(ht) => (Srv::One(Box::new(ServeSession::new(ht, plan.cfg.clone()))), vec![ht]),
-        Target::Many(st) => {
-            (Srv::Many(ShardedServe::new(st, plan.cfg.clone())), st.shards().iter().collect())
-        }
-    };
-    let starts: Vec<Vec<(u64, u64)>> = tables.iter().map(|t| t.contents_sorted()).collect();
-    let shards = starts.len();
+    let shards = tables.len();
+    // A run that crashes checks nothing at its end.
+    let starts: Vec<Vec<(u64, u64)>> =
+        tables.iter().filter(|_| crash.is_none()).map(|t| t.contents_sorted()).collect();
     let run = Run { now: vec![0; shards], wal: vec![Vec::new(); shards], ..Default::default() };
     let mut d = Driver { cx, srv, run, issued: vec![0; shards], errs: vec![0; shards] };
     for s in 0..shards {
@@ -627,15 +631,34 @@ fn wave(cx: &Ctx, target: Target<'_>, crash: Option<u64>) -> Option<Run> {
         }
         panic!("{}: crash tick {t} never came", plan.name);
     }
-    let run = d.finish();
+    let mut run = d.finish();
     cx.check(&run);
     // (6) The catalog is its start state plus the drained WAL.
-    for (s, ht) in tables.into_iter().enumerate() {
+    run.contents = tables.iter().map(|t| t.contents_sorted()).collect();
+    for (s, start) in starts.iter().enumerate() {
         let log: Vec<WalRecord> =
             cx.tail.unwrap_or_default().iter().chain(&run.wal[s]).copied().collect();
-        assert_eq!(ht.contents_sorted(), model(&starts[s], &log), "{}: shard {s}'s WAL", plan.name);
+        assert_eq!(run.contents[s], model(start, &log), "{}: shard {s}'s WAL", plan.name);
     }
     Some(run)
+}
+
+/// A WAL record, sortable: the mutation's kind, key and payload (0 for
+/// a delete).
+type Rec = (u8, u64, u64);
+
+fn rec(r: &WalRecord) -> Rec {
+    match *r {
+        WalRecord::Upsert { key, delta } => (MutateKind::Upsert as u8, key, delta),
+        WalRecord::Insert { key, payload } => (MutateKind::Insert as u8, key, payload),
+        WalRecord::Delete { key } => (MutateKind::Delete as u8, key, 0),
+    }
+}
+
+fn sorted(wal: &[WalRecord]) -> Vec<Rec> {
+    let mut v: Vec<Rec> = wal.iter().map(rec).collect();
+    v.sort_unstable();
+    v
 }
 
 /// `start` with `log` applied: upserts merge into a key's first copy or
@@ -722,15 +745,31 @@ impl Ctx<'_> {
                     assert!(r.flight.is_empty(), "{at}: {q} kept a flight ring");
                 } else if fired || r.outcome == FailedAfterRetries {
                     assert!((1..=ring).contains(&r.flight.len()), "{at}: {q}: ring length");
-                    // A fused pipeline merges its stages' rings into one, so
-                    // its group-by stage's events can evict the deadline.
                     let last = r.flight.last().map(|e| e.kind);
-                    let cut =
-                        last == Some(EventKind::Deadline { qid: q.0 }) || r.kind == "pipeline";
+                    let cut = last == Some(EventKind::Deadline { qid: q.0 });
                     assert!(!fired || cut, "{at}: {q}: the ring must end at the deadline");
                 }
             }
             assert!(events.is_empty(), "{at}: events for unknown queries: {events:?}");
+            // (6) Against the inputs: per record, how often a completed
+            // mutation must log it, an admitted one may, and the WAL did.
+            let mut logged: BTreeMap<Rec, [u64; 3]> = BTreeMap::new();
+            run.wal[s].iter().for_each(|r| logged.entry(rec(r)).or_default()[2] += 1);
+            for (i, x) in
+                run.subs.iter().enumerate().filter(|(_, x)| x.shard == s && x.qid.is_some())
+            {
+                let Act::Submit { kind: Kind::Mutate(kind), .. } = self.plan.acts[x.act] else {
+                    continue;
+                };
+                let done = matches!(run.report(i).outcome, Completed | Recovered);
+                for t in &self.inputs[x.act].tuples {
+                    let payload = if kind == MutateKind::Delete { 0 } else { t.payload };
+                    let n = logged.entry((kind as u8, t.key, payload)).or_default();
+                    (n[0], n[1]) = (n[0] + u64::from(done), n[1] + 1);
+                }
+            }
+            let off = logged.iter().find(|(_, [must, may, got])| got < must || got > may);
+            assert!(off.is_none(), "{at}: shard {s}: WAL against the inputs: {off:?}");
             if let Some(tail) = self.tail.filter(|_| s == 0) {
                 let r = out.reports.iter().find(|r| r.kind == "replay").expect("replay report");
                 let n = tail.len() as u64;
@@ -751,6 +790,7 @@ impl Ctx<'_> {
         let Act::Submit { opts, .. } = plan.acts[x.act] else { unreachable!() };
         let (tenant, input, table) =
             (plan.tenant(opts.tenant), &self.inputs[x.act], &self.tables[x.act]);
+        let table = || table.as_ref().expect("an aggregating act");
         let req = self.request(x.act, 0);
         let want = (req.kind(), opts.tenant, input.len() as u64);
         assert_eq!((r.kind, r.tenant, r.tuples), want, "{at}");
@@ -774,7 +814,7 @@ impl Ctx<'_> {
         assert_eq!(r.outcome == Recovered, recovered, "{at}: recovered");
         let once = r.kind == "probe" && r.attempts == 1;
         assert!(!once || r.stats.lookups == r.tuples, "{at}: every tuple looked up once");
-        let pristine = &self.pristine[x.shard];
+        let pristine = &self.cat.pristine[x.shard];
         match req {
             Request::Probe { cfg, .. } if !plan.writes(true) => {
                 let cfg = ProbeConfig { fault: None, ..cfg };
@@ -799,7 +839,7 @@ impl Ctx<'_> {
                 let solo = AggTable::for_groups(512);
                 groupby(&solo, input, Technique::Amac, &cfg);
                 assert_eq!(r.matches, input.len() as u64, "{at}: group-by tuples");
-                assert_eq!(groups(table), groups(&solo), "{at}: group-by aggregates");
+                assert_eq!(groups(table()), groups(&solo), "{at}: group-by aggregates");
             }
             Request::Pipeline { cfg, .. } if !plan.writes(true) => {
                 let solo_t = AggTable::for_groups(512);
@@ -807,7 +847,7 @@ impl Ctx<'_> {
                 let solo = probe_then_groupby(pristine, &solo_t, input, Technique::Amac, &cfg);
                 let want = (solo.matched, solo.aggregated);
                 assert_eq!((r.matched, r.matches), want, "{at}: pipeline");
-                assert_eq!(groups(table), groups(&solo_t), "{at}: pipeline aggregates");
+                assert_eq!(groups(table()), groups(&solo_t), "{at}: pipeline aggregates");
             }
             Request::Upsert { .. } => assert_eq!(r.matches, input.len() as u64, "{at}: applied"),
             _ => {}
@@ -831,66 +871,62 @@ fn sigs(run: &Run) -> Vec<Sig> {
 }
 
 /// Run `plan` and check every invariant. Returns the crash-free waves and,
-/// for a crash plan, the length of the WAL tail recovery replayed.
+/// for a crash plan, how many waves' sealed WAL segments (non-empty ones)
+/// the recovery replayed.
 fn drive(plan: &Plan) -> (Vec<Run>, usize) {
-    let (cx, at) = (Ctx::new(plan, 0, None), &plan.name);
-    if let Some(router) = &cx.router {
-        let st = ShardedTable::build(&cx.rel, router.clone());
-        return (vec![wave(&cx, Target::Many(&st), None).unwrap()], 0);
+    let (cat, at) = (Catalog::new(plan), &plan.name);
+    if let Some(router) = &cat.router {
+        let st = ShardedTable::build(&cat.rel, router.clone());
+        let srv = Srv::Many(ShardedServe::new(&st, plan.cfg.clone()));
+        let cx = Ctx::new(plan, &cat, 0, None);
+        return (vec![wave(&cx, srv, st.shards().iter().collect(), None).unwrap()], 0);
     }
-    let checkpoint = cx.pristine[0].snapshot();
-    let reference = HashTable::restore(&checkpoint);
+    let reference = HashTable::restore(&cat.pristine[0].snapshot());
     let go = |w: usize, tail: Option<&[WalRecord]>, table: &HashTable, crash| {
-        wave(&Ctx::new(plan, w as u64, tail), Target::One(table), crash)
+        let srv = Srv::One(Box::new(ServeSession::new(table, plan.cfg.clone())));
+        wave(&Ctx::new(plan, &cat, w as u64, tail), srv, vec![table], crash)
     };
     let waves = if plan.crash.is_some() { WAVES } else { 1 };
-    let runs: Vec<Run> = (0..waves).map(|w| go(w, None, &reference, None).unwrap()).collect();
+    // Each wave serves what the waves before it left; keep each start.
+    let (mut runs, mut starts) = (Vec::new(), Vec::new());
+    for w in 0..waves {
+        starts.push(reference.snapshot());
+        runs.push(go(w, None, &reference, None).unwrap());
+    }
     let Some((seed, interval)) = plan.crash else { return (runs, 0) };
     let crash = CrashPlan::new(seed);
-    let (cw, mut replayed) = (crash.wave(WAVES), 0);
+    let cw = crash.wave(WAVES);
     let tick = crash.tick(runs[cw].now[0]);
-    let (mut table, mut wal) = (HashTable::restore(&checkpoint), Wal::new());
-    let mut last = (table.snapshot(), 0);
-    for (w, want) in runs.iter().enumerate() {
-        let run = if w == cw {
-            assert!(go(w, None, &table, Some(tick)).is_none());
-            // The unsealed tail dies with the process; checkpoints and
-            // sealed segments survive.
-            wal.crash();
-            let back = HashTable::restore(&last.0);
-            let tail = wal.sealed()[last.1..].to_vec();
-            replayed = tail.len();
-            let run = go(w, Some(&tail), &back, None).unwrap();
-            table = back;
-            run
-        } else {
-            go(w, None, &table, None).unwrap()
-        };
+    assert!(go(cw, None, &HashTable::restore(&starts[cw]), Some(tick)).is_none());
+    // The crash wave's unsealed records die with the process; the last
+    // checkpoint (one per `interval` waves) and the segments sealed after
+    // it survive.
+    let ck = cw - cw % interval;
+    let tail: Vec<WalRecord> = runs[ck..cw].iter().flat_map(|r| r.wal[0].clone()).collect();
+    let segments = runs[ck..cw].iter().filter(|r| !r.wal[0].is_empty()).count();
+    let table = HashTable::restore(&starts[ck]);
+    for (w, want) in runs.iter().enumerate().skip(cw) {
+        let run = go(w, (w == cw).then_some(&tail[..]), &table, None).unwrap();
         let why = format!("{at}: wave {w} after a crash in wave {cw} at tick {tick}");
         assert_eq!(sigs(&run), sigs(want), "{why}");
-        wal.extend(run.wal[0].iter().copied());
-        wal.seal();
-        if (w + 1) % interval == 0 {
-            last = (table.snapshot(), wal.sealed().len());
-        }
+        assert_eq!(run.wal[0].len(), want.wal[0].len(), "{why}: WAL length");
     }
     assert_eq!(table.contents_sorted(), reference.contents_sorted(), "{at}: recovered catalog");
-    let logged: usize = runs.iter().map(|r| r.wal[0].len()).sum();
-    assert_eq!(wal.len(), logged, "{at}: recovered WAL length");
-    (runs, replayed)
+    (runs, segments)
 }
 
 // --- Generated plans -------------------------------------------------------
 
 /// 64 seeds on two threads, which between them reach every outcome, both
-/// breaker modes, both serving modes and a recovery with a WAL tail.
+/// breaker modes, both serving modes and a recovery whose WAL tail spans
+/// several waves' segments.
 #[test]
 fn generated_plans_hold_every_invariant() {
     let seen = |seeds: std::ops::Range<u64>| {
         let mut seen = BTreeSet::new();
         for seed in seeds {
             let plan = gen(seed);
-            let (runs, replayed) = drive(&plan);
+            let (runs, segments) = drive(&plan);
             for r in runs.iter().flat_map(|r| &r.outs).flat_map(|o| &o.reports) {
                 seen.insert(r.outcome.label());
                 if r.outcome == Shed && plan.cfg.breaker_mode == BreakerMode::Shed {
@@ -899,7 +935,7 @@ fn generated_plans_hold_every_invariant() {
                 seen.extend(r.degraded.then_some("degrade mode"));
             }
             seen.insert(if plan.mode == Mode::Single { "single" } else { "sharded" });
-            seen.extend((replayed > 0).then_some("replayed tail"));
+            seen.extend((segments > 1).then_some("multi-segment tail"));
         }
         seen
     };
@@ -908,7 +944,7 @@ fn generated_plans_hold_every_invariant() {
         (seen(32..64), a.join().unwrap())
     });
     let mut want: BTreeSet<&str> = OUTCOMES.iter().map(|o| o.label()).collect();
-    want.extend(["shed mode", "degrade mode", "single", "sharded", "replayed tail"]);
+    want.extend(["shed mode", "degrade mode", "single", "sharded", "multi-segment tail"]);
     assert_eq!(a.union(&b).copied().collect::<BTreeSet<_>>(), want, "coverage");
 }
 
@@ -935,8 +971,8 @@ fn per_tenant_ledgers_sum_to_global_under_random_interleavings() {
 #[test]
 fn any_crash_point_recovers_bit_identically() {
     let plans = (64..).map(gen).filter(|p| p.crash.is_some());
-    let replayed: Vec<usize> = plans.take(6).map(|p| drive(&p).1).collect();
-    assert!(replayed.iter().any(|&n| n > 0), "no recovery replayed a tail: {replayed:?}");
+    let segments: Vec<usize> = plans.take(6).map(|p| drive(&p).1).collect();
+    assert!(segments.iter().any(|&n| n > 0), "no recovery replayed a tail: {segments:?}");
 }
 
 // --- Named plans -----------------------------------------------------------
@@ -1120,23 +1156,30 @@ fn run_with_budget_reports_stalled_and_can_resume() {
 fn upsert_queries_mutate_the_catalog_and_log_durably() {
     let ups = Src::Zipf { len: 2_000, domain: 1536, theta: 0.6, seed: 0xE2, offset: 1024 };
     let acts = vec![sub(EARLY, zipf(2_000, 1024, 0.8, 0xE1)), sub(UPSERT, ups)];
-    let run = run(&Plan::new("upserts", 2048, 0, acts).cfg(quantum(64)));
+    let plan = Plan::new("upserts", 2048, 0, acts).cfg(quantum(64));
+    let run = run(&plan);
     let stats = run.report(1).stats;
-    assert_eq!(run.wal[0].len(), 2_000, "every applied mutation logged");
     assert!(stats.log_bytes > 0 && stats.log_stalls > 0);
+    // A solo twin on a pristine catalog: the same contents and WAL.
+    let cat = Catalog::new(&plan);
+    let (twin, input) = (&cat.pristine[0], &Ctx::new(&plan, &cat, 0, None).inputs[1]);
+    let solo = mutate(twin, input, Technique::Amac, &Default::default());
+    assert_eq!(run.contents[0], twin.contents_sorted(), "contents = the solo twin's");
+    assert_eq!(sorted(&run.wal[0]), sorted(&solo.wal), "WAL = the solo twin's");
+    assert_eq!(run.wal[0].len(), 2_000, "every applied mutation logged");
 }
 
-/// A crash past wave 0 with no checkpoint after the first: recovery
-/// replays a non-empty WAL tail.
+/// A crash past wave 1 with no checkpoint after the first: recovery
+/// replays the sealed segments of two waves.
 #[test]
 fn recover_replay_rebuilds_the_catalog_and_keeps_books() {
     let ups = Src::Zipf { len: 300, domain: 512, theta: 0.6, seed: 0xF1, offset: 768 };
     let acts =
         vec![sub(UPSERT, ups), sub(PROBE, zipf(300, 512, 0.9, 0xF2)).opts(|o| o.recovered = true)];
-    let seed = (0u64..).find(|&s| CrashPlan::new(s).wave(WAVES) >= 1).unwrap();
+    let seed = (0u64..).find(|&s| CrashPlan::new(s).wave(WAVES) >= 2).unwrap();
     let plan =
         Plan { crash: Some((seed, WAVES + 1)), ..Plan::new("recover_replay", 1024, 0, acts) };
-    assert!(drive(&plan).1 > 0, "recovery replayed nothing");
+    assert_eq!(drive(&plan).1, 2, "recovery replays two waves' segments");
 }
 
 /// Every lane of an untiered run keeps no time, so window time is one

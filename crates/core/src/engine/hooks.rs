@@ -202,7 +202,7 @@ impl<A: Hooks, B: Hooks> Hooks for (A, Option<B>) {
     /// Plain only when both members are.
     #[inline(always)]
     fn plain(&self) -> bool {
-        self.0.plain() && self.1.as_ref().map_or(true, B::plain)
+        self.0.plain() && self.1.as_ref().is_none_or(B::plain)
     }
 
     #[inline(always)]

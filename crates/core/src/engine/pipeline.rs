@@ -379,7 +379,7 @@ mod tests {
 
     impl Route<u64, u64> for EvenOnly {
         fn route(&mut self, item: u64) -> Option<u64> {
-            (item % 2 == 0).then_some(item)
+            item.is_multiple_of(2).then_some(item)
         }
     }
 

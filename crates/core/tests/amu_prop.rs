@@ -49,7 +49,7 @@ fn expand_lanes(specs: &[(u8, u64)]) -> Vec<Vec<(AddrClass, u64)>> {
                     let line = r.next() % 16;
                     let ptr = (line << 6) as *const u8;
                     let token = key ^ (hop as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let class = if r.next() % 4 == 0 {
+                    let class = if r.next().is_multiple_of(4) {
                         AddrClass::header_ptr(ptr)
                     } else {
                         AddrClass::slab_ptr((r.next() % 4) as u32, ptr)

@@ -177,6 +177,11 @@ unsafe impl Send for Bucket {}
 unsafe impl Sync for Bucket {}
 
 impl Bucket {
+    /// Byte offset of the node payload ([`BucketData`]) inside the line,
+    /// behind the latch: the base the vector probe's gathers add field
+    /// offsets to.
+    pub(crate) const DATA: usize = core::mem::offset_of!(Bucket, data);
+
     /// Read access to the node payload.
     ///
     /// # Safety

@@ -27,6 +27,7 @@
 pub mod agg;
 pub mod bucket;
 pub mod table;
+pub mod vector;
 
 pub use agg::{AggBucket, AggTable};
 pub use bucket::{

@@ -128,6 +128,13 @@ impl HashTable {
         unsafe { self.buckets.as_ptr().add(self.bucket_index(key)) }
     }
 
+    /// The bucket-header array, as the base the vector probe's gathers
+    /// index by bucket.
+    #[inline(always)]
+    pub(crate) fn headers(&self) -> *const Bucket {
+        self.buckets.as_ptr()
+    }
+
     /// Resolve a chain index (read from some node's `next`) to the
     /// overflow node's stable address — the per-hop address computation
     /// that precedes the prefetch. One `lzcnt` plus one L1-resident

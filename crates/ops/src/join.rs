@@ -2,6 +2,7 @@
 
 use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
+use amac_hashtable::vector::{self, VectorProbe};
 use amac_hashtable::{Bucket, BuildHandle, HashTable};
 use amac_mem::prefetch::PrefetchHint;
 use amac_metrics::timer::CycleTimer;
@@ -77,7 +78,9 @@ pub struct ProbeConfig {
     /// them set each stage is one out-of-line call into the full lane
     /// protocol, where the disabled tracer is one not-taken branch per
     /// wait and per retirement. A tracer armed between two calls (two
-    /// feeds of a session, say) records from the next call on.
+    /// feeds of a session, say) records from the next call on. A plain
+    /// AMAC [`probe`] call takes no executor on a host with AVX-512F/DQ:
+    /// it runs the vector kernel, with the same results and counters.
     pub trace: bool,
 }
 
@@ -316,10 +319,30 @@ impl LookupOp for ProbeOp<'_> {
 }
 
 /// Run a probe of `s` against `ht` with `technique`.
+///
+/// A plain AMAC call (`Technique::Amac` in a plain context, see
+/// [`ProbeConfig::trace`]) runs the vector kernel
+/// [`amac_hashtable::vector::probe`] when the host has AVX-512F/DQ: 8
+/// lookups per vector, with headers requested `params.in_flight` lookups
+/// ahead. Its results and [`EngineStats`] equal the engine path's bit for
+/// bit. Every other call, and a plain AMAC call on any other host, runs
+/// `technique`'s executor over a [`ProbeOp`].
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
     let mut op = crate::traced(ProbeOp::new(ht, cfg, s.len()), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let plain_amac = technique == Technique::Amac && op.cx.plain();
+    let kernel = plain_amac.then(|| {
+        let out = op.materialize.then_some(&mut op.out[..]);
+        vector::probe(ht, &s.tuples, cfg.params.in_flight, op.scan_all, out)
+    });
+    let stats = match kernel.flatten() {
+        Some(v) => {
+            op.matches = v.matches;
+            op.checksum = v.checksum;
+            vector_stats(s.len() as u64, &v)
+        }
+        None => run(technique, &mut op, &s.tuples, cfg.params),
+    };
     let cycles = timer.cycles();
     let seconds = timer.seconds();
     let trace = op.cx.take_tracer();
@@ -331,6 +354,21 @@ pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConf
         cycles,
         seconds,
         trace,
+    }
+}
+
+/// The counters the engine's plain AMAC probe reports for the work `v`
+/// did: a stage for each lookup's start and for each node it visits, and
+/// one prefetch and one issued load per node.
+fn vector_stats(lookups: u64, v: &VectorProbe) -> EngineStats {
+    EngineStats {
+        lookups,
+        stages: lookups + v.nodes,
+        prefetches: v.nodes,
+        nodes_visited: v.nodes,
+        tag_rejects: v.tag_rejects,
+        issued_loads: v.nodes,
+        ..Default::default()
     }
 }
 

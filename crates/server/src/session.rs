@@ -536,7 +536,7 @@ impl<'a> ServeSession<'a> {
         let now = self.mux.now();
         for a in &mut self.active {
             if matches!(a.aborting, Some(Aborting::Final(_) | Aborting::Deadline(_)))
-                || a.q.deadline_at.map_or(true, |d| now < d)
+                || a.q.deadline_at.is_none_or(|d| now < d)
             {
                 continue;
             }

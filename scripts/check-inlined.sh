@@ -27,10 +27,13 @@
 # show up here once inlined) and the out-of-line stages it calls. Last
 # come every executor instance with its size, the instance count of each
 # executor and the size of `.text`: run it on two commits' harnesses to
-# compare them. Legacy symbol names carry no type arguments, so
-# instances of a generic function (an executor, the metered pair) are
-# named by their DWARF declaration (`feed<ProbeState, ProbeOp>`), module
-# paths dropped; without debug info they keep the symbol name.
+# compare them. The plain AMAC join probe's AVX-512 kernel
+# (`amac_hashtable::vector`) is no executor: its functions are listed
+# with their sizes beside the executor instances. Legacy symbol names
+# carry no type arguments, so instances of a generic function (an
+# executor, the metered pair) are named by their DWARF declaration
+# (`feed<ProbeState, ProbeOp>`), module paths dropped; without debug
+# info they keep the symbol name.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -101,6 +104,7 @@ BEGIN {
     if ((e = executor_of(name)) != "") { instances[e]++; exec_at[a] = label(a, name) }
     if (name ~ / as amac::engine::LookupOp>::(start|step)$/ || name ~ /::(metered_(start|step)|step_routed)$/)
       sizes[label(a, name) " " f[1]] = hex(f[2])
+    if (name ~ /^amac_hashtable::vector::/) kernel[name] = hex(f[2])
   }
   # GOT slot -> address it is relocated to.
   while ((getline line < relocs) > 0) {
@@ -144,6 +148,9 @@ END {
   print "executor instances (bytes):"
   for (a in exec_at) printf "  %6d  %s\n", size[a], exec_at[a] | "sort -k2 -k1n"
   close("sort -k2 -k1n")
+  print "vector probe kernel, outside the executors (bytes):"
+  for (k in kernel) printf "  %6d  %s\n", kernel[k], k | "sort -k2"
+  close("sort -k2")
   print "executor instance counts:"
   n = split("engine::run feed feed_lane drain_budgeted drain_lanes run_baseline run_gp run_spp run_amac", names, " ")
   for (i = 1; i <= n; i++) printf "  %-15s %3d\n", names[i], instances[names[i]]

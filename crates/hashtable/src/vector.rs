@@ -320,6 +320,23 @@ mod avx512 {
         }
     }
 
+    /// The kernel's heap buffers, all empty between calls.
+    #[derive(Default)]
+    struct Scratch {
+        ring: Vec<[__m512i; 3]>,
+        requested: Lanes,
+        carried: [Vec<([__m512i; 3], __mmask8)>; 2],
+        window: Vec<Residual>,
+    }
+
+    std::thread_local! {
+        /// Each thread's [`Scratch`], kept between calls: a call allocates
+        /// nothing once the buffers have grown to what it needs. Fresh
+        /// buffers per call churned the heap enough to raise the
+        /// harness's peak RSS on the request-sized probes of `write_mix`.
+        static SCRATCH: core::cell::Cell<Scratch> = core::cell::Cell::new(Scratch::default());
+    }
+
     /// One kernel call's state.
     struct Kernel<'t> {
         ht: &'t HashTable,
@@ -578,6 +595,7 @@ mod avx512 {
         scan_all: bool,
         out: *mut u64,
     ) -> VectorProbe {
+        let Scratch { mut ring, requested, carried, window } = SCRATCH.take();
         let mut k = Kernel {
             ht,
             base: ht.headers().cast::<u8>(),
@@ -587,17 +605,17 @@ mod avx512 {
             tally: Tally::new(),
             exits: [[_mm512_setzero_si512(); 3]; 2 * BATCH],
             exit_lanes: [0; 2 * BATCH],
-            carried: Default::default(),
+            carried,
             passes: 0,
-            requested: Lanes::default(),
-            window: Vec::new(),
+            requested,
+            window,
         };
         let n = probes.len();
         let groups = n.div_ceil(LANES);
         // Group `g + ahead` is hashed and requested while group `g` is
         // resolved: `ahead` lookups, rounded up to whole groups.
         let ahead = ahead.div_ceil(LANES).max(1);
-        let mut ring = vec![[_mm512_setzero_si512(); 3]; (ahead + 1).next_power_of_two()];
+        ring.resize((ahead + 1).next_power_of_two(), [_mm512_setzero_si512(); 3]);
         let wrap = ring.len() - 1;
         let mask = splat(ht.mask());
         let mut tally = Tally::new();
@@ -622,6 +640,8 @@ mod avx512 {
         }
         tally.settle(&mut k.acc);
         k.tally.settle(&mut k.acc);
-        k.acc
+        let Kernel { acc, requested, carried, window, .. } = k;
+        SCRATCH.set(Scratch { ring, requested, carried, window });
+        acc
     }
 }

@@ -20,10 +20,22 @@ use super::{AmacSession, EngineStats, LookupOp, Step};
 ///   number of in-flight memory accesses stays constant;
 /// * on [`Step::Blocked`] the slot is left untouched and the rotation
 ///   moves on — the coarse-grained latch spin of §3.2.
+///
+/// A plain call offers the whole input to the op's
+/// [batch stage](LookupOp::batch) first, before the window's slots are
+/// allocated.
 pub fn run_amac<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
     let mut stats = EngineStats::default();
     if inputs.is_empty() {
         return stats;
+    }
+    // A declined batch stage is asked again by the window's feed.
+    if let Some(tally) = mode(op) {
+        let mut call = Call::plain(op, tally);
+        if call.batch(inputs, m, &mut stats) {
+            call.flush(&mut stats);
+            return stats;
+        }
     }
     let mut window = AmacSession::new(m.clamp(1, inputs.len()));
     window.feed(op, inputs, &mut stats);

@@ -116,6 +116,23 @@ impl<O: LookupOp, const PLAIN: bool> Call<'_, O, PLAIN> {
         }
     }
 
+    /// On a plain call, offer `inputs` to the op's
+    /// [batch stage](LookupOp::batch) in a window of width `m`. If the op
+    /// takes it, count a lookup and a stage per input and a stage and a
+    /// prefetch per node into `stats`, as the window's loop would, and
+    /// return `true`: the call is then over, and the caller flushes it.
+    #[inline(always)]
+    pub(crate) fn batch(&mut self, inputs: &[O::Input], m: usize, stats: &mut EngineStats) -> bool {
+        let Some(nodes) = PLAIN.then(|| self.op.batch(&mut self.tally, inputs, m)).flatten() else {
+            return false;
+        };
+        let lookups = inputs.len() as u64;
+        stats.lookups += lookups;
+        stats.stages += lookups + nodes;
+        stats.prefetches += self.prefetch_gate() * nodes;
+        true
+    }
+
     /// [`Hooks::issues_prefetches`] as a count per prefetching stage.
     #[inline(always)]
     pub(crate) fn prefetch_gate(&mut self) -> u64 {

@@ -68,6 +68,19 @@
 //! out-of-line metered pair ([`call::step`]): a fresh tally from
 //! [`LookupOp::tally`], the stage, and the settle. The mode is never
 //! tested inside the loop.
+//!
+//! A plain AMAC call with no slot live ([`run_amac`], or an
+//! [`AmacSession::feed`] into an empty window) first offers its whole
+//! input to the op's batch stage ([`LookupOp::batch`]), before it
+//! allocates or fills a slot. An op that takes it runs every lookup to
+//! completion its own way and returns the nodes it dereferenced; the
+//! window then counts what its loop would have: a lookup and a stage per
+//! input, a stage and a prefetch per node. The hash-join probe takes it
+//! with the AVX-512 kernel `amac_hashtable::vector` on a host that has
+//! AVX-512F/DQ. Metered calls, feeds into a window with slots live, GP,
+//! SPP and the baseline never ask, and the serving lanes (the mux's
+//! `LaneView`) and fused chains ([`pipeline`]) keep the default, so they
+//! run the window.
 
 pub(crate) mod amac_exec;
 mod baseline;
@@ -187,6 +200,17 @@ pub trait LookupOp {
     /// context — every call is plain and the hook calls compile away.
     #[inline(always)]
     fn ctx(&mut self) -> impl Hooks + '_ {}
+
+    /// The batch stage (see "One mode per call" in the
+    /// [module docs](self)): run every lookup of `inputs` to completion
+    /// in a window of width `m` of the op's own, counting into `tally`
+    /// what its plain stages would, and return the chain nodes it
+    /// dereferenced. `None` (the default): not taken, nothing touched.
+    #[inline(always)]
+    fn batch(&mut self, tally: &mut Self::Tally, inputs: &[Self::Input], m: usize) -> Option<u64> {
+        let _ = (tally, inputs, m);
+        None
+    }
 
     /// Asked once per [`AmacSession::feed`] call, like the mode: whether
     /// the window should call [`lookahead`](LookupOp::lookahead) (see

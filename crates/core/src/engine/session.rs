@@ -112,6 +112,9 @@ impl<S: Default> AmacSession<S> {
     /// input at position `i` of `inputs` starting also asks for the
     /// lookahead of position `i + M`: every position from `M` on, in input
     /// order, and none past the slice. Those prefetches are not counted.
+    /// A plain call into an empty window offers `inputs` to the op's
+    /// [batch stage](LookupOp::batch) first (see "One mode per call" in
+    /// the [engine docs](crate::engine)).
     ///
     /// [`Hooks::issues_prefetches`]: crate::engine::Hooks::issues_prefetches
     pub fn feed<O: LookupOp<State = S>>(
@@ -139,6 +142,9 @@ impl<S: Default> AmacSession<S> {
         let mut next = 0usize;
         // Fill any empty slots (first morsel of the run, or after a drain).
         if self.in_flight < m {
+            if self.in_flight == 0 && op.batch(inputs, m, stats) {
+                return op.flush(stats);
+            }
             for slot in 0..m {
                 if next == inputs.len() {
                     break;
@@ -570,6 +576,80 @@ mod tests {
             assert_eq!(op.seen.idle, round * whole.seen.idle, "round {round}: idle ticks");
             assert_eq!(op.outputs, whole.outputs);
         }
+    }
+
+    /// A [`ChainOp`] that takes the batch stage: it walks each input's
+    /// chain to its end, one node per step, and counts its batches.
+    struct Batching(ChainOp, usize);
+
+    impl LookupOp for Batching {
+        type Input = usize;
+        type State = ChainState;
+        type Tally = ();
+        type Output = core::convert::Infallible;
+
+        fn budgeted_steps(&self) -> usize {
+            self.0.budgeted_steps()
+        }
+
+        fn start<const PLAIN: bool>(&mut self, t: &mut (), input: usize, state: &mut ChainState) {
+            self.0.start::<PLAIN>(t, input, state);
+        }
+
+        fn step<const PLAIN: bool>(&mut self, t: &mut (), state: &mut ChainState) -> Step {
+            self.0.step::<PLAIN>(t, state)
+        }
+
+        fn ctx(&mut self) -> impl crate::engine::Hooks + '_ {
+            self.0.ctx()
+        }
+
+        fn batch(&mut self, t: &mut (), inputs: &[usize], _: usize) -> Option<u64> {
+            self.1 += 1;
+            let mut nodes = 0;
+            for &input in inputs {
+                let mut state = ChainState::default();
+                self.0.start::<true>(t, input, &mut state);
+                nodes += 1;
+                while self.0.step::<true>(t, &mut state) == Step::Continue {
+                    nodes += 1;
+                }
+            }
+            Some(nodes)
+        }
+    }
+
+    #[test]
+    fn only_a_plain_call_into_an_empty_window_takes_the_batch_stage() {
+        const M: usize = 10;
+        let chains: Vec<usize> = (0..500).map(|i| 1 + (i * 13) % 7).collect();
+        let inputs: Vec<usize> = (0..chains.len()).collect();
+        let mut scalar = ChainOp::new(&chains);
+        let want = run_amac(&mut scalar, &inputs, M);
+        let batching = |plain| {
+            let mut op = Batching(ChainOp::new(&chains), 0);
+            op.0.seen.plain = plain;
+            op
+        };
+        // The one-shot executor: one batch on a plain call, none otherwise.
+        for plain in [true, false] {
+            let mut op = batching(plain);
+            assert_eq!(run_amac(&mut op, &inputs, M), want, "plain {plain}");
+            assert_eq!((op.1, &op.0.outputs), (plain as usize, &scalar.outputs), "plain {plain}");
+        }
+        // Plain feeds into an empty window each take it. A short metered
+        // feed leaves slots live, and the plain feeds after it run the
+        // window.
+        let mut op = batching(true);
+        let (mut session, mut stats) = (AmacSession::new(M), EngineStats::default());
+        let cuts = [0, 100, 200, 205, 300, 500];
+        for (i, at) in cuts.windows(2).enumerate() {
+            op.0.seen.plain = i != 2;
+            session.feed(&mut op, &inputs[at[0]..at[1]], &mut stats);
+            assert_eq!(session.in_flight(), [0, 0, 5, M, M][i], "feed {i}");
+        }
+        session.drain(&mut op, &mut stats);
+        assert_eq!((stats, op.1, &op.0.outputs), (want, 2, &scalar.outputs));
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   reads a line it has not requested, and the loops whose trip counts
 //!   depend on gathered data run on results that settled a batch ago.
 //!
-//! Results and counters equal the scalar plain AMAC probe's
-//! (`amac_ops::join::probe` on its engine path) bit for bit: the same
-//! matches, checksum and first match per input (the lowest matching slot
-//! of the first node holding one), and the same node visits and tag
+//! It is the batch stage of `amac_ops::join::ProbeOp`, and its results
+//! and counters equal that op's scalar plain stages' bit for bit: the
+//! same matches, checksum and first match per input (the lowest matching
+//! slot of the first node holding one), and the same node visits and tag
 //! rejects. A node with two matching keys (duplicate build keys) or three
 //! matching tags is walked on by a scalar chain cursor, which meets the
 //! slots in order.
@@ -429,6 +429,12 @@ mod avx512 {
             at_tag: __m512i,
             tally: &mut Tally,
         ) -> (__mmask8, __m512i) {
+            if cfg!(debug_assertions) && HEADER {
+                for i in (0..LANES).filter(|i| live & (1 << i) != 0) {
+                    let bucket = lane(&off, i) >> 6;
+                    debug_assert!(bucket < self.ht.bucket_count() as u64, "header {bucket}");
+                }
+            }
             let zero = _mm512_setzero_si512();
             let tag = _mm512_and_si512(at_tag, splat(0xFF));
             let nm = self.gather(live, NEXT, off);
@@ -481,6 +487,13 @@ mod avx512 {
             let next = _mm512_and_si512(nm, splat(u32::MAX as u64));
             let open = if self.scan_all { vector } else { vector & !single };
             let on = _mm512_mask_cmpneq_epi64_mask(open, next, splat(NULL_INDEX as u64));
+            if cfg!(debug_assertions) {
+                // The next pass gathers these lanes' nodes.
+                for i in (0..LANES).filter(|i| on & (1 << i) != 0) {
+                    let idx = lane(&next, i);
+                    debug_assert!(idx < self.ht.nodes().len() as u64, "chain index {idx}");
+                }
+            }
             if multi != 0 {
                 self.resolve_scalar(multi, off, key, at_tag);
             }

@@ -2,7 +2,6 @@
 
 use crate::chain::ChainCursor;
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
-use amac_hashtable::vector::{self, VectorProbe};
 use amac_hashtable::{Bucket, BuildHandle, HashTable};
 use amac_mem::prefetch::PrefetchHint;
 use amac_metrics::timer::CycleTimer;
@@ -78,9 +77,7 @@ pub struct ProbeConfig {
     /// them set each stage is one out-of-line call into the full lane
     /// protocol, where the disabled tracer is one not-taken branch per
     /// wait and per retirement. A tracer armed between two calls (two
-    /// feeds of a session, say) records from the next call on. A plain
-    /// AMAC [`probe`] call takes no executor on a host with AVX-512F/DQ:
-    /// it runs the vector kernel, with the same results and counters.
+    /// feeds of a session, say) records from the next call on.
     pub trace: bool,
 }
 
@@ -127,17 +124,6 @@ pub struct ProbeOutput {
     /// Structured trace harvested from the op (disabled and empty unless
     /// [`ProbeConfig::trace`] was set).
     pub trace: Tracer,
-}
-
-impl ProbeOutput {
-    /// Cycles per probe tuple — the paper's primary metric.
-    pub fn cycles_per_tuple(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / n as f64
-        }
-    }
 }
 
 /// Per-lookup probe state: the paper's circular-buffer entry (Fig. 4) —
@@ -285,6 +271,24 @@ impl LookupOp for ProbeOp<'_> {
         state.cursor.advance::<PLAIN>("probe", self.ht, d.next, &mut self.cx, &mut t.led)
     }
 
+    /// The whole input through the vector kernel
+    /// [`amac_hashtable::vector::probe`] where the host has AVX-512F/DQ,
+    /// with headers requested `m` lookups ahead: the matches, first
+    /// matches and ledger the stages would have made. Out of line: one
+    /// call per executor call.
+    #[inline(never)]
+    fn batch(&mut self, t: &mut ProbeTally, inputs: &[Tuple], m: usize) -> Option<u64> {
+        let out = self.materialize.then(|| &mut self.out[t.cursor..t.cursor + inputs.len()]);
+        let v = amac_hashtable::vector::probe(self.ht, inputs, m, self.scan_all, out)?;
+        t.matches += v.matches;
+        t.checksum = t.checksum.wrapping_add(v.checksum);
+        t.cursor += inputs.len();
+        t.led.issued_loads += v.nodes;
+        t.led.nodes_visited += v.nodes;
+        t.led.tag_rejects += v.tag_rejects;
+        Some(v.nodes)
+    }
+
     #[inline(always)]
     fn tally(&self) -> ProbeTally {
         ProbeTally {
@@ -319,57 +323,13 @@ impl LookupOp for ProbeOp<'_> {
 }
 
 /// Run a probe of `s` against `ht` with `technique`.
-///
-/// A plain AMAC call (`Technique::Amac` in a plain context, see
-/// [`ProbeConfig::trace`]) runs the vector kernel
-/// [`amac_hashtable::vector::probe`] when the host has AVX-512F/DQ: 8
-/// lookups per vector, with headers requested `params.in_flight` lookups
-/// ahead. Its results and [`EngineStats`] equal the engine path's bit for
-/// bit. Every other call, and a plain AMAC call on any other host, runs
-/// `technique`'s executor over a [`ProbeOp`].
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
     let mut op = crate::traced(ProbeOp::new(ht, cfg, s.len()), cfg.trace);
     let timer = CycleTimer::start();
-    let plain_amac = technique == Technique::Amac && op.cx.plain();
-    let kernel = plain_amac.then(|| {
-        let out = op.materialize.then_some(&mut op.out[..]);
-        vector::probe(ht, &s.tuples, cfg.params.in_flight, op.scan_all, out)
-    });
-    let stats = match kernel.flatten() {
-        Some(v) => {
-            op.matches = v.matches;
-            op.checksum = v.checksum;
-            vector_stats(s.len() as u64, &v)
-        }
-        None => run(technique, &mut op, &s.tuples, cfg.params),
-    };
-    let cycles = timer.cycles();
-    let seconds = timer.seconds();
-    let trace = op.cx.take_tracer();
-    ProbeOutput {
-        matches: op.matches,
-        checksum: op.checksum,
-        out: op.out,
-        stats,
-        cycles,
-        seconds,
-        trace,
-    }
-}
-
-/// The counters the engine's plain AMAC probe reports for the work `v`
-/// did: a stage for each lookup's start and for each node it visits, and
-/// one prefetch and one issued load per node.
-fn vector_stats(lookups: u64, v: &VectorProbe) -> EngineStats {
-    EngineStats {
-        lookups,
-        stages: lookups + v.nodes,
-        prefetches: v.nodes,
-        nodes_visited: v.nodes,
-        tag_rejects: v.tag_rejects,
-        issued_loads: v.nodes,
-        ..Default::default()
-    }
+    let stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let (cycles, seconds, trace) = (timer.cycles(), timer.seconds(), op.cx.take_tracer());
+    let (matches, checksum, out) = (op.matches, op.checksum, op.out);
+    ProbeOutput { matches, checksum, out, stats, cycles, seconds, trace }
 }
 
 /// Build configuration.

@@ -68,7 +68,9 @@ impl MtOutput {
 /// AMAC each worker's window looks ahead inside every morsel when the
 /// table's headers span a huge page (see `amac::engine`'s "Lookahead"),
 /// so a morsel's headers past its first `M` are requested before their
-/// lookups start; GP, SPP and the baseline request none early.
+/// lookups start; GP, SPP and the baseline request none early. On a plain
+/// context each morsel goes to [`ProbeOp`](crate::join::ProbeOp)'s batch
+/// stage where it can run (see `amac::engine`'s "One mode per call").
 pub fn probe_mt_rt(
     ht: &HashTable,
     s: &Relation,

@@ -788,7 +788,7 @@ mod tests {
         let x = [0u8; 256];
         let p = x.as_ptr();
         assert_eq!(AddrClass::header_ptr(p).line(), p as u64 >> 6);
-        let q = unsafe { p.add(64) };
+        let q = x[64..].as_ptr();
         assert_ne!(AddrClass::header_ptr(p).line(), AddrClass::header_ptr(q).line());
         assert_eq!(AddrClass::slab_ptr(3, p).line(), p as u64 >> 6);
     }

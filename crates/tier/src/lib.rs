@@ -98,6 +98,7 @@
 //! let _ = TuningParams::default();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crash;

@@ -27,9 +27,12 @@
 # show up here once inlined) and the out-of-line stages it calls. Last
 # come every executor instance with its size, the instance count of each
 # executor and the size of `.text`: run it on two commits' harnesses to
-# compare them. The plain AMAC join probe's AVX-512 kernel
-# (`amac_hashtable::vector`) is no executor: its functions are listed
-# with their sizes beside the executor instances. Legacy symbol names
+# compare them. An op's batch stage (`LookupOp::batch`: the plain AMAC
+# window hands it a whole feed when no slot is live) runs outside the
+# executors: each out-of-line `batch` instance is listed with its size and
+# the executor instances that call it (`ProbeOp`'s, from its `feed` and
+# `run_amac`), and so are the functions of the AVX-512 kernel it wraps
+# (`amac_hashtable::vector`). Legacy symbol names
 # carry no type arguments, so instances of a generic function (an
 # executor, the metered pair) are named by their DWARF declaration
 # (`feed<ProbeState, ProbeOp>`), module paths dropped; without debug
@@ -105,6 +108,7 @@ BEGIN {
     if (name ~ / as amac::engine::LookupOp>::(start|step)$/ || name ~ /::(metered_(start|step)|step_routed)$/)
       sizes[label(a, name) " " f[1]] = hex(f[2])
     if (name ~ /^amac_hashtable::vector::/) kernel[name] = hex(f[2])
+    if (name ~ / as amac::engine::LookupOp>::batch$/) batch[a] = ""
   }
   # GOT slot -> address it is relocated to.
   while ((getline line < relocs) > 0) {
@@ -116,7 +120,7 @@ BEGIN {
 }
 /^[0-9a-f]+ <.*>:$/ {
   body = $0; sub(/^[0-9a-f]+ </, "", body); sub(/>:$/, "", body)
-  watched = is_executor(body); bodies += watched
+  watched = is_executor(body); bodies += watched; here = addr($1)
   feed = ""
   if (body ~ /::(feed|feed_lane)$/ && watched) { feed = addr($1); feeds[feed] = 0; callees[feed] = "" }
   next
@@ -132,6 +136,7 @@ watched && /\tcall / {
     ta = $0; sub(/.*call +/, "", ta); sub(/ .*/, "", ta); ta = addr(ta)
   }
   if (is_stage(target)) { printf "  %s calls %s\n", body, target; bad++ }
+  if (ta in batch && index(batch[ta], exec_at[here]) == 0) batch[ta] = batch[ta] (batch[ta] == "" ? "" : "; ") exec_at[here]
   if (feed != "" && (target ~ /::(metered_(start|step)|step_routed)$/ || is_stage(target))) {
     short = target; sub(/^<?([a-z_]+::)*/, "", short); sub(/ as .*>::/, "::", short)
     short = label(ta, short); gsub(/ /, "", short)
@@ -148,7 +153,13 @@ END {
   print "executor instances (bytes):"
   for (a in exec_at) printf "  %6d  %s\n", size[a], exec_at[a] | "sort -k2 -k1n"
   close("sort -k2 -k1n")
-  print "vector probe kernel, outside the executors (bytes):"
+  print "batch stages, outside the executors (bytes, executor instances calling it):"
+  for (a in batch) {
+    short = at[a]; sub(/^<([a-z_]+::)*/, "", short); sub(/ as .*>::/, "::", short)
+    printf "  %6d  %s, from %s\n", size[a], short, batch[a] | "sort -k2"
+  }
+  close("sort -k2")
+  print "vector probe kernel, behind the ProbeOp batch stage (bytes):"
   for (k in kernel) printf "  %6d  %s\n", kernel[k], k | "sort -k2"
   close("sort -k2")
   print "executor instance counts:"

@@ -13,7 +13,7 @@
 
 use amac_suite::engine::engine::mux::Mux;
 use amac_suite::engine::engine::AmacSession;
-use amac_suite::engine::{EngineStats, Hooks, LookupOp, Technique};
+use amac_suite::engine::{EngineStats, Hooks, LookupOp, Step, Technique};
 use amac_suite::hashtable::agg::AggValues;
 use amac_suite::hashtable::{AggTable, HashTable};
 use amac_suite::mem::prefetch::PrefetchHint;
@@ -242,6 +242,51 @@ fn probe_probe_pipeline_agrees_under_every_technique() {
 /// Window width of the session tests.
 const M: usize = 10;
 
+/// A `ProbeOp` that keeps the default batch stage: its scalar stages in
+/// the engine's window, which a plain session keeps full across feeds and
+/// drain give-ups (a plain `ProbeOp` hands a feed into an empty window to
+/// its batch stage where the vector kernel runs, and leaves no slot live).
+struct Scalar<'a>(ProbeOp<'a>);
+
+impl<'a> LookupOp for Scalar<'a> {
+    type Input = Tuple;
+    type State = <ProbeOp<'a> as LookupOp>::State;
+    type Tally = <ProbeOp<'a> as LookupOp>::Tally;
+    type Output = <ProbeOp<'a> as LookupOp>::Output;
+
+    fn budgeted_steps(&self) -> usize {
+        self.0.budgeted_steps()
+    }
+
+    fn start<const PLAIN: bool>(&mut self, t: &mut Self::Tally, x: Tuple, s: &mut Self::State) {
+        self.0.start::<PLAIN>(t, x, s);
+    }
+
+    fn step<const PLAIN: bool>(&mut self, t: &mut Self::Tally, s: &mut Self::State) -> Step {
+        self.0.step::<PLAIN>(t, s)
+    }
+
+    fn tally(&self) -> Self::Tally {
+        self.0.tally()
+    }
+
+    fn settle(&mut self, t: Self::Tally) {
+        self.0.settle(t);
+    }
+
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        self.0.ctx()
+    }
+
+    fn looks_ahead(&self) -> bool {
+        self.0.looks_ahead()
+    }
+
+    fn lookahead(&self, x: Tuple) {
+        self.0.lookahead(x);
+    }
+}
+
 /// One session fed a probe side in two halves, then drained.
 struct Halves {
     /// Matches, checksum and materialized output.
@@ -252,11 +297,11 @@ struct Halves {
     at_arm: (u64, usize),
 }
 
-/// Feed `s` to one session in two halves on a plain `ProbeOp` of `ht`,
-/// arming a tracer before feed `arm_before` (never for `None`), then
-/// drain.
+/// Feed `s` to one session in two halves on a plain `ProbeOp` of `ht`
+/// (its scalar stages), arming a tracer before feed `arm_before` (never
+/// for `None`), then drain.
 fn fed_in_halves(ht: &HashTable, s: &Relation, arm_before: Option<usize>) -> Halves {
-    let mut op = ProbeOp::new(ht, &ProbeConfig::default(), s.len());
+    let mut op = Scalar(ProbeOp::new(ht, &ProbeConfig::default(), s.len()));
     assert!(op.ctx().plain(), "a default probe is plain");
     let mut session = AmacSession::new(M);
     let mut stats = EngineStats::default();
@@ -270,7 +315,7 @@ fn fed_in_halves(ht: &HashTable, s: &Relation, arm_before: Option<usize>) -> Hal
     }
     session.drain(&mut op, &mut stats);
     let trace = op.ctx().take_tracer();
-    Halves { out: (op.matches(), op.checksum(), op.take_out()), stats, trace, at_arm }
+    Halves { out: (op.0.matches(), op.0.checksum(), op.0.take_out()), stats, trace, at_arm }
 }
 
 #[test]
@@ -341,12 +386,15 @@ fn a_budgeted_drain_settles_the_tally_at_every_give_up() {
     let r = build_side();
     let s = probe_side(&r);
 
-    // Probe: the metered twin recounts every stage into the op itself.
+    // Probe (its scalar stages): the metered twin recounts every stage
+    // into the op itself.
     let ht = chained_table(&r);
     let cfg = ProbeConfig { materialize: false, ..Default::default() };
     let twin_cfg = ProbeConfig { tier: metered(), ..cfg.clone() };
-    let (plain, twin) = (ProbeOp::new(&ht, &cfg, 0), ProbeOp::new(&ht, &twin_cfg, 0));
+    let plain = Scalar(ProbeOp::new(&ht, &cfg, 0));
+    let twin = Scalar(ProbeOp::new(&ht, &twin_cfg, 0));
     let give_ups = give_up_in_lockstep(plain, twin, &s.tuples, |a, b, sa, sb, in_flight, at| {
+        let (a, b) = (&a.0, &b.0);
         assert_eq!((a.matches(), a.checksum()), (b.matches(), b.checksum()), "probe {at}");
         assert_eq!(*sa, unsimulated(*sb), "probe {at}: flushed ledger");
         assert_ledger_recounts(sa, in_flight, &format!("probe {at}"));

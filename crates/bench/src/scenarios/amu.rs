@@ -3,8 +3,9 @@
 //! inside a commit group ride the first issue. The gated signal is
 //! **issued loads per lookup**: Zipf(1) probe keys put hot lines in
 //! flight together and coalesce, uniform keys rarely collide. That
-//! results never change with coalescing is the contract of
-//! `crates/core/tests/amu_conformance.rs`.
+//! results never change with coalescing, and that issued plus coalesced
+//! loads equal the uncoalesced issue count, are invariants 1 and 3 of
+//! `tests/ops_sim.rs`.
 
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};
 use amac::engine::Technique;

@@ -9,8 +9,8 @@
 //! (`crates/server/tests/sim.rs`: invariant 5 and the plan
 //! `faulted_tenant_survivors_and_healthy_neighbours_stay_exact`), and so
 //! are report and ledger conservation under random interleavings
-//! (invariants 1–4); the thread-count invariance is
-//! `crates/ops/tests/tier_sim.rs`'s.
+//! (invariants 1–4); the thread-count invariance of fault sets is
+//! invariant 6 of `tests/ops_sim.rs`.
 
 use super::submit_closed_loop;
 use crate::{scan_all_cfg, Args, JsonOut, Outcome};

@@ -183,30 +183,6 @@ pub fn probe_groupby_two_phase_mt_rt(
     MtPipeline { out, matched, intermediate_bytes: mid.bytes() as u64, passes: 2 }
 }
 
-/// Multi-threaded **fused** 2-join chain (probe→filter→probe) on the
-/// morsel runtime.
-pub fn probe_probe_mt_rt(
-    ht1: &HashTable,
-    ht2: &HashTable,
-    s: &Relation,
-    technique: Technique,
-    cfg: &crate::pipeline::PipelineConfig,
-    rt: &MorselConfig,
-) -> MtPipeline {
-    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
-        crate::traced(crate::pipeline::fused_probe_probe_op(ht1, ht2, cfg), cfg.trace)
-    });
-    let mut res = MtPipeline { passes: 1, ..Default::default() };
-    let mut out = MtOutput::from_report(run.report);
-    for op in &run.ops {
-        res.matched += op.pipe().up().matches();
-        out.matches += op.sink().matches;
-        out.checksum = out.checksum.wrapping_add(op.sink().checksum);
-    }
-    res.out = out;
-    res
-}
-
 /// Multi-threaded skip-list insert.
 pub fn skip_insert_mt_rt(
     list: &SkipList,
@@ -392,24 +368,6 @@ mod tests {
             let mut groups2 = table2.groups();
             groups2.sort_by_key(|(k, _)| *k);
             assert_eq!(groups2, st_groups, "{threads}t: two-phase aggregates diverge");
-        }
-    }
-
-    #[test]
-    fn fused_probe_probe_mt_matches_single_thread() {
-        let r2 = Relation::fk_dimension(64, 1 << 16, 0x81);
-        let r1 = Relation::fk_dimension(1024, 64, 0x82);
-        let s = Relation::fk_uniform(&r1, 15_000, 0x83);
-        let ht1 = HashTable::build_serial(&r1);
-        let ht2 = HashTable::build_serial(&r2);
-        let cfg = crate::pipeline::PipelineConfig::default();
-        let st = crate::pipeline::probe_then_probe(&ht1, &ht2, &s, Technique::Amac, &cfg);
-        for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
-            let rt = MorselConfig { threads: 4, morsel_tuples: 512, scheduling };
-            let mt = probe_probe_mt_rt(&ht1, &ht2, &s, Technique::Amac, &cfg, &rt);
-            assert_eq!(mt.out.matches, st.aggregated, "{scheduling:?}");
-            assert_eq!(mt.out.checksum, st.checksum, "{scheduling:?}");
-            assert_eq!(mt.matched, st.matched, "{scheduling:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! `TuningParams::auto_sim` must hill-climb to a ladder rung, stay on
 //! the default when the latency is already hidden, and deepen the window
 //! once the far tier out-runs it. (The same property over the real
-//! `ProbeOp` lives in `crates/ops/tests/tier_sim.rs`.)
+//! `ProbeOp` lives in `tests/ops_sim.rs`.)
 
 use amac::engine::{Hooks, LookupOp, Step, TuningParams, AUTO_MAX_IN_FLIGHT, AUTO_MIN_IN_FLIGHT};
 use amac_tier::{AddrClass, ExecCtx, ExecSpec, TierSpec};

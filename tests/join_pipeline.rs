@@ -1,117 +1,36 @@
-//! End-to-end hash-join validation across the full skew matrix: every
-//! technique must compute exactly the join a reference `HashMap` join
-//! computes, for every `[Z_R, Z_S]` configuration of Figure 5.
+//! The hash join (build, probe, materialized first matches) computes what
+//! the std model does under every technique, window and driver. Each test
+//! checks generated cases of `ops_cases` with its concern pinned.
 
-use amac_suite::engine::{Technique, TuningParams};
-use amac_suite::hashtable::HashTable;
-use amac_suite::ops::join::{build, probe, BuildConfig, ProbeConfig};
-use amac_suite::workload::Relation;
-use std::collections::HashMap;
+mod ops_cases;
 
-/// Reference join: match count + payload checksum via std HashMap.
-fn reference_join(r: &Relation, s: &Relation) -> (u64, u64) {
-    let mut map: HashMap<u64, Vec<u64>> = HashMap::new();
-    for t in &r.tuples {
-        map.entry(t.key).or_default().push(t.payload);
-    }
-    let mut matches = 0u64;
-    let mut checksum = 0u64;
-    for t in &s.tuples {
-        if let Some(pls) = map.get(&t.key) {
-            matches += pls.len() as u64;
-            for p in pls {
-                checksum = checksum.wrapping_add(*p);
-            }
-        }
-    }
-    (matches, checksum)
-}
-
-fn generate(nr: usize, ns: usize, zr: f64, zs: f64, seed: u64) -> (Relation, Relation) {
-    let r = if zr == 0.0 {
-        Relation::dense_unique(nr, seed)
-    } else {
-        Relation::zipf(nr, nr as u64, zr, seed)
-    };
-    let s = if zs == 0.0 {
-        Relation::fk_uniform(&r, ns, seed ^ 1)
-    } else {
-        Relation::zipf(ns, nr as u64, zs, seed ^ 1)
-    };
-    (r, s)
-}
+use ops_cases::{per_technique, sweep, Keys, Op};
 
 #[test]
 fn full_skew_matrix_matches_reference() {
-    for (zr, zs) in [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.5, 0.5), (1.0, 1.0)] {
-        let (r, s) = generate(1 << 12, 1 << 14, zr, zs, 0xD0E ^ ((zr * 16.0) as u64));
-        let (want_matches, want_checksum) = reference_join(&r, &s);
-        for technique in Technique::ALL {
-            let ht = HashTable::for_tuples(r.len());
-            build(&ht, &r, technique, &BuildConfig::default());
-            let cfg = ProbeConfig { scan_all: true, materialize: false, ..Default::default() };
-            let out = probe(&ht, &s, technique, &cfg);
-            assert_eq!(
-                (out.matches, out.checksum),
-                (want_matches, want_checksum),
-                "{technique} diverges from reference at [{zr},{zs}]"
-            );
+    for keys in [Keys::Hits, Keys::Zipf] {
+        for dups in [false, true] {
+            per_technique(|c| c.op == Op::Probe && c.keys == keys && c.dups == dups, &[]);
         }
     }
 }
 
 #[test]
 fn probe_after_amac_build_equals_probe_after_serial_build() {
-    let (r, s) = generate(1 << 13, 1 << 13, 0.8, 0.0, 0xABC);
-    let serial = HashTable::build_serial(&r);
-    let amac_table = HashTable::for_tuples(r.len());
-    build(&amac_table, &r, Technique::Amac, &BuildConfig::default());
-    let cfg = ProbeConfig { scan_all: true, materialize: false, ..Default::default() };
-    let a = probe(&serial, &s, Technique::Baseline, &cfg);
-    let b = probe(&amac_table, &s, Technique::Baseline, &cfg);
-    assert_eq!(a.matches, b.matches);
-    assert_eq!(a.checksum, b.checksum);
+    // Invariant 9 probes the table each build leaves against the model.
+    per_technique(|c| c.op == Op::Build, &[]);
 }
 
 #[test]
 fn tuning_width_never_changes_results() {
-    let (r, s) = generate(1 << 11, 1 << 13, 1.0, 1.0, 0xEF1);
-    let ht = HashTable::build_serial(&r);
-    let mut reference = None;
-    for m in [1usize, 2, 5, 10, 16, 32] {
-        for technique in Technique::ALL {
-            let cfg = ProbeConfig {
-                params: TuningParams::with_in_flight(m),
-                scan_all: true,
-                materialize: false,
-                ..Default::default()
-            };
-            let out = probe(&ht, &s, technique, &cfg);
-            match reference {
-                None => reference = Some((out.matches, out.checksum)),
-                Some(want) => {
-                    assert_eq!((out.matches, out.checksum), want, "{technique} with M={m} diverges")
-                }
-            }
-        }
+    for m in [1, 2, 5, 8, 10, 16, 33] {
+        sweep(1, |c| c.op == Op::Probe && c.m == m);
     }
 }
 
 #[test]
 fn materialization_is_input_ordered_and_schedule_invariant() {
-    let (r, s) = generate(1 << 12, 1 << 12, 0.0, 0.0, 0x123);
-    let ht = HashTable::build_serial(&r);
-    let mut outs = Vec::new();
-    for technique in Technique::ALL {
-        let out = probe(&ht, &s, technique, &ProbeConfig::default());
-        outs.push(out.out);
-    }
-    for o in &outs[1..] {
-        assert_eq!(o, &outs[0]);
-    }
-    // Input order: out[i] is the payload for s[i]'s key.
-    let map: HashMap<u64, u64> = r.tuples.iter().map(|t| (t.key, t.payload)).collect();
-    for (i, t) in s.tuples.iter().enumerate() {
-        assert_eq!(outs[0][i], map[&t.key], "materialized slot {i}");
+    for kind in ["OneShot", "Chunked", "Mux"] {
+        sweep(1, |c| c.op == Op::Probe && c.materialize && c.driver.kind() == kind);
     }
 }

@@ -22,7 +22,11 @@
 //!
 //! ## Per-node kernel
 //!
-//! [`prefetch_node`] fetches both lines of a node with `PREFETCHT0`, not
+//! A search runs as a [`BTreeCursor`]: stage 0 walks the tree's *hot
+//! prefix* ([`BPlusTree::hot_levels`], the top inner levels whose nodes
+//! fit in `amac_mem::HOT_BYTES` and that every lookup reads again)
+//! inline, with no prefetch and no yield, and prefetches the node below;
+//! each later stage visits one node. [`prefetch_node`] fetches both lines of a node with `PREFETCHT0`, not
 //! the paper's `PREFETCHNTA` (§4): every lookup walks the same upper
 //! levels again, and an NTA fill that leaves L1 is not kept in L2.
 //! [`InnerNode::select_child`] is a branchy scan and [`LeafNode::lookup`]
@@ -32,4 +36,4 @@ mod node;
 mod tree;
 
 pub use node::{prefetch_node, InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
-pub use tree::{BPlusTree, BTreeStats};
+pub use tree::{BPlusTree, BTreeCursor, BTreeMove, BTreeStats};

@@ -1,8 +1,10 @@
 //! The bulk-loaded B+-tree.
 
-use crate::node::{InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
+use crate::node::{prefetch_node, InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
 use amac_mem::arena::Arena;
+use amac_mem::HOT_BYTES;
 use amac_workload::Relation;
+use core::marker::PhantomData;
 
 /// A static, bulk-loaded B+-tree over arena-allocated two-cache-line nodes.
 ///
@@ -20,9 +22,13 @@ use amac_workload::Relation;
 pub struct BPlusTree {
     inners: Arena<InnerNode>,
     leaves: Arena<LeafNode>,
+    /// Null when empty; a [`LeafNode`] when `height == 1`, an
+    /// [`InnerNode`] when `height > 1`.
     root: *const u8,
     first_leaf: *const LeafNode,
     height: usize,
+    /// Top inner levels whose nodes together fit in [`HOT_BYTES`].
+    hot_levels: usize,
     len: usize,
 }
 
@@ -41,6 +47,7 @@ impl BPlusTree {
             root: core::ptr::null(),
             first_leaf: core::ptr::null(),
             height: 0,
+            hot_levels: 0,
             len: 0,
         }
     }
@@ -67,6 +74,7 @@ impl BPlusTree {
             root: core::ptr::null(),
             first_leaf: core::ptr::null(),
             height: 0,
+            hot_levels: 0,
             len: pairs.len(),
         };
 
@@ -96,7 +104,9 @@ impl BPlusTree {
 
         // Upper levels: group up to FANOUT_CHILDREN children per inner
         // node; the separator for child i (i > 0) is the first key of its
-        // subtree.
+        // subtree. `widths` collects each inner level's node count,
+        // bottom-up.
+        let mut widths = Vec::new();
         while level.len() > 1 {
             let mut next_level: Vec<(u64, *const u8)> =
                 Vec::with_capacity(level.len().div_ceil(FANOUT_CHILDREN));
@@ -114,12 +124,21 @@ impl BPlusTree {
                 }
                 next_level.push((group[0].0, inner as *const u8));
             }
+            widths.push(next_level.len());
             level = next_level;
             tree.height += 1;
         }
 
         tree.root = level[0].1;
         tree.height += 1; // count the leaf level
+        let mut hot_nodes = 0usize;
+        for w in widths.into_iter().rev() {
+            hot_nodes += w;
+            if hot_nodes * core::mem::size_of::<InnerNode>() > HOT_BYTES {
+                break;
+            }
+            tree.hot_levels += 1;
+        }
         tree
     }
 
@@ -141,19 +160,19 @@ impl BPlusTree {
         Self::from_sorted(&dedup)
     }
 
-    /// Root pointer (null when empty) — what AMAC's stage 0 prefetches.
-    /// Interpret via [`height`](Self::height): it is a [`LeafNode`] when
-    /// `height == 1`, an [`InnerNode`] when `height > 1`.
-    #[inline(always)]
-    pub fn root_ptr(&self) -> *const u8 {
-        self.root
-    }
-
     /// Levels of nodes a lookup dereferences (0 for an empty tree; 1 when
     /// the root is a leaf).
     #[inline(always)]
     pub fn height(&self) -> usize {
         self.height
+    }
+
+    /// Top inner levels whose nodes together fit in [`HOT_BYTES`]: the
+    /// hot prefix [`BTreeCursor::start`] walks inline (4 for 2^20 keys;
+    /// never the leaf level).
+    #[inline(always)]
+    pub fn hot_levels(&self) -> usize {
+        self.hot_levels
     }
 
     /// Number of stored keys.
@@ -168,7 +187,8 @@ impl BPlusTree {
         self.len == 0
     }
 
-    /// Reference search (the no-prefetch baseline walk).
+    /// Reference search: the walk a [`BTreeCursor`] stages, with no
+    /// prefetch.
     pub fn get(&self, key: u64) -> Option<u64> {
         if self.root.is_null() {
             return None;
@@ -254,6 +274,76 @@ impl Default for BPlusTree {
     }
 }
 
+/// What one [`BTreeCursor::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BTreeMove {
+    /// Selected the inner node's child for the key and prefetched it.
+    Descended,
+    /// The leaf holds the key; its payload.
+    Found(u64),
+    /// The leaf does not hold the key, or the tree is empty.
+    Missed,
+}
+
+/// A resumable search position: the node the previous stage prefetched
+/// and the node visits left, itself included (`1`: a leaf). The default
+/// cursor is an exhausted search (`step` returns [`BTreeMove::Missed`]
+/// without touching memory).
+pub struct BTreeCursor<'t> {
+    ptr: *const u8,
+    level: usize,
+    /// Nodes are arena-owned by the tree, which is read-only once built.
+    tree: PhantomData<&'t BPlusTree>,
+}
+
+impl Default for BTreeCursor<'_> {
+    fn default() -> Self {
+        BTreeCursor { ptr: core::ptr::null(), level: 0, tree: PhantomData }
+    }
+}
+
+impl<'t> BTreeCursor<'t> {
+    /// Stage 0: walk the [`hot_levels`](BPlusTree::hot_levels) top inner
+    /// levels for `key` inline and prefetch the node below them.
+    #[inline(always)]
+    pub fn start(tree: &'t BPlusTree, key: u64) -> Self {
+        let mut ptr = tree.root;
+        if !ptr.is_null() {
+            for _ in 0..tree.hot_levels {
+                // SAFETY: read-only phase; the hot levels are inner levels
+                // (never the leaf), and every pointer targets the tree.
+                ptr = unsafe { (*ptr.cast::<InnerNode>()).select_child(key) };
+            }
+            prefetch_node(ptr);
+        }
+        BTreeCursor { ptr, level: tree.height - tree.hot_levels, tree: PhantomData }
+    }
+
+    /// Consume the prefetched node: select and prefetch a child (inner),
+    /// or resolve the lookup (leaf).
+    #[inline(always)]
+    pub fn step(&mut self, key: u64) -> BTreeMove {
+        if self.ptr.is_null() {
+            return BTreeMove::Missed; // empty tree
+        }
+        if self.level > 1 {
+            // SAFETY: read-only phase; `level > 1` means ptr is an inner
+            // node of the arena-owned tree.
+            let child = unsafe { (*self.ptr.cast::<InnerNode>()).select_child(key) };
+            prefetch_node(child);
+            self.ptr = child;
+            self.level -= 1;
+            BTreeMove::Descended
+        } else {
+            // SAFETY: read-only phase; `level == 1` means ptr is a leaf.
+            match unsafe { (*self.ptr.cast::<LeafNode>()).lookup(key) } {
+                Some(payload) => BTreeMove::Found(payload),
+                None => BTreeMove::Missed,
+            }
+        }
+    }
+}
+
 /// Shape statistics for a bulk-loaded tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BTreeStats {
@@ -280,7 +370,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert_eq!(t.get(0), None);
-        assert!(t.root_ptr().is_null());
         assert!(t.iter_all().is_empty());
         assert!(t.range(0, u64::MAX).is_empty());
     }
@@ -409,6 +498,21 @@ mod tests {
         assert_eq!(s.inner_nodes, 8 + 1);
         assert_eq!(s.height, 3);
         assert!((s.leaf_fill - 1.0).abs() < 1e-9, "bulk load packs leaves full");
+    }
+
+    #[test]
+    fn hot_levels_are_the_top_inner_levels_that_fit() {
+        // 2^20 keys: inner levels of 1, 5, 37, 293, 2341, ... nodes; the
+        // first four take 336 × 128 B, the fifth would pass 256 KiB.
+        let pairs: Vec<(u64, u64)> = (0..1u64 << 20).map(|k| (k, k)).collect();
+        let t = BPlusTree::from_sorted(&pairs);
+        assert_eq!((t.height(), t.hot_levels()), (7, 4));
+        for (n, hot) in [(0usize, 0usize), (7, 0), (8, 1), (449, 3), (10_000, 4)] {
+            let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k, k)).collect();
+            let t = BPlusTree::from_sorted(&pairs);
+            assert_eq!(t.hot_levels(), hot, "n={n}");
+            assert_eq!(t.hot_levels(), t.height().saturating_sub(1), "n={n}: all inner levels fit");
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! * the flushed `load_faults` ledger is identical either way;
 //! * `issued`/`coalesced` totals are a function of birth order alone —
 //!   re-running the same lanes under a different interleaving of
-//!   issues, waits and retires reproduces them bit-for-bit.
+//!   issues, waits and retires reproduces them bit-for-bit;
+//! * an `AmacSession` feed boundary is a commit point: a lane born in the
+//!   next feed does not coalesce against one still in flight.
 
-use amac::engine::{EngineStats, Hooks};
+use amac::engine::{AmacSession, EngineStats, Hooks, LookupOp, Step};
 use amac_tier::{AddrClass, ExecCtx, ExecSpec, FaultPlan, Ticket, TierSpec};
 use proptest::prelude::*;
 
@@ -223,4 +225,54 @@ proptest! {
         prop_assert_eq!(a.stats.coalesced_loads, b.stats.coalesced_loads);
         prop_assert_eq!(a.stats.load_faults, b.stats.load_faults);
     }
+}
+
+/// One lookup per header line: stage 0 requests the line, the first step
+/// retires the lane. Records each request's `fresh` bit in birth order.
+struct LineOp {
+    cx: ExecCtx,
+    fresh: Vec<bool>,
+}
+
+impl LookupOp for LineOp {
+    type Input = u64;
+    /// The lane's commit group.
+    type State = u32;
+    type Tally = ();
+    type Output = core::convert::Infallible;
+
+    fn budgeted_steps(&self) -> usize {
+        1
+    }
+
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), line: u64, group: &mut u32) {
+        *group = self.cx.begin_lane();
+        self.fresh.push(self.cx.request(AddrClass::Header { line }, 0, *group).fresh);
+    }
+
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), group: &mut u32) -> Step {
+        self.cx.retire_lane(*group);
+        Step::Done
+    }
+
+    fn ctx(&mut self) -> impl Hooks + '_ {
+        &mut self.cx
+    }
+}
+
+/// Two feeds split a commit group of 8 (2 + 1 births) while the first
+/// feed's lanes are still in flight in a 4-slot window, all three on
+/// header line 5. The first feed's second request coalesces; the second
+/// feed's must issue, because the end of a feed seals the group.
+#[test]
+fn a_feed_boundary_seals_the_commit_group() {
+    let cx = ExecCtx::new(&ExecSpec { coalesce: Some(8), ..Default::default() });
+    let mut op = LineOp { cx, fresh: Vec::new() };
+    let mut session = AmacSession::new(4);
+    let mut stats = EngineStats::default();
+    session.feed(&mut op, &[5, 5], &mut stats);
+    session.feed(&mut op, &[5], &mut stats);
+    session.drain(&mut op, &mut stats);
+    assert_eq!(op.fresh, [true, false, true], "the second feed's request coalesced");
+    assert_eq!((stats.lookups, stats.issued_loads, stats.coalesced_loads), (3, 2, 1));
 }

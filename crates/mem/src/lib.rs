@@ -24,7 +24,7 @@ pub mod prefetch;
 pub mod region;
 pub mod rng;
 
-pub use align::CACHE_LINE;
+pub use align::{CACHE_LINE, HOT_BYTES};
 pub use arena::{slab_of_index, Arena, IndexedArena, VarArena, NULL_INDEX};
 pub use latch::Latch;
 pub use prefetch::{prefetch_read, prefetch_read_t0, prefetch_write};

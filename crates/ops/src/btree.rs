@@ -5,9 +5,12 @@
 //! stage budget `N = height` fits every lookup with zero no-ops and zero
 //! bailouts. Comparing this op against the BST op isolates *irregularity*
 //! as the variable behind AMAC's advantage (`bench btree_sweep`).
+//!
+//! The walk is `amac_btree`'s [`BTreeCursor`]: stage 0 walks the tree's
+//! hot prefix inline, each later stage visits one node below it.
 
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
-use amac_btree::{prefetch_node, BPlusTree, InnerNode, LeafNode};
+use amac_btree::{BPlusTree, BTreeCursor, BTreeMove};
 use amac_metrics::timer::CycleTimer;
 use amac_workload::{Relation, Tuple};
 use core::convert::Infallible;
@@ -44,25 +47,18 @@ pub struct BTreeOutput {
     pub seconds: f64,
 }
 
-/// Per-lookup state: the circular-buffer entry of Figure 4, with `level`
-/// standing in for the `stage` field (it counts node visits remaining).
-pub struct BTreeState {
+/// Per-lookup state: the circular-buffer entry of Figure 4, with the
+/// cursor's node count standing in for the `stage` field.
+#[derive(Default)]
+pub struct BTreeState<'a> {
     key: u64,
     idx: usize,
-    ptr: *const u8,
-    /// Node dereferences remaining, including the one `ptr` points at;
-    /// `1` means `ptr` is a leaf.
-    level: usize,
+    cursor: BTreeCursor<'a>,
 }
 
-impl Default for BTreeState {
-    fn default() -> Self {
-        BTreeState { key: 0, idx: 0, ptr: core::ptr::null(), level: 0 }
-    }
-}
-
-/// The B+-tree search state machine: stage 0 prefetches the root, each
-/// later stage consumes one node and prefetches the selected child.
+/// The B+-tree search state machine: stage 0 walks the hot prefix and
+/// prefetches the node below it, each later stage consumes one node and
+/// prefetches the selected child.
 pub struct BTreeOp<'a> {
     tree: &'a BPlusTree,
     materialize: bool,
@@ -98,59 +94,43 @@ impl<'a> BTreeOp<'a> {
     }
 }
 
-impl LookupOp for BTreeOp<'_> {
+impl<'a> LookupOp for BTreeOp<'a> {
     type Input = Tuple;
-    type State = BTreeState;
+    type State = BTreeState<'a>;
     type Tally = ();
     type Output = Infallible;
 
-    /// Exactly `height` node visits per lookup — the static schedules'
-    /// best case: `N` is both tight and uniform.
+    /// Exactly `height − hot_levels` node stages per lookup — the static
+    /// schedules' best case: `N` is both tight and uniform.
     fn budgeted_steps(&self) -> usize {
-        self.tree.height().max(1)
+        (self.tree.height() - self.tree.hot_levels()).max(1)
     }
 
-    /// Stage 0: get new tuple, prefetch the root node.
+    /// Stage 0: get new tuple, walk the hot prefix, prefetch the node
+    /// below it.
     #[inline]
-    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: Tuple, state: &mut BTreeState) {
-        let root = self.tree.root_ptr();
-        if !root.is_null() {
-            prefetch_node(root);
-        }
+    fn start<const PLAIN: bool>(&mut self, _: &mut (), input: Tuple, state: &mut BTreeState<'a>) {
         state.key = input.key;
         state.idx = self.cursor;
-        state.ptr = root;
-        state.level = self.tree.height();
+        state.cursor = BTreeCursor::start(self.tree, input.key);
         self.cursor += 1;
     }
 
     /// Later stages: select and prefetch a child (inner), or resolve the
     /// lookup (leaf).
     #[inline(always)]
-    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut BTreeState) -> Step {
-        if state.ptr.is_null() {
-            return Step::Done; // empty tree
-        }
-        if state.level > 1 {
-            // SAFETY: read-only phase; `level > 1` means ptr is an inner
-            // node of the arena-owned tree.
-            let inner = unsafe { &*state.ptr.cast::<InnerNode>() };
-            let child = inner.select_child(state.key);
-            prefetch_node(child);
-            state.ptr = child;
-            state.level -= 1;
-            Step::Continue
-        } else {
-            // SAFETY: read-only phase; `level == 1` means ptr is a leaf.
-            let leaf = unsafe { &*state.ptr.cast::<LeafNode>() };
-            if let Some(payload) = leaf.lookup(state.key) {
+    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut BTreeState<'a>) -> Step {
+        match state.cursor.step(state.key) {
+            BTreeMove::Descended => Step::Continue,
+            BTreeMove::Found(payload) => {
                 self.found += 1;
                 self.checksum = self.checksum.wrapping_add(payload);
                 if self.materialize {
                     self.out[state.idx] = payload;
                 }
+                Step::Done
             }
-            Step::Done
+            BTreeMove::Missed => Step::Done,
         }
     }
 }
@@ -248,10 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_equals_height() {
-        let rel = Relation::sparse_unique(1 << 12, 9);
-        let tree = BPlusTree::build(&rel);
-        let op = BTreeOp::new(&tree, &BTreeConfig::default(), 0);
-        assert_eq!(op.budgeted_steps(), tree.height());
+    fn budget_equals_staged_levels() {
+        // 2^12 keys: every inner level is hot, only the leaf is staged;
+        // 2^17 keys: the fifth inner level passes HOT_BYTES.
+        for (log2, staged) in [(12, 1), (17, 2)] {
+            let rel = Relation::sparse_unique(1 << log2, 9);
+            let tree = BPlusTree::build(&rel);
+            let op = BTreeOp::new(&tree, &BTreeConfig::default(), 0);
+            assert_eq!(op.budgeted_steps(), tree.height() - tree.hot_levels(), "2^{log2}");
+            assert_eq!(op.budgeted_steps(), staged, "2^{log2}");
+        }
     }
 }

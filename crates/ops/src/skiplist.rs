@@ -3,8 +3,10 @@
 //! Search stages follow Table 1 ("Skip List Insert", search part):
 //! examine the prefetched successor at the current level — advance on
 //! `<`, match on `==`, descend a level on `>` (collecting the predecessor
-//! when inserting). The insert transition ("Generate rand. lvl / Get new
-//! node" then "Initialize new node / Splice w/ collected nodes") maps to a
+//! when inserting). Stage 0 walks the list's top [`HOT_LEVELS`] levels
+//! inline ([`SkipCursor::start`]); the moves below them are stages.
+//! The insert transition ("Generate rand. lvl / Get new node" then
+//! "Initialize new node / Splice w/ collected nodes") maps to a
 //! node-allocation stage followed by one latched splice stage per tower
 //! level, each of which can report [`Step::Blocked`] for AMAC to defer.
 //!
@@ -16,7 +18,7 @@ use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_metrics::timer::CycleTimer;
 use amac_skiplist::{
     try_splice_level, InsertHandle, SkipCursor, SkipList, SkipMove, SkipNode, SpliceOutcome,
-    MAX_LEVEL,
+    HOT_LEVELS, MAX_LEVEL,
 };
 use amac_workload::{Relation, Tuple};
 use core::convert::Infallible;
@@ -26,7 +28,8 @@ use core::convert::Infallible;
 pub struct SkipConfig {
     /// Executor tuning (the paper's `M`).
     pub params: TuningParams,
-    /// GP/SPP stage budget (`N`); `0` = auto (≈ 2 moves per level).
+    /// GP/SPP stage budget (`N`); `0` = auto (≈ 2 moves per level below
+    /// the [`HOT_LEVELS`] that stage 0 walks inline).
     pub n_stages: usize,
 }
 
@@ -63,7 +66,8 @@ pub struct SkipSearchOp<'a> {
 impl<'a> SkipSearchOp<'a> {
     /// Create the op against a built list.
     pub fn new(list: &'a SkipList, cfg: &SkipConfig) -> Self {
-        let n_stages = if cfg.n_stages == 0 { 2 * (list.level() + 1) } else { cfg.n_stages };
+        let staged = list.level().saturating_sub(HOT_LEVELS) + 1;
+        let n_stages = if cfg.n_stages == 0 { 2 * staged } else { cfg.n_stages };
         SkipSearchOp { list, n_stages, found: 0, checksum: 0 }
     }
 
@@ -90,7 +94,8 @@ impl<'a> LookupOp for SkipSearchOp<'a> {
         self.n_stages
     }
 
-    /// Stage 0: access the highest head node's successor (Table 1).
+    /// Stage 0: walk the hot levels, access the successor below them
+    /// (Table 1).
     fn start<const PLAIN: bool>(
         &mut self,
         _: &mut (),
@@ -98,7 +103,7 @@ impl<'a> LookupOp for SkipSearchOp<'a> {
         state: &mut SkipSearchState<'a>,
     ) {
         state.key = input.key;
-        state.cursor = SkipCursor::start(self.list);
+        state.cursor = SkipCursor::start(self.list, input.key, |_, _| {});
     }
 
     /// Later stages: compare with the prefetched successor; advance,
@@ -200,7 +205,7 @@ impl<'a> SkipInsertOp<'a> {
     pub fn new(list: &'a SkipList, cfg: &SkipConfig, expected_total: usize, seed: u64) -> Self {
         let n_stages = if cfg.n_stages == 0 {
             let levels = (expected_total.max(2) as f64).log2().ceil() as usize;
-            2 * (levels + 1) + 2
+            2 * (levels.saturating_sub(HOT_LEVELS) + 1) + 2
         } else {
             cfg.n_stages
         };
@@ -241,7 +246,8 @@ impl<'a> LookupOp for SkipInsertOp<'a> {
         state.preds = [list.head() as *mut SkipNode; MAX_LEVEL + 1];
         state.key = input.key;
         state.payload = input.payload;
-        state.cursor = SkipCursor::start(list);
+        let preds = &mut state.preds;
+        state.cursor = SkipCursor::start(list, input.key, |level, pred| preds[level] = pred);
         state.node = core::ptr::null_mut();
         state.splice_level = 0;
         state.phase = InsertPhase::Search;

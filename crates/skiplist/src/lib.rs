@@ -19,10 +19,14 @@
 //! one latched level at a time ([`InsertHandle::alloc_node`],
 //! [`try_splice_level`]), so the `amac-ops` state machines and the
 //! coroutines run them as AMAC code stages and keep only control flow.
+//! Stage 0 ([`SkipCursor::start`]) walks the list's *hot prefix* inline:
+//! the top [`HOT_LEVELS`] levels, whose towers fit in
+//! [`HOT_BYTES`] and which every search reads again.
 
 use amac_mem::arena::VarArena;
 use amac_mem::latch::Latch;
 use amac_mem::rng::XorShift64;
+use amac_mem::HOT_BYTES;
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -30,6 +34,12 @@ use std::sync::Mutex;
 /// Highest tower index (towers hold `top_level + 1 <= MAX_LEVEL + 1`
 /// pointers). 24 suits the paper's maximum of 2^25 elements at p = 1/2.
 pub const MAX_LEVEL: usize = 24;
+
+/// Levels [`SkipCursor::start`] walks inline, above the staged floor
+/// `level − HOT_LEVELS`: 11. The top `HOT_LEVELS` levels hold about
+/// `2^HOT_LEVELS` towers, which at 128 bytes per node (its header line
+/// and the line of a tall tower's slot) fit in [`HOT_BYTES`].
+pub const HOT_LEVELS: usize = (HOT_BYTES / 128).ilog2() as usize;
 
 /// Fixed node header; the tower of `top_level + 1` atomic next-pointers is
 /// laid out immediately after it (see [`SkipNode::next_ptr`]).
@@ -142,11 +152,47 @@ impl Default for SkipCursor<'_> {
 }
 
 impl<'l> SkipCursor<'l> {
-    /// Stage 0: stand on the head at the list's entry level and prefetch
-    /// its successor there.
+    /// Stage 0: walk the hot prefix for `key` inline — every level above
+    /// `floor = level − HOT_LEVELS`, with no prefetch — then stand on the
+    /// floor level and prefetch the successor there. Each hot level's
+    /// predecessor goes to `descended(level, pred)` as the walk leaves that
+    /// level (what an insert collects for its splice). A key matched inside
+    /// the prefix stops the walk with the match as the successor, so the
+    /// first [`step`](Self::step) reports [`SkipMove::Found`].
+    ///
+    /// Pugh's rule: on a descent the walk does not compare again the node
+    /// it just rejected.
     #[inline(always)]
-    pub fn start(list: &'l SkipList) -> Self {
-        let mut c = SkipCursor { cur: list.head(), level: list.level(), ..Default::default() };
+    pub fn start(
+        list: &'l SkipList,
+        key: u64,
+        mut descended: impl FnMut(usize, *mut SkipNode),
+    ) -> Self {
+        let mut level = list.level();
+        let floor = level.saturating_sub(HOT_LEVELS);
+        let mut cur = list.head();
+        let mut rejected: *const SkipNode = core::ptr::null();
+        while level > floor {
+            // SAFETY: as in `load_next` and `step`: `cur` is the head or a
+            // node reached at `level`, and a non-null successor is a
+            // published, initialized node.
+            unsafe {
+                let next = (*cur).next_ptr(level);
+                if !core::ptr::eq(next, rejected) && !next.is_null() {
+                    if (*next).key < key {
+                        cur = next;
+                        continue;
+                    }
+                    if (*next).key == key {
+                        return SkipCursor { cur, next, level, list: PhantomData };
+                    }
+                }
+                rejected = next;
+            }
+            descended(level, cur as *mut SkipNode);
+            level -= 1;
+        }
+        let mut c = SkipCursor { cur, level, ..Default::default() };
         c.load_next();
         c
     }
@@ -273,7 +319,7 @@ impl SkipList {
         SkipList { head, level_hint: AtomicU32::new(0), arenas: Mutex::new(vec![arena]) }
     }
 
-    /// The head sentinel (AMAC stage 0 prefetches its top-level successor).
+    /// The head sentinel (a search's start node at every level).
     #[inline(always)]
     pub fn head(&self) -> *const SkipNode {
         self.head
@@ -297,8 +343,8 @@ impl SkipList {
         InsertHandle { list: self, arena: Some(VarArena::new()), rng: XorShift64::new(seed) }
     }
 
-    /// Reference search (the paper's baseline): returns the payload of the
-    /// exact match, if present.
+    /// Reference search: the walk a [`SkipCursor`] stages, with no
+    /// prefetch. Returns the payload of the exact match, if present.
     pub fn get(&self, key: u64) -> Option<u64> {
         let mut level = self.level() as isize;
         let mut pred = self.head as *const SkipNode;
@@ -515,7 +561,16 @@ mod tests {
     fn cursor_driven_to_completion_equals_get() {
         /// Drive a cursor to the end, checking what each move reports.
         fn cursor_get(sl: &SkipList, key: u64) -> Option<u64> {
-            let (mut c, mut level) = (SkipCursor::start(sl), sl.level());
+            let mut hot = Vec::new();
+            let mut c = SkipCursor::start(sl, key, |left, pred| hot.push((left, pred)));
+            let mut level = sl.level();
+            for (left, pred) in hot {
+                assert_eq!(left, level, "hot levels are left one at a time, top down");
+                // SAFETY: a node the walk stood on is live.
+                assert!(std::ptr::eq(pred, sl.head()) || unsafe { (*pred).key } < key);
+                level -= 1;
+            }
+            assert!(level >= sl.level().saturating_sub(HOT_LEVELS), "the walk stops at the floor");
             loop {
                 match c.step(key) {
                     SkipMove::Advanced => {}

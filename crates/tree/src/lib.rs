@@ -12,15 +12,23 @@
 //! latches are needed; `&self` traversal after build is safe by phase
 //! separation.
 //!
-//! The per-node kernel is [`prefetch_node`] plus [`TreeNode::child`].
-//! Unlike the paper's `PREFETCHNTA` (§4), the prefetch is `PREFETCHT0`:
-//! every lookup walks the same upper levels again, and an NTA fill that
-//! leaves L1 is not kept in L2. The child is selected by address, not by
-//! a branch on the key comparison, whose outcome is random per level.
+//! A search runs as a [`BstCursor`]: stage 0 ([`BstCursor::start`])
+//! walks the tree's *hot prefix* (depths below [`HOT_DEPTH`], the top
+//! levels that fit in [`HOT_BYTES`] and that every lookup reads again)
+//! inline, with no prefetch and no yield, and prefetches the node where
+//! that walk stopped; each later stage ([`BstCursor::step`]) visits one
+//! node. The per-node kernel is [`prefetch_node`] plus
+//! [`TreeNode::child`]. Unlike the paper's `PREFETCHNTA` (§4), the
+//! prefetch is `PREFETCHT0`: every lookup walks the same upper levels
+//! again, and an NTA fill that leaves L1 is not kept in L2. The child is
+//! selected by address, not by a branch on the key comparison, whose
+//! outcome is random per level.
 
 use amac_mem::arena::Arena;
 use amac_mem::prefetch::prefetch_read_t0;
+use amac_mem::HOT_BYTES;
 use amac_workload::Relation;
+use core::marker::PhantomData;
 
 /// One cache-line-aligned tree node.
 #[repr(C, align(64))]
@@ -61,6 +69,91 @@ impl TreeNode {
 #[inline(always)]
 pub fn prefetch_node(p: *const TreeNode) {
     prefetch_read_t0(p);
+}
+
+/// Depths [`BstCursor::start`] walks inline: the top `HOT_DEPTH` levels
+/// hold at most `2^HOT_DEPTH − 1` nodes, which fit in [`HOT_BYTES`] (12
+/// for 64-byte nodes).
+pub const HOT_DEPTH: usize = (HOT_BYTES / core::mem::size_of::<TreeNode>()).ilog2() as usize;
+
+/// What one [`BstCursor::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BstMove {
+    /// The node does not hold the key: moved to its child toward the key,
+    /// and prefetched it.
+    Descended,
+    /// The node holds the key; its payload.
+    Found(u64),
+    /// The node has no child toward the key, or the tree is empty: the
+    /// key is absent.
+    Missed,
+}
+
+/// A resumable search position: the node the previous stage prefetched.
+/// The default cursor is an exhausted search (`step` returns
+/// [`BstMove::Missed`] without touching memory).
+pub struct BstCursor<'t> {
+    node: *const TreeNode,
+    /// Nodes are arena-owned by the tree, which is read-only while probed.
+    tree: PhantomData<&'t Bst>,
+}
+
+impl Default for BstCursor<'_> {
+    fn default() -> Self {
+        BstCursor { node: core::ptr::null(), tree: PhantomData }
+    }
+}
+
+impl<'t> BstCursor<'t> {
+    /// Stage 0: walk the hot prefix for `key` inline and prefetch the
+    /// node where the walk stopped. That is the key's path node at depth
+    /// [`HOT_DEPTH`] (the root is depth 0), or an earlier one that holds
+    /// the key or has no child toward it: `step` then resolves the lookup
+    /// on a cached line.
+    #[inline(always)]
+    pub fn start(tree: &'t Bst, key: u64) -> Self {
+        let mut node: *const TreeNode = tree.root;
+        if !node.is_null() {
+            for _ in 0..HOT_DEPTH {
+                // SAFETY: read-only phase; `node` is non-null and
+                // arena-owned by the tree.
+                let n = unsafe { &*node };
+                if key == n.key {
+                    break;
+                }
+                let child = n.child(key > n.key);
+                if child.is_null() {
+                    break;
+                }
+                node = child;
+            }
+        }
+        prefetch_node(node);
+        BstCursor { node, tree: PhantomData }
+    }
+
+    /// Compare `key` with the prefetched node: a match, a miss, or a move
+    /// to the child toward the key. The match test is predictable (one
+    /// hit per lookup); the direction is not, so the child is selected by
+    /// address ([`TreeNode::child`]) rather than by a branch.
+    #[inline(always)]
+    pub fn step(&mut self, key: u64) -> BstMove {
+        if self.node.is_null() {
+            return BstMove::Missed; // empty tree
+        }
+        // SAFETY: read-only phase; nodes are arena-owned by the tree.
+        let node = unsafe { &*self.node };
+        if key == node.key {
+            return BstMove::Found(node.payload);
+        }
+        let child = node.child(key > node.key);
+        if child.is_null() {
+            return BstMove::Missed;
+        }
+        prefetch_node(child);
+        self.node = child;
+        BstMove::Descended
+    }
 }
 
 /// An unbalanced binary search tree over arena-allocated nodes.
@@ -143,14 +236,8 @@ impl Bst {
         }
     }
 
-    /// Root pointer (null when empty) — the address AMAC's stage 0
-    /// prefetches.
-    #[inline(always)]
-    pub fn root(&self) -> *const TreeNode {
-        self.root
-    }
-
-    /// Reference search (the no-prefetch baseline walk).
+    /// Reference search: the walk a [`BstCursor`] stages, with no
+    /// prefetch.
     pub fn get(&self, key: u64) -> Option<u64> {
         let mut cur: *const TreeNode = self.root;
         while !cur.is_null() {
@@ -353,7 +440,6 @@ mod tests {
         let t = Bst::new();
         assert_eq!(t.get(1), None);
         assert_eq!(t.height(), 0);
-        assert!(t.root().is_null());
         assert!(t.keys_in_order().is_empty());
     }
 

@@ -37,6 +37,11 @@
 # executor, the metered pair) are named by their DWARF declaration
 # (`feed<ProbeState, ProbeOp>`), module paths dropped; without debug
 # info they keep the symbol name.
+#
+# `.text` and the instance sizes depend on the build directory, not only on
+# the code: one tree read 966,871 B of `.text` built in the repository and
+# 966,375 B built elsewhere. Compare two commits only when both were built
+# from one directory (extract each in turn into the same path, build there).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

@@ -114,7 +114,12 @@ impl<'t> BstCursor<'t> {
     pub fn start(tree: &'t Bst, key: u64) -> Self {
         let mut node: *const TreeNode = tree.root;
         if !node.is_null() {
-            for _ in 0..HOT_DEPTH {
+            // No path is longer than `len` nodes, so this bound changes no
+            // walk; as a run-time trip count it keeps the loop rolled.
+            // Unrolled, the 12-level walk made the sequential baseline's
+            // BST lookups ~25 % slower than rolled (`index_walk`'s traced
+            // `ops.bst.baseline` rung, 2-CPU x86-64 guest).
+            for _ in 0..HOT_DEPTH.min(tree.len) {
                 // SAFETY: read-only phase; `node` is non-null and
                 // arena-owned by the tree.
                 let n = unsafe { &*node };

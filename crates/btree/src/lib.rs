@@ -22,7 +22,7 @@
 //!
 //! ## Per-node kernel
 //!
-//! A search runs as a [`BTreeCursor`]: stage 0 walks the tree's *hot
+//! A search runs as a [`BTreeCursor`] (the crate's `amac_mem::Cursor`): stage 0 walks the tree's *hot
 //! prefix* ([`BPlusTree::hot_levels`], the top inner levels whose nodes
 //! fit in `amac_mem::HOT_BYTES` and that every lookup reads again)
 //! inline, with no prefetch and no yield, and prefetches the node below;
@@ -32,8 +32,11 @@
 //! [`InnerNode::select_child`] is a branchy scan and [`LeafNode::lookup`]
 //! a branch-free key mask; their docs give the measured reasons.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod node;
 mod tree;
 
 pub use node::{prefetch_node, InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
-pub use tree::{BPlusTree, BTreeCursor, BTreeMove, BTreeStats};
+pub use tree::{BPlusTree, BTreeCursor, BTreeStats};

@@ -2,7 +2,7 @@
 
 use crate::node::{prefetch_node, InnerNode, LeafNode, FANOUT_CHILDREN, FANOUT_KEYS};
 use amac_mem::arena::Arena;
-use amac_mem::HOT_BYTES;
+use amac_mem::{Cursor, Move, HOT_BYTES};
 use amac_workload::Relation;
 use core::marker::PhantomData;
 
@@ -25,7 +25,6 @@ pub struct BPlusTree {
     /// Null when empty; a [`LeafNode`] when `height == 1`, an
     /// [`InnerNode`] when `height > 1`.
     root: *const u8,
-    first_leaf: *const LeafNode,
     height: usize,
     /// Top inner levels whose nodes together fit in [`HOT_BYTES`].
     hot_levels: usize,
@@ -36,6 +35,7 @@ pub struct BPlusTree {
 // the arenas exclusively); afterwards all access is read-only and every
 // pointer targets the owned arenas.
 unsafe impl Send for BPlusTree {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for BPlusTree {}
 
 impl BPlusTree {
@@ -45,7 +45,6 @@ impl BPlusTree {
             inners: Arena::new(),
             leaves: Arena::new(),
             root: core::ptr::null(),
-            first_leaf: core::ptr::null(),
             height: 0,
             hot_levels: 0,
             len: 0,
@@ -72,7 +71,6 @@ impl BPlusTree {
             inners: Arena::with_capacity(n_leaves.div_ceil(FANOUT_CHILDREN) * 2),
             leaves: Arena::with_capacity(n_leaves),
             root: core::ptr::null(),
-            first_leaf: core::ptr::null(),
             height: 0,
             hot_levels: 0,
             len: pairs.len(),
@@ -92,9 +90,7 @@ impl BPlusTree {
                     (*leaf).payloads[i] = *p;
                 }
                 (*leaf).count = chunk.len() as u16;
-                if prev.is_null() {
-                    tree.first_leaf = leaf;
-                } else {
+                if !prev.is_null() {
                     (*prev).next = leaf;
                 }
             }
@@ -190,6 +186,11 @@ impl BPlusTree {
     /// Reference search: the walk a [`BTreeCursor`] stages, with no
     /// prefetch.
     pub fn get(&self, key: u64) -> Option<u64> {
+        self.leaf_for(key)?.lookup(key)
+    }
+
+    /// The leaf whose key range holds `key` (`None`: the tree is empty).
+    fn leaf_for(&self, key: u64) -> Option<&LeafNode> {
         if self.root.is_null() {
             return None;
         }
@@ -200,7 +201,7 @@ impl BPlusTree {
             for _ in 1..self.height {
                 ptr = (*ptr.cast::<InnerNode>()).select_child(key);
             }
-            (*ptr.cast::<LeafNode>()).lookup(key)
+            Some(&*ptr.cast::<LeafNode>())
         }
     }
 
@@ -208,48 +209,26 @@ impl BPlusTree {
     /// (leaf-link scan).
     pub fn range(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        if self.root.is_null() || start > end {
-            return out;
-        }
-        // Descend to the leaf that could contain `start`.
-        let mut ptr = self.root;
-        // SAFETY: read-only phase, as in `get`.
-        unsafe {
-            for _ in 1..self.height {
-                ptr = (*ptr.cast::<InnerNode>()).select_child(start);
-            }
-            let mut leaf = ptr.cast::<LeafNode>();
-            while !leaf.is_null() {
-                let l = &*leaf;
-                for i in 0..l.count as usize {
-                    if l.keys[i] > end {
-                        return out;
-                    }
-                    if l.keys[i] >= start {
-                        out.push((l.keys[i], l.payloads[i]));
-                    }
+        let mut leaf = if start <= end { self.leaf_for(start) } else { None };
+        while let Some(l) = leaf {
+            for i in 0..l.count as usize {
+                if l.keys[i] > end {
+                    return out;
                 }
-                leaf = l.next;
+                if l.keys[i] >= start {
+                    out.push((l.keys[i], l.payloads[i]));
+                }
             }
+            // SAFETY: read-only phase; a leaf's `next` is null or the next
+            // leaf in the owned arena.
+            leaf = unsafe { l.next.as_ref() };
         }
         out
     }
 
     /// Every `(key, payload)` pair in key order (full leaf-link scan).
     pub fn iter_all(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut leaf = self.first_leaf;
-        while !leaf.is_null() {
-            // SAFETY: read-only phase.
-            unsafe {
-                let l = &*leaf;
-                for i in 0..l.count as usize {
-                    out.push((l.keys[i], l.payloads[i]));
-                }
-                leaf = l.next;
-            }
-        }
-        out
+        self.range(u64::MIN, u64::MAX)
     }
 
     /// Node-count and fill statistics.
@@ -274,20 +253,9 @@ impl Default for BPlusTree {
     }
 }
 
-/// What one [`BTreeCursor::step`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BTreeMove {
-    /// Selected the inner node's child for the key and prefetched it.
-    Descended,
-    /// The leaf holds the key; its payload.
-    Found(u64),
-    /// The leaf does not hold the key, or the tree is empty.
-    Missed,
-}
-
 /// A resumable search position: the node the previous stage prefetched
 /// and the node visits left, itself included (`1`: a leaf). The default
-/// cursor is an exhausted search (`step` returns [`BTreeMove::Missed`]
+/// cursor is an exhausted search (`step` returns [`Move::Missed`]
 /// without touching memory).
 pub struct BTreeCursor<'t> {
     ptr: *const u8,
@@ -302,11 +270,13 @@ impl Default for BTreeCursor<'_> {
     }
 }
 
-impl<'t> BTreeCursor<'t> {
+impl<'t> Cursor<'t> for BTreeCursor<'t> {
+    type Index = BPlusTree;
+
     /// Stage 0: walk the [`hot_levels`](BPlusTree::hot_levels) top inner
     /// levels for `key` inline and prefetch the node below them.
     #[inline(always)]
-    pub fn start(tree: &'t BPlusTree, key: u64) -> Self {
+    fn start(tree: &'t BPlusTree, key: u64) -> Self {
         let mut ptr = tree.root;
         if !ptr.is_null() {
             for _ in 0..tree.hot_levels {
@@ -322,23 +292,24 @@ impl<'t> BTreeCursor<'t> {
     /// Consume the prefetched node: select and prefetch a child (inner),
     /// or resolve the lookup (leaf).
     #[inline(always)]
-    pub fn step(&mut self, key: u64) -> BTreeMove {
+    fn step(&mut self, key: u64) -> Move {
         if self.ptr.is_null() {
-            return BTreeMove::Missed; // empty tree
+            return Move::Missed; // empty tree
         }
-        if self.level > 1 {
-            // SAFETY: read-only phase; `level > 1` means ptr is an inner
-            // node of the arena-owned tree.
-            let child = unsafe { (*self.ptr.cast::<InnerNode>()).select_child(key) };
-            prefetch_node(child);
-            self.ptr = child;
-            self.level -= 1;
-            BTreeMove::Descended
-        } else {
-            // SAFETY: read-only phase; `level == 1` means ptr is a leaf.
-            match unsafe { (*self.ptr.cast::<LeafNode>()).lookup(key) } {
-                Some(payload) => BTreeMove::Found(payload),
-                None => BTreeMove::Missed,
+        // SAFETY: read-only phase; ptr is a node of the arena-owned tree:
+        // an inner one while `level > 1`, the leaf at `level == 1`.
+        unsafe {
+            if self.level > 1 {
+                let child = (*self.ptr.cast::<InnerNode>()).select_child(key);
+                prefetch_node(child);
+                self.ptr = child;
+                self.level -= 1;
+                Move::Descended
+            } else {
+                match (*self.ptr.cast::<LeafNode>()).lookup(key) {
+                    Some(payload) => Move::Found(payload),
+                    None => Move::Missed,
+                }
             }
         }
     }
@@ -504,9 +475,12 @@ mod tests {
     fn hot_levels_are_the_top_inner_levels_that_fit() {
         // 2^20 keys: inner levels of 1, 5, 37, 293, 2341, ... nodes; the
         // first four take 336 × 128 B, the fifth would pass 256 KiB.
-        let pairs: Vec<(u64, u64)> = (0..1u64 << 20).map(|k| (k, k)).collect();
-        let t = BPlusTree::from_sorted(&pairs);
-        assert_eq!((t.height(), t.hot_levels()), (7, 4));
+        // 2^17 keys: the top four of five inner levels.
+        for (log2, height) in [(20, 7), (17, 6)] {
+            let pairs: Vec<(u64, u64)> = (0..1u64 << log2).map(|k| (k, k)).collect();
+            let t = BPlusTree::from_sorted(&pairs);
+            assert_eq!((t.height(), t.hot_levels()), (height, 4), "2^{log2}");
+        }
         for (n, hot) in [(0usize, 0usize), (7, 0), (8, 1), (449, 3), (10_000, 4)] {
             let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k, k)).collect();
             let t = BPlusTree::from_sorted(&pairs);

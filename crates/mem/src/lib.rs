@@ -14,18 +14,21 @@
 //!   and skip-list insert code paths ([`latch`]).
 //!
 //! It also hosts the dependency-free integer hashing and small PRNGs shared
-//! by the data-structure crates ([`hash`], [`rng`]).
+//! by the data-structure crates ([`hash`], [`rng`]), and the ordered
+//! indexes' search contract ([`cursor`]).
 
 pub mod align;
 pub mod arena;
+pub mod cursor;
 pub mod hash;
 pub mod latch;
 pub mod prefetch;
 pub mod region;
 pub mod rng;
 
-pub use align::{CACHE_LINE, HOT_BYTES};
+pub use align::CACHE_LINE;
 pub use arena::{slab_of_index, Arena, IndexedArena, VarArena, NULL_INDEX};
+pub use cursor::{Cursor, Move, HOT_BYTES};
 pub use latch::Latch;
 pub use prefetch::{prefetch_read, prefetch_read_t0, prefetch_write};
 pub use region::{Region, HUGE_PAGE};

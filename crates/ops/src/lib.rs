@@ -37,6 +37,7 @@ pub mod join;
 pub mod mutate;
 pub mod parallel;
 pub mod pipeline;
+pub mod search;
 pub mod skiplist;
 
 pub use amac::engine::{Technique, TuningParams};

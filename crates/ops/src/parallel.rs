@@ -17,7 +17,8 @@
 //! merged structured trace when the operator's config sets `trace`.
 //! Throughput is `|S| / wall_time` over the whole fan-out, the paper's
 //! `|S|/probeExecutionTime`. An operator without a driver here (build,
-//! skip-list and B+-tree search) runs on the morsel runtime by handing
+//! and the one ordered-index search op, [`SearchOp`](crate::search::SearchOp),
+//! over any of the three structures) runs on the morsel runtime by handing
 //! its op to [`amac_runtime::execute`] directly.
 
 use amac::engine::{EngineStats, Technique};
@@ -298,20 +299,43 @@ mod tests {
         }
     }
 
+    /// The one search op at 4 threads on the morsel runtime finds what
+    /// the one-thread run finds, with its checksum.
+    fn search_mt_matches_single_thread<'i, C>(index: &'i C::Index, probes: &Relation) -> u64
+    where
+        C: amac_mem::Cursor<'i>,
+        C::Index: Sync,
+    {
+        use crate::search::{search, SearchOp};
+        let params = Default::default();
+        let st = search::<C>(index, probes, Technique::Amac, params, 1, false);
+        let rt = MorselConfig::with_threads(4);
+        let mt = execute(&probes.tuples, Technique::Amac, params, &rt, |_tid| {
+            SearchOp::<C>::new(index, 1, false, 0)
+        });
+        assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), st.found);
+        let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));
+        assert_eq!(checksum, st.checksum);
+        st.found
+    }
+
+    #[test]
+    fn bst_search_mt_matches_single_thread() {
+        let rel = Relation::sparse_unique(10_000, 91);
+        let tree = amac_tree::Bst::build(&rel);
+        let found =
+            search_mt_matches_single_thread::<amac_tree::BstCursor>(&tree, &rel.shuffled(92));
+        assert_eq!(found, 10_000);
+    }
+
     #[test]
     fn skip_search_mt_finds_all_inserted() {
         let rel = Relation::sparse_unique(10_000, 93);
         let list = SkipList::new();
         crate::skiplist::skip_insert(&list, &rel, Technique::Amac, &Default::default(), 5);
-        let (probes, cfg) = (rel.shuffled(94), crate::skiplist::SkipConfig::default());
-        let st = crate::skiplist::skip_search(&list, &probes, Technique::Amac, &cfg);
-        let rt = MorselConfig::with_threads(4);
-        let mt = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
-            crate::skiplist::SkipSearchOp::new(&list, &cfg)
-        });
-        assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), 10_000);
-        let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));
-        assert_eq!(checksum, st.checksum);
+        let found =
+            search_mt_matches_single_thread::<amac_skiplist::SkipCursor>(&list, &rel.shuffled(94));
+        assert_eq!(found, 10_000);
     }
 
     #[test]
@@ -319,15 +343,8 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|k| (k * 3, k)).collect();
         let tree = amac_btree::BPlusTree::from_sorted(&pairs);
         let probes = Relation::from_tuples((0..30_000u64).map(|i| Tuple::new(i, 0)).collect());
-        let st = crate::btree::btree_search(&tree, &probes, Technique::Amac, &Default::default());
-        let cfg = crate::btree::BTreeConfig { materialize: false, ..Default::default() };
-        let rt = MorselConfig::with_threads(4);
-        let mt = execute(&probes.tuples, Technique::Amac, cfg.params, &rt, |_tid| {
-            crate::btree::BTreeOp::new(&tree, &cfg, 0)
-        });
-        assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), st.found);
-        let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));
-        assert_eq!(checksum, st.checksum);
+        let found = search_mt_matches_single_thread::<amac_btree::BTreeCursor>(&tree, &probes);
+        assert_eq!(found, 10_000);
     }
 
     fn pipeline_lab(n_dim: usize, n_fact: usize, groups: u64, seed: u64) -> (HashTable, Relation) {

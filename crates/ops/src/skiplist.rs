@@ -1,6 +1,8 @@
 //! Skip list search and insert (§5.4) under all four techniques.
 //!
-//! Search stages follow Table 1 ("Skip List Insert", search part):
+//! The search is the [`search`] op over [`SkipCursor`]. Its stages, and
+//! the insert's search stages, follow Table 1 ("Skip List Insert",
+//! search part):
 //! examine the prefetched successor at the current level — advance on
 //! `<`, match on `==`, descend a level on `>` (collecting the predecessor
 //! when inserting). Stage 0 walks the list's top [`HOT_LEVELS`] levels
@@ -14,6 +16,7 @@
 //! "0.5KB per lookup … maintained in AMAC's circular buffer for each
 //! in-flight lookup" the paper calls out.
 
+use crate::search::{search, SearchOutput};
 use amac::engine::{run, EngineStats, LookupOp, Step, Technique, TuningParams};
 use amac_metrics::timer::CycleTimer;
 use amac_skiplist::{
@@ -33,111 +36,23 @@ pub struct SkipConfig {
     pub n_stages: usize,
 }
 
-/// Result of a search run.
-#[derive(Debug, Clone, Default)]
-pub struct SkipSearchOutput {
-    /// Lookups that found their key.
-    pub found: u64,
-    /// Wrapping payload checksum of found keys.
-    pub checksum: u64,
-    /// Executor event counters.
-    pub stats: EngineStats,
-    /// Loop cycles.
-    pub cycles: u64,
-    /// Loop wall time.
-    pub seconds: f64,
-}
-
-/// Per-lookup search state.
-#[derive(Default)]
-pub struct SkipSearchState<'a> {
-    key: u64,
-    cursor: SkipCursor<'a>,
-}
-
-/// The search state machine.
-pub struct SkipSearchOp<'a> {
-    list: &'a SkipList,
-    n_stages: usize,
-    found: u64,
-    checksum: u64,
-}
-
-impl<'a> SkipSearchOp<'a> {
-    /// Create the op against a built list.
-    pub fn new(list: &'a SkipList, cfg: &SkipConfig) -> Self {
-        let staged = list.level().saturating_sub(HOT_LEVELS) + 1;
-        let n_stages = if cfg.n_stages == 0 { 2 * staged } else { cfg.n_stages };
-        SkipSearchOp { list, n_stages, found: 0, checksum: 0 }
-    }
-
-    /// Keys found so far (for drivers that own the op, e.g. `parallel`).
-    #[inline]
-    pub fn found(&self) -> u64 {
-        self.found
-    }
-
-    /// Order-independent payload checksum accumulated so far.
-    #[inline]
-    pub fn checksum(&self) -> u64 {
-        self.checksum
+/// The GP/SPP stage budget `cfg` sets for `list`.
+fn budget(list: &SkipList, cfg: &SkipConfig) -> usize {
+    match cfg.n_stages {
+        0 => 2 * (list.level().saturating_sub(HOT_LEVELS) + 1),
+        n => n,
     }
 }
 
-impl<'a> LookupOp for SkipSearchOp<'a> {
-    type Input = Tuple;
-    type State = SkipSearchState<'a>;
-    type Tally = ();
-    type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
-    /// Stage 0: walk the hot levels, access the successor below them
-    /// (Table 1).
-    fn start<const PLAIN: bool>(
-        &mut self,
-        _: &mut (),
-        input: Tuple,
-        state: &mut SkipSearchState<'a>,
-    ) {
-        state.key = input.key;
-        state.cursor = SkipCursor::start(self.list, input.key, |_, _| {});
-    }
-
-    /// Later stages: compare with the prefetched successor; advance,
-    /// match, or descend.
-    fn step<const PLAIN: bool>(&mut self, _: &mut (), state: &mut SkipSearchState<'a>) -> Step {
-        match state.cursor.step(state.key) {
-            SkipMove::Advanced | SkipMove::Descended(..) => Step::Continue,
-            SkipMove::Found(payload) => {
-                self.found += 1;
-                self.checksum = self.checksum.wrapping_add(payload);
-                Step::Done
-            }
-            SkipMove::Bottom(_) => Step::Done, // miss
-        }
-    }
-}
-
-/// Run `probe_rel` searches against `list` with `technique`.
+/// Run `probe_rel` searches against `list` with `technique`: the
+/// [`search`] op over [`SkipCursor`], not materializing.
 pub fn skip_search(
     list: &SkipList,
     probe_rel: &Relation,
     technique: Technique,
     cfg: &SkipConfig,
-) -> SkipSearchOutput {
-    let mut op = SkipSearchOp::new(list, cfg);
-    let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &probe_rel.tuples, cfg.params);
-    SkipSearchOutput {
-        found: op.found,
-        checksum: op.checksum,
-        stats,
-        cycles: timer.cycles(),
-        seconds: timer.seconds(),
-    }
+) -> SearchOutput {
+    search::<SkipCursor>(list, probe_rel, technique, cfg.params, budget(list, cfg), false)
 }
 
 /// Result of an insert run.
@@ -335,6 +250,7 @@ pub fn skip_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::tests::{answers_agree, probe};
 
     #[test]
     fn insert_then_search_roundtrip_all_techniques() {
@@ -354,21 +270,16 @@ mod tests {
         }
     }
 
+    fn agree(keys: &Relation, probe: &Relation) {
+        let list = SkipList::new();
+        skip_insert(&list, keys, Technique::Baseline, &SkipConfig::default(), 3);
+        answers_agree(keys, probe, |t| skip_search(&list, probe, t, &SkipConfig::default()));
+    }
+
     #[test]
     fn search_checksum_agrees_across_techniques() {
         let rel = Relation::sparse_unique(3000, 61);
-        let list = SkipList::new();
-        skip_insert(&list, &rel, Technique::Baseline, &SkipConfig::default(), 3);
-        let probe = rel.shuffled(62);
-        let mut reference = None;
-        for t in Technique::ALL {
-            let out = skip_search(&list, &probe, t, &SkipConfig::default());
-            assert_eq!(out.found, 3000, "{t}");
-            match reference {
-                None => reference = Some(out.checksum),
-                Some(c) => assert_eq!(out.checksum, c, "{t}"),
-            }
-        }
+        agree(&rel, &rel.shuffled(62));
     }
 
     #[test]
@@ -397,14 +308,7 @@ mod tests {
 
     #[test]
     fn misses_return_not_found() {
-        let rel = Relation::dense_unique(100, 71);
-        let list = SkipList::new();
-        skip_insert(&list, &rel, Technique::Amac, &SkipConfig::default(), 1);
-        let probe = Relation::from_tuples((1000..1100u64).map(|k| Tuple::new(k, 0)).collect());
-        for t in Technique::ALL {
-            let out = skip_search(&list, &probe, t, &SkipConfig::default());
-            assert_eq!(out.found, 0, "{t}");
-        }
+        agree(&Relation::dense_unique(100, 71), &probe(1000..1100));
     }
 
     #[test]
@@ -423,14 +327,8 @@ mod tests {
 
     #[test]
     fn empty_list_and_empty_input() {
+        agree(&Relation::default(), &probe(5..6));
         let list = SkipList::new();
-        let out = skip_search(
-            &list,
-            &Relation::from_tuples(vec![Tuple::new(5, 0)]),
-            Technique::Gp,
-            &SkipConfig::default(),
-        );
-        assert_eq!(out.found, 0);
         let ins =
             skip_insert(&list, &Relation::default(), Technique::Spp, &SkipConfig::default(), 2);
         assert_eq!(ins.inserted, 0);

@@ -23,10 +23,13 @@
 //! the top [`HOT_LEVELS`] levels, whose towers fit in
 //! [`HOT_BYTES`] and which every search reads again.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use amac_mem::arena::VarArena;
 use amac_mem::latch::Latch;
 use amac_mem::rng::XorShift64;
-use amac_mem::HOT_BYTES;
+use amac_mem::{Cursor, Move, HOT_BYTES};
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -66,35 +69,36 @@ impl SkipNode {
         TOWER_OFFSET + (top_level + 1) * core::mem::size_of::<AtomicPtr<SkipNode>>()
     }
 
-    /// The tower slot for `level`.
-    ///
-    /// # Safety
-    /// `self` must have been allocated with [`SkipNode::alloc_size`] for a
-    /// `top_level >= level`.
+    /// The address of the tower slot for `level`: inside the node when it
+    /// was allocated with [`SkipNode::alloc_size`] for a `top_level >=
+    /// level`.
     #[inline(always)]
-    pub unsafe fn tower(&self, level: usize) -> &AtomicPtr<SkipNode> {
+    fn tower(&self, level: usize) -> *const AtomicPtr<SkipNode> {
         debug_assert!(level <= self.top_level as usize);
-        let base = (self as *const SkipNode as *const u8).add(TOWER_OFFSET);
-        &*(base as *const AtomicPtr<SkipNode>).add(level)
+        let base = (self as *const SkipNode as *const u8).wrapping_add(TOWER_OFFSET);
+        (base as *const AtomicPtr<SkipNode>).wrapping_add(level)
     }
 
     /// Acquire-load the successor at `level`.
     ///
     /// # Safety
-    /// As for [`SkipNode::tower`].
+    /// `self` must have been allocated with [`SkipNode::alloc_size`] for a
+    /// `top_level >= level`.
     #[inline(always)]
     pub unsafe fn next_ptr(&self, level: usize) -> *mut SkipNode {
-        self.tower(level).load(Ordering::Acquire)
+        // SAFETY: the caller guarantees the slot is inside this node.
+        unsafe { (*self.tower(level)).load(Ordering::Acquire) }
     }
 
     /// Release-store the successor at `level`.
     ///
     /// # Safety
-    /// As for [`SkipNode::tower`]; the caller must hold this node's latch
-    /// (or have exclusive access during node initialization).
+    /// As for [`SkipNode::next_ptr`]; the caller must hold this node's
+    /// latch (or have exclusive access during node initialization).
     #[inline(always)]
     pub unsafe fn set_next(&self, level: usize, p: *mut SkipNode) {
-        self.tower(level).store(p, Ordering::Release);
+        // SAFETY: the caller guarantees the slot is inside this node.
+        unsafe { (*self.tower(level)).store(p, Ordering::Release) }
     }
 }
 
@@ -237,6 +241,26 @@ impl<'l> SkipCursor<'l> {
     }
 }
 
+/// The search without the predecessors: every move that is not a match
+/// or the bottom is a [`Move::Descended`].
+impl<'l> Cursor<'l> for SkipCursor<'l> {
+    type Index = SkipList;
+
+    #[inline(always)]
+    fn start(list: &'l SkipList, key: u64) -> Self {
+        SkipCursor::start(list, key, |_, _| {})
+    }
+
+    #[inline(always)]
+    fn step(&mut self, key: u64) -> Move {
+        match SkipCursor::step(self, key) {
+            SkipMove::Advanced | SkipMove::Descended(..) => Move::Descended,
+            SkipMove::Found(payload) => Move::Found(payload),
+            SkipMove::Bottom(_) => Move::Missed,
+        }
+    }
+}
+
 /// Outcome of one single-level splice attempt (an AMAC code stage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpliceOutcome {
@@ -268,33 +292,37 @@ pub unsafe fn try_splice_level(
     new_node: *mut SkipNode,
     level: usize,
 ) -> SpliceOutcome {
-    let key = (*new_node).key;
-    // Unlatched advance toward the insertion window.
-    loop {
-        let next = (*pred).next_ptr(level);
-        if next.is_null() || (*next).key >= key {
-            break;
+    // SAFETY: the caller's contract: `pred` and `new_node` are live nodes
+    // tall enough for `level`, and every successor read is a published one.
+    unsafe {
+        let key = (*new_node).key;
+        // Unlatched advance toward the insertion window.
+        loop {
+            let next = (*pred).next_ptr(level);
+            if next.is_null() || (*next).key >= key {
+                break;
+            }
+            pred = next;
         }
-        pred = next;
-    }
-    if !(*pred).latch.try_acquire() {
-        return SpliceOutcome::Blocked;
-    }
-    // Re-validate under the latch.
-    let next = (*pred).next_ptr(level);
-    if !next.is_null() && (*next).key < key {
-        // The window moved; hand the caller the closer predecessor.
+        if !(*pred).latch.try_acquire() {
+            return SpliceOutcome::Blocked;
+        }
+        // Re-validate under the latch.
+        let next = (*pred).next_ptr(level);
+        if !next.is_null() && (*next).key < key {
+            // The window moved; hand the caller the closer predecessor.
+            (*pred).latch.release();
+            return SpliceOutcome::Moved(next);
+        }
+        if !next.is_null() && (*next).key == key {
+            (*pred).latch.release();
+            return SpliceOutcome::AlreadyPresent;
+        }
+        (*new_node).set_next(level, next);
+        (*pred).set_next(level, new_node);
         (*pred).latch.release();
-        return SpliceOutcome::Moved(next);
+        SpliceOutcome::Spliced
     }
-    if !next.is_null() && (*next).key == key {
-        (*pred).latch.release();
-        return SpliceOutcome::AlreadyPresent;
-    }
-    (*new_node).set_next(level, next);
-    (*pred).set_next(level, new_node);
-    (*pred).latch.release();
-    SpliceOutcome::Spliced
 }
 
 /// The concurrent skip list.
@@ -309,6 +337,7 @@ pub struct SkipList {
 // SAFETY: tower mutation is latch-guarded with release/acquire publication;
 // arenas are owned by the list; head is immutable after construction.
 unsafe impl Send for SkipList {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for SkipList {}
 
 impl SkipList {
@@ -368,44 +397,35 @@ impl SkipList {
         None
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Number of elements (level-0 walk; validation use).
     pub fn len(&self) -> usize {
-        let mut n = 0usize;
-        // SAFETY: read traversal as in get().
-        unsafe {
-            let mut cur = (*self.head).next_ptr(0);
-            while !cur.is_null() {
-                n += 1;
-                cur = (*cur).next_ptr(0);
-            }
-        }
-        n
+        self.nodes_at(0).count()
     }
 
     /// True when no elements are stored.
     pub fn is_empty(&self) -> bool {
-        // SAFETY: read traversal.
-        unsafe { (*self.head).next_ptr(0).is_null() }
+        self.nodes_at(0).next().is_none()
     }
 
     /// Level-0 snapshot of `(key, payload)` pairs in key order
     /// (validation use).
     pub fn items(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        // SAFETY: read traversal.
-        unsafe {
-            let mut cur = (*self.head).next_ptr(0);
-            while !cur.is_null() {
-                out.push(((*cur).key, (*cur).payload));
-                cur = (*cur).next_ptr(0);
-            }
-        }
-        out
+        self.nodes_at(0).map(|n| (n.key, n.payload)).collect()
+    }
+
+    /// The nodes linked at `level`, in list order (a read traversal as in
+    /// [`get`](Self::get); validation use).
+    pub fn nodes_at(&self, level: usize) -> impl Iterator<Item = &SkipNode> {
+        assert!(level <= MAX_LEVEL, "level {level} above MAX_LEVEL");
+        let mut cur: *const SkipNode = self.head;
+        core::iter::from_fn(move || {
+            // SAFETY: `cur` is the head (a full-height tower) or a node
+            // linked at `level`, so its tower holds that slot; a non-null
+            // successor is a published node the list's arenas own.
+            let next = unsafe { (*cur).next_ptr(level).as_ref()? };
+            cur = next;
+            Some(next)
+        })
     }
 }
 
@@ -554,20 +574,22 @@ mod tests {
             assert_eq!(sl.get(k), Some(k * 100));
         }
         assert_eq!(sl.get(2), None);
-        assert!(!sl.contains(100));
+        assert_eq!(sl.get(100), None);
     }
 
     #[test]
     fn cursor_driven_to_completion_equals_get() {
         /// Drive a cursor to the end, checking what each move reports.
         fn cursor_get(sl: &SkipList, key: u64) -> Option<u64> {
+            // SAFETY: a node the walk or the cursor stood on is live.
+            let below =
+                |pred: *mut SkipNode| std::ptr::eq(pred, sl.head()) || unsafe { (*pred).key } < key;
             let mut hot = Vec::new();
             let mut c = SkipCursor::start(sl, key, |left, pred| hot.push((left, pred)));
             let mut level = sl.level();
             for (left, pred) in hot {
                 assert_eq!(left, level, "hot levels are left one at a time, top down");
-                // SAFETY: a node the walk stood on is live.
-                assert!(std::ptr::eq(pred, sl.head()) || unsafe { (*pred).key } < key);
+                assert!(below(pred));
                 level -= 1;
             }
             assert!(level >= sl.level().saturating_sub(HOT_LEVELS), "the walk stops at the floor");
@@ -576,8 +598,7 @@ mod tests {
                     SkipMove::Advanced => {}
                     SkipMove::Descended(left, pred) => {
                         assert_eq!(left, level, "levels are left one at a time, top down");
-                        // SAFETY: a node the cursor stood on is live.
-                        assert!(std::ptr::eq(pred, sl.head()) || unsafe { (*pred).key } < key);
+                        assert!(below(pred));
                         level -= 1;
                     }
                     SkipMove::Found(p) => return Some(p),
@@ -665,14 +686,7 @@ mod tests {
         }
         let level0: Vec<u64> = sl.items().into_iter().map(|(k, _)| k).collect();
         for lvl in 0..=sl.level() {
-            let mut keys = Vec::new();
-            unsafe {
-                let mut cur = (*sl.head()).next_ptr(lvl);
-                while !cur.is_null() {
-                    keys.push((*cur).key);
-                    cur = (*cur).next_ptr(lvl);
-                }
-            }
+            let keys: Vec<u64> = sl.nodes_at(lvl).map(|n| n.key).collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "level {lvl} unordered");
             let set: std::collections::HashSet<u64> = level0.iter().copied().collect();
             assert!(keys.iter().all(|k| set.contains(k)), "level {lvl} has ghost keys");

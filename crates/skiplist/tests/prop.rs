@@ -1,40 +1,11 @@
 //! Property tests: the skip list against a `BTreeMap` model, the
-//! structural tower invariant, and the hot-prefix cursor against `get`
-//! under all four techniques.
+//! structural tower invariant, and the hot walk's predecessors against
+//! the textbook search.
 
-use amac::engine::closure_api::{for_each_interleaved, Resume};
-use amac::engine::Technique;
-use amac_skiplist::{SkipCursor, SkipList, SkipMove, SkipNode, HOT_LEVELS};
+use amac_skiplist::{SkipCursor, SkipList, SkipNode, HOT_LEVELS};
 use amac_workload::Relation;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Each key's answer from a [`SkipCursor`] (stage 0 walks the hot levels,
-/// each later stage one move), run by `technique` with `m` in flight.
-fn cursor_answers(
-    list: &SkipList,
-    keys: &[u64],
-    technique: Technique,
-    m: usize,
-) -> Vec<Option<u64>> {
-    let inputs: Vec<(usize, u64)> = keys.iter().copied().enumerate().collect();
-    let mut out = vec![None; keys.len()];
-    for_each_interleaved(
-        technique,
-        &inputs,
-        m,
-        |&(i, key)| (i, key, SkipCursor::start(list, key, |_, _| {})),
-        |(i, key, cursor)| match cursor.step(*key) {
-            SkipMove::Advanced | SkipMove::Descended(..) => Resume::Later,
-            SkipMove::Found(payload) => {
-                out[*i] = Some(payload);
-                Resume::Finished
-            }
-            SkipMove::Bottom(_) => Resume::Finished,
-        },
-    );
-    out
-}
 
 /// `key`'s predecessor at each level up to the entry level (the last node
 /// there below `key`), by the textbook top-down search.
@@ -57,16 +28,15 @@ fn preds(list: &SkipList, key: u64) -> Vec<*mut SkipNode> {
     out
 }
 
-/// Lists whose hot levels hold all but level 0 (300 keys), most of them
-/// (4096 keys) and the top of a list with staged levels above level 0
-/// (2^15 keys), plus the empty list. Probes: every key, each key's
-/// successor (mostly in-range misses), 0 (below the minimum) and
-/// `u64::MAX` (above the maximum). Each hot level's predecessor, which an
-/// insert splices after, is the last node there below the key.
+/// Each hot level's predecessor, which an insert splices after, is the
+/// last node there below the key. Lists: hot levels hold all but level 0
+/// (300 keys), most of them (4096 keys) and the top of a list with staged
+/// levels above level 0 (2^15 keys), plus the empty list. Probes: every
+/// key, each key's successor, 0 and `u64::MAX`.
 #[test]
-fn skip_hot_prefix_cursor_equals_get_under_every_technique() {
-    let mut lists = vec![SkipList::new()];
-    for n in [300, 4096, 1 << 15] {
+fn hot_walk_leaves_each_level_at_its_textbook_predecessor() {
+    let (mut in_prefix, mut staged_levels) = (0, 0);
+    for n in [0, 300, 4096, 1 << 15] {
         let list = SkipList::new();
         {
             let mut h = list.handle(n as u64);
@@ -74,31 +44,16 @@ fn skip_hot_prefix_cursor_equals_get_under_every_technique() {
                 h.insert(t.key, t.payload);
             }
         }
-        lists.push(list);
-    }
-    let (mut in_prefix, mut staged_levels) = (0, 0);
-    for list in &lists {
-        let stored: Vec<u64> = list.items().into_iter().map(|(k, _)| k).collect();
-        let keys: Vec<u64> = stored.iter().flat_map(|&k| [k, k + 1]).chain([0, u64::MAX]).collect();
-        let want: Vec<Option<u64>> = keys.iter().map(|&k| list.get(k)).collect();
-        for t in Technique::ALL {
-            for m in [1, 10] {
-                assert_eq!(
-                    cursor_answers(list, &keys, t, m),
-                    want,
-                    "{t}, M={m}, {} keys",
-                    stored.len()
-                );
-            }
-        }
+        let stored = list.items().into_iter().map(|(k, _)| k);
+        let keys: Vec<u64> = stored.flat_map(|k| [k, k + 1]).chain([0, u64::MAX]).collect();
         let (top, floor) = (list.level(), list.level().saturating_sub(HOT_LEVELS));
         staged_levels += floor;
         for &key in &keys {
             let mut left = Vec::new();
-            SkipCursor::start(list, key, |level, pred| left.push((level, pred)));
+            SkipCursor::start(&list, key, |level, pred| left.push((level, pred)));
             let levels: Vec<usize> = left.iter().map(|&(level, _)| level).collect();
             assert_eq!(levels, (top - left.len() + 1..=top).rev().collect::<Vec<_>>(), "key {key}");
-            let want = preds(list, key);
+            let want = preds(&list, key);
             for (level, pred) in left {
                 assert_eq!(pred, want[level], "key {key}, level {level}");
             }
@@ -156,16 +111,10 @@ proptest! {
             list.items().into_iter().map(|(k, _)| k).collect();
         for lvl in 0..=list.level() {
             let mut prev = 0u64;
-            // SAFETY: read-only traversal of a fully built list.
-            unsafe {
-                let mut cur = (*list.head()).next_ptr(lvl);
-                while !cur.is_null() {
-                    let k = (*cur).key;
-                    prop_assert!(k > prev || prev == 0, "level {} out of order", lvl);
-                    prop_assert!(level0.contains(&k), "level {} ghost key {}", lvl, k);
-                    prev = k;
-                    cur = (*cur).next_ptr(lvl);
-                }
+            for k in list.nodes_at(lvl).map(|n| n.key) {
+                prop_assert!(k > prev || prev == 0, "level {} out of order", lvl);
+                prop_assert!(level0.contains(&k), "level {} ghost key {}", lvl, k);
+                prev = k;
             }
         }
     }

@@ -12,7 +12,7 @@
 //! latches are needed; `&self` traversal after build is safe by phase
 //! separation.
 //!
-//! A search runs as a [`BstCursor`]: stage 0 ([`BstCursor::start`])
+//! A search runs as a [`BstCursor`] (the crate's [`Cursor`]): stage 0 ([`BstCursor::start`])
 //! walks the tree's *hot prefix* (depths below [`HOT_DEPTH`], the top
 //! levels that fit in [`HOT_BYTES`] and that every lookup reads again)
 //! inline, with no prefetch and no yield, and prefetches the node where
@@ -24,9 +24,12 @@
 //! selected by address, not by a branch on the key comparison, whose
 //! outcome is random per level.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use amac_mem::arena::Arena;
 use amac_mem::prefetch::prefetch_read_t0;
-use amac_mem::HOT_BYTES;
+use amac_mem::{Cursor, Move, HOT_BYTES};
 use amac_workload::Relation;
 use core::marker::PhantomData;
 
@@ -76,22 +79,9 @@ pub fn prefetch_node(p: *const TreeNode) {
 /// for 64-byte nodes).
 pub const HOT_DEPTH: usize = (HOT_BYTES / core::mem::size_of::<TreeNode>()).ilog2() as usize;
 
-/// What one [`BstCursor::step`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BstMove {
-    /// The node does not hold the key: moved to its child toward the key,
-    /// and prefetched it.
-    Descended,
-    /// The node holds the key; its payload.
-    Found(u64),
-    /// The node has no child toward the key, or the tree is empty: the
-    /// key is absent.
-    Missed,
-}
-
 /// A resumable search position: the node the previous stage prefetched.
 /// The default cursor is an exhausted search (`step` returns
-/// [`BstMove::Missed`] without touching memory).
+/// [`Move::Missed`] without touching memory).
 pub struct BstCursor<'t> {
     node: *const TreeNode,
     /// Nodes are arena-owned by the tree, which is read-only while probed.
@@ -104,14 +94,16 @@ impl Default for BstCursor<'_> {
     }
 }
 
-impl<'t> BstCursor<'t> {
+impl<'t> Cursor<'t> for BstCursor<'t> {
+    type Index = Bst;
+
     /// Stage 0: walk the hot prefix for `key` inline and prefetch the
     /// node where the walk stopped. That is the key's path node at depth
     /// [`HOT_DEPTH`] (the root is depth 0), or an earlier one that holds
     /// the key or has no child toward it: `step` then resolves the lookup
     /// on a cached line.
     #[inline(always)]
-    pub fn start(tree: &'t Bst, key: u64) -> Self {
+    fn start(tree: &'t Bst, key: u64) -> Self {
         let mut node: *const TreeNode = tree.root;
         if !node.is_null() {
             // No path is longer than `len` nodes, so this bound changes no
@@ -142,22 +134,22 @@ impl<'t> BstCursor<'t> {
     /// hit per lookup); the direction is not, so the child is selected by
     /// address ([`TreeNode::child`]) rather than by a branch.
     #[inline(always)]
-    pub fn step(&mut self, key: u64) -> BstMove {
+    fn step(&mut self, key: u64) -> Move {
         if self.node.is_null() {
-            return BstMove::Missed; // empty tree
+            return Move::Missed; // empty tree
         }
         // SAFETY: read-only phase; nodes are arena-owned by the tree.
         let node = unsafe { &*self.node };
         if key == node.key {
-            return BstMove::Found(node.payload);
+            return Move::Found(node.payload);
         }
         let child = node.child(key > node.key);
         if child.is_null() {
-            return BstMove::Missed;
+            return Move::Missed;
         }
         prefetch_node(child);
         self.node = child;
-        BstMove::Descended
+        Move::Descended
     }
 }
 
@@ -171,6 +163,7 @@ pub struct Bst {
 // SAFETY: mutation only via &mut self; &self traversal is read-only and all
 // node pointers target the owned arena.
 unsafe impl Send for Bst {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for Bst {}
 
 impl Bst {
@@ -196,67 +189,28 @@ impl Bst {
     /// Insert `(key, payload)`; replaces the payload if `key` exists.
     /// Returns `true` when a new node was created.
     pub fn insert(&mut self, key: u64, payload: u64) -> bool {
-        if self.root.is_null() {
-            self.root = self.arena.alloc_with(TreeNode { key, payload, ..TreeNode::default() });
-            self.len = 1;
-            return true;
-        }
-        let mut cur = self.root;
+        let mut slot = &mut self.root;
         loop {
-            // SAFETY: cur is non-null and points into our arena; we hold
-            // &mut self.
-            unsafe {
-                use core::cmp::Ordering::*;
-                match key.cmp(&(*cur).key) {
-                    Equal => {
-                        (*cur).payload = payload;
-                        return false;
-                    }
-                    Less => {
-                        if (*cur).left.is_null() {
-                            (*cur).left = self.arena.alloc_with(TreeNode {
-                                key,
-                                payload,
-                                ..TreeNode::default()
-                            });
-                            self.len += 1;
-                            return true;
-                        }
-                        cur = (*cur).left;
-                    }
-                    Greater => {
-                        if (*cur).right.is_null() {
-                            (*cur).right = self.arena.alloc_with(TreeNode {
-                                key,
-                                payload,
-                                ..TreeNode::default()
-                            });
-                            self.len += 1;
-                            return true;
-                        }
-                        cur = (*cur).right;
-                    }
-                }
+            if slot.is_null() {
+                *slot = self.arena.alloc_with(TreeNode { key, payload, ..TreeNode::default() });
+                self.len += 1;
+                return true;
             }
+            // SAFETY: a non-null slot points into our arena; we hold
+            // &mut self.
+            let node = unsafe { &mut **slot };
+            if key == node.key {
+                node.payload = payload;
+                return false;
+            }
+            slot = if key < node.key { &mut node.left } else { &mut node.right };
         }
     }
 
     /// Reference search: the walk a [`BstCursor`] stages, with no
     /// prefetch.
     pub fn get(&self, key: u64) -> Option<u64> {
-        let mut cur: *const TreeNode = self.root;
-        while !cur.is_null() {
-            // SAFETY: read-only phase; nodes arena-owned.
-            unsafe {
-                use core::cmp::Ordering::*;
-                match key.cmp(&(*cur).key) {
-                    Equal => return Some((*cur).payload),
-                    Less => cur = (*cur).left,
-                    Greater => cur = (*cur).right,
-                }
-            }
-        }
-        None
+        self.find(key).map(|(node, _)| node.payload)
     }
 
     /// Number of nodes.
@@ -273,64 +227,57 @@ impl Bst {
 
     /// Depth of the node holding `key` (root = 1), if present.
     pub fn depth_of(&self, key: u64) -> Option<usize> {
+        self.find(key).map(|(_, depth)| depth)
+    }
+
+    /// The node holding `key`, and its depth (root = 1).
+    fn find(&self, key: u64) -> Option<(&TreeNode, usize)> {
         let mut cur: *const TreeNode = self.root;
-        let mut d = 0usize;
+        let mut depth = 0;
         while !cur.is_null() {
-            d += 1;
-            // SAFETY: read-only phase.
-            unsafe {
-                use core::cmp::Ordering::*;
-                match key.cmp(&(*cur).key) {
-                    Equal => return Some(d),
-                    Less => cur = (*cur).left,
-                    Greater => cur = (*cur).right,
-                }
+            depth += 1;
+            // SAFETY: read-only phase; nodes are arena-owned by the tree.
+            let node = unsafe { &*cur };
+            use core::cmp::Ordering::*;
+            match key.cmp(&node.key) {
+                Equal => return Some((node, depth)),
+                Less => cur = node.left,
+                Greater => cur = node.right,
             }
         }
         None
     }
 
-    /// Tree height (max node depth; 0 for empty). Iterative to survive
-    /// adversarial (sorted-input) shapes without stack overflow.
+    /// Tree height (max node depth; 0 for empty).
     pub fn height(&self) -> usize {
-        let mut max = 0usize;
-        let mut stack: Vec<(*const TreeNode, usize)> = Vec::new();
-        if !self.root.is_null() {
-            stack.push((self.root, 1));
-        }
-        while let Some((n, d)) = stack.pop() {
-            max = max.max(d);
-            // SAFETY: read-only phase.
-            unsafe {
-                if !(*n).left.is_null() {
-                    stack.push(((*n).left, d + 1));
-                }
-                if !(*n).right.is_null() {
-                    stack.push(((*n).right, d + 1));
-                }
-            }
-        }
+        let mut max = 0;
+        self.in_order(|_, depth| max = max.max(depth));
         max
     }
 
     /// In-order key traversal (validation).
     pub fn keys_in_order(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.len);
-        let mut stack: Vec<*const TreeNode> = Vec::new();
-        let mut cur: *const TreeNode = self.root;
-        while !cur.is_null() || !stack.is_empty() {
-            // SAFETY: read-only phase.
-            unsafe {
-                while !cur.is_null() {
-                    stack.push(cur);
-                    cur = (*cur).left;
-                }
-                let n = stack.pop().expect("non-empty stack");
-                out.push((*n).key);
-                cur = (*n).right;
-            }
-        }
+        self.in_order(|node, _| out.push(node.key));
         out
+    }
+
+    /// Visit every node in key order with its depth (root = 1).
+    /// Iterative to survive adversarial (sorted-input) shapes without
+    /// stack overflow.
+    fn in_order(&self, mut visit: impl FnMut(&TreeNode, usize)) {
+        let mut stack: Vec<(&TreeNode, usize)> = Vec::new();
+        let (mut cur, mut depth): (*const TreeNode, usize) = (self.root, 1);
+        loop {
+            // SAFETY: read-only phase; `cur` is null or an arena-owned node.
+            while let Some(node) = unsafe { cur.as_ref() } {
+                stack.push((node, depth));
+                (cur, depth) = (node.left, depth + 1);
+            }
+            let Some((node, d)) = stack.pop() else { return };
+            visit(node, d);
+            (cur, depth) = (node.right, d + 1);
+        }
     }
 }
 

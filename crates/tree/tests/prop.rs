@@ -1,66 +1,39 @@
-//! Property tests: the BST against a `BTreeMap` model, and the
-//! hot-prefix cursor against `get` under all four techniques.
+//! Property tests: the BST against a `BTreeMap` model, and where the
+//! hot-prefix cursor stops.
 
-use amac::engine::closure_api::{for_each_interleaved, Resume};
-use amac::engine::Technique;
-use amac_tree::{Bst, BstCursor, BstMove, HOT_DEPTH};
+use amac_mem::{Cursor, Move};
+use amac_tree::{Bst, BstCursor, HOT_DEPTH};
 use amac_workload::Relation;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Each key's answer from a [`BstCursor`] (stage 0 walks the hot prefix,
-/// each later stage one node), run by `technique` with `m` in flight.
-fn cursor_answers(tree: &Bst, keys: &[u64], technique: Technique, m: usize) -> Vec<Option<u64>> {
-    let inputs: Vec<(usize, u64)> = keys.iter().copied().enumerate().collect();
-    let mut out = vec![None; keys.len()];
-    for_each_interleaved(
-        technique,
-        &inputs,
-        m,
-        |&(i, key)| (i, key, BstCursor::start(tree, key)),
-        |(i, key, cursor)| match cursor.step(*key) {
-            BstMove::Descended => Resume::Later,
-            BstMove::Found(payload) => {
-                out[*i] = Some(payload);
-                Resume::Finished
-            }
-            BstMove::Missed => Resume::Finished,
-        },
-    );
-    out
+/// Steps a [`BstCursor`] takes to find `key`, the hit included.
+fn steps_to_hit(tree: &Bst, key: u64) -> usize {
+    let mut cursor = BstCursor::start(tree, key);
+    let mut steps = 1;
+    while cursor.step(key) == Move::Descended {
+        steps += 1;
+    }
+    steps
 }
 
-/// Trees whose top `HOT_DEPTH` levels hold the whole tree (1000 keys),
-/// part of it (4096 random keys: both sides of depth 12) and a small part
-/// of it (2^15 keys; a 600-deep path), plus the empty tree. Probes: every
-/// key, each key's successor (mostly in-range misses), 0 (below the
-/// minimum) and `u64::MAX` (above the maximum).
+/// Stage 0 walks depths 1..=`HOT_DEPTH` (root = 1) and stops on the node
+/// below them: a hit at depth <= `HOT_DEPTH` + 1 takes one step, one
+/// deeper takes a step per level below. The trees hold hits on both
+/// sides (4096 random keys, 2^15 keys, a 600-deep path).
 #[test]
-fn bst_hot_prefix_cursor_equals_get_under_every_technique() {
+fn bst_cursor_stages_only_the_levels_below_the_hot_prefix() {
     let mut path = Bst::new();
     for k in 1..=600u64 {
         path.insert(k * 2, k);
     }
-    let mut trees = vec![Bst::new(), path];
-    trees.extend([1000, 4096, 1 << 15].map(|n| Bst::build(&Relation::sparse_unique(n, 7))));
+    let mut trees = vec![path];
+    trees.extend([4096, 1 << 15].map(|n| Bst::build(&Relation::sparse_unique(n, 7))));
     let (mut in_prefix, mut staged) = (0, 0);
     for tree in &trees {
-        let stored = tree.keys_in_order();
-        let keys: Vec<u64> = stored.iter().flat_map(|&k| [k, k + 1]).chain([0, u64::MAX]).collect();
-        let want: Vec<Option<u64>> = keys.iter().map(|&k| tree.get(k)).collect();
-        for t in Technique::ALL {
-            for m in [1, 10] {
-                assert_eq!(
-                    cursor_answers(tree, &keys, t, m),
-                    want,
-                    "{t}, M={m}, {} keys",
-                    tree.len()
-                );
-            }
-        }
-        // A hit at depth <= HOT_DEPTH (root = 1) stops the walk on its
-        // node; one deeper than HOT_DEPTH + 1 is reached by a staged move.
-        for depth in stored.iter().map(|&k| tree.depth_of(k).unwrap()) {
+        for key in tree.keys_in_order() {
+            let depth = tree.depth_of(key).unwrap();
+            assert_eq!(steps_to_hit(tree, key), depth.saturating_sub(HOT_DEPTH).max(1), "{key}");
             in_prefix += (depth <= HOT_DEPTH) as usize;
             staged += (depth > HOT_DEPTH + 1) as usize;
         }

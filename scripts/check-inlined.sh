@@ -74,7 +74,7 @@ function hex(s,    i, n) {               # mawk has no strtonum
 }
 function addr(s) { sub(/^0+/, "", s); return s }   # the spelling objdump uses
 function is_stage(name) {
-  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|btree::BTreeOp|bst::BstOp|skiplist::SkipSearchOp|pipeline::ProbeStage)|amac_server::tenant::TenantOp|amac::engine::mux::LaneView<O>|amac::engine::pipeline::(Chain<A,B,R>|Fused<P,C>)) as amac::engine::LookupOp>::(start|step|looks_ahead|lookahead)(::\{\{closure\}\})?$/ ||
+  return name ~ /^<(amac_ops::(join::(ProbeOp|BuildOp)|mutate::MutateOp|groupby::GroupByOp|search::SearchOp<C>|pipeline::ProbeStage)|amac_server::tenant::TenantOp|amac::engine::mux::LaneView<O>|amac::engine::pipeline::(Chain<A,B,R>|Fused<P,C>)) as amac::engine::LookupOp>::(start|step|looks_ahead|lookahead)(::\{\{closure\}\})?$/ ||
          name ~ /^amac::engine::(mux::Mux<O>::step|call::(start|step))$/
 }
 function is_executor(name) {

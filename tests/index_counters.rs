@@ -15,6 +15,7 @@ use amac_suite::btree::BPlusTree;
 use amac_suite::engine::{EngineStats, Technique};
 use amac_suite::ops::bst::{bst_search, BstConfig};
 use amac_suite::ops::btree::{btree_search, BTreeConfig};
+use amac_suite::ops::search::SearchOutput;
 use amac_suite::ops::skiplist::{skip_search, SkipConfig};
 use amac_suite::skiplist::SkipList;
 use amac_suite::tree::Bst;
@@ -49,12 +50,17 @@ fn input(n: usize) -> (Relation, Relation) {
 /// (found, checksum, stats) per technique in `Technique::ALL` order.
 type Pinned = [(u64, u64, EngineStats); 4];
 
-fn bst_runs(rel: &Relation, probe: &Relation) -> Pinned {
-    let tree = Bst::build(rel);
+/// `search` under every technique.
+fn runs(search: impl Fn(Technique) -> SearchOutput) -> Pinned {
     Technique::ALL.map(|t| {
-        let o = bst_search(&tree, probe, t, &BstConfig::default());
+        let o = search(t);
         (o.found, o.checksum, o.stats)
     })
+}
+
+fn bst_runs(rel: &Relation, probe: &Relation) -> Pinned {
+    let tree = Bst::build(rel);
+    runs(|t| bst_search(&tree, probe, t, &BstConfig::default()))
 }
 
 fn skip_runs(rel: &Relation, probe: &Relation) -> Pinned {
@@ -65,18 +71,12 @@ fn skip_runs(rel: &Relation, probe: &Relation) -> Pinned {
             h.insert(t.key, t.payload);
         }
     }
-    Technique::ALL.map(|t| {
-        let o = skip_search(&list, probe, t, &SkipConfig::default());
-        (o.found, o.checksum, o.stats)
-    })
+    runs(|t| skip_search(&list, probe, t, &SkipConfig::default()))
 }
 
 fn btree_runs(rel: &Relation, probe: &Relation) -> Pinned {
     let tree = BPlusTree::build(rel);
-    Technique::ALL.map(|t| {
-        let o = btree_search(&tree, probe, t, &BTreeConfig::default());
-        (o.found, o.checksum, o.stats)
-    })
+    runs(|t| btree_search(&tree, probe, t, &BTreeConfig::default()))
 }
 
 /// The counters a read-only index search can move; every other field

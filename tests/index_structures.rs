@@ -1,5 +1,6 @@
-//! Cross-structure validation: BST and skip list against `BTreeMap`, and
-//! group-by against `HashMap`, across techniques and thread counts.
+//! Cross-structure validation: BST and skip list against `BTreeMap`, the
+//! four indexes against each other, and group-by against `HashMap`,
+//! across techniques and thread counts.
 
 use amac_suite::engine::Technique;
 use amac_suite::ops::parallel::{groupby_mt_rt, skip_insert_mt_rt};
@@ -67,18 +68,21 @@ fn groupby_mt_equals_single_thread_for_all_techniques() {
 
 #[test]
 fn mixed_structure_consistency() {
-    // The same relation indexed three ways must answer identically.
+    // The same relation indexed four ways must answer identically.
     let rel = Relation::sparse_unique(1 << 12, 47);
     let ht = amac_suite::hashtable::HashTable::build_serial(&rel);
     let tree = Bst::build(&rel);
+    let btree = amac_suite::btree::BPlusTree::build(&rel);
     let list = SkipList::new();
     skip_insert(&list, &rel, Technique::Baseline, &SkipConfig::default(), 1);
     for t in rel.tuples.iter().step_by(7) {
         let h = ht.lookup_first(t.key);
         let b = tree.get(t.key);
         let s = list.get(t.key);
+        let bp = btree.get(t.key);
         assert_eq!(h, Some(t.payload));
         assert_eq!(b, Some(t.payload));
         assert_eq!(s, Some(t.payload));
+        assert_eq!(bp, Some(t.payload));
     }
 }

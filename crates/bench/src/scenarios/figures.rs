@@ -301,8 +301,7 @@ fn bst_sweep(args: &Args, figure: &str, window: Window) {
         let tree = Bst::build(&rel);
         let probes = rel.shuffled(0xCC ^ bits as u64);
         let c = per_technique(args.trials, |t| {
-            let cfg =
-                BstConfig { params: window.params(t), materialize: false, ..Default::default() };
+            let cfg = BstConfig { params: window.params(t), materialize: false };
             [bst_search(&tree, &probes, t, &cfg).cycles as f64 / probes.len() as f64]
         });
         for (s, [x]) in speedups.iter_mut().zip(&c[1..]) {

@@ -107,7 +107,7 @@ pub(super) fn btree_sweep(args: &Args) -> Outcome {
         let n = probes.len() as f64;
         let c = per_technique(args.trials, |t| {
             let params = TuningParams::paper_best(t);
-            let bst_cfg = BstConfig { params, materialize: false, ..Default::default() };
+            let bst_cfg = BstConfig { params, materialize: false };
             let bt_cfg = BTreeConfig { params, materialize: false };
             [
                 bst_search(&bst, &probes, t, &bst_cfg).cycles as f64 / n,

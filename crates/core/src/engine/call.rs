@@ -151,11 +151,6 @@ impl<O: LookupOp, const PLAIN: bool> Call<'_, O, PLAIN> {
         self.op.lookahead(input);
     }
 
-    #[inline(always)]
-    pub(crate) fn budgeted_steps(&self) -> usize {
-        self.op.budgeted_steps()
-    }
-
     /// End the call: settle the tally (plain calls), then drain the op's
     /// ledger into `stats`.
     #[inline(always)]

@@ -75,10 +75,6 @@ where
     type Tally = ();
     type Output = core::convert::Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        BUDGET
-    }
-
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: I, state: &mut S) {
         *state = (self.start)(&input);
     }
@@ -103,7 +99,7 @@ pub fn for_each_interleaved<I: Copy, S: Default>(
 ) -> EngineStats {
     let mut op =
         ClosureOp { start: &mut start, advance: &mut advance, _marker: core::marker::PhantomData };
-    run(technique, &mut op, inputs, TuningParams::with_in_flight(in_flight))
+    run(technique, &mut op, inputs, TuningParams::with_in_flight(in_flight), BUDGET)
 }
 
 #[cfg(test)]

@@ -14,7 +14,11 @@
 //!    ([`Step::Blocked`], no progress made).
 //!
 //! A lookup with the paper's "N dependent memory accesses / N+1 code
-//! stages" is thus one `start` plus N `step`s.
+//! stages" is thus one `start` plus N `step`s. GP and SPP size their
+//! static schedules by such an `N`, the stage budget: the driver derives
+//! it from its data and passes it to [`run_gp`], [`run_spp`] or [`run`]
+//! beside the width `M`. The op does not know it; AMAC and the baseline
+//! need none.
 //!
 //! # Prefetch accounting convention
 //!
@@ -158,11 +162,6 @@ pub trait LookupOp {
     /// then run inline, and the routed op's go through [`call::step`].
     /// `false` (the default): a metered stage is one out-of-line call.
     const ROUTES: bool = false;
-
-    /// The paper's `N`: how many `step` calls a *regular* lookup needs.
-    /// GP and SPP size their static schedules with this; AMAC and the
-    /// baseline ignore it.
-    fn budgeted_steps(&self) -> usize;
 
     /// Code stage 0: begin a lookup for `input`, issuing the first
     /// prefetch, counting into `tally`. `PLAIN` is the call's mode (see
@@ -323,16 +322,19 @@ impl TuningParams {
 }
 
 /// Run `op` over `inputs` with the given technique and tuning.
+/// `n_stages` is the paper's `N`, the stage budget GP and SPP size their
+/// static schedules by; AMAC and the baseline ignore it.
 pub fn run<O: LookupOp>(
     technique: Technique,
     op: &mut O,
     inputs: &[O::Input],
     params: TuningParams,
+    n_stages: usize,
 ) -> EngineStats {
     match technique {
         Technique::Baseline => run_baseline(op, inputs),
-        Technique::Gp => run_gp(op, inputs, params.in_flight),
-        Technique::Spp => run_spp(op, inputs, params.in_flight),
+        Technique::Gp => run_gp(op, inputs, params.in_flight, n_stages),
+        Technique::Spp => run_spp(op, inputs, params.in_flight, n_stages),
         Technique::Amac => run_amac(op, inputs, params.in_flight),
     }
 }

@@ -427,10 +427,6 @@ impl<O: LookupOp> LookupOp for LaneView<'_, O> {
     type Output = O::Output;
     const ROUTES: bool = true;
 
-    fn budgeted_steps(&self) -> usize {
-        self.op.as_ref().map_or(1, |op| op.budgeted_steps())
-    }
-
     #[inline(always)]
     fn start<const PLAIN: bool>(
         &mut self,
@@ -567,7 +563,7 @@ impl<O: LookupOp> Hooks for LaneView<'_, O> {
 mod tests {
     use super::*;
     use crate::engine::testutil::{ChainOp as TestChainOp, ChainState, LatchedOp, LatchedState};
-    use crate::engine::{run, AmacSession, Technique, TuningParams};
+    use crate::engine::{run_amac, AmacSession, TuningParams};
 
     fn chains(n: usize, salt: usize) -> Vec<usize> {
         (0..n).map(|i| 1 + (i * 31 + salt) % 7).collect()
@@ -601,9 +597,9 @@ mod tests {
         let qb: Vec<usize> = (2_000..4_000).rev().collect();
         let params = TuningParams::default();
         let mut solo_a = TestChainOp::new(&ch);
-        let sa = run(Technique::Amac, &mut solo_a, &qa, params);
+        let sa = run_amac(&mut solo_a, &qa, params.in_flight);
         let mut solo_b = TestChainOp::new(&ch);
-        let sb = run(Technique::Amac, &mut solo_b, &qb, params);
+        let sb = run_amac(&mut solo_b, &qb, params.in_flight);
 
         let mut mux = Mux::new();
         let la = mux.add(TestChainOp::new(&ch));
@@ -647,7 +643,7 @@ mod tests {
         let qb: Vec<usize> = (1_000..2_000).collect();
         // Reference: lane B solo, untouched by A's cancellation.
         let mut solo_b = TestChainOp::new(&ch);
-        let sb = run(Technique::Amac, &mut solo_b, &qb, TuningParams::default());
+        let sb = run_amac(&mut solo_b, &qb, TuningParams::default().in_flight);
 
         let mut mux = Mux::new();
         let la = mux.add(TestChainOp::new(&ch));
@@ -784,7 +780,7 @@ mod tests {
         let ch = chains(1_000, 5);
         let inputs: Vec<usize> = (0..1_000).collect();
         let mut solo = TestChainOp::new(&ch);
-        let want = run(Technique::Amac, &mut solo, &inputs, TuningParams::default());
+        let want = run_amac(&mut solo, &inputs, TuningParams::default().in_flight);
 
         let mut mux = Mux::new();
         let lane = mux.add(TestChainOp::new(&ch));
@@ -851,9 +847,6 @@ mod tests {
         type State = MixedState;
         type Tally = ();
         type Output = core::convert::Infallible;
-        fn budgeted_steps(&self) -> usize {
-            self.chain.budgeted_steps()
-        }
         fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut MixedState) {
             self.own += !PLAIN as u64;
             self.stage();
@@ -891,9 +884,6 @@ mod tests {
         type State = MuxState<O::State>;
         type Tally = ();
         type Output = O::Output;
-        fn budgeted_steps(&self) -> usize {
-            1
-        }
         fn start<const PLAIN: bool>(
             &mut self,
             _: &mut (),

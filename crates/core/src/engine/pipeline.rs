@@ -128,10 +128,6 @@ where
     type Tally = (A::Tally, B::Tally);
     type Output = B::Output;
 
-    fn budgeted_steps(&self) -> usize {
-        self.up.budgeted_steps() + self.down.budgeted_steps()
-    }
-
     #[inline(always)]
     fn start<const PLAIN: bool>(
         &mut self,
@@ -280,10 +276,6 @@ impl<P: LookupOp, C: Consumer<P::Output>> LookupOp for Fused<P, C> {
     type Tally = P::Tally;
     type Output = Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        self.pipe.budgeted_steps()
-    }
-
     #[inline(always)]
     fn start<const PLAIN: bool>(
         &mut self,
@@ -335,7 +327,7 @@ impl<P: LookupOp, C: Consumer<P::Output>> LookupOp for Fused<P, C> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{run, Technique, TuningParams};
+    use super::super::{run, run_amac, Technique, TuningParams};
     use super::*;
 
     /// Test operator: walk `steps` synthetic nodes, then emit `input * 3`.
@@ -354,10 +346,6 @@ mod tests {
         type State = TripleState;
         type Tally = ();
         type Output = u64;
-
-        fn budgeted_steps(&self) -> usize {
-            self.steps + 1
-        }
 
         fn start<const PLAIN: bool>(&mut self, _: &mut (), input: u64, state: &mut TripleState) {
             state.v = input;
@@ -395,7 +383,8 @@ mod tests {
         for technique in Technique::ALL {
             let pipe = Chain::new(Triple { steps: 3 }, Triple { steps: 2 }, EvenOnly);
             let mut op = Fused::new(pipe, Collect::default());
-            let stats = run(technique, &mut op, &inputs, TuningParams::with_in_flight(6));
+            // N: each member's start plus its steps, 4 + 3.
+            let stats = run(technique, &mut op, &inputs, TuningParams::with_in_flight(6), 7);
             assert_eq!(stats.lookups, inputs.len() as u64, "{technique}");
             let mut got = op.into_sink().items;
             got.sort_unstable();
@@ -408,9 +397,8 @@ mod tests {
         let inputs: Vec<u64> = (1..=50).collect();
         let inner = Chain::new(Triple { steps: 1 }, Triple { steps: 1 }, PassThrough);
         let pipe = Chain::new(inner, Triple { steps: 1 }, PassThrough);
-        assert_eq!(pipe.budgeted_steps(), 2 + 2 + 2);
         let mut op = Fused::new(pipe, Collect::default());
-        run(Technique::Amac, &mut op, &inputs, TuningParams::default());
+        run_amac(&mut op, &inputs, TuningParams::default().in_flight);
         let mut got = op.into_sink().items;
         got.sort_unstable();
         let want: Vec<u64> = (1..=50).map(|v| v * 27).collect();
@@ -429,7 +417,7 @@ mod tests {
         let inputs: Vec<u64> = (0..64).collect();
         let pipe = Chain::new(Triple { steps: 2 }, Triple { steps: 2 }, DropAll);
         let mut op = Fused::new(pipe, Collect::default());
-        let stats = run(Technique::Amac, &mut op, &inputs, TuningParams::default());
+        let stats = run_amac(&mut op, &inputs, TuningParams::default().in_flight);
         assert_eq!(stats.lookups, 64);
         assert!(op.into_sink().items.is_empty());
     }
@@ -442,7 +430,7 @@ mod tests {
         let inputs = [4u64];
         let pipe = Chain::new(Triple { steps: 3 }, Triple { steps: 2 }, PassThrough);
         let mut op = Fused::new(pipe, Collect::default());
-        let stats = run(Technique::Amac, &mut op, &inputs, TuningParams::default());
+        let stats = run_amac(&mut op, &inputs, TuningParams::default().in_flight);
         // Prefetches: 1 (start) + 3 (up Continues) + 1 (handoff) + 2 (down).
         assert_eq!(stats.prefetches, 7);
         // Stages: the above plus the terminal Emit step.

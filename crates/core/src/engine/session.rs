@@ -524,9 +524,6 @@ mod tests {
             type State = usize;
             type Tally = ();
             type Output = core::convert::Infallible;
-            fn budgeted_steps(&self) -> usize {
-                1
-            }
             fn start<const PLAIN: bool>(&mut self, _: &mut (), _input: usize, _state: &mut usize) {}
             fn step<const PLAIN: bool>(&mut self, _: &mut (), _state: &mut usize) -> Step {
                 if self.release {
@@ -587,10 +584,6 @@ mod tests {
         type State = ChainState;
         type Tally = ();
         type Output = core::convert::Infallible;
-
-        fn budgeted_steps(&self) -> usize {
-            self.0.budgeted_steps()
-        }
 
         fn start<const PLAIN: bool>(&mut self, t: &mut (), input: usize, state: &mut ChainState) {
             self.0.start::<PLAIN>(t, input, state);

@@ -2,6 +2,7 @@
 //! the paper's comparison point).
 
 use super::call::{mode, Call};
+use super::gp::finish_alone;
 use super::{EngineStats, LookupOp, Step};
 
 /// Execute `inputs` with **Software-Pipelined Prefetching**.
@@ -9,8 +10,8 @@ use super::{EngineStats, LookupOp, Step};
 /// `m` pipeline slots each hold one lookup; every outer rotation gives each
 /// slot exactly one code-stage opportunity, so concurrently-resident
 /// lookups sit `1` stage apart — the software pipeline of Fig. 2b. A slot
-/// retires its lookup only after consuming its full static budget of `N`
-/// stage opportunities:
+/// retires its lookup only after consuming its full static budget of
+/// `N = n` stage opportunities (`n` derived by the driver, at least 1):
 ///
 /// * an **early-exit** lookup pads the rest of its `N` opportunities with
 ///   no-ops (the slot cannot accept new work mid-pipeline);
@@ -21,13 +22,13 @@ use super::{EngineStats, LookupOp, Step};
 ///
 /// Unlike GP there is no group barrier: each slot refills the moment its
 /// `N`-stage reservation ends.
-pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize) -> EngineStats {
+pub fn run_spp<O: LookupOp>(op: &mut O, inputs: &[O::Input], m: usize, n: usize) -> EngineStats {
     if inputs.is_empty() {
         return EngineStats::default();
     }
     match mode(op) {
-        Some(tally) => spp(Call::plain(op, tally), inputs, m),
-        None => spp(Call::metered(op), inputs, m),
+        Some(tally) => spp(Call::plain(op, tally), inputs, m, n),
+        None => spp(Call::metered(op), inputs, m, n),
     }
 }
 
@@ -36,11 +37,12 @@ fn spp<O: LookupOp, const PLAIN: bool>(
     mut op: Call<'_, O, PLAIN>,
     inputs: &[O::Input],
     m: usize,
+    n: usize,
 ) -> EngineStats {
     let mut stats = EngineStats::default();
     let pf = op.prefetch_gate();
     let m = m.clamp(1, inputs.len());
-    let n = op.budgeted_steps().max(1);
+    let n = n.max(1);
     let mut states: Vec<O::State> = Vec::with_capacity(m);
     states.resize_with(m, O::State::default);
     // Per-slot: lookup finished? / stage opportunities consumed / occupied?
@@ -78,8 +80,9 @@ fn spp<O: LookupOp, const PLAIN: bool>(
                 // The slot's N-stage reservation is over.
                 if !done[k] {
                     // Bailout: finish this lookup sequentially, stalling
-                    // the pipeline (counted against SPP).
-                    finish_one(&mut op, &mut states, &mut done, k, m, &active, &mut stats);
+                    // the pipeline (counted against SPP). A retired slot
+                    // is done, so the bailout steps only live ones.
+                    finish_alone(&mut op, &mut states, &mut done, k, &mut stats);
                 }
                 if next < inputs.len() {
                     op.start(inputs[next], &mut states[k]);
@@ -124,59 +127,6 @@ fn spp<O: LookupOp, const PLAIN: bool>(
     stats
 }
 
-/// Sequentially complete the lookup in slot `k` (SPP bailout). On a busy
-/// latch, hand single opportunities to the other occupied slots so an
-/// in-pipeline latch holder can progress.
-fn finish_one<O: LookupOp, const PLAIN: bool>(
-    op: &mut Call<'_, O, PLAIN>,
-    states: &mut [O::State],
-    done: &mut [bool],
-    k: usize,
-    m: usize,
-    active: &[bool],
-    stats: &mut EngineStats,
-) {
-    stats.bailouts += 1;
-    loop {
-        match op.step(&mut states[k]) {
-            Step::Continue => stats.bailout_stages += 1,
-            s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
-                stats.bailout_stages += 1;
-                stats.lookups += 1;
-                stats.failed_lookups += matches!(s, Step::Failed) as u64;
-                done[k] = true;
-                return;
-            }
-            Step::Blocked => {
-                stats.latch_retries += 1;
-                let mut progressed = false;
-                for j in 0..m {
-                    if j == k || !active[j] || done[j] {
-                        continue;
-                    }
-                    match op.step(&mut states[j]) {
-                        Step::Continue => {
-                            stats.bailout_stages += 1;
-                            progressed = true;
-                        }
-                        s @ (Step::Done | Step::Failed | Step::Emit(_)) => {
-                            stats.bailout_stages += 1;
-                            stats.lookups += 1;
-                            stats.failed_lookups += matches!(s, Step::Failed) as u64;
-                            done[j] = true;
-                            progressed = true;
-                        }
-                        Step::Blocked => stats.latch_retries += 1,
-                    }
-                }
-                if !progressed {
-                    core::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{ChainOp, LatchedOp};
@@ -187,7 +137,7 @@ mod tests {
         let chains = vec![3usize, 1, 4, 1, 5, 2];
         let mut op = ChainOp::new(&chains);
         let inputs: Vec<usize> = (0..chains.len()).collect();
-        let stats = run_spp(&mut op, &inputs, 3);
+        let stats = run_spp(&mut op, &inputs, 3, 4);
         assert_eq!(stats.lookups, 6);
         assert_eq!(op.outputs, vec![30, 10, 40, 10, 50, 20]);
     }
@@ -195,9 +145,9 @@ mod tests {
     #[test]
     fn perfect_pipeline_has_no_noops() {
         let chains = vec![4usize; 9];
-        let mut op = ChainOp::with_budget(&chains, 4);
+        let mut op = ChainOp::new(&chains);
         let inputs: Vec<usize> = (0..9).collect();
-        let stats = run_spp(&mut op, &inputs, 3);
+        let stats = run_spp(&mut op, &inputs, 3, 4);
         assert_eq!(stats.noops, 0);
         assert_eq!(stats.bailouts, 0);
         assert_eq!(stats.stages, 9 * 5);
@@ -206,18 +156,18 @@ mod tests {
     #[test]
     fn early_exit_pads_with_noops() {
         let chains = vec![1usize; 6];
-        let mut op = ChainOp::with_budget(&chains, 5);
+        let mut op = ChainOp::new(&chains);
         let inputs: Vec<usize> = (0..6).collect();
-        let stats = run_spp(&mut op, &inputs, 2);
+        let stats = run_spp(&mut op, &inputs, 2, 5);
         assert_eq!(stats.noops, 6 * 4, "each lookup pads 4 of its 5 opportunities");
     }
 
     #[test]
     fn overlength_lookup_bails_out() {
         let chains = vec![9usize, 2, 2];
-        let mut op = ChainOp::with_budget(&chains, 2);
+        let mut op = ChainOp::new(&chains);
         let inputs: Vec<usize> = (0..3).collect();
-        let stats = run_spp(&mut op, &inputs, 3);
+        let stats = run_spp(&mut op, &inputs, 3, 2);
         assert_eq!(stats.bailouts, 1);
         assert_eq!(stats.bailout_stages, 9 - 2);
         assert_eq!(stats.lookups, 3);
@@ -228,9 +178,9 @@ mod tests {
     fn slots_refill_independently() {
         // 8 lookups, width 2, budget 2 → 4 refills per slot, no barrier.
         let chains = vec![2usize; 8];
-        let mut op = ChainOp::with_budget(&chains, 2);
+        let mut op = ChainOp::new(&chains);
         let inputs: Vec<usize> = (0..8).collect();
-        let stats = run_spp(&mut op, &inputs, 2);
+        let stats = run_spp(&mut op, &inputs, 2, 2);
         assert_eq!(stats.lookups, 8);
         assert_eq!(stats.noops, 0);
     }
@@ -238,7 +188,7 @@ mod tests {
     #[test]
     fn latch_conflicts_resolve_without_deadlock() {
         let mut op = LatchedOp::new(2);
-        let stats = run_spp(&mut op, &[0usize, 1], 2);
+        let stats = run_spp(&mut op, &[0usize, 1], 2, 2);
         assert_eq!(stats.lookups, 2);
         assert!(stats.latch_retries > 0);
         assert_eq!(op.completed, vec![1, 0]);
@@ -247,6 +197,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut op = ChainOp::new(&[]);
-        assert_eq!(run_spp(&mut op, &[], 4), EngineStats::default());
+        assert_eq!(run_spp(&mut op, &[], 4, 4), EngineStats::default());
     }
 }

@@ -46,7 +46,6 @@ pub struct ChainOp {
     chains: Vec<usize>,
     /// Output slot per input index (paper: materialized via the rid field).
     pub outputs: Vec<u64>,
-    budget: usize,
     in_flight: usize,
     /// Highest number of simultaneously in-flight lookups observed.
     pub max_concurrent: usize,
@@ -68,17 +67,11 @@ pub struct ChainState {
 }
 
 impl ChainOp {
-    /// Mock with the default stage budget (4, the paper's common case).
+    /// Mock over the given chain lengths.
     pub fn new(chains: &[usize]) -> Self {
-        Self::with_budget(chains, 4)
-    }
-
-    /// Mock with an explicit GP/SPP stage budget `n`.
-    pub fn with_budget(chains: &[usize], n: usize) -> Self {
         ChainOp {
             chains: chains.to_vec(),
             outputs: vec![0; chains.len()],
-            budget: n,
             in_flight: 0,
             max_concurrent: 0,
             completed: Vec::new(),
@@ -94,10 +87,6 @@ impl LookupOp for ChainOp {
     type State = ChainState;
     type Tally = ();
     type Output = core::convert::Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.budget
-    }
 
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         assert!(self.chains[input] >= 1, "chains must need at least one step");
@@ -178,10 +167,6 @@ impl LookupOp for LatchedOp {
     type State = LatchedState;
     type Tally = ();
     type Output = core::convert::Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        2
-    }
 
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut LatchedState) {
         assert!(input < self.n);

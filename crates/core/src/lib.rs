@@ -9,13 +9,16 @@
 //! [`engine::LookupOp`]: `start` hashes/roots a new input and issues the
 //! first prefetch, `step` consumes the previously prefetched node and either
 //! finishes, prefetches the next node, or reports a latch conflict. Four
-//! executors then schedule those state machines:
+//! executors then schedule those state machines. GP and SPP size their
+//! static schedules by two numbers the caller passes, the width `M` and the
+//! stage budget `N`, which the caller derives from its data (Fig. 2); AMAC
+//! takes `M` alone:
 //!
 //! | Executor | Paper §2.2/§3 | Scheduling discipline |
 //! |----------|---------------|----------------------|
 //! | [`engine::run_baseline`] | no-prefetch baseline | one lookup at a time, no prefetch distance |
-//! | [`engine::run_gp`] | Group Prefetching (Chen et al.) | groups of `M`; each code stage swept over the whole group; finished lookups burn no-op slots; over-length lookups bail out |
-//! | [`engine::run_spp`] | Software-Pipelined Prefetching | `M`-slot pipeline, every slot exactly `N` stages apart; early exits pad with no-ops; over-length lookups bail out |
+//! | [`engine::run_gp`] | Group Prefetching (Chen et al.) | groups of `M`; `N` sweeps of one code stage over the whole group; finished lookups burn no-op slots; over-length lookups bail out |
+//! | [`engine::run_spp`] | Software-Pipelined Prefetching | `M`-slot pipeline, each slot holding a lookup for `N` stage opportunities; early exits pad with no-ops; over-length lookups bail out |
 //! | [`engine::run_amac`] | **AMAC (this paper)** | circular buffer of per-lookup state; any slot that finishes immediately starts a new lookup; latch conflicts defer the slot instead of spinning |
 //!
 //! The executors are deliberately *instruction-faithful* to the paper's

@@ -241,10 +241,6 @@ impl LookupOp for LineOp {
     type Tally = ();
     type Output = core::convert::Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
     fn start<const PLAIN: bool>(&mut self, _: &mut (), line: u64, group: &mut u32) {
         *group = self.cx.begin_lane();
         self.fresh.push(self.cx.request(AddrClass::Header { line }, 0, *group).fresh);

@@ -15,7 +15,6 @@ use proptest::prelude::*;
 struct SimOp {
     chains: Vec<usize>,
     outputs: Vec<u64>,
-    budget: usize,
 }
 
 #[derive(Default)]
@@ -25,9 +24,9 @@ struct SimState {
 }
 
 impl SimOp {
-    fn new(chains: Vec<usize>, budget: usize) -> Self {
+    fn new(chains: Vec<usize>) -> Self {
         let n = chains.len();
-        SimOp { chains, outputs: vec![u64::MAX; n], budget }
+        SimOp { chains, outputs: vec![u64::MAX; n] }
     }
 }
 
@@ -36,10 +35,6 @@ impl LookupOp for SimOp {
     type State = SimState;
     type Tally = ();
     type Output = core::convert::Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.budget
-    }
 
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut SimState) {
         state.idx = input;
@@ -62,8 +57,8 @@ fn run_all_techniques(chains: &[usize], budget: usize, m: usize) -> Vec<Vec<u64>
     Technique::ALL
         .iter()
         .map(|&t| {
-            let mut op = SimOp::new(chains.to_vec(), budget);
-            let stats = run(t, &mut op, &inputs, TuningParams::with_in_flight(m));
+            let mut op = SimOp::new(chains.to_vec());
+            let stats = run(t, &mut op, &inputs, TuningParams::with_in_flight(m), budget);
             assert_eq!(
                 stats.lookups,
                 chains.len() as u64,
@@ -96,9 +91,9 @@ proptest! {
         m in 1usize..16,
     ) {
         let inputs: Vec<usize> = (0..chains.len()).collect();
-        let mut a = SimOp::new(chains.clone(), 4);
-        let mut b = SimOp::new(chains.clone(), 4);
-        let mut c = SimOp::new(chains.clone(), 4);
+        let mut a = SimOp::new(chains.clone());
+        let mut b = SimOp::new(chains.clone());
+        let mut c = SimOp::new(chains.clone());
         run_amac(&mut a, &inputs, m);
         run_amac_no_merge(&mut b, &inputs, m);
         run_amac_modulo(&mut c, &inputs, m);
@@ -118,8 +113,8 @@ proptest! {
         let want: u64 = chains.iter().map(|&c| 1 + c as u64).sum();
         let inputs: Vec<usize> = (0..chains.len()).collect();
         for t in Technique::ALL {
-            let mut op = SimOp::new(chains.clone(), budget);
-            let stats = run(t, &mut op, &inputs, TuningParams::with_in_flight(m));
+            let mut op = SimOp::new(chains.clone());
+            let stats = run(t, &mut op, &inputs, TuningParams::with_in_flight(m), budget);
             prop_assert_eq!(
                 stats.stages + stats.bailout_stages, want,
                 "{} productive-stage conservation violated", t
@@ -150,9 +145,6 @@ fn amac_interleaves_lookups() {
         type State = S;
         type Tally = ();
         type Output = core::convert::Infallible;
-        fn budgeted_steps(&self) -> usize {
-            4
-        }
         fn start<const PLAIN: bool>(&mut self, _: &mut (), i: usize, s: &mut S) {
             s.idx = i;
             s.remaining = self.chains[i];

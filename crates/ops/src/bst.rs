@@ -11,27 +11,22 @@ use amac_workload::Relation;
 pub struct BstConfig {
     /// Executor tuning (the paper's `M`).
     pub params: TuningParams,
-    /// GP/SPP stage budget (`N`, node stages after stage 0); `0` = the
-    /// random-BST average depth `⌈1.39·log2 n⌉` less the [`HOT_DEPTH`]
-    /// levels stage 0 walks inline — the "slightly shorter pipeline that
-    /// favors the common-case traversal length" the paper finds optimal
-    /// (§5.3).
-    pub n_stages: usize,
     /// Materialize found payloads in input order.
     pub materialize: bool,
 }
 
 impl Default for BstConfig {
     fn default() -> Self {
-        BstConfig { params: TuningParams::default(), n_stages: 0, materialize: true }
+        BstConfig { params: TuningParams::default(), materialize: true }
     }
 }
 
-/// The GP/SPP stage budget `cfg` sets for `tree`.
-fn budget(tree: &Bst, cfg: &BstConfig) -> usize {
-    if cfg.n_stages != 0 {
-        return cfg.n_stages;
-    }
+/// The GP/SPP stage budget (`N`, node stages after stage 0) of a search
+/// of `tree`: the random-BST average depth `⌈1.39·log2 n⌉` less the
+/// [`HOT_DEPTH`] levels stage 0 walks inline — the "slightly shorter
+/// pipeline that favors the common-case traversal length" the paper finds
+/// optimal (§5.3).
+fn budget(tree: &Bst) -> usize {
     let n = tree.len().max(2) as f64;
     ((1.39 * n.log2()).ceil() as usize).saturating_sub(HOT_DEPTH).max(1)
 }
@@ -43,7 +38,7 @@ pub fn bst_search(
     technique: Technique,
     cfg: &BstConfig,
 ) -> SearchOutput {
-    search::<BstCursor>(tree, probe_rel, technique, cfg.params, budget(tree, cfg), cfg.materialize)
+    search::<BstCursor>(tree, probe_rel, technique, cfg.params, budget(tree), cfg.materialize)
 }
 
 #[cfg(test)]
@@ -89,6 +84,6 @@ mod tests {
         let rel = Relation::sparse_unique(1 << 12, 9);
         let tree = Bst::build(&rel);
         // 1.39 * 12 ≈ 16.7 → 17, less the 12 levels stage 0 walks.
-        assert_eq!(budget(&tree, &BstConfig::default()), 17 - HOT_DEPTH);
+        assert_eq!(budget(&tree), 17 - HOT_DEPTH);
     }
 }

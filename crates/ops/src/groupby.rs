@@ -35,14 +35,6 @@ use core::convert::Infallible;
 pub struct GroupByConfig {
     /// Executor tuning (the paper's `M`).
     pub params: TuningParams,
-    /// GP/SPP stage budget (`N`); `0` derives `N = 2` — one stage to
-    /// acquire the header latch plus one latched walk of a 1-node chain,
-    /// the common case when the table is sized one bucket per expected
-    /// group ([`AggTable::for_groups`]). Chained groups or latch
-    /// conflicts need more steps and fall into GP/SPP's sequential
-    /// bailout, which is the measured behaviour (Fig. 9), not a bug.
-    /// AMAC and the baseline ignore this value.
-    pub n_stages: usize,
     /// Memory-tier cost model (headers pay the header tier, chained
     /// group nodes the slab tier; blocked latch attempts count
     /// as executed stages, so multi-threaded simulated counters are only
@@ -68,6 +60,14 @@ impl GroupByConfig {
         ExecSpec { tier: self.tier, coalesce: self.coalesce, ..Default::default() }
     }
 }
+
+/// The group-by's GP/SPP stage budget `N`: one stage to acquire the
+/// header latch plus one latched walk of a 1-node chain, the common case
+/// when the table is sized one bucket per expected group
+/// ([`AggTable::for_groups`]). Chained groups or latch conflicts need more
+/// steps and fall into GP/SPP's sequential bailout, which is the measured
+/// behaviour (Fig. 9), not a bug.
+pub(crate) const STAGES: usize = 2;
 
 /// Result of one group-by run.
 #[derive(Debug, Clone, Default)]
@@ -124,7 +124,6 @@ impl Default for GroupByState {
 /// The group-by lookup state machine.
 pub struct GroupByOp<'a> {
     handle: AggHandle<'a>,
-    n_stages: usize,
     tuples: u64,
     /// The op's execution context (also reachable, type-erased, through
     /// `ctx`).
@@ -132,14 +131,10 @@ pub struct GroupByOp<'a> {
 }
 
 impl<'a> GroupByOp<'a> {
-    /// Create the op, aggregating into `table`.
-    pub fn new(table: &'a AggTable, cfg: &GroupByConfig) -> Self {
-        GroupByOp {
-            handle: table.handle(),
-            n_stages: if cfg.n_stages == 0 { 2 } else { cfg.n_stages },
-            tuples: 0,
-            cx: ExecCtx::new(&cfg.exec()),
-        }
+    /// Create the op, aggregating into `table` in the context `spec`
+    /// describes.
+    pub fn new(table: &'a AggTable, spec: &ExecSpec) -> Self {
+        GroupByOp { handle: table.handle(), tuples: 0, cx: ExecCtx::new(spec) }
     }
 
     /// Tuples aggregated so far (for drivers that own the op).
@@ -162,10 +157,6 @@ impl LookupOp for GroupByOp<'_> {
     type Tally = GroupByTally;
     type Output = Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
-
     #[inline(always)]
     fn start<const PLAIN: bool>(
         &mut self,
@@ -182,19 +173,21 @@ impl LookupOp for GroupByOp<'_> {
         state.hop = 0;
         // Group-by writes the header, so a coalesced (non-fresh) ticket
         // still only suppresses the hardware hint — never the latch walk.
-        // A plain stage only counts the load: no lane to open, no
-        // arrival tick to keep, no load event pending.
-        let fresh = if !PLAIN {
+        // So does a context whose hint is `None` (the ablation); any other
+        // hint keeps the op's own write/read prefetch instructions. A
+        // plain stage (its context's hint is `Nta`) only counts the load:
+        // no lane to open, no arrival tick to keep, no load event pending.
+        let prefetch = if !PLAIN {
             state.pending = true;
             state.group = self.cx.begin_lane();
             let ticket = self.cx.request(AddrClass::header_ptr(header), 0, state.group);
             state.ready_at = ticket.ready_at;
-            ticket.fresh
+            ticket.fresh && self.cx.hint().is_real()
         } else {
             t.led.issued_loads += 1;
             true
         };
-        if fresh {
+        if prefetch {
             prefetch_write(header);
         }
     }
@@ -239,17 +232,17 @@ impl LookupOp for GroupByOp<'_> {
             let next = self.handle.table().node_ptr(idx);
             state.cur = next;
             state.hop += 1;
-            let fresh = if !PLAIN {
+            let prefetch = if !PLAIN {
                 state.pending = true;
                 let class = AddrClass::slab_ptr(slab_of_index(idx), next);
                 let ticket = self.cx.request(class, 0, state.group);
                 state.ready_at = ticket.ready_at;
-                ticket.fresh
+                ticket.fresh && self.cx.hint().is_real()
             } else {
                 t.led.issued_loads += 1;
                 true
             };
-            if fresh {
+            if prefetch {
                 prefetch_read(next);
             }
             Step::Continue
@@ -279,9 +272,9 @@ pub fn groupby(
     technique: Technique,
     cfg: &GroupByConfig,
 ) -> GroupByOutput {
-    let mut op = crate::traced(GroupByOp::new(table, cfg), cfg.trace);
+    let mut op = crate::traced(GroupByOp::new(table, &cfg.exec()), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &input.tuples, cfg.params);
+    let stats = run(technique, &mut op, &input.tuples, cfg.params, STAGES);
     let trace = op.cx.take_tracer();
     GroupByOutput {
         tuples: op.tuples,
@@ -393,15 +386,5 @@ mod tests {
         let out = groupby(&table, &Relation::default(), Technique::Amac, &GroupByConfig::default());
         assert_eq!(out.tuples, 0);
         assert_eq!(table.group_count(), 0);
-    }
-
-    #[test]
-    fn n_stages_zero_derives_acquire_plus_walk() {
-        // The documented `0 → 2` rule (acquire + 1-node latched walk),
-        // and explicit budgets pass through untouched.
-        let table = AggTable::for_groups(8);
-        assert_eq!(GroupByOp::new(&table, &GroupByConfig::default()).budgeted_steps(), 2);
-        let explicit = GroupByConfig { n_stages: 5, ..Default::default() };
-        assert_eq!(GroupByOp::new(&table, &explicit).budgeted_steps(), 5);
     }
 }

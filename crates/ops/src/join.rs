@@ -86,6 +86,17 @@ impl ProbeConfig {
     pub fn exec(&self) -> ExecSpec {
         ExecSpec { tier: self.tier, fault: self.fault, coalesce: self.coalesce, hint: self.hint }
     }
+
+    /// The GP/SPP stage budget of a probe of `ht`: [`n_stages`], or the
+    /// occupancy estimate when that is `0`.
+    ///
+    /// [`n_stages`]: ProbeConfig::n_stages
+    pub(crate) fn stages(&self, ht: &HashTable) -> usize {
+        match self.n_stages {
+            0 => auto_chain_estimate(ht),
+            n => n,
+        }
+    }
 }
 
 impl Default for ProbeConfig {
@@ -143,7 +154,6 @@ pub struct ProbeOp<'a> {
     /// The two config fields a code stage reads.
     materialize: bool,
     scan_all: bool,
-    n_stages: usize,
     matches: u64,
     checksum: u64,
     out: Vec<u64>,
@@ -156,13 +166,11 @@ pub struct ProbeOp<'a> {
 impl<'a> ProbeOp<'a> {
     /// Build the op for one run over `n_probes` tuples.
     pub fn new(ht: &'a HashTable, cfg: &ProbeConfig, n_probes: usize) -> Self {
-        let n_stages = if cfg.n_stages == 0 { auto_chain_estimate(ht) } else { cfg.n_stages };
         ProbeOp {
             ht,
             cx: ExecCtx::new(&cfg.exec()),
             materialize: cfg.materialize,
             scan_all: cfg.scan_all,
-            n_stages,
             matches: 0,
             checksum: 0,
             out: if cfg.materialize { vec![u64::MAX; n_probes] } else { Vec::new() },
@@ -195,7 +203,7 @@ impl<'a> ProbeOp<'a> {
 /// buckets, `ceil(ceil(tuples / buckets) / TUPLES_PER_NODE)` nodes per
 /// bucket (min 1) is close enough for the paper's N-tuning purpose.
 /// This is the [`ProbeConfig::n_stages`]` = 0` derivation rule documented
-/// there; [`crate::pipeline::ProbeStage`] reuses it per fused stage.
+/// there; the fused pipelines reuse it per probe stage.
 pub(crate) fn auto_chain_estimate(ht: &HashTable) -> usize {
     let tuples = ht.tuple_count();
     if tuples == 0 {
@@ -227,10 +235,6 @@ impl LookupOp for ProbeOp<'_> {
     type State = ProbeState;
     type Tally = ProbeTally;
     type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
 
     /// Code 0 (Table 1): get new tuple, compute bucket address **and the
     /// key's SWAR probe word**, prefetch.
@@ -326,7 +330,7 @@ impl LookupOp for ProbeOp<'_> {
 pub fn probe(ht: &HashTable, s: &Relation, technique: Technique, cfg: &ProbeConfig) -> ProbeOutput {
     let mut op = crate::traced(ProbeOp::new(ht, cfg, s.len()), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let stats = run(technique, &mut op, &s.tuples, cfg.params, cfg.stages(ht));
     let (cycles, seconds, trace) = (timer.cycles(), timer.seconds(), op.cx.take_tracer());
     let (matches, checksum, out) = (op.matches, op.checksum, op.out);
     ProbeOutput { matches, checksum, out, stats, cycles, seconds, trace }
@@ -403,10 +407,6 @@ impl LookupOp for BuildOp<'_> {
     type Tally = Ledger;
     type Output = Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        1
-    }
-
     /// Code 0: get new tuple, compute bucket address, prefetch (for write).
     #[inline(always)]
     fn start<const PLAIN: bool>(&mut self, led: &mut Ledger, input: Tuple, state: &mut BuildState) {
@@ -465,7 +465,8 @@ impl LookupOp for BuildOp<'_> {
 pub fn build(ht: &HashTable, r: &Relation, technique: Technique, cfg: &BuildConfig) -> BuildOutput {
     let mut op = BuildOp::new(ht, &cfg.exec());
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &r.tuples, cfg.params);
+    // N = 1: an insert is one latched stage after stage 0.
+    let stats = run(technique, &mut op, &r.tuples, cfg.params, 1);
     BuildOutput { stats, cycles: timer.cycles(), seconds: timer.seconds() }
 }
 
@@ -640,7 +641,7 @@ mod tests {
             let solo = probe(&ht, &s, t, &cfg);
             let stage = ProbeStage::new(&ht, &cfg.exec()).terminal();
             let mut op = crate::traced(Fused::new(stage, CountChecksum::default()), true);
-            let st = run(t, &mut op, &s.tuples, cfg.params);
+            let st = run(t, &mut op, &s.tuples, cfg.params, cfg.stages(&ht));
             let staged = (op.sink().matches, op.sink().checksum, st.failed_lookups, st.load_faults);
             let staged_sim =
                 (st.sim_cycles, st.sim_stalls, op.ctx().take_tracer().canonical_hash());

@@ -75,10 +75,6 @@ pub struct MutateConfig {
     pub params: TuningParams,
     /// The mutation applied per tuple.
     pub kind: MutateKind,
-    /// GP/SPP stage budget; `0` derives from occupancy as in
-    /// `ProbeConfig::n_stages` (`Insert` always budgets 1 — its walk is
-    /// the header only).
-    pub n_stages: usize,
     /// Prefetch instruction policy.
     pub hint: PrefetchHint,
     /// Memory-tier cost model (`None` = untiered counters, but WAL costs
@@ -113,7 +109,6 @@ impl Default for MutateConfig {
         MutateConfig {
             params: TuningParams::default(),
             kind: MutateKind::Upsert,
-            n_stages: 0,
             hint: PrefetchHint::Nta,
             tier: None,
             fault: None,
@@ -150,7 +145,6 @@ pub struct MutateOp<'a> {
     /// Frozen boundary captured at construction (the epoch is already
     /// entered — `new` freezes).
     bound: u32,
-    n_stages: usize,
     /// Latency a perfectly utilized M-deep window hides per load.
     hide: u64,
     /// Amortized asymmetric write ticks per WAL record
@@ -169,17 +163,11 @@ pub struct MutateOp<'a> {
 impl<'a> MutateOp<'a> {
     /// Create a mutation op against `ht`, entering its latch-free epoch.
     pub fn new(ht: &'a HashTable, cfg: &MutateConfig) -> Self {
-        let n_stages = match cfg.kind {
-            MutateKind::Insert => 1,
-            _ if cfg.n_stages == 0 => crate::join::auto_chain_estimate(ht),
-            _ => cfg.n_stages,
-        };
         let group = cfg.params.in_flight.max(1) as u64;
         let model = cfg.tier.map(|t| t.model).unwrap_or_default();
         MutateOp {
             ht,
             bound: ht.freeze(),
-            n_stages,
             hide: group,
             write_cost: if cfg.wal { model.write_latency().div_ceil(group).max(1) } else { 0 },
             cx: ExecCtx::new(&cfg.exec()),
@@ -312,10 +300,6 @@ impl LookupOp for MutateOp<'_> {
     type State = MutState;
     type Tally = MutateTally;
     type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
 
     #[inline(always)]
     fn start<const PLAIN: bool>(
@@ -460,6 +444,17 @@ pub struct MutateOutput {
     pub trace: Tracer,
 }
 
+/// The GP/SPP stage budget of `kind` mutations of `ht`: 1 for an insert,
+/// whose walk is the header only; a walk of the chain for an upsert or a
+/// delete, estimated from occupancy as for a probe
+/// ([`ProbeConfig::n_stages`](crate::join::ProbeConfig::n_stages)` = 0`).
+fn stages(ht: &HashTable, kind: MutateKind) -> usize {
+    match kind {
+        MutateKind::Insert => 1,
+        _ => crate::join::auto_chain_estimate(ht),
+    }
+}
+
 /// Run `cfg.kind` mutations from `rel` against `ht` with `technique`.
 pub fn mutate(
     ht: &HashTable,
@@ -469,7 +464,7 @@ pub fn mutate(
 ) -> MutateOutput {
     let mut op = crate::traced(MutateOp::new(ht, cfg), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &rel.tuples, cfg.params);
+    let stats = run(technique, &mut op, &rel.tuples, cfg.params, stages(ht, cfg.kind));
     let seconds = timer.seconds();
     let trace = op.cx.take_tracer();
     MutateOutput {
@@ -492,7 +487,7 @@ pub fn mutate_mt_rt(
     cfg: &MutateConfig,
     rt: &MorselConfig,
 ) -> MutateOutput {
-    let run = execute(&rel.tuples, technique, cfg.params, rt, |_tid| {
+    let run = execute(&rel.tuples, technique, cfg.params, stages(ht, cfg.kind), rt, |_tid| {
         crate::traced(MutateOp::new(ht, cfg), cfg.trace)
     });
     // `execute` already harvested every worker's tracer into the report.
@@ -537,7 +532,7 @@ pub fn replay(ht: &HashTable, records: &[WalRecord]) -> EngineStats {
         let tuples: Vec<Tuple> = muts[lo..hi].iter().map(|m| m.1).collect();
         let params = TuningParams::with_in_flight(1);
         let cfg = MutateConfig { params, kind, wal: false, ..Default::default() };
-        stats.merge(&run(Technique::Baseline, &mut MutateOp::new(ht, &cfg), &tuples, params));
+        stats.merge(&run(Technique::Baseline, &mut MutateOp::new(ht, &cfg), &tuples, params, 1));
         lo = hi;
     }
     // Every record is one lookup, and a replay never fails.

@@ -21,6 +21,7 @@
 //! over any of the three structures) runs on the morsel runtime by handing
 //! its op to [`amac_runtime::execute`] directly.
 
+use crate::join::auto_chain_estimate;
 use amac::engine::{EngineStats, Technique};
 use amac_hashtable::{AggTable, HashTable};
 use amac_runtime::{execute, MorselConfig, RunReport};
@@ -80,7 +81,7 @@ pub fn probe_mt_rt(
     rt: &MorselConfig,
 ) -> MtOutput {
     let cfg = crate::join::ProbeConfig { materialize: false, ..cfg.clone() };
-    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
+    let run = execute(&s.tuples, technique, cfg.params, cfg.stages(ht), rt, |_tid| {
         crate::traced(crate::join::ProbeOp::new(ht, &cfg, 0), cfg.trace)
     });
     let mut out = MtOutput::from_report(run.report);
@@ -99,8 +100,8 @@ pub fn groupby_mt_rt(
     cfg: &crate::groupby::GroupByConfig,
     rt: &MorselConfig,
 ) -> MtOutput {
-    let run = execute(&input.tuples, technique, cfg.params, rt, |_tid| {
-        crate::traced(crate::groupby::GroupByOp::new(table, cfg), cfg.trace)
+    let run = execute(&input.tuples, technique, cfg.params, crate::groupby::STAGES, rt, |_tid| {
+        crate::traced(crate::groupby::GroupByOp::new(table, &cfg.exec()), cfg.trace)
     });
     let mut out = MtOutput::from_report(run.report);
     out.matches = run.ops.iter().map(|op| op.tuples()).sum();
@@ -133,7 +134,8 @@ pub fn probe_groupby_mt_rt(
     cfg: &crate::pipeline::PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
-    let run = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
+    let n = auto_chain_estimate(ht) + crate::groupby::STAGES;
+    let run = execute(&s.tuples, technique, cfg.params, n, rt, |_tid| {
         crate::traced(crate::pipeline::fused_probe_groupby_op(ht, table, cfg), cfg.trace)
     });
     let mut res = MtPipeline { passes: 1, ..Default::default() };
@@ -159,7 +161,7 @@ pub fn probe_groupby_two_phase_mt_rt(
     cfg: &crate::pipeline::PipelineConfig,
     rt: &MorselConfig,
 ) -> MtPipeline {
-    let run1 = execute(&s.tuples, technique, cfg.params, rt, |_tid| {
+    let run1 = execute(&s.tuples, technique, cfg.params, auto_chain_estimate(ht), rt, |_tid| {
         crate::traced(crate::pipeline::materializing_probe_op(ht, cfg), cfg.trace)
     });
     let mut matched = 0u64;
@@ -192,8 +194,9 @@ pub fn skip_insert_mt_rt(
     cfg: &crate::skiplist::SkipConfig,
     rt: &MorselConfig,
 ) -> MtOutput {
-    let run = execute(&input.tuples, technique, cfg.params, rt, |tid| {
-        crate::skiplist::SkipInsertOp::new(list, cfg, input.len(), 0x51EE9 + tid as u64)
+    let n = crate::skiplist::insert_budget(cfg, input.len());
+    let run = execute(&input.tuples, technique, cfg.params, n, rt, |tid| {
+        crate::skiplist::SkipInsertOp::new(list, 0x51EE9 + tid as u64)
     });
     let mut out = MtOutput::from_report(run.report);
     out.matches = run.ops.iter().map(|op| op.inserted()).sum();
@@ -252,9 +255,10 @@ mod tests {
         let cfg = crate::join::BuildConfig::default();
         for t in Technique::ALL {
             let ht = HashTable::for_tuples(r.len());
-            let out = execute(&r.tuples, t, cfg.params, &MorselConfig::with_threads(4), |_tid| {
-                crate::join::BuildOp::new(&ht, &cfg.exec())
-            });
+            let out =
+                execute(&r.tuples, t, cfg.params, 1, &MorselConfig::with_threads(4), |_tid| {
+                    crate::join::BuildOp::new(&ht, &cfg.exec())
+                });
             assert_eq!(out.report.stats.lookups, r.len() as u64, "{t}");
             assert_eq!(ht.len(), r.len(), "{t}");
         }
@@ -310,8 +314,8 @@ mod tests {
         let params = Default::default();
         let st = search::<C>(index, probes, Technique::Amac, params, 1, false);
         let rt = MorselConfig::with_threads(4);
-        let mt = execute(&probes.tuples, Technique::Amac, params, &rt, |_tid| {
-            SearchOp::<C>::new(index, 1, false, 0)
+        let mt = execute(&probes.tuples, Technique::Amac, params, 1, &rt, |_tid| {
+            SearchOp::<C>::new(index, false, 0)
         });
         assert_eq!(mt.ops.iter().map(|op| op.found()).sum::<u64>(), st.found);
         let checksum = mt.ops.iter().fold(0u64, |c, op| c.wrapping_add(op.checksum()));

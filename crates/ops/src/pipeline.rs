@@ -51,7 +51,7 @@
 
 use crate::chain::ChainCursor;
 use crate::groupby::GroupByOp;
-use crate::join::ProbeState;
+use crate::join::{auto_chain_estimate, ProbeState};
 use amac::engine::pipeline::{Chain, Consumer, Fused, Route};
 use amac::engine::{run, EngineStats, Hooks, LookupOp, Step, Technique, TuningParams};
 use amac_hashtable::{AggTable, HashTable};
@@ -105,11 +105,11 @@ impl PipelineConfig {
     }
 
     /// The standalone group-by config of this pipeline's aggregation
-    /// stage (derived stage budget; the stage is unfaultable).
+    /// stage, for the two-phase references' phase 2 (the stage is
+    /// unfaultable, and a standalone group-by takes no hint).
     pub(crate) fn groupby(&self) -> crate::groupby::GroupByConfig {
         crate::groupby::GroupByConfig {
             params: self.params,
-            n_stages: 0,
             tier: self.tier,
             coalesce: self.coalesce,
             trace: self.trace,
@@ -134,7 +134,6 @@ pub struct Joined {
 /// a [`Joined`] tuple (FK join semantics); a miss leaves the pipeline.
 pub struct ProbeStage<'a> {
     ht: &'a HashTable,
-    n_stages: usize,
     matches: u64,
     /// This stage ends its chain: an emitted tuple leaves the window, so
     /// the stage records the retirement itself instead of deferring to a
@@ -146,17 +145,11 @@ pub struct ProbeStage<'a> {
 }
 
 impl<'a> ProbeStage<'a> {
-    /// Probe stage against `ht`; the GP/SPP stage budget is derived from
-    /// the table's occupancy as for
+    /// Probe stage against `ht`. A driver running it under GP or SPP
+    /// budgets it from the table's occupancy, as for
     /// [`ProbeConfig::n_stages`](crate::join::ProbeConfig::n_stages)` = 0`.
     pub fn new(ht: &'a HashTable, spec: &ExecSpec) -> Self {
-        ProbeStage {
-            ht,
-            n_stages: crate::join::auto_chain_estimate(ht),
-            matches: 0,
-            terminal: false,
-            cx: ExecCtx::new(spec),
-        }
+        ProbeStage { ht, matches: 0, terminal: false, cx: ExecCtx::new(spec) }
     }
 
     /// Mark this stage as the chain's last operator: emitted tuples go
@@ -186,10 +179,6 @@ impl LookupOp for ProbeStage<'_> {
     type State = ProbeState;
     type Tally = StageTally;
     type Output = Joined;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
 
     #[inline(always)]
     fn start<const PLAIN: bool>(
@@ -350,7 +339,8 @@ pub type FusedProbeProbe<'a> =
 
 /// Build the fused probe→filter→group-by op: probe `ht`, filter on the
 /// probe payload, aggregate the survivors into `table` keyed by the
-/// matched build payload.
+/// matched build payload. Both stages run in the pipeline's context,
+/// except that the group-by stage is unfaultable.
 pub fn fused_probe_groupby_op<'a>(
     ht: &'a HashTable,
     table: &'a AggTable,
@@ -358,7 +348,7 @@ pub fn fused_probe_groupby_op<'a>(
 ) -> FusedProbeGroupBy<'a> {
     Chain::new(
         ProbeStage::new(ht, &cfg.exec()),
-        GroupByOp::new(table, &cfg.groupby()),
+        GroupByOp::new(table, &ExecSpec { fault: None, ..cfg.exec() }),
         FilterProject { filter: cfg.filter },
     )
 }
@@ -421,7 +411,9 @@ pub fn probe_then_groupby(
 ) -> PipelineOutput {
     let mut op = crate::traced(fused_probe_groupby_op(ht, table, cfg), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
+    // A chain's N is the sum of its members'.
+    let n = auto_chain_estimate(ht) + crate::groupby::STAGES;
+    let stats = run(technique, &mut op, &s.tuples, cfg.params, n);
     let trace = op.ctx().take_tracer();
     PipelineOutput {
         matched: op.up().matches(),
@@ -451,7 +443,7 @@ pub fn probe_then_groupby_two_phase(
     let timer = CycleTimer::start();
     // Phase 1: probe, materializing the filtered+projected join output.
     let mut op = crate::traced(materializing_probe_op(ht, cfg), cfg.trace);
-    let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let mut stats = run(technique, &mut op, &s.tuples, cfg.params, auto_chain_estimate(ht));
     let matched = op.pipe().matches();
     let mut trace = op.ctx().take_tracer();
     let mid = Relation::from_tuples(op.into_sink().out);
@@ -483,7 +475,8 @@ pub fn probe_then_probe(
 ) -> PipelineOutput {
     let mut op = crate::traced(fused_probe_probe_op(ht1, ht2, cfg), cfg.trace);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let n = auto_chain_estimate(ht1) + auto_chain_estimate(ht2);
+    let stats = run(technique, &mut op, &s.tuples, cfg.params, n);
     let trace = op.ctx().take_tracer();
     PipelineOutput {
         matched: op.pipe().up().matches(),
@@ -509,7 +502,7 @@ pub fn probe_then_probe_two_phase(
 ) -> PipelineOutput {
     let timer = CycleTimer::start();
     let mut op = crate::traced(materializing_probe_op(ht1, cfg), cfg.trace);
-    let mut stats = run(technique, &mut op, &s.tuples, cfg.params);
+    let mut stats = run(technique, &mut op, &s.tuples, cfg.params, auto_chain_estimate(ht1));
     let matched = op.pipe().matches();
     let mut trace = op.ctx().take_tracer();
     let mid = Relation::from_tuples(op.into_sink().out);
@@ -517,7 +510,7 @@ pub fn probe_then_probe_two_phase(
         Fused::new(ProbeStage::new(ht2, &cfg.exec()).terminal(), CountChecksum::default()),
         cfg.trace,
     );
-    stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params));
+    stats.merge(&run(technique, &mut op2, &mid.tuples, cfg.params, auto_chain_estimate(ht2)));
     trace.merge(op2.ctx().take_tracer());
     PipelineOutput {
         matched,

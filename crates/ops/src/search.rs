@@ -44,7 +44,6 @@ pub struct SearchState<C> {
 /// The search state machine over cursor `C`.
 pub struct SearchOp<'i, C: Cursor<'i>> {
     index: &'i C::Index,
-    n_stages: usize,
     materialize: bool,
     found: u64,
     checksum: u64,
@@ -53,12 +52,10 @@ pub struct SearchOp<'i, C: Cursor<'i>> {
 }
 
 impl<'i, C: Cursor<'i>> SearchOp<'i, C> {
-    /// Create the op for `n_probes` lookups against `index`, with GP/SPP
-    /// stage budget `n_stages`.
-    pub fn new(index: &'i C::Index, n_stages: usize, materialize: bool, n_probes: usize) -> Self {
+    /// Create the op for `n_probes` lookups against `index`.
+    pub fn new(index: &'i C::Index, materialize: bool, n_probes: usize) -> Self {
         SearchOp {
             index,
-            n_stages,
             materialize,
             found: 0,
             checksum: 0,
@@ -85,10 +82,6 @@ impl<'i, C: Cursor<'i>> LookupOp for SearchOp<'i, C> {
     type State = SearchState<C>;
     type Tally = ();
     type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
 
     /// Stage 0: get new tuple, walk the hot prefix, access (prefetch)
     /// the first node below it. Inlined by force: with the walk's loop
@@ -121,7 +114,8 @@ impl<'i, C: Cursor<'i>> LookupOp for SearchOp<'i, C> {
     }
 }
 
-/// Run `probe_rel` lookups against `index` with `technique`.
+/// Run `probe_rel` lookups against `index` with `technique`, GP and SPP
+/// with the stage budget `n_stages`.
 pub fn search<'i, C: Cursor<'i>>(
     index: &'i C::Index,
     probe_rel: &Relation,
@@ -130,9 +124,9 @@ pub fn search<'i, C: Cursor<'i>>(
     n_stages: usize,
     materialize: bool,
 ) -> SearchOutput {
-    let mut op = SearchOp::<C>::new(index, n_stages, materialize, probe_rel.len());
+    let mut op = SearchOp::<C>::new(index, materialize, probe_rel.len());
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &probe_rel.tuples, params);
+    let stats = run(technique, &mut op, &probe_rel.tuples, params, n_stages);
     SearchOutput {
         found: op.found,
         checksum: op.checksum,

@@ -36,10 +36,23 @@ pub struct SkipConfig {
     pub n_stages: usize,
 }
 
-/// The GP/SPP stage budget `cfg` sets for `list`.
+/// The GP/SPP stage budget `cfg` sets for a search of `list`.
 fn budget(list: &SkipList, cfg: &SkipConfig) -> usize {
     match cfg.n_stages {
         0 => 2 * (list.level().saturating_sub(HOT_LEVELS) + 1),
+        n => n,
+    }
+}
+
+/// The GP/SPP stage budget `cfg` sets for inserting into a list that
+/// holds `expected_total` keys at the end: derived from that size, since
+/// the list may start empty.
+pub(crate) fn insert_budget(cfg: &SkipConfig, expected_total: usize) -> usize {
+    match cfg.n_stages {
+        0 => {
+            let levels = (expected_total.max(2) as f64).log2().ceil() as usize;
+            2 * (levels.saturating_sub(HOT_LEVELS) + 1) + 2
+        }
         n => n,
     }
 }
@@ -109,22 +122,14 @@ impl Default for SkipInsertState<'_> {
 /// The insert state machine.
 pub struct SkipInsertOp<'a> {
     handle: InsertHandle<'a>,
-    n_stages: usize,
     inserted: u64,
     duplicates: u64,
 }
 
 impl<'a> SkipInsertOp<'a> {
-    /// Create the op; `expected_total` is the final list size used to
-    /// derive the GP/SPP stage budget when the list starts empty.
-    pub fn new(list: &'a SkipList, cfg: &SkipConfig, expected_total: usize, seed: u64) -> Self {
-        let n_stages = if cfg.n_stages == 0 {
-            let levels = (expected_total.max(2) as f64).log2().ceil() as usize;
-            2 * (levels.saturating_sub(HOT_LEVELS) + 1) + 2
-        } else {
-            cfg.n_stages
-        };
-        SkipInsertOp { handle: list.handle(seed), n_stages, inserted: 0, duplicates: 0 }
+    /// Create the op, drawing tower heights from `seed`.
+    pub fn new(list: &'a SkipList, seed: u64) -> Self {
+        SkipInsertOp { handle: list.handle(seed), inserted: 0, duplicates: 0 }
     }
 
     /// Keys newly inserted so far.
@@ -145,10 +150,6 @@ impl<'a> LookupOp for SkipInsertOp<'a> {
     type State = SkipInsertState<'a>;
     type Tally = ();
     type Output = Infallible;
-
-    fn budgeted_steps(&self) -> usize {
-        self.n_stages
-    }
 
     fn start<const PLAIN: bool>(
         &mut self,
@@ -235,9 +236,9 @@ pub fn skip_insert(
     cfg: &SkipConfig,
     seed: u64,
 ) -> SkipInsertOutput {
-    let mut op = SkipInsertOp::new(list, cfg, input.len(), seed);
+    let mut op = SkipInsertOp::new(list, seed);
     let timer = CycleTimer::start();
-    let stats = run(technique, &mut op, &input.tuples, cfg.params);
+    let stats = run(technique, &mut op, &input.tuples, cfg.params, insert_budget(cfg, input.len()));
     SkipInsertOutput {
         inserted: op.inserted,
         duplicates: op.duplicates,

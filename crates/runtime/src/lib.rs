@@ -21,7 +21,6 @@
 //! #     type State = NopState;
 //! #     type Tally = ();
 //! #     type Output = core::convert::Infallible;
-//! #     fn budgeted_steps(&self) -> usize { 1 }
 //! #     fn start<const PLAIN: bool>(&mut self, _: &mut (), i: u64, s: &mut NopState) { s.0 = i; }
 //! #     fn step<const PLAIN: bool>(&mut self, _: &mut (), _s: &mut NopState) -> Step { Step::Done }
 //! # }
@@ -31,6 +30,7 @@
 //!     &inputs,
 //!     Technique::Amac,
 //!     TuningParams::default(),
+//!     1, // GP/SPP stage budget N; AMAC needs none
 //!     &cfg,
 //!     |_tid| NopOp, // one op (and one AMAC window) per worker thread
 //! );
@@ -232,10 +232,13 @@ pub struct RunOutput<O> {
 }
 
 /// Run `make_op(tid)` per worker over `inputs` with morsel dispatch.
+/// `n_stages` is the GP/SPP stage budget `N` of every morsel's run (see
+/// [`amac::engine::run`]).
 pub fn execute<I, O, F>(
     inputs: &[I],
     technique: Technique,
     params: TuningParams,
+    n_stages: usize,
     cfg: &MorselConfig,
     make_op: F,
 ) -> RunOutput<O>
@@ -264,7 +267,9 @@ where
                         let t0 = Instant::now();
                         match session.as_mut() {
                             Some(s) => s.feed(&mut op, morsel, &mut rep.stats),
-                            None => rep.stats.merge(&run(technique, &mut op, morsel, params)),
+                            None => {
+                                rep.stats.merge(&run(technique, &mut op, morsel, params, n_stages))
+                            }
                         }
                         let dt = t0.elapsed();
                         hist.record(dt.as_nanos() as u64);
@@ -339,7 +344,7 @@ mod tests {
 
         for scheduling in [Scheduling::StaticChunk, Scheduling::WorkSteal] {
             let cfg = MorselConfig { threads: 4, morsel_tuples: 1024, scheduling };
-            let out = execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| {
+            let out = execute(&inputs, Technique::Amac, TuningParams::default(), 1, &cfg, |_| {
                 ChainOp::new(&ch)
             });
             let (checksum, merged) = fold_outputs(&out);
@@ -357,7 +362,7 @@ mod tests {
         for technique in Technique::ALL {
             let cfg = MorselConfig { threads: 3, morsel_tuples: 512, ..Default::default() };
             let out =
-                execute(&inputs, technique, TuningParams::paper_best(technique), &cfg, |_| {
+                execute(&inputs, technique, TuningParams::paper_best(technique), 4, &cfg, |_| {
                     ChainOp::new(&ch)
                 });
             assert_eq!(out.report.stats.lookups, ch.len() as u64, "{technique}");
@@ -373,8 +378,9 @@ mod tests {
         let ch: Vec<usize> = (0..n).map(|i| if i < n / 4 { 64 } else { 1 }).collect();
         let inputs: Vec<usize> = (0..n).collect();
         let cfg = MorselConfig { threads: 4, morsel_tuples: 256, ..Default::default() };
-        let out =
-            execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| ChainOp::new(&ch));
+        let out = execute(&inputs, Technique::Amac, TuningParams::default(), 1, &cfg, |_| {
+            ChainOp::new(&ch)
+        });
         assert_eq!(out.report.stats.lookups, n as u64);
         assert!(out.report.steals() > 0, "skewed run must redistribute morsels");
     }
@@ -387,6 +393,7 @@ mod tests {
             &inputs,
             Technique::Amac,
             TuningParams::default(),
+            1,
             &MorselConfig::static_chunks(4),
             |_| ChainOp::new(&ch),
         );
@@ -403,6 +410,7 @@ mod tests {
             &inputs,
             Technique::Amac,
             TuningParams::default(),
+            1,
             &MorselConfig::with_threads(8),
             |_| ChainOp::new(&ch),
         );
@@ -415,6 +423,7 @@ mod tests {
             &inputs,
             Technique::Amac,
             TuningParams::default(),
+            1,
             &MorselConfig::with_threads(16),
             |_| ChainOp::new(&ch),
         );
@@ -426,8 +435,9 @@ mod tests {
         let ch = chains(20_000);
         let inputs: Vec<usize> = (0..ch.len()).collect();
         let cfg = MorselConfig { threads: 4, morsel_tuples: 1000, ..Default::default() };
-        let out =
-            execute(&inputs, Technique::Amac, TuningParams::default(), &cfg, |_| ChainOp::new(&ch));
+        let out = execute(&inputs, Technique::Amac, TuningParams::default(), 1, &cfg, |_| {
+            ChainOp::new(&ch)
+        });
         let r = &out.report;
         assert_eq!(r.per_thread.len(), 4);
         assert_eq!(r.per_thread.iter().map(|t| t.tuples).sum::<u64>(), 20_000);

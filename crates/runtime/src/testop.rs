@@ -33,10 +33,6 @@ impl LookupOp for ChainOp {
     type Tally = ();
     type Output = core::convert::Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        4
-    }
-
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         assert!(self.chains[input] >= 1, "chains must need at least one step");
         state.idx = input;

@@ -514,7 +514,9 @@ impl<'a> ServeSession<'a> {
                 cfg.fault = cfg.fault.map(|plan| plan.reseeded(q.attempts));
                 TenantOp::Probe(ProbeOp::new(self.catalog, &cfg, probes.len()))
             }
-            Request::GroupBy { table, cfg, .. } => TenantOp::GroupBy(GroupByOp::new(table, &cfg)),
+            Request::GroupBy { table, cfg, .. } => {
+                TenantOp::GroupBy(GroupByOp::new(table, &cfg.exec()))
+            }
             Request::Pipeline { table, cfg, .. } => {
                 TenantOp::Pipeline(Box::new(fused_probe_groupby_op(self.catalog, table, &cfg)))
             }

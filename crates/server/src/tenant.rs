@@ -68,15 +68,6 @@ impl LookupOp for TenantOp<'_> {
     type Output = Infallible;
     const ROUTES: bool = true;
 
-    fn budgeted_steps(&self) -> usize {
-        match self {
-            TenantOp::Probe(op) => op.budgeted_steps(),
-            TenantOp::GroupBy(op) => op.budgeted_steps(),
-            TenantOp::Pipeline(op) => op.budgeted_steps(),
-            TenantOp::Upsert(op) => op.budgeted_steps(),
-        }
-    }
-
     /// `start` fully reinitializes the state with the op's variant.
     #[inline(always)]
     fn start<const PLAIN: bool>(

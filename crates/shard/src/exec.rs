@@ -352,7 +352,6 @@ pub fn groupby_sharded(
                 tier: Some(tier),
                 coalesce: cfg.coalesce,
                 trace: cfg.trace,
-                ..Default::default()
             };
             let sub = groupby(agg.shard(target), sub, technique, &gcfg);
             (sub.stats, sub.trace, sub.tuples)

@@ -37,10 +37,6 @@ impl LookupOp for FarChainOp {
     type Tally = ();
     type Output = core::convert::Infallible;
 
-    fn budgeted_steps(&self) -> usize {
-        3
-    }
-
     fn start<const PLAIN: bool>(&mut self, _: &mut (), input: usize, state: &mut ChainState) {
         state.left = self.chains[input];
         state.group = self.cx.begin_lane();

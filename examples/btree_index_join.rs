@@ -55,11 +55,7 @@ fn main() {
     println!("\nsame join through the random BST (irregular depth, paper §5.3)");
     println!("{:<10} {:>14} {:>10}", "technique", "cycles/tuple", "speedup");
     for t in Technique::ALL {
-        let cfg = BstConfig {
-            params: TuningParams::paper_best(t),
-            materialize: false,
-            ..Default::default()
-        };
+        let cfg = BstConfig { params: TuningParams::paper_best(t), materialize: false };
         let out = bst_search(&bst, &outer, t, &cfg);
         assert_eq!(out.found, outer.len() as u64);
         let cpt = out.cycles as f64 / outer.len() as f64;

@@ -34,9 +34,10 @@
 # `run_amac`), and so are the functions of the AVX-512 kernel it wraps
 # (`amac_hashtable::vector`). Legacy symbol names
 # carry no type arguments, so instances of a generic function (an
-# executor, the metered pair) are named by their DWARF declaration
-# (`feed<ProbeState, ProbeOp>`), module paths dropped; without debug
-# info they keep the symbol name.
+# executor, the metered pair, both ends of a failing call) are named by
+# their DWARF declaration (`feed<ProbeState, ProbeOp>`, `start<BstCursor,
+# false>`), module paths dropped; without debug info they keep the
+# symbol name.
 #
 # `.text` and the instance sizes depend on the build directory, not only on
 # the code: one tree read 966,871 B of `.text` built in the repository and
@@ -140,7 +141,7 @@ watched && /\tcall / {
     target = $0; sub(/.*call +[0-9a-f]+ </, "", target); sub(/>$/, "", target)
     ta = $0; sub(/.*call +/, "", ta); sub(/ .*/, "", ta); ta = addr(ta)
   }
-  if (is_stage(target)) { printf "  %s calls %s\n", body, target; bad++ }
+  if (is_stage(target)) { printf "  %s calls %s\n", label(here, body), label(ta, target); bad++ }
   if (ta in batch && index(batch[ta], exec_at[here]) == 0) batch[ta] = batch[ta] (batch[ta] == "" ? "" : "; ") exec_at[here]
   if (feed != "" && (target ~ /::(metered_(start|step)|step_routed)$/ || is_stage(target))) {
     short = target; sub(/^<?([a-z_]+::)*/, "", short); sub(/ as .*>::/, "::", short)

@@ -28,11 +28,7 @@ fn btree_and_bst_agree_on_index_join() {
             &bst,
             &outer,
             t,
-            &BstConfig {
-                params: TuningParams::paper_best(t),
-                materialize: true,
-                ..Default::default()
-            },
+            &BstConfig { params: TuningParams::paper_best(t), materialize: true },
         );
         assert_eq!(bt.found, bs.found, "{t}");
         assert_eq!(bt.checksum, bs.checksum, "{t}");

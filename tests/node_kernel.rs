@@ -153,7 +153,7 @@ fn probes_agree_with_a_full_slot_scan() {
         for t in Technique::ALL {
             let stage = ProbeStage::new(&ht, &Default::default()).terminal();
             let mut op = Fused::new(stage, CountChecksum::default());
-            run(t, &mut op, &s.tuples, TuningParams::with_in_flight(4));
+            run(t, &mut op, &s.tuples, TuningParams::with_in_flight(4), 1);
             assert_eq!((op.sink().matches, op.sink().checksum), want, "{label}: stage {t}");
         }
     }

@@ -219,7 +219,7 @@ impl Case {
     }
     fn groupby_cfg(&self) -> GroupByConfig {
         let (tier, coalesce, trace) = (self.tier(), self.cx.coalesce, self.cx.trace);
-        GroupByConfig { params: self.params(), tier, coalesce, trace, ..Default::default() }
+        GroupByConfig { params: self.params(), tier, coalesce, trace }
     }
     fn mutate_cfg(&self, kind: MutateKind) -> MutateConfig {
         let (params, hint, tier, fault, trace) =
@@ -315,11 +315,14 @@ pub fn gen(seed: u64) -> Case {
     if r.next_below(3) == 0 {
         cx = Cx { mult: cx.mult.or(Some(4)), fault: Some(pick(r, &[20, 100, 300])), ..cx };
     }
-    // What each op's config can say (a group-by stage takes no hint).
+    // What each op's config can say. A standalone group-by takes no hint;
+    // a fused one runs under the pipeline's. The two-phase plan's phase 2
+    // is the standalone group-by, whose config has no hint, so it
+    // prefetches under any pipeline hint and keeps `Nta` here.
     match op {
         Op::Build => cx = Cx { mult: cx.mult, ..plain },
         Op::GroupBy => cx = Cx { fault: None, hint: PrefetchHint::Nta, ..cx },
-        Op::ProbeGroupBy | Op::TwoPhase => cx.hint = PrefetchHint::Nta,
+        Op::TwoPhase => cx.hint = PrefetchHint::Nta,
         Op::Mutate(_) => cx.coalesce = None,
         _ => {}
     }
@@ -642,9 +645,6 @@ impl<'a> LookupOp for Probe<'a> {
     type Tally = <ProbeOp<'a> as LookupOp>::Tally;
     type Output = <ProbeOp<'a> as LookupOp>::Output;
 
-    fn budgeted_steps(&self) -> usize {
-        self.op.budgeted_steps()
-    }
     fn start<const PLAIN: bool>(&mut self, t: &mut Self::Tally, x: Tuple, s: &mut Self::State) {
         self.op.start::<PLAIN>(t, x, s);
     }
@@ -826,7 +826,7 @@ fn run(c: &Case, w: &World) -> Run {
             let (r, make) = (&w.build.tuples, |_| BuildOp::new(table, &cfg.exec()));
             let st = match c.driver {
                 Driver::OneShot => build(table, &w.build, t, &cfg).stats,
-                Driver::Morsel { .. } => execute(r, t, c.params(), &rt(), make).report.stats,
+                Driver::Morsel { .. } => execute(r, t, c.params(), 1, &rt(), make).report.stats,
                 _ => feed(c, r, make).1,
             };
             res.rows = table.contents_sorted();
@@ -841,7 +841,7 @@ fn run(c: &Case, w: &World) -> Run {
                 let o = groupby_mt_rt(&agg, s, t, &cfg, &rt());
                 (o.matches, o.stats, o.report.trace)
             } else {
-                let (ops, st, tr) = feed(c, &s.tuples, |_| GroupByOp::new(&agg, &cfg));
+                let (ops, st, tr) = feed(c, &s.tuples, |_| GroupByOp::new(&agg, &cfg.exec()));
                 (total(&ops, GroupByOp::tuples), st, tr)
             };
             (res.n[0], res.groups) = (n, groups_of(&agg));
@@ -896,7 +896,7 @@ fn run(c: &Case, w: &World) -> Run {
                         feed(c, &s.tuples, |_| materializing_probe_op(ht, &cfg));
                     let matched = total(&ops, |o| o.pipe().matches());
                     let mid: Vec<Tuple> = ops.into_iter().flat_map(|o| o.into_sink().out).collect();
-                    let (ops, st2, tr2) = feed(c, &mid, |_| GroupByOp::new(&agg, &gcfg));
+                    let (ops, st2, tr2) = feed(c, &mid, |_| GroupByOp::new(&agg, &gcfg.exec()));
                     st.merge(&st2);
                     tr.merge(tr2);
                     ([matched, total(&ops, GroupByOp::tuples), mid.len() as u64, 2], st, tr)
@@ -913,7 +913,7 @@ fn run(c: &Case, w: &World) -> Run {
                 ([o.matched, o.aggregated, o.checksum], o.stats, o.trace)
             } else {
                 let (ops, st, tr) = if morsel {
-                    let o = execute(&s.tuples, t, c.params(), &rt(), make);
+                    let o = execute(&s.tuples, t, c.params(), 1, &rt(), make);
                     (o.ops, o.report.stats, o.report.trace)
                 } else {
                     feed(c, &s.tuples, make)

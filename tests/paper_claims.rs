@@ -188,11 +188,7 @@ fn static_schedule_overheads_vanish_on_regular_structures() {
             &bst,
             &probes,
             t,
-            &BstConfig {
-                params: TuningParams::paper_best(t),
-                materialize: false,
-                ..Default::default()
-            },
+            &BstConfig { params: TuningParams::paper_best(t), materialize: false },
         );
         assert!(
             out.stats.noops > probes.len() as u64,

@@ -135,7 +135,9 @@ fn independent_structures_in_parallel() {
         let (ht, agg, r, g) = (&ht, &agg, &r, &g);
         s.spawn(move || {
             let (rt, cfg) = (MorselConfig::with_threads(2), BuildConfig::default());
-            execute(&r.tuples, Technique::Amac, cfg.params, &rt, |_| BuildOp::new(ht, &cfg.exec()));
+            execute(&r.tuples, Technique::Amac, cfg.params, 1, &rt, |_| {
+                BuildOp::new(ht, &cfg.exec())
+            });
         });
         s.spawn(move || {
             let rt = MorselConfig::with_threads(2);
